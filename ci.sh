@@ -65,6 +65,9 @@ AP_BENCH_JSON=target/ci_loadgen_rows.json \
 kill "${DICT_SERVER_PID}" 2>/dev/null || true
 trap - EXIT
 
+echo "==> test the benchmark package (outside the workspace: a Server/ServerConfig API break shows here)"
+cargo test --offline --quiet --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "==> smoke-run the net-fault-overhead harness (exactly-once cost gate)"
 AP_BENCH_JSON=target/ci_netfault_rows.json \
     cargo run --release --quiet --bin net_fault_overhead -- --smoke >/dev/null

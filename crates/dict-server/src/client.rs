@@ -19,8 +19,8 @@
 //! Failure handling is typed ([`ClientError`]) and the retry budget is
 //! count-based — a fixed number of attempts with a doubling backoff
 //! `Duration`, no deadline arithmetic — so the client stays inside the
-//! workspace's determinism-hygiene rules (no `Instant` outside
-//! `clock.rs`).
+//! workspace's determinism-hygiene rules (no `Instant` anywhere in this
+//! crate).
 
 use std::collections::VecDeque;
 use std::fmt;

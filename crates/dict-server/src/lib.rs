@@ -4,10 +4,12 @@
 //!
 //! - [`protocol`] — the hand-rolled length-prefixed binary wire format
 //!   (`std::io` only; see the module docs for the full grammar).
-//! - [`server`] — the TCP server: thread-per-connection framing feeding an
-//!   epoch group-commit pipeline that drains through the sharded batch
-//!   engine and responds in arrival order, with bounded queues
-//!   (shed-on-overload) and typed degradation for quarantined shards.
+//! - [`server`] — the TCP server: thread-per-connection framing feeding a
+//!   work-conserving epoch group-commit pipeline (an epoch closes when a
+//!   reader is about to block, never on a timer) that drains through the
+//!   sharded batch engine and responds in arrival order, with bounded
+//!   queues (shed-on-overload) and typed degradation for quarantined
+//!   shards.
 //! - [`client`] — a small blocking client used by the load generator and
 //!   the protocol/determinism batteries, with count-based exactly-once
 //!   retries (one idempotency token per logical operation, resent
@@ -18,13 +20,14 @@
 //!
 //! The load-bearing invariant is stated and argued in `server`'s module
 //! docs and pinned by `tests/server_determinism.rs`: request interleaving,
-//! client count and epoch timing can shift *when* batches commit, but the
-//! at-rest bytes stay the pure function `f(contents, seed)`.
+//! client count and where epochs close can shift *when* batches commit,
+//! but the at-rest bytes stay the pure function `f(contents, seed)`. The
+//! crate reads no clock at all: every bound is a count, and the only
+//! durations are socket timeouts handed to the OS.
 
 #![forbid(unsafe_code)]
 
 pub mod client;
-mod clock;
 pub mod netfault;
 pub mod protocol;
 pub mod server;

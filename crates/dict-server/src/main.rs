@@ -3,7 +3,7 @@
 //! ```text
 //! dict-server [--addr 127.0.0.1:0] [--addr-file PATH]
 //!             [--backend hi-pma] [--seed N] [--shards N]
-//!             [--epoch-micros N] [--epoch-ops N] [--queue-bound N]
+//!             [--epoch-ops N] [--queue-bound N]
 //!             [--acceptors N] [--parallel-threshold N]
 //!             [--max-frame N] [--dedup-window N] [--inflight-bound N]
 //!             [--write-timeout-millis N] [--idle-timeout-millis N]
@@ -15,6 +15,10 @@
 //! address to `--addr-file` (how `ci.sh` discovers the port), then serves
 //! until the process is killed. With `--persist`, the `FLUSH` operation
 //! canonicalizes the served contents into the given block-store file.
+//!
+//! There is no epoch timer to set: a connection hands its queued requests
+//! to the engine when it is about to block, or when it holds `--epoch-ops`
+//! of them.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -29,7 +33,7 @@ struct Args {
     config: DictConfig,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(it: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".to_string(),
         addr_file: None,
@@ -41,7 +45,7 @@ fn parse_args() -> Result<Args, String> {
             ..DictConfig::default()
         },
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = it.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -54,10 +58,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.config.seed = parse_num(&value("--seed")?, "--seed")?,
             "--shards" => {
                 args.config.shards = parse_num::<usize>(&value("--shards")?, "--shards")?;
-            }
-            "--epoch-micros" => {
-                args.config.server.epoch_micros =
-                    parse_num(&value("--epoch-micros")?, "--epoch-micros")?;
             }
             "--epoch-ops" => {
                 args.config.server.epoch_ops = parse_num(&value("--epoch-ops")?, "--epoch-ops")?;
@@ -108,7 +108,7 @@ fn parse_num<T: FromStr>(raw: &str, flag: &str) -> Result<T, String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     let persist = match &args.persist {
         Some(path) => Some(
             Dict::builder()
@@ -145,5 +145,25 @@ fn main() -> ExitCode {
             eprintln!("dict-server: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn the_epoch_timer_flag_is_gone_and_refused_by_name() {
+        let err = parse(&["--epoch-micros", "200"]).map(|_| ()).unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains("--epoch-micros"),
+            "{err}"
+        );
+        let args = parse(&["--epoch-ops", "64"]).expect("the op budget stays");
+        assert_eq!(args.config.server.epoch_ops, 64);
     }
 }

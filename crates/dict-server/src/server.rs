@@ -1,23 +1,49 @@
-//! The TCP front-end: thread-per-connection framing on `std::net` around an
-//! **epoch group-commit pipeline**.
+//! The TCP front-end: thread-per-connection framing on `std::net` around a
+//! **work-conserving epoch group-commit pipeline**.
 //!
 //! # Architecture
 //!
 //! ```text
 //! acceptor threads ──▶ per-connection reader ──▶ bounded per-shard queues
-//!   (one listener,        (parse frame,             (seq-stamped tickets,
-//!    N acceptors)          route by shard,           shed when full)
-//!                          shed/refuse typed)              │
+//!   (one listener,        (parse every buffered      (seq-stamped tickets,
+//!    N acceptors)          frame, route by shard,     shed when full)
+//!                          release before blocking)        │
 //!                                                          ▼ epoch boundary
 //! per-connection writer ◀── response slots ◀── engine thread (drain all
 //!   (emits responses in      (one per request)    queues, merge by seq,
-//!    arrival order)                                segment walk, apply_batch)
+//!    arrival order, flushes                        segment walk, apply_batch)
+//!    before blocking)
 //! ```
 //!
-//! Requests accumulate in bounded per-shard queues for at most
-//! `epoch_micros` microseconds or `epoch_ops` operations, whichever first.
-//! The engine then drains *every* queue, merges the tickets by their global
-//! arrival sequence number, and walks them in that one order: point writes
+//! ## What closes an epoch
+//!
+//! No timer does. The engine sleeps until some reader *releases* the
+//! tickets it has queued, then drains *every* queue; whatever is released
+//! while it is busy is the next epoch. An idle server answers a lone
+//! request at once, and a loaded one commits in groups that follow the
+//! load.
+//!
+//! **The release rule: a reader never blocks while holding unreleased
+//! tickets.** A reader parses every frame already in its buffer and queues
+//! them without waking the engine; it releases (one `notify`) only
+//!
+//! - before a `read` that reaches the socket — the buffer is short of the
+//!   next prefix or body, so the peer decides how long that read takes;
+//! - before a send into a full `inflight_bound` channel — the writer it
+//!   would wait for may itself be waiting on one of those tickets;
+//! - when it holds `epoch_ops` tickets, the one pacing bound;
+//! - on every way out of the reader, unwinding included (a drop guard).
+//!
+//! That gives liveness (a queued ticket is released before its connection
+//! can wait on anything) and batching (a pipelined burst that arrived
+//! together is applied together, in one `multi_apply`). The rule keys on a
+//! property of the input — which bytes have already arrived — not on a
+//! clock or a setting, so there is no idle-latency/throughput knob: no
+//! trade is left to make. The writer mirrors it, flushing its buffer only
+//! before it would block.
+//!
+//! The engine merges the drained tickets by their global arrival sequence
+//! number and walks them in that one order: point writes
 //! accumulate into a batch (plus a this-epoch overlay so a pipelined `GET`
 //! after a `PUT` on one connection observes its own write), point reads
 //! answer from the overlay or from one batched [`ShardedDict::multi_get`]
@@ -27,6 +53,9 @@
 //! committed state.
 //!
 //! ## Why this preserves both correctness and history independence
+//!
+//! Neither argument mentions *when* an epoch closes, so neither changed
+//! when the timer went away.
 //!
 //! *Correctness*: no response is issued until the engine fills its slot, so
 //! every operation in an epoch is concurrent in real time and any single
@@ -38,13 +67,14 @@
 //! *History independence*: the engine only ever touches the dictionary
 //! through `multi_get`/`multi_apply`/`bulk_load` — the batch engine whose
 //! layout is invariant under batch partitioning (PR 5's pinned property).
-//! Timing decides only *where epoch boundaries fall*, i.e. how the one
+//! Scheduling decides only *where epoch boundaries fall*, i.e. how the one
 //! arrival-ordered stream is partitioned into batches — exactly the degree
-//! of freedom the layout is invariant under — so scheduling, client count,
-//! and epoch knobs cannot leak into the at-rest bytes. The determinism
-//! battery (`tests/server_determinism.rs`) verifies the flushed image after
-//! a concurrent multi-client run byte-for-byte against a single-threaded
-//! rebuild of the same contents.
+//! of freedom the layout is invariant under — so client count, how clients
+//! cut their sends, and `epoch_ops` cannot leak into the at-rest bytes. The
+//! determinism battery (`tests/server_determinism.rs`) verifies the flushed
+//! image byte-for-byte against a single-threaded rebuild of the same
+//! contents: after a concurrent multi-client run, and at the two extreme
+//! partitions (every epoch one operation; one burst in few, full epochs).
 //!
 //! *Degradation*: a quarantined shard refuses typed — reads and writes
 //! that route to it answer `DEGRADED`, navigation that it could own goes
@@ -54,11 +84,11 @@
 //! answer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -67,9 +97,8 @@ use anti_persistence::dict::{DictBuilder, DictConfig, DynDict, PersistentDict, S
 use hi_common::batch::BatchOp;
 use hi_common::sync::locked;
 use hi_common::traits::Dictionary;
-use shard::{ShardError, ShardedDict};
+use shard::{ShardError, ShardRouter, ShardedDict};
 
-use crate::clock;
 use crate::protocol::{
     decode_request, encode_response, envelope_token, write_frame, Request, Response,
 };
@@ -81,9 +110,6 @@ pub type ServedDict = ShardedDict<DynDict<u64, u64>>;
 /// flag. Latency of *shutdown*, not of requests — reads that have data
 /// return immediately.
 const READ_POLL: Duration = Duration::from_millis(25);
-
-/// Engine idle poll when no request is queued (shutdown-latency bound).
-const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// Hard bound on distinct HELLO-bound clients with live dedup windows.
 /// Beyond it the least-recently-used client's window is evicted whole —
@@ -123,6 +149,11 @@ impl Slot {
         self.ready.notify_all();
     }
 
+    /// The response, if the slot is already filled — never blocks.
+    fn try_take(&self) -> Option<Response> {
+        locked(&self.resp).take()
+    }
+
     fn wait(&self) -> Response {
         let mut guard = locked(&self.resp);
         loop {
@@ -157,13 +188,6 @@ struct Queue {
     closed: bool,
 }
 
-/// Epoch pacing state guarded by one mutex with a condvar: how many
-/// operations are queued across all queues and when the open epoch began.
-struct Pacing {
-    queued: usize,
-    epoch_open_micros: u64,
-}
-
 struct Shared {
     dict: RwLock<ServedDict>,
     /// `None` once [`Server::into_persist`] has taken it back (or when the
@@ -172,10 +196,20 @@ struct Shared {
     persist: Mutex<Option<PersistentDict>>,
     /// `shard_count + 1` queues: one per shard, plus the barrier queue.
     queues: Vec<Mutex<Queue>>,
+    /// A copy of the dictionary's router (`ShardRouter` is `Copy` and
+    /// fixed for the server's lifetime), so readers route without the
+    /// service lock the engine holds for the whole of an epoch.
+    router: ShardRouter,
     seq: AtomicU64,
-    pacing: Mutex<Pacing>,
+    /// Whether a reader has released tickets since the engine last drained
+    /// — the one condition the engine sleeps on (with `wake`).
+    released: Mutex<bool>,
     wake: Condvar,
     shutdown: AtomicBool,
+    /// Non-empty epochs processed and tickets drained into them. RAM-only
+    /// statistics: read by [`Server::epoch_stats`], never persisted.
+    epochs: AtomicU64,
+    tickets: AtomicU64,
     cfg: ServerConfig,
 }
 
@@ -202,7 +236,7 @@ fn write_locked<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 impl Shared {
     /// Queue index for a data operation on `key`.
     fn shard_queue(&self, key: u64) -> usize {
-        read_locked(&self.dict).shard_of(&key)
+        self.router.route(&key)
     }
 
     /// Queue index for order-sensitive (barrier) operations.
@@ -212,16 +246,17 @@ impl Shared {
 
     /// Stamps, bounds-checks and enqueues one operation; fills the slot
     /// immediately with the typed shed/refusal response when the queue is
-    /// full or closed.
-    fn enqueue(&self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) {
+    /// full or closed. Returns whether a ticket was queued — the reader
+    /// then owes the engine a release (see [`Unreleased::enqueue`]).
+    fn enqueue(&self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) -> bool {
         let mut q = locked(&self.queues[queue]);
         if q.closed {
             slot.fill(Response::Unavailable("server is shutting down".into()));
-            return;
+            return false;
         }
         if q.ops.len() >= self.cfg.queue_bound {
             slot.fill(Response::Overloaded);
-            return;
+            return false;
         }
         // The global sequence is drawn under the queue lock, so each
         // queue's tickets are seq-sorted and the engine's merge by seq
@@ -233,19 +268,46 @@ impl Shared {
             slot: Arc::clone(slot),
             idem,
         });
-        drop(q);
-        let mut pacing = locked(&self.pacing);
-        if pacing.queued == 0 {
-            pacing.epoch_open_micros = clock::now_micros();
+        true
+    }
+}
+
+/// The tickets one reader has queued but not yet released to the engine.
+///
+/// The release rule: **a reader never blocks while holding unreleased
+/// tickets.** It releases (one `notify`) before a socket read, before a
+/// send into a full response channel, when `epoch_ops` tickets are held,
+/// and — through `Drop` — on every exit path, unwinding included.
+struct Unreleased<'a> {
+    shared: &'a Shared,
+    held: usize,
+}
+
+impl Unreleased<'_> {
+    fn release(&mut self) {
+        if self.held == 0 {
+            return;
         }
-        pacing.queued += 1;
-        // Wake the engine when an epoch opens (so its deadline timer
-        // starts) and when the op budget fills (so it closes early).
-        let wake = pacing.queued == 1 || pacing.queued >= self.cfg.epoch_ops;
-        drop(pacing);
-        if wake {
-            self.wake.notify_one();
+        self.held = 0;
+        *locked(&self.shared.released) = true;
+        self.shared.wake.notify_one();
+    }
+
+    /// [`Shared::enqueue`], counting the ticket if one was queued and
+    /// releasing once the op budget is held.
+    fn enqueue(&mut self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) {
+        if self.shared.enqueue(queue, req, slot, idem) {
+            self.held += 1;
+            if self.held >= self.shared.cfg.epoch_ops {
+                self.release();
+            }
         }
+    }
+}
+
+impl Drop for Unreleased<'_> {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -274,6 +336,7 @@ impl Server {
             .try_build_sharded()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let shard_count = dict.shard_count();
+        let router = *dict.router();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -287,13 +350,13 @@ impl Server {
                     })
                 })
                 .collect(),
+            router,
             seq: AtomicU64::new(0),
-            pacing: Mutex::new(Pacing {
-                queued: 0,
-                epoch_open_micros: 0,
-            }),
+            released: Mutex::new(false),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            epochs: AtomicU64::new(0),
+            tickets: AtomicU64::new(0),
             cfg,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -325,6 +388,16 @@ impl Server {
         self.addr
     }
 
+    /// `(epochs, tickets)`: how many non-empty epochs the engine has
+    /// processed and how many tickets they held in total — the observable
+    /// form of the batching the release rule produces.
+    pub fn epoch_stats(&self) -> (u64, u64) {
+        (
+            self.shared.epochs.load(Ordering::Relaxed),
+            self.shared.tickets.load(Ordering::Relaxed),
+        )
+    }
+
     /// Stops accepting, drains and answers everything queued, and joins
     /// every thread. Idempotent.
     pub fn shutdown(&mut self) {
@@ -332,7 +405,13 @@ impl Server {
             return;
         }
         self.stopped = true;
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Stored under the engine's mutex: the engine tests the flag under
+        // it before every untimed wait, so the notify cannot fall between
+        // the test and the wait.
+        {
+            let _released = locked(&self.shared.released);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.wake.notify_one();
         // One nudge connection per acceptor unblocks every accept() call.
         for _ in 0..self.acceptors.len() {
@@ -443,20 +522,26 @@ enum Wire {
 }
 
 /// Fills `buf` completely, tolerating read timeouts (used to poll the
-/// shutdown flag) and preserving partial progress across them. `idle`
-/// counts consecutive empty read polls across calls — any received byte
-/// resets it, `budget` exhausts it. The reap decision is therefore a
+/// shutdown flag) and preserving partial progress across them. Releases
+/// the reader's tickets first unless the bytes are already buffered — the
+/// only case in which no `read` reaches the socket and nothing can block.
+/// `idle` counts consecutive empty read polls across calls — any received
+/// byte resets it, `budget` exhausts it. The reap decision is therefore a
 /// *count* of poll intervals, not a wall-clock read: determinism-hygiene
 /// keeps clocks out of the reaper the same way it keeps them out of the
 /// retry budget.
 fn fill_buf(
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     buf: &mut [u8],
-    shared: &Shared,
+    unreleased: &mut Unreleased<'_>,
     at_boundary: bool,
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
+    if stream.buffer().len() < buf.len() {
+        unreleased.release();
+    }
+    let shared = unreleased.shared;
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -490,33 +575,50 @@ fn fill_buf(
 }
 
 fn read_wire_frame(
-    stream: &mut TcpStream,
-    shared: &Shared,
+    stream: &mut BufReader<TcpStream>,
+    unreleased: &mut Unreleased<'_>,
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
     let mut prefix = [0u8; 4];
-    match fill_buf(stream, &mut prefix, shared, true, idle, budget) {
+    match fill_buf(stream, &mut prefix, unreleased, true, idle, budget) {
         Wire::Body(_) => {}
         other => return other,
     }
     let len = u32::from_be_bytes(prefix);
-    if len == 0 || len as usize > shared.cfg.max_frame {
+    if len == 0 || len as usize > unreleased.shared.cfg.max_frame {
         return Wire::Oversized(len);
     }
     let mut body = vec![0u8; len as usize];
-    match fill_buf(stream, &mut body, shared, false, idle, budget) {
+    match fill_buf(stream, &mut body, unreleased, false, idle, budget) {
         Wire::Body(_) => Wire::Body(body),
         other => other,
     }
 }
 
-fn connection_reader(
-    shared: &Arc<Shared>,
-    mut stream: TcpStream,
+/// Hands one response slot to the connection's writer. Blocks only when
+/// the `inflight_bound` channel is full, and releases first when it is —
+/// the writer may be waiting on one of this reader's own tickets. Returns
+/// `false` when the writer is gone.
+fn send_slot(
     tx: &SyncSender<(u64, Arc<Slot>)>,
-) {
+    unreleased: &mut Unreleased<'_>,
+    item: (u64, Arc<Slot>),
+) -> bool {
+    match tx.try_send(item) {
+        Ok(()) => true,
+        Err(TrySendError::Full(item)) => {
+            unreleased.release();
+            tx.send(item).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    }
+}
+
+fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<(u64, Arc<Slot>)>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let mut stream = BufReader::new(stream);
+    let mut unreleased = Unreleased { shared, held: 0 };
     // Idle reaper: a count-based budget of consecutive empty read polls.
     // Any received byte — a PING included — resets it.
     let budget = ((shared.cfg.idle_timeout.as_millis() / READ_POLL.as_millis()).max(1)) as usize;
@@ -525,11 +627,12 @@ fn connection_reader(
     // dedup protection).
     let mut client = 0u64;
     loop {
-        let body = match read_wire_frame(&mut stream, shared, &mut idle, budget) {
+        let body = match read_wire_frame(&mut stream, &mut unreleased, &mut idle, budget) {
             Wire::Body(body) => body,
             // A clean close, a mid-frame disconnect, a dead socket, or a
             // reaped idler all end the connection silently — there is no
-            // peer left (or entitled) to tell.
+            // peer left (or entitled) to tell. Tickets already queued are
+            // released on the way out and still apply.
             Wire::Eof | Wire::MidFrameCut | Wire::Dead | Wire::Shutdown | Wire::Idle => return,
             Wire::Oversized(len) => {
                 // Refuse before reading a single body byte, then close:
@@ -539,7 +642,7 @@ fn connection_reader(
                     "frame length {len} outside 1..={}",
                     shared.cfg.max_frame
                 )));
-                let _ = tx.send((0, slot));
+                send_slot(tx, &mut unreleased, (0, slot));
                 return;
             }
         };
@@ -551,7 +654,7 @@ fn connection_reader(
                 // mismatch the stream offset can no longer be trusted.
                 let slot = Slot::new();
                 slot.fill(Response::BadRequest(e.0));
-                let _ = tx.send((envelope_token(&body), slot));
+                send_slot(tx, &mut unreleased, (envelope_token(&body), slot));
                 return;
             }
         };
@@ -566,12 +669,11 @@ fn connection_reader(
         match req {
             // Data operations ride the epoch pipeline, routed by shard.
             Request::Get { key } | Request::Put { key, .. } | Request::Del { key } => {
-                let queue = shared.shard_queue(key);
-                shared.enqueue(queue, req, &slot, idem);
+                unreleased.enqueue(shared.shard_queue(key), req, &slot, idem);
             }
             // Order-sensitive operations are barriers in the engine.
             Request::Succ { .. } | Request::Pred { .. } | Request::Len | Request::Flush => {
-                shared.enqueue(shared.barrier_queue(), req, &slot, idem);
+                unreleased.enqueue(shared.barrier_queue(), req, &slot, idem);
             }
             // Health management answers inline under a *read* lock: the
             // quarantine ledger is interior-mutable and both transitions
@@ -624,7 +726,7 @@ fn connection_reader(
                 slot.fill(Response::Done);
             }
         }
-        if tx.send((token, slot)).is_err() {
+        if !send_slot(tx, &mut unreleased, (token, slot)) {
             // Writer died (peer stopped reading); no point parsing more.
             return;
         }
@@ -637,9 +739,20 @@ fn connection_writer(stream: TcpStream, rx: &Receiver<(u64, Arc<Slot>)>, write_t
     // slow clients cost themselves the connection, never an engine stall.
     let _ = stream.set_write_timeout(Some(write_timeout));
     let mut out = BufWriter::new(stream);
-    while let Ok((token, slot)) = rx.recv() {
-        let resp = slot.wait();
-        if write_frame(&mut out, &encode_response(token, &resp)).is_err() || out.flush().is_err() {
+    loop {
+        // The mirror of the reader's release rule: responses whose slots
+        // are already filled share one buffer, flushed only before the
+        // writer would block — on an empty channel or an unfilled slot.
+        let queued = rx.try_recv().ok();
+        let filled = queued.as_ref().and_then(|(_, slot)| slot.try_take());
+        if filled.is_none() && out.flush().is_err() {
+            return;
+        }
+        let Some((token, slot)) = queued.or_else(|| rx.recv().ok()) else {
+            return;
+        };
+        let resp = filled.unwrap_or_else(|| slot.wait());
+        if write_frame(&mut out, &encode_response(token, &resp)).is_err() {
             return;
         }
     }
@@ -730,6 +843,10 @@ fn engine_loop(shared: &Arc<Shared>) {
         let shutting = wait_for_epoch(shared);
         let epoch = drain_epoch(shared, shutting);
         if !epoch.is_empty() {
+            shared.epochs.fetch_add(1, Ordering::Relaxed);
+            shared
+                .tickets
+                .fetch_add(epoch.len() as u64, Ordering::Relaxed);
             process_epoch(shared, epoch, &mut dedup);
         }
         if shutting {
@@ -744,40 +861,23 @@ fn engine_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Blocks until the open epoch is due (first-op age ≥ window, or op budget
-/// reached) or shutdown begins. Returns whether the server is shutting
-/// down.
+/// Blocks until a reader has released tickets or shutdown begins — never
+/// on a deadline. Whatever is released while the engine is busy with one
+/// epoch is the next epoch, so the batch size follows the load. Returns
+/// whether the server is shutting down.
 fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
-    let mut pacing = locked(&shared.pacing);
+    let mut released = locked(&shared.released);
     loop {
-        let shutting = shared.shutdown.load(Ordering::SeqCst);
-        if shutting {
-            pacing.queued = 0;
+        if shared.shutdown.load(Ordering::SeqCst) {
             return true;
         }
-        if pacing.queued >= shared.cfg.epoch_ops {
-            pacing.queued = 0;
+        if std::mem::take(&mut *released) {
             return false;
         }
-        if pacing.queued > 0 {
-            let age = clock::now_micros().saturating_sub(pacing.epoch_open_micros);
-            if age >= shared.cfg.epoch_micros {
-                pacing.queued = 0;
-                return false;
-            }
-            let remaining = Duration::from_micros(shared.cfg.epoch_micros - age);
-            pacing = shared
-                .wake
-                .wait_timeout(pacing, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        } else {
-            pacing = shared
-                .wake
-                .wait_timeout(pacing, IDLE_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
+        released = shared
+            .wake
+            .wait(released)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -999,5 +1099,26 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
     match p.flush() {
         Ok(generation) => Response::Generation(generation),
         Err(e) => Response::Unavailable(format!("flush failed: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn readers_route_with_a_copy_of_the_dictionary_router() {
+        let config = DictConfig {
+            seed: 0xD1C7,
+            shards: 4,
+            ..DictConfig::default()
+        };
+        let opts = ServerOptions {
+            config,
+            persist: None,
+        };
+        let server = Server::spawn("127.0.0.1:0", opts).expect("bind loopback");
+        let shared = &server.shared;
+        assert_eq!(shared.router, *read_locked(&shared.dict).router());
     }
 }

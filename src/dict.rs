@@ -170,22 +170,20 @@ pub struct DictConfig {
 }
 
 /// Epoch group-commit and backpressure knobs consumed by the `dict-server`
-/// front-end: an epoch closes after `epoch_micros` microseconds or
-/// `epoch_ops` queued operations, whichever comes first, and each shard
-/// queue sheds load (typed `Overloaded` response) beyond `queue_bound`
-/// waiting operations.
+/// front-end: a connection hands its queued operations to the engine when
+/// it is about to block or holds `epoch_ops` of them, whichever comes
+/// first (there is no timer), and each shard queue sheds load (typed
+/// `Overloaded` response) beyond `queue_bound` waiting operations.
 ///
-/// All four knobs live here — not as server CLI flags alone — so
+/// The knobs live here — not as server CLI flags alone — so
 /// [`DictConfig::validate`] can reject the degenerate values *before* a
-/// thread is spawned: a 0 µs / 0 op epoch is a busy-spin that drains empty
-/// batches forever, and a queue bound of 0 sheds every request.
+/// thread is spawned: a 0-op epoch budget would hand over nothing, and a
+/// queue bound of 0 sheds every request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Epoch window in microseconds (`≥ 1`): the longest a queued request
-    /// waits before its epoch is forced closed.
-    pub epoch_micros: u64,
-    /// Epoch budget in operations (`≥ 1`): an epoch closes early once this
-    /// many operations are queued across shards.
+    /// Epoch budget in operations (`≥ 1`): the most operations one
+    /// connection queues before handing them to the engine, even when more
+    /// of its requests have already arrived.
     pub epoch_ops: usize,
     /// Per-shard queue bound (`≥ 1`): operations beyond this shed with a
     /// typed overload response instead of queueing unboundedly.
@@ -220,7 +218,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            epoch_micros: 200,
             epoch_ops: 512,
             queue_bound: 4096,
             acceptors: 2,
@@ -275,9 +272,6 @@ pub enum DictConfigError {
     /// Inline/threaded cut-over of zero: every non-empty batch would spawn
     /// worker threads, which is a test hook, not a configuration.
     ZeroParallelThreshold,
-    /// Epoch window of 0 µs: the server's commit loop would busy-spin
-    /// closing empty epochs.
-    ZeroEpochWindow,
     /// Epoch budget of 0 operations: every epoch would close before
     /// admitting a single request.
     ZeroEpochOps,
@@ -329,9 +323,6 @@ impl fmt::Display for DictConfigError {
                     f,
                     "parallel_threshold must be at least 1 (0 is the test-only force-threads hook)"
                 )
-            }
-            DictConfigError::ZeroEpochWindow => {
-                write!(f, "server.epoch_micros must be at least 1")
             }
             DictConfigError::ZeroEpochOps => {
                 write!(f, "server.epoch_ops must be at least 1")
@@ -394,9 +385,6 @@ impl DictConfig {
         }
         if self.parallel_threshold == 0 {
             return Err(DictConfigError::ZeroParallelThreshold);
-        }
-        if self.server.epoch_micros == 0 {
-            return Err(DictConfigError::ZeroEpochWindow);
         }
         if self.server.epoch_ops == 0 {
             return Err(DictConfigError::ZeroEpochOps);
@@ -1326,16 +1314,8 @@ mod tests {
             Err(DictConfigError::ZeroParallelThreshold)
         ));
         // Degenerate epoch/backpressure knobs are refused before the server
-        // could busy-spin (0 µs window), stall (0-op budget), or shed every
-        // request (0-length queues).
+        // could stall (0-op budget) or shed every request (0-length queues).
         for (server, expected) in [
-            (
-                ServerConfig {
-                    epoch_micros: 0,
-                    ..ServerConfig::default()
-                },
-                DictConfigError::ZeroEpochWindow,
-            ),
             (
                 ServerConfig {
                     epoch_ops: 0,

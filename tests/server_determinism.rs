@@ -11,6 +11,13 @@
 //!   stream into batches, the exact degree of freedom the batch engine's
 //!   layout is invariant under, so the image is `f(contents, seed)` no
 //!   matter how many clients raced.
+//! * **the two extreme partitions** — the same write stream driven once as
+//!   synchronous single requests (every epoch holds one operation) and
+//!   once as a single burst (every epoch is as full as the reader's
+//!   `epoch_ops` budget and the engine's pace make it) flushes the same
+//!   bytes, equal to the single-threaded rebuild. The server closes an
+//!   epoch when a reader is about to block, so *where* epochs close is
+//!   set by how the client sends; this names the two ends of that range.
 //! * **kill-the-server-mid-flush** — a `WriteFuse` armed on the persistent
 //!   store trips partway through a client-initiated `FLUSH`. The client
 //!   sees a typed `UNAVAILABLE` (never a fake generation), and reopening
@@ -18,12 +25,14 @@
 //!   commit's atomicity holds when the flush is driven over the network.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 
-use anti_persistence::dict::{Backend, Dict, DictConfig};
+use anti_persistence::dict::{Backend, Dict, DictConfig, ServerConfig};
 use anti_persistence::prelude::*;
 use block_store::temp_path;
-use dict_server::{Client, Request, Response, Server, ServerOptions};
+use dict_server::protocol::{decode_response, encode_request, read_frame, write_frame};
+use dict_server::{Client, Frame, Request, Response, Server, ServerOptions};
 
 const SEED: u64 = 0x5E4E4;
 const CLIENTS: u64 = 4;
@@ -124,71 +133,182 @@ fn run_script(addr: SocketAddr, c: u64) {
     }
 }
 
-#[test]
-fn concurrent_multi_client_run_flushes_the_single_threaded_image() {
-    // Concurrent run: four pipelined clients race their scripts, then one
-    // of them asks the server to flush.
-    let served_path = temp_path("server-det-served");
-    let served = open(&served_path);
-    let (served_data, served_journal) = (
+/// What one served run left behind.
+struct Served {
+    /// The flushed image, byte for byte.
+    image: Vec<u8>,
+    /// The contents recovered by reopening it.
+    contents: Vec<(u64, u64)>,
+    /// The engine's `(epochs, tickets)` once `drive` returned.
+    epoch_stats: (u64, u64),
+}
+
+/// Serves a fresh store under `config`, lets `drive` load it over the
+/// wire, and flushes through one more client.
+fn serve_and_flush(name: &str, config: DictConfig, drive: impl FnOnce(SocketAddr)) -> Served {
+    let path = temp_path(name);
+    let served = open(&path);
+    let (data, journal) = (
         served.store().path().to_path_buf(),
         served.store().journal_path().to_path_buf(),
     );
     let mut server = Server::spawn(
         "127.0.0.1:0",
         ServerOptions {
-            config: config(),
+            config,
             persist: Some(served),
         },
     )
     .expect("bind loopback");
-    let addr = server.addr();
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| std::thread::spawn(move || run_script(addr, c)))
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    let mut c = Client::connect(addr).expect("connect");
+    drive(server.addr());
+    let epoch_stats = server.epoch_stats();
+    let mut c = Client::connect(server.addr()).expect("connect");
     let generation = c.flush_store().expect("server flush");
     assert!(generation > 0);
     server.shutdown();
     drop(server);
 
-    // Single-threaded equivalent: a fresh dictionary fed the same final
-    // contents (in plain key order — arrival history must not matter),
-    // flushed once at the same seed and block size.
-    let expected = oracle();
-    assert!(expected.len() > 100, "scripts left too little behind");
-    let reference_path = temp_path("server-det-reference");
-    let mut reference = open(&reference_path);
-    for (&k, &v) in &expected {
+    let image = std::fs::read(&data).expect("read served image");
+    let reopened = open(&path);
+    let contents = reopened.iter().map(|(k, v)| (*k, *v)).collect();
+    drop(reopened);
+    drop_paths(&data, &journal);
+    Served {
+        image,
+        contents,
+        epoch_stats,
+    }
+}
+
+/// The single-threaded equivalent: a fresh dictionary fed `contents` in
+/// plain key order (arrival history must not matter), flushed once at the
+/// same seed and block size.
+fn reference_image(name: &str, contents: &BTreeMap<u64, u64>) -> Vec<u8> {
+    let path = temp_path(name);
+    let mut reference = open(&path);
+    for (&k, &v) in contents {
         reference.insert(k, v);
     }
     reference.flush().expect("reference flush");
-    let (ref_data, ref_journal) = (
+    let (data, journal) = (
         reference.store().path().to_path_buf(),
         reference.store().journal_path().to_path_buf(),
     );
     drop(reference);
+    let bytes = std::fs::read(&data).expect("read reference image");
+    drop_paths(&data, &journal);
+    bytes
+}
 
-    let served_bytes = std::fs::read(&served_data).expect("read served image");
-    let reference_bytes = std::fs::read(&ref_data).expect("read reference image");
+#[test]
+fn concurrent_multi_client_run_flushes_the_single_threaded_image() {
+    // Concurrent run: four pipelined clients race their scripts, then one
+    // more asks the server to flush.
+    let served = serve_and_flush("server-det-served", config(), |addr| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| std::thread::spawn(move || run_script(addr, c)))
+            .collect();
+        for h in handles {
+            h.join().expect("client thread");
+        }
+    });
+
+    let expected = oracle();
+    assert!(expected.len() > 100, "scripts left too little behind");
     assert_eq!(
-        served_bytes, reference_bytes,
+        served.image,
+        reference_image("server-det-reference", &expected),
         "the concurrent run's flushed image differs from the \
          single-threaded rebuild: the pipeline leaked history into layout"
     );
 
     // And the recovered contents are exactly the oracle.
-    let reopened = open(&served_path);
-    let recovered: Vec<(u64, u64)> = reopened.iter().map(|(k, v)| (*k, *v)).collect();
     let want: Vec<(u64, u64)> = expected.iter().map(|(&k, &v)| (k, v)).collect();
-    assert_eq!(recovered, want);
-    drop(reopened);
+    assert_eq!(served.contents, want);
+}
 
-    drop_paths(&served_data, &served_journal);
-    drop_paths(&ref_data, &ref_journal);
+/// One connection's 4096 writes: puts and deletes over 1500 keys.
+fn write_stream() -> Vec<Request> {
+    let mut state = 0xB0057u64;
+    (0..4096u64)
+        .map(|i| {
+            let key = lcg(&mut state) % 1500;
+            match lcg(&mut state) % 4 {
+                0 => Request::Del { key },
+                _ => Request::Put { key, value: i },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn one_op_epochs_and_full_epochs_flush_the_same_image() {
+    let ops = write_stream();
+    let mut expected = BTreeMap::new();
+    for op in &ops {
+        match *op {
+            Request::Put { key, value } => expected.insert(key, value),
+            Request::Del { key } => expected.remove(&key),
+            _ => unreachable!("write_stream only writes"),
+        };
+    }
+    assert!(expected.len() > 500, "stream left too little behind");
+    let n = ops.len() as u64;
+
+    // One extreme: synchronous requests, so every epoch holds one op.
+    let sync = serve_and_flush("server-det-sync", config(), |addr| {
+        let mut c = Client::connect(addr).expect("connect");
+        for op in &ops {
+            assert_eq!(c.request(op).expect("request"), Response::Done);
+        }
+    });
+    assert_eq!(sync.epoch_stats, (n, n), "one epoch per request");
+
+    // The other: the whole stream in one burst (a second thread writes so
+    // that the answers can be read meanwhile). The reader hands over at
+    // most `epoch_ops` at a time and the engine takes everything queued
+    // since its last epoch, so the burst lands in few, large epochs.
+    let mut burst_cfg = config();
+    burst_cfg.server = ServerConfig {
+        epoch_ops: 64,
+        ..burst_cfg.server
+    };
+    let burst = serve_and_flush("server-det-burst", burst_cfg, |addr| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let mut bytes = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            write_frame(&mut bytes, &encode_request(i as u64 + 1, op)).expect("frame");
+        }
+        let mut w = s.try_clone().expect("clone");
+        let writer = std::thread::spawn(move || w.write_all(&bytes).expect("burst"));
+        for i in 0..ops.len() {
+            let Frame::Body(body) = read_frame(&mut s).expect("reply") else {
+                panic!("reply {i} of the burst never arrived");
+            };
+            let reply = decode_response(&body).expect("reply decodes");
+            assert_eq!(reply, (i as u64 + 1, Response::Done));
+        }
+        writer.join().expect("writer thread");
+    });
+    let (epochs, tickets) = burst.epoch_stats;
+    assert_eq!(tickets, n);
+    assert!(
+        epochs * 16 <= n,
+        "a {n}-op burst was cut into {epochs} epochs"
+    );
+
+    let want: Vec<(u64, u64)> = expected.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(sync.contents, want);
+    assert_eq!(burst.contents, want);
+    assert_eq!(
+        sync.image, burst.image,
+        "one-op epochs and full epochs flushed different images"
+    );
+    assert_eq!(
+        sync.image,
+        reference_image("server-det-extremes-reference", &expected),
+        "the served image differs from the single-threaded rebuild"
+    );
 }
 
 #[test]

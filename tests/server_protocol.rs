@@ -181,10 +181,10 @@ fn wire_fuzz_never_panics_and_never_poisons_other_connections() {
 #[test]
 fn pipelined_mixed_stream_matches_btreemap_oracle() {
     let mut cfg = config();
-    // A tiny epoch forces many ops to share a batch; the oracle then
-    // checks reads-of-this-epoch-writes through the overlay path.
+    // Each 512-deep drain arrives as one burst, so the reader hands it
+    // over in batches of `epoch_ops`: many ops share a batch, and the
+    // oracle checks reads-of-this-epoch-writes through the overlay path.
     cfg.server = ServerConfig {
-        epoch_micros: 100,
         epoch_ops: 64,
         ..cfg.server
     };
@@ -377,33 +377,40 @@ fn quarantined_shard_refuses_typed_over_the_wire_and_restores() {
     server.shutdown();
 }
 
-/// Backpressure: a queue bound of 1 under a long epoch sheds pipelined
-/// requests with `OVERLOADED` — a typed refusal the client can retry —
-/// while everything admitted is answered correctly.
+/// Backpressure: a queue bound of 1 sheds pipelined requests with
+/// `OVERLOADED` — a typed refusal the client can retry — while everything
+/// admitted is answered correctly. No timer holds the engine back: the N
+/// frames leave in one `write`, so the reader finds them in one buffer and
+/// queues them all before it releases any to the engine. The first is
+/// always admitted (the queue is empty); how the kernel cuts the bytes
+/// into reads is not ours to fix, so the count of the rest is not pinned.
 #[test]
 fn saturated_queues_shed_typed_overloaded() {
     let mut cfg = config();
     cfg.shards = 1;
     cfg.server = ServerConfig {
-        epoch_micros: 200_000, // 200ms: the engine stays asleep while we pile on
-        epoch_ops: 10_000,
         queue_bound: 1,
         ..cfg.server
     };
     let mut server = spawn(cfg);
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
 
     const N: u64 = 50;
-    for k in 0..N {
-        c.send(&Request::Put { key: k, value: k }).expect("send");
-    }
-    c.flush().expect("flush");
+    let burst: Vec<u8> = (0..N)
+        .flat_map(|k| request_frame(k + 1, &Request::Put { key: k, value: k }))
+        .collect();
+    s.write_all(&burst).expect("one write");
     let mut done = 0usize;
     let mut shed = 0usize;
-    for _ in 0..N {
-        match c.recv().expect("recv") {
+    for k in 0..N {
+        let (token, resp) = read_reply(&mut s);
+        assert_eq!(token, k + 1, "responses in arrival order");
+        match resp {
             Response::Done => done += 1,
-            Response::Overloaded => shed += 1,
+            Response::Overloaded => {
+                assert!(k > 0, "the first put found an empty queue");
+                shed += 1;
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -412,6 +419,177 @@ fn saturated_queues_shed_typed_overloaded() {
         "bound-1 queue never shed across {N} pipelined puts"
     );
     assert!(done > 0, "admitted requests must still complete");
+    // Exactly the admitted puts applied.
+    let mut c = Client::connect(server.addr()).expect("connect");
+    assert_eq!(
+        c.request(&Request::Len).expect("len"),
+        Response::Count(done as u64)
+    );
+    server.shutdown();
+}
+
+/// A raw connection with a read timeout, so a liveness failure in the
+/// release rule surfaces as a failed read rather than a hung test.
+fn raw(server: &Server) -> TcpStream {
+    let s = TcpStream::connect(server.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    s
+}
+
+/// Release rule, liveness: whole frames followed by the first half of
+/// another are answered *before* the second half is sent — the reader
+/// releases what it has queued when its buffer runs short of the next
+/// frame, because the read that follows may block for as long as the peer
+/// likes.
+#[test]
+fn whole_frames_before_a_split_frame_are_answered_before_the_rest_arrives() {
+    let mut server = spawn(config());
+    let mut s = raw(&server);
+    let split = request_frame(3, &Request::Put { key: 2, value: 20 });
+    for cut in [2, 4, 10, split.len() - 1] {
+        let mut first = request_frame(1, &Request::Put { key: 1, value: 10 });
+        first.extend(request_frame(2, &Request::Get { key: 1 }));
+        first.extend_from_slice(&split[..cut]);
+        s.write_all(&first).expect("first write");
+        assert_eq!(read_reply(&mut s), (1, Response::Done), "cut {cut}");
+        assert_eq!(read_reply(&mut s), (2, Response::Value(10)), "cut {cut}");
+        s.write_all(&split[cut..]).expect("second write");
+        assert_eq!(read_reply(&mut s), (3, Response::Done), "cut {cut}");
+    }
+    server.shutdown();
+}
+
+/// Release rule, liveness: with room for one response in flight the reader
+/// blocks on its writer after every frame, and must have released the
+/// ticket the writer is waiting for. A 256-deep pipeline still completes
+/// with every answer right.
+#[test]
+fn inflight_bound_of_one_still_drains_a_deep_pipeline() {
+    let mut cfg = config();
+    cfg.server = ServerConfig {
+        inflight_bound: 1,
+        ..cfg.server
+    };
+    let mut server = spawn(cfg);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    for i in 0..256u64 {
+        let req = match i % 2 {
+            0 => Request::Put { key: i, value: i },
+            _ => Request::Get { key: i - 1 },
+        };
+        c.send(&req).expect("send");
+    }
+    c.flush().expect("flush");
+    for i in 0..256u64 {
+        let want = match i % 2 {
+            0 => Response::Done,
+            _ => Response::Value(i - 1),
+        };
+        assert_eq!(c.recv().expect("recv"), want, "op {i}");
+    }
+    server.shutdown();
+}
+
+/// Release rule, every exit path: a reader that has queued tickets and
+/// then leaves — peer gone mid-frame, oversized prefix, bad checksum —
+/// releases them on the way out, so they are applied and answered.
+#[test]
+fn tickets_queued_before_a_reader_exits_are_still_applied() {
+    let mut server = spawn(config());
+    let mut bad_sum = request_frame(99, &Request::Ping);
+    let last = bad_sum.len() - 1;
+    bad_sum[last] ^= 0x40;
+    let exits: [(&str, Vec<u8>, bool); 3] = [
+        (
+            "mid-frame cut",
+            request_frame(99, &Request::Ping)[..7].to_vec(),
+            false,
+        ),
+        (
+            "oversized prefix",
+            ((MAX_FRAME as u32) * 16).to_be_bytes().to_vec(),
+            true,
+        ),
+        ("bad checksum", bad_sum, true),
+    ];
+    let mut want_len = 0u64;
+    for (case, (name, tail, refused)) in exits.into_iter().enumerate() {
+        let base = case as u64 * 100;
+        let mut bytes: Vec<u8> = (0..8u64)
+            .flat_map(|k| {
+                request_frame(
+                    k + 1,
+                    &Request::Put {
+                        key: base + k,
+                        value: k,
+                    },
+                )
+            })
+            .collect();
+        bytes.extend(tail);
+        let mut s = raw(&server);
+        s.write_all(&bytes).expect("one write");
+        s.shutdown(std::net::Shutdown::Write).expect("half-close");
+        for k in 0..8u64 {
+            assert_eq!(read_reply(&mut s), (k + 1, Response::Done), "{name}");
+        }
+        if refused {
+            let (_, resp) = read_reply(&mut s);
+            assert!(matches!(resp, Response::BadRequest(_)), "{name}: {resp:?}");
+        }
+        assert!(drain(&mut s).is_empty(), "{name}: the server closes");
+        want_len += 8;
+
+        let mut c = Client::connect(server.addr()).expect("second connection");
+        for k in 0..8u64 {
+            assert_eq!(c.get(base + k).expect("get"), Some(k), "{name}");
+        }
+        assert_eq!(
+            c.request(&Request::Len).expect("len"),
+            Response::Count(want_len),
+            "{name}"
+        );
+    }
+    server.shutdown();
+}
+
+/// Release rule, batching: a burst that arrives in one `write` is handed
+/// to the engine a buffer at a time, not a frame at a time, while
+/// synchronous requests get an epoch each. This is the property the
+/// pipelined throughput rests on, pinned by counting epochs — no timer.
+#[test]
+fn a_burst_shares_epochs_and_synchronous_requests_do_not() {
+    let mut server = spawn(config());
+    assert_eq!(server.epoch_stats(), (0, 0), "idle server");
+
+    const N: u64 = 512;
+    let mut s = raw(&server);
+    let burst: Vec<u8> = (0..N)
+        .flat_map(|k| request_frame(k + 1, &Request::Put { key: k, value: k }))
+        .collect();
+    s.write_all(&burst).expect("one write");
+    for k in 0..N {
+        assert_eq!(read_reply(&mut s), (k + 1, Response::Done));
+    }
+    let (epochs, tickets) = server.epoch_stats();
+    assert_eq!(tickets, N);
+    assert!(
+        (1..=4).contains(&epochs),
+        "{N} puts in one write took {epochs} epochs"
+    );
+
+    let mut c = Client::connect(server.addr()).expect("connect");
+    for k in 0..N {
+        c.put(k, k + 1).expect("put");
+    }
+    let (epochs_after, tickets_after) = server.epoch_stats();
+    assert_eq!(tickets_after - tickets, N);
+    assert_eq!(
+        epochs_after - epochs,
+        N,
+        "a synchronous request is alone in its epoch"
+    );
     server.shutdown();
 }
 
