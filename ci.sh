@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q -p block-store (the block-hash kernel as the benchmark runs it: optimised)"
+cargo test --release -q -p block-store
+
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint
 

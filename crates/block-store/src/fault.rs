@@ -1,10 +1,10 @@
 //! Deterministic fault injection: the full fault universe for [`BlockFile`].
 //!
-//! The crash batteries of PR 6 killed the write stream at block boundaries
-//! with a [`WriteFuse`] — one fault kind, one knob. A [`FaultPlan`]
-//! generalizes that into a scripted universe of storage failures, all of
-//! them pure functions of the plan's parameters (counters and seeds, never
-//! clocks or OS entropy), so every chaos cell is replayable:
+//! A [`FaultPlan`] is a scripted universe of storage failures, all of them
+//! pure functions of the plan's parameters (counters and seeds, never clocks
+//! or OS entropy), so every chaos cell is replayable. The crash batteries'
+//! "kill the write stream after `n` blocks" is one plan kind,
+//! `FaultPlan::new([Fault::TornWrite { at: n }])`:
 //!
 //! | fault | models | surfaces as |
 //! |---|---|---|
@@ -20,10 +20,11 @@
 //! Clones share one state (counters, remaining transient failures), so a
 //! single plan armed on a store's data and journal files together indexes
 //! the *global* write stream — the injection site lands wherever the commit
-//! protocol happens to be, exactly like the old shared fuse budget.
+//! protocol happens to be. An armed plan is also the one thing that turns
+//! [`BlockFile`]'s contiguous run transfers back into per-block ones, so
+//! every block boundary stays a kill point.
 //!
 //! [`BlockFile`]: crate::BlockFile
-//! [`WriteFuse`]: crate::WriteFuse
 //! [`FileError::Crashed`]: crate::FileError::Crashed
 //! [`FileError::Transient`]: crate::FileError::Transient
 //! [`FileError::ShortRead`]: crate::FileError::ShortRead
@@ -187,8 +188,8 @@ impl FaultPlan {
         self.state().map_or(0, |s| s.reads)
     }
 
-    /// Writes left before the first [`Fault::TornWrite`] fires, mirroring
-    /// the old fuse's budget (`None` when the plan has no torn write).
+    /// Writes left before the first [`Fault::TornWrite`] fires (`None` when
+    /// the plan has no torn write).
     pub fn write_budget_remaining(&self) -> Option<u64> {
         let state = self.state()?;
         state

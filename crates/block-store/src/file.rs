@@ -3,7 +3,6 @@
 //! feed the simulated DAM ledger.
 
 use crate::fault::{FaultPlan, ReadEffect, WriteEffect};
-use crate::Fault;
 use io_sim::Tracer;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -37,9 +36,10 @@ pub enum FileError {
     /// The handle is poisoned: an injected crash fired earlier, and every
     /// subsequent mutation fails fast so a torn flush cannot be resumed.
     Poisoned,
-    /// An injected crash fired mid-stream (a [`Fault::TornWrite`] or
-    /// [`Fault::ShortWrite`]), leaving the already-written prefix of the
-    /// stream on disk.
+    /// An injected crash fired mid-stream (a
+    /// [`TornWrite`](crate::Fault::TornWrite) or
+    /// [`ShortWrite`](crate::Fault::ShortWrite) fault), leaving the
+    /// already-written prefix of the stream on disk.
     Crashed,
     /// A read hit end-of-file before filling the requested blocks.
     ShortRead {
@@ -70,10 +70,10 @@ pub enum FileError {
 impl fmt::Display for FileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The "injected crash" phrasing is load-bearing: the recovery and
-        // fuse batteries assert on it through the io::Error conversion.
+        // crash batteries assert on it through the io::Error conversion.
         match self {
             FileError::Poisoned => write!(f, "block file poisoned by injected crash"),
-            FileError::Crashed => write!(f, "injected crash: write fuse tripped"),
+            FileError::Crashed => write!(f, "injected crash: write stream torn by the fault plan"),
             FileError::ShortRead { block, wanted } => write!(
                 f,
                 "short read at block {block}: file ends before the {wanted} requested bytes"
@@ -171,42 +171,6 @@ impl AlignedBuf {
     }
 }
 
-/// The classic crash-at-a-block-boundary knob, now a thin constructor over
-/// [`FaultPlan`]: after `n` more block writes, every subsequent write fails
-/// with an injected crash. Clones share the budget, so one fuse can arm a
-/// store's data and journal files together and the kill point lands
-/// wherever the flush protocol happens to be after `n` physical writes.
-#[derive(Debug, Clone, Default)]
-pub struct WriteFuse {
-    plan: FaultPlan,
-}
-
-impl WriteFuse {
-    /// A fuse that never trips (the default).
-    pub fn unlimited() -> Self {
-        Self {
-            plan: FaultPlan::none(),
-        }
-    }
-
-    /// A fuse that allows exactly `n` more block writes.
-    pub fn after(n: u64) -> Self {
-        Self {
-            plan: FaultPlan::new([Fault::TornWrite { at: n }]),
-        }
-    }
-
-    /// Remaining budget (`None` for an unlimited fuse).
-    pub fn remaining(&self) -> Option<u64> {
-        self.plan.write_budget_remaining()
-    }
-
-    /// The underlying fault plan (shares state with this fuse).
-    pub fn plan(&self) -> FaultPlan {
-        self.plan.clone()
-    }
-}
-
 /// Physical transfer counters for one [`BlockFile`] — the ground truth the
 /// DAM-vs-wall-clock bench compares the simulated model against.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -274,11 +238,6 @@ impl BlockFile {
         self.stats
     }
 
-    /// Arms (or disarms) the crash-injection fuse.
-    pub fn set_fuse(&mut self, fuse: WriteFuse) {
-        self.plan = fuse.plan();
-    }
-
     /// Arms (or disarms, with [`FaultPlan::none`]) the fault script.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
@@ -312,9 +271,10 @@ impl BlockFile {
     }
 
     /// Writes `data` (a multiple of the block size) starting at block
-    /// `first_block`, one block at a time. Each block consults the fault
-    /// plan; an injected crash aborts mid-stream with the already-written
-    /// prefix on disk — a crash torn at a block (or half-block) boundary.
+    /// `first_block`. With a fault plan armed the transfer runs block by
+    /// block: each block consults the plan, and an injected crash aborts
+    /// mid-stream with the already-written prefix on disk — a crash torn at
+    /// a block (or half-block) boundary.
     pub fn write_blocks(&mut self, first_block: u64, data: &[u8]) -> Result<(), FileError> {
         self.check_poisoned()?;
         assert_eq!(
@@ -322,6 +282,14 @@ impl BlockFile {
             0,
             "write must be block-aligned"
         );
+        if !self.plan.is_armed() {
+            // Fast path: one contiguous transfer, identical accounting.
+            self.raw_write(first_block, data)?;
+            let blocks = (data.len() / self.block_size) as u64;
+            self.stats.blocks_written += blocks;
+            self.tracer.charge(0, blocks);
+            return Ok(());
+        }
         for (block, chunk) in (first_block..).zip(data.chunks(self.block_size)) {
             self.write_one(block, chunk)?;
         }
@@ -481,6 +449,7 @@ impl BlockFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fault;
 
     #[test]
     fn aligned_buf_is_page_aligned_and_reusable() {
@@ -513,10 +482,10 @@ mod tests {
     }
 
     #[test]
-    fn fuse_tears_writes_at_block_boundaries() {
-        let path = crate::temp_path("file-fuse");
+    fn torn_write_tears_at_block_boundaries() {
+        let path = crate::temp_path("file-torn");
         let mut f = BlockFile::open(&path, 64).unwrap();
-        f.set_fuse(WriteFuse::after(2));
+        f.set_fault_plan(FaultPlan::new([Fault::TornWrite { at: 2 }]));
         let data = vec![0xAB; 4 * 64];
         let err = f.write_blocks(0, &data).unwrap_err();
         assert!(err.to_string().contains("injected crash"));
@@ -531,21 +500,21 @@ mod tests {
     }
 
     #[test]
-    fn fuse_clones_share_one_budget() {
+    fn plan_clones_share_one_budget() {
         let path_a = crate::temp_path("file-shared-a");
         let path_b = crate::temp_path("file-shared-b");
         let mut a = BlockFile::open(&path_a, 64).unwrap();
         let mut b = BlockFile::open(&path_b, 64).unwrap();
-        let fuse = WriteFuse::after(3);
-        a.set_fuse(fuse.clone());
-        b.set_fuse(fuse.clone());
+        let plan = FaultPlan::new([Fault::TornWrite { at: 3 }]);
+        a.set_fault_plan(plan.clone());
+        b.set_fault_plan(plan.clone());
         let block = [1u8; 64];
         a.write_blocks(0, &block).unwrap();
         b.write_blocks(0, &block).unwrap();
         a.write_blocks(1, &block).unwrap();
         // The shared budget is spent: the other handle trips.
         assert!(matches!(b.write_blocks(1, &block), Err(FileError::Crashed)));
-        assert_eq!(fuse.remaining(), Some(0));
+        assert_eq!(plan.write_budget_remaining(), Some(0));
         std::fs::remove_file(&path_a).unwrap();
         std::fs::remove_file(&path_b).unwrap();
     }

@@ -14,8 +14,8 @@
 //!   staged through a page-aligned scratch buffer, with a scripted
 //!   [`FaultPlan`] that injects the storage fault universe — torn and short
 //!   writes, transient and permanent read errors, short reads, disk-full,
-//!   seeded bit rot — deterministically at block granularity (the
-//!   [`WriteFuse`] of the original crash battery is now one plan kind).
+//!   seeded bit rot — deterministically at block granularity. With no plan
+//!   armed a multi-block transfer is one contiguous read or write.
 //!   Transient faults are retried a fixed [`IO_RETRY_ATTEMPTS`] times —
 //!   count-based, never clock-based, so behavior stays a pure function of
 //!   the fault script.
@@ -53,9 +53,7 @@ mod record;
 mod store;
 
 pub use fault::{Fault, FaultPlan};
-pub use file::{
-    AlignedBuf, BlockFile, FileError, FileStats, WriteFuse, IO_RETRY_ATTEMPTS, PAGE_ALIGN,
-};
+pub use file::{AlignedBuf, BlockFile, FileError, FileStats, IO_RETRY_ATTEMPTS, PAGE_ALIGN};
 pub use record::Record;
 pub use store::{layout_fingerprint, BlockStore, ScrubReport, StoreMeta, StoreOptions, StoreStats};
 

@@ -31,19 +31,45 @@
 //! incremental-commit dirty gate computes anyway, so checksumming adds no
 //! extra hashing to a flush — only the (tiny) region itself.
 //!
+//! ## One hash per block, computed once
+//!
+//! Every block hash anywhere in this file — commit, load, scrub, recovery —
+//! comes from one kernel, `hash_blocks`: byte-serial FNV-1a per block (the
+//! persisted words are unchanged), with four blocks' chains interleaved so
+//! the multiplies pipeline instead of waiting on each other. A byte is
+//! hashed once per pass: `load` verifies a block and primes the dirty gate
+//! with the same word, and the journal's payload checksum (journal magic
+//! `APBSJRN2`) is FNV over the ids area followed by the *per-block hashes*
+//! of the staged images in journal order, which the commit already holds —
+//! not a second walk over the payload. Recovery recomputes the block hashes
+//! with the kernel and folds them the same way. Only the transient journal
+//! changed revision; a committed `APBSJRN1` journal (sum over the staged
+//! bytes themselves) left behind by a crashed older build is still replayed
+//! under its own rule, never cleared as torn. (The reverse does not hold:
+//! an older build does not know `APBSJRN2`, so finish recovery with this
+//! build before downgrading.)
+//!
 //! ## Commit protocol
 //!
-//! 1. Regenerate every payload (bitmap + slot) block of the new image in a
-//!    page-aligned scratch buffer, hashing each; blocks whose hash differs
-//!    from the committed image are appended (id + image) to the journal
-//!    staging buffers. Then generate the checksum region from those hashes
-//!    and the header from the region's running root, staging dirty ones the
-//!    same way.
-//! 2. Write the journal payload, sync, then write the journal header and
-//!    sync again — the single-block header write is the commit point.
+//! 1. Regenerate the payload (bitmap + slot) blocks of the new image a
+//!    group at a time, straight into the journal staging buffer behind the
+//!    dirty images already kept; hash the group; slide the blocks whose
+//!    hash differs from the committed image down over the clean ones and
+//!    record their ids. Then generate the checksum region from those hashes
+//!    and the header from the region's root, staging dirty ones the same
+//!    way. The staging buffer ends up as the journal payload, with no
+//!    per-block copy.
+//! 2. Write the journal ids and payload (one contiguous transfer each),
+//!    sync, then write the journal header and sync again — the single-block
+//!    header write is the commit point.
 //! 3. Write the dirty blocks into the data file in place (resizing it first
-//!    if the geometry changed) and sync.
+//!    if the geometry changed), one transfer per run of consecutive ids —
+//!    a full image is three runs — and sync.
 //! 4. Zero the journal header, truncate the journal to zero length, sync.
+//!
+//! With a [`FaultPlan`] armed, every multi-block transfer falls back to one
+//! block at a time in the same order, so each block boundary of each phase
+//! is still a point where an injected crash can land.
 //!
 //! A crash before step 2 completes leaves the data file untouched (the old
 //! image survives); a crash after it leaves a valid journal that
@@ -51,7 +77,7 @@
 //! is exactly one committed image — never a blend, and never a byte of a
 //! record that is not in the image.
 
-use crate::file::{AlignedBuf, BlockFile, FileError, FileStats, WriteFuse};
+use crate::file::{AlignedBuf, BlockFile, FileError, FileStats};
 use crate::record::Record;
 use crate::FaultPlan;
 use io_sim::Tracer;
@@ -59,7 +85,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: u64 = u64::from_le_bytes(*b"APBSTOR1");
-const JMAGIC: u64 = u64::from_le_bytes(*b"APBSJRN1");
+const JMAGIC: u64 = u64::from_le_bytes(*b"APBSJRN2");
+/// The previous journal revision: same header fields, but its payload
+/// checksum ran over the staged bytes themselves. Never written any more;
+/// [`BlockStore::open`] still replays one a crashed older build left behind.
+const JMAGIC_V1: u64 = u64::from_le_bytes(*b"APBSJRN1");
 const VERSION: u64 = 2;
 const HEADER_FIELDS: usize = 11;
 const JHEADER_FIELDS: usize = 7;
@@ -73,6 +103,77 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Independent FNV chains [`hash_blocks`] keeps in flight. One chain is
+/// latency-bound (each byte's multiply waits on the previous one, ~4 cycles
+/// a byte); four fill the multiplier's pipeline, and more measured slower.
+const HASH_LANES: usize = 4;
+
+/// Blocks generated (or read) and then hashed together by the commit, scrub
+/// and recovery paths: a whole number of kernel rounds, small enough that a
+/// group of 4 KiB blocks is still cache-resident when the kernel reaches it.
+const GROUP_BLOCKS: usize = 4 * HASH_LANES;
+
+/// The block-hash kernel: `out[i] = fnv1a(FNV_OFFSET, block i of buf)` for
+/// every `block_size`-byte block of `buf` — the same byte-serial FNV-1a the
+/// format has always stored, so not one persisted word changes. Blocks are
+/// independent, so [`HASH_LANES`] of them are walked in lock step; a tail of
+/// fewer blocks than lanes takes the scalar chain.
+fn hash_blocks(buf: &[u8], block_size: usize, out: &mut [u64]) {
+    assert_eq!(
+        buf.len(),
+        out.len() * block_size,
+        "one hash word per whole block"
+    );
+    let mut groups = buf.chunks_exact(block_size * HASH_LANES);
+    let mut words = out.chunks_exact_mut(HASH_LANES);
+    for (group, word) in (&mut groups).zip(&mut words) {
+        let (a, rest) = group.split_at(block_size);
+        let (b, rest) = rest.split_at(block_size);
+        let (c, d) = rest.split_at(block_size);
+        let mut h = [FNV_OFFSET; HASH_LANES];
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            h[0] = (h[0] ^ a as u64).wrapping_mul(FNV_PRIME);
+            h[1] = (h[1] ^ b as u64).wrapping_mul(FNV_PRIME);
+            h[2] = (h[2] ^ c as u64).wrapping_mul(FNV_PRIME);
+            h[3] = (h[3] ^ d as u64).wrapping_mul(FNV_PRIME);
+        }
+        word.copy_from_slice(&h);
+    }
+    let tail = groups.remainder().chunks_exact(block_size);
+    for (block, word) in tail.zip(words.into_remainder()) {
+        *word = fnv1a(FNV_OFFSET, block);
+    }
+}
+
+/// The journal's payload checksum: FNV over the ids area, then over the
+/// per-block hashes of the staged images in journal order. Any flipped
+/// payload byte changes its block's hash (every FNV step is a bijection of
+/// the running state), so the sum covers the payload without a second pass
+/// over it.
+fn journal_sum(ids_area: &[u8], block_hashes: impl Iterator<Item = u64>) -> u64 {
+    block_hashes.fold(fnv1a(FNV_OFFSET, ids_area), |h, word| {
+        fnv1a(h, &word.to_le_bytes())
+    })
+}
+
+/// Writes staged block images to their ids, one transfer per run of
+/// consecutive ids (with a fault plan armed, [`BlockFile::write_blocks`]
+/// still visits every block of a run in order).
+fn write_runs(
+    file: &mut BlockFile,
+    ids: &[u64],
+    images: &[u8],
+    block_size: usize,
+) -> Result<(), FileError> {
+    let mut at = 0;
+    for run in ids.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
+        let end = at + run.len() * block_size;
+        file.write_blocks(run[0], &images[at..end])?;
+        at = end;
+    }
+    Ok(())
 }
 
 /// The layout fingerprint stored in the header: an FNV-1a hash of the
@@ -530,12 +631,6 @@ impl BlockStore {
         }
     }
 
-    /// Arms the crash-injection fuse on both files (one shared budget).
-    pub fn set_fuse(&mut self, fuse: WriteFuse) {
-        self.data.set_fuse(fuse.clone());
-        self.journal.set_fuse(fuse);
-    }
-
     /// Arms a fault script on both files (one shared state, so injection
     /// indices count the store's global transfer stream).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -618,52 +713,42 @@ impl BlockStore {
         self.ids_buf
             .reserve(((data_blocks as u64 * 8).div_ceil(b) * b) as usize);
 
-        // Phase 1a: regenerate the payload (bitmap + slot) blocks, hash
-        // each, stage the dirty ones for the journal.
+        // Phase 1a: regenerate the payload (bitmap + slot) blocks a group at
+        // a time, directly behind the dirty images already staged in the
+        // journal buffer; hash the group, keep its dirty blocks.
         let first = geo.payload_first();
-        let mut payload_len = 0usize;
+        let mut staged = 0usize;
         let mut stream = SlotStream::new(words, total_slots, records);
-        for block in first..data_blocks as u64 {
-            let buf = self.block_buf.get_mut(bs);
-            buf.fill(0);
-            if block < first + geo.bitmap_blocks {
-                fill_bitmap_block(buf, words, block - first);
-            } else {
-                stream.fill_block(buf)?;
+        let mut block = first as usize;
+        while block < data_blocks {
+            let n = GROUP_BLOCKS.min(data_blocks - block);
+            let group = &mut self.payload.get_mut(staged + n * bs)[staged..];
+            group.fill(0);
+            for (id, buf) in (block as u64..).zip(group.chunks_exact_mut(bs)) {
+                if id < first + geo.bitmap_blocks {
+                    fill_bitmap_block(buf, words, id - first);
+                } else {
+                    stream.fill_block(buf)?;
+                }
             }
-            let hash = fnv1a(FNV_OFFSET, buf);
-            self.scratch_hashes[block as usize] = hash;
-            if full || self.block_hashes[block as usize] != hash {
-                self.ids.push(block);
-                self.payload.get_mut(payload_len + bs)[payload_len..].copy_from_slice(buf);
-                payload_len += bs;
-            }
+            hash_blocks(group, bs, &mut self.scratch_hashes[block..block + n]);
+            staged = self.keep_dirty(block, n, staged, full);
+            block += n;
         }
         stream.finish(len)?;
 
         // Phase 1b: the checksum region persists the very hashes the dirty
-        // gate just computed, one word per payload block; the running FNV
-        // over the region's bytes becomes the header's checksum root.
-        let words_per_block = bs / 8;
-        let mut checksum_root = FNV_OFFSET;
-        for block in 1..first {
-            let buf = self.block_buf.get_mut(bs);
-            buf.fill(0);
-            let base = (block - 1) as usize * words_per_block;
-            for k in 0..words_per_block {
-                if ((base + k) as u64) < geo.payload_blocks() {
-                    encode_checksum_word(buf, k, self.scratch_hashes[first as usize + base + k]);
-                }
-            }
-            checksum_root = fnv1a(checksum_root, buf);
-            let hash = fnv1a(FNV_OFFSET, buf);
-            self.scratch_hashes[block as usize] = hash;
-            if full || self.block_hashes[block as usize] != hash {
-                self.ids.push(block);
-                self.payload.get_mut(payload_len + bs)[payload_len..].copy_from_slice(buf);
-                payload_len += bs;
-            }
+        // gate just computed, one word per payload block; the FNV over the
+        // region's bytes becomes the header's checksum root.
+        let region_blocks = geo.checksum_blocks as usize;
+        let region = &mut self.payload.get_mut(staged + region_blocks * bs)[staged..];
+        region.fill(0);
+        for (k, &word) in self.scratch_hashes[first as usize..].iter().enumerate() {
+            encode_checksum_word(region, k, word);
         }
+        let checksum_root = fnv1a(FNV_OFFSET, region);
+        hash_blocks(region, bs, &mut self.scratch_hashes[1..first as usize]);
+        staged = self.keep_dirty(1, region_blocks, staged, full);
 
         let fingerprint = layout_fingerprint(words, total_slots);
         let prev = self.meta;
@@ -684,13 +769,11 @@ impl BlockStore {
             ..unchanged
         };
         {
-            let buf = self.block_buf.get_mut(bs);
+            let buf = &mut self.payload.get_mut(staged + bs)[staged..];
             encode_header(buf, b, &meta);
-            let hash = fnv1a(FNV_OFFSET, buf);
-            self.scratch_hashes[0] = hash;
+            hash_blocks(buf, bs, &mut self.scratch_hashes[..1]);
             self.ids.push(0);
-            self.payload.get_mut(payload_len + bs)[payload_len..].copy_from_slice(buf);
-            payload_len += bs;
+            staged += bs;
         }
 
         // Phase 2: journal payload, sync, journal header, sync (the commit
@@ -705,14 +788,14 @@ impl BlockStore {
                 area[i * 8..i * 8 + 8].copy_from_slice(&id.to_le_bytes());
             }
         }
-        let payload_sum = fnv1a(
-            fnv1a(FNV_OFFSET, self.ids_buf.get(ids_area_len)),
-            self.payload.get(payload_len),
+        let payload_sum = journal_sum(
+            self.ids_buf.get(ids_area_len),
+            self.ids.iter().map(|&id| self.scratch_hashes[id as usize]),
         );
         self.journal
             .write_blocks(1, self.ids_buf.get(ids_area_len))?;
         self.journal
-            .write_blocks(1 + ids_blocks, self.payload.get(payload_len))?;
+            .write_blocks(1 + ids_blocks, self.payload.get(staged))?;
         if self.opts.sync {
             self.journal.sync()?;
         }
@@ -729,12 +812,10 @@ impl BlockStore {
             self.journal.sync()?;
         }
 
-        // Phase 3: apply in place.
+        // Phase 3: apply in place, one transfer per run of consecutive ids
+        // (a full image is three: payload, checksum region, header).
         self.data.set_len(geo.file_len())?;
-        for (i, &id) in self.ids.iter().enumerate() {
-            let chunk = &self.payload.get(payload_len)[i * bs..(i + 1) * bs];
-            self.data.write_blocks(id, chunk)?;
-        }
+        write_runs(&mut self.data, &self.ids, self.payload.get(staged), bs)?;
         if self.opts.sync {
             self.data.sync()?;
         }
@@ -750,6 +831,29 @@ impl BlockStore {
         self.geo = Some(geo);
         self.meta = Some(meta);
         Ok(meta.generation)
+    }
+
+    /// Dirty gate for the `n` freshly generated blocks `first_id..` whose
+    /// images sit at `payload[staged..]` and whose hashes are already in
+    /// `scratch_hashes`: records the ids of those that differ from the
+    /// committed image and slides their images down over the clean ones, so
+    /// the journal buffer stays a dense run of dirty images. Returns the new
+    /// staged length.
+    fn keep_dirty(&mut self, first_id: usize, n: usize, staged: usize, full: bool) -> usize {
+        let bs = self.opts.block_size;
+        let images = self.payload.get_mut(staged + n * bs);
+        let mut kept = staged;
+        for (i, id) in (first_id..first_id + n).enumerate() {
+            if full || self.block_hashes[id] != self.scratch_hashes[id] {
+                self.ids.push(id as u64);
+                let src = staged + i * bs;
+                if src != kept {
+                    images.copy_within(src..src + bs, kept);
+                }
+                kept += bs;
+            }
+        }
+        kept
     }
 
     /// Reads the committed image back: the bitmap words and the records in
@@ -777,27 +881,23 @@ impl BlockStore {
 
         let header = self.block_buf.get_mut(bs);
         self.data.read_blocks(0, header)?;
-        hashes[0] = fnv1a(FNV_OFFSET, header);
+        hash_blocks(header, bs, &mut hashes[..1]);
 
         let mut region = vec![0u8; (geo.checksum_blocks * b) as usize];
         self.data.read_blocks(1, &mut region)?;
         if fnv1a(FNV_OFFSET, &region) != meta.checksum_root {
             return Err(corrupt(1, "checksum region does not match header root"));
         }
-        for (i, chunk) in region.chunks(bs).enumerate() {
-            hashes[1 + i] = fnv1a(FNV_OFFSET, chunk);
-        }
+        hash_blocks(&region, bs, &mut hashes[1..first]);
 
+        // Each payload block is hashed once: the word that verifies it
+        // against the region is the word that primes the dirty gate.
+        let slot_first = first + geo.bitmap_blocks as usize;
         let mut bitmap_bytes = vec![0u8; (geo.bitmap_blocks * b) as usize];
         self.data.read_blocks(first as u64, &mut bitmap_bytes)?;
-        for (i, chunk) in bitmap_bytes.chunks(bs).enumerate() {
-            if fnv1a(FNV_OFFSET, chunk) != get_u64(&region, i) {
-                return Err(corrupt(
-                    (first + i) as u64,
-                    "bitmap block checksum mismatch",
-                ));
-            }
-            hashes[first + i] = fnv1a(FNV_OFFSET, chunk);
+        hash_blocks(&bitmap_bytes, bs, &mut hashes[first..slot_first]);
+        if let Some(i) = (first..slot_first).find(|&i| hashes[i] != get_u64(&region, i - first)) {
+            return Err(corrupt(i as u64, "bitmap block checksum mismatch"));
         }
         let words: Vec<u64> = (0..geo.bitmap_words() as usize)
             .map(|w| get_u64(&bitmap_bytes, w))
@@ -829,17 +929,13 @@ impl BlockStore {
             return Err(corrupt(first as u64, "layout fingerprint mismatch"));
         }
 
-        let slot_first = first + geo.bitmap_blocks as usize;
         let mut slot_bytes = vec![0u8; (geo.slot_blocks * b) as usize];
         self.data.read_blocks(slot_first as u64, &mut slot_bytes)?;
-        for (i, chunk) in slot_bytes.chunks(bs).enumerate() {
-            if fnv1a(FNV_OFFSET, chunk) != get_u64(&region, geo.bitmap_blocks as usize + i) {
-                return Err(corrupt(
-                    (slot_first + i) as u64,
-                    "slot block checksum mismatch",
-                ));
-            }
-            hashes[slot_first + i] = fnv1a(FNV_OFFSET, chunk);
+        hash_blocks(&slot_bytes, bs, &mut hashes[slot_first..]);
+        if let Some(i) =
+            (slot_first..hashes.len()).find(|&i| hashes[i] != get_u64(&region, i - first))
+        {
+            return Err(corrupt(i as u64, "slot block checksum mismatch"));
         }
         let rs = meta.record_size as usize;
         let mut records = Vec::with_capacity(meta.len as usize);
@@ -915,16 +1011,27 @@ impl BlockStore {
         }
 
         // Payload blocks, each against its region word (best effort even
-        // when the region itself is suspect).
-        for i in 0..geo.payload_blocks() {
-            let block = first + i;
-            let buf = self.block_buf.get_mut(bs);
-            let ok = match self.data.read_blocks(block, buf) {
-                Ok(()) => fnv1a(FNV_OFFSET, buf) == get_u64(&region, i as usize),
-                Err(_) => false,
-            };
-            if !ok {
-                report.corrupt.push(block);
+        // when the region itself is suspect), a group per read. A group that
+        // cannot be read whole is re-read block by block, so exactly the
+        // unreadable blocks are reported.
+        let payload_blocks = geo.payload_blocks() as usize;
+        let mut hashes = [0u64; GROUP_BLOCKS];
+        for i in (0..payload_blocks).step_by(GROUP_BLOCKS) {
+            let n = GROUP_BLOCKS.min(payload_blocks - i);
+            let id = first + i as u64;
+            let group = self.payload.get_mut(n * bs);
+            let mut readable = [true; GROUP_BLOCKS];
+            if self.data.read_blocks(id, group).is_err() {
+                let blocks = (id..).zip(group.chunks_exact_mut(bs));
+                for ((block, buf), ok) in blocks.zip(&mut readable) {
+                    *ok = self.data.read_blocks(block, buf).is_ok();
+                }
+            }
+            hash_blocks(group, bs, &mut hashes[..n]);
+            for k in 0..n {
+                if !readable[k] || hashes[k] != get_u64(&region, i + k) {
+                    report.corrupt.push(id + k as u64);
+                }
             }
         }
         Ok(report)
@@ -1034,7 +1141,9 @@ impl BlockStore {
     }
 
     /// Replays a valid pending journal (crash after the commit point) or
-    /// discards a torn one (crash before it).
+    /// discards a torn one (crash before it). A journal left by the previous
+    /// revision is judged by that revision's checksum rule — discarding a
+    /// committed one as "torn" would strand a half-applied image.
     fn recover(&mut self) -> Result<(), FileError> {
         let bs = self.opts.block_size;
         let b = bs as u64;
@@ -1045,16 +1154,18 @@ impl BlockStore {
             }
             return Ok(());
         }
-        let (valid_header, count, target_len, payload_sum) = {
+        let (valid_header, legacy, count, target_len, payload_sum) = {
             let header = self.block_buf.get_mut(bs);
             self.journal.read_blocks(0, header)?;
             let sum = fnv1a(FNV_OFFSET, &header[..(JHEADER_FIELDS - 1) * 8]);
-            let ok = get_u64(header, 0) == JMAGIC
+            let magic = get_u64(header, 0);
+            let ok = (magic == JMAGIC || magic == JMAGIC_V1)
                 && get_u64(header, 1) == b
                 && get_u64(header, 2) == 0
                 && get_u64(header, JHEADER_FIELDS - 1) == sum;
             (
                 ok,
+                magic == JMAGIC_V1,
                 get_u64(header, 3),
                 get_u64(header, 4),
                 get_u64(header, 5),
@@ -1071,14 +1182,19 @@ impl BlockStore {
         self.journal.read_blocks(1, &mut ids_area)?;
         let mut payload = vec![0u8; (count * b) as usize];
         self.journal.read_blocks(1 + ids_blocks, &mut payload)?;
-        if fnv1a(fnv1a(FNV_OFFSET, &ids_area), &payload) != payload_sum {
+        let sum = if legacy {
+            fnv1a(fnv1a(FNV_OFFSET, &ids_area), &payload)
+        } else {
+            let mut hashes = vec![0u64; count as usize];
+            hash_blocks(&payload, bs, &mut hashes);
+            journal_sum(&ids_area, hashes.into_iter())
+        };
+        if sum != payload_sum {
             return self.clear_journal();
         }
+        let ids: Vec<u64> = (0..count as usize).map(|i| get_u64(&ids_area, i)).collect();
         self.data.set_len(target_len)?;
-        for i in 0..count as usize {
-            let id = get_u64(&ids_area, i);
-            self.data.write_blocks(id, &payload[i * bs..(i + 1) * bs])?;
-        }
+        write_runs(&mut self.data, &ids, &payload, bs)?;
         if self.opts.sync {
             self.data.sync()?;
         }
@@ -1104,9 +1220,12 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::temp_path;
+    use crate::{temp_path, Fault};
 
     const B: usize = 128;
+
+    /// A loaded image: (bitmap words, records).
+    type Image = (Vec<u64>, Vec<u64>);
 
     fn opts() -> StoreOptions {
         StoreOptions::new(B).no_sync()
@@ -1290,7 +1409,7 @@ mod tests {
 
         // Kill after one journal block: the header never lands, so the
         // journal is torn and the old image must survive.
-        store.set_fuse(WriteFuse::after(1));
+        store.set_fault_plan(FaultPlan::new([Fault::TornWrite { at: 1 }]));
         let set2: Vec<u64> = (0..total).step_by(2).collect();
         let words2 = words_for(total, &set2);
         let recs2: Vec<u64> = set2.iter().map(|&s| s + 1).collect();
@@ -1325,7 +1444,9 @@ mod tests {
         // whole journal plus one data block, then kill: the commit point
         // has passed, so recovery must complete the flush.
         let journal_writes_for_full = store.stats().journal.blocks_written;
-        store.set_fuse(WriteFuse::after(journal_writes_for_full + 1));
+        store.set_fault_plan(FaultPlan::new([Fault::TornWrite {
+            at: journal_writes_for_full + 1,
+        }]));
         let set2: Vec<u64> = (0..total).step_by(2).collect();
         let words2 = words_for(total, &set2);
         let recs2: Vec<u64> = set2.iter().map(|&s| s + 1).collect();
@@ -1339,6 +1460,180 @@ mod tests {
         assert_eq!(words, words2);
         assert_eq!(recs, recs2);
         cleanup(&path);
+    }
+
+    #[test]
+    fn hash_blocks_equals_scalar_fnv_for_every_lane_tail() {
+        // Block counts 0..=9 cover two full kernel rounds plus every tail
+        // length, at each block size in use.
+        for bs in [128usize, 512, 4096] {
+            for count in 0..=9usize {
+                let buf: Vec<u8> = (0..count * bs)
+                    .map(|i| (i as u64).wrapping_mul(0x9e37_79b9).to_le_bytes()[1])
+                    .collect();
+                let mut got = vec![0u64; count];
+                hash_blocks(&buf, bs, &mut got);
+                let want: Vec<u64> = buf.chunks(bs).map(|c| fnv1a(FNV_OFFSET, c)).collect();
+                assert_eq!(got, want, "block size {bs}, {count} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn run_writes_and_per_block_writes_are_indistinguishable() {
+        // An armed plan with nothing in it forces every transfer down the
+        // per-block path; no plan takes the run path. Same commits, loads
+        // and scrubs: same bytes on disk, same transfer counts.
+        let drive = |tag: &str, plan: Option<FaultPlan>| {
+            let path = temp_path(tag);
+            let mut store = BlockStore::open(&path, opts()).unwrap();
+            if let Some(plan) = plan {
+                store.set_fault_plan(plan);
+            }
+            // Full image; a sparse change; a change of geometry; and back.
+            for (total, step, bump) in [(2048u64, 2, 0u64), (2048, 2, 1), (4096, 3, 0), (512, 1, 0)]
+            {
+                let set: Vec<u64> = (0..total).step_by(step).collect();
+                let mut recs: Vec<u64> = set.iter().map(|&s| s * 3 + 1).collect();
+                recs[7] += bump;
+                store
+                    .commit(&words_for(total, &set), total, set.len() as u64, recs, 6)
+                    .unwrap();
+            }
+            store.load::<u64>().unwrap();
+            assert!(store.scrub().unwrap().is_clean());
+            let (stats, raw) = (store.stats(), store.raw_bytes().unwrap());
+            cleanup(&path);
+            (stats, raw)
+        };
+        let per_block = drive("store-perblock", Some(FaultPlan::new([])));
+        let runs = drive("store-runs", None);
+        assert_eq!(
+            per_block.0, runs.0,
+            "transfer counts must not depend on the path"
+        );
+        assert_eq!(
+            per_block.1, runs.1,
+            "bytes on disk must not depend on the path"
+        );
+    }
+
+    /// Commits image A, then tears the commit of image B `data_writes` data
+    /// blocks after its commit point: what is left on disk is B's complete,
+    /// valid journal beside a data file holding that many blocks of B over
+    /// A. Returns the path and the two images.
+    fn torn_after_commit_point(tag: &str, data_writes: u64) -> (PathBuf, Image, Image) {
+        let path = temp_path(tag);
+        let total = 2048u64;
+        let set_a: Vec<u64> = (0..total).step_by(4).collect();
+        let set_b: Vec<u64> = (0..total).step_by(2).collect();
+        let (words_a, words_b) = (words_for(total, &set_a), words_for(total, &set_b));
+        let recs_b: Vec<u64> = set_b.iter().map(|&s| s + 1).collect();
+        let mut store = BlockStore::open(&path, opts()).unwrap();
+        store
+            .commit(
+                &words_a,
+                total,
+                set_a.len() as u64,
+                set_a.iter().copied(),
+                2,
+            )
+            .unwrap();
+        // B dirties every block, so its journal is as long as A's was.
+        let journal_writes = store.stats().journal.blocks_written - 1;
+        store.set_fault_plan(FaultPlan::new([Fault::TornWrite {
+            at: journal_writes + data_writes,
+        }]));
+        store
+            .commit(
+                &words_b,
+                total,
+                set_b.len() as u64,
+                recs_b.iter().copied(),
+                2,
+            )
+            .unwrap_err();
+        (path, (words_a, set_a), (words_b, recs_b))
+    }
+
+    /// `Some(image)` when the store opens and loads, `None` on a typed
+    /// corruption error; anything else fails the test.
+    fn reopen(path: &Path) -> Option<Image> {
+        let mut store = BlockStore::open(path, opts()).unwrap();
+        match store.load::<u64>() {
+            Ok((_, words, recs)) => Some((words, recs)),
+            Err(FileError::Corrupt { .. }) => None,
+            Err(other) => panic!("expected an image or a typed corruption, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_committed_v1_journal_is_replayed_by_the_v1_rule() {
+        // A crashed older build left a committed journal (magic APBSJRN1,
+        // payload sum over the staged bytes) beside a half-applied data
+        // file. Clearing it as "torn" would strand the blend; it replays.
+        let (path, _, image_b) = torn_after_commit_point("store-v1-journal", 5);
+        let jpath = journal_path_for(&path);
+        let mut journal = std::fs::read(&jpath).unwrap();
+        assert_eq!(get_u64(&journal, 0), JMAGIC);
+        let legacy_sum = fnv1a(FNV_OFFSET, &journal[B..]);
+        put_u64(&mut journal, 0, JMAGIC_V1);
+        put_u64(&mut journal, 5, legacy_sum);
+        let header_sum = fnv1a(FNV_OFFSET, &journal[..(JHEADER_FIELDS - 1) * 8]);
+        put_u64(&mut journal, JHEADER_FIELDS - 1, header_sum);
+        std::fs::write(&jpath, &journal).unwrap();
+
+        assert_eq!(reopen(&path), Some(image_b), "whole new image");
+        assert!(std::fs::read(&jpath).unwrap().is_empty());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn the_folded_journal_sum_covers_ids_and_every_payload_block() {
+        // The v2 sum never walks the payload bytes directly — it folds the
+        // per-block hashes — so show that a flip anywhere still voids the
+        // journal: in the ids area and in the first, a middle and the last
+        // payload block.
+        for data_writes in [0u64, 5] {
+            let (path, image_a, image_b) = torn_after_commit_point("store-jflip", data_writes);
+            let jpath = journal_path_for(&path);
+            let data = std::fs::read(&path).unwrap();
+            let journal = std::fs::read(&jpath).unwrap();
+            let count = get_u64(&journal, 3) as usize;
+            let payload_at = B + (count * 8).div_ceil(B) * B;
+            assert_eq!(journal.len(), payload_at + count * B);
+
+            // Untouched, the journal replays to the whole new image.
+            assert_eq!(reopen(&path), Some(image_b.clone()));
+
+            let last = payload_at + (count - 1) * B;
+            for flip in [
+                B,
+                payload_at + 9,
+                payload_at + (count / 2) * B + 77,
+                last + B - 1,
+            ] {
+                let mut bad = journal.clone();
+                bad[flip] ^= 0x20;
+                std::fs::write(&path, &data).unwrap();
+                std::fs::write(&jpath, &bad).unwrap();
+                let outcome = reopen(&path);
+                assert!(
+                    std::fs::read(&jpath).unwrap().is_empty(),
+                    "flip at {flip}: journal discarded"
+                );
+                if data_writes == 0 {
+                    // Nothing was applied yet: the old image is intact.
+                    assert_eq!(outcome, Some(image_a.clone()), "flip at {flip}");
+                } else {
+                    // Blocks of B already sit over A and their redo copy is
+                    // void: the only honest answer is a typed corruption —
+                    // never an image that is neither A nor B.
+                    assert_eq!(outcome, None, "flip at {flip}: a blend loaded");
+                }
+            }
+            cleanup(&path);
+        }
     }
 
     #[test]

@@ -123,8 +123,8 @@ pub struct ServerOptions {
     pub config: DictConfig,
     /// When present, `FLUSH` canonicalizes the served contents into this
     /// store; when `None`, `FLUSH` answers `UNAVAILABLE`. Passing the
-    /// dictionary in (rather than a path) lets crash batteries arm
-    /// `block_store::WriteFuse` / fault plans before the server starts.
+    /// dictionary in (rather than a path) lets crash batteries arm a
+    /// `block_store::FaultPlan` before the server starts.
     pub persist: Option<PersistentDict>,
 }
 

@@ -689,7 +689,8 @@ impl DictBuilder {
             ));
         }
         let mut store = BlockStore::open(path, options)?;
-        let (dict, seed): (DynDict<u64, u64>, u64) = if store.is_initialized() {
+        let canonical = store.is_initialized();
+        let (dict, seed): (DynDict<u64, u64>, u64) = if canonical {
             let (meta, _words, records) = store.load::<(u64, u64)>()?;
             let mut config = self.config.clone();
             config.seed = meta.seed;
@@ -717,6 +718,7 @@ impl DictBuilder {
             dict,
             store,
             seed,
+            canonical,
             scratch: Vec::new(),
         })
     }
@@ -949,7 +951,7 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
 
 /// A slot-array dictionary mapped onto a real file: the paper's
 /// anti-persistence guarantee made literal. Every [`Self::flush`]
-/// re-draws the layout from *(contents, seed)* and commits it through the
+/// commits a layout drawn from *(contents, seed)* through the
 /// [`BlockStore`]'s journaled two-phase protocol, so
 ///
 /// * the bytes on disk after any flush are the pure function
@@ -987,12 +989,29 @@ pub struct PersistentDict {
     dict: DynDict<u64, u64>,
     store: BlockStore,
     seed: u64,
+    /// `true` while the in-RAM layout is known to be `f(contents, seed)`:
+    /// set by a redraw with the store's seed, cleared by every path that
+    /// hands out `&mut` to the dictionary.
+    canonical: bool,
     scratch: Vec<(u64, u64)>,
 }
 
 impl PersistentDict {
-    /// Canonicalizes the in-RAM layout to `f(contents, seed)` and commits
-    /// it to the file. Returns the committed generation.
+    /// Replaces the contents with `pairs`, drawing the layout from `seed`
+    /// (shadows [`Dictionary::bulk_load`] on the [`Deref`] target). Loading
+    /// with this dictionary's own [`Self::seed`] is exactly the redraw
+    /// [`Self::flush`] would make, so the next flush skips its own — as long
+    /// as nothing borrows the dictionary mutably in between.
+    pub fn bulk_load(&mut self, pairs: impl IntoIterator<Item = (u64, u64)>, seed: u64) {
+        self.dict.bulk_load(pairs, seed);
+        self.canonical = seed == self.seed;
+    }
+
+    /// Canonicalizes the in-RAM layout to `f(contents, seed)` — unless a
+    /// [`Self::bulk_load`] with this seed already did and the dictionary
+    /// has not been touched since — and commits it to the file, streaming
+    /// the records straight out of the dictionary. Returns the committed
+    /// generation.
     ///
     /// Steady-state flushes reuse this dictionary's scratch vector and the
     /// store's page-aligned staging buffers, so once those have grown to
@@ -1004,11 +1023,14 @@ impl PersistentDict {
     /// variant, and all of them still fold into [`io::Error`] for callers
     /// on the facade's `io::Result` surface.
     pub fn flush(&mut self) -> Result<u64, PersistError> {
-        self.scratch.clear();
-        self.scratch.extend(self.dict.iter().map(|(k, v)| (*k, *v)));
-        // Re-draw the canonical layout: after this the image is a pure
-        // function of (contents, seed), independent of operation history.
-        self.dict.bulk_load(self.scratch.iter().copied(), self.seed);
+        if !self.canonical {
+            // Re-draw the canonical layout: after this the image is a pure
+            // function of (contents, seed), independent of operation history.
+            self.scratch.clear();
+            self.scratch.extend(self.dict.iter().map(|(k, v)| (*k, *v)));
+            self.dict.bulk_load(self.scratch.iter().copied(), self.seed);
+            self.canonical = true;
+        }
         let words = self
             .dict
             .occupancy_words()
@@ -1017,9 +1039,8 @@ impl PersistentDict {
         // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
         let slots = self.dict.slot_count().expect("slot-array backend") as u64;
         let len = self.dict.len() as u64;
-        Ok(self
-            .store
-            .commit(words, slots, len, self.scratch.iter().copied(), self.seed)?)
+        let records = self.dict.iter().map(|(k, v)| (*k, *v));
+        Ok(self.store.commit(words, slots, len, records, self.seed)?)
     }
 
     /// Sweeps the committed image's integrity chain block by block and
@@ -1043,7 +1064,7 @@ impl PersistentDict {
         let repaired = self.store.repair_from(&mut source.store)?;
         let (meta, _words, records) = self.store.load::<(u64, u64)>()?;
         self.seed = meta.seed;
-        self.dict.bulk_load(records, meta.seed);
+        self.bulk_load(records, meta.seed);
         Ok(repaired)
     }
 
@@ -1060,6 +1081,7 @@ impl PersistentDict {
 
     /// Mutable access to the in-RAM dictionary.
     pub fn dict_mut(&mut self) -> &mut DynDict<u64, u64> {
+        self.canonical = false;
         &mut self.dict
     }
 
@@ -1068,8 +1090,8 @@ impl PersistentDict {
         &self.store
     }
 
-    /// Mutable access to the backing store (crash-injection fuses, raw
-    /// image reads).
+    /// Mutable access to the backing store (fault plans, raw image
+    /// reads).
     pub fn store_mut(&mut self) -> &mut BlockStore {
         &mut self.store
     }
@@ -1085,6 +1107,9 @@ impl Deref for PersistentDict {
 
 impl DerefMut for PersistentDict {
     fn deref_mut(&mut self) -> &mut Self::Target {
+        // Whatever the caller does through this borrow may move elements
+        // off the canonical draw; the next flush redraws.
+        self.canonical = false;
         &mut self.dict
     }
 }
@@ -1474,6 +1499,51 @@ mod tests {
         });
         assert_eq!(data_a, data_b, "on-disk image must be f(contents, seed)");
         assert_eq!(journal_a, journal_b, "journal must be empty at rest");
+    }
+
+    #[test]
+    fn flush_skips_its_redraw_only_while_the_layout_is_known_canonical() {
+        let path = block_store::temp_path("dict-one-redraw");
+        let mut p = Dict::builder()
+            .backend(Backend::HiPma)
+            .seed(5)
+            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+            .unwrap();
+        // Every bulk_load — a redraw — counts one resize; nothing else here does.
+        let redraws = |p: &PersistentDict| p.counters().snapshot().resizes;
+        let image = |p: &PersistentDict| p.store().raw_bytes().unwrap().0;
+        let contents: Vec<(u64, u64)> = (0..800u64).map(|k| (k * 3, k)).collect();
+
+        // Loaded with the store's own seed: that was the redraw.
+        p.bulk_load(contents.clone(), 5);
+        let before = redraws(&p);
+        p.flush().unwrap();
+        assert_eq!(redraws(&p), before, "flush redrew a canonical layout");
+        let canonical = image(&p);
+
+        // Any mutable borrow voids the promise, even one that changes nothing.
+        assert_eq!(p.insert(0, 0), Some(0));
+        let before = redraws(&p);
+        p.flush().unwrap();
+        assert_eq!(redraws(&p), before + 1);
+        assert_eq!(image(&p), canonical);
+        let _ = p.dict_mut();
+        p.flush().unwrap();
+        assert_eq!(redraws(&p), before + 2);
+
+        // A foreign seed draws some other layout; flush must not trust it.
+        p.bulk_load(contents, 6);
+        let before = redraws(&p);
+        p.flush().unwrap();
+        assert_eq!(redraws(&p), before + 1);
+        assert_eq!(
+            image(&p),
+            canonical,
+            "image must be f(contents, store seed)"
+        );
+
+        std::fs::remove_file(p.store().path()).unwrap();
+        let _ = std::fs::remove_file(p.store().journal_path());
     }
 
     #[test]

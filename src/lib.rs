@@ -207,7 +207,7 @@ pub mod prelude {
     };
     pub use block_store::{
         layout_fingerprint, BlockStore, Fault, FaultPlan, FileError, ScrubReport, StoreMeta,
-        StoreOptions, WriteFuse, IO_RETRY_ATTEMPTS,
+        StoreOptions, IO_RETRY_ATTEMPTS,
     };
     pub use btree::BTree;
     pub use cob_btree::CobBTree;

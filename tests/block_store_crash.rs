@@ -1,6 +1,6 @@
 //! Crash-recovery battery for the file-backed block store.
 //!
-//! For every possible kill point of a flush — the write fuse trips after
+//! For every possible kill point of a flush — a torn-write fault fires after
 //! exactly `k` physical block writes, for every `k` up to the flush's full
 //! write count — the battery verifies the two properties the journaled
 //! commit protocol promises:
@@ -14,7 +14,7 @@
 //!   file is the pure function `f(contents, seed)`, so the crash leaked no
 //!   operation history onto the platter.
 //!
-//! Each kill point is a full trial: build, flush, mutate, arm the fuse,
+//! Each kill point is a full trial: build, flush, mutate, arm the plan,
 //! crash mid-flush, reopen, audit. Several deterministic op scripts keep
 //! the total above 100 kill points and make both outcomes (rollback and
 //! replay) occur.
@@ -116,7 +116,7 @@ fn every_kill_point_recovers_a_whole_canonical_image() {
 
     for script in 0..SCRIPTS {
         // Dry run: learn how many physical block writes the second flush
-        // performs, so the fuse sweep covers every boundary exactly once.
+        // performs, so the kill-point sweep covers every boundary exactly once.
         let path = temp_path(&format!("crash-dry-{script}"));
         let mut oracle = BTreeMap::new();
         let mut dict = open(&path, SEED);
@@ -139,7 +139,8 @@ fn every_kill_point_recovers_a_whole_canonical_image() {
             phase1(&mut dict, &mut oracle, script);
             dict.flush().unwrap();
             phase2(&mut dict, &mut oracle, script);
-            dict.store_mut().set_fuse(WriteFuse::after(k));
+            dict.store_mut()
+                .set_fault_plan(FaultPlan::new([Fault::TornWrite { at: k }]));
             let crashed = dict.flush().is_err();
             if crashed {
                 assert!(
@@ -171,7 +172,7 @@ fn every_kill_point_recovers_a_whole_canonical_image() {
                     );
                 }
             } else {
-                // Fuse budget outlasted the flush: it must have completed.
+                // The write budget outlasted the flush: it must have completed.
                 assert_eq!(recovered, oracle2, "k={k}: complete flush lost data");
             }
             assert_canonical(&reopened);
@@ -193,7 +194,8 @@ fn a_poisoned_store_refuses_further_commits() {
     let mut oracle = BTreeMap::new();
     let mut dict = open(&path, 7);
     phase1(&mut dict, &mut oracle, 0);
-    dict.store_mut().set_fuse(WriteFuse::after(3));
+    dict.store_mut()
+        .set_fault_plan(FaultPlan::new([Fault::TornWrite { at: 3 }]));
     dict.flush().unwrap_err();
     // No amount of retrying on the dead handle may touch the file again.
     let err = dict.flush().unwrap_err();
@@ -207,7 +209,8 @@ fn crash_on_the_very_first_flush_leaves_an_uninitialized_file() {
     let mut oracle = BTreeMap::new();
     let mut dict = open(&path, 7);
     phase1(&mut dict, &mut oracle, 1);
-    dict.store_mut().set_fuse(WriteFuse::after(2));
+    dict.store_mut()
+        .set_fault_plan(FaultPlan::new([Fault::TornWrite { at: 2 }]));
     dict.flush().unwrap_err();
     let data = dict.store().path().to_path_buf();
     let journal = dict.store().journal_path().to_path_buf();

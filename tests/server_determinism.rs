@@ -18,11 +18,12 @@
 //!   bytes, equal to the single-threaded rebuild. The server closes an
 //!   epoch when a reader is about to block, so *where* epochs close is
 //!   set by how the client sends; this names the two ends of that range.
-//! * **kill-the-server-mid-flush** — a `WriteFuse` armed on the persistent
-//!   store trips partway through a client-initiated `FLUSH`. The client
-//!   sees a typed `UNAVAILABLE` (never a fake generation), and reopening
-//!   the file recovers *whole-old or whole-new* contents — the journaled
-//!   commit's atomicity holds when the flush is driven over the network.
+//! * **kill-the-server-mid-flush** — a torn-write `FaultPlan` armed on the
+//!   persistent store trips partway through a client-initiated `FLUSH`.
+//!   The client sees a typed `UNAVAILABLE` (never a fake generation), and
+//!   reopening the file recovers *whole-old or whole-new* contents — the
+//!   journaled commit's atomicity holds when the flush is driven over the
+//!   network.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -329,8 +330,9 @@ fn kill_mid_flush_over_the_network_recovers_whole_old_or_whole_new() {
         }
         dict.flush().expect("base flush");
 
-        // Arm the fuse, then hand the dictionary to the server.
-        dict.store_mut().set_fuse(WriteFuse::after(fuse));
+        // Arm the plan, then hand the dictionary to the server.
+        dict.store_mut()
+            .set_fault_plan(FaultPlan::new([Fault::TornWrite { at: fuse }]));
         let (data, journal) = (
             dict.store().path().to_path_buf(),
             dict.store().journal_path().to_path_buf(),
