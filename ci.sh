@@ -13,6 +13,9 @@ cargo test -q
 echo "==> cargo test --release -q -p block-store (the block-hash kernel as the benchmark runs it: optimised)"
 cargo test --release -q -p block-store
 
+echo "==> cargo test --release -q -p pma (the refill kernel and its hard asserts as the benchmark runs them: optimised)"
+cargo test --release -q -p pma
+
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint
 

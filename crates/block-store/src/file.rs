@@ -63,6 +63,16 @@ pub enum FileError {
         /// What exactly failed to validate.
         reason: &'static str,
     },
+    /// The data file is intact but was committed under another format
+    /// version: its layout function is not this build's, so it cannot
+    /// reproduce under `(contents, seed)` here. There is no in-place
+    /// upgrade — reload from an export made by the build that wrote it.
+    UnsupportedVersion {
+        /// The version the header records.
+        found: u64,
+        /// The only version this build reads and writes.
+        supported: u64,
+    },
     /// An underlying operating-system error.
     Io(io::Error),
 }
@@ -86,6 +96,12 @@ impl fmt::Display for FileError {
             FileError::Corrupt { block, reason } => {
                 write!(f, "corrupt block {block}: {reason}")
             }
+            FileError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "store format version {found} is not supported: this build reads and \
+                 writes version {supported} only (no in-place upgrade; reload from an \
+                 export made by the build that wrote the file)"
+            ),
             FileError::Io(e) => e.fmt(f),
         }
     }
@@ -120,6 +136,9 @@ impl From<FileError> for io::Error {
             }
             corrupt @ FileError::Corrupt { .. } => {
                 io::Error::new(io::ErrorKind::InvalidData, corrupt.to_string())
+            }
+            version @ FileError::UnsupportedVersion { .. } => {
+                io::Error::new(io::ErrorKind::Unsupported, version.to_string())
             }
             other => io::Error::other(other.to_string()),
         }

@@ -90,7 +90,10 @@ const JMAGIC: u64 = u64::from_le_bytes(*b"APBSJRN2");
 /// checksum ran over the staged bytes themselves. Never written any more;
 /// [`BlockStore::open`] still replays one a crashed older build left behind.
 const JMAGIC_V1: u64 = u64::from_le_bytes(*b"APBSJRN1");
-const VERSION: u64 = 2;
+/// Version 3: the HI-PMA's layout function changed (the range tree ends
+/// `LEAF_SCALE_LOG2` levels early), so a version-2 image no longer reproduces
+/// under `(contents, seed)`. The byte format itself is version 2's.
+const VERSION: u64 = 3;
 const HEADER_FIELDS: usize = 11;
 const JHEADER_FIELDS: usize = 7;
 
@@ -507,12 +510,20 @@ fn encode_journal_header(
 }
 
 fn decode_header(buf: &[u8], expect_block_size: u64) -> Result<StoreMeta, FileError> {
-    if get_u64(buf, 0) != MAGIC || get_u64(buf, 1) != VERSION {
-        return Err(corrupt(0, "bad store header magic/version"));
+    if get_u64(buf, 0) != MAGIC {
+        return Err(corrupt(0, "bad store header magic"));
     }
     let sum = fnv1a(FNV_OFFSET, &buf[..(HEADER_FIELDS - 1) * 8]);
     if get_u64(buf, HEADER_FIELDS - 1) != sum {
         return Err(corrupt(0, "store header checksum mismatch"));
+    }
+    // After the checksum, so that a rotted version field reads as
+    // corruption and only an intact header of another version lands here.
+    if get_u64(buf, 1) != VERSION {
+        return Err(FileError::UnsupportedVersion {
+            found: get_u64(buf, 1),
+            supported: VERSION,
+        });
     }
     if get_u64(buf, 2) != expect_block_size {
         return Err(corrupt(
@@ -1283,6 +1294,48 @@ mod tests {
         }
         let err = BlockStore::open(&path, StoreOptions::new(256).no_sync()).unwrap_err();
         assert!(matches!(err, FileError::Corrupt { block: 0, .. }));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn open_refuses_a_version_2_file_by_name() {
+        // Version 2 had this byte format and another layout function: an
+        // intact version-2 header is refused as such — not as a bad magic,
+        // and long before a fingerprint could fail to reproduce.
+        let path = temp_path("store-v2");
+        {
+            let mut store = BlockStore::open(&path, opts()).unwrap();
+            let words = words_for(64, &[0]);
+            store.commit(&words, 64, 1, [7u64], 0).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        put_u64(&mut bytes, 1, 2);
+        std::fs::write(&path, &bytes).unwrap();
+        // The version field sits under the header checksum: changed alone,
+        // it is rot.
+        let err = BlockStore::open(&path, opts()).unwrap_err();
+        assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
+        let sum = fnv1a(FNV_OFFSET, &bytes[..(HEADER_FIELDS - 1) * 8]);
+        put_u64(&mut bytes, HEADER_FIELDS - 1, sum);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = BlockStore::open(&path, opts()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FileError::UnsupportedVersion {
+                    found: 2,
+                    supported: VERSION
+                }
+            ),
+            "{err}"
+        );
+        let text = err.to_string();
+        assert!(text.contains("version 2 is not supported"), "{text}");
+        assert!(
+            !text.contains("magic") && !text.contains("canonical"),
+            "{text}"
+        );
+        assert_eq!(io::Error::from(err).kind(), io::ErrorKind::Unsupported);
         cleanup(&path);
     }
 

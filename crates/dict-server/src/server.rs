@@ -884,15 +884,25 @@ fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
 /// Drains every queue and merges the tickets into one global
 /// arrival-ordered stream. During shutdown the queues are closed under
 /// their locks first, so no later enqueue can be stranded unanswered.
+///
+/// Every queue lock is held at once, so the epoch is a *prefix* of the
+/// arrival order: a stamp is drawn under a queue lock, hence no ticket with
+/// a smaller stamp than a drained one can still be on its way into a queue
+/// already passed. Draining the queues one lock at a time let a reader slip
+/// a `PUT` into a shard queue the engine had just emptied and the `LEN`
+/// behind it into the barrier queue it had not reached yet, and the barrier
+/// then ran an epoch before the write it follows. (`enqueue` takes one queue
+/// lock and nothing else takes two, so holding all of them cannot deadlock.)
 fn drain_epoch(shared: &Arc<Shared>, closing: bool) -> Vec<Ticket> {
     let mut epoch: Vec<Ticket> = Vec::new();
-    for queue in &shared.queues {
-        let mut q = locked(queue);
+    let mut queues: Vec<_> = shared.queues.iter().map(locked).collect();
+    for q in &mut queues {
         if closing {
             q.closed = true;
         }
         epoch.extend(q.ops.drain(..));
     }
+    drop(queues);
     // Each queue was seq-sorted (stamps drawn under the queue lock); the
     // merge re-establishes the one total arrival order.
     epoch.sort_by_key(|t| t.seq);

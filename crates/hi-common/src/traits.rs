@@ -49,6 +49,7 @@
 //! make the layout history independent) at `O(n log² n)` instead of `O(n)`
 //! cost.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 
@@ -489,6 +490,14 @@ pub fn normalize_pairs<K: Ord, V>(mut pairs: Vec<(K, V)>) -> Vec<(K, V)> {
     out
 }
 
+/// `probe.cmp(key)`, tallied in `comparisons` (a `Cell`, because the
+/// sequences' search closures are `Fn`).
+#[inline]
+fn counted_cmp<K: Ord>(comparisons: &Cell<u64>, probe: &K, key: &K) -> std::cmp::Ordering {
+    comparisons.set(comparisons.get() + 1);
+    probe.cmp(key)
+}
+
 /// A keyed [`Dictionary`] view over any [`RankedSequence`] of key–value
 /// pairs kept in ascending key order.
 ///
@@ -503,8 +512,9 @@ pub fn normalize_pairs<K: Ord, V>(mut pairs: Vec<(K, V)>) -> Vec<(K, V)> {
 pub struct RankedDict<S, K, V> {
     seq: S,
     /// Keyed-operation ledger. Point lookups and ordered navigation (get,
-    /// successor, predecessor) are counted here — the sequence only sees
-    /// uncounted `get_ref` probes for them. Range queries are *not* counted
+    /// successor, predecessor) are counted here, each with the key
+    /// comparisons its search made — the sequence only sees uncounted
+    /// `get_ref` probes for them. Range queries are *not* counted
     /// here: they delegate to [`RankedSequence::range_iter`], whose
     /// implementations count the query themselves (sharing this ledger when
     /// built by the dictionary builder), and counting at both layers would
@@ -555,20 +565,32 @@ where
         self.seq.lower_bound_by(|pair| pair.0.cmp(key))
     }
 
-    /// Rank of the first pair whose key is > `key` (or `len` if none).
-    /// `Equal` probes are mapped to `Less`, turning the lower-bound descent
-    /// into an upper bound.
-    fn upper_bound(&self, key: &K) -> usize {
-        self.seq.lower_bound_by(|pair| match pair.0.cmp(key) {
-            std::cmp::Ordering::Greater => std::cmp::Ordering::Greater,
-            _ => std::cmp::Ordering::Less,
-        })
+    /// Rank of the first pair whose key is > `key` (or `len` if none),
+    /// tallying the key comparisons made. `Equal` probes are mapped to
+    /// `Less`, turning the lower-bound descent into an upper bound.
+    fn upper_bound(&self, key: &K, comparisons: &Cell<u64>) -> usize {
+        self.seq
+            .lower_bound_by(|pair| match counted_cmp(comparisons, &pair.0, key) {
+                std::cmp::Ordering::Greater => std::cmp::Ordering::Greater,
+                _ => std::cmp::Ordering::Less,
+            })
+    }
+
+    /// The one ledger update of a keyed query: the query itself and the key
+    /// comparisons its probe closure tallied — no second lock on the read
+    /// path.
+    fn record_query(&self, comparisons: &Cell<u64>) {
+        self.counters.update(|c| {
+            c.queries += 1;
+            c.comparisons += comparisons.get();
+        });
     }
 
     fn start_rank(&self, start: &Bound<K>) -> usize {
         match start {
             Bound::Included(k) => self.lower_bound(k),
-            Bound::Excluded(k) => self.upper_bound(k),
+            // Range queries are counted by the sequence, not here.
+            Bound::Excluded(k) => self.upper_bound(k, &Cell::new(0)),
             Bound::Unbounded => 0,
         }
     }
@@ -623,8 +645,11 @@ where
     }
 
     fn get_ref(&self, key: &K) -> Option<&V> {
-        self.counters.add_query();
-        let (_, probe) = self.seq.lower_bound_ref_by(|pair| pair.0.cmp(key));
+        let comparisons = Cell::new(0);
+        let (_, probe) = self
+            .seq
+            .lower_bound_ref_by(|pair| counted_cmp(&comparisons, &pair.0, key));
+        self.record_query(&comparisons);
         match probe {
             Some((existing, v)) if existing == key => Some(v),
             _ => None,
@@ -646,14 +671,18 @@ where
     }
 
     fn successor(&self, key: &K) -> Option<(K, V)> {
-        self.counters.add_query();
-        let (_, probe) = self.seq.lower_bound_ref_by(|pair| pair.0.cmp(key));
+        let comparisons = Cell::new(0);
+        let (_, probe) = self
+            .seq
+            .lower_bound_ref_by(|pair| counted_cmp(&comparisons, &pair.0, key));
+        self.record_query(&comparisons);
         probe.cloned()
     }
 
     fn predecessor(&self, key: &K) -> Option<(K, V)> {
-        self.counters.add_query();
-        let rank = self.upper_bound(key);
+        let comparisons = Cell::new(0);
+        let rank = self.upper_bound(key, &comparisons);
+        self.record_query(&comparisons);
         if rank == 0 {
             None
         } else {
@@ -841,9 +870,20 @@ mod tests {
         assert_eq!(d.to_sorted_vec(), vec![(1, 10), (5, 55), (9, 90)]);
         assert_eq!(d.range(&2, &9), vec![(5, 55), (9, 90)]);
         assert_eq!(d.range(&9, &2), vec![]);
+        let before = d.counters().snapshot();
         assert_eq!(d.successor(&6), Some((9, 90)));
         assert_eq!(d.predecessor(&6), Some((5, 55)));
         assert_eq!(d.predecessor(&0), None);
+        assert_eq!(d.get_ref(&9), Some(&90));
+        // Every keyed query is counted once, with at least the comparison
+        // that settles it and at most a binary search's worth per probe.
+        let queried = d.counters().snapshot().since(&before);
+        assert_eq!(queried.queries, 4);
+        assert!(
+            (4..=4 * 3).contains(&queried.comparisons),
+            "{} comparisons for 4 queries over 3 keys",
+            queried.comparisons
+        );
         assert_eq!(d.remove(&5), Some(55));
         assert_eq!(d.remove(&5), None);
         assert_eq!(d.keys().copied().collect::<Vec<_>>(), vec![1, 9]);

@@ -3,12 +3,32 @@
 //! Given the capacity parameter `N̂` (drawn by the WHI capacity rule), the
 //! PMA's layout is completely determined:
 //!
-//! * the tree of ranges has height `h = ⌈log N̂ − log log N̂⌉` (the root is the
-//!   whole array at depth 0, the leaves are at depth `h`);
-//! * every leaf range has `L = ⌈C_L · log N̂⌉` slots, so the array has
-//!   `N_S = 2^h · L = Θ(N̂)` slots;
+//! * the paper's tree of ranges has height `H = ⌈log N̂ − log log N̂⌉` over
+//!   leaves of `⌈C_L · log N̂⌉` slots, so the array has
+//!   `N_S = 2^H · ⌈C_L · log N̂⌉ = Θ(N̂)` slots;
+//! * this tree stops [`LEAF_SCALE_LOG2`] levels early: height
+//!   `h = H − LEAF_SCALE_LOG2` (the root is the whole array at depth 0, the
+//!   leaves are at depth `h`) over leaves of
+//!   `L = 2^LEAF_SCALE_LOG2 · ⌈C_L · log N̂⌉` slots — the same `N_S`;
 //! * a non-leaf range at depth `d` has a candidate set of
 //!   `|M_d| = ⌈c₁ · N̂ / (2^d · log N̂)⌉` middle elements.
+//!
+//! The paper asks for leaves of `Θ(log N̂)` slots and leaves the constant
+//! free. Why the shorter tree is still the paper's structure:
+//!
+//! * Lemma 7's induction (`ℓ_{d+1} ≤ ℓ_d/2 + |M_d|/2 + 1`, a depth-`d` range
+//!   has `N_S/2^d` slots) is per depth, and nothing at depth `≤ h` changed,
+//!   so no range — a leaf included — overflows; Lemma 8 likewise.
+//! * A leaf is the slot span of a depth-`h` range of the paper's tree,
+//!   holding the same elements, evenly spread: a function of its count.
+//! * Lemma 9's representation function is `(N, N̂, balances above the
+//!   leaves)`; the balances that remain are kept uniform by the unchanged
+//!   reservoir rule, and `Θ(log N̂)` leaves keep Theorem 1's bounds.
+//!
+//! What it buys: the three levels dropped had candidate sets of 1, 2 and 3
+//! elements, which draw almost no randomness yet slide on every other
+//! update, so five updates in six ended in a range rebuild. For `N̂ ≥ 4096`
+//! the deepest candidate set left has 5–8 elements.
 //!
 //! The constants must satisfy `C_L ≥ 1 + c₁ + 6/log N̂` (Lemma 7: ranges never
 //! overflow) and `c₁ < 1 − 6/log N̂` (Lemma 8: leaves stay constant-factor
@@ -24,6 +44,13 @@ pub const SMALL_LIMIT: usize = 128;
 /// `N̂` at and above which the paper's headline constants (`c₁ = 1/2`,
 /// `C_L = 2`) are used.
 pub const PAPER_CONSTANTS_LIMIT: usize = 4096;
+
+/// How many levels above the paper's `⌈log N̂ − log log N̂⌉` the range tree
+/// ends; a leaf is `2^LEAF_SCALE_LOG2` of the paper's leaves. Chosen by the
+/// sweep in EXPERIMENTS.md: the largest step that keeps element moves per
+/// update (the paper's Figure 2 quantity) within 10 % of the literal
+/// geometry, and a leaf of 16-byte records is then about one 4 KiB block.
+pub const LEAF_SCALE_LOG2: u32 = 3;
 
 /// The complete set of layout parameters derived from `N̂`.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +101,9 @@ impl Geometry {
             let c_l = 1.0 + c1 + 6.0 / lg + 0.05;
             (c1, c_l)
         };
-        let height = (lg - lg.log2()).ceil().max(1.0) as u32;
-        let leaf_slots = (c_l * lg).ceil() as usize;
+        let full_height = (lg - lg.log2()).ceil().max(1.0) as u32;
+        let height = full_height.saturating_sub(LEAF_SCALE_LOG2).max(1);
+        let leaf_slots = ((c_l * lg).ceil() as usize) << (full_height - height);
         let total_slots = (1usize << height) * leaf_slots;
         let candidate_sizes = (0..height)
             .map(|d| {
@@ -229,13 +257,65 @@ mod tests {
         assert!(g2.height as usize <= 21);
     }
 
+    /// The paper's height `⌈log N̂ − log log N̂⌉` and slot count
+    /// `2^H · ⌈C_L log N̂⌉`, computed without [`LEAF_SCALE_LOG2`].
+    fn literal_geometry(n_hat: usize, c_l: f64) -> (u32, usize) {
+        let lg = (n_hat as f64).log2();
+        let full_height = (lg - lg.log2()).ceil() as u32;
+        (
+            full_height,
+            (1usize << full_height) * (c_l * lg).ceil() as usize,
+        )
+    }
+
     #[test]
-    fn leaf_slots_hold_logarithmically_many() {
-        let g = Geometry::for_n_hat(1 << 16);
-        // C_L = 2, log2 = 16 → 32 slots per leaf.
-        assert_eq!(g.leaf_slots, 32);
-        assert_eq!(g.slots_at_depth(g.height), g.leaf_slots);
-        assert_eq!(g.slots_at_depth(0), g.total_slots);
+    fn shorter_tree_keeps_the_slot_array_and_lemma_7_at_every_depth() {
+        let check = |n_hat: usize| -> u32 {
+            let g = Geometry::for_n_hat(n_hat);
+            let (full_height, literal_slots) = literal_geometry(n_hat, g.c_l);
+            assert_eq!(g.total_slots, literal_slots, "N̂ = {n_hat}");
+            assert!(g.height >= 1, "N̂ = {n_hat}");
+            assert_eq!(g.height + LEAF_SCALE_LOG2, full_height, "N̂ = {n_hat}");
+            assert_eq!(g.slots_at_depth(g.height), g.leaf_slots, "N̂ = {n_hat}");
+            assert_eq!(g.slots_at_depth(0), g.total_slots, "N̂ = {n_hat}");
+            // Lemma 7: a depth-d range holds at most (N̂/2^d)(1 + c₁) + 3
+            // elements, leaves included.
+            for d in 0..=g.height {
+                let bound = (n_hat as f64 / (1u64 << d) as f64) * (1.0 + g.c1) + 3.0;
+                assert!(
+                    bound <= g.slots_at_depth(d) as f64,
+                    "N̂ = {n_hat}, depth {d}: {bound} elements > {} slots",
+                    g.slots_at_depth(d)
+                );
+            }
+            g.height
+        };
+        // A geometric sweep (steps are a factor ~2 apart, strides 1/64), and
+        // both sides of every height step inside it: the height is monotone
+        // in N̂, so a step is found by bisection.
+        let mut steps = 0;
+        let (mut prev, mut prev_height) = (SMALL_LIMIT, check(SMALL_LIMIT));
+        while prev < 1 << 21 {
+            let n_hat = prev + (prev / 64).max(1);
+            let height = check(n_hat);
+            if height != prev_height {
+                let (mut lo, mut hi) = (prev, n_hat);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if check(mid) == prev_height {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                assert_eq!(check(lo) + 1, check(hi), "step at N̂ = {hi}");
+                steps += 1;
+            }
+            (prev, prev_height) = (n_hat, height);
+        }
+        assert_eq!(steps, 12, "height steps between 2^7 and 2^21");
+        // C_L = 2, log2 = 16: eight of the paper's 32-slot leaves.
+        assert_eq!(Geometry::for_n_hat(1 << 16).leaf_slots, 256);
     }
 
     #[test]

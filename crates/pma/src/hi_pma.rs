@@ -7,6 +7,16 @@
 //! *ranges*: the root is the whole array, every node splits its slots in half
 //! and the leaves are ranges of `Θ(log N̂)` slots.
 //!
+//! The paper leaves the leaf constant free; this tree ends
+//! [`LEAF_SCALE_LOG2`](crate::geometry::LEAF_SCALE_LOG2)` = 3` levels above
+//! `⌈log N̂ − log log N̂⌉`, over leaves of `8·⌈C_L log N̂⌉` slots and the same
+//! slot array. Lemmas 7 and 8 are per-depth inductions and no depth that is
+//! left changed, so no range overflows or starves; a leaf is the slot span
+//! of a depth-`h` range of the paper's tree with the same elements, evenly
+//! spread — a function of its count — so Lemma 9's representation function
+//! keeps its form. The levels dropped had candidate sets of 1–3 elements:
+//! next to no randomness, and a rebuild on most updates.
+//!
 //! History independence comes from three ingredients:
 //!
 //! 1. **Size**: the capacity parameter `N̂` is kept uniform over
@@ -42,10 +52,13 @@
 //! `Vec<Option<T>>` engine. A steady-state leaf update is therefore one
 //! `Vec::insert`/`remove` plus a rewrite of the leaf's bitmap words — **zero
 //! heap allocations and zero `Clone` calls** — and rebalances gather into a
-//! reusable [`Scratch`] arena and *move* elements back into the leaves.
-//! This is pure representation engineering: the occupancy distribution, the
-//! coins drawn, and therefore the WHI guarantee are unchanged (the
-//! representation function of Lemma 9 is computed, not sampled).
+//! reusable [`Scratch`] arena and *move* elements back into the leaves,
+//! right to left, so that each leaf takes the tail of the gather buffer in
+//! one contiguous move. An operation reports to the counter ledger once, on
+//! its way out. This is pure representation engineering: the occupancy
+//! distribution, the coins drawn, and therefore the WHI guarantee are
+//! unchanged (the representation function of Lemma 9 is computed, not
+//! sampled).
 
 use hi_common::batch::SeekFinger;
 use hi_common::capacity::{CapacityEvent, HiCapacity};
@@ -414,11 +427,13 @@ impl<T: Clone> HiPma<T> {
         buf
     }
 
-    /// Rebuilds the entire structure for the current `N̂`, placing `buf`.
-    /// Consumes the buffer back into the scratch arena.
-    fn rebuild_everything(&mut self, mut buf: Vec<T>) {
-        let n_hat = self.capacity.n_hat().max(1);
+    /// Replaces the geometry, the slot store and both trees with empty ones
+    /// sized for `n_hat`. The old store — already drained by the caller — is
+    /// freed before its successor is sized, so a resize peaks at one slot
+    /// array plus the gather buffer, not two.
+    fn reallocate(&mut self, n_hat: usize) {
         self.geometry = Geometry::for_n_hat(n_hat);
+        drop(std::mem::replace(&mut self.store, SlotStore::new(1, 1)));
         self.store = SlotStore::new(self.geometry.leaf_count(), self.geometry.leaf_slots);
         self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
         self.rank_tree = VebTree::new(
@@ -433,7 +448,19 @@ impl<T: Clone> HiPma<T> {
             self.elem_size,
             self.tracer.clone(),
         );
-        self.counters.add_rebuild(self.geometry.total_slots as u64);
+    }
+
+    /// Rebuilds the entire structure for the current `N̂` — a resize —
+    /// placing `buf`. Consumes the buffer back into the scratch arena.
+    fn rebuild_everything(&mut self, mut buf: Vec<T>) {
+        self.reallocate(self.capacity.n_hat().max(1));
+        let (slots, moved) = (self.geometry.total_slots as u64, buf.len() as u64);
+        self.counters.update(|c| {
+            c.resizes += 1;
+            c.rebuilds += 1;
+            c.rebuild_slots += slots;
+            c.element_moves += moved;
+        });
         self.plan_range(0, 0, 0, &buf, None);
         self.refill_leaves(0, self.geometry.leaf_count(), &mut buf);
         self.scratch.restore(buf);
@@ -463,7 +490,8 @@ impl<T: Clone> HiPma<T> {
     /// balance element (reservoir-forced or uniform) and writing the rank
     /// and value trees — the same coin order as an element-placing rebuild,
     /// so layouts stay bit-identical to the historical engine. Leaf visits
-    /// charge the element moves and the sequential leaf write.
+    /// charge the sequential leaf write; the element moves (the leaf counts
+    /// sum to the range's element count) are the caller's one ledger update.
     ///
     /// `forced_balance` pins the relative rank of the balance element of
     /// *this* range (a reservoir lottery winner); descendant ranges always
@@ -485,7 +513,6 @@ impl<T: Clone> HiPma<T> {
         );
         self.rank_tree.set(range, elements.len() as u64);
         if depth == self.geometry.height {
-            self.counters.add_moves(elements.len() as u64);
             self.tracer.write(
                 self.array_region.addr(slot_start as u64),
                 self.array_region.span(slot_count as u64),
@@ -518,17 +545,17 @@ impl<T: Clone> HiPma<T> {
         );
     }
 
-    /// Phase 2 of a rebuild: drains `buf` left to right, refilling leaves
-    /// `[first_leaf, first_leaf + leaf_window)` with the per-leaf counts
-    /// phase 1 recorded in the rank tree. Every element is *moved*.
+    /// Phase 2 of a rebuild: refills leaves `[first_leaf, first_leaf +
+    /// leaf_window)` from `buf` with the per-leaf counts phase 1 recorded in
+    /// the rank tree — right to left, so every leaf takes the tail of the
+    /// buffer in one contiguous move. Every element is *moved*.
     fn refill_leaves(&mut self, first_leaf: usize, leaf_window: usize, buf: &mut Vec<T>) {
         let levels = self.geometry.levels();
-        let mut iter = buf.drain(..);
-        for leaf in first_leaf..first_leaf + leaf_window {
+        for leaf in (first_leaf..first_leaf + leaf_window).rev() {
             let count = *self.rank_tree.peek(leaf_index(levels, leaf)) as usize;
-            self.store.fill_window(leaf, 1, &mut iter, count);
+            self.store.fill_group_from_tail(leaf, buf, count);
         }
-        debug_assert!(iter.next().is_none(), "rebuild left elements unplaced");
+        debug_assert!(buf.is_empty(), "rebuild left elements unplaced");
     }
 
     // ------------------------------------------------------------------
@@ -647,7 +674,6 @@ impl<T: Clone> HiPma<T> {
         debug_assert!(rel_rank <= n, "leaf rank out of bounds");
         debug_assert!(n < slot_count, "leaf overflow: Lemma 7 violated");
         self.store.insert_in_group(leaf, rel_rank.min(n), item);
-        self.counters.add_moves(n as u64 + 1);
         self.tracer.write(
             self.array_region.addr(slot_start as u64),
             self.array_region.span(slot_count as u64),
@@ -665,12 +691,39 @@ impl<T: Clone> HiPma<T> {
         let n = self.store.group_len(leaf);
         debug_assert!(rel_rank < n, "leaf rank out of bounds");
         let removed = self.store.remove_in_group(leaf, rel_rank);
-        self.counters.add_moves(n as u64 - 1);
         self.tracer.write(
             self.array_region.addr(slot_start as u64),
             self.array_region.span(slot_count as u64),
         );
         removed
+    }
+
+    // ------------------------------------------------------------------
+    // The ledger
+    // ------------------------------------------------------------------
+    //
+    // The ledger is an `Arc<Mutex>`, so an operation reports once, on its
+    // way out, with totals it already holds: a rebuilt range's leaf counts
+    // sum to the range's element count, known where the rebuild starts.
+
+    /// The one ledger update of an insert or delete that ended in a leaf
+    /// splice (`rebuilt_slots = None`) or in the rebuild of a range of
+    /// `rebuilt_slots` slots, having moved `moves` elements. A resize is the
+    /// exception: the operation reports itself here with no moves, and
+    /// [`Self::rebuild_everything`] / [`Self::reset_empty`] report the rest.
+    fn record_update(&self, insert: bool, moves: usize, rebuilt_slots: Option<usize>) {
+        self.counters.update(|c| {
+            if insert {
+                c.inserts += 1;
+            } else {
+                c.deletes += 1;
+            }
+            c.element_moves += moves as u64;
+            if let Some(slots) = rebuilt_slots {
+                c.rebuilds += 1;
+                c.rebuild_slots += slots as u64;
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -685,12 +738,11 @@ impl<T: Clone> HiPma<T> {
                 len: self.len(),
             });
         }
-        self.counters.add_insert();
         let event = self.capacity.on_insert(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
             let mut buf = self.gather_all();
             buf.insert(rank, item);
-            self.counters.add_resize();
+            self.record_update(true, 0, None);
             self.rebuild_everything(buf);
             return Ok(());
         }
@@ -707,6 +759,7 @@ impl<T: Clone> HiPma<T> {
             if depth == self.geometry.height {
                 self.rank_tree.set(range, (len_before + 1) as u64);
                 self.leaf_insert(slot_start, rel_rank, item);
+                self.record_update(true, len_before + 1, None);
                 return Ok(());
             }
             let (left, _right) = children(range);
@@ -719,7 +772,7 @@ impl<T: Clone> HiPma<T> {
                     let slot_count = self.geometry.slots_at_depth(depth);
                     let mut buf = self.gather_range(slot_start, slot_count);
                     buf.insert(rel_rank, item);
-                    self.counters.add_rebuild(slot_count as u64);
+                    self.record_update(true, buf.len(), Some(slot_count));
                     self.rebuild_range(range, depth, slot_start, buf, forced);
                     return Ok(());
                 }
@@ -748,12 +801,11 @@ impl<T: Clone> HiPma<T> {
                 len: self.len(),
             });
         }
-        self.counters.add_delete();
         let event = self.capacity.on_delete(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
             let mut buf = self.gather_all();
             let removed = buf.remove(rank);
-            self.counters.add_resize();
+            self.record_update(false, 0, None);
             if self.capacity.is_empty() {
                 self.scratch.restore(buf);
                 self.reset_empty();
@@ -770,6 +822,7 @@ impl<T: Clone> HiPma<T> {
         loop {
             if depth == self.geometry.height {
                 self.rank_tree.set(range, (len_before - 1) as u64);
+                self.record_update(false, len_before - 1, None);
                 return Ok(self.leaf_delete(slot_start, rel_rank));
             }
             let (left, _right) = children(range);
@@ -782,7 +835,7 @@ impl<T: Clone> HiPma<T> {
                     let slot_count = self.geometry.slots_at_depth(depth);
                     let mut buf = self.gather_range(slot_start, slot_count);
                     let removed = buf.remove(rel_rank);
-                    self.counters.add_rebuild(slot_count as u64);
+                    self.record_update(false, buf.len(), Some(slot_count));
                     self.rebuild_range(range, depth, slot_start, buf, forced);
                     return Ok(removed);
                 }
@@ -883,7 +936,6 @@ impl<T: Clone> HiPma<T> {
         let mut source = RngSource::from_seed(seed);
         self.rng = source.split("hi-pma");
         self.capacity = HiCapacity::with_len(buf.len(), &mut self.rng);
-        self.counters.add_resize();
         if buf.is_empty() {
             self.scratch.restore(buf);
             self.reset_empty();
@@ -892,24 +944,11 @@ impl<T: Clone> HiPma<T> {
         }
     }
 
-    /// Resets to the canonical empty layout (shared by delete-to-empty and
-    /// `bulk_load` of nothing).
+    /// Resets to the canonical empty layout — a resize with nothing to place
+    /// (shared by delete-to-empty and `bulk_load` of nothing).
     fn reset_empty(&mut self) {
-        self.geometry = Geometry::for_n_hat(1);
-        self.store = SlotStore::new(self.geometry.leaf_count(), self.geometry.leaf_slots);
-        self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
-        self.rank_tree = VebTree::new(
-            self.geometry.levels(),
-            Self::rank_tree_base(&self.geometry, self.elem_size),
-            8,
-            self.tracer.clone(),
-        );
-        self.value_tree = VebTree::new(
-            self.geometry.levels(),
-            Self::value_tree_base(&self.geometry, self.elem_size),
-            self.elem_size,
-            self.tracer.clone(),
-        );
+        self.reallocate(1);
+        self.counters.update(|c| c.resizes += 1);
     }
 
     /// Finds the dense position of the element with the given rank,
@@ -1126,7 +1165,6 @@ impl<T: Clone> HiPma<T> {
     pub fn batch_insert(&mut self, rank: usize, item: T) {
         debug_assert!(self.batch.active, "batch_insert outside a batch");
         debug_assert!(rank <= self.len());
-        self.counters.add_insert();
         let event = self.capacity.on_insert(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
             // Same coins and same layout as the sequential path: gather the
@@ -1134,7 +1172,7 @@ impl<T: Clone> HiPma<T> {
             // new element, rebuild everything.
             let mut buf = self.flush_batch_sequence();
             buf.insert(rank, item);
-            self.counters.add_resize();
+            self.record_update(true, 0, None);
             self.rebuild_everything(buf);
             self.batch.reset_records();
             return;
@@ -1149,7 +1187,7 @@ impl<T: Clone> HiPma<T> {
                 self.rank_tree.set(range, (len_before + 1) as u64);
                 let leaf = self.geometry.leaf_of_slot(slot_start);
                 debug_assert!(len_before < self.geometry.leaf_slots, "leaf overflow");
-                self.counters.add_moves(len_before as u64 + 1);
+                self.record_update(true, len_before + 1, None);
                 self.batch.mark_dirty(leaf);
                 self.batch.record_insert(rank, leaf, item);
                 return;
@@ -1162,7 +1200,7 @@ impl<T: Clone> HiPma<T> {
             match decision {
                 Decision::Rebuild { forced } => {
                     let slot_count = self.geometry.slots_at_depth(depth);
-                    self.counters.add_rebuild(slot_count as u64);
+                    self.record_update(true, len_before + 1, Some(slot_count));
                     self.plan_counts(range, depth, len_before + 1, forced);
                     let first_leaf = self.geometry.leaf_of_slot(slot_start);
                     let window = slot_count / self.geometry.leaf_slots;
@@ -1195,12 +1233,11 @@ impl<T: Clone> HiPma<T> {
     pub fn batch_delete(&mut self, rank: usize) {
         debug_assert!(self.batch.active, "batch_delete outside a batch");
         debug_assert!(rank < self.len());
-        self.counters.add_delete();
         let event = self.capacity.on_delete(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
             let mut buf = self.flush_batch_sequence();
             drop(buf.remove(rank));
-            self.counters.add_resize();
+            self.record_update(false, 0, None);
             if self.capacity.is_empty() {
                 self.scratch.restore(buf);
                 self.reset_empty();
@@ -1219,7 +1256,7 @@ impl<T: Clone> HiPma<T> {
             if depth == self.geometry.height {
                 self.rank_tree.set(range, (len_before - 1) as u64);
                 let leaf = self.geometry.leaf_of_slot(slot_start);
-                self.counters.add_moves(len_before as u64 - 1);
+                self.record_update(false, len_before - 1, None);
                 self.batch.mark_dirty(leaf);
                 self.batch.record_delete(rank, leaf);
                 return;
@@ -1232,7 +1269,7 @@ impl<T: Clone> HiPma<T> {
             match decision {
                 Decision::Rebuild { forced } => {
                     let slot_count = self.geometry.slots_at_depth(depth);
-                    self.counters.add_rebuild(slot_count as u64);
+                    self.record_update(false, len_before - 1, Some(slot_count));
                     self.plan_counts(range, depth, len_before - 1, forced);
                     let first_leaf = self.geometry.leaf_of_slot(slot_start);
                     let window = slot_count / self.geometry.leaf_slots;
@@ -1313,7 +1350,6 @@ impl<T: Clone> HiPma<T> {
             buf.clear();
             self.store.drain_window_into(g0, g1 - g0, &mut buf);
             self.batch.apply_run_splices(run_idx, &mut buf);
-            self.counters.add_batch_gather();
             // Recompute the balance copies of every range re-planned inside
             // this run, from the *final* arrangement: a range's balance is
             // the element at its left child's count — the invariant descents
@@ -1338,13 +1374,7 @@ impl<T: Clone> HiPma<T> {
             // concatenation of leaves always equals the sequence in rank
             // order, so slicing the merged run by final counts reproduces
             // the per-op layout bit for bit.
-            let mut iter = buf.drain(..);
-            for lf in g0..g1 {
-                let count = *self.rank_tree.peek(leaf_index(levels, lf)) as usize;
-                self.store.fill_window(lf, 1, &mut iter, count);
-            }
-            debug_assert!(iter.next().is_none(), "batch commit left elements unplaced");
-            drop(iter);
+            self.refill_leaves(g0, g1 - g0, &mut buf);
             self.tracer.write(
                 self.array_region.addr((g0 * leaf_slots) as u64),
                 self.array_region.span(((g1 - g0) * leaf_slots) as u64),
@@ -1352,6 +1382,8 @@ impl<T: Clone> HiPma<T> {
             self.batch.run_buf = buf;
         }
         debug_assert_eq!(root_cursor, self.batch_roots.len());
+        let runs = self.batch.runs().len() as u64;
+        self.counters.update(|c| c.batch_gathers += runs);
         self.batch_roots.clear();
         self.batch.finish();
     }
@@ -1363,7 +1395,6 @@ impl<T: Clone> HiPma<T> {
     fn plan_counts(&mut self, range: usize, depth: u32, len: usize, forced_balance: Option<usize>) {
         self.rank_tree.set(range, len as u64);
         if depth == self.geometry.height {
-            self.counters.add_moves(len as u64);
             return;
         }
         let m = self.geometry.candidate_size(depth);
@@ -1433,7 +1464,6 @@ impl<T: Clone> HiPma<T> {
                 self.store
                     .drain_window_into(g, (run.end - run.start) as usize, &mut buf);
                 self.batch.apply_run_splices(run_idx, &mut buf);
-                self.counters.add_batch_gather();
                 out.append(&mut buf);
                 self.batch.run_buf = buf;
                 run_idx += 1;
@@ -1444,6 +1474,7 @@ impl<T: Clone> HiPma<T> {
             }
         }
         debug_assert_eq!(run_idx, self.batch.runs().len());
+        self.counters.update(|c| c.batch_gathers += run_idx as u64);
         self.batch_roots.clear();
         out
     }
@@ -1558,8 +1589,10 @@ impl<T: Clone> RankedSequence for HiPma<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hi_common::counters::OpCounters;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::VecDeque;
 
     fn filled(n: usize, seed: u64) -> HiPma<u64> {
         let mut pma = HiPma::new(seed);
@@ -1639,6 +1672,54 @@ mod tests {
             assert_eq!(pma.range_query(0, model.len() - 1).unwrap(), model);
         }
         pma.check_invariants();
+    }
+
+    #[test]
+    fn one_sided_histories_hold_every_invariant_across_height_steps() {
+        // Front-hammer and append-only growth, then a delete-heavy descent
+        // at the same end: the adversarial histories for a sparse table,
+        // each long enough to take N̂ up and back down through several
+        // height steps of the shorter tree (N̂ ≈ 590, 1 350, 3 000, 6 600).
+        for front in [true, false] {
+            let mut pma: HiPma<u64> = HiPma::new(0x51DE + front as u64);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut heights = std::collections::BTreeSet::new();
+            let push = |pma: &mut HiPma<u64>, model: &mut VecDeque<u64>, v| {
+                if front {
+                    pma.insert(0, v).unwrap();
+                    model.push_front(v);
+                } else {
+                    pma.insert(pma.len(), v).unwrap();
+                    model.push_back(v);
+                }
+            };
+            for i in 0..9_000u64 {
+                push(&mut pma, &mut model, i);
+                if i.is_multiple_of(500) {
+                    pma.check_invariants();
+                    heights.insert(pma.geometry().height);
+                }
+            }
+            assert!(heights.len() >= 4, "front={front}: saw heights {heights:?}");
+            // Three deletes for every insert, down to a single small leaf.
+            let mut op = 0u64;
+            while pma.len() > 60 {
+                if op % 4 == 3 {
+                    push(&mut pma, &mut model, 1_000_000 + op);
+                } else if front {
+                    assert_eq!(pma.delete(0).ok(), model.pop_front());
+                } else {
+                    assert_eq!(pma.delete(pma.len() - 1).ok(), model.pop_back());
+                }
+                op += 1;
+                if op.is_multiple_of(500) {
+                    pma.check_invariants();
+                }
+            }
+            pma.check_invariants();
+            assert!(pma.geometry().is_small(), "front={front}");
+            assert_eq!(pma.to_vec(), Vec::from(model), "front={front}");
+        }
     }
 
     #[test]
@@ -2106,6 +2187,70 @@ mod tests {
                 "n_warm={n_warm}: post-batch coin streams diverged"
             );
         }
+    }
+
+    /// A scripted run over every exit path of the four update entry points:
+    /// per-op churn, then the same number of ops again in batches, both
+    /// crossing capacity rebuilds.
+    fn scripted_counters(batched_tail: bool) -> hi_common::counters::OpCounters {
+        let mut state = 0x5EED_1E46u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) % m.max(1) as u64) as usize
+        };
+        let mut pma: HiPma<u64> = HiPma::new(0x1ED6);
+        for i in 0..6_000u64 {
+            if i % 3 == 2 {
+                pma.delete(next(pma.len())).unwrap();
+            } else {
+                pma.insert(next(pma.len() + 1), i).unwrap();
+            }
+        }
+        for chunk in 0..12u64 {
+            if batched_tail {
+                pma.batch_begin();
+            }
+            for i in 0..500u64 {
+                let delete = (i + chunk) % 4 == 3;
+                match (delete, batched_tail) {
+                    (true, true) => pma.batch_delete(next(pma.len())),
+                    (true, false) => drop(pma.delete(next(pma.len())).unwrap()),
+                    (false, true) => pma.batch_insert(next(pma.len() + 1), i),
+                    (false, false) => pma.insert(next(pma.len() + 1), i).unwrap(),
+                }
+            }
+            pma.batch_commit();
+        }
+        pma.check_invariants();
+        pma.counters().snapshot()
+    }
+
+    #[test]
+    fn one_ledger_update_per_operation_counts_what_per_call_counting_did() {
+        // Captured from per-call counting (a lock per `add_insert`, per
+        // rebuilt leaf's `add_moves` and per `add_rebuild`) under this
+        // geometry: folding them into one update per operation moves no
+        // value, on the per-op path or the batch path.
+        let per_call = OpCounters {
+            element_moves: 1_349_010,
+            rebuilds: 4_010,
+            rebuild_slots: 4_927_080,
+            resizes: 68,
+            inserts: 8_500,
+            deletes: 3_500,
+            ..OpCounters::default()
+        };
+        assert_eq!(scripted_counters(false), per_call, "per-op path");
+        assert_eq!(
+            scripted_counters(true),
+            OpCounters {
+                batch_gathers: 48,
+                ..per_call
+            },
+            "batch path"
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   the old engine's `Option` occupancy (`⌊j·slots/n⌋` even spreading).
 //!
 //! Occupancy counts are popcounts, gap checks are word scans, and rebalances
-//! *move* elements (drain/refill) instead of cloning them.
+//! *move* elements (drain/refill) instead of cloning them: a window drains
+//! into one buffer with an `append` per group, and the HI PMA refills its
+//! leaves from that buffer's tail, right to left, one contiguous move each.
 
 use hi_common::bitmap::Bitmap;
 use io_sim::{Region, Tracer};
@@ -177,8 +179,8 @@ impl<T> SlotStore<T> {
         );
         let start = self.group_start(g0);
         if window_groups == 1 {
-            // Single-group fill (the HI PMA's per-leaf refills): move the
-            // elements in one tight loop, blit the pattern row in one go.
+            // Single-group fill (the classic PMA's level-0 rebalances): move
+            // the elements in one tight loop, blit the pattern row in one go.
             let group = &mut self.groups[g0];
             debug_assert!(group.is_empty());
             group.extend(iter.take(count));
@@ -201,6 +203,30 @@ impl<T> SlotStore<T> {
             groups[g].push(item);
             bitmap.set(start + p);
         });
+    }
+
+    /// Fills group `g` — which must be empty — with the last `count`
+    /// elements of `buf`, in order, as one contiguous move, and blits the
+    /// group's pattern row: the same group contents and bitmap words as
+    /// `fill_window(g, 1, …, count)`. A rebuild that refills its leaves right
+    /// to left hands each leaf the tail of the gather buffer this way.
+    pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
+        // Hard asserts, as in `fill_window`: an overfull group in release
+        // would outgrow its fixed capacity instead of failing loudly.
+        assert!(
+            count <= self.group_slots,
+            "cannot pack {count} elements into {} slots",
+            self.group_slots
+        );
+        assert!(
+            count <= buf.len(),
+            "buffer holds {} elements, fewer than the promised {count}",
+            buf.len()
+        );
+        let group = &mut self.groups[g];
+        debug_assert!(group.is_empty(), "group must be drained first");
+        group.extend(buf.drain(buf.len() - count..));
+        self.respread_bits(g, count);
     }
 
     /// Fills group `g` — which must be empty — with `count` elements taken
@@ -365,6 +391,50 @@ mod tests {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4);
         let mut iter = 0..9u64;
         s.fill_window(0, 2, &mut iter, 9);
+    }
+
+    #[test]
+    fn tail_fill_is_bit_identical_to_a_single_group_window_fill() {
+        // 70 slots: a group that straddles bitmap words, sitting between two
+        // neighbours whose bits must not move.
+        const L: usize = 70;
+        for count in 0..=L {
+            let mut by_window: SlotStore<u64> = SlotStore::new(3, L);
+            let mut by_tail: SlotStore<u64> = SlotStore::new(3, L);
+            for s in [&mut by_window, &mut by_tail] {
+                s.fill_window(0, 1, &mut (500..503u64), 3);
+                s.fill_window(2, 1, &mut (900..905u64), 5);
+            }
+            by_window.fill_window(1, 1, &mut (0..count as u64), count);
+            // The buffer holds a longer gather; the group takes its tail.
+            let mut buf: Vec<u64> = (700..707).chain(0..count as u64).collect();
+            by_tail.fill_group_from_tail(1, &mut buf, count);
+            assert_eq!(buf, (700..707).collect::<Vec<u64>>(), "count {count}");
+            assert_eq!(
+                by_tail.bitmap().words(),
+                by_window.bitmap().words(),
+                "count {count}"
+            );
+            for g in 0..3 {
+                assert_eq!(by_tail.group(g), by_window.group(g), "count {count}");
+            }
+        }
+    }
+
+    // Hard asserts: `cargo test --release -p pma` (ci.sh) runs these two
+    // with debug assertions compiled out.
+    #[test]
+    #[should_panic(expected = "cannot pack 5 elements into 4 slots")]
+    fn overfull_tail_fill_panics() {
+        let mut s: SlotStore<u64> = SlotStore::new(2, 4);
+        s.fill_group_from_tail(0, &mut (0..9).collect(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than the promised 3")]
+    fn tail_fill_from_a_short_buffer_panics() {
+        let mut s: SlotStore<u64> = SlotStore::new(2, 4);
+        s.fill_group_from_tail(0, &mut vec![1, 2], 3);
     }
 
     #[test]

@@ -248,10 +248,24 @@ fn batched_apply_gathers_once_per_window_not_once_per_element() {
         }
         pma.batch_commit();
     };
-    // Warm the batch machinery (first batch sizes the reusable vectors),
-    // then measure until a batch completes without a capacity resize.
-    for _ in 0..6 {
+    // Warm the batch machinery until a batch grows no buffer: the run
+    // buffer, the rope arena and the record vectors each reach their
+    // high-water mark on the first batch wide enough to need it, and with
+    // leaves of 8·⌈C_L log N̂⌉ slots the widest run can come late. A buffer
+    // that never stops growing fails here; then measure until a batch
+    // completes without a capacity resize.
+    let mut warm_batches = 0;
+    loop {
+        let before_allocs = allocations();
         run_batch(&mut pma);
+        if allocations() == before_allocs {
+            break;
+        }
+        warm_batches += 1;
+        assert!(
+            warm_batches < 64,
+            "batch buffers still growing after {warm_batches} batches"
+        );
     }
     let mut measured = false;
     for attempt in 0..20 {

@@ -203,3 +203,63 @@ fn balance_elements_stay_uniform_after_a_long_history() {
         outcome.p_value
     );
 }
+
+#[test]
+fn balance_elements_stay_uniform_at_every_depth_that_draws_a_coin() {
+    // The test above samples windows ≥ 8 at n = 600, which under the
+    // shorter range tree is the top three internal levels. This one is large
+    // enough (15 000 ≤ N̂ < 30 000: paper constants, height 8) to give every
+    // internal depth its own χ², down to the deepest, whose candidate set
+    // has 5–8 elements — so every level that still draws a coin is covered.
+    // Fewer trials suffice: a trial yields 2^d records at depth d.
+    let trials = 96u64;
+    let n = 20_000usize;
+    // Per depth, counted from the leaves up: (observed, expected).
+    let mut by_depth: Vec<(Vec<u64>, Vec<f64>)> = Vec::new();
+    let mut deepest_windows = std::collections::BTreeSet::new();
+    for t in 0..trials {
+        let mut pma: HiPma<u64> = HiPma::new(9_000_000 + t);
+        for k in 0..n {
+            pma.insert(k, k as u64).unwrap();
+        }
+        // A one-sided episode: drain a quarter from the front, the history
+        // an unbalanced structure would remember.
+        for _ in 0..n / 4 {
+            pma.delete(0).unwrap();
+        }
+        let height = pma.geometry().height;
+        for r in pma.balance_records() {
+            let above_leaves = (height - 1 - r.depth) as usize;
+            let buckets = if above_leaves == 0 { 4 } else { 8 };
+            if by_depth.len() <= above_leaves {
+                by_depth.resize(above_leaves + 1, (Vec::new(), Vec::new()));
+            }
+            let (observed, expected) = &mut by_depth[above_leaves];
+            observed.resize(buckets, 0);
+            expected.resize(buckets, 0.0);
+            if above_leaves == 0 {
+                deepest_windows.insert(r.window);
+            }
+            observed[r.offset * buckets / r.window] += 1;
+            for offset in 0..r.window {
+                expected[offset * buckets / r.window] += 1.0 / r.window as f64;
+            }
+        }
+    }
+    assert!(
+        deepest_windows.iter().all(|w| (5..=8).contains(w)),
+        "deepest candidate sets: {deepest_windows:?}"
+    );
+    assert_eq!(by_depth.len(), 8, "internal depths");
+    for (above_leaves, (observed, expected)) in by_depth.iter().enumerate() {
+        // At least the root's one record per trial.
+        assert!(observed.iter().sum::<u64>() >= trials, "{observed:?}");
+        let outcome = chi2_gof(observed, expected);
+        assert!(
+            outcome.p_value > 1e-4,
+            "{above_leaves} levels above the leaves: balance offsets deviate from uniform: \
+             {observed:?} vs expected {expected:?}, p = {}",
+            outcome.p_value
+        );
+    }
+}

@@ -257,6 +257,37 @@ fn pipelined_mixed_stream_matches_btreemap_oracle() {
     server.shutdown();
 }
 
+/// A barrier never overtakes the write it follows, however the engine's
+/// drain interleaves with a reader that is still parsing. `PUT new; LEN`
+/// pairs put consecutive stamps into a shard queue and the barrier queue,
+/// and a small `epoch_ops` keeps waking the engine while the reader is in
+/// the middle of a burst — the schedule under which a drain that took the
+/// queue locks one at a time answered the `LEN` an epoch before its `PUT`.
+#[test]
+fn a_barrier_never_overtakes_the_write_before_it() {
+    let mut cfg = config();
+    cfg.server = ServerConfig {
+        epoch_ops: 2,
+        ..cfg.server
+    };
+    let mut server = spawn(cfg);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    const WINDOW: u64 = 256;
+    const PAIRS: u64 = 120 * WINDOW;
+    for k in 0..PAIRS {
+        c.send(&Request::Put { key: k, value: k }).expect("send");
+        c.send(&Request::Len).expect("send");
+        if (k + 1) % WINDOW == 0 {
+            c.flush().expect("flush");
+            for j in k + 1 - WINDOW..=k {
+                assert_eq!(c.recv().expect("recv"), Response::Done, "put {j}");
+                assert_eq!(c.recv().expect("recv"), Response::Count(j + 1), "len {j}");
+            }
+        }
+    }
+    server.shutdown();
+}
+
 /// Quarantine semantics over the wire: point ops on the down shard refuse
 /// typed, navigation that could land there refuses typed, exact hits and
 /// provably-complete answers still flow, and `RESTORE` heals it — all via
