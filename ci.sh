@@ -16,6 +16,9 @@ cargo test --release -q -p block-store
 echo "==> cargo test --release -q -p pma (the refill kernel and its hard asserts as the benchmark runs them: optimised)"
 cargo test --release -q -p pma
 
+echo "==> cargo test --release -q --test determinism committed_data_file (the golden image as the benchmark writes it: the record encoder optimised)"
+cargo test --release -q --test determinism committed_data_file
+
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint
 

@@ -20,24 +20,28 @@
 //!   count-based, never clock-based, so behavior stays a pure function of
 //!   the fault script.
 //! * [`BlockStore`] — a checkpointed image of a slot-array structure (header
-//!   block, occupancy-bitmap region, fixed-size-record slot region) with a
-//!   journaled, atomic commit protocol: a torn flush either rolls back to
-//!   the previous image or completes on recovery, never anything in between.
+//!   block, occupancy-bitmap region, and a record region holding the
+//!   fixed-size records packed in rank order — a vacant slot costs one bit)
+//!   with a journaled, atomic commit protocol: a torn flush either rolls
+//!   back to the previous image or completes on recovery, never anything in
+//!   between.
 //! * [`Record`] — fixed-size serialization for slot payloads.
 //!
 //! ## Why the on-disk image is history independent
 //!
 //! A committed image is generated from exactly three inputs: the occupancy
 //! bitmap, the records in slot order, and the header metadata (which
-//! includes the layout seed). Vacant slots are written as zeros, the journal
-//! is zeroed and truncated after every successful commit, and shrinking
-//! images truncate the file — so at rest the file contains the serialized
-//! layout and nothing else. When the in-RAM layout is itself canonicalized
-//! to `f(contents, seed)` before flushing (see the facade's
+//! includes the layout seed). Every region is zero padded to a block, the
+//! journal is zeroed and truncated after every successful commit, and
+//! shrinking images truncate the file — so at rest the file contains the
+//! serialized layout and nothing else. When the in-RAM layout is itself
+//! canonicalized to `f(contents, seed)` before flushing (see the facade's
 //! `PersistentDict::flush`), the entire file becomes that same pure
 //! function: an observer of the raw bytes learns the contents and nothing
 //! about the history, and deleted records leave no trace
 //! (`examples/secure_delete_audit.rs` greps the raw bytes to prove it).
+//! The guarantee is over the bytes of the two files: truncation hands
+//! blocks back to the filesystem without overwriting them.
 //!
 //! The mid-flush window is the one moment the disk holds more than the
 //! image: the journal then contains the dirty blocks of the *new* image —

@@ -1,12 +1,12 @@
 //! Fixed-size record serialization for slot payloads.
 
-/// A value that serializes to a fixed number of bytes, so a slot array maps
-/// onto a file as `slot_index * SIZE` with no per-record framing. Vacant
-/// slots are stored as zeros, which is what keeps deleted records
-/// unrecoverable from the raw bytes.
+/// A value that serializes to a fixed number of bytes, so the records of a
+/// slot array map onto a file as `rank * SIZE` with no per-record framing.
+/// The region is rewritten whole and zero padded on every commit, which is
+/// what keeps deleted records unrecoverable from the raw bytes.
 ///
-/// `SIZE` must be positive and at most [`Record::MAX_SIZE`] (records are
-/// staged through fixed stack buffers while streaming blocks).
+/// `SIZE` must be positive and at most [`Record::MAX_SIZE`] (a record that
+/// straddles two staging spans is staged through a fixed stack buffer).
 pub trait Record: Sized {
     /// Encoded size in bytes.
     const SIZE: usize;

@@ -1,6 +1,6 @@
 //! The checkpointed on-disk image and its journaled, atomic commit protocol.
 //!
-//! ## File format (all integers little-endian `u64`)
+//! ## File format (version 4; all integers little-endian `u64`)
 //!
 //! ```text
 //! data file:      block 0                header: magic, version, block size,
@@ -10,11 +10,12 @@
 //!                 blocks 1..1+C          checksum region: one FNV-1a word
 //!                                        per payload block, in block order
 //!                                        (zero padded)
-//!                 blocks 1+C..1+C+BM     occupancy bitmap words (zero padded)
-//!                 blocks 1+C+BM..D       slot region: slot s at byte
-//!                                        s*record_size; occupied slots hold
-//!                                        the encoded record, vacant slots
-//!                                        are zeros
+//!                 blocks 1+C..1+C+BM     occupancy bitmap words, one bit per
+//!                                        slot (zero padded)
+//!                 blocks 1+C+BM..D       record region: the `len` records in
+//!                                        rank order, record k at byte
+//!                                        k*record_size (zero padded); R =
+//!                                        ceil(len*record_size / B) blocks
 //! journal file:   block 0                journal header: magic, block size,
 //!                 (`<path>.journal`)     reserved (zero), dirty count, target
 //!                                        data length, payload checksum,
@@ -23,9 +24,15 @@
 //!                 blocks 1+I..1+I+count  dirty block images
 //! ```
 //!
+//! The file stores the sparse table's occupancy and its records, not its
+//! vacant slots: the k-th set bit of the bitmap owns the k-th record, so the
+//! image is a lossless encoding of the slot array and what a vacant slot
+//! costs at rest is one bit. (Version 3 stored every slot; an intact
+//! version-3 header is refused by name.)
+//!
 //! Every byte of the image sits under a checksum: the header checks itself
 //! (last field), the header's `checksum_root` covers the checksum region,
-//! and the region's words cover the bitmap and slot blocks — so any bit of
+//! and the region's words cover the bitmap and record blocks — so any bit of
 //! rot anywhere surfaces as a typed [`FileError::Corrupt`] instead of a
 //! silent misread. The per-block words are the same FNV-1a hashes the
 //! incremental-commit dirty gate computes anyway, so checksumming adds no
@@ -51,7 +58,7 @@
 //!
 //! ## Commit protocol
 //!
-//! 1. Regenerate the payload (bitmap + slot) blocks of the new image a
+//! 1. Regenerate the payload (bitmap + record) blocks of the new image a
 //!    group at a time, straight into the journal staging buffer behind the
 //!    dirty images already kept; hash the group; slide the blocks whose
 //!    hash differs from the committed image down over the clean ones and
@@ -62,9 +69,10 @@
 //! 2. Write the journal ids and payload (one contiguous transfer each),
 //!    sync, then write the journal header and sync again — the single-block
 //!    header write is the commit point.
-//! 3. Write the dirty blocks into the data file in place (resizing it first
-//!    if the geometry changed), one transfer per run of consecutive ids —
-//!    a full image is three runs — and sync.
+//! 3. Write the dirty blocks into the data file in place, one transfer per
+//!    run of consecutive ids — a full image is three runs — then set the
+//!    file's length (a shorter image is cut here; a longer one has already
+//!    grown the file) and sync.
 //! 4. Zero the journal header, truncate the journal to zero length, sync.
 //!
 //! With a [`FaultPlan`] armed, every multi-block transfer falls back to one
@@ -90,10 +98,11 @@ const JMAGIC: u64 = u64::from_le_bytes(*b"APBSJRN2");
 /// checksum ran over the staged bytes themselves. Never written any more;
 /// [`BlockStore::open`] still replays one a crashed older build left behind.
 const JMAGIC_V1: u64 = u64::from_le_bytes(*b"APBSJRN1");
-/// Version 3: the HI-PMA's layout function changed (the range tree ends
-/// `LEAF_SCALE_LOG2` levels early), so a version-2 image no longer reproduces
-/// under `(contents, seed)`. The byte format itself is version 2's.
-const VERSION: u64 = 3;
+/// Version 4: the last region holds the `len` records packed in rank order,
+/// where version 3 held all `total_slots` slots with the vacant ones zeroed.
+/// (Version 3 itself was version 2's bytes under a new HI-PMA layout
+/// function.)
+const VERSION: u64 = 4;
 const HEADER_FIELDS: usize = 11;
 const JHEADER_FIELDS: usize = 7;
 
@@ -318,39 +327,41 @@ impl ScrubReport {
 }
 
 /// Derived block layout of one image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Geometry {
     block_size: u64,
-    record_size: u64,
     total_slots: u64,
     checksum_blocks: u64,
     bitmap_blocks: u64,
-    slot_blocks: u64,
+    record_blocks: u64,
 }
 
 impl Geometry {
-    fn new(block_size: u64, record_size: u64, total_slots: u64) -> Self {
+    fn new(block_size: u64, record_size: u64, total_slots: u64, len: u64) -> Self {
         let bitmap_bytes = total_slots.div_ceil(64) * 8;
-        let slot_bytes = total_slots * record_size;
         let bitmap_blocks = bitmap_bytes.div_ceil(block_size);
-        let slot_blocks = slot_bytes.div_ceil(block_size);
+        let record_blocks = (len * record_size).div_ceil(block_size);
         Self {
             block_size,
-            record_size,
             total_slots,
-            checksum_blocks: ((bitmap_blocks + slot_blocks) * 8).div_ceil(block_size),
+            checksum_blocks: ((bitmap_blocks + record_blocks) * 8).div_ceil(block_size),
             bitmap_blocks,
-            slot_blocks,
+            record_blocks,
         }
+    }
+
+    /// The geometry a committed header describes.
+    fn of(block_size: u64, meta: &StoreMeta) -> Self {
+        Self::new(block_size, meta.record_size, meta.total_slots, meta.len)
     }
 
     fn bitmap_words(&self) -> u64 {
         self.total_slots.div_ceil(64)
     }
 
-    /// Blocks covered by per-block checksums: bitmap plus slot region.
+    /// Blocks covered by per-block checksums: bitmap plus record region.
     fn payload_blocks(&self) -> u64 {
-        self.bitmap_blocks + self.slot_blocks
+        self.bitmap_blocks + self.record_blocks
     }
 
     /// First payload block id (header and checksum region precede it).
@@ -358,8 +369,13 @@ impl Geometry {
         1 + self.checksum_blocks
     }
 
+    /// First block id of the record region.
+    fn record_first(&self) -> u64 {
+        self.payload_first() + self.bitmap_blocks
+    }
+
     fn data_blocks(&self) -> u64 {
-        1 + self.checksum_blocks + self.bitmap_blocks + self.slot_blocks
+        self.record_first() + self.record_blocks
     }
 
     fn file_len(&self) -> u64 {
@@ -367,93 +383,76 @@ impl Geometry {
     }
 }
 
-/// Streams the slot region block by block: the k-th set bit of the bitmap
-/// receives the k-th record of the iterator, vacant slots stay zero, and
-/// records straddling a block boundary are carried into the next block
-/// through a fixed stack buffer — no allocation per block.
-struct SlotStream<'a, T: Record, I: Iterator<Item = T>> {
-    words: &'a [u64],
-    total_slots: u64,
-    record_size: usize,
+/// Encodes the record region sequentially: the k-th record of the iterator
+/// lands at byte `k * T::SIZE`, written straight into the staging span it
+/// falls in. Only a record that straddles the end of a span is staged, its
+/// tail carried into the next span through a fixed stack buffer — no probe
+/// per slot, no allocation.
+struct RecordEncoder<T: Record, I: Iterator<Item = T>> {
     records: I,
-    next_slot: u64,
-    consumed: u64,
-    pos: u64,
+    /// Records the region still owes: `len` minus those taken so far.
+    remaining: u64,
     carry: [u8; 64],
     carry_len: usize,
 }
 
-impl<'a, T: Record, I: Iterator<Item = T>> SlotStream<'a, T, I> {
-    fn new(words: &'a [u64], total_slots: u64, records: I) -> Self {
+impl<T: Record, I: Iterator<Item = T>> RecordEncoder<T, I> {
+    fn new(records: I, len: u64) -> Self {
         Self {
-            words,
-            total_slots,
-            record_size: T::SIZE,
             records,
-            next_slot: 0,
-            consumed: 0,
-            pos: 0,
+            remaining: len,
             carry: [0u8; 64],
             carry_len: 0,
         }
     }
 
-    fn bit(&self, slot: u64) -> bool {
-        self.words[(slot / 64) as usize] >> (slot % 64) & 1 != 0
+    fn next_record(&mut self) -> Result<T, FileError> {
+        self.remaining -= 1;
+        self.records
+            .next()
+            .ok_or_else(|| corrupt(0, "record iterator ended before len records"))
     }
 
-    /// Fills the next block of the slot region into `out` (zeroed by the
-    /// caller, length = block size).
-    fn fill_block(&mut self, out: &mut [u8]) -> Result<(), FileError> {
-        let end = self.pos + out.len() as u64;
-        if self.carry_len > 0 {
-            out[..self.carry_len].copy_from_slice(&self.carry[..self.carry_len]);
-            self.carry_len = 0;
+    /// Fills the next span of the record region — whole blocks, or nothing
+    /// while the commit is still staging the bitmap: every byte of `out` is
+    /// written, records first, then the zero padding behind the last one.
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), FileError> {
+        let (head, body) = out.split_at_mut(self.carry_len);
+        head.copy_from_slice(&self.carry[..self.carry_len]);
+        self.carry_len = 0;
+        let whole = self.remaining.min((body.len() / T::SIZE) as u64) as usize;
+        let (packed, tail) = body.split_at_mut(whole * T::SIZE);
+        for slot in packed.chunks_exact_mut(T::SIZE) {
+            self.next_record()?.encode(slot);
         }
-        let rs = self.record_size as u64;
-        while self.next_slot < self.total_slots {
-            let start = self.next_slot * rs;
-            if start >= end {
-                break;
-            }
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            if !self.bit(slot) {
-                continue;
-            }
-            let rec = self
-                .records
-                .next()
-                .ok_or_else(|| corrupt(0, "record iterator ended before the bitmap's set bits"))?;
-            self.consumed += 1;
-            let mut tmp = [0u8; 64];
-            rec.encode(&mut tmp[..self.record_size]);
-            let off = (start - self.pos) as usize;
-            let n = self.record_size.min(out.len() - off);
-            out[off..off + n].copy_from_slice(&tmp[..n]);
-            if n < self.record_size {
-                self.carry[..self.record_size - n].copy_from_slice(&tmp[n..self.record_size]);
-                self.carry_len = self.record_size - n;
-            }
+        if self.remaining == 0 {
+            tail.fill(0);
+        } else if !tail.is_empty() {
+            let mut staged = [0u8; 64];
+            self.next_record()?.encode(&mut staged[..T::SIZE]);
+            let (fits, rest) = staged[..T::SIZE].split_at(tail.len());
+            tail.copy_from_slice(fits);
+            self.carry[..rest.len()].copy_from_slice(rest);
+            self.carry_len = rest.len();
         }
-        self.pos = end;
         Ok(())
     }
 
-    fn finish(mut self, expected: u64) -> Result<(), FileError> {
-        if self.consumed != expected {
-            return Err(corrupt(0, "bitmap popcount and record count disagree"));
+    fn finish(mut self) -> Result<(), FileError> {
+        if self.remaining != 0 {
+            return Err(corrupt(0, "record region ended before len records"));
         }
         if self.records.next().is_some() {
-            return Err(corrupt(0, "record iterator outlived the bitmap's set bits"));
+            return Err(corrupt(0, "record iterator yielded more than len records"));
         }
         Ok(())
     }
 }
 
-fn fill_bitmap_block(out: &mut [u8], words: &[u64], block_in_region: u64) {
-    let first_word = (block_in_region as usize * out.len()) / 8;
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
+/// Fills a span of the bitmap region that starts at word `first_word`: the
+/// words in order, zeros behind the last one.
+fn fill_bitmap(out: &mut [u8], words: &[u64], first_word: usize) {
+    for (i, chunk) in out.chunks_exact_mut(8).enumerate() {
         let w = words.get(first_word + i).copied().unwrap_or(0);
         chunk.copy_from_slice(&w.to_le_bytes());
     }
@@ -566,7 +565,6 @@ pub struct BlockStore {
     journal: BlockFile,
     opts: StoreOptions,
     meta: Option<StoreMeta>,
-    geo: Option<Geometry>,
     /// Per-block FNV hash of the committed image (index = block id); empty
     /// until a commit or a [`Self::load`] populates it, in which case the
     /// next commit rewrites every block.
@@ -595,7 +593,6 @@ impl BlockStore {
             journal,
             opts,
             meta: None,
-            geo: None,
             block_hashes: Vec::new(),
             scratch_hashes: Vec::new(),
             ids: Vec::new(),
@@ -701,7 +698,7 @@ impl BlockStore {
         let b = bs as u64;
         assert!(T::SIZE > 0 && T::SIZE <= T::MAX_SIZE, "record size invalid");
         assert!(T::SIZE <= bs, "record must fit in one block");
-        let geo = Geometry::new(b, T::SIZE as u64, total_slots);
+        let geo = Geometry::new(b, T::SIZE as u64, total_slots, len);
         assert_eq!(
             words.len() as u64,
             geo.bitmap_words(),
@@ -713,7 +710,6 @@ impl BlockStore {
         }
 
         let data_blocks = geo.data_blocks() as usize;
-        let full = self.geo != Some(geo) || self.block_hashes.len() != data_blocks;
 
         self.ids.clear();
         self.ids.reserve(data_blocks);
@@ -724,29 +720,26 @@ impl BlockStore {
         self.ids_buf
             .reserve(((data_blocks as u64 * 8).div_ceil(b) * b) as usize);
 
-        // Phase 1a: regenerate the payload (bitmap + slot) blocks a group at
-        // a time, directly behind the dirty images already staged in the
+        // Phase 1a: regenerate the payload (bitmap + record) blocks a group
+        // at a time, directly behind the dirty images already staged in the
         // journal buffer; hash the group, keep its dirty blocks.
-        let first = geo.payload_first();
+        let first = geo.payload_first() as usize;
+        let record_first = geo.record_first() as usize;
         let mut staged = 0usize;
-        let mut stream = SlotStream::new(words, total_slots, records);
-        let mut block = first as usize;
+        let mut encoder = RecordEncoder::new(records, len);
+        let mut block = first;
         while block < data_blocks {
             let n = GROUP_BLOCKS.min(data_blocks - block);
             let group = &mut self.payload.get_mut(staged + n * bs)[staged..];
-            group.fill(0);
-            for (id, buf) in (block as u64..).zip(group.chunks_exact_mut(bs)) {
-                if id < first + geo.bitmap_blocks {
-                    fill_bitmap_block(buf, words, id - first);
-                } else {
-                    stream.fill_block(buf)?;
-                }
-            }
+            let bitmap_blocks = record_first.saturating_sub(block).min(n);
+            let (bitmap, packed) = group.split_at_mut(bitmap_blocks * bs);
+            fill_bitmap(bitmap, words, (block - first) * bs / 8);
+            encoder.fill(packed)?;
             hash_blocks(group, bs, &mut self.scratch_hashes[block..block + n]);
-            staged = self.keep_dirty(block, n, staged, full);
+            staged = self.keep_dirty(block, n, staged);
             block += n;
         }
-        stream.finish(len)?;
+        encoder.finish()?;
 
         // Phase 1b: the checksum region persists the very hashes the dirty
         // gate just computed, one word per payload block; the FNV over the
@@ -754,12 +747,12 @@ impl BlockStore {
         let region_blocks = geo.checksum_blocks as usize;
         let region = &mut self.payload.get_mut(staged + region_blocks * bs)[staged..];
         region.fill(0);
-        for (k, &word) in self.scratch_hashes[first as usize..].iter().enumerate() {
+        for (k, &word) in self.scratch_hashes[first..].iter().enumerate() {
             encode_checksum_word(region, k, word);
         }
         let checksum_root = fnv1a(FNV_OFFSET, region);
-        hash_blocks(region, bs, &mut self.scratch_hashes[1..first as usize]);
-        staged = self.keep_dirty(1, region_blocks, staged, full);
+        hash_blocks(region, bs, &mut self.scratch_hashes[1..first]);
+        staged = self.keep_dirty(1, region_blocks, staged);
 
         let fingerprint = layout_fingerprint(words, total_slots);
         let prev = self.meta;
@@ -824,9 +817,13 @@ impl BlockStore {
         }
 
         // Phase 3: apply in place, one transfer per run of consecutive ids
-        // (a full image is three: payload, checksum region, header).
-        self.data.set_len(geo.file_len())?;
+        // (a full image is three: payload, checksum region, header). The
+        // length goes last — a longer image has grown the file by then (its
+        // new tail is always dirty), a shorter one is cut here — so until a
+        // block of the new image lands the file is still the old image,
+        // byte for byte.
         write_runs(&mut self.data, &self.ids, self.payload.get(staged), bs)?;
+        self.data.set_len(geo.file_len())?;
         if self.opts.sync {
             self.data.sync()?;
         }
@@ -839,7 +836,6 @@ impl BlockStore {
         // "first commit may allocate" path: the next commit's resize then
         // finds capacity and steady-state flushes stay allocation-free.
         self.scratch_hashes.resize(data_blocks, 0);
-        self.geo = Some(geo);
         self.meta = Some(meta);
         Ok(meta.generation)
     }
@@ -847,15 +843,16 @@ impl BlockStore {
     /// Dirty gate for the `n` freshly generated blocks `first_id..` whose
     /// images sit at `payload[staged..]` and whose hashes are already in
     /// `scratch_hashes`: records the ids of those that differ from the
-    /// committed image and slides their images down over the clean ones, so
+    /// block of that id in the committed image — or lie beyond it, or have
+    /// no known hash — and slides their images down over the clean ones, so
     /// the journal buffer stays a dense run of dirty images. Returns the new
     /// staged length.
-    fn keep_dirty(&mut self, first_id: usize, n: usize, staged: usize, full: bool) -> usize {
+    fn keep_dirty(&mut self, first_id: usize, n: usize, staged: usize) -> usize {
         let bs = self.opts.block_size;
         let images = self.payload.get_mut(staged + n * bs);
         let mut kept = staged;
         for (i, id) in (first_id..first_id + n).enumerate() {
-            if full || self.block_hashes[id] != self.scratch_hashes[id] {
+            if self.block_hashes.get(id) != Some(&self.scratch_hashes[id]) {
                 self.ids.push(id as u64);
                 let src = staged + i * bs;
                 if src != kept {
@@ -868,12 +865,13 @@ impl BlockStore {
     }
 
     /// Reads the committed image back: the bitmap words and the records in
-    /// slot (= rank) order. Verifies the whole integrity chain — header
-    /// checksum, checksum root, every payload block's checksum — plus the
-    /// fingerprint, the popcount, and that every vacant byte of the image
-    /// is zero (the anti-persistence invariant). Also primes the
-    /// incremental-commit block hashes, so a commit following a load only
-    /// writes changed blocks.
+    /// rank order (the k-th record belongs to the k-th set bit). Verifies
+    /// the whole integrity chain — header checksum, checksum root, every
+    /// payload block's checksum — plus the fingerprint, the popcount, and
+    /// that every padding byte of the image is zero (the anti-persistence
+    /// invariant: the file holds the bitmap, the records and nothing else).
+    /// Also primes the incremental-commit block hashes, so a commit
+    /// following a load only writes changed blocks.
     pub fn load<T: Record>(&mut self) -> Result<(StoreMeta, Vec<u64>, Vec<T>), FileError> {
         let meta = self
             .meta
@@ -886,7 +884,7 @@ impl BlockStore {
         }
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::new(b, meta.record_size, meta.total_slots);
+        let geo = Geometry::of(b, &meta);
         let first = geo.payload_first() as usize;
         let mut hashes = vec![0u64; geo.data_blocks() as usize];
 
@@ -903,11 +901,11 @@ impl BlockStore {
 
         // Each payload block is hashed once: the word that verifies it
         // against the region is the word that primes the dirty gate.
-        let slot_first = first + geo.bitmap_blocks as usize;
+        let record_first = geo.record_first() as usize;
         let mut bitmap_bytes = vec![0u8; (geo.bitmap_blocks * b) as usize];
         self.data.read_blocks(first as u64, &mut bitmap_bytes)?;
-        hash_blocks(&bitmap_bytes, bs, &mut hashes[first..slot_first]);
-        if let Some(i) = (first..slot_first).find(|&i| hashes[i] != get_u64(&region, i - first)) {
+        hash_blocks(&bitmap_bytes, bs, &mut hashes[first..record_first]);
+        if let Some(i) = (first..record_first).find(|&i| hashes[i] != get_u64(&region, i - first)) {
             return Err(corrupt(i as u64, "bitmap block checksum mismatch"));
         }
         let words: Vec<u64> = (0..geo.bitmap_words() as usize)
@@ -940,36 +938,25 @@ impl BlockStore {
             return Err(corrupt(first as u64, "layout fingerprint mismatch"));
         }
 
-        let mut slot_bytes = vec![0u8; (geo.slot_blocks * b) as usize];
-        self.data.read_blocks(slot_first as u64, &mut slot_bytes)?;
-        hash_blocks(&slot_bytes, bs, &mut hashes[slot_first..]);
+        let mut record_bytes = vec![0u8; (geo.record_blocks * b) as usize];
+        self.data
+            .read_blocks(record_first as u64, &mut record_bytes)?;
+        hash_blocks(&record_bytes, bs, &mut hashes[record_first..]);
         if let Some(i) =
-            (slot_first..hashes.len()).find(|&i| hashes[i] != get_u64(&region, i - first))
+            (record_first..hashes.len()).find(|&i| hashes[i] != get_u64(&region, i - first))
         {
-            return Err(corrupt(i as u64, "slot block checksum mismatch"));
+            return Err(corrupt(i as u64, "record block checksum mismatch"));
         }
-        let rs = meta.record_size as usize;
-        let mut records = Vec::with_capacity(meta.len as usize);
-        for slot in 0..meta.total_slots {
-            let bytes = &slot_bytes[(slot * meta.record_size) as usize..][..rs];
-            if words[(slot / 64) as usize] >> (slot % 64) & 1 != 0 {
-                records.push(T::decode(bytes));
-            } else if bytes.iter().any(|&x| x != 0) {
-                return Err(corrupt(
-                    slot_first as u64,
-                    "vacant slot holds nonzero bytes",
-                ));
-            }
+        let (packed, padding) = record_bytes.split_at((meta.len * meta.record_size) as usize);
+        if padding.iter().any(|&x| x != 0) {
+            return Err(corrupt(
+                hashes.len() as u64 - 1,
+                "record-region padding not zeroed",
+            ));
         }
-        if slot_bytes[(meta.total_slots * meta.record_size) as usize..]
-            .iter()
-            .any(|&x| x != 0)
-        {
-            return Err(corrupt(slot_first as u64, "slot-region padding not zeroed"));
-        }
+        let records = packed.chunks_exact(T::SIZE).map(T::decode).collect();
 
         self.block_hashes = hashes;
-        self.geo = Some(geo);
         Ok((meta, words, records))
     }
 
@@ -984,7 +971,7 @@ impl BlockStore {
         };
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::new(b, meta.record_size, meta.total_slots);
+        let geo = Geometry::of(b, &meta);
         let first = geo.payload_first();
         let mut report = ScrubReport {
             blocks_checked: geo.data_blocks(),
@@ -1078,7 +1065,7 @@ impl BlockStore {
             .ok_or_else(|| corrupt(0, "repair source holds no committed image"))?;
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::new(b, smeta.record_size, smeta.total_slots);
+        let geo = Geometry::of(b, &smeta);
         self.data.set_len(geo.file_len())?;
         let mut mine = vec![0u8; bs];
         let mut repaired = 0u64;
@@ -1104,7 +1091,6 @@ impl BlockStore {
             generation: self.meta.map_or(0, |m| m.generation),
             ..smeta
         });
-        self.geo = Some(geo);
         // Force the next commit to rewrite from scratch rather than trust
         // hashes from before the repair.
         self.block_hashes.clear();
@@ -1140,8 +1126,7 @@ impl BlockStore {
         let buf = self.block_buf.get_mut(bs);
         self.data.read_blocks(0, buf)?;
         let meta = decode_header(buf, bs as u64)?;
-        let geo = Geometry::new(bs as u64, meta.record_size, meta.total_slots);
-        if len != geo.file_len() {
+        if len != Geometry::of(bs as u64, &meta).file_len() {
             return Err(corrupt(
                 0,
                 "data file length disagrees with header geometry",
@@ -1297,19 +1282,19 @@ mod tests {
         cleanup(&path);
     }
 
-    #[test]
-    fn open_refuses_a_version_2_file_by_name() {
-        // Version 2 had this byte format and another layout function: an
-        // intact version-2 header is refused as such — not as a bad magic,
-        // and long before a fingerprint could fail to reproduce.
-        let path = temp_path("store-v2");
+    /// An intact header of another version — the version word rewritten and
+    /// the header re-signed — is refused as that version: not as a bad
+    /// magic, and long before a geometry or fingerprint check could blame
+    /// something else.
+    fn assert_version_refused_by_name(tag: &str, found: u64) {
+        let path = temp_path(tag);
         {
             let mut store = BlockStore::open(&path, opts()).unwrap();
             let words = words_for(64, &[0]);
             store.commit(&words, 64, 1, [7u64], 0).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
-        put_u64(&mut bytes, 1, 2);
+        put_u64(&mut bytes, 1, found);
         std::fs::write(&path, &bytes).unwrap();
         // The version field sits under the header checksum: changed alone,
         // it is rot.
@@ -1320,23 +1305,34 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = BlockStore::open(&path, opts()).unwrap_err();
         assert!(
-            matches!(
-                err,
-                FileError::UnsupportedVersion {
-                    found: 2,
-                    supported: VERSION
-                }
-            ),
+            matches!(err, FileError::UnsupportedVersion { found: f, supported: VERSION } if f == found),
             "{err}"
         );
         let text = err.to_string();
-        assert!(text.contains("version 2 is not supported"), "{text}");
+        assert!(
+            text.contains(&format!("version {found} is not supported")),
+            "{text}"
+        );
         assert!(
             !text.contains("magic") && !text.contains("canonical"),
             "{text}"
         );
         assert_eq!(io::Error::from(err).kind(), io::ErrorKind::Unsupported);
         cleanup(&path);
+    }
+
+    #[test]
+    fn open_refuses_a_version_2_file_by_name() {
+        // Version 2 was version 3's bytes under another layout function.
+        assert_version_refused_by_name("store-v2", 2);
+    }
+
+    #[test]
+    fn open_refuses_a_version_3_file_by_name() {
+        // Version 3 had this header and a slot region where the record
+        // region is: read as version 4 it would fail the length check and
+        // be called corrupt, which it is not.
+        assert_version_refused_by_name("store-v3", 3);
     }
 
     #[test]
@@ -1379,6 +1375,114 @@ mod tests {
         let mut store = BlockStore::open(&path, opts()).unwrap();
         let (_, _, back) = store.load::<(u64, u64)>().unwrap();
         assert_eq!(back, records);
+        cleanup(&path);
+    }
+
+    /// 24 bytes: divides none of the block sizes in use, so records straddle
+    /// block — and staging-group — boundaries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Triple([u64; 3]);
+
+    impl Record for Triple {
+        const SIZE: usize = 24;
+
+        fn encode(&self, out: &mut [u8]) {
+            for (w, chunk) in self.0.iter().zip(out.chunks_exact_mut(8)) {
+                chunk.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            Triple(std::array::from_fn(|i| get_u64(buf, i)))
+        }
+    }
+
+    /// The whole data file of one image, encoded the slow, straight-line
+    /// way: every region built in full, padded, and concatenated.
+    fn reference_file<T: Record>(
+        words: &[u64],
+        total_slots: u64,
+        records: &[T],
+        seed: u64,
+    ) -> Vec<u8> {
+        let pad = |mut bytes: Vec<u8>| {
+            bytes.resize(bytes.len().div_ceil(B) * B, 0);
+            bytes
+        };
+        let mut packed = vec![0u8; records.len() * T::SIZE];
+        for (rec, out) in records.iter().zip(packed.chunks_exact_mut(T::SIZE)) {
+            rec.encode(out);
+        }
+        let bitmap = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let payload = [pad(bitmap), pad(packed)].concat();
+        let sums = payload.chunks(B).map(|block| fnv1a(FNV_OFFSET, block));
+        let region = pad(sums.flat_map(u64::to_le_bytes).collect());
+        let mut header = vec![0u8; B];
+        let meta = StoreMeta {
+            record_size: T::SIZE as u64,
+            total_slots,
+            len: records.len() as u64,
+            seed,
+            generation: 0,
+            fingerprint: layout_fingerprint(words, total_slots),
+            checksum_root: fnv1a(FNV_OFFSET, &region),
+        };
+        encode_header(&mut header, B as u64, &meta);
+        [header, region, payload].concat()
+    }
+
+    #[test]
+    fn records_that_do_not_divide_the_block_match_the_reference_encoding() {
+        // 900 records of 24 bytes over 128-byte blocks: 169 record blocks
+        // behind 2 bitmap blocks, so the encoder crosses ten group
+        // boundaries, none of them on a record boundary.
+        let path = temp_path("store-triple");
+        let total = 1200u64;
+        let set: Vec<u64> = (0..total).filter(|s| s % 4 != 2).collect();
+        let words = words_for(total, &set);
+        let records: Vec<Triple> = set.iter().map(|&s| Triple([s, !s, s * s + 1])).collect();
+        assert!(records.len() * Triple::SIZE > 10 * GROUP_BLOCKS * B);
+        let mut store = BlockStore::open(&path, opts()).unwrap();
+        store
+            .commit(&words, total, set.len() as u64, records.iter().copied(), 11)
+            .unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            reference_file(&words, total, &records, 11)
+        );
+        let mut store = BlockStore::open(&path, opts()).unwrap();
+        let (_, back_words, back) = store.load::<Triple>().unwrap();
+        assert_eq!(back_words, words);
+        assert_eq!(back, records);
+        assert!(store.scrub().unwrap().is_clean());
+
+        // A one-record image ends inside its first block; an empty one has
+        // no record region at all.
+        for n in [1usize, 0] {
+            let words = words_for(total, &set[..n]);
+            store
+                .commit(&words, total, n as u64, records[..n].iter().copied(), 11)
+                .unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                reference_file(&words, total, &records[..n], 11)
+            );
+            assert_eq!(store.load::<Triple>().unwrap().2, records[..n]);
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_short_or_long_record_iterator_is_refused() {
+        let path = temp_path("store-iterlen");
+        let words = words_for(64, &[1, 2, 3]);
+        for records in [vec![1u64, 2], vec![1, 2, 3, 4]] {
+            let mut store = BlockStore::open(&path, opts()).unwrap();
+            let err = store.commit(&words, 64, 3, records, 0).unwrap_err();
+            assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
+            assert!(store.is_poisoned());
+            assert!(std::fs::read(&path).unwrap().is_empty());
+        }
         cleanup(&path);
     }
 
@@ -1483,35 +1587,10 @@ mod tests {
 
     #[test]
     fn crash_after_commit_point_replays_forward() {
-        let path = temp_path("store-replay");
-        let total = 512u64;
-        let set1: Vec<u64> = (0..total).step_by(4).collect();
-        let words1 = words_for(total, &set1);
-        let recs1: Vec<u64> = set1.to_vec();
-        let mut store = BlockStore::open(&path, opts()).unwrap();
-        store
-            .commit(&words1, total, set1.len() as u64, recs1.iter().copied(), 2)
-            .unwrap();
-        // The second commit dirties every block again (occupancy doubles),
-        // so its journal is the same size as the first commit's. Allow the
-        // whole journal plus one data block, then kill: the commit point
-        // has passed, so recovery must complete the flush.
-        let journal_writes_for_full = store.stats().journal.blocks_written;
-        store.set_fault_plan(FaultPlan::new([Fault::TornWrite {
-            at: journal_writes_for_full + 1,
-        }]));
-        let set2: Vec<u64> = (0..total).step_by(2).collect();
-        let words2 = words_for(total, &set2);
-        let recs2: Vec<u64> = set2.iter().map(|&s| s + 1).collect();
-        store
-            .commit(&words2, total, set2.len() as u64, recs2.iter().copied(), 2)
-            .unwrap_err();
-        drop(store);
-
-        let mut store = BlockStore::open(&path, opts()).unwrap();
-        let (_meta, words, recs) = store.load::<u64>().unwrap();
-        assert_eq!(words, words2);
-        assert_eq!(recs, recs2);
+        // The whole journal plus one data block, then the kill: the commit
+        // point has passed, so recovery must complete the flush.
+        let (path, _, image_b) = torn_after_commit_point("store-replay", 1);
+        assert_eq!(reopen(&path), Some(image_b));
         cleanup(&path);
     }
 
@@ -1576,44 +1655,45 @@ mod tests {
     /// valid journal beside a data file holding that many blocks of B over
     /// A. Returns the path and the two images.
     fn torn_after_commit_point(tag: &str, data_writes: u64) -> (PathBuf, Image, Image) {
-        let path = temp_path(tag);
         let total = 2048u64;
         let set_a: Vec<u64> = (0..total).step_by(4).collect();
         let set_b: Vec<u64> = (0..total).step_by(2).collect();
         let (words_a, words_b) = (words_for(total, &set_a), words_for(total, &set_b));
         let recs_b: Vec<u64> = set_b.iter().map(|&s| s + 1).collect();
-        let mut store = BlockStore::open(&path, opts()).unwrap();
-        store
-            .commit(
-                &words_a,
-                total,
-                set_a.len() as u64,
-                set_a.iter().copied(),
-                2,
-            )
-            .unwrap();
-        // B dirties every block, so its journal is as long as A's was.
-        let journal_writes = store.stats().journal.blocks_written - 1;
-        store.set_fault_plan(FaultPlan::new([Fault::TornWrite {
-            at: journal_writes + data_writes,
-        }]));
-        store
-            .commit(
-                &words_b,
-                total,
-                set_b.len() as u64,
-                recs_b.iter().copied(),
-                2,
-            )
-            .unwrap_err();
+        // `tear_at`: B's commit dies at that write. Returns the journal
+        // blocks B's commit wrote.
+        let a_then_b = |path: &Path, tear_at: Option<u64>| {
+            let mut store = BlockStore::open(path, opts()).unwrap();
+            let len_a = set_a.len() as u64;
+            store
+                .commit(&words_a, total, len_a, set_a.iter().copied(), 2)
+                .unwrap();
+            let before = store.stats().journal.blocks_written;
+            if let Some(at) = tear_at {
+                store.set_fault_plan(FaultPlan::new([Fault::TornWrite { at }]));
+            }
+            let len_b = recs_b.len() as u64;
+            let result = store.commit(&words_b, total, len_b, recs_b.iter().copied(), 2);
+            assert_eq!(result.is_err(), tear_at.is_some());
+            store.stats().journal.blocks_written - before
+        };
+        // B holds twice A's records, so its journal is longer than A's was:
+        // the commit point is learnt from a dry run of B itself. Its last
+        // journal write retires the journal; the one before is the header.
+        let dry = temp_path(tag);
+        let to_commit_point = a_then_b(&dry, None) - 1;
+        cleanup(&dry);
+        let path = temp_path(tag);
+        a_then_b(&path, Some(to_commit_point + data_writes));
         (path, (words_a, set_a), (words_b, recs_b))
     }
 
     /// `Some(image)` when the store opens and loads, `None` on a typed
-    /// corruption error; anything else fails the test.
+    /// corruption error from either step (a half-applied image of another
+    /// length already fails `open`'s geometry check); anything else fails
+    /// the test.
     fn reopen(path: &Path) -> Option<Image> {
-        let mut store = BlockStore::open(path, opts()).unwrap();
-        match store.load::<u64>() {
+        match BlockStore::open(path, opts()).and_then(|mut store| store.load::<u64>()) {
             Ok((_, words, recs)) => Some((words, recs)),
             Err(FileError::Corrupt { .. }) => None,
             Err(other) => panic!("expected an image or a typed corruption, got {other}"),
@@ -1747,6 +1827,117 @@ mod tests {
         let mut store = BlockStore::open(&path, opts()).unwrap();
         let (_, _, recs) = store.load::<u64>().unwrap();
         assert_eq!(recs, set2);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_change_of_len_moves_the_file_length_and_stays_atomic() {
+        // Sixteen-byte records, eight to a block, in one fixed slot array:
+        // 200 records → 40 cuts twenty record blocks off the file, 40 → 200
+        // puts them back. Each commit is then torn at every one of its
+        // writes in turn.
+        let total = 1024u64;
+        let image = |n: u64| {
+            let set: Vec<u64> = (0..n).map(|i| i * 5).collect();
+            let recs: Vec<(u64, u64)> = set.iter().map(|&s| (s, s ^ n)).collect();
+            (words_for(total, &set), recs)
+        };
+        let file_len = |n: u64| Geometry::new(B as u64, 16, total, n).file_len();
+        assert!(file_len(200) - file_len(40) >= 20 * B as u64);
+        let commit = |store: &mut BlockStore, (words, recs): &(Vec<u64>, Vec<(u64, u64)>)| {
+            store.commit(words, total, recs.len() as u64, recs.iter().copied(), 3)
+        };
+        for (from, to) in [(200u64, 40u64), (40, 200)] {
+            let (old, new) = (image(from), image(to));
+            let path = temp_path("store-relen");
+            let mut store = BlockStore::open(&path, opts()).unwrap();
+            commit(&mut store, &old).unwrap();
+            assert_eq!(store.data.len().unwrap(), file_len(from));
+            let before = store.stats().blocks_written();
+            commit(&mut store, &new).unwrap();
+            let writes = store.stats().blocks_written() - before;
+            assert_eq!(store.data.len().unwrap(), file_len(to));
+            assert!(store.scrub().unwrap().is_clean());
+            cleanup(&path);
+
+            let (mut rollbacks, mut replays) = (0, 0);
+            for at in 0..writes {
+                let path = temp_path("store-relen-torn");
+                let mut store = BlockStore::open(&path, opts()).unwrap();
+                commit(&mut store, &old).unwrap();
+                store.set_fault_plan(FaultPlan::new([Fault::TornWrite { at }]));
+                commit(&mut store, &new).unwrap_err();
+                drop(store);
+
+                let mut store = BlockStore::open(&path, opts()).unwrap();
+                let (meta, words, recs) = store.load::<(u64, u64)>().unwrap();
+                if (&words, &recs) == (&old.0, &old.1) {
+                    rollbacks += 1;
+                } else {
+                    assert_eq!((&words, &recs), (&new.0, &new.1), "{from}→{to}, kill {at}");
+                    replays += 1;
+                }
+                assert_eq!(store.data.len().unwrap(), file_len(meta.len));
+                assert!(store.scrub().unwrap().is_clean());
+                assert_eq!(store.journal.len().unwrap(), 0);
+                cleanup(&path);
+            }
+            assert!(rollbacks > 0 && replays > 0, "{from}→{to}");
+        }
+    }
+
+    #[test]
+    fn device_transfers_equal_the_dam_prediction_and_the_tracer_ledger() {
+        // The two equalities the `block_store_io` harness reports, asserted:
+        // a full commit writes each block of the image to the data file
+        // exactly once (the DAM prediction, `file_len / B`), and a tracer
+        // attached to the store is charged exactly the physical transfers,
+        // data and journal together.
+        const BS: usize = 4096;
+        let path = temp_path("store-dam");
+        let (len, total) = (200_000u64, 800_000u64);
+        let set: Vec<u64> = (0..len).map(|i| i * 4).collect();
+        let words = words_for(total, &set);
+        let records = |salt: u64| set.iter().map(move |&s| (s, s ^ salt));
+        let opts = StoreOptions::new(BS).no_sync();
+        let ledger = || Tracer::enabled(io_sim::IoConfig::new(BS, 64));
+
+        let mut store = BlockStore::open(&path, opts).unwrap();
+        let tracer = ledger();
+        store.set_tracer(tracer.clone());
+        store.commit(&words, total, len, records(1), 8).unwrap();
+        let file_len = store.data.len().unwrap();
+        let image_blocks = file_len / BS as u64;
+        let full = store.stats();
+        assert_eq!(full.data.blocks_written, image_blocks);
+        assert_eq!(tracer.stats().writes, full.blocks_written());
+
+        // What the vacant slots cost at rest: one bit each. Four slots to a
+        // sixteen-byte record is 3% for the bitmap; the header, the checksum
+        // region and block rounding fit in the other 2%.
+        assert!(file_len * 100 <= len * 16 * 105, "{file_len} bytes");
+
+        // Steady state: every record changes, the occupancy does not, so
+        // every block but the bitmap's is rewritten.
+        let geo = Geometry::new(BS as u64, 16, total, len);
+        store.commit(&words, total, len, records(2), 8).unwrap();
+        let steady = store.stats();
+        assert_eq!(
+            steady.data.blocks_written - full.data.blocks_written,
+            image_blocks - geo.bitmap_blocks
+        );
+        assert_eq!(tracer.stats().writes, steady.blocks_written());
+        assert_eq!(tracer.stats().reads, 0);
+        drop(store);
+
+        // Reopen: `open` reads the header, `load` reads the image once.
+        let mut store = BlockStore::open(&path, opts).unwrap();
+        let tracer = ledger();
+        store.set_tracer(tracer.clone());
+        store.load::<(u64, u64)>().unwrap();
+        assert_eq!(tracer.stats().reads, image_blocks);
+        assert_eq!(store.stats().blocks_read(), 1 + image_blocks);
+        assert_eq!(store.stats().blocks_written(), 0);
         cleanup(&path);
     }
 

@@ -1103,9 +1103,10 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
     let Some(p) = guard.as_mut() else {
         return Response::Unavailable("no persistent store configured (--persist)".into());
     };
-    let contents = dict.to_sorted_vec();
+    // The shard merge streams into the redraw: the only copy of the
+    // contents made here is the one `bulk_load` builds its layout from.
     let seed = p.seed();
-    p.bulk_load(contents, seed);
+    p.bulk_load(dict.iter().map(|(k, v)| (*k, *v)), seed);
     match p.flush() {
         Ok(generation) => Response::Generation(generation),
         Err(e) => Response::Unavailable(format!("flush failed: {e}")),

@@ -3,8 +3,9 @@
 //!
 //! Any sequence that exposes its occupancy bitmap ([`Occupancy`]) and its
 //! elements in rank order ([`RankedSequence`]) serializes with no extra
-//! framing: the image's k-th set bit holds the k-th element. Two flush
-//! flavors exist because the paper's at-rest guarantee and the repo's
+//! framing: the image is the bitmap plus a record region of the elements
+//! packed in rank order, and its k-th set bit owns the k-th element. Two
+//! flush flavors exist because the paper's at-rest guarantee and the repo's
 //! steady-state allocation guarantee pull in different directions:
 //!
 //! * [`flush_canonical`] first re-draws the layout from *(contents, seed)*
@@ -35,12 +36,15 @@ use crate::{ClassicPma, DensityBands, HiPma};
 ///
 /// Callers that stay on the facade's `io::Result` surface keep working: the
 /// `From` impl folds a `PersistError` back into an [`io::Error`] with the
-/// same message text. Callers that care can match the typed variants —
-/// [`PersistError::Corrupt`] for a failed checksum,
-/// [`PersistError::Transient`] for an error that outlived the retry budget,
-/// [`PersistError::NoSpace`] for a full disk,
-/// [`PersistError::FingerprintMismatch`] for an image that does not
-/// reproduce under `(contents, seed)` — instead of grepping message text.
+/// same message text, and keeps the typed value inside it
+/// (`err.get_ref()` downcasts to `PersistError`). Callers that care can
+/// match the typed variants — [`PersistError::Corrupt`] for a failed
+/// checksum, [`PersistError::Transient`] for an error that outlived the
+/// retry budget, [`PersistError::NoSpace`] for a full disk,
+/// [`PersistError::UnsupportedVersion`] for an intact file of another
+/// format version, [`PersistError::FingerprintMismatch`] for an image that
+/// does not reproduce under `(contents, seed)` — instead of grepping
+/// message text.
 #[derive(Debug)]
 pub enum PersistError {
     /// The underlying block store failed (I/O, injected crash, poisoned
@@ -59,6 +63,15 @@ pub enum PersistError {
     },
     /// The device is out of space.
     NoSpace,
+    /// The data file is intact but was committed under another format
+    /// version; there is no in-place upgrade (DESIGN.md has the migration
+    /// note).
+    UnsupportedVersion {
+        /// The version the header records.
+        found: u64,
+        /// The only version this build reads and writes.
+        supported: u64,
+    },
     /// The layout rebuilt from the stored records and seed does not
     /// reproduce the committed image's fingerprint — the image was flushed
     /// non-canonically or the store's contents were tampered with.
@@ -82,6 +95,13 @@ impl fmt::Display for PersistError {
                 "transient storage error persisted through {attempts} attempts"
             ),
             PersistError::NoSpace => write!(f, "no space left on device"),
+            PersistError::UnsupportedVersion { found, supported } => {
+                FileError::UnsupportedVersion {
+                    found: *found,
+                    supported: *supported,
+                }
+                .fmt(f)
+            }
             PersistError::FingerprintMismatch { committed, rebuilt } => write!(
                 f,
                 "rebuilt layout does not reproduce the committed fingerprint \
@@ -113,6 +133,9 @@ impl From<FileError> for PersistError {
             FileError::Corrupt { block, .. } => PersistError::Corrupt { block },
             FileError::Transient { attempts } => PersistError::Transient { attempts },
             FileError::NoSpace => PersistError::NoSpace,
+            FileError::UnsupportedVersion { found, supported } => {
+                PersistError::UnsupportedVersion { found, supported }
+            }
             other => PersistError::Store(other.into()),
         }
     }
@@ -120,16 +143,15 @@ impl From<FileError> for PersistError {
 
 impl From<PersistError> for io::Error {
     fn from(e: PersistError) -> Self {
-        match e {
-            PersistError::Store(io) => io,
-            corrupt @ PersistError::Corrupt { .. } => {
-                io::Error::new(io::ErrorKind::InvalidData, corrupt.to_string())
+        let kind = match e {
+            PersistError::Store(io) => return io,
+            PersistError::Corrupt { .. } | PersistError::FingerprintMismatch { .. } => {
+                io::ErrorKind::InvalidData
             }
-            mismatch @ PersistError::FingerprintMismatch { .. } => {
-                io::Error::new(io::ErrorKind::InvalidData, mismatch.to_string())
-            }
-            other => io::Error::other(other.to_string()),
-        }
+            PersistError::UnsupportedVersion { .. } => io::ErrorKind::Unsupported,
+            PersistError::Transient { .. } | PersistError::NoSpace => io::ErrorKind::Other,
+        };
+        io::Error::new(kind, e)
     }
 }
 
@@ -166,10 +188,15 @@ where
     flush_layout(seq, seed, store)
 }
 
-/// Checks that a rebuilt layout reproduces the committed image's
-/// fingerprint — the recovery half of the `f(contents, seed)` contract.
-pub fn verify_layout<S: Occupancy>(seq: &S, meta: &StoreMeta) -> Result<(), PersistError> {
-    let fp = layout_fingerprint(seq.occupancy_words(), seq.slot_count() as u64);
+/// Checks that a rebuilt layout — its occupancy words and slot count —
+/// reproduces the committed image's fingerprint: the recovery half of the
+/// `f(contents, seed)` contract.
+pub fn verify_layout(
+    words: &[u64],
+    total_slots: u64,
+    meta: &StoreMeta,
+) -> Result<(), PersistError> {
+    let fp = layout_fingerprint(words, total_slots);
     if fp == meta.fingerprint {
         Ok(())
     } else {
@@ -195,7 +222,7 @@ where
     let (meta, _words, records) = store.load::<T>()?;
     let mut pma = HiPma::with_parts(RngSource::from_seed(meta.seed), counters, tracer, elem_size);
     pma.bulk_load(records, meta.seed);
-    verify_layout(&pma, &meta)?;
+    verify_layout(pma.occupancy_words(), pma.slot_count() as u64, &meta)?;
     Ok((pma, meta))
 }
 
@@ -213,7 +240,7 @@ where
     let (meta, _words, records) = store.load::<T>()?;
     let mut pma = ClassicPma::with_parts(DensityBands::standard(), counters, tracer, elem_size);
     pma.bulk_load(records, meta.seed);
-    verify_layout(&pma, &meta)?;
+    verify_layout(pma.occupancy_words(), pma.slot_count() as u64, &meta)?;
     Ok((pma, meta))
 }
 

@@ -45,14 +45,14 @@ use std::path::Path;
 use std::str::FromStr;
 use std::time::Duration;
 
-use block_store::{layout_fingerprint, BlockStore, StoreOptions};
+use block_store::{BlockStore, StoreOptions};
 use btree::BTree;
 use cob_btree::CobBTree;
 use hi_common::counters::{OpCounters, SharedCounters};
 use hi_common::rng::RngSource;
 use hi_common::traits::{Dictionary, Occupancy, RankedDict};
 use io_sim::{IoConfig, IoStats, Tracer};
-use pma::persist::PersistError;
+use pma::persist::{verify_layout, PersistError};
 use pma::{ClassicPma, DensityBands, HiPma};
 use shard::{Instrumented, ShardRouter, ShardedDict, DEFAULT_PARALLEL_THRESHOLD};
 use skiplist::{ExternalSkipList, SkipParams};
@@ -671,7 +671,7 @@ impl DictBuilder {
     /// e.g. [`StoreOptions::no_sync`] for crash-injection tests, where the
     /// process survives and write *ordering* is all that matters.
     pub fn build_persistent_with(
-        self,
+        mut self,
         path: impl AsRef<Path>,
         options: StoreOptions,
     ) -> io::Result<PersistentDict> {
@@ -688,40 +688,44 @@ impl DictBuilder {
                 ),
             ));
         }
-        let mut store = BlockStore::open(path, options)?;
-        let canonical = store.is_initialized();
-        let (dict, seed): (DynDict<u64, u64>, u64) = if canonical {
-            let (meta, _words, records) = store.load::<(u64, u64)>()?;
-            let mut config = self.config.clone();
-            config.seed = meta.seed;
-            let mut dict: DynDict<u64, u64> = DictBuilder::from_config(config).build();
-            dict.bulk_load(records, meta.seed);
-            let rebuilt = dict
-                .occupancy_words()
-                // hi-lint: allow(panic-surface): backends without a slot-array image were rejected with InvalidInput above
-                .expect("slot-array backend exposes occupancy");
-            // hi-lint: allow(panic-surface): backends without a slot-array image were rejected with InvalidInput above
-            let fp = layout_fingerprint(rebuilt, dict.slot_count().unwrap() as u64);
-            if fp != meta.fingerprint {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "rebuilt layout does not reproduce the committed fingerprint",
-                ));
-            }
-            (dict, meta.seed)
-        } else {
-            let seed = self.config.seed;
-            (self.build(), seed)
-        };
+        let mut store = BlockStore::open(path, options).map_err(PersistError::from)?;
+        let committed = store.meta();
+        if let Some(meta) = committed {
+            self.config.seed = meta.seed;
+        }
+        let seed = self.config.seed;
+        let mut dict: DynDict<u64, u64> = self.build();
+        if committed.is_some() {
+            reload(&mut store, &mut dict)?;
+        }
         dict.counters().reset();
         Ok(PersistentDict {
             dict,
             store,
             seed,
-            canonical,
+            canonical: committed.is_some(),
             scratch: Vec::new(),
         })
     }
+}
+
+/// The one way a committed image becomes an in-RAM dictionary: load the
+/// records, redraw the layout with `bulk_load(records, stored seed)`, and
+/// require the redraw to reproduce the committed fingerprint
+/// ([`verify_layout`]), so that what is served is `f(contents, seed)` and
+/// what is on disk was too. `dict` must be a slot-array backend. Returns
+/// the stored seed.
+fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, PersistError> {
+    let (meta, _words, records) = store.load::<(u64, u64)>()?;
+    dict.bulk_load(records, meta.seed);
+    let words = dict
+        .occupancy_words()
+        // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
+        .expect("slot-array backend exposes occupancy");
+    // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
+    let slots = dict.slot_count().expect("slot-array backend") as u64;
+    verify_layout(words, slots, &meta)?;
+    Ok(meta.seed)
 }
 
 /// The engine behind a [`DynDict`]. One variant per concrete type; the three
@@ -1062,9 +1066,9 @@ impl PersistentDict {
     /// dictionary is rebuilt from the repaired image.
     pub fn repair_from(&mut self, source: &mut PersistentDict) -> Result<u64, PersistError> {
         let repaired = self.store.repair_from(&mut source.store)?;
-        let (meta, _words, records) = self.store.load::<(u64, u64)>()?;
-        self.seed = meta.seed;
-        self.bulk_load(records, meta.seed);
+        self.canonical = false;
+        self.seed = reload(&mut self.store, &mut self.dict)?;
+        self.canonical = true;
         Ok(repaired)
     }
 
@@ -1544,6 +1548,169 @@ mod tests {
 
         std::fs::remove_file(p.store().path()).unwrap();
         let _ = std::fs::remove_file(p.store().journal_path());
+    }
+
+    #[test]
+    fn a_flush_that_keeps_len_writes_no_bitmap_block() {
+        // The redraw's coins are drawn by rank, so the bitmap is a function
+        // of (len, seed): a churn that removes as many keys as it inserts
+        // leaves it — and only it — clean.
+        const B: u64 = 512;
+        let path = block_store::temp_path("dict-balanced");
+        let mut dict = Dict::builder()
+            .backend(Backend::HiPma)
+            .seed(0xBA1A)
+            .build_persistent_with(&path, StoreOptions::new(B as usize).no_sync())
+            .unwrap();
+        for k in 0..2_000u64 {
+            dict.insert(k * 4, k);
+        }
+        dict.flush().unwrap();
+        let words = dict.occupancy_words().unwrap().to_vec();
+        let image_blocks = std::fs::metadata(&path).unwrap().len() / B;
+
+        // Every fourth key moves up by one: same ranks, same len, and a
+        // changed record in each of the 63 record blocks (32 to a block).
+        for k in (0..2_000u64).step_by(4) {
+            dict.remove(&(k * 4));
+            dict.insert(k * 4 + 1, k);
+        }
+        let before = dict.store().stats();
+        dict.flush().unwrap();
+        let after = dict.store().stats();
+        assert_eq!(dict.occupancy_words().unwrap(), &words[..]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len() / B, image_blocks);
+
+        let bitmap = (words.len() as u64 * 8).div_ceil(B);
+        let records = (2_000u64 * 16).div_ceil(B);
+        let checksums = ((bitmap + records) * 8).div_ceil(B);
+        assert_eq!(image_blocks, 1 + checksums + bitmap + records);
+        // Header, checksum region and records go to the data file; the
+        // journal holds their ids and images, its header, and the zero
+        // block that retires it.
+        let dirty = 1 + checksums + records;
+        assert_eq!(
+            after.data.blocks_written - before.data.blocks_written,
+            dirty
+        );
+        assert_eq!(
+            after.blocks_written() - before.blocks_written(),
+            2 * dirty + (dirty * 8).div_ceil(B) + 2
+        );
+
+        // Nothing changed: nothing is written.
+        dict.flush().unwrap();
+        assert_eq!(dict.store().stats(), after);
+        std::fs::remove_file(dict.store().path()).unwrap();
+        std::fs::remove_file(dict.store().journal_path()).unwrap();
+    }
+
+    /// Rewrites one header field of the store file at `path` and re-signs
+    /// the header, as a writer that knows the format would.
+    fn resign_header(path: &std::path::Path, field: usize, value: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[field * 8..][..8].copy_from_slice(&value.to_le_bytes());
+        let sum = bytes[..80].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes[80..88].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// A flushed 500-key store; returns its path and committed fingerprint.
+    fn flushed_store(tag: &str, backend: Backend) -> (PersistentDict, std::path::PathBuf, u64) {
+        let path = block_store::temp_path(tag);
+        let mut dict = Dict::builder()
+            .backend(backend)
+            .seed(7)
+            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+            .unwrap();
+        dict.bulk_load((0..500u64).map(|k| (k * 3, k)), 7);
+        dict.flush().unwrap();
+        let fingerprint = dict.store().meta().unwrap().fingerprint;
+        (dict, path, fingerprint)
+    }
+
+    /// What reopening `path` fails with, typed, through the `io::Result`
+    /// surface.
+    fn reopen_error(path: &std::path::Path) -> (io::ErrorKind, PersistError) {
+        let err = Dict::builder()
+            .backend(Backend::HiPma)
+            .build_persistent_with(path, StoreOptions::new(512).no_sync())
+            .map(|_| ())
+            .unwrap_err();
+        let kind = err.kind();
+        let typed = err.into_inner().unwrap().downcast::<PersistError>();
+        (kind, *typed.expect("reopen errors carry a PersistError"))
+    }
+
+    #[test]
+    fn reopen_refuses_an_image_that_does_not_reproduce_typed() {
+        let (dict, path, committed) = flushed_store("dict-mismatch", Backend::HiPma);
+        drop(dict);
+        // An intact image whose seed is not the one its layout was drawn
+        // with: every checksum holds, the redraw comes out different.
+        resign_header(&path, 6, 8);
+        match reopen_error(&path) {
+            (
+                io::ErrorKind::InvalidData,
+                PersistError::FingerprintMismatch {
+                    committed: c,
+                    rebuilt,
+                },
+            ) => assert!(c == committed && rebuilt != committed),
+            other => panic!("expected a fingerprint mismatch, got {other:?}"),
+        }
+        // The fingerprint word itself never gets that far: the store checks
+        // it against the bitmap beside it, and calls the difference rot.
+        resign_header(&path, 6, 7);
+        resign_header(&path, 8, committed ^ 1);
+        assert!(matches!(
+            reopen_error(&path),
+            (io::ErrorKind::InvalidData, PersistError::Corrupt { .. })
+        ));
+        // And an intact header of the previous format is refused by name.
+        resign_header(&path, 8, committed);
+        resign_header(&path, 1, 3);
+        assert!(matches!(
+            reopen_error(&path),
+            (
+                io::ErrorKind::Unsupported,
+                PersistError::UnsupportedVersion {
+                    found: 3,
+                    supported: 4
+                }
+            )
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn repair_from_refuses_an_image_that_does_not_reproduce_typed() {
+        // A replica with the same contents and seed under the *other* slot
+        // engine: a clean source, block for block, whose layout this
+        // dictionary's engine does not draw.
+        let (mut target, path, _) = flushed_store("dict-repair-hi", Backend::HiPma);
+        let (mut source, source_path, committed) =
+            flushed_store("dict-repair-classic", Backend::ClassicPma);
+        match target.repair_from(&mut source) {
+            Err(PersistError::FingerprintMismatch {
+                committed: c,
+                rebuilt,
+            }) => assert!(c == committed && rebuilt != committed),
+            other => panic!("expected a fingerprint mismatch, got {other:?}"),
+        }
+        // The next flush redraws: the file is this engine's image again.
+        target.flush().unwrap();
+        drop(target);
+        let reopened = Dict::builder()
+            .backend(Backend::HiPma)
+            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+            .unwrap();
+        assert_eq!(reopened.to_sorted_vec(), source.to_sorted_vec());
+        for p in [path, source_path] {
+            std::fs::remove_file(&p).unwrap();
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   operation history onto the platter.
 //!
 //! Each kill point is a full trial: build, flush, mutate, arm the plan,
-//! crash mid-flush, reopen, audit. Several deterministic op scripts keep
+//! crash mid-flush, reopen, audit. Several deterministic op scripts, long
+//! enough that a flush of their packed records is some forty writes, keep
 //! the total above 100 kill points and make both outcomes (rollback and
 //! replay) occur.
 
@@ -35,7 +36,7 @@ fn lcg(state: &mut u64) -> u64 {
 /// Phase 1: a deterministic base load. Mirrored into `oracle`.
 fn phase1(dict: &mut PersistentDict, oracle: &mut BTreeMap<u64, u64>, script: u64) {
     let mut state = script.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    for i in 0..300u64 {
+    for i in 0..500u64 {
         let k = lcg(&mut state) % 10_000;
         dict.insert(k, i);
         oracle.insert(k, i);
@@ -46,7 +47,7 @@ fn phase1(dict: &mut PersistentDict, oracle: &mut BTreeMap<u64, u64>, script: u6
 /// two flushed images genuinely differ). Mirrored into `oracle`.
 fn phase2(dict: &mut PersistentDict, oracle: &mut BTreeMap<u64, u64>, script: u64) {
     let mut state = script.wrapping_mul(0xD1B54A32D192ED03) | 1;
-    for i in 0..200u64 {
+    for i in 0..300u64 {
         let k = lcg(&mut state) % 10_000;
         if i % 3 == 0 {
             dict.remove(&k);

@@ -145,9 +145,9 @@ fn skiplist_layout_differs_across_seeds() {
 // were re-pinned once, when the layout *function* changed: the range tree
 // now ends `LEAF_SCALE_LOG2` = 3 levels early over leaves eight times as
 // wide (same slot array, same coin rules, fewer coins drawn), which is also
-// format version 3 at rest. They pin this engine, and any future one, to
-// bit-identical layouts across both the incremental and bulk_load build
-// paths.
+// what made format version 3 at rest. They pin this engine, and any future
+// one, to bit-identical layouts across both the incremental and bulk_load
+// build paths.
 // ---------------------------------------------------------------------
 
 /// FNV-1a over the occupancy bits plus trailing layout parameters.
@@ -606,20 +606,22 @@ fn dyn_dict_bulk_load_is_deterministic_per_backend() {
 // fails the on-disk format has changed: bump `VERSION`, write the migration
 // note, and only then re-pin.
 //
-// Version 3 was pinned by that rule. The byte format is version 2's; what
-// moved is the image's content — the header's version word, and the bitmap
-// (so every slot's position, the fingerprint and the checksum chain) that
-// the HI-PMA's shorter range tree draws for the same (contents, seed).
-// DESIGN.md "Format version 3" has the migration note. Version 2 read
-// 0x8594_0F21_A63E_FC4B / 0x346F_EA61_0B3C_A354 / 0x0CB1_18E6_7E73_396F.
+// Version 4 was pinned by that rule: the slot region became the record
+// region (the `len` records packed in rank order; a vacant slot is a bit of
+// the bitmap and nothing else), so the file's length moved with its bytes —
+// pinned below in closed form beside the hashes. DESIGN.md "Format version
+// 4" has the migration note. Version 3 read 0xB165_F668_CA75_B3D0 /
+// 0xA152_E352_86D2_4121 / 0x1310_BE01_E471_F7AA; version 2, under the
+// HI-PMA's taller range tree, 0x8594_0F21_A63E_FC4B / 0x346F_EA61_0B3C_A354
+// / 0x0CB1_18E6_7E73_396F.
 // ---------------------------------------------------------------------
 
 #[test]
 fn committed_data_file_bytes_are_pinned() {
     const GOLDEN: [(usize, u64); 3] = [
-        (128, 0xB165_F668_CA75_B3D0),
-        (512, 0xA152_E352_86D2_4121),
-        (4096, 0x1310_BE01_E471_F7AA),
+        (128, 0xCDB5_61EB_744B_C00C),
+        (512, 0x74E5_ABF6_54AF_7BA6),
+        (4096, 0x498B_7417_98C6_5FDB),
     ];
     let contents: Vec<(u64, u64)> = (0..6_000u64)
         .filter(|k| k % 5 != 3)
@@ -631,7 +633,8 @@ fn committed_data_file_bytes_are_pinned() {
         // Two routes to the same contents: an incremental history that
         // flush() has to redraw, and a bulk_load with the store's own seed
         // that flush() may trust. One image.
-        let image = |tag: &str, bulk: bool| {
+        let mut bitmap_words = 0;
+        let mut image = |tag: &str, bulk: bool| {
             let path = block_store::temp_path(&format!("golden-{tag}-{block_size}"));
             let mut d = Dict::builder()
                 .backend(Backend::HiPma)
@@ -649,6 +652,7 @@ fn committed_data_file_bytes_are_pinned() {
                 }
             }
             d.flush().unwrap();
+            bitmap_words = d.occupancy_words().unwrap().len() as u64;
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(d.store().path()).unwrap();
             std::fs::remove_file(d.store().journal_path()).unwrap();
@@ -656,13 +660,23 @@ fn committed_data_file_bytes_are_pinned() {
         };
         let incremental = image("incr", false);
         assert_eq!(incremental, image("bulk", true), "block size {block_size}");
+        // Header, checksum region, bitmap, and sixteen bytes a record.
+        let b = block_size as u64;
+        let bitmap = (bitmap_words * 8).div_ceil(b);
+        let records = (sorted.len() as u64 * 16).div_ceil(b);
+        let checksums = ((bitmap + records) * 8).div_ceil(b);
+        assert_eq!(
+            incremental.len() as u64,
+            (1 + checksums + bitmap + records) * b,
+            "block size {block_size}"
+        );
         let got = incremental.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!(
             got, want,
             "block size {block_size}: the committed data file's bytes moved \
-             (got {got:#018X}) — format version 3 is pinned; see the comment above"
+             (got {got:#018X}) — format version 4 is pinned; see the comment above"
         );
     }
 }

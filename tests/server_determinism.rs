@@ -203,29 +203,32 @@ fn reference_image(name: &str, contents: &BTreeMap<u64, u64>) -> Vec<u8> {
 
 #[test]
 fn concurrent_multi_client_run_flushes_the_single_threaded_image() {
-    // Concurrent run: four pipelined clients race their scripts, then one
-    // more asks the server to flush.
-    let served = serve_and_flush("server-det-served", config(), |addr| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| std::thread::spawn(move || run_script(addr, c)))
-            .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
-    });
-
     let expected = oracle();
     assert!(expected.len() > 100, "scripts left too little behind");
-    assert_eq!(
-        served.image,
-        reference_image("server-det-reference", &expected),
-        "the concurrent run's flushed image differs from the \
-         single-threaded rebuild: the pipeline leaked history into layout"
-    );
-
-    // And the recovered contents are exactly the oracle.
+    let reference = reference_image("server-det-reference", &expected);
     let want: Vec<(u64, u64)> = expected.iter().map(|(&k, &v)| (k, v)).collect();
-    assert_eq!(served.contents, want);
+
+    // Concurrent run: four pipelined clients race their scripts, then one
+    // more asks the server to flush — which streams the merge of however
+    // many shards there are (one: no merge at all) into the redraw.
+    for shards in [1, 4, 8] {
+        let config = DictConfig { shards, ..config() };
+        let served = serve_and_flush(&format!("server-det-served-{shards}"), config, |addr| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|c| std::thread::spawn(move || run_script(addr, c)))
+                .collect();
+            for h in handles {
+                h.join().expect("client thread");
+            }
+        });
+        assert_eq!(
+            served.image, reference,
+            "{shards} shards: the concurrent run's flushed image differs from \
+             the single-threaded rebuild: the pipeline leaked history into layout"
+        );
+        // And the recovered contents are exactly the oracle.
+        assert_eq!(served.contents, want, "{shards} shards");
+    }
 }
 
 /// One connection's 4096 writes: puts and deletes over 1500 keys.
