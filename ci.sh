@@ -89,15 +89,6 @@ cargo run --release --quiet --bin json_check \
     target/ci_netfault_rows.json \
     BENCH_baseline.json
 
-echo "==> run the sharded HI / stress batteries explicitly"
-cargo test -q --test shard_history_independence --test shard_stress >/dev/null
-
-echo "==> run the crash-recovery battery explicitly (>=100 kill points)"
-cargo test -q --test block_store_crash >/dev/null
-
-echo "==> run the network protocol + determinism batteries explicitly"
-cargo test -q --test server_protocol --test server_determinism >/dev/null
-
 echo "==> run the chaos soak battery (fixed seeds, smoke sweep)"
 CHAOS_SMOKE=1 cargo test -q --test chaos_soak >/dev/null
 

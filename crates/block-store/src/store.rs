@@ -337,21 +337,37 @@ struct Geometry {
 }
 
 impl Geometry {
-    fn new(block_size: u64, record_size: u64, total_slots: u64, len: u64) -> Self {
-        let bitmap_bytes = total_slots.div_ceil(64) * 8;
-        let bitmap_blocks = bitmap_bytes.div_ceil(block_size);
-        let record_blocks = (len * record_size).div_ceil(block_size);
-        Self {
-            block_size,
-            total_slots,
-            checksum_blocks: ((bitmap_blocks + record_blocks) * 8).div_ceil(block_size),
-            bitmap_blocks,
-            record_blocks,
-        }
+    /// Refuses sizes that describe an image whose length does not fit a
+    /// `u64`: header fields arrive here before anything else has vetted them.
+    fn new(
+        block_size: u64,
+        record_size: u64,
+        total_slots: u64,
+        len: u64,
+    ) -> Result<Self, FileError> {
+        let checked = || {
+            let bitmap_bytes = total_slots.div_ceil(64).checked_mul(8)?;
+            let bitmap_blocks = bitmap_bytes.div_ceil(block_size);
+            let record_blocks = len.checked_mul(record_size)?.div_ceil(block_size);
+            let payload_bytes = bitmap_blocks.checked_add(record_blocks)?.checked_mul(8)?;
+            let geo = Self {
+                block_size,
+                total_slots,
+                checksum_blocks: payload_bytes.div_ceil(block_size),
+                bitmap_blocks,
+                record_blocks,
+            };
+            // `file_len`, checked once here so the accessors can stay plain.
+            geo.payload_first()
+                .checked_add(geo.payload_blocks())?
+                .checked_mul(block_size)?;
+            Some(geo)
+        };
+        checked().ok_or_else(|| corrupt(0, "image geometry overflows a 64-bit file length"))
     }
 
     /// The geometry a committed header describes.
-    fn of(block_size: u64, meta: &StoreMeta) -> Self {
+    fn of(block_size: u64, meta: &StoreMeta) -> Result<Self, FileError> {
         Self::new(block_size, meta.record_size, meta.total_slots, meta.len)
     }
 
@@ -652,9 +668,11 @@ impl BlockStore {
         self.journal.set_tracer(tracer);
     }
 
-    /// `true` once an injected crash or I/O error has fired mid-commit; the
-    /// store must be reopened (which replays or discards the journal) or
-    /// repaired from a replica.
+    /// `true` once an injected crash or I/O error has fired mid-commit —
+    /// after the commit's first write; an argument the commit refuses before
+    /// that leaves both files and this flag as they were. A poisoned store
+    /// must be reopened (which replays or discards the journal) or repaired
+    /// from a replica.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -664,7 +682,10 @@ impl BlockStore {
     /// `records` (one per set bit, in slot order), plus the metadata that
     /// makes the image self-describing. Only blocks that differ from the
     /// committed image are written (via the journal). Returns the committed
-    /// generation; a contents-and-metadata no-op writes nothing.
+    /// generation; a contents-and-metadata no-op writes nothing, and neither
+    /// does a refusal: `words` whose popcount is not `len`, or `records`
+    /// that yields fewer or more than `len`, is a typed error from the
+    /// staging phase, after which the store is as it was.
     ///
     /// Steady-state commits are allocation-free: all staging buffers are
     /// reused and were sized by the first (full) commit.
@@ -679,26 +700,11 @@ impl BlockStore {
         if self.poisoned {
             return Err(FileError::Poisoned);
         }
-        let result = self.commit_inner(words, total_slots, len, records.into_iter(), seed);
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
-    }
-
-    fn commit_inner<T: Record>(
-        &mut self,
-        words: &[u64],
-        total_slots: u64,
-        len: u64,
-        records: impl Iterator<Item = T>,
-        seed: u64,
-    ) -> Result<u64, FileError> {
         let bs = self.opts.block_size;
         let b = bs as u64;
         assert!(T::SIZE > 0 && T::SIZE <= T::MAX_SIZE, "record size invalid");
         assert!(T::SIZE <= bs, "record must fit in one block");
-        let geo = Geometry::new(b, T::SIZE as u64, total_slots, len);
+        let geo = Geometry::new(b, T::SIZE as u64, total_slots, len)?;
         assert_eq!(
             words.len() as u64,
             geo.bitmap_words(),
@@ -726,7 +732,7 @@ impl BlockStore {
         let first = geo.payload_first() as usize;
         let record_first = geo.record_first() as usize;
         let mut staged = 0usize;
-        let mut encoder = RecordEncoder::new(records, len);
+        let mut encoder = RecordEncoder::new(records.into_iter(), len);
         let mut block = first;
         while block < data_blocks {
             let n = GROUP_BLOCKS.min(data_blocks - block);
@@ -781,7 +787,11 @@ impl BlockStore {
         }
 
         // Phase 2: journal payload, sync, journal header, sync (the commit
-        // point is the single-block header write).
+        // point is the single-block header write). Up to here nothing has
+        // been written and a refusal costs nothing; from here until the
+        // journal is retired an error leaves the files mid-protocol and the
+        // handle poisoned.
+        self.poisoned = true;
         let count = self.ids.len() as u64;
         let ids_blocks = (count * 8).div_ceil(b);
         let ids_area_len = (ids_blocks * b) as usize;
@@ -837,6 +847,7 @@ impl BlockStore {
         // finds capacity and steady-state flushes stay allocation-free.
         self.scratch_hashes.resize(data_blocks, 0);
         self.meta = Some(meta);
+        self.poisoned = false;
         Ok(meta.generation)
     }
 
@@ -884,7 +895,7 @@ impl BlockStore {
         }
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::of(b, &meta);
+        let geo = Geometry::of(b, &meta)?;
         let first = geo.payload_first() as usize;
         let mut hashes = vec![0u64; geo.data_blocks() as usize];
 
@@ -971,7 +982,7 @@ impl BlockStore {
         };
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::of(b, &meta);
+        let geo = Geometry::of(b, &meta)?;
         let first = geo.payload_first();
         let mut report = ScrubReport {
             blocks_checked: geo.data_blocks(),
@@ -1065,7 +1076,7 @@ impl BlockStore {
             .ok_or_else(|| corrupt(0, "repair source holds no committed image"))?;
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let geo = Geometry::of(b, &smeta);
+        let geo = Geometry::of(b, &smeta)?;
         self.data.set_len(geo.file_len())?;
         let mut mine = vec![0u8; bs];
         let mut repaired = 0u64;
@@ -1126,7 +1137,7 @@ impl BlockStore {
         let buf = self.block_buf.get_mut(bs);
         self.data.read_blocks(0, buf)?;
         let meta = decode_header(buf, bs as u64)?;
-        if len != Geometry::of(bs as u64, &meta).file_len() {
+        if len != Geometry::of(bs as u64, &meta)?.file_len() {
             return Err(corrupt(
                 0,
                 "data file length disagrees with header geometry",
@@ -1473,17 +1484,51 @@ mod tests {
     }
 
     #[test]
-    fn a_short_or_long_record_iterator_is_refused() {
-        let path = temp_path("store-iterlen");
+    fn a_refused_commit_writes_nothing_and_does_not_poison() {
+        // Short iterator, long iterator, popcount != len: each is refused
+        // while staging, on a fresh store and over a committed image alike.
+        let path = temp_path("store-refused");
         let words = words_for(64, &[1, 2, 3]);
-        for records in [vec![1u64, 2], vec![1, 2, 3, 4]] {
-            let mut store = BlockStore::open(&path, opts()).unwrap();
-            let err = store.commit(&words, 64, 3, records, 0).unwrap_err();
-            assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
-            assert!(store.is_poisoned());
-            assert!(std::fs::read(&path).unwrap().is_empty());
+        let mut store = BlockStore::open(&path, opts()).unwrap();
+        for round in 0..2 {
+            let before = store.raw_bytes().unwrap();
+            for (len, records) in [(3, vec![1u64, 2]), (3, vec![1, 2, 3, 4]), (2, vec![1, 2])] {
+                let err = store.commit(&words, 64, len, records, 0).unwrap_err();
+                assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
+                assert!(!store.is_poisoned());
+                assert_eq!(store.raw_bytes().unwrap(), before);
+            }
+            let generation = store.commit(&words, 64, 3, [1u64, 2, 3 + round], 0);
+            assert_eq!(generation.unwrap(), round + 1);
         }
         cleanup(&path);
+    }
+
+    #[test]
+    fn open_refuses_header_sizes_that_overflow_the_geometry() {
+        // `len · record_size` wraps for the first value; for the second it
+        // fits and the file length built on it does not.
+        for (tag, len) in [
+            ("store-len-mul", u64::MAX / 2),
+            ("store-len-file", u64::MAX / 8),
+        ] {
+            let path = temp_path(tag);
+            {
+                let mut store = BlockStore::open(&path, opts()).unwrap();
+                store
+                    .commit(&words_for(64, &[0]), 64, 1, [7u64], 0)
+                    .unwrap();
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            put_u64(&mut bytes, 5, len);
+            let sum = fnv1a(FNV_OFFSET, &bytes[..(HEADER_FIELDS - 1) * 8]);
+            put_u64(&mut bytes, HEADER_FIELDS - 1, sum);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = BlockStore::open(&path, opts()).unwrap_err();
+            assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+            cleanup(&path);
+        }
     }
 
     #[test]
@@ -1842,7 +1887,7 @@ mod tests {
             let recs: Vec<(u64, u64)> = set.iter().map(|&s| (s, s ^ n)).collect();
             (words_for(total, &set), recs)
         };
-        let file_len = |n: u64| Geometry::new(B as u64, 16, total, n).file_len();
+        let file_len = |n: u64| Geometry::new(B as u64, 16, total, n).unwrap().file_len();
         assert!(file_len(200) - file_len(40) >= 20 * B as u64);
         let commit = |store: &mut BlockStore, (words, recs): &(Vec<u64>, Vec<(u64, u64)>)| {
             store.commit(words, total, recs.len() as u64, recs.iter().copied(), 3)
@@ -1919,7 +1964,7 @@ mod tests {
 
         // Steady state: every record changes, the occupancy does not, so
         // every block but the bitmap's is rewritten.
-        let geo = Geometry::new(BS as u64, 16, total, len);
+        let geo = Geometry::new(BS as u64, 16, total, len).unwrap();
         store.commit(&words, total, len, records(2), 8).unwrap();
         let steady = store.stats();
         assert_eq!(
@@ -1949,15 +1994,6 @@ mod tests {
         store.commit(&words, 64, 1, [7u64], 0).unwrap();
         let err = store.load::<(u64, u64)>().unwrap_err();
         assert!(matches!(err, FileError::Corrupt { block: 0, .. }));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn mismatched_len_is_rejected() {
-        let path = temp_path("store-badlen");
-        let mut store = BlockStore::open(&path, opts()).unwrap();
-        let words = words_for(64, &[0, 1]);
-        assert!(store.commit(&words, 64, 1, [7u64].into_iter(), 0).is_err());
         cleanup(&path);
     }
 

@@ -430,7 +430,9 @@ impl Server {
     }
 
     /// Takes the persistence layer back out of a stopped server — the
-    /// crash batteries reopen the store to assert whole-old/whole-new.
+    /// crash batteries reopen the store to assert whole-old/whole-new. Its
+    /// store holds the last `FLUSH`; its in-RAM dictionary is whatever it
+    /// was at spawn (the server never served from it).
     pub fn into_persist(mut self) -> Option<PersistentDict> {
         self.shutdown();
         locked(&self.shared.persist).take()
@@ -1091,10 +1093,10 @@ fn barrier_response(shared: &Shared, dict: &mut ServedDict, req: Request) -> Res
     }
 }
 
-/// Canonicalizes the served contents into the persistent store. Refuses
-/// typed while any shard is quarantined: the quarantined shard's entries
-/// are unreadable, and flushing without them would persist a silently
-/// partial image.
+/// Commits the canonical image of the served contents to the persistent
+/// store. Refuses typed while any shard is quarantined: the quarantined
+/// shard's entries are unreadable, and flushing without them would persist
+/// a silently partial image.
 fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
     if let Some(err) = dict.health().into_iter().flatten().next() {
         return degraded(err);
@@ -1103,11 +1105,8 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
     let Some(p) = guard.as_mut() else {
         return Response::Unavailable("no persistent store configured (--persist)".into());
     };
-    // The shard merge streams into the redraw: the only copy of the
-    // contents made here is the one `bulk_load` builds its layout from.
-    let seed = p.seed();
-    p.bulk_load(dict.iter().map(|(k, v)| (*k, *v)), seed);
-    match p.flush() {
+    // The shard merge is consumed once, by the store's record encoder.
+    match p.flush_from(dict) {
         Ok(generation) => Response::Generation(generation),
         Err(e) => Response::Unavailable(format!("flush failed: {e}")),
     }

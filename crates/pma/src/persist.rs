@@ -1,36 +1,31 @@
 //! Persisting PMAs: mapping a slot array onto a [`block_store::BlockStore`]
 //! image and rebuilding it on open.
 //!
-//! Any sequence that exposes its occupancy bitmap ([`Occupancy`]) and its
-//! elements in rank order ([`RankedSequence`]) serializes with no extra
-//! framing: the image is the bitmap plus a record region of the elements
-//! packed in rank order, and its k-th set bit owns the k-th element. Two
-//! flush flavors exist because the paper's at-rest guarantee and the repo's
-//! steady-state allocation guarantee pull in different directions:
+//! The image is an occupancy bitmap plus a record region of the elements
+//! packed in rank order, with no extra framing: the k-th set bit owns the
+//! k-th element. The paper's at-rest guarantee asks for the image to be the
+//! pure function `f(contents, seed)` — the layout `bulk_load(contents, seed)`
+//! draws — and that layout's coins go *by rank*: the capacity is drawn from
+//! the length, each balance from a window whose bounds are counts. So the
+//! bitmap is a function of *(len, seed)* alone ([`CanonicalOccupancy`]), and
+//! writing the canonical image never needs the canonical structure:
+//! [`flush_canonical`] computes the bitmap from the coins and streams the
+//! sequence's elements, in the order they already stand in, behind it.
+//! Nothing about the operation history survives on disk, and the in-RAM
+//! layout is not touched.
 //!
-//! * [`flush_canonical`] first re-draws the layout from *(contents, seed)*
-//!   via [`RankedSequence::bulk_load`], so the committed image is the pure
-//!   function `f(contents, seed)` — nothing about the operation history
-//!   survives on disk. This is what the facade's `PersistentDict::flush`
-//!   does, and what makes [`open_hi_pma`]'s fingerprint verification sound.
-//! * [`flush_layout`] writes the current in-RAM layout as-is: allocation-free
-//!   in the steady state (the store reuses its page-aligned staging
-//!   buffers), weakly history independent at rest — the image is *a* sample
-//!   of the layout distribution, not the canonical one.
-//!
-//! Opening always rebuilds with `bulk_load(records, stored_seed)`, so a
-//! reopened structure is `f(contents, seed)` regardless of how the previous
-//! process built it.
+//! Opening is the other half of the contract and does redraw: load the
+//! records, `bulk_load(records, stored_seed)`, and require the result to
+//! reproduce the committed fingerprint ([`verify_layout`]). A reopened
+//! structure is `f(contents, seed)` regardless of how the previous process
+//! built it, and an image that is not is refused by name.
 
 use block_store::{layout_fingerprint, BlockStore, FileError, Record, StoreMeta};
-use hi_common::counters::SharedCounters;
-use hi_common::rng::RngSource;
 use hi_common::traits::{Occupancy, RankedSequence};
-use io_sim::Tracer;
 use std::fmt;
 use std::io;
 
-use crate::{ClassicPma, DensityBands, HiPma};
+use crate::{ClassicPma, HiPma};
 
 /// A typed error from persisting or reopening a PMA.
 ///
@@ -43,8 +38,9 @@ use crate::{ClassicPma, DensityBands, HiPma};
 /// retry budget, [`PersistError::NoSpace`] for a full disk,
 /// [`PersistError::UnsupportedVersion`] for an intact file of another
 /// format version, [`PersistError::FingerprintMismatch`] for an image that
-/// does not reproduce under `(contents, seed)` — instead of grepping
-/// message text.
+/// does not reproduce under `(contents, seed)`,
+/// [`PersistError::SourceOutOfOrder`] for a flush source that broke its
+/// ordering contract — instead of grepping message text.
 #[derive(Debug)]
 pub enum PersistError {
     /// The underlying block store failed (I/O, injected crash, poisoned
@@ -81,6 +77,15 @@ pub enum PersistError {
         /// Fingerprint of the layout rebuilt by `bulk_load`.
         rebuilt: u64,
     },
+    /// The dictionary handed to a flush did not yield its keys strictly
+    /// ascending. Nothing was written: records out of order would reopen
+    /// cleanly once the loader sorts them, and the bytes would no longer be
+    /// `f(contents, seed)`.
+    SourceOutOfOrder {
+        /// Rank of the first record whose key does not exceed the one
+        /// before it.
+        rank: u64,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -107,6 +112,10 @@ impl fmt::Display for PersistError {
                 "rebuilt layout does not reproduce the committed fingerprint \
                  (committed {committed:#018x}, rebuilt {rebuilt:#018x}; \
                  was the image flushed non-canonically?)"
+            ),
+            PersistError::SourceOutOfOrder { rank } => write!(
+                f,
+                "flush source is not strictly ascending by key at rank {rank}"
             ),
         }
     }
@@ -149,43 +158,60 @@ impl From<PersistError> for io::Error {
                 io::ErrorKind::InvalidData
             }
             PersistError::UnsupportedVersion { .. } => io::ErrorKind::Unsupported,
+            PersistError::SourceOutOfOrder { .. } => io::ErrorKind::InvalidInput,
             PersistError::Transient { .. } | PersistError::NoSpace => io::ErrorKind::Other,
         };
         io::Error::new(kind, e)
     }
 }
 
-/// Commits the sequence's current in-RAM layout. Steady-state calls are
-/// allocation-free; the image is weakly history independent (see module
-/// docs). Returns the committed generation.
-pub fn flush_layout<S, T>(seq: &S, seed: u64, store: &mut BlockStore) -> Result<u64, PersistError>
-where
-    S: Occupancy + RankedSequence<Item = T>,
-    T: Record + Clone,
-{
-    Ok(store.commit(
-        seq.occupancy_words(),
-        seq.slot_count() as u64,
-        seq.len() as u64,
-        seq.iter().cloned(),
-        seed,
-    )?)
+/// Slot-array structures whose `bulk_load` layout has an occupancy that is
+/// a function of *(len, seed)* alone.
+pub trait CanonicalOccupancy {
+    /// `(slot_count, occupancy_words)` of `bulk_load(items, seed)` for any
+    /// `len` items, computed without them.
+    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>);
 }
 
-/// Re-draws the layout from *(contents, seed)* and commits it: the on-disk
-/// image becomes the pure function `f(contents, seed)`.
+/// Runs the structure's own planner over `len` unit elements: it only ever
+/// asks how many elements a range holds, so it draws the coin sequence it
+/// draws for real ones, and moving a `()` costs nothing.
+fn unit_occupancy<S>(mut unit: S, len: usize, seed: u64) -> (u64, Vec<u64>)
+where
+    S: Occupancy + RankedSequence<Item = ()>,
+{
+    unit.bulk_load(std::iter::repeat_n((), len), seed);
+    (unit.slot_count() as u64, unit.occupancy_words().to_vec())
+}
+
+impl<T: Clone> CanonicalOccupancy for HiPma<T> {
+    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>) {
+        unit_occupancy(HiPma::<()>::new(seed), len, seed)
+    }
+}
+
+impl<T: Clone> CanonicalOccupancy for ClassicPma<T> {
+    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>) {
+        unit_occupancy(ClassicPma::<()>::new(), len, seed)
+    }
+}
+
+/// Commits the canonical image of the sequence's contents — the bytes
+/// `bulk_load(contents, seed)` would flush — leaving the sequence as it is:
+/// the occupancy comes from *(len, seed)*, the records from one pass over
+/// `seq`. Returns the committed generation.
 pub fn flush_canonical<S, T>(
-    seq: &mut S,
+    seq: &S,
     seed: u64,
     store: &mut BlockStore,
 ) -> Result<u64, PersistError>
 where
-    S: Occupancy + RankedSequence<Item = T>,
+    S: CanonicalOccupancy + RankedSequence<Item = T>,
     T: Record + Clone,
 {
-    let items: Vec<T> = seq.iter().cloned().collect();
-    seq.bulk_load(items, seed);
-    flush_layout(seq, seed, store)
+    let len = seq.len();
+    let (slots, words) = S::canonical_occupancy(len, seed);
+    Ok(store.commit(&words, slots, len as u64, seq.iter().cloned(), seed)?)
 }
 
 /// Checks that a rebuilt layout — its occupancy words and slot count —
@@ -207,43 +233,6 @@ pub fn verify_layout(
     }
 }
 
-/// Rebuilds a [`HiPma`] from a canonical committed image: loads the
-/// records, bulk-loads them with the stored seed, and verifies the rebuilt
-/// layout reproduces the committed fingerprint.
-pub fn open_hi_pma<T>(
-    store: &mut BlockStore,
-    counters: SharedCounters,
-    tracer: Tracer,
-    elem_size: u64,
-) -> Result<(HiPma<T>, StoreMeta), PersistError>
-where
-    T: Record + Clone,
-{
-    let (meta, _words, records) = store.load::<T>()?;
-    let mut pma = HiPma::with_parts(RngSource::from_seed(meta.seed), counters, tracer, elem_size);
-    pma.bulk_load(records, meta.seed);
-    verify_layout(pma.occupancy_words(), pma.slot_count() as u64, &meta)?;
-    Ok((pma, meta))
-}
-
-/// Rebuilds a [`ClassicPma`] from a canonical committed image (the
-/// baseline's bulk load is deterministic in *(contents, seed)* too).
-pub fn open_classic_pma<T>(
-    store: &mut BlockStore,
-    counters: SharedCounters,
-    tracer: Tracer,
-    elem_size: u64,
-) -> Result<(ClassicPma<T>, StoreMeta), PersistError>
-where
-    T: Record + Clone,
-{
-    let (meta, _words, records) = store.load::<T>()?;
-    let mut pma = ClassicPma::with_parts(DensityBands::standard(), counters, tracer, elem_size);
-    pma.bulk_load(records, meta.seed);
-    verify_layout(pma.occupancy_words(), pma.slot_count() as u64, &meta)?;
-    Ok((pma, meta))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,13 +245,19 @@ mod tests {
         let _ = std::fs::remove_file(journal);
     }
 
-    fn hi_pma(seed: u64) -> HiPma<u64> {
-        HiPma::with_parts(
-            RngSource::from_seed(seed),
-            SharedCounters::new(),
-            Tracer::disabled(),
-            8,
-        )
+    /// Reopens `path` the way every reader does: load, redraw with the
+    /// stored seed, require the committed fingerprint. Returns the redrawn
+    /// structure beside the committed words.
+    fn reopen<S, T>(path: &std::path::Path, mut fresh: S) -> (S, StoreMeta, Vec<u64>)
+    where
+        S: Occupancy + RankedSequence<Item = T>,
+        T: Record + Clone,
+    {
+        let mut store = BlockStore::open(path, StoreOptions::new(512).no_sync()).unwrap();
+        let (meta, words, records) = store.load::<T>().unwrap();
+        fresh.bulk_load(records, meta.seed);
+        verify_layout(fresh.occupancy_words(), fresh.slot_count() as u64, &meta).unwrap();
+        (fresh, meta, words)
     }
 
     #[test]
@@ -271,22 +266,21 @@ mod tests {
         let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
 
         // Build through an arbitrary (history-dependent) insertion order.
-        let mut pma = hi_pma(1);
+        let mut pma: HiPma<u64> = HiPma::new(1);
         for k in (0..2_000u64).rev() {
             let rank = pma.lower_bound_by(|x| x.cmp(&k));
             pma.insert_at(rank, k).unwrap();
         }
-        flush_canonical(&mut pma, 0xA5EED, &mut store).unwrap();
-        let words_at_flush = pma.occupancy_words().to_vec();
+        let words_in_ram = pma.occupancy_words().to_vec();
+        flush_canonical(&pma, 0xA5EED, &mut store).unwrap();
+        assert_eq!(pma.occupancy_words(), &words_in_ram[..], "flush moved RAM");
 
-        let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
-        let (reopened, meta) =
-            open_hi_pma::<u64>(&mut store, SharedCounters::new(), Tracer::disabled(), 8).unwrap();
+        let (reopened, meta, committed) = reopen(&path, HiPma::<u64>::new(2));
         assert_eq!(meta.seed, 0xA5EED);
         assert_eq!(reopened.len(), 2_000);
         assert_eq!(
             reopened.occupancy_words(),
-            &words_at_flush[..],
+            &committed[..],
             "reopen must reproduce the canonical layout bit for bit"
         );
         assert_eq!(
@@ -300,47 +294,49 @@ mod tests {
     fn classic_pma_roundtrips_too() {
         let path = temp_path("persist-classic");
         let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
-        let mut pma: ClassicPma<(u64, u64)> = ClassicPma::with_parts(
-            DensityBands::standard(),
-            SharedCounters::new(),
-            Tracer::disabled(),
-            16,
-        );
+        let mut pma: ClassicPma<(u64, u64)> = ClassicPma::new();
         for k in 0..500u64 {
             let rank = pma.len();
             pma.insert_at(rank, (k, k * k)).unwrap();
         }
-        flush_canonical(&mut pma, 7, &mut store).unwrap();
+        flush_canonical(&pma, 7, &mut store).unwrap();
 
-        let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
-        let (reopened, _) = open_classic_pma::<(u64, u64)>(
-            &mut store,
-            SharedCounters::new(),
-            Tracer::disabled(),
-            16,
-        )
-        .unwrap();
+        let (reopened, _, committed) = reopen(&path, ClassicPma::<(u64, u64)>::new());
+        assert_eq!(reopened.occupancy_words(), &committed[..]);
         assert_eq!(reopened.len(), 500);
         assert_eq!(reopened.get(499), Some((499, 499 * 499)));
         cleanup(&store);
     }
 
-    #[test]
-    fn flush_layout_persists_the_live_image() {
-        // The non-canonical flavor: what is committed is the in-RAM layout
-        // as it stands, verified by reading the raw image back.
-        let path = temp_path("persist-raw");
-        let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
-        let mut pma = hi_pma(3);
-        for k in 0..300u64 {
-            let rank = pma.lower_bound_by(|x| x.cmp(&k));
-            pma.insert_at(rank, k).unwrap();
+    /// `canonical_occupancy(len, seed)` against `bulk_load` of two unrelated
+    /// key sets of that length, around every word boundary and both sides of
+    /// the HI-PMA's range-tree height steps.
+    fn assert_occupancy_is_a_function_of_len_and_seed<S>(fresh: impl Fn(u64) -> S)
+    where
+        S: CanonicalOccupancy + Occupancy + RankedSequence<Item = u64>,
+    {
+        const LENS: [usize; 11] = [0, 1, 2, 63, 64, 65, 1_000, 65_536, 65_537, 140_046, 140_047];
+        for seed in [1u64, 0xA5EED, u64::MAX] {
+            for len in LENS {
+                let (slots, words) = S::canonical_occupancy(len, seed);
+                let mut pma = fresh(seed ^ 0x5A);
+                for keys in [|i: u64| i, |i: u64| i * i + 7] {
+                    pma.bulk_load((0..len as u64).map(keys), seed);
+                    assert_eq!(pma.len(), len);
+                    assert_eq!(slots, pma.slot_count() as u64, "len {len} seed {seed}");
+                    assert!(words == pma.occupancy_words(), "len {len} seed {seed}");
+                }
+            }
         }
-        flush_layout(&pma, 99, &mut store).unwrap();
-        let (meta, words, records) = store.load::<u64>().unwrap();
-        assert_eq!(words, pma.occupancy_words());
-        assert_eq!(records, pma.iter().copied().collect::<Vec<_>>());
-        assert_eq!(meta.len, 300);
-        cleanup(&store);
+    }
+
+    #[test]
+    fn hi_pma_occupancy_is_a_function_of_len_and_seed() {
+        assert_occupancy_is_a_function_of_len_and_seed(HiPma::<u64>::new);
+    }
+
+    #[test]
+    fn classic_pma_occupancy_is_a_function_of_len_and_seed() {
+        assert_occupancy_is_a_function_of_len_and_seed(|_| ClassicPma::<u64>::new());
     }
 }

@@ -52,7 +52,7 @@ use hi_common::counters::{OpCounters, SharedCounters};
 use hi_common::rng::RngSource;
 use hi_common::traits::{Dictionary, Occupancy, RankedDict};
 use io_sim::{IoConfig, IoStats, Tracer};
-use pma::persist::{verify_layout, PersistError};
+use pma::persist::{verify_layout, CanonicalOccupancy, PersistError};
 use pma::{ClassicPma, DensityBands, HiPma};
 use shard::{Instrumented, ShardRouter, ShardedDict, DEFAULT_PARALLEL_THRESHOLD};
 use skiplist::{ExternalSkipList, SkipParams};
@@ -678,16 +678,19 @@ impl DictBuilder {
         self.config
             .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if !matches!(self.config.backend, Backend::HiPma | Backend::ClassicPma) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "backend {} has no slot-array image to persist; \
-                     use hi-pma or classic-pma",
-                    self.config.backend
-                ),
-            ));
-        }
+        let occupancy = match self.config.backend {
+            Backend::HiPma => HiPma::<(u64, u64)>::canonical_occupancy,
+            Backend::ClassicPma => ClassicPma::<(u64, u64)>::canonical_occupancy,
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "backend {other} has no slot-array image to persist; \
+                         use hi-pma or classic-pma"
+                    ),
+                ))
+            }
+        };
         let mut store = BlockStore::open(path, options).map_err(PersistError::from)?;
         let committed = store.meta();
         if let Some(meta) = committed {
@@ -703,8 +706,7 @@ impl DictBuilder {
             dict,
             store,
             seed,
-            canonical: committed.is_some(),
-            scratch: Vec::new(),
+            occupancy,
         })
     }
 }
@@ -726,6 +728,39 @@ fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, P
     let slots = dict.slot_count().expect("slot-array backend") as u64;
     verify_layout(words, slots, &meta)?;
     Ok(meta.seed)
+}
+
+/// The one way contents become a committed image: the occupancy
+/// `bulk_load(contents, seed)` would draw, computed from `(len, seed)`, and
+/// `source`'s pairs streamed behind it. Keys are checked strictly ascending
+/// as they pass: records out of order would reopen cleanly once `bulk_load`
+/// sorts them, and the bytes would no longer be `f(contents, seed)`.
+fn commit_sorted(
+    store: &mut BlockStore,
+    occupancy: fn(usize, u64) -> (u64, Vec<u64>),
+    seed: u64,
+    source: &impl Dictionary<Key = u64, Value = u64>,
+) -> Result<u64, PersistError> {
+    let len = source.len();
+    let (slots, words) = occupancy(len, seed);
+    let len = len as u64;
+    let (mut taken, mut prev, mut disorder) = (0u64, None, None);
+    // Disorder ends the stream: the encoder comes up short and refuses
+    // before anything is written. Past `len` the stream is too long anyway,
+    // which the encoder can only refuse if it sees the record.
+    let ascending = source.iter().map_while(|(&k, &v)| {
+        if disorder.is_none() && prev.is_some_and(|p| p >= k) {
+            disorder = Some(taken);
+        }
+        prev = Some(k);
+        taken += 1;
+        (disorder.is_none() || taken > len).then_some((k, v))
+    });
+    let committed = store.commit(&words, slots, len, ascending, seed);
+    match disorder {
+        Some(rank) => Err(PersistError::SourceOutOfOrder { rank }),
+        None => Ok(committed?),
+    }
 }
 
 /// The engine behind a [`DynDict`]. One variant per concrete type; the three
@@ -955,8 +990,8 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
 
 /// A slot-array dictionary mapped onto a real file: the paper's
 /// anti-persistence guarantee made literal. Every [`Self::flush`]
-/// commits a layout drawn from *(contents, seed)* through the
-/// [`BlockStore`]'s journaled two-phase protocol, so
+/// commits the image of the layout `bulk_load(contents, seed)` draws,
+/// through the [`BlockStore`]'s journaled two-phase protocol, so
 ///
 /// * the bytes on disk after any flush are the pure function
 ///   `f(contents, seed)` — no deleted key, no insertion order, nothing
@@ -964,6 +999,12 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
 /// * a crash at any write leaves the file recoverable to either the
 ///   previous or the new canonical image, never a torn mixture
 ///   (`tests/block_store_crash.rs` kills the process at every write).
+///
+/// That layout is never built on the write side: its bitmap is a function
+/// of *(len, seed)* ([`CanonicalOccupancy`]) and its records are the
+/// contents in key order, so a flush computes the one and streams the other
+/// ([`Self::flush_from`]) and leaves the in-RAM layout as it is. Reopening
+/// does redraw, and must reproduce the committed fingerprint.
 ///
 /// Built by [`DictBuilder::build_persistent`]; between flushes it is an
 /// ordinary in-RAM [`DynDict<u64, u64>`] (this type [`Deref`]s to it).
@@ -993,58 +1034,43 @@ pub struct PersistentDict {
     dict: DynDict<u64, u64>,
     store: BlockStore,
     seed: u64,
-    /// `true` while the in-RAM layout is known to be `f(contents, seed)`:
-    /// set by a redraw with the store's seed, cleared by every path that
-    /// hands out `&mut` to the dictionary.
-    canonical: bool,
-    scratch: Vec<(u64, u64)>,
+    /// The backend's [`CanonicalOccupancy::canonical_occupancy`].
+    occupancy: fn(usize, u64) -> (u64, Vec<u64>),
 }
 
 impl PersistentDict {
-    /// Replaces the contents with `pairs`, drawing the layout from `seed`
-    /// (shadows [`Dictionary::bulk_load`] on the [`Deref`] target). Loading
-    /// with this dictionary's own [`Self::seed`] is exactly the redraw
-    /// [`Self::flush`] would make, so the next flush skips its own — as long
-    /// as nothing borrows the dictionary mutably in between.
-    pub fn bulk_load(&mut self, pairs: impl IntoIterator<Item = (u64, u64)>, seed: u64) {
-        self.dict.bulk_load(pairs, seed);
-        self.canonical = seed == self.seed;
-    }
-
-    /// Canonicalizes the in-RAM layout to `f(contents, seed)` — unless a
-    /// [`Self::bulk_load`] with this seed already did and the dictionary
-    /// has not been touched since — and commits it to the file, streaming
-    /// the records straight out of the dictionary. Returns the committed
-    /// generation.
+    /// Commits the canonical image of this dictionary's contents to the
+    /// file: [`Self::flush_from`] its own in-RAM dictionary, which is read
+    /// and not redrawn. Returns the committed generation.
     ///
-    /// Steady-state flushes reuse this dictionary's scratch vector and the
-    /// store's page-aligned staging buffers, so once those have grown to
-    /// the working-set size a flush performs no heap allocation
-    /// (`tests/alloc_regression.rs` pins this).
+    /// The store's commit reuses its staging buffers and is allocation-free
+    /// in the steady state (`tests/alloc_regression.rs` pins that); the
+    /// occupancy computation allocates a unit-element structure of O(leaf
+    /// count) and frees it before the commit starts.
     ///
     /// Errors are typed ([`PersistError`]): corruption, a transient fault
     /// that outlived the retry budget, and disk-full each get their own
     /// variant, and all of them still fold into [`io::Error`] for callers
     /// on the facade's `io::Result` surface.
     pub fn flush(&mut self) -> Result<u64, PersistError> {
-        if !self.canonical {
-            // Re-draw the canonical layout: after this the image is a pure
-            // function of (contents, seed), independent of operation history.
-            self.scratch.clear();
-            self.scratch.extend(self.dict.iter().map(|(k, v)| (*k, *v)));
-            self.dict.bulk_load(self.scratch.iter().copied(), self.seed);
-            self.canonical = true;
-        }
-        let words = self
-            .dict
-            .occupancy_words()
-            // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
-            .expect("slot-array backend exposes occupancy");
-        // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
-        let slots = self.dict.slot_count().expect("slot-array backend") as u64;
-        let len = self.dict.len() as u64;
-        let records = self.dict.iter().map(|(k, v)| (*k, *v));
-        Ok(self.store.commit(words, slots, len, records, self.seed)?)
+        commit_sorted(&mut self.store, self.occupancy, self.seed, &self.dict)
+    }
+
+    /// Commits the canonical image of `source`'s contents under this
+    /// dictionary's seed — the bytes [`Self::flush`] would write had they
+    /// been loaded here first — in one pass over `source.iter()`, copying
+    /// nothing. The in-RAM dictionary is neither read nor changed.
+    ///
+    /// The source is a [`Dictionary`] for what that contract promises:
+    /// `len()` exact and `iter()` strictly ascending. Both are checked
+    /// before the first byte is written; a source that breaks either is
+    /// refused ([`PersistError::SourceOutOfOrder`], or the store's
+    /// record-count error) with the file and the store as they were.
+    pub fn flush_from(
+        &mut self,
+        source: &impl Dictionary<Key = u64, Value = u64>,
+    ) -> Result<u64, PersistError> {
+        commit_sorted(&mut self.store, self.occupancy, self.seed, source)
     }
 
     /// Sweeps the committed image's integrity chain block by block and
@@ -1066,9 +1092,7 @@ impl PersistentDict {
     /// dictionary is rebuilt from the repaired image.
     pub fn repair_from(&mut self, source: &mut PersistentDict) -> Result<u64, PersistError> {
         let repaired = self.store.repair_from(&mut source.store)?;
-        self.canonical = false;
         self.seed = reload(&mut self.store, &mut self.dict)?;
-        self.canonical = true;
         Ok(repaired)
     }
 
@@ -1076,17 +1100,6 @@ impl PersistentDict {
     /// reopened file, the stored seed — not the builder's).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The in-RAM dictionary (also reachable through [`Deref`]).
-    pub fn dict(&self) -> &DynDict<u64, u64> {
-        &self.dict
-    }
-
-    /// Mutable access to the in-RAM dictionary.
-    pub fn dict_mut(&mut self) -> &mut DynDict<u64, u64> {
-        self.canonical = false;
-        &mut self.dict
     }
 
     /// The backing block store (file paths, I/O statistics).
@@ -1111,9 +1124,6 @@ impl Deref for PersistentDict {
 
 impl DerefMut for PersistentDict {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        // Whatever the caller does through this borrow may move elements
-        // off the canonical draw; the next flush redraws.
-        self.canonical = false;
         &mut self.dict
     }
 }
@@ -1440,10 +1450,14 @@ mod tests {
         }
         let generation = dict.flush().unwrap();
         assert_eq!(generation, 1);
-        let words_at_flush = dict.occupancy_words().unwrap().to_vec();
+        let (_, committed_words, _) = dict.store_mut().load::<(u64, u64)>().unwrap();
+        assert_eq!(
+            committed_words,
+            HiPma::<(u64, u64)>::canonical_occupancy(dict.len(), 0xBEEF).1
+        );
 
         // Reopen with a *different* builder seed: the stored seed must win
-        // and the canonical layout must come back bit for bit.
+        // and the committed layout must come back bit for bit.
         let reopened = Dict::builder()
             .backend(Backend::HiPma)
             .seed(12345)
@@ -1451,7 +1465,7 @@ mod tests {
             .unwrap();
         assert_eq!(reopened.seed(), 0xBEEF);
         assert_eq!(reopened.len(), dict.len());
-        assert_eq!(reopened.occupancy_words().unwrap(), &words_at_flush[..]);
+        assert_eq!(reopened.occupancy_words().unwrap(), &committed_words[..]);
         assert_eq!(reopened.get(&1), Some(7));
         assert_eq!(reopened.get(&3), None);
 
@@ -1506,55 +1520,181 @@ mod tests {
     }
 
     #[test]
-    fn flush_skips_its_redraw_only_while_the_layout_is_known_canonical() {
-        let path = block_store::temp_path("dict-one-redraw");
-        let mut p = Dict::builder()
-            .backend(Backend::HiPma)
-            .seed(5)
-            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
-            .unwrap();
-        // Every bulk_load — a redraw — counts one resize; nothing else here does.
-        let redraws = |p: &PersistentDict| p.counters().snapshot().resizes;
-        let image = |p: &PersistentDict| p.store().raw_bytes().unwrap().0;
+    fn flush_never_touches_the_in_ram_layout() {
         let contents: Vec<(u64, u64)> = (0..800u64).map(|k| (k * 3, k)).collect();
-
-        // Loaded with the store's own seed: that was the redraw.
-        p.bulk_load(contents.clone(), 5);
-        let before = redraws(&p);
-        p.flush().unwrap();
-        assert_eq!(redraws(&p), before, "flush redrew a canonical layout");
-        let canonical = image(&p);
-
-        // Any mutable borrow voids the promise, even one that changes nothing.
-        assert_eq!(p.insert(0, 0), Some(0));
-        let before = redraws(&p);
-        p.flush().unwrap();
-        assert_eq!(redraws(&p), before + 1);
-        assert_eq!(image(&p), canonical);
-        let _ = p.dict_mut();
-        p.flush().unwrap();
-        assert_eq!(redraws(&p), before + 2);
-
-        // A foreign seed draws some other layout; flush must not trust it.
-        p.bulk_load(contents, 6);
-        let before = redraws(&p);
-        p.flush().unwrap();
-        assert_eq!(redraws(&p), before + 1);
-        assert_eq!(
-            image(&p),
-            canonical,
+        type Build<'a> = &'a dyn Fn(&mut PersistentDict);
+        let histories: [(&str, Build<'_>); 3] = [
+            ("dict-flush-inserts", &|p| {
+                for &(k, v) in contents.iter().rev() {
+                    p.insert(k, v);
+                }
+            }),
+            ("dict-flush-own-seed", &|p| p.bulk_load(contents.clone(), 5)),
+            ("dict-flush-foreign-seed", &|p| {
+                p.bulk_load(contents.clone(), 6)
+            }),
+        ];
+        let mut images = Vec::new();
+        for (tag, build) in histories {
+            let path = block_store::temp_path(tag);
+            let mut p = Dict::builder()
+                .backend(Backend::HiPma)
+                .seed(5)
+                .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+                .unwrap();
+            build(&mut p);
+            // Every redraw counts one resize.
+            let resizes = p.counters().snapshot().resizes;
+            let words = p.occupancy_words().unwrap().to_vec();
+            assert_eq!(p.flush().unwrap(), 1);
+            assert_eq!(p.counters().snapshot().resizes, resizes, "{tag}");
+            assert_eq!(p.occupancy_words().unwrap(), &words[..], "{tag}");
+            images.push(p.store().raw_bytes().unwrap().0);
+            std::fs::remove_file(p.store().path()).unwrap();
+            let _ = std::fs::remove_file(p.store().journal_path());
+        }
+        assert!(
+            images.windows(2).all(|w| w[0] == w[1]),
             "image must be f(contents, store seed)"
         );
+    }
 
-        std::fs::remove_file(p.store().path()).unwrap();
-        let _ = std::fs::remove_file(p.store().journal_path());
+    /// A [`Dictionary`] whose `len()` and `iter()` say what the test tells
+    /// them to: the two promises `flush_from` relies on, broken on demand.
+    struct Lying {
+        len: usize,
+        pairs: Vec<(u64, u64)>,
+    }
+
+    impl Dictionary for Lying {
+        type Key = u64;
+        type Value = u64;
+
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn range_iter<R: RangeBounds<u64>>(&self, _: R) -> impl Iterator<Item = (&u64, &u64)> {
+            self.pairs.iter().map(|(k, v)| (k, v))
+        }
+
+        fn insert(&mut self, _: u64, _: u64) -> Option<u64> {
+            unimplemented!("read-only test double")
+        }
+
+        fn remove(&mut self, _: &u64) -> Option<u64> {
+            unimplemented!("read-only test double")
+        }
+
+        fn get_ref(&self, _: &u64) -> Option<&u64> {
+            unimplemented!("read-only test double")
+        }
+
+        fn successor(&self, _: &u64) -> Option<(u64, u64)> {
+            unimplemented!("read-only test double")
+        }
+
+        fn predecessor(&self, _: &u64) -> Option<(u64, u64)> {
+            unimplemented!("read-only test double")
+        }
+    }
+
+    #[test]
+    fn flush_from_refuses_a_source_that_breaks_its_contract_and_writes_nothing() {
+        let path = block_store::temp_path("dict-lying-source");
+        let mut p = Dict::builder()
+            .backend(Backend::HiPma)
+            .seed(9)
+            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+            .unwrap();
+        let honest: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 2, k)).collect();
+        p.bulk_load(honest.clone(), 9);
+        assert_eq!(p.flush().unwrap(), 1);
+        let committed = p.store().raw_bytes().unwrap();
+
+        let source = |len: usize, edit: fn(&mut [(u64, u64)])| {
+            let mut pairs = honest.clone();
+            pairs.push((600, 0));
+            edit(&mut pairs);
+            Lying { len, pairs }
+        };
+        // Out of order mid-stream, a repeated key, and disorder in the one
+        // record past `len` that only the encoder's last look sees.
+        for (lying, rank) in [
+            (source(301, |p| p.swap(100, 101)), 101),
+            (source(301, |p| p[7].0 = p[6].0), 7),
+            (source(300, |p| p[300].0 = 0), 300),
+        ] {
+            match p.flush_from(&lying) {
+                Err(PersistError::SourceOutOfOrder { rank: r }) => assert_eq!(r, rank),
+                other => panic!("expected a source-out-of-order refusal, got {other:?}"),
+            }
+            assert!(!p.store().is_poisoned());
+            assert_eq!(p.store().raw_bytes().unwrap(), committed);
+        }
+        // In order and the wrong length, either way.
+        for lying in [source(302, |_| ()), source(300, |_| ())] {
+            let err = p.flush_from(&lying).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt { block: 0 }), "{err}");
+            assert!(!p.store().is_poisoned());
+            assert_eq!(p.store().raw_bytes().unwrap(), committed);
+        }
+        // The store took no harm: an honest source commits the next
+        // generation, and it reopens.
+        assert_eq!(p.flush_from(&source(301, |_| ())).unwrap(), 2);
+        drop(p);
+        let reopened = Dict::builder()
+            .backend(Backend::HiPma)
+            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+            .unwrap();
+        assert_eq!(reopened.len(), 301);
+        assert_eq!(reopened.get(&600), Some(0));
+        std::fs::remove_file(reopened.store().path()).unwrap();
+        let _ = std::fs::remove_file(reopened.store().journal_path());
+    }
+
+    #[test]
+    fn flush_from_an_empty_source_writes_the_canonical_empty_image() {
+        let image_of = |tag: &str, write: &dyn Fn(&mut PersistentDict)| {
+            let path = block_store::temp_path(tag);
+            let mut p = Dict::builder()
+                .backend(Backend::HiPma)
+                .seed(3)
+                .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+                .unwrap();
+            write(&mut p);
+            let image = p.store().raw_bytes().unwrap().0;
+            drop(p);
+            let reopened = Dict::builder()
+                .backend(Backend::HiPma)
+                .build_persistent_with(&path, StoreOptions::new(512).no_sync())
+                .unwrap();
+            assert!(reopened.is_empty());
+            assert_eq!(reopened.seed(), 3);
+            std::fs::remove_file(reopened.store().path()).unwrap();
+            let _ = std::fs::remove_file(reopened.store().journal_path());
+            image
+        };
+        let empty: DynDict<u64, u64> = Dict::builder().backend(Backend::BTree).build();
+        let streamed = image_of("dict-empty-from", &|p| {
+            // The handle's own dictionary is not the source and is not read.
+            p.insert(1, 1);
+            assert_eq!(p.flush_from(&empty).unwrap(), 1);
+        });
+        let own = image_of("dict-empty-own", &|p| {
+            p.insert(1, 1);
+            p.remove(&1);
+            assert_eq!(p.flush().unwrap(), 1);
+        });
+        assert!(!streamed.is_empty());
+        assert_eq!(streamed, own);
     }
 
     #[test]
     fn a_flush_that_keeps_len_writes_no_bitmap_block() {
-        // The redraw's coins are drawn by rank, so the bitmap is a function
-        // of (len, seed): a churn that removes as many keys as it inserts
-        // leaves it — and only it — clean.
+        // The canonical layout's coins are drawn by rank, so the bitmap is a
+        // function of (len, seed): a churn that removes as many keys as it
+        // inserts leaves it — and only it — clean.
         const B: u64 = 512;
         let path = block_store::temp_path("dict-balanced");
         let mut dict = Dict::builder()
@@ -1566,7 +1706,9 @@ mod tests {
             dict.insert(k * 4, k);
         }
         dict.flush().unwrap();
-        let words = dict.occupancy_words().unwrap().to_vec();
+        let committed_words =
+            |d: &mut PersistentDict| d.store_mut().load::<(u64, u64)>().unwrap().1;
+        let words = committed_words(&mut dict);
         let image_blocks = std::fs::metadata(&path).unwrap().len() / B;
 
         // Every fourth key moves up by one: same ranks, same len, and a
@@ -1578,7 +1720,6 @@ mod tests {
         let before = dict.store().stats();
         dict.flush().unwrap();
         let after = dict.store().stats();
-        assert_eq!(dict.occupancy_words().unwrap(), &words[..]);
         assert_eq!(std::fs::metadata(&path).unwrap().len() / B, image_blocks);
 
         let bitmap = (words.len() as u64 * 8).div_ceil(B);
@@ -1601,6 +1742,7 @@ mod tests {
         // Nothing changed: nothing is written.
         dict.flush().unwrap();
         assert_eq!(dict.store().stats(), after);
+        assert_eq!(committed_words(&mut dict), words);
         std::fs::remove_file(dict.store().path()).unwrap();
         std::fs::remove_file(dict.store().journal_path()).unwrap();
     }
@@ -1700,7 +1842,7 @@ mod tests {
             }) => assert!(c == committed && rebuilt != committed),
             other => panic!("expected a fingerprint mismatch, got {other:?}"),
         }
-        // The next flush redraws: the file is this engine's image again.
+        // The next flush writes this engine's image of those contents.
         target.flush().unwrap();
         drop(target);
         let reopened = Dict::builder()

@@ -25,9 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use anti_persistence::dict::{Backend, Dict, DynDict};
-use anti_persistence::prelude::{Dictionary, ShardedDict};
+use anti_persistence::prelude::{Dictionary, Occupancy, ShardedDict};
 use block_store::{temp_path, BlockStore, StoreOptions};
-use pma::persist::flush_layout;
 use pma::HiPma;
 use skiplist::ExternalSkipList;
 
@@ -361,7 +360,14 @@ fn steady_state_block_store_flushes_are_allocation_free() {
         let rank = next_rank(&mut state, pma.len() as u64 + 1);
         pma.insert(rank, i).unwrap();
     }
-    flush_layout(&pma, 9, &mut store).unwrap();
+    // What is pinned is the store's staging buffers, so the commit is called
+    // directly, on the live layout (any bitmap of the right popcount will do).
+    let commit = |pma: &HiPma<u64>, store: &mut BlockStore| {
+        let (slots, len) = (pma.slot_count() as u64, pma.len() as u64);
+        let records = pma.iter().copied();
+        store.commit(pma.occupancy_words(), slots, len, records, 9)
+    };
+    commit(&pma, &mut store).unwrap();
 
     for round in 0..40u64 {
         // Mutate a window between flushes. Paired delete+insert keeps the
@@ -374,7 +380,7 @@ fn steady_state_block_store_flushes_are_allocation_free() {
             pma.insert(rank, round * 1_000 + i).unwrap();
         }
         let before = allocations();
-        flush_layout(&pma, 9, &mut store).unwrap();
+        commit(&pma, &mut store).unwrap();
         let delta = allocations() - before;
         assert_eq!(
             delta, 0,

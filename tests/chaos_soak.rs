@@ -390,8 +390,8 @@ fn every_read_fault_cell_is_typed_and_leaves_the_image_intact() {
 
 /// Exhaustive single-byte fuzz over a committed image: every flipped byte
 /// must be rejected typed. The integrity chain (header self-checksum →
-/// checksum-region root → per-block words, plus the structural padding and
-/// vacant-slot checks) covers every byte of the file, so no flip may load.
+/// checksum-region root → per-block words, plus the structural padding
+/// checks) covers every byte of the file, so no flip may load.
 #[test]
 fn flipping_any_byte_of_a_committed_image_is_rejected_typed() {
     const SEED: u64 = 0xB17;

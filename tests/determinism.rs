@@ -630,9 +630,10 @@ fn committed_data_file_bytes_are_pinned() {
     let mut sorted = contents.clone();
     sorted.sort_unstable();
     for (block_size, want) in GOLDEN {
-        // Two routes to the same contents: an incremental history that
-        // flush() has to redraw, and a bulk_load with the store's own seed
-        // that flush() may trust. One image.
+        // Two routes to the same contents: an incremental history, whose
+        // in-RAM layout is some other sample, and a bulk_load with the
+        // store's own seed, whose in-RAM layout is the one the image
+        // describes (the bitmap length below is read from it). One image.
         let mut bitmap_words = 0;
         let mut image = |tag: &str, bulk: bool| {
             let path = block_store::temp_path(&format!("golden-{tag}-{block_size}"));

@@ -181,13 +181,21 @@ fn serve_and_flush(name: &str, config: DictConfig, drive: impl FnOnce(SocketAddr
     }
 }
 
-/// The single-threaded equivalent: a fresh dictionary fed `contents` in
-/// plain key order (arrival history must not matter), flushed once at the
-/// same seed and block size.
+/// The single-threaded equivalent: what `PersistentDict::flush()` commits,
+/// at the same seed and block size, for a dictionary that reached
+/// `contents` by a history no served run shares — decoy keys, a flush of
+/// them, their removal, then the real pairs in descending key order.
 fn reference_image(name: &str, contents: &BTreeMap<u64, u64>) -> Vec<u8> {
     let path = temp_path(name);
     let mut reference = open(&path);
-    for (&k, &v) in contents {
+    for k in 0..700u64 {
+        reference.insert(k * 3 + 1, !k);
+    }
+    reference.flush().expect("decoy flush");
+    for k in 0..700u64 {
+        reference.remove(&(k * 3 + 1));
+    }
+    for (&k, &v) in contents.iter().rev() {
         reference.insert(k, v);
     }
     reference.flush().expect("reference flush");
@@ -210,8 +218,9 @@ fn concurrent_multi_client_run_flushes_the_single_threaded_image() {
 
     // Concurrent run: four pipelined clients race their scripts, then one
     // more asks the server to flush — which streams the merge of however
-    // many shards there are (one: no merge at all) into the redraw.
-    for shards in [1, 4, 8] {
+    // many shards there are (one: no merge at all) into the store, and
+    // never builds the dictionary the reference flushed from.
+    for shards in [1, 2, 4, 8] {
         let config = DictConfig { shards, ..config() };
         let served = serve_and_flush(&format!("server-det-served-{shards}"), config, |addr| {
             let handles: Vec<_> = (0..CLIENTS)
