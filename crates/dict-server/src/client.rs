@@ -31,7 +31,7 @@ use std::time::Duration;
 use anti_persistence::dict::DictConfigError;
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame_limit, Frame, Request, Response, MAX_FRAME,
+    decode_response, encode_request_into, read_frame_limit, Frame, Request, Response, MAX_FRAME,
 };
 
 /// How many consecutive non-matching (stale or duplicated) response
@@ -213,6 +213,8 @@ pub struct Client {
     /// Tokens sent but not yet answered, in send order (the server
     /// answers per-connection in arrival order, so this is a FIFO).
     pending: VecDeque<u64>,
+    /// The one buffer every request frame is encoded into.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -245,6 +247,7 @@ impl Client {
             conn: None,
             next_token: 0,
             pending: VecDeque::new(),
+            frame: Vec::new(),
         };
         client.ensure_conn()?;
         Ok(client)
@@ -300,16 +303,12 @@ impl Client {
     }
 
     fn write_framed(&mut self, token: u64, req: &Request) -> Result<(), ClientError> {
-        let framed = encode_request(token, req);
         let Some(conn) = self.conn.as_mut() else {
             return Err(ClientError::ServerReset);
         };
-        let write = (|| -> io::Result<()> {
-            conn.writer
-                .write_all(&(framed.len() as u32).to_be_bytes())?;
-            conn.writer.write_all(&framed)
-        })();
-        write.map_err(|e| {
+        self.frame.clear();
+        encode_request_into(&mut self.frame, token, req);
+        conn.writer.write_all(&self.frame).map_err(|e| {
             self.drop_conn();
             ClientError::from(e)
         })

@@ -264,6 +264,12 @@ impl Request {
     /// Serializes the request body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(17);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Get { key } => {
                 out.push(OP_GET);
@@ -304,7 +310,6 @@ impl Request {
                 out.extend_from_slice(&client.to_be_bytes());
             }
         }
-        out
     }
 
     /// Parses a request body (no length prefix).
@@ -341,6 +346,12 @@ impl Response {
     /// Serializes the response body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(17);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Done => out.push(ST_DONE),
             Response::Value(v) => {
@@ -386,7 +397,6 @@ impl Response {
                 out.extend_from_slice(msg.as_bytes());
             }
         }
-        out
     }
 
     /// Parses a response body (no length prefix).
@@ -512,6 +522,36 @@ pub fn encode_response(token: u64, resp: &Response) -> Vec<u8> {
     encode_envelope(token, &resp.encode())
 }
 
+/// Appends one whole frame — length prefix, envelope, body — to `out`,
+/// the body written in place by `body` and the prefix and checksum patched
+/// in behind it: the same bytes as [`write_frame`] of the enveloped body,
+/// with no buffer of its own.
+fn encode_frame_into(out: &mut Vec<u8>, token: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.extend_from_slice(&token.to_be_bytes());
+    out.extend_from_slice(&[0u8; 4]);
+    let body_at = out.len();
+    body(out);
+    let sum = frame_sum(token, &out[body_at..]);
+    out[body_at - 4..body_at].copy_from_slice(&sum.to_be_bytes());
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_FRAME);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
+/// Appends one request frame, length prefix included, to `out` — what
+/// [`write_frame`] emits for [`encode_request`], without a `Vec` per frame.
+pub fn encode_request_into(out: &mut Vec<u8>, token: u64, req: &Request) {
+    encode_frame_into(out, token, |body| req.encode_into(body));
+}
+
+/// Appends one response frame, length prefix included, to `out` — what
+/// [`write_frame`] emits for [`encode_response`], without a `Vec` per frame.
+pub fn encode_response_into(out: &mut Vec<u8>, token: u64, resp: &Response) {
+    encode_frame_into(out, token, |body| resp.encode_into(body));
+}
+
 /// Parses one enveloped response frame body, validating the checksum.
 pub fn decode_response(framed: &[u8]) -> Result<(u64, Response), DecodeError> {
     let (token, body) = decode_envelope(framed)?;
@@ -577,58 +617,90 @@ pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn round_trip_request(r: Request) {
-        assert_eq!(Request::decode(&r.encode()), Ok(r));
+    /// Every `Request` variant, with the edge values of its fields.
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Get { key: 0 },
+            Request::Get { key: u64::MAX },
+            Request::Put { key: 7, value: 9 },
+            Request::Del { key: 3 },
+            Request::Succ { key: 1 },
+            Request::Pred { key: 2 },
+            Request::Len,
+            Request::Flush,
+            Request::Health,
+            Request::Quarantine {
+                shard: 5,
+                reason: "scrub: checksum mismatch".into(),
+            },
+            Request::Quarantine {
+                shard: 0,
+                reason: String::new(),
+            },
+            Request::Restore { shard: 5 },
+            Request::Ping,
+            Request::Hello { client: 0 },
+            Request::Hello { client: u64::MAX },
+        ]
     }
 
-    fn round_trip_response(r: Response) {
-        assert_eq!(Response::decode(&r.encode()), Ok(r));
+    /// Every `Response` variant.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Done,
+            Response::Value(42),
+            Response::NotFound,
+            Response::Entry(1, 2),
+            Response::Count(0),
+            Response::Generation(u64::MAX),
+            Response::Health {
+                shards: 8,
+                degraded: vec![(2, "panicked".into()), (5, String::new())],
+            },
+            Response::Degraded {
+                shard: 3,
+                reason: "storage".into(),
+            },
+            Response::Overloaded,
+            Response::BadRequest("why".into()),
+            Response::Unavailable("shutting down".into()),
+        ]
     }
 
     #[test]
     fn every_request_round_trips() {
-        round_trip_request(Request::Get { key: 0 });
-        round_trip_request(Request::Get { key: u64::MAX });
-        round_trip_request(Request::Put { key: 7, value: 9 });
-        round_trip_request(Request::Del { key: 3 });
-        round_trip_request(Request::Succ { key: 1 });
-        round_trip_request(Request::Pred { key: 2 });
-        round_trip_request(Request::Len);
-        round_trip_request(Request::Flush);
-        round_trip_request(Request::Health);
-        round_trip_request(Request::Quarantine {
-            shard: 5,
-            reason: "scrub: checksum mismatch".into(),
-        });
-        round_trip_request(Request::Quarantine {
-            shard: 0,
-            reason: String::new(),
-        });
-        round_trip_request(Request::Restore { shard: 5 });
-        round_trip_request(Request::Ping);
-        round_trip_request(Request::Hello { client: 0 });
-        round_trip_request(Request::Hello { client: u64::MAX });
+        for r in every_request() {
+            assert_eq!(Request::decode(&r.encode()), Ok(r));
+        }
     }
 
     #[test]
     fn every_response_round_trips() {
-        round_trip_response(Response::Done);
-        round_trip_response(Response::Value(42));
-        round_trip_response(Response::NotFound);
-        round_trip_response(Response::Entry(1, 2));
-        round_trip_response(Response::Count(0));
-        round_trip_response(Response::Generation(u64::MAX));
-        round_trip_response(Response::Health {
-            shards: 8,
-            degraded: vec![(2, "panicked".into()), (5, String::new())],
-        });
-        round_trip_response(Response::Degraded {
-            shard: 3,
-            reason: "storage".into(),
-        });
-        round_trip_response(Response::Overloaded);
-        round_trip_response(Response::BadRequest("why".into()));
-        round_trip_response(Response::Unavailable("shutting down".into()));
+        for r in every_response() {
+            assert_eq!(Response::decode(&r.encode()), Ok(r));
+        }
+    }
+
+    /// The buffer-reusing encoders emit, byte for byte, what `write_frame`
+    /// emits for the allocating ones — appended behind whatever the buffer
+    /// already holds, so one buffer can take a whole burst.
+    #[test]
+    fn the_into_encoders_emit_the_bytes_of_the_allocating_ones() {
+        let tokens = [0u64, 1, 0xDEAD_BEEF, u64::MAX];
+        let mut old = Vec::new();
+        let mut new = Vec::new();
+        for (i, req) in every_request().iter().enumerate() {
+            let token = tokens[i % tokens.len()];
+            write_frame(&mut old, &encode_request(token, req)).expect("vec write");
+            encode_request_into(&mut new, token, req);
+            assert_eq!(old, new, "{req:?}");
+        }
+        for (i, resp) in every_response().iter().enumerate() {
+            let token = tokens[i % tokens.len()];
+            write_frame(&mut old, &encode_response(token, resp)).expect("vec write");
+            encode_response_into(&mut new, token, resp);
+            assert_eq!(old, new, "{resp:?}");
+        }
     }
 
     #[test]

@@ -9,11 +9,32 @@
 //!    N acceptors)          frame, route by shard,     shed when full)
 //!                          release before blocking)        │
 //!                                                          ▼ epoch boundary
-//! per-connection writer ◀── response slots ◀── engine thread (drain all
-//!   (emits responses in      (one per request)    queues, merge by seq,
-//!    arrival order, flushes                        segment walk, apply_batch)
-//!    before blocking)
+//! per-connection writer ◀── completion ring ◀── engine thread (drain all
+//!   (pops the filled prefix,  (one per connection,  queues, merge by seq,
+//!    flushes before parking)   one cell per request) segment walk, apply_batch)
 //! ```
+//!
+//! ## The completion ring
+//!
+//! Each connection owns one `Conn`: a mutex over a `ConnState` — a
+//! `VecDeque` of at most `inflight_bound` cells `(token, Option<Response>)`
+//! in arrival order, plus `base`, the request number of the head cell — and
+//! two condvars. The reader appends an empty cell per frame and parks on
+//! `space` only when `inflight_bound` cells are outstanding; a `Ticket`
+//! carries `(Arc<Conn>, n)`; reader shed, inline admin and the engine all
+//! answer through one `Conn::fill`; the writer pops the whole filled
+//! prefix under one lock, encodes it into its `BufWriter`, and flushes only
+//! before it parks on `filled`. Responses therefore leave in request order
+//! by construction (only the head is ever popped), and a request costs no
+//! allocation, no sync object and no channel hop of its own.
+//!
+//! **A wake happens only when someone is parked.** `fill` notifies only if
+//! its cell is the head *and* the writer has recorded that it is parked.
+//! The wake cannot be lost: the writer sets that flag and re-checks the
+//! head under the same lock `fill` takes, so a `fill` either runs before
+//! the re-check (the writer sees the response and does not park) or after
+//! the flag is set (it notifies). The reader's `space` wait is the mirror
+//! image, against the writer's pop.
 //!
 //! ## What closes an epoch
 //!
@@ -29,8 +50,9 @@
 //!
 //! - before a `read` that reaches the socket — the buffer is short of the
 //!   next prefix or body, so the peer decides how long that read takes;
-//! - before a send into a full `inflight_bound` channel — the writer it
-//!   would wait for may itself be waiting on one of those tickets;
+//! - before it parks on a full ring (`inflight_bound` cells outstanding) —
+//!   the writer it would wait for may itself be waiting on one of those
+//!   tickets;
 //! - when it holds `epoch_ops` tickets, the one pacing bound;
 //! - on every way out of the reader, unwinding included (a drop guard).
 //!
@@ -40,7 +62,7 @@
 //! property of the input — which bytes have already arrived — not on a
 //! clock or a setting, so there is no idle-latency/throughput knob: no
 //! trade is left to make. The writer mirrors it, flushing its buffer only
-//! before it would block.
+//! before it would park.
 //!
 //! The engine merges the drained tickets by their global arrival sequence
 //! number and walks them in that one order: point writes
@@ -57,7 +79,7 @@
 //! Neither argument mentions *when* an epoch closes, so neither changed
 //! when the timer went away.
 //!
-//! *Correctness*: no response is issued until the engine fills its slot, so
+//! *Correctness*: no response is issued until the engine fills its cell, so
 //! every operation in an epoch is concurrent in real time and any single
 //! serial order is a valid linearization; the engine's order is global
 //! arrival (seq) order, which also embeds each connection's program order,
@@ -88,8 +110,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,9 +120,7 @@ use hi_common::sync::locked;
 use hi_common::traits::Dictionary;
 use shard::{ShardError, ShardRouter, ShardedDict};
 
-use crate::protocol::{
-    decode_request, encode_response, envelope_token, write_frame, Request, Response,
-};
+use crate::protocol::{decode_request, encode_response_into, envelope_token, Request, Response};
 
 /// The concrete dictionary this front-end serves.
 pub type ServedDict = ShardedDict<DynDict<u64, u64>>;
@@ -128,54 +147,223 @@ pub struct ServerOptions {
     pub persist: Option<PersistentDict>,
 }
 
-/// One in-flight request's response cell: filled exactly once by whichever
-/// stage answers (reader shed, inline admin, or the engine), awaited by the
-/// connection's writer in arrival order.
-struct Slot {
-    resp: Mutex<Option<Response>>,
-    ready: Condvar,
+/// One connection's in-flight requests, oldest first. Plain data — no
+/// socket, no lock, no thread — and every transition is a method that
+/// *returns* whether the other half has to be woken, so the type that runs
+/// is the type a model checker can drive step by step.
+#[derive(Default)]
+struct ConnState {
+    /// Most cells that may be outstanding (`inflight_bound`).
+    bound: usize,
+    /// Request number of the head cell: cell `n` sits at index `n - base`.
+    base: u64,
+    /// `(token, response)` per request, in arrival order; a cell is filled
+    /// exactly once, by whichever stage answers, and only the head leaves.
+    cells: VecDeque<(u64, Option<Response>)>,
+    /// The writer has found its head cell unfilled and is waiting on
+    /// `filled`. Set by the writer, taken by whoever wakes it.
+    writer_parked: bool,
+    /// The reader has found `bound` cells outstanding and is waiting on
+    /// `space`. Set by the reader, taken by whoever wakes it.
+    reader_parked: bool,
+    /// The reader has exited: no cell will be appended again.
+    reader_gone: bool,
+    /// The writer has exited: no cell will be emitted again, so appends
+    /// refuse and fills are dropped.
+    writer_gone: bool,
 }
 
-impl Slot {
-    fn new() -> Arc<Self> {
+/// What [`ConnState::push`] did with a frame.
+#[derive(Debug, PartialEq, Eq)]
+enum Push {
+    /// Appended as request number `n`.
+    Cell(u64),
+    /// `bound` cells are outstanding: release, then park on `space`.
+    Full,
+    /// The writer is gone; the reader has nothing left to do.
+    Closed,
+}
+
+impl ConnState {
+    fn new(bound: usize) -> Self {
+        Self {
+            bound,
+            ..Self::default()
+        }
+    }
+
+    fn push(&mut self, token: u64) -> Push {
+        if self.writer_gone {
+            return Push::Closed;
+        }
+        if self.cells.len() >= self.bound {
+            return Push::Full;
+        }
+        self.cells.push_back((token, None));
+        Push::Cell(self.base + self.cells.len() as u64 - 1)
+    }
+
+    /// Stores the answer to request `n`; returns whether the writer must be
+    /// woken — only when this cell is the head and the writer is parked. A
+    /// fill after the writer has exited finds no cell and is dropped.
+    fn fill(&mut self, n: u64, resp: Response) -> bool {
+        let Some(at) = n.checked_sub(self.base) else {
+            return false;
+        };
+        let Some(cell) = self.cells.get_mut(at as usize) else {
+            return false;
+        };
+        debug_assert!(cell.1.is_none(), "request {n} answered twice");
+        cell.1 = Some(resp);
+        at == 0 && std::mem::take(&mut self.writer_parked)
+    }
+
+    /// Moves the filled prefix to `out` in request order; returns whether
+    /// the reader must be woken (it was parked on a full ring and a cell
+    /// has come free).
+    fn pop_filled(&mut self, out: &mut Vec<(u64, Response)>) -> bool {
+        let before = self.cells.len();
+        while matches!(self.cells.front(), Some((_, Some(_)))) {
+            if let Some((token, Some(resp))) = self.cells.pop_front() {
+                out.push((token, resp));
+            }
+        }
+        self.base += (before - self.cells.len()) as u64;
+        self.cells.len() < before && std::mem::take(&mut self.reader_parked)
+    }
+
+    /// Nothing is queued and nothing will be: the writer may exit.
+    fn is_over(&self) -> bool {
+        self.reader_gone && self.cells.is_empty()
+    }
+}
+
+/// One connection's completion ring: the state under one lock, `filled`
+/// for the writer to wait on its head cell, `space` for the reader to wait
+/// on a free one.
+struct Conn {
+    state: Mutex<ConnState>,
+    filled: Condvar,
+    space: Condvar,
+    /// How many times `filled` has been notified by a `fill`.
+    #[cfg(test)]
+    fill_wakes: AtomicU64,
+}
+
+impl Conn {
+    fn new(inflight_bound: usize) -> Arc<Self> {
         Arc::new(Self {
-            resp: Mutex::new(None),
-            ready: Condvar::new(),
+            state: Mutex::new(ConnState::new(inflight_bound)),
+            filled: Condvar::new(),
+            space: Condvar::new(),
+            #[cfg(test)]
+            fill_wakes: AtomicU64::new(0),
         })
     }
 
-    fn fill(&self, resp: Response) {
-        *locked(&self.resp) = Some(resp);
-        self.ready.notify_all();
-    }
-
-    /// The response, if the slot is already filled — never blocks.
-    fn try_take(&self) -> Option<Response> {
-        locked(&self.resp).take()
-    }
-
-    fn wait(&self) -> Response {
-        let mut guard = locked(&self.resp);
+    /// Reader side: appends an empty cell for a frame carrying `token` and
+    /// returns its request number, or `None` once the writer is gone. Parks
+    /// only on a full ring, and runs `release` before each wait — the writer
+    /// it waits for may be waiting on one of this reader's own tickets.
+    fn push(&self, token: u64, mut release: impl FnMut()) -> Option<u64> {
+        let mut st = locked(&self.state);
         loop {
-            if let Some(resp) = guard.take() {
-                return resp;
+            match st.push(token) {
+                Push::Cell(n) => return Some(n),
+                Push::Closed => return None,
+                Push::Full => {}
             }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+            release();
+            st.reader_parked = true;
+            st = self.space.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Answers request `n` — the one way a response enters the ring, for
+    /// reader shed, inline admin and the engine alike. The writer is
+    /// notified only if it is parked on exactly this cell; the flag is read
+    /// under the lock the writer set it under, so the wake cannot be lost.
+    fn fill(&self, n: u64, resp: Response) {
+        let wake = locked(&self.state).fill(n, resp);
+        if wake {
+            #[cfg(test)]
+            self.fill_wakes.fetch_add(1, Ordering::Relaxed);
+            self.filled.notify_one();
+        }
+    }
+
+    /// Writer side: moves the filled prefix to `out`. With `park`, waits
+    /// until there is one; `out` is then left empty only when the
+    /// connection is over (reader gone, nothing queued).
+    fn pop_filled(&self, out: &mut Vec<(u64, Response)>, park: bool) {
+        let mut st = locked(&self.state);
+        loop {
+            if st.pop_filled(out) {
+                drop(st);
+                self.space.notify_one();
+                return;
+            }
+            if !out.is_empty() || !park || st.is_over() {
+                return;
+            }
+            st.writer_parked = true;
+            st = self.filled.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The reader has exited (any way out, unwinding included): a writer
+    /// parked on an empty ring has nothing left to wait for.
+    fn reader_gone(&self) {
+        let mut st = locked(&self.state);
+        st.reader_gone = true;
+        st.writer_parked = false;
+        drop(st);
+        self.filled.notify_one();
+    }
+
+    /// The writer has exited (any way out, unwinding included): whatever is
+    /// queued can no longer be emitted, later fills are dropped, and a
+    /// reader parked on a full ring is let go.
+    fn writer_gone(&self) {
+        let mut st = locked(&self.state);
+        st.writer_gone = true;
+        st.reader_parked = false;
+        st.cells.clear();
+        drop(st);
+        self.space.notify_one();
+    }
+}
+
+/// Runs one half of a connection, contained and announced: a panic in
+/// `half` ends this half only, and on every way out — the unwind included
+/// — `gone` tells the ring, which lets the other half drain out. The
+/// engine and every other connection keep serving.
+fn run_half(gone: impl FnOnce(), half: impl FnOnce()) {
+    // Bound, not discarded: a panic's payload is dropped after `gone` runs.
+    let _contained = catch_unwind(AssertUnwindSafe(half));
+    gone();
+}
+
+/// Where one request's answer goes: cell `n` of its connection's ring.
+struct Reply {
+    conn: Arc<Conn>,
+    n: u64,
+}
+
+impl Reply {
+    fn fill(&self, resp: Response) {
+        self.conn.fill(self.n, resp);
     }
 }
 
 /// A queued operation: its global arrival sequence number, the request,
-/// the response slot its connection's writer is waiting on, and — for
+/// the ring cell its connection's writer will emit it from, and — for
 /// mutating requests from a HELLO-bound client — the `(client, token)`
 /// idempotency identity the engine dedups on.
 struct Ticket {
     seq: u64,
     req: Request,
-    slot: Arc<Slot>,
+    reply: Reply,
     idem: Option<Idem>,
 }
 
@@ -244,18 +432,18 @@ impl Shared {
         self.queues.len() - 1
     }
 
-    /// Stamps, bounds-checks and enqueues one operation; fills the slot
+    /// Stamps, bounds-checks and enqueues one operation; answers it
     /// immediately with the typed shed/refusal response when the queue is
     /// full or closed. Returns whether a ticket was queued — the reader
     /// then owes the engine a release (see [`Unreleased::enqueue`]).
-    fn enqueue(&self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) -> bool {
+    fn enqueue(&self, queue: usize, req: Request, reply: Reply, idem: Option<Idem>) -> bool {
         let mut q = locked(&self.queues[queue]);
         if q.closed {
-            slot.fill(Response::Unavailable("server is shutting down".into()));
+            reply.fill(Response::Unavailable("server is shutting down".into()));
             return false;
         }
         if q.ops.len() >= self.cfg.queue_bound {
-            slot.fill(Response::Overloaded);
+            reply.fill(Response::Overloaded);
             return false;
         }
         // The global sequence is drawn under the queue lock, so each
@@ -265,7 +453,7 @@ impl Shared {
         q.ops.push_back(Ticket {
             seq,
             req,
-            slot: Arc::clone(slot),
+            reply,
             idem,
         });
         true
@@ -275,9 +463,9 @@ impl Shared {
 /// The tickets one reader has queued but not yet released to the engine.
 ///
 /// The release rule: **a reader never blocks while holding unreleased
-/// tickets.** It releases (one `notify`) before a socket read, before a
-/// send into a full response channel, when `epoch_ops` tickets are held,
-/// and — through `Drop` — on every exit path, unwinding included.
+/// tickets.** It releases (one `notify`) before a socket read, before it
+/// parks on a full completion ring, when `epoch_ops` tickets are held, and
+/// — through `Drop` — on every exit path, unwinding included.
 struct Unreleased<'a> {
     shared: &'a Shared,
     held: usize,
@@ -295,8 +483,8 @@ impl Unreleased<'_> {
 
     /// [`Shared::enqueue`], counting the ticket if one was queued and
     /// releasing once the op budget is held.
-    fn enqueue(&mut self, queue: usize, req: Request, slot: &Arc<Slot>, idem: Option<Idem>) {
-        if self.shared.enqueue(queue, req, slot, idem) {
+    fn enqueue(&mut self, queue: usize, req: Request, reply: Reply, idem: Option<Idem>) {
+        if self.shared.enqueue(queue, req, reply, idem) {
             self.held += 1;
             if self.held >= self.shared.cfg.epoch_ops {
                 self.release();
@@ -398,6 +586,14 @@ impl Server {
         )
     }
 
+    /// How many connection threads (a reader and a writer per connection)
+    /// the server still holds a handle to. Finished ones are reaped each
+    /// time a connection is accepted, so this follows the live connections,
+    /// not the connections ever made. RAM-only, never persisted.
+    pub fn conn_threads(&self) -> usize {
+        locked(&self.conns).len()
+    }
+
     /// Stops accepting, drains and answers everything queued, and joins
     /// every thread. Idempotent.
     pub fn shutdown(&mut self) {
@@ -464,30 +660,39 @@ fn accept_loop(
                 let Ok(write_half) = stream.try_clone() else {
                     continue;
                 };
-                // Bounded response buffer: once `inflight_bound` responses
-                // are queued for this connection's writer, the *reader*
-                // blocks admitting new frames (its TCP window fills and the
-                // slow client backpressures itself). The engine fills slots
-                // through independent `Arc`s and never touches this channel.
-                let (tx, rx) = mpsc::sync_channel::<(u64, Arc<Slot>)>(shared.cfg.inflight_bound);
+                // At most `inflight_bound` cells: once that many responses
+                // are outstanding the *reader* parks admitting new frames
+                // (its TCP window fills and the slow client backpressures
+                // itself). The engine fills cells and never waits on one.
+                let conn = Conn::new(shared.cfg.inflight_bound);
                 let write_timeout = shared.cfg.write_timeout;
                 let reader = {
                     let shared = Arc::clone(shared);
-                    // A panic in either half is contained to its connection:
-                    // the unwind drops `tx`/`rx`, the peer half drains out,
-                    // and the engine and every other connection keep serving.
+                    let conn = Arc::clone(&conn);
                     std::thread::spawn(move || {
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            connection_reader(&shared, stream, &tx);
-                        }));
+                        run_half(
+                            || conn.reader_gone(),
+                            || connection_reader(&shared, stream, &conn),
+                        );
                     })
                 };
                 let writer = std::thread::spawn(move || {
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        connection_writer(write_half, &rx, write_timeout);
-                    }));
+                    run_half(
+                        || conn.writer_gone(),
+                        || connection_writer(write_half, &conn, write_timeout),
+                    );
                 });
                 let mut guard = locked(conns);
+                // Reap the halves of connections that have ended, so the
+                // list follows the live connections and not their churn.
+                let mut at = 0;
+                while at < guard.len() {
+                    if guard[at].is_finished() {
+                        let _ = guard.swap_remove(at).join();
+                    } else {
+                        at += 1;
+                    }
+                }
                 guard.push(reader);
                 guard.push(writer);
             }
@@ -506,7 +711,9 @@ fn accept_loop(
 
 /// What one attempt to read a full frame observed.
 enum Wire {
-    Body(Vec<u8>),
+    /// The requested bytes arrived (for [`read_wire_frame`]: a whole body,
+    /// in the connection's body buffer).
+    Body,
     /// Clean close between frames.
     Eof,
     /// The peer vanished with a partial prefix or body on the wire.
@@ -573,53 +780,37 @@ fn fill_buf(
             Err(_) => return Wire::Dead,
         }
     }
-    Wire::Body(Vec::new())
+    Wire::Body
 }
 
+/// Reads one frame's body into `body`, the one buffer a connection reads
+/// every frame into (its length is bounded by `max_frame` before a byte of
+/// it is staged).
 fn read_wire_frame(
     stream: &mut BufReader<TcpStream>,
+    body: &mut Vec<u8>,
     unreleased: &mut Unreleased<'_>,
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
     let mut prefix = [0u8; 4];
     match fill_buf(stream, &mut prefix, unreleased, true, idle, budget) {
-        Wire::Body(_) => {}
+        Wire::Body => {}
         other => return other,
     }
     let len = u32::from_be_bytes(prefix);
     if len == 0 || len as usize > unreleased.shared.cfg.max_frame {
         return Wire::Oversized(len);
     }
-    let mut body = vec![0u8; len as usize];
-    match fill_buf(stream, &mut body, unreleased, false, idle, budget) {
-        Wire::Body(_) => Wire::Body(body),
-        other => other,
-    }
+    body.clear();
+    body.resize(len as usize, 0);
+    fill_buf(stream, body, unreleased, false, idle, budget)
 }
 
-/// Hands one response slot to the connection's writer. Blocks only when
-/// the `inflight_bound` channel is full, and releases first when it is —
-/// the writer may be waiting on one of this reader's own tickets. Returns
-/// `false` when the writer is gone.
-fn send_slot(
-    tx: &SyncSender<(u64, Arc<Slot>)>,
-    unreleased: &mut Unreleased<'_>,
-    item: (u64, Arc<Slot>),
-) -> bool {
-    match tx.try_send(item) {
-        Ok(()) => true,
-        Err(TrySendError::Full(item)) => {
-            unreleased.release();
-            tx.send(item).is_ok()
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    }
-}
-
-fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<(u64, Arc<Slot>)>) {
+fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut stream = BufReader::new(stream);
+    let mut body = Vec::new();
     let mut unreleased = Unreleased { shared, held: 0 };
     // Idle reaper: a count-based budget of consecutive empty read polls.
     // Any received byte — a PING included — resets it.
@@ -629,38 +820,45 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<(u
     // dedup protection).
     let mut client = 0u64;
     loop {
-        let body = match read_wire_frame(&mut stream, &mut unreleased, &mut idle, budget) {
-            Wire::Body(body) => body,
+        let wire = read_wire_frame(&mut stream, &mut body, &mut unreleased, &mut idle, budget);
+        // Whether the frame is served or refused, its answer takes the next
+        // cell of the ring.
+        let (token, parsed) = match wire {
+            Wire::Body => match decode_request(&body) {
+                Ok((token, req)) => (token, Ok(req)),
+                // Echo whatever token prefix arrived so a retrying client
+                // can correlate the refusal.
+                Err(e) => (envelope_token(&body), Err(e.0)),
+            },
+            // Refused before a single body byte is read: a hostile prefix
+            // cannot make the server stage memory.
+            Wire::Oversized(len) => (
+                0,
+                Err(format!(
+                    "frame length {len} outside 1..={}",
+                    shared.cfg.max_frame
+                )),
+            ),
             // A clean close, a mid-frame disconnect, a dead socket, or a
             // reaped idler all end the connection silently — there is no
             // peer left (or entitled) to tell. Tickets already queued are
             // released on the way out and still apply.
             Wire::Eof | Wire::MidFrameCut | Wire::Dead | Wire::Shutdown | Wire::Idle => return,
-            Wire::Oversized(len) => {
-                // Refuse before reading a single body byte, then close:
-                // a hostile prefix cannot make the server stage memory.
-                let slot = Slot::new();
-                slot.fill(Response::BadRequest(format!(
-                    "frame length {len} outside 1..={}",
-                    shared.cfg.max_frame
-                )));
-                send_slot(tx, &mut unreleased, (0, slot));
+        };
+        let Some(n) = conn.push(token, || unreleased.release()) else {
+            // Writer died (peer stopped reading); no point parsing more.
+            return;
+        };
+        let req = match parsed {
+            Ok(req) => req,
+            Err(why) => {
+                // Refuse, then close: after an oversized prefix or a
+                // checksum mismatch the stream offset can no longer be
+                // trusted.
+                conn.fill(n, Response::BadRequest(why));
                 return;
             }
         };
-        let (token, req) = match decode_request(&body) {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Echo whatever token prefix arrived so a retrying client
-                // can correlate the refusal, then close: after a checksum
-                // mismatch the stream offset can no longer be trusted.
-                let slot = Slot::new();
-                slot.fill(Response::BadRequest(e.0));
-                send_slot(tx, &mut unreleased, (envelope_token(&body), slot));
-                return;
-            }
-        };
-        let slot = Slot::new();
         // Mutating requests from a HELLO-bound client with a nonzero token
         // carry an idempotency identity the engine dedups on.
         let idem = match (client, token, &req) {
@@ -668,14 +866,20 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<(u
             (c, t, Request::Put { .. } | Request::Del { .. } | Request::Flush) => Some((c, t)),
             _ => None,
         };
-        match req {
+        let reply = || Reply {
+            conn: Arc::clone(conn),
+            n,
+        };
+        let inline = match req {
             // Data operations ride the epoch pipeline, routed by shard.
             Request::Get { key } | Request::Put { key, .. } | Request::Del { key } => {
-                unreleased.enqueue(shared.shard_queue(key), req, &slot, idem);
+                unreleased.enqueue(shared.shard_queue(key), req, reply(), idem);
+                continue;
             }
             // Order-sensitive operations are barriers in the engine.
             Request::Succ { .. } | Request::Pred { .. } | Request::Len | Request::Flush => {
-                unreleased.enqueue(shared.barrier_queue(), req, &slot, idem);
+                unreleased.enqueue(shared.barrier_queue(), req, reply(), idem);
+                continue;
             }
             // Health management answers inline under a *read* lock: the
             // quarantine ledger is interior-mutable and both transitions
@@ -693,69 +897,74 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, tx: &SyncSender<(u
                         (shard as u64, reason)
                     })
                     .collect();
-                slot.fill(Response::Health {
+                Response::Health {
                     shards: dict.shard_count() as u64,
                     degraded: degraded_shards,
-                });
+                }
             }
             Request::Quarantine { shard, reason } => {
                 let dict = read_locked(&shared.dict);
                 if (shard as usize) < dict.shard_count() {
                     dict.quarantine_shard(shard as usize, reason);
-                    slot.fill(Response::Done);
+                    Response::Done
                 } else {
-                    slot.fill(Response::BadRequest(format!(
+                    Response::BadRequest(format!(
                         "shard {shard} out of range ({} shards)",
                         dict.shard_count()
-                    )));
+                    ))
                 }
             }
             Request::Restore { shard } => {
                 let dict = read_locked(&shared.dict);
                 if (shard as usize) < dict.shard_count() {
                     dict.restore_shard(shard as usize);
-                    slot.fill(Response::Done);
+                    Response::Done
                 } else {
-                    slot.fill(Response::BadRequest(format!(
+                    Response::BadRequest(format!(
                         "shard {shard} out of range ({} shards)",
                         dict.shard_count()
-                    )));
+                    ))
                 }
             }
-            Request::Ping => slot.fill(Response::Done),
+            Request::Ping => Response::Done,
             Request::Hello { client: id } => {
                 client = id;
-                slot.fill(Response::Done);
+                Response::Done
             }
-        }
-        if !send_slot(tx, &mut unreleased, (token, slot)) {
-            // Writer died (peer stopped reading); no point parsing more.
-            return;
-        }
+        };
+        conn.fill(n, inline);
     }
 }
 
-fn connection_writer(stream: TcpStream, rx: &Receiver<(u64, Arc<Slot>)>, write_timeout: Duration) {
+fn connection_writer(stream: TcpStream, conn: &Conn, write_timeout: Duration) {
     // A peer that stops draining responses is shed after `write_timeout`
-    // (the write errors, the writer exits, the reader's next send fails):
-    // slow clients cost themselves the connection, never an engine stall.
+    // (the write errors, the writer exits, the reader's next append is
+    // refused): slow clients cost themselves the connection, never an
+    // engine stall.
     let _ = stream.set_write_timeout(Some(write_timeout));
     let mut out = BufWriter::new(stream);
+    let mut ready: Vec<(u64, Response)> = Vec::new();
+    let mut frame = Vec::new();
     loop {
-        // The mirror of the reader's release rule: responses whose slots
-        // are already filled share one buffer, flushed only before the
-        // writer would block — on an empty channel or an unfilled slot.
-        let queued = rx.try_recv().ok();
-        let filled = queued.as_ref().and_then(|(_, slot)| slot.try_take());
-        if filled.is_none() && out.flush().is_err() {
-            return;
+        // The mirror of the reader's release rule: every response already
+        // filled behind the head shares one buffer, flushed only before the
+        // writer would park on an unfilled (or absent) head cell.
+        conn.pop_filled(&mut ready, false);
+        if ready.is_empty() {
+            if out.flush().is_err() {
+                return;
+            }
+            conn.pop_filled(&mut ready, true);
+            if ready.is_empty() {
+                return;
+            }
         }
-        let Some((token, slot)) = queued.or_else(|| rx.recv().ok()) else {
-            return;
-        };
-        let resp = filled.unwrap_or_else(|| slot.wait());
-        if write_frame(&mut out, &encode_response(token, &resp)).is_err() {
-            return;
+        for (token, resp) in ready.drain(..) {
+            frame.clear();
+            encode_response_into(&mut frame, token, &resp);
+            if out.write_all(&frame).is_err() {
+                return;
+            }
         }
     }
 }
@@ -841,26 +1050,38 @@ impl DedupRegistry {
 
 fn engine_loop(shared: &Arc<Shared>) {
     let mut dedup = DedupRegistry::new(shared.cfg.dedup_window);
+    // Engine-owned scratch, emptied by every epoch and reused by the next.
+    let mut epoch: Vec<Ticket> = Vec::new();
+    let mut segment = Segment::default();
     loop {
         let shutting = wait_for_epoch(shared);
-        let epoch = drain_epoch(shared, shutting);
-        if !epoch.is_empty() {
-            shared.epochs.fetch_add(1, Ordering::Relaxed);
-            shared
-                .tickets
-                .fetch_add(epoch.len() as u64, Ordering::Relaxed);
-            process_epoch(shared, epoch, &mut dedup);
-        }
+        run_epoch(shared, shutting, &mut epoch, &mut segment, &mut dedup);
         if shutting {
             // Final sweep: `closed` is now set under every queue lock, so
             // nothing can slip in after this drain.
-            let tail = drain_epoch(shared, true);
-            if !tail.is_empty() {
-                process_epoch(shared, tail, &mut dedup);
-            }
+            run_epoch(shared, true, &mut epoch, &mut segment, &mut dedup);
             return;
         }
     }
+}
+
+/// Drains one epoch and, if it holds anything, counts and applies it.
+fn run_epoch(
+    shared: &Arc<Shared>,
+    closing: bool,
+    epoch: &mut Vec<Ticket>,
+    segment: &mut Segment,
+    dedup: &mut DedupRegistry,
+) {
+    drain_epoch(shared, closing, epoch);
+    if epoch.is_empty() {
+        return;
+    }
+    shared.epochs.fetch_add(1, Ordering::Relaxed);
+    shared
+        .tickets
+        .fetch_add(epoch.len() as u64, Ordering::Relaxed);
+    process_epoch(shared, epoch, segment, dedup);
 }
 
 /// Blocks until a reader has released tickets or shutdown begins — never
@@ -883,8 +1104,8 @@ fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
     }
 }
 
-/// Drains every queue and merges the tickets into one global
-/// arrival-ordered stream. During shutdown the queues are closed under
+/// Drains every queue into `epoch` (empty on entry) and merges the tickets
+/// into one global arrival-ordered stream. During shutdown the queues are closed under
 /// their locks first, so no later enqueue can be stranded unanswered.
 ///
 /// Every queue lock is held at once, so the epoch is a *prefix* of the
@@ -895,8 +1116,7 @@ fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
 /// behind it into the barrier queue it had not reached yet, and the barrier
 /// then ran an epoch before the write it follows. (`enqueue` takes one queue
 /// lock and nothing else takes two, so holding all of them cannot deadlock.)
-fn drain_epoch(shared: &Arc<Shared>, closing: bool) -> Vec<Ticket> {
-    let mut epoch: Vec<Ticket> = Vec::new();
+fn drain_epoch(shared: &Arc<Shared>, closing: bool, epoch: &mut Vec<Ticket>) {
     let mut queues: Vec<_> = shared.queues.iter().map(locked).collect();
     for q in &mut queues {
         if closing {
@@ -908,7 +1128,6 @@ fn drain_epoch(shared: &Arc<Shared>, closing: bool) -> Vec<Ticket> {
     // Each queue was seq-sorted (stamps drawn under the queue lock); the
     // merge re-establishes the one total arrival order.
     epoch.sort_by_key(|t| t.seq);
-    epoch
 }
 
 /// An idempotency identity: `(client id, token)`.
@@ -920,40 +1139,46 @@ type Idem = (u64, u64);
 #[derive(Default)]
 struct Segment {
     overlay: BTreeMap<u64, Option<u64>>,
-    /// `(key, slot, idem)` of every write, in arrival order.
-    writes: Vec<(u64, Arc<Slot>, Option<Idem>)>,
+    /// `(key, reply, idem)` of every write, in arrival order.
+    writes: Vec<(u64, Reply, Option<Idem>)>,
     batch: Vec<BatchOp<u64, u64>>,
     /// Idempotency identities already writing in this segment — a
     /// duplicate arriving in the *same* epoch (registry not yet updated)
     /// is caught here instead.
     pending: BTreeSet<Idem>,
-    /// Same-segment duplicates: `(key, slot)` answered at commit exactly
+    /// Same-segment duplicates: `(key, reply)` answered at commit exactly
     /// like their originals (same shard-health check), without a second
     /// application.
-    dups: Vec<(u64, Arc<Slot>)>,
-    /// Reads that hit the overlay: `(key, observed value, slot)` — answered
-    /// only after the batch commits, so a shard that panics mid-apply
-    /// degrades them instead of letting them claim an uncommitted write.
-    overlay_reads: Vec<(u64, Option<u64>, Arc<Slot>)>,
+    dups: Vec<(u64, Reply)>,
+    /// Reads that hit the overlay: `(key, observed value, reply)` —
+    /// answered only after the batch commits, so a shard that panics
+    /// mid-apply degrades them instead of letting them claim an
+    /// uncommitted write.
+    overlay_reads: Vec<(u64, Option<u64>, Reply)>,
     /// Reads that missed the overlay, answered from the pre-batch state.
-    deferred_reads: Vec<(u64, Arc<Slot>)>,
+    deferred_reads: Vec<(u64, Reply)>,
+    /// The keys of `deferred_reads`, as `multi_get` wants them.
+    deferred_keys: Vec<u64>,
 }
 
 impl Segment {
-    fn push_read(&mut self, key: u64, slot: Arc<Slot>) {
+    fn push_read(&mut self, key: u64, reply: Reply) {
         match self.overlay.get(&key) {
-            Some(v) => self.overlay_reads.push((key, *v, slot)),
-            None => self.deferred_reads.push((key, slot)),
+            Some(v) => self.overlay_reads.push((key, *v, reply)),
+            None => {
+                self.deferred_keys.push(key);
+                self.deferred_reads.push((key, reply));
+            }
         }
     }
 
-    fn push_write(&mut self, key: u64, value: Option<u64>, slot: Arc<Slot>, idem: Option<Idem>) {
+    fn push_write(&mut self, key: u64, value: Option<u64>, reply: Reply, idem: Option<Idem>) {
         // A duplicate of a write already in this segment joins as a
         // *waiter*, not a second application — exactly-once holds even
         // when the retry lands in the same epoch as the original.
         if let Some(id) = idem {
             if !self.pending.insert(id) {
-                self.dups.push((key, slot));
+                self.dups.push((key, reply));
                 return;
             }
         }
@@ -962,7 +1187,7 @@ impl Segment {
             Some(v) => BatchOp::Put(key, v),
             None => BatchOp::Remove(key),
         });
-        self.writes.push((key, slot, idem));
+        self.writes.push((key, reply, idem));
     }
 
     fn is_empty(&self) -> bool {
@@ -978,43 +1203,43 @@ impl Segment {
     /// shard owned is reported as a clean answer. Healthy tokened writes
     /// are recorded in the dedup registry — degraded ones are *not*, so a
     /// retry after repair re-attempts instead of replaying the refusal.
+    /// Leaves the segment empty, its buffers' capacity kept for the next.
     fn commit(&mut self, dict: &mut ServedDict, dedup: &mut DedupRegistry) {
         if self.is_empty() {
             return;
         }
-        let keys: Vec<u64> = self.deferred_reads.iter().map(|(k, _)| *k).collect();
-        let values = dict.multi_get(&keys);
-        let deferred: Vec<(u64, Option<u64>, Arc<Slot>)> = self
+        let values = dict.multi_get(&self.deferred_keys);
+        self.deferred_keys.clear();
+        dict.multi_apply(self.batch.drain(..));
+        let deferred = self
             .deferred_reads
             .drain(..)
             .zip(values)
-            .map(|((key, slot), value)| (key, value, slot))
-            .collect();
-        dict.multi_apply(std::mem::take(&mut self.batch));
-        for (key, value, slot) in deferred.into_iter().chain(self.overlay_reads.drain(..)) {
+            .map(|((key, reply), value)| (key, value, reply));
+        for (key, value, reply) in deferred.chain(self.overlay_reads.drain(..)) {
             match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => slot.fill(degraded(err)),
-                None => slot.fill(match value {
+                Some(err) => reply.fill(degraded(err)),
+                None => reply.fill(match value {
                     Some(v) => Response::Value(v),
                     None => Response::NotFound,
                 }),
             }
         }
-        for (key, slot, idem) in self.writes.drain(..) {
+        for (key, reply, idem) in self.writes.drain(..) {
             match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => slot.fill(degraded(err)),
+                Some(err) => reply.fill(degraded(err)),
                 None => {
                     if let Some((client, token)) = idem {
                         dedup.record(client, token, Response::Done);
                     }
-                    slot.fill(Response::Done);
+                    reply.fill(Response::Done);
                 }
             }
         }
-        for (key, slot) in self.dups.drain(..) {
+        for (key, reply) in self.dups.drain(..) {
             match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => slot.fill(degraded(err)),
-                None => slot.fill(Response::Done),
+                Some(err) => reply.fill(degraded(err)),
+                None => reply.fill(Response::Done),
             }
         }
         self.pending.clear();
@@ -1022,17 +1247,22 @@ impl Segment {
     }
 }
 
-fn process_epoch(shared: &Arc<Shared>, epoch: Vec<Ticket>, dedup: &mut DedupRegistry) {
+/// Applies one epoch in arrival order, leaving `epoch` and `segment` empty.
+fn process_epoch(
+    shared: &Arc<Shared>,
+    epoch: &mut Vec<Ticket>,
+    segment: &mut Segment,
+    dedup: &mut DedupRegistry,
+) {
     let mut dict = write_locked(&shared.dict);
-    let mut segment = Segment::default();
-    for ticket in epoch {
+    for ticket in epoch.drain(..) {
         // Exactly-once: a mutating retry whose token is still inside its
         // client's window replays the retained response — the write is
         // not re-applied, so `PUT a; DEL a; retry PUT a` cannot resurrect
         // the key.
         if let Some((client, token)) = ticket.idem {
             if let Some(retained) = dedup.lookup(client, token) {
-                ticket.slot.fill(retained);
+                ticket.reply.fill(retained);
                 continue;
             }
         }
@@ -1042,17 +1272,17 @@ fn process_epoch(shared: &Arc<Shared>, epoch: Vec<Ticket>, dedup: &mut DedupRegi
                 // segment — `multi_get`'s silent omission never becomes a
                 // silent NOT_FOUND.
                 match dict.shard_status(dict.shard_of(&key)) {
-                    Some(err) => ticket.slot.fill(degraded(err)),
-                    None => segment.push_read(key, ticket.slot),
+                    Some(err) => ticket.reply.fill(degraded(err)),
+                    None => segment.push_read(key, ticket.reply),
                 }
             }
             Request::Put { key, value } => match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => ticket.slot.fill(degraded(err)),
-                None => segment.push_write(key, Some(value), ticket.slot, ticket.idem),
+                Some(err) => ticket.reply.fill(degraded(err)),
+                None => segment.push_write(key, Some(value), ticket.reply, ticket.idem),
             },
             Request::Del { key } => match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => ticket.slot.fill(degraded(err)),
-                None => segment.push_write(key, None, ticket.slot, ticket.idem),
+                Some(err) => ticket.reply.fill(degraded(err)),
+                None => segment.push_write(key, None, ticket.reply, ticket.idem),
             },
             barrier => {
                 segment.commit(&mut dict, dedup);
@@ -1065,7 +1295,7 @@ fn process_epoch(shared: &Arc<Shared>, epoch: Vec<Ticket>, dedup: &mut DedupRegi
                         dedup.record(client, token, resp.clone());
                     }
                 }
-                ticket.slot.fill(resp);
+                ticket.reply.fill(resp);
             }
         }
     }
@@ -1116,8 +1346,7 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
 mod tests {
     use super::*;
 
-    #[test]
-    fn readers_route_with_a_copy_of_the_dictionary_router() {
+    fn serve() -> Server {
         let config = DictConfig {
             seed: 0xD1C7,
             shards: 4,
@@ -1127,8 +1356,334 @@ mod tests {
             config,
             persist: None,
         };
-        let server = Server::spawn("127.0.0.1:0", opts).expect("bind loopback");
+        Server::spawn("127.0.0.1:0", opts).expect("bind loopback")
+    }
+
+    #[test]
+    fn readers_route_with_a_copy_of_the_dictionary_router() {
+        let server = serve();
         let shared = &server.shared;
         assert_eq!(shared.router, *read_locked(&shared.dict).router());
+    }
+
+    // The ring, with no socket anywhere: the tests play reader, engine and
+    // writer themselves. Where a test needs another thread to have parked,
+    // it waits for the flag that thread sets under the ring's lock — a
+    // condition, not a sleep.
+
+    fn wait_until(conn: &Conn, parked: impl Fn(&ConnState) -> bool) {
+        while !parked(&locked(&conn.state)) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn fill_wakes(conn: &Conn) -> u64 {
+        conn.fill_wakes.load(Ordering::Relaxed)
+    }
+
+    /// Pops with `park` until the connection is over; what a writer emits.
+    fn drain_ring(conn: &Conn) -> Vec<(u64, Response)> {
+        let mut emitted = Vec::new();
+        let mut ready = Vec::new();
+        loop {
+            conn.pop_filled(&mut ready, true);
+            if ready.is_empty() {
+                return emitted;
+            }
+            emitted.append(&mut ready);
+        }
+    }
+
+    #[test]
+    fn cells_filled_out_of_order_are_emitted_in_order() {
+        let mut ring = ConnState::new(8);
+        for token in 10..14 {
+            assert_eq!(ring.push(token), Push::Cell(token - 10));
+        }
+        let mut out = Vec::new();
+        ring.fill(2, Response::Value(2));
+        ring.fill(1, Response::Value(1));
+        ring.pop_filled(&mut out);
+        assert!(out.is_empty(), "the head is unanswered: nothing may leave");
+        ring.fill(0, Response::Value(0));
+        ring.pop_filled(&mut out);
+        assert_eq!(
+            out,
+            [
+                (10, Response::Value(0)),
+                (11, Response::Value(1)),
+                (12, Response::Value(2))
+            ]
+        );
+        assert_eq!((ring.base, ring.cells.len()), (3, 1));
+        // Request numbers keep counting across pops.
+        assert_eq!(ring.push(14), Push::Cell(4));
+        ring.fill(4, Response::Done);
+        ring.fill(3, Response::NotFound);
+        out.clear();
+        ring.pop_filled(&mut out);
+        assert_eq!(out, [(13, Response::NotFound), (14, Response::Done)]);
+    }
+
+    #[test]
+    fn only_a_fill_of_the_head_with_the_writer_parked_wakes() {
+        let conn = Conn::new(8);
+        for token in 0..4 {
+            conn.push(token, || ()).expect("room");
+        }
+        // Head, writer not parked (it is encoding, or flushing).
+        conn.fill(0, Response::Done);
+        assert_eq!(fill_wakes(&conn), 0);
+        let mut out = Vec::new();
+        conn.pop_filled(&mut out, false);
+        assert_eq!(out.len(), 1);
+        // Writer parked, but on cell 1: cells 3 and 2 are not its business.
+        locked(&conn.state).writer_parked = true;
+        conn.fill(3, Response::Done);
+        conn.fill(2, Response::Done);
+        assert_eq!(fill_wakes(&conn), 0);
+        assert!(locked(&conn.state).writer_parked);
+        // The head, with the writer parked: the one wake.
+        conn.fill(1, Response::Done);
+        assert_eq!(fill_wakes(&conn), 1);
+        assert!(
+            !locked(&conn.state).writer_parked,
+            "the waker takes the flag"
+        );
+    }
+
+    #[test]
+    fn a_parked_writer_is_woken_once_for_a_whole_burst() {
+        let conn = Conn::new(8);
+        let writer = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                conn.pop_filled(&mut out, true);
+                out
+            })
+        };
+        wait_until(&conn, |st| st.writer_parked);
+        // Parked on an *empty* ring: appends alone do not wake it.
+        for token in 0..3 {
+            conn.push(token, || ()).expect("room");
+        }
+        conn.fill(2, Response::Value(2));
+        conn.fill(1, Response::Value(1));
+        assert_eq!(fill_wakes(&conn), 0);
+        conn.fill(0, Response::Value(0));
+        let out = writer.join().expect("writer");
+        assert_eq!(
+            out,
+            [
+                (0, Response::Value(0)),
+                (1, Response::Value(1)),
+                (2, Response::Value(2))
+            ]
+        );
+        assert_eq!(fill_wakes(&conn), 1);
+    }
+
+    #[test]
+    fn a_full_ring_releases_before_it_parks_and_its_own_head_unblocks_it() {
+        // The deadlock the release rule exists to prevent: the reader waits
+        // for room, the writer for the head cell, and the head's ticket sits
+        // unreleased with the reader. Bounds 1 and 2 are the tight cases.
+        for bound in [1u64, 2] {
+            let conn = Conn::new(bound as usize);
+            let released = Arc::new(AtomicBool::new(false));
+            let reader = {
+                let conn = Arc::clone(&conn);
+                let released = Arc::clone(&released);
+                std::thread::spawn(move || {
+                    (0..=bound)
+                        .map(|token| conn.push(token, || released.store(true, Ordering::SeqCst)))
+                        .collect::<Vec<_>>()
+                })
+            };
+            wait_until(&conn, |st| st.reader_parked);
+            assert!(
+                released.load(Ordering::SeqCst),
+                "bound {bound}: parked holding unreleased tickets"
+            );
+            assert_eq!(locked(&conn.state).cells.len() as u64, bound);
+            // The engine answers the head — one of this reader's own
+            // tickets — and the writer emits it, which is the room.
+            conn.fill(0, Response::Done);
+            let mut out = Vec::new();
+            conn.pop_filled(&mut out, true);
+            assert_eq!(out, [(0, Response::Done)]);
+            let numbers = reader.join().expect("reader");
+            let want: Vec<Option<u64>> = (0..=bound).map(Some).collect();
+            assert_eq!(numbers, want, "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn an_append_with_room_neither_releases_nor_parks() {
+        let conn = Conn::new(2);
+        assert_eq!(
+            conn.push(7, || panic!("released with room to spare")),
+            Some(0)
+        );
+        assert!(!locked(&conn.state).reader_parked);
+    }
+
+    #[test]
+    fn writer_gone_refuses_the_next_push_and_a_later_fill_is_harmless() {
+        let conn = Conn::new(2);
+        let reader = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || {
+                (0..3)
+                    .map(|token| conn.push(token, || ()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        // The reader is parked on a full ring when the writer dies.
+        wait_until(&conn, |st| st.reader_parked);
+        conn.writer_gone();
+        assert_eq!(
+            reader.join().expect("reader"),
+            [Some(0), Some(1), None],
+            "the parked append is refused, and the reader exits on it"
+        );
+        assert_eq!(conn.push(9, || panic!("nothing to wait for")), None);
+        // The engine still answers the tickets it holds: dropped, no wake.
+        conn.fill(1, Response::Done);
+        conn.fill(0, Response::Done);
+        assert_eq!(fill_wakes(&conn), 0);
+        let mut out = Vec::new();
+        conn.pop_filled(&mut out, false);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn reader_gone_lets_the_writer_drain_what_is_queued_and_then_exit() {
+        let conn = Conn::new(8);
+        for token in 0..3 {
+            conn.push(token, || ()).expect("room");
+        }
+        conn.fill(0, Response::Value(0));
+        conn.reader_gone();
+        let writer = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || drain_ring(&conn))
+        };
+        // Cell 0 leaves; cells 1 and 2 are queued with the engine, so the
+        // writer waits for them rather than exit.
+        wait_until(&conn, |st| st.writer_parked && st.base == 1);
+        assert!(!writer.is_finished());
+        conn.fill(2, Response::Value(2));
+        conn.fill(1, Response::Value(1));
+        assert_eq!(
+            writer.join().expect("writer"),
+            [
+                (0, Response::Value(0)),
+                (1, Response::Value(1)),
+                (2, Response::Value(2))
+            ]
+        );
+        // And a writer parked on an empty ring is let go by the exit itself.
+        let conn = Conn::new(8);
+        let writer = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || drain_ring(&conn))
+        };
+        wait_until(&conn, |st| st.writer_parked);
+        conn.reader_gone();
+        assert!(writer.join().expect("writer").is_empty());
+    }
+
+    /// Queues `PUT key → key` the way a reader does; `None` once the ring
+    /// refuses the append.
+    fn queue_put(conn: &Arc<Conn>, unreleased: &mut Unreleased<'_>, key: u64) -> Option<u64> {
+        let n = conn.push(key, || unreleased.release())?;
+        let reply = Reply {
+            conn: Arc::clone(conn),
+            n,
+        };
+        let queue = unreleased.shared.shard_queue(key);
+        unreleased.enqueue(queue, Request::Put { key, value: key }, reply, None);
+        Some(n)
+    }
+
+    #[test]
+    fn a_reader_that_panics_still_has_its_tickets_applied_and_its_writer_exit() {
+        // The real engine, no connection: the listener is never dialled.
+        let server = serve();
+        let shared = &server.shared;
+        let conn = Conn::new(8);
+        let writer = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || {
+                let mut emitted = Vec::new();
+                run_half(|| conn.writer_gone(), || emitted = drain_ring(&conn));
+                emitted
+            })
+        };
+        run_half(
+            || conn.reader_gone(),
+            || {
+                let mut unreleased = Unreleased { shared, held: 0 };
+                for key in 0..4 {
+                    queue_put(&conn, &mut unreleased, key).expect("room");
+                }
+                // Dies holding four unreleased tickets (`resume_unwind`: a
+                // panic without the hook's stderr report).
+                std::panic::resume_unwind(Box::new("reader half dies"));
+            },
+        );
+        let want: Vec<(u64, Response)> = (0..4).map(|key| (key, Response::Done)).collect();
+        assert_eq!(writer.join().expect("writer"), want);
+        let dict = read_locked(&shared.dict);
+        for key in 0..4u64 {
+            assert_eq!(dict.get(&key), Some(key));
+        }
+    }
+
+    #[test]
+    fn a_writer_that_panics_still_lets_its_reader_exit_and_its_tickets_apply() {
+        let mut server = serve();
+        let shared = Arc::clone(&server.shared);
+        let conn = Conn::new(2);
+        let reader = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || {
+                let mut queued = 0u64;
+                run_half(
+                    || conn.reader_gone(),
+                    || {
+                        let mut unreleased = Unreleased {
+                            shared: &shared,
+                            held: 0,
+                        };
+                        while queue_put(&conn, &mut unreleased, queued).is_some() {
+                            queued += 1;
+                        }
+                    },
+                );
+                queued
+            })
+        };
+        run_half(
+            || conn.writer_gone(),
+            || {
+                let mut out = Vec::new();
+                conn.pop_filled(&mut out, true);
+                assert_eq!(out.first(), Some(&(0, Response::Done)));
+                std::panic::resume_unwind(Box::new("writer half dies"));
+            },
+        );
+        // The reader's next append is refused and it leaves, releasing what
+        // it had queued; the engine applies all of it, answered or not.
+        let queued = reader.join().expect("reader");
+        assert!(queued >= 1);
+        server.shutdown();
+        let dict = read_locked(&server.shared.dict);
+        for key in 0..queued {
+            assert_eq!(dict.get(&key), Some(key), "{queued} queued");
+        }
+        assert_eq!(dict.len() as u64, queued);
     }
 }

@@ -624,6 +624,29 @@ fn a_burst_shares_epochs_and_synchronous_requests_do_not() {
     server.shutdown();
 }
 
+/// Connection churn does not grow the server: the acceptor reaps the
+/// finished reader and writer of past connections each time it accepts, so
+/// the handles it holds follow the live connections. Four hundred
+/// open-ping-close connections in a row — never more than one alive — must
+/// leave a handful of handles, not eight hundred.
+#[test]
+fn connection_churn_does_not_accumulate_thread_handles() {
+    let mut server = spawn(config());
+    let mut most = 0usize;
+    for _ in 0..400 {
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.ping().expect("ping");
+        drop(c);
+        most = most.max(server.conn_threads());
+    }
+    assert!(
+        most <= 64,
+        "{most} connection-thread handles held with one connection alive at a time"
+    );
+    server.shutdown();
+    assert_eq!(server.conn_threads(), 0, "shutdown joins the rest");
+}
+
 /// Shutdown answers every in-flight request: a pipeline cut off by server
 /// shutdown receives only typed responses (possibly `UNAVAILABLE`), and the
 /// stream ends with EOF rather than a hang or a torn frame.
