@@ -48,10 +48,6 @@ echo "==> smoke-run the shard-scaling harness (sharded service gate)"
 AP_BENCH_JSON=target/ci_shard_rows.json \
     cargo run --release --bin shard_scaling -- --smoke >/dev/null
 
-echo "==> smoke-run the batch-throughput harness (group-commit gate)"
-AP_BENCH_JSON=target/ci_batch_rows.json \
-    cargo run --release --bin batch_throughput -- --smoke >/dev/null
-
 echo "==> smoke-run the block-store I/O harness (DAM-vs-device gate)"
 AP_BENCH_JSON=target/ci_blockstore_rows.json \
     cargo run --release --bin block_store_io -- --smoke >/dev/null
@@ -87,9 +83,8 @@ AP_BENCH_JSON=target/ci_netfault_rows.json \
 echo "==> validate the bench JSON row dumps (malformed rows fail CI)"
 cargo run --release --quiet --bin json_check \
     target/ci_update_rows.json target/ci_shard_rows.json \
-    target/ci_batch_rows.json target/ci_blockstore_rows.json \
-    target/ci_fault_rows.json target/ci_loadgen_rows.json \
-    target/ci_netfault_rows.json \
+    target/ci_blockstore_rows.json target/ci_fault_rows.json \
+    target/ci_loadgen_rows.json target/ci_netfault_rows.json \
     BENCH_baseline.json
 
 echo "==> run the chaos soak battery (fixed seeds, smoke sweep)"

@@ -343,14 +343,10 @@ impl<K: Ord + Clone, V: Clone> Dictionary for CobBTree<K, V> {
         CobBTree::bulk_load(self, pairs, seed)
     }
 
-    /// Group-commit batch: the shared keyed driver locates every distinct
-    /// key with one left-to-right finger pass over the augmented PMA, then
-    /// replays the operations in arrival order against the PMA's deferred
-    /// batch surface — bit-identical to the per-op loop (an overwrite is
-    /// the same delete + reinsert [`CobBTree::insert`] performs), with one
-    /// merge-rebalance per touched leaf window.
-    fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
-        hi_common::batch::apply_keyed_batch(&mut self.pma, ops)
+    fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
+        for (key, value) in pairs {
+            CobBTree::insert(self, key, value);
+        }
     }
 
     fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {

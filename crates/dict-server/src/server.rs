@@ -87,8 +87,9 @@
 //! `tests/server_protocol.rs` pins this against `BTreeMap`).
 //!
 //! *History independence*: the engine only ever touches the dictionary
-//! through `multi_get`/`multi_apply`/`bulk_load` — the batch engine whose
-//! layout is invariant under batch partitioning (PR 5's pinned property).
+//! through `multi_get`/`multi_apply`/`bulk_load`, and `multi_apply` applies
+//! each shard's share of a batch in arrival order, so the layout is
+//! invariant under batch partitioning (pinned in `tests/determinism.rs`).
 //! Scheduling decides only *where epoch boundaries fall*, i.e. how the one
 //! arrival-ordered stream is partitioned into batches — exactly the degree
 //! of freedom the layout is invariant under — so client count, how clients
@@ -1159,6 +1160,17 @@ struct Segment {
     deferred_reads: Vec<(u64, Reply)>,
     /// The keys of `deferred_reads`, as `multi_get` wants them.
     deferred_keys: Vec<u64>,
+    /// Per-shard health as of the last point it could have changed. The
+    /// engine holds the dictionary's write lock for the whole epoch, so
+    /// that is the start of the epoch and each `multi_get` / `multi_apply`
+    /// (a contained panic quarantines its shard): one snapshot there
+    /// instead of a lock round trip per ticket and per response.
+    health: Vec<Option<ShardError>>,
+}
+
+/// The typed refusal for `key` if its shard was down at the last snapshot.
+fn refusal(health: &[Option<ShardError>], dict: &ServedDict, key: u64) -> Option<Response> {
+    health[dict.shard_of(&key)].clone().map(degraded)
 }
 
 impl Segment {
@@ -1211,23 +1223,22 @@ impl Segment {
         let values = dict.multi_get(&self.deferred_keys);
         self.deferred_keys.clear();
         dict.multi_apply(self.batch.drain(..));
+        dict.health_into(&mut self.health);
+        let health = &self.health;
         let deferred = self
             .deferred_reads
             .drain(..)
             .zip(values)
             .map(|((key, reply), value)| (key, value, reply));
         for (key, value, reply) in deferred.chain(self.overlay_reads.drain(..)) {
-            match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => reply.fill(degraded(err)),
-                None => reply.fill(match value {
-                    Some(v) => Response::Value(v),
-                    None => Response::NotFound,
-                }),
-            }
+            reply.fill(refusal(health, dict, key).unwrap_or(match value {
+                Some(v) => Response::Value(v),
+                None => Response::NotFound,
+            }));
         }
         for (key, reply, idem) in self.writes.drain(..) {
-            match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => reply.fill(degraded(err)),
+            match refusal(health, dict, key) {
+                Some(resp) => reply.fill(resp),
                 None => {
                     if let Some((client, token)) = idem {
                         dedup.record(client, token, Response::Done);
@@ -1237,10 +1248,7 @@ impl Segment {
             }
         }
         for (key, reply) in self.dups.drain(..) {
-            match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => reply.fill(degraded(err)),
-                None => reply.fill(Response::Done),
-            }
+            reply.fill(refusal(health, dict, key).unwrap_or(Response::Done));
         }
         self.pending.clear();
         self.overlay.clear();
@@ -1255,6 +1263,7 @@ fn process_epoch(
     dedup: &mut DedupRegistry,
 ) {
     let mut dict = write_locked(&shared.dict);
+    dict.health_into(&mut segment.health);
     for ticket in epoch.drain(..) {
         // Exactly-once: a mutating retry whose token is still inside its
         // client's window replays the retained response — the write is
@@ -1267,21 +1276,19 @@ fn process_epoch(
             }
         }
         match ticket.req {
-            Request::Get { key } => {
-                // A read on a quarantined shard refuses before joining the
-                // segment — `multi_get`'s silent omission never becomes a
-                // silent NOT_FOUND.
-                match dict.shard_status(dict.shard_of(&key)) {
-                    Some(err) => ticket.reply.fill(degraded(err)),
-                    None => segment.push_read(key, ticket.reply),
-                }
-            }
-            Request::Put { key, value } => match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => ticket.reply.fill(degraded(err)),
+            // A read on a quarantined shard refuses before joining the
+            // segment — `multi_get`'s silent omission never becomes a
+            // silent NOT_FOUND.
+            Request::Get { key } => match refusal(&segment.health, &dict, key) {
+                Some(resp) => ticket.reply.fill(resp),
+                None => segment.push_read(key, ticket.reply),
+            },
+            Request::Put { key, value } => match refusal(&segment.health, &dict, key) {
+                Some(resp) => ticket.reply.fill(resp),
                 None => segment.push_write(key, Some(value), ticket.reply, ticket.idem),
             },
-            Request::Del { key } => match dict.shard_status(dict.shard_of(&key)) {
-                Some(err) => ticket.reply.fill(degraded(err)),
+            Request::Del { key } => match refusal(&segment.health, &dict, key) {
+                Some(resp) => ticket.reply.fill(resp),
                 None => segment.push_write(key, None, ticket.reply, ticket.idem),
             },
             barrier => {

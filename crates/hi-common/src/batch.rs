@@ -1,40 +1,18 @@
-//! Group-commit batch updates: one locate pass + one replay pass + one
-//! rebalance per touched window.
+//! Batches of keyed operations and sorted multi-key lookups.
 //!
 //! A history-independent structure's layout is a pure function of
 //! *(contents, coins)*, and its coins are drawn in a canonical per-operation
-//! order. A batch of updates therefore cannot reorder the *decisions* — the
-//! capacity events, the reservoir lotteries, the balance draws must happen
-//! exactly as if the operations were applied one at a time — but it is free
-//! to defer every *element move* until the decisions are in, and then touch
-//! each affected region of the backing array once.
+//! order, so a batch of updates ([`BatchOp`]) is applied one operation at a
+//! time, in arrival order: [`Dictionary::apply_batch`](crate::traits::Dictionary::apply_batch)
+//! is that loop, and any partition of an arrival stream into batches leaves
+//! the same state. Replaying the coins per operation while deferring the
+//! element moves measured slower than the loop on served traffic (DESIGN.md
+//! "Group commit"), so nothing is deferred.
 //!
-//! [`apply_keyed_batch`] is the engine-independent driver that turns a batch
-//! of keyed operations ([`BatchOp`]) into rank-addressed splices against any
-//! [`RankedSequence`] of key–value pairs kept in ascending key order:
-//!
-//! 1. **Locate** (read-only): the distinct keys are visited in ascending
-//!    order and resolved to their lower-bound ranks with a single shared
-//!    left-to-right descent — a [`SeekFinger`] resumes from the previous
-//!    key's leaf instead of restarting at the root
-//!    ([`RankedSequence::lower_bound_seek_by`]).
-//! 2. **Replay** (arrival order): every operation is translated to the rank
-//!    it would apply at mid-batch — the located rank plus the net number of
-//!    earlier batch inserts/deletes below its key, maintained in a Fenwick
-//!    tree over the distinct keys — and handed to the engine's
-//!    [`RankedSequence::batch_insert_at`] / [`RankedSequence::batch_delete_at`],
-//!    which draw exactly the per-op coins and defer the data movement.
-//!    An overwrite of a present key replays as delete + reinsert at the same
-//!    rank, precisely what [`RankedDict::insert`](crate::traits::RankedDict)
-//!    does per-op.
-//! 3. **Commit**: [`RankedSequence::batch_commit`] executes one
-//!    merge-rebalance per touched window.
-//!
-//! The provided defaults on [`RankedSequence`] apply each splice
-//! immediately, so the driver is *bit-identical* to the per-op loop for
-//! every engine; engines with a deferred implementation (the PMAs) stay
-//! bit-identical by construction because the replay draws the same coins in
-//! the same order.
+//! Reads have no coins to respect: [`get_many_keyed`] sorts the probe keys
+//! and serves them with one shared left-to-right descent — a [`SeekFinger`]
+//! resumes from the previous key's leaf instead of restarting at the root
+//! ([`RankedSequence::lower_bound_seek_by`]).
 
 use crate::traits::RankedSequence;
 
@@ -86,128 +64,6 @@ impl SeekFinger {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// A Fenwick (binary-indexed) tree over signed per-key deltas, used by the
-/// batch driver to answer "net inserts minus deletes among keys strictly
-/// below this one" in `O(log d)`.
-#[derive(Debug, Clone, Default)]
-pub struct SignedFenwick {
-    tree: Vec<i64>,
-}
-
-impl SignedFenwick {
-    /// A tree over `n` zeroed slots.
-    pub fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Clears and resizes to `n` slots, keeping the allocation when possible.
-    pub fn reset(&mut self, n: usize) {
-        self.tree.clear();
-        self.tree.resize(n + 1, 0);
-    }
-
-    /// Adds `delta` at `index`.
-    pub fn add(&mut self, index: usize, delta: i64) {
-        let mut i = index + 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of deltas in `[0, index)`.
-    pub fn prefix(&self, index: usize) -> i64 {
-        let mut i = index.min(self.tree.len().saturating_sub(1));
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-}
-
-/// Applies a batch of keyed operations to a key-sorted [`RankedSequence`] of
-/// pairs, bit-identically to applying them one at a time in arrival order
-/// (insert = lower bound + splice, overwrite = delete + reinsert at the same
-/// rank, remove-miss = no-op). Returns the number of removes that found
-/// their key.
-///
-/// Engines that implement the deferred batch surface
-/// ([`RankedSequence::batch_insert_at`] and friends) execute one
-/// merge-rebalance per touched window; for everything else the provided
-/// defaults degrade to the per-op loop.
-pub fn apply_keyed_batch<S, K, V>(seq: &mut S, ops: Vec<BatchOp<K, V>>) -> usize
-where
-    S: RankedSequence<Item = (K, V)>,
-    K: Ord + Clone,
-    V: Clone,
-{
-    if ops.is_empty() {
-        return 0;
-    }
-    // Sort a permutation of the op indices by key (stable, so equal keys
-    // keep arrival order) and collapse it into the distinct ascending keys.
-    let mut order: Vec<u32> = (0..ops.len() as u32).collect();
-    order.sort_by(|&a, &b| ops[a as usize].key().cmp(ops[b as usize].key()));
-    let mut key_idx: Vec<u32> = vec![0; ops.len()];
-    // Locate phase: one shared left-to-right descent over the distinct keys.
-    let mut ranks: Vec<usize> = Vec::with_capacity(ops.len());
-    let mut present: Vec<bool> = Vec::with_capacity(ops.len());
-    {
-        let mut finger = SeekFinger::new();
-        let mut prev: Option<&K> = None;
-        for &oi in &order {
-            let key = ops[oi as usize].key();
-            if prev != Some(key) {
-                let (rank, probe) = seq.lower_bound_seek_by(&mut finger, |pair| pair.0.cmp(key));
-                ranks.push(rank);
-                present.push(matches!(probe, Some((k, _)) if k == key));
-                prev = Some(key);
-            }
-            key_idx[oi as usize] = (ranks.len() - 1) as u32;
-        }
-    }
-    // Replay phase, in arrival order. The rank a key's operation applies at
-    // mid-batch is its located rank plus the net number of earlier batch
-    // inserts (minus deletes) of strictly smaller keys.
-    let mut deltas = SignedFenwick::new(ranks.len());
-    let mut removed = 0usize;
-    seq.batch_begin();
-    for (i, op) in ops.into_iter().enumerate() {
-        let j = key_idx[i] as usize;
-        let rank = (ranks[j] as i64 + deltas.prefix(j)) as usize;
-        match op {
-            BatchOp::Put(k, v) => {
-                if present[j] {
-                    // Overwrite: delete + reinsert at the same rank, exactly
-                    // as the keyed adapters do per-op.
-                    seq.batch_delete_at(rank);
-                    seq.batch_insert_at(rank, (k, v));
-                } else {
-                    seq.batch_insert_at(rank, (k, v));
-                    deltas.add(j, 1);
-                    present[j] = true;
-                }
-            }
-            BatchOp::Remove(_) => {
-                if present[j] {
-                    seq.batch_delete_at(rank);
-                    deltas.add(j, -1);
-                    present[j] = false;
-                    removed += 1;
-                }
-                // A remove of an absent key is a pure miss: the per-op path
-                // draws no coins and changes nothing, so neither do we.
-            }
-        }
-    }
-    seq.batch_commit();
-    removed
 }
 
 /// Looks up every key of `keys` against a key-sorted [`RankedSequence`] of
@@ -297,6 +153,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_op_loop() {
+        use crate::traits::{Dictionary, RankedDict};
         let ops: Vec<BatchOp<u64, u64>> = vec![
             BatchOp::Put(5, 50),
             BatchOp::Put(1, 10),
@@ -308,24 +165,13 @@ mod tests {
             BatchOp::Remove(3),
             BatchOp::Put(3, 33),
         ];
-        let mut seq = PairSeq(vec![(2, 20), (9, 99)]);
-        let removed = apply_keyed_batch(&mut seq, ops);
+        let mut dict = RankedDict::new(PairSeq(vec![(2, 20), (9, 99)]));
+        let removed = dict.apply_batch(ops);
         assert_eq!(removed, 3);
-        assert_eq!(seq.0, vec![(2, 20), (3, 33), (5, 55), (9, 90)]);
-    }
-
-    #[test]
-    fn signed_fenwick_prefix_sums() {
-        let mut f = SignedFenwick::new(5);
-        f.add(0, 1);
-        f.add(3, -2);
-        f.add(3, 1);
-        assert_eq!(f.prefix(0), 0);
-        assert_eq!(f.prefix(1), 1);
-        assert_eq!(f.prefix(3), 1);
-        assert_eq!(f.prefix(4), 0);
-        assert_eq!(f.prefix(5), 0);
-        f.reset(2);
-        assert_eq!(f.prefix(2), 0);
+        assert_eq!(dict.seq().0, vec![(2, 20), (3, 33), (5, 55), (9, 90)]);
+        assert_eq!(
+            dict.get_many(&[9, 1, 3, 2, 7]),
+            vec![Some(90), None, Some(33), Some(20), None]
+        );
     }
 }

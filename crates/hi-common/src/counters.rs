@@ -35,8 +35,9 @@ pub struct OpCounters {
     pub deletes: u64,
     /// Number of point or range queries completed.
     pub queries: u64,
-    /// Number of window gather/refill round-trips performed by group-commit
-    /// batch applies (one per touched window, not one per element).
+    /// Always 0: nothing gathers a window per batch any more (DESIGN.md
+    /// "Group commit"). The field stays because the `benchmark/` package
+    /// reads it.
     pub batch_gathers: u64,
 }
 
@@ -173,11 +174,6 @@ impl SharedCounters {
     /// Records a completed delete.
     pub fn add_delete(&self) {
         locked(&self.inner).deletes += 1;
-    }
-
-    /// Records one batch-commit window gather/refill round-trip.
-    pub fn add_batch_gather(&self) {
-        locked(&self.inner).batch_gathers += 1;
     }
 
     /// Records a completed query.

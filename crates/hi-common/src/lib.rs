@@ -37,7 +37,7 @@ pub mod stats;
 pub mod sync;
 pub mod traits;
 
-pub use batch::{apply_keyed_batch, BatchOp, SeekFinger};
+pub use batch::{BatchOp, SeekFinger};
 pub use bitmap::Bitmap;
 pub use capacity::HiCapacity;
 pub use counters::{OpCounters, SharedCounters};

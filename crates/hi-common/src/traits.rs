@@ -162,7 +162,8 @@ pub trait RankedSequence {
     /// root. The finger is only meaningful between mutations.
     ///
     /// The provided default ignores the finger; positional engines (the
-    /// PMAs) override it with a left-to-right leaf walk.
+    /// PMAs) override it with a left-to-right leaf walk. Its one caller is
+    /// the sorted read path, [`get_many_keyed`](crate::batch::get_many_keyed).
     fn lower_bound_seek_by<F>(
         &self,
         finger: &mut crate::batch::SeekFinger,
@@ -174,34 +175,6 @@ pub trait RankedSequence {
         let _ = finger;
         self.lower_bound_ref_by(f)
     }
-
-    /// Opens a deferred batch of rank splices (see the [`crate::batch`]
-    /// module). The provided defaults apply every splice immediately, so the
-    /// batch surface behaves bit-identically to the per-op loop for any
-    /// implementation; engines with a group-commit path override all four
-    /// methods and defer the data movement to [`Self::batch_commit`].
-    fn batch_begin(&mut self) {}
-
-    /// Replays one insert of a deferred batch at the rank it applies at
-    /// mid-batch. Coins (for randomized engines) are drawn exactly as
-    /// [`Self::insert_at`] would draw them.
-    fn batch_insert_at(&mut self, rank: usize, item: Self::Item) {
-        self.insert_at(rank, item)
-            // hi-lint: allow(panic-surface): batch replay contract: the engine recorded this rank as valid when the batch was built
-            .expect("batch insert rank out of range");
-    }
-
-    /// Replays one delete of a deferred batch. The removed element is
-    /// dropped (batch callers never consume it).
-    fn batch_delete_at(&mut self, rank: usize) {
-        self.delete_at(rank)
-            // hi-lint: allow(panic-surface): batch replay contract: the engine recorded this rank as valid when the batch was built
-            .expect("batch delete rank out of range");
-    }
-
-    /// Closes a deferred batch: executes one merge-rebalance per touched
-    /// window and restores every invariant of the sequence.
-    fn batch_commit(&mut self) {}
 
     /// Returns a clone of the `rank`-th element.
     fn get(&self, rank: usize) -> Option<Self::Item> {
@@ -394,13 +367,13 @@ pub trait Dictionary {
     }
 
     /// Inserts every pair of `pairs`, in order (later duplicates overwrite
-    /// earlier ones, exactly as repeated [`Self::insert`] calls would).
-    /// Routed through [`Self::apply_batch`] in bounded chunks, so engines
-    /// with a group-commit batch path amortize descents and rebalances
-    /// across each run while an arbitrarily large (or lazy) input keeps
-    /// constant peak memory. Chunk boundaries are invisible in the result:
-    /// `apply_batch` is bit-identical to the per-op loop, so any chunking
-    /// of the same stream composes to the same state.
+    /// earlier ones): the same state as one [`Self::insert`] call per pair.
+    /// The provided default feeds [`Self::apply_batch`] bounded chunks, for
+    /// the engines whose `apply_batch` shares work across a run (the
+    /// baseline B-tree and skip list), so a lazy input of any length keeps
+    /// constant peak memory; since any partition of a stream composes to
+    /// the same state, the chunk boundaries are invisible. Engines whose
+    /// `apply_batch` is the per-op loop override this with that loop.
     fn extend(&mut self, pairs: impl IntoIterator<Item = KeyValue<Self::Key, Self::Value>>) {
         const EXTEND_CHUNK: usize = 1 << 16;
         let mut iter = pairs.into_iter();
@@ -418,12 +391,13 @@ pub trait Dictionary {
     }
 
     /// Applies a batch of keyed operations in arrival order, returning the
-    /// number of removes that found their key. Semantically (and, for the
-    /// history-independent engines, *bit-for-bit*) identical to the per-op
-    /// loop — later duplicates win, an overwrite replays as the engine's
-    /// usual replace, a remove-miss is a no-op — but implementations
-    /// override it to pay one descent per operation and one rebalance per
-    /// touched window instead of per element.
+    /// number of removes that found their key. The promise is the state —
+    /// for the history-independent engines the layout, bit for bit — that
+    /// the per-op loop below leaves: later duplicates win, a remove-miss is
+    /// a no-op, and any partition of one arrival stream into batches
+    /// composes to the same state. An override may get there faster (the
+    /// baseline B-tree and skip list reuse a descent finger across sorted
+    /// runs) but may not change it.
     fn apply_batch(&mut self, ops: Vec<crate::batch::BatchOp<Self::Key, Self::Value>>) -> usize {
         let mut removed = 0;
         for op in ops {
@@ -502,9 +476,10 @@ fn counted_cmp<K: Ord>(comparisons: &Cell<u64>, probe: &K, key: &K) -> std::cmp:
 /// pairs kept in ascending key order.
 ///
 /// This is the paper's observation that a sparse table plus a search
-/// structure *is* a dictionary, in adapter form: ranks are found by binary
-/// search over the sequence (`O(log n)` [`RankedSequence::get_ref`] probes),
-/// after which every operation delegates to the rank-addressed API. It is
+/// structure *is* a dictionary, in adapter form: a key's rank is found by
+/// [`RankedSequence::lower_bound_ref_by`] (one value-tree descent on the HI
+/// PMA, a binary search over `get_ref` on the classic one), after which
+/// every operation delegates to the rank-addressed API. It is
 /// how the two PMAs ([`HiPma`](https://docs.rs/pma), `ClassicPma`) join the
 /// dictionary conformance suite and the runtime-selectable backend set
 /// without bespoke wrappers.
@@ -695,8 +670,10 @@ where
         self.seq.bulk_load(pairs, seed);
     }
 
-    fn apply_batch(&mut self, ops: Vec<crate::batch::BatchOp<K, V>>) -> usize {
-        crate::batch::apply_keyed_batch(&mut self.seq, ops)
+    fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
+        for (key, value) in pairs {
+            self.insert(key, value);
+        }
     }
 
     fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {

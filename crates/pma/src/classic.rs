@@ -25,9 +25,7 @@ use hi_common::scratch::Scratch;
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 
-use crate::batch::BatchState;
 use crate::fenwick::Fenwick;
-use crate::spread::spread_position;
 use crate::store::{ScanIter, SlotStore};
 
 /// Density thresholds for the classic PMA, linearly interpolated by depth.
@@ -90,18 +88,6 @@ pub struct ClassicPma<T: Clone> {
     elem_size: u64,
     /// Reusable gather buffer for rebalances and resizes.
     scratch: Scratch<T>,
-    /// Deferred-splice state for the group-commit batch path.
-    batch: BatchState<T>,
-    /// Per-segment record of the last rebalance window that covered the
-    /// segment during a batch replay: `(first segment, window segments,
-    /// element count at that rebalance)`. A segment's slot bits are the
-    /// slice of that window's even spread, so the record is exactly what
-    /// the commit needs to reproduce the per-op bitmap. Only consulted for
-    /// dirty segments (every dirty segment was covered by some replayed
-    /// rebalance).
-    seg_pattern: Vec<(u32, u32, u32)>,
-    /// Reusable packed-bit buffer for commit-time segment patterns.
-    bit_buf: Vec<u64>,
 }
 
 impl<T: Clone> ClassicPma<T> {
@@ -136,9 +122,6 @@ impl<T: Clone> ClassicPma<T> {
             region: Region::new(0, elem_size, 1),
             elem_size,
             scratch: Scratch::new(),
-            batch: BatchState::default(),
-            seg_pattern: Vec::new(),
-            bit_buf: Vec::new(),
         };
         pma.resize_to(8, Vec::new());
         pma
@@ -239,11 +222,6 @@ impl<T: Clone> ClassicPma<T> {
             *c = self.store.group_len(seg) as u64;
         }
         self.seg_counts = Fenwick::from_counts(&counts);
-        // A resize rewrites every segment directly; stale pattern records
-        // must not survive it (they are only consulted for dirty segments,
-        // which a resize clears, but keep the vector sized to the layout).
-        self.seg_pattern.clear();
-        self.seg_pattern.resize(segments, (0, 0, 0));
     }
 
     /// Moves every element, in rank order, into the scratch buffer.
@@ -492,232 +470,6 @@ impl<T: Clone> ClassicPma<T> {
         Ok(out)
     }
 
-    // ------------------------------------------------------------------
-    // Group-commit batch updates
-    // ------------------------------------------------------------------
-    //
-    // The batch replay walks every operation through exactly the per-op
-    // density checks — choosing the same rebalance windows and resizes —
-    // but only *accounts* for each rebalance (updating the per-segment
-    // counts to the even-spread shares the window would leave) instead of
-    // moving elements. `batch_commit` then gathers each maximal dirty run
-    // of segments once, applies the recorded splices, and refills every
-    // segment with its final count and the slot bits of its last covering
-    // window — reproducing the per-op layout bit for bit.
-
-    /// Number of spread positions of `count` elements over `slots` slots
-    /// that fall below slot `x_slots`: `|{j < count : ⌊j·slots/count⌋ <
-    /// x_slots}| = ⌈x_slots·count / slots⌉`.
-    fn spread_prefix(x_slots: usize, count: usize, slots: usize) -> usize {
-        if count == 0 {
-            return 0;
-        }
-        (((x_slots as u64 * count as u64).div_ceil(slots as u64)) as usize).min(count)
-    }
-
-    /// Replays a rebalance of the `window_segs`-segment window starting at
-    /// `first_seg` down to its per-segment element shares, without moving
-    /// elements. Mirrors [`ClassicPma::rebalance_window`]'s accounting.
-    fn replay_rebalance(&mut self, first_seg: usize, window_segs: usize, count: usize) {
-        let slots = window_segs * self.seg_size;
-        debug_assert!(count <= slots);
-        self.batch.mark_dirty_window(first_seg, window_segs);
-        for s_off in 0..window_segs {
-            let s = first_seg + s_off;
-            let lo = Self::spread_prefix(s_off * self.seg_size, count, slots);
-            let hi = Self::spread_prefix((s_off + 1) * self.seg_size, count, slots);
-            let old = self.seg_counts.get(s) as i64;
-            self.seg_counts.add(s, (hi - lo) as i64 - old);
-            self.seg_pattern[s] = (first_seg as u32, window_segs as u32, count as u32);
-        }
-        self.counters.add_moves(count as u64);
-        self.counters.add_rebuild(slots as u64);
-    }
-
-    /// Opens a deferred batch. Pair with [`ClassicPma::batch_commit`].
-    pub fn batch_begin(&mut self) {
-        self.batch.begin();
-    }
-
-    /// Replays one insert of an open batch at `rank` (the rank it applies
-    /// at mid-batch), deferring the element movement. Chooses exactly the
-    /// window [`ClassicPma::insert`] would rebalance.
-    pub fn batch_insert(&mut self, rank: usize, item: T) {
-        debug_assert!(self.batch.active, "batch_insert outside a batch");
-        debug_assert!(rank <= self.len);
-        self.counters.add_insert();
-        let (seg, _within) = self.segment_for_rank(rank);
-        let mut level = 0u32;
-        loop {
-            let window_slots = (1usize << level) * self.seg_size;
-            let count_after = self.window_count(seg, level) + 1;
-            let depth = self.height - level;
-            let threshold = self.bands.upper(depth, self.height);
-            if count_after as f64 <= threshold * window_slots as f64 && count_after <= window_slots
-            {
-                let window_segs = 1usize << level;
-                let first_seg = (seg / window_segs) * window_segs;
-                self.replay_rebalance(first_seg, window_segs, count_after);
-                self.batch.record_insert(rank, first_seg, item);
-                self.len += 1;
-                return;
-            }
-            if level == self.height {
-                // Grow: materialize the pending sequence and rebuild, just
-                // like the per-op path.
-                let mut buf = self.flush_batch_sequence();
-                buf.insert(rank, item);
-                let new_slots = Self::target_slots(buf.len());
-                self.resize_to(new_slots, buf);
-                self.batch.reset_records();
-                return;
-            }
-            level += 1;
-        }
-    }
-
-    /// Replays one delete of an open batch at `rank`, deferring the element
-    /// movement (the removed element is dropped at commit).
-    pub fn batch_delete(&mut self, rank: usize) {
-        debug_assert!(self.batch.active, "batch_delete outside a batch");
-        debug_assert!(rank < self.len);
-        self.counters.add_delete();
-        let (seg, _within) = self.segment_for_rank(rank);
-        let mut level = 0u32;
-        loop {
-            let window_slots = (1usize << level) * self.seg_size;
-            let count_after = self.window_count(seg, level) - 1;
-            let depth = self.height - level;
-            let threshold = self.bands.lower(depth, self.height);
-            let root_level = level == self.height;
-            if count_after as f64 >= threshold * window_slots as f64 && !root_level {
-                let window_segs = 1usize << level;
-                let first_seg = (seg / window_segs) * window_segs;
-                self.replay_rebalance(first_seg, window_segs, count_after);
-                self.batch.record_delete(rank, first_seg);
-                self.len -= 1;
-                return;
-            }
-            if root_level {
-                let mut buf = self.flush_batch_sequence();
-                drop(buf.remove(rank));
-                let new_slots = Self::target_slots(buf.len());
-                self.resize_to(new_slots, buf);
-                self.batch.reset_records();
-                return;
-            }
-            level += 1;
-        }
-    }
-
-    /// Closes an open batch: one merge-rebalance per maximal dirty run of
-    /// segments.
-    pub fn batch_commit(&mut self) {
-        if !self.batch.active {
-            return;
-        }
-        if self.batch.is_clean() {
-            self.batch.finish();
-            return;
-        }
-        {
-            let Self {
-                ref mut batch,
-                ref seg_counts,
-                ..
-            } = *self;
-            batch.plan_commit(|g| seg_counts.prefix_sum(g));
-        }
-        let seg_size = self.seg_size;
-        let words = seg_size.div_ceil(64);
-        for run_idx in 0..self.batch.runs().len() {
-            let run = self.batch.run(run_idx);
-            let (g0, g1) = (run.start as usize, run.end as usize);
-            self.tracer.read(
-                self.region.addr((g0 * seg_size) as u64),
-                self.region.span(((g1 - g0) * seg_size) as u64),
-            );
-            let mut buf = std::mem::take(&mut self.batch.run_buf);
-            buf.clear();
-            self.store.drain_window_into(g0, g1 - g0, &mut buf);
-            self.batch.apply_run_splices(run_idx, &mut buf);
-            self.counters.add_batch_gather();
-            let mut iter = buf.drain(..);
-            for s in g0..g1 {
-                let (first, wsegs, count) = self.seg_pattern[s];
-                let (first, wsegs, count) = (first as usize, wsegs as usize, count as usize);
-                debug_assert!(wsegs > 0, "dirty segment without a pattern record");
-                let slots = wsegs * seg_size;
-                let s_off = s - first;
-                let lo = Self::spread_prefix(s_off * seg_size, count, slots);
-                let hi = Self::spread_prefix((s_off + 1) * seg_size, count, slots);
-                debug_assert_eq!(
-                    (hi - lo) as u64,
-                    self.seg_counts.get(s),
-                    "pattern share disagrees with replayed segment count"
-                );
-                self.bit_buf.clear();
-                self.bit_buf.resize(words, 0);
-                for j in lo..hi {
-                    let p = spread_position(j, count, slots) - s_off * seg_size;
-                    self.bit_buf[p / 64] |= 1u64 << (p % 64);
-                }
-                self.store
-                    .fill_group_with_bits(s, &mut iter, hi - lo, &self.bit_buf);
-            }
-            debug_assert!(iter.next().is_none(), "batch commit left elements unplaced");
-            drop(iter);
-            self.tracer.write(
-                self.region.addr((g0 * seg_size) as u64),
-                self.region.span(((g1 - g0) * seg_size) as u64),
-            );
-            self.batch.run_buf = buf;
-        }
-        self.batch.finish();
-    }
-
-    /// Materializes the full pending sequence into a scratch buffer, leaving
-    /// every segment empty — the batch equivalent of
-    /// [`ClassicPma::gather_all`], used before a mid-batch resize.
-    fn flush_batch_sequence(&mut self) -> Vec<T> {
-        let mut out = self.scratch.take();
-        self.tracer.read(self.region.base, self.region.byte_len());
-        if self.batch.is_clean() {
-            self.store.drain_window_into(0, self.segments, &mut out);
-            return out;
-        }
-        {
-            let Self {
-                ref mut batch,
-                ref seg_counts,
-                ..
-            } = *self;
-            batch.plan_commit(|g| seg_counts.prefix_sum(g));
-        }
-        let mut run_idx = 0usize;
-        let mut g = 0usize;
-        while g < self.segments {
-            if run_idx < self.batch.runs().len() && self.batch.run(run_idx).start as usize == g {
-                let run = self.batch.run(run_idx);
-                let mut buf = std::mem::take(&mut self.batch.run_buf);
-                buf.clear();
-                self.store
-                    .drain_window_into(g, (run.end - run.start) as usize, &mut buf);
-                self.batch.apply_run_splices(run_idx, &mut buf);
-                self.counters.add_batch_gather();
-                out.append(&mut buf);
-                self.batch.run_buf = buf;
-                run_idx += 1;
-                g = run.end as usize;
-            } else {
-                self.store.drain_window_into(g, 1, &mut out);
-                g += 1;
-            }
-        }
-        debug_assert_eq!(run_idx, self.batch.runs().len());
-        out
-    }
-
     /// How many segments a seek finger walks before falling back to a
     /// rank-space binary search (`O(log² n)` Fenwick probes) — close probes
     /// ride the walk, sparse probes never pay `O(distance)`.
@@ -851,22 +603,6 @@ impl<T: Clone> RankedSequence for ClassicPma<T> {
         F: Fn(&T) -> std::cmp::Ordering,
     {
         ClassicPma::lower_bound_seek_by(self, finger, f)
-    }
-
-    fn batch_begin(&mut self) {
-        ClassicPma::batch_begin(self)
-    }
-
-    fn batch_insert_at(&mut self, rank: usize, item: T) {
-        ClassicPma::batch_insert(self, rank, item)
-    }
-
-    fn batch_delete_at(&mut self, rank: usize) {
-        ClassicPma::batch_delete(self, rank)
-    }
-
-    fn batch_commit(&mut self) {
-        ClassicPma::batch_commit(self)
     }
 
     fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {
@@ -1056,61 +792,55 @@ mod tests {
 
     #[test]
     fn batch_replay_is_bit_identical_to_per_op_application() {
-        // Group commit on the classic PMA: the replayed density checks must
-        // choose the same windows (and resizes) as the per-op path, and the
-        // commit must reproduce each segment's slice of its last covering
-        // window's spread — so the final bitmap is bit-identical. Exercised
-        // across warm-up sizes that cross resize boundaries mid-batch.
-        for (n_warm, batch_len) in [(0usize, 60usize), (300, 400), (2_000, 1_100)] {
-            let mut state = (n_warm as u64).wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        // A batch on the classic PMA is applied in arrival order, so
+        // `apply_batch` through the keyed adapter chooses the same windows
+        // (and resizes) as the per-op calls however the stream is cut —
+        // same contents, same slot count, same bitmap. Warm-up sizes cross
+        // resize boundaries.
+        use hi_common::traits::{Dictionary, RankedDict};
+        use hi_common::BatchOp;
+        for (n_warm, batch_len) in [(0u64, 60usize), (300, 400), (2_000, 1_100)] {
+            let mut state = n_warm.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             let mut next = |m: u64| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 (state >> 11) % m.max(1)
             };
-            let ops: Vec<(bool, u64)> = (0..batch_len)
-                .map(|_| (next(3) != 0, next(u64::MAX)))
+            let ops: Vec<BatchOp<u64, u64>> = (0..batch_len as u64)
+                .map(|i| match next(3) {
+                    0 => BatchOp::Remove(next(2 * n_warm + 64)),
+                    _ => BatchOp::Put(next(2 * n_warm + 64), i),
+                })
                 .collect();
-            let mut per_op = filled(n_warm);
-            let mut batched = filled(n_warm);
-            for (i, &(is_insert, r)) in ops.iter().enumerate() {
-                if is_insert || per_op.is_empty() {
-                    let rank = (r % (per_op.len() as u64 + 1)) as usize;
-                    per_op.insert(rank, 1_000_000 + i as u64).unwrap();
-                } else {
-                    let rank = (r % per_op.len() as u64) as usize;
-                    per_op.delete(rank).unwrap();
+            let build_base = || {
+                let mut d = RankedDict::new(ClassicPma::<(u64, u64)>::new());
+                for k in 0..n_warm {
+                    d.insert(k * 2, k);
+                }
+                d
+            };
+            let mut per_op = build_base();
+            for op in ops.iter().cloned() {
+                match op {
+                    BatchOp::Put(k, v) => drop(per_op.insert(k, v)),
+                    BatchOp::Remove(k) => drop(per_op.remove(&k)),
                 }
             }
-            batched.batch_begin();
-            for (i, &(is_insert, r)) in ops.iter().enumerate() {
-                if is_insert || batched.is_empty() {
-                    let rank = (r % (batched.len() as u64 + 1)) as usize;
-                    batched.batch_insert(rank, 1_000_000 + i as u64);
-                } else {
-                    let rank = (r % batched.len() as u64) as usize;
-                    batched.batch_delete(rank);
+            for chunk in [1usize, 7, batch_len] {
+                let mut batched = build_base();
+                for c in ops.chunks(chunk) {
+                    batched.apply_batch(c.to_vec());
                 }
+                assert_eq!(per_op.to_sorted_vec(), batched.to_sorted_vec());
+                assert_eq!(per_op.seq().total_slots(), batched.seq().total_slots());
+                assert_eq!(
+                    per_op.seq().occupancy(),
+                    batched.seq().occupancy(),
+                    "n_warm={n_warm} chunk={chunk}: occupancy must be bit-identical"
+                );
+                batched.seq().check_invariants();
             }
-            batched.batch_commit();
-            assert_eq!(per_op.len(), batched.len(), "n_warm={n_warm}");
-            assert_eq!(
-                per_op.range_query(0, per_op.len().saturating_sub(1)).ok(),
-                batched.range_query(0, batched.len().saturating_sub(1)).ok(),
-                "n_warm={n_warm}: contents"
-            );
-            assert_eq!(
-                per_op.total_slots(),
-                batched.total_slots(),
-                "n_warm={n_warm}"
-            );
-            assert_eq!(
-                per_op.occupancy(),
-                batched.occupancy(),
-                "n_warm={n_warm}: occupancy must be bit-identical"
-            );
-            batched.check_invariants();
         }
     }
 

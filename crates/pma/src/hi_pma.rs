@@ -71,7 +71,6 @@ use rand::Rng;
 use veb_tree::navigation::{children, leaf_index};
 use veb_tree::VebTree;
 
-use crate::batch::BatchState;
 use crate::geometry::Geometry;
 use crate::spread::spread_position;
 use crate::store::{ScanIter, SlotStore};
@@ -140,14 +139,6 @@ pub struct HiPma<T: Clone> {
     /// Reusable gather buffer for the rebuild paths; capacity persists
     /// across rebalances so steady-state rebuilds allocate nothing.
     scratch: Scratch<T>,
-    /// Deferred-splice state for the group-commit batch path (see
-    /// [`HiPma::batch_begin`]). Empty and inert outside a batch.
-    batch: BatchState<T>,
-    /// Roots of the range subtrees whose balances were re-planned during
-    /// the current batch replay: `(range, depth, first leaf)`. Their value
-    /// (balance copy) subtrees are recomputed once, at commit, from the
-    /// final element arrangement.
-    batch_roots: Vec<(u32, u32, u32)>,
 }
 
 impl<T: Clone> HiPma<T> {
@@ -207,8 +198,6 @@ impl<T: Clone> HiPma<T> {
             array_region,
             elem_size,
             scratch: Scratch::new(),
-            batch: BatchState::default(),
-            batch_roots: Vec::new(),
         }
     }
 
@@ -1067,7 +1056,7 @@ impl<T: Clone> HiPma<T> {
     }
 
     /// How many leaves a seek finger walks before giving up and paying one
-    /// value-tree descent instead: close probes (sorted batches, dense
+    /// value-tree descent instead: close probes (a sorted `get_many`, dense
     /// probe sets) ride the walk, sparse probes cost `O(log N)` like a
     /// plain search — never `O(distance)`.
     pub const SEEK_WALK_LIMIT: usize = 32;
@@ -1133,372 +1122,6 @@ impl<T: Clone> HiPma<T> {
         finger.valid = true;
         (base + pos, Some(&group[pos]))
     }
-
-    // ------------------------------------------------------------------
-    // Group-commit batch updates
-    // ------------------------------------------------------------------
-    //
-    // The batch path replays every *decision* one operation at a time —
-    // capacity events, reservoir lotteries and balance draws consume the
-    // coin stream exactly as the per-op path would, and the rank tree is
-    // updated along every descent — but records the element splices instead
-    // of executing them. `batch_commit` then touches each maximal dirty run
-    // of leaves once: one gather, one splice pass over the contiguous
-    // buffer, one refill per leaf, and one recomputation of the re-planned
-    // ranges' balance copies from the final arrangement (their identity is
-    // exactly the element at the left child's final count, which is what
-    // sequential application leaves there). The resulting occupancy bitmap,
-    // rank tree, value tree and RNG position are bit-identical to applying
-    // the operations one at a time.
-
-    /// Opens a deferred batch. Pair with [`HiPma::batch_commit`]; between
-    /// the two, only [`HiPma::batch_insert`] / [`HiPma::batch_delete`] may
-    /// touch the structure.
-    pub fn batch_begin(&mut self) {
-        self.batch.begin();
-        self.batch_roots.clear();
-    }
-
-    /// Replays one insert of an open batch at `rank` (the rank it applies
-    /// at mid-batch), deferring the element movement. Draws exactly the
-    /// coins [`HiPma::insert`] would draw.
-    pub fn batch_insert(&mut self, rank: usize, item: T) {
-        debug_assert!(self.batch.active, "batch_insert outside a batch");
-        debug_assert!(rank <= self.len());
-        let event = self.capacity.on_insert(&mut self.rng);
-        if let CapacityEvent::Rebuild { .. } = event {
-            // Same coins and same layout as the sequential path: gather the
-            // full current sequence (pending splices included), splice the
-            // new element, rebuild everything.
-            let mut buf = self.flush_batch_sequence();
-            buf.insert(rank, item);
-            self.record_update(true, 0, None);
-            self.rebuild_everything(buf);
-            self.batch.reset_records();
-            return;
-        }
-        let mut range = 0usize;
-        let mut depth = 0u32;
-        let mut slot_start = 0usize;
-        let mut rel_rank = rank;
-        let mut len_before = *self.rank_tree.get(0) as usize;
-        loop {
-            if depth == self.geometry.height {
-                self.rank_tree.set(range, (len_before + 1) as u64);
-                let leaf = self.geometry.leaf_of_slot(slot_start);
-                debug_assert!(len_before < self.geometry.leaf_slots, "leaf overflow");
-                self.record_update(true, len_before + 1, None);
-                self.batch.mark_dirty(leaf);
-                self.batch.record_insert(rank, leaf, item);
-                return;
-            }
-            let (left, _right) = children(range);
-            let l1 = *self.rank_tree.get(left) as usize;
-            let m = self.geometry.candidate_size(depth);
-            let decision = self.decide_insert(rel_rank, l1, len_before, m);
-            self.rank_tree.set(range, (len_before + 1) as u64);
-            match decision {
-                Decision::Rebuild { forced } => {
-                    let slot_count = self.geometry.slots_at_depth(depth);
-                    self.record_update(true, len_before + 1, Some(slot_count));
-                    self.plan_counts(range, depth, len_before + 1, forced);
-                    let first_leaf = self.geometry.leaf_of_slot(slot_start);
-                    let window = slot_count / self.geometry.leaf_slots;
-                    self.batch.mark_dirty_window(first_leaf, window);
-                    self.batch_roots
-                        .push((range as u32, depth, first_leaf as u32));
-                    self.batch.record_insert(rank, first_leaf, item);
-                    return;
-                }
-                Decision::Descend => {
-                    let half = self.geometry.slots_at_depth(depth) / 2;
-                    if rel_rank <= l1 {
-                        range = left;
-                        len_before = l1;
-                    } else {
-                        range = 2 * range + 2;
-                        slot_start += half;
-                        rel_rank -= l1;
-                        len_before -= l1;
-                    }
-                    depth += 1;
-                }
-            }
-        }
-    }
-
-    /// Replays one delete of an open batch at `rank`, deferring the element
-    /// movement. Draws exactly the coins [`HiPma::delete`] would draw; the
-    /// removed element is dropped at commit.
-    pub fn batch_delete(&mut self, rank: usize) {
-        debug_assert!(self.batch.active, "batch_delete outside a batch");
-        debug_assert!(rank < self.len());
-        let event = self.capacity.on_delete(&mut self.rng);
-        if let CapacityEvent::Rebuild { .. } = event {
-            let mut buf = self.flush_batch_sequence();
-            drop(buf.remove(rank));
-            self.record_update(false, 0, None);
-            if self.capacity.is_empty() {
-                self.scratch.restore(buf);
-                self.reset_empty();
-            } else {
-                self.rebuild_everything(buf);
-            }
-            self.batch.reset_records();
-            return;
-        }
-        let mut range = 0usize;
-        let mut depth = 0u32;
-        let mut slot_start = 0usize;
-        let mut rel_rank = rank;
-        let mut len_before = *self.rank_tree.get(0) as usize;
-        loop {
-            if depth == self.geometry.height {
-                self.rank_tree.set(range, (len_before - 1) as u64);
-                let leaf = self.geometry.leaf_of_slot(slot_start);
-                self.record_update(false, len_before - 1, None);
-                self.batch.mark_dirty(leaf);
-                self.batch.record_delete(rank, leaf);
-                return;
-            }
-            let (left, _right) = children(range);
-            let l1 = *self.rank_tree.get(left) as usize;
-            let m = self.geometry.candidate_size(depth);
-            let decision = self.decide_delete(rel_rank, l1, len_before, m);
-            self.rank_tree.set(range, (len_before - 1) as u64);
-            match decision {
-                Decision::Rebuild { forced } => {
-                    let slot_count = self.geometry.slots_at_depth(depth);
-                    self.record_update(false, len_before - 1, Some(slot_count));
-                    self.plan_counts(range, depth, len_before - 1, forced);
-                    let first_leaf = self.geometry.leaf_of_slot(slot_start);
-                    let window = slot_count / self.geometry.leaf_slots;
-                    self.batch.mark_dirty_window(first_leaf, window);
-                    self.batch_roots
-                        .push((range as u32, depth, first_leaf as u32));
-                    self.batch.record_delete(rank, first_leaf);
-                    return;
-                }
-                Decision::Descend => {
-                    let half = self.geometry.slots_at_depth(depth) / 2;
-                    if rel_rank < l1 {
-                        range = left;
-                        len_before = l1;
-                    } else {
-                        range = 2 * range + 2;
-                        slot_start += half;
-                        rel_rank -= l1;
-                        len_before -= l1;
-                    }
-                    depth += 1;
-                }
-            }
-        }
-    }
-
-    /// Closes an open batch: one merge-rebalance per maximal dirty run of
-    /// leaves, then a single recomputation of the re-planned balance copies.
-    pub fn batch_commit(&mut self) {
-        if !self.batch.active {
-            return;
-        }
-        if self.batch.is_clean() {
-            self.batch_roots.clear();
-            self.batch.finish();
-            return;
-        }
-        {
-            let Self {
-                ref mut batch,
-                ref rank_tree,
-                ref geometry,
-                ..
-            } = *self;
-            batch.plan_commit(|leaf| prefix_before_leaf(rank_tree, geometry, leaf));
-        }
-        // Value-subtree roots are recomputed once per *maximal* re-planned
-        // subtree: tree ranges either nest or are disjoint, so after
-        // sorting by first leaf (outermost window first at ties) a sweep
-        // drops every root covered by the previous kept one. Nested roots
-        // would only recompute identical values — skipping them turns the
-        // sum of rebuilt windows into their union.
-        self.batch_roots.sort_unstable_by_key(|&(_, d, fl)| (fl, d));
-        {
-            let height = self.geometry.height;
-            let mut covered_end = 0u32;
-            self.batch_roots.retain(|&(_, d, fl)| {
-                if fl < covered_end {
-                    debug_assert!(fl + (1u32 << (height - d)) <= covered_end);
-                    false
-                } else {
-                    covered_end = fl + (1u32 << (height - d));
-                    true
-                }
-            });
-        }
-        let levels = self.geometry.levels();
-        let leaf_slots = self.geometry.leaf_slots;
-        let mut root_cursor = 0usize;
-        for run_idx in 0..self.batch.runs().len() {
-            let run = self.batch.run(run_idx);
-            let (g0, g1) = (run.start as usize, run.end as usize);
-            self.tracer.read(
-                self.array_region.addr((g0 * leaf_slots) as u64),
-                self.array_region.span(((g1 - g0) * leaf_slots) as u64),
-            );
-            let mut buf = std::mem::take(&mut self.batch.run_buf);
-            buf.clear();
-            self.store.drain_window_into(g0, g1 - g0, &mut buf);
-            self.batch.apply_run_splices(run_idx, &mut buf);
-            // Recompute the balance copies of every range re-planned inside
-            // this run, from the *final* arrangement: a range's balance is
-            // the element at its left child's count — the invariant descents
-            // preserve — so one pass over the merged buffer restores exactly
-            // the values sequential application would have left.
-            let mut offset = 0usize;
-            let mut leaf = g0;
-            while root_cursor < self.batch_roots.len() {
-                let (range, depth, first_leaf) = self.batch_roots[root_cursor];
-                if first_leaf as usize >= g1 {
-                    break;
-                }
-                while leaf < first_leaf as usize {
-                    offset += *self.rank_tree.peek(leaf_index(levels, leaf)) as usize;
-                    leaf += 1;
-                }
-                let len = *self.rank_tree.peek(range as usize) as usize;
-                self.set_values_from(range as usize, depth, &buf[offset..offset + len]);
-                root_cursor += 1;
-            }
-            // Refill each leaf of the run with its final count — the dense
-            // concatenation of leaves always equals the sequence in rank
-            // order, so slicing the merged run by final counts reproduces
-            // the per-op layout bit for bit.
-            self.refill_leaves(g0, g1 - g0, &mut buf);
-            self.tracer.write(
-                self.array_region.addr((g0 * leaf_slots) as u64),
-                self.array_region.span(((g1 - g0) * leaf_slots) as u64),
-            );
-            self.batch.run_buf = buf;
-        }
-        debug_assert_eq!(root_cursor, self.batch_roots.len());
-        let runs = self.batch.runs().len() as u64;
-        self.counters.update(|c| c.batch_gathers += runs);
-        self.batch_roots.clear();
-        self.batch.finish();
-    }
-
-    /// Phase-1-only rebuild used by the batch replay: draws each range's
-    /// balance coins and writes the rank tree in exactly [`HiPma::plan_range`]'s
-    /// order, but touches no elements (the balance *copies* are recomputed at
-    /// commit, and the leaves are refilled then).
-    fn plan_counts(&mut self, range: usize, depth: u32, len: usize, forced_balance: Option<usize>) {
-        self.rank_tree.set(range, len as u64);
-        if depth == self.geometry.height {
-            return;
-        }
-        let m = self.geometry.candidate_size(depth);
-        let (w, m_eff) = Geometry::candidate_window(len, m);
-        let balance = if len == 0 {
-            0
-        } else {
-            match forced_balance {
-                Some(b) => {
-                    debug_assert!(b >= w && b < w + m_eff, "forced balance outside window");
-                    b
-                }
-                None => w + self.rng.gen_range(0..m_eff.max(1)),
-            }
-        };
-        let (left, _right) = children(range);
-        self.plan_counts(left, depth + 1, balance, None);
-        self.plan_counts(2 * range + 2, depth + 1, len - balance, None);
-    }
-
-    /// Writes the balance copies of the subtree rooted at `range` from the
-    /// final elements of that range (`elements.len()` must equal the range's
-    /// rank-tree count). `len == 0` ranges get `None`, exactly as
-    /// [`HiPma::plan_range`] leaves them.
-    fn set_values_from(&mut self, range: usize, depth: u32, elements: &[T]) {
-        debug_assert_eq!(*self.rank_tree.peek(range) as usize, elements.len());
-        if depth == self.geometry.height {
-            return;
-        }
-        let (left, right) = children(range);
-        let l1 = *self.rank_tree.peek(left) as usize;
-        self.value_tree.set(range, elements.get(l1).cloned());
-        self.set_values_from(left, depth + 1, &elements[..l1]);
-        self.set_values_from(right, depth + 1, &elements[l1..]);
-    }
-
-    /// Materializes the full current sequence (pending splices applied) into
-    /// a scratch buffer, leaving every leaf empty — the batch equivalent of
-    /// [`HiPma::gather_all`], used when a capacity event forces a whole-
-    /// structure rebuild mid-batch.
-    fn flush_batch_sequence(&mut self) -> Vec<T> {
-        let mut out = self.scratch.take();
-        let leaf_count = self.geometry.leaf_count();
-        self.tracer
-            .read(self.array_region.base, self.array_region.byte_len());
-        if self.batch.is_clean() {
-            self.store.drain_window_into(0, leaf_count, &mut out);
-            self.batch_roots.clear();
-            return out;
-        }
-        {
-            let Self {
-                ref mut batch,
-                ref rank_tree,
-                ref geometry,
-                ..
-            } = *self;
-            batch.plan_commit(|leaf| prefix_before_leaf(rank_tree, geometry, leaf));
-        }
-        let mut run_idx = 0usize;
-        let mut g = 0usize;
-        while g < leaf_count {
-            if run_idx < self.batch.runs().len() && self.batch.run(run_idx).start as usize == g {
-                let run = self.batch.run(run_idx);
-                let mut buf = std::mem::take(&mut self.batch.run_buf);
-                buf.clear();
-                self.store
-                    .drain_window_into(g, (run.end - run.start) as usize, &mut buf);
-                self.batch.apply_run_splices(run_idx, &mut buf);
-                out.append(&mut buf);
-                self.batch.run_buf = buf;
-                run_idx += 1;
-                g = run.end as usize;
-            } else {
-                self.store.drain_window_into(g, 1, &mut out);
-                g += 1;
-            }
-        }
-        debug_assert_eq!(run_idx, self.batch.runs().len());
-        self.counters.update(|c| c.batch_gathers += run_idx as u64);
-        self.batch_roots.clear();
-        out
-    }
-}
-
-/// Number of elements in leaves `[0, leaf)`, read from the rank tree in one
-/// root-to-leaf descent (used by the batch commit to place runs without
-/// scanning every group).
-fn prefix_before_leaf(rank_tree: &VebTree<u64>, geometry: &Geometry, leaf: usize) -> u64 {
-    let mut acc = 0u64;
-    let mut range = 0usize;
-    let mut rel = leaf;
-    for depth in 0..geometry.height {
-        let (left, right) = children(range);
-        let half = 1usize << (geometry.height - depth - 1);
-        if rel >= half {
-            acc += *rank_tree.peek(left);
-            rel -= half;
-            range = right;
-        } else {
-            range = left;
-        }
-    }
-    acc
 }
 
 impl<T: Clone> Occupancy for HiPma<T> {
@@ -1556,22 +1179,6 @@ impl<T: Clone> RankedSequence for HiPma<T> {
         F: Fn(&T) -> std::cmp::Ordering,
     {
         HiPma::lower_bound_seek_by(self, finger, f)
-    }
-
-    fn batch_begin(&mut self) {
-        HiPma::batch_begin(self)
-    }
-
-    fn batch_insert_at(&mut self, rank: usize, item: T) {
-        HiPma::batch_insert(self, rank, item)
-    }
-
-    fn batch_delete_at(&mut self, rank: usize) {
-        HiPma::batch_delete(self, rank)
-    }
-
-    fn batch_commit(&mut self) {
-        HiPma::batch_commit(self)
     }
 
     fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {
@@ -2104,13 +1711,14 @@ mod tests {
 
     #[test]
     fn batch_replay_is_bit_identical_to_per_op_application() {
-        // The core group-commit guarantee: replaying a rank-op stream
-        // through batch_begin/batch_insert/batch_delete/batch_commit draws
-        // the same coins and leaves the same bits as applying it per-op —
-        // occupancy bitmap, N̂, rank tree and value tree (probed via keyed
-        // searches) all included. Exercised across sizes that cross the
-        // small-geometry boundary and force mid-batch capacity rebuilds.
-        for (n_warm, batch_len, seed) in [(0usize, 40usize, 1u64), (500, 300, 2), (3_000, 900, 3)] {
+        // A batch is applied in arrival order: `apply_batch` through the keyed adapter
+        // draws the same coins and leaves the same bits as the per-op calls,
+        // however the stream is cut into batches — occupancy bitmap, N̂ and
+        // contents, and the coin streams stay in step afterwards. Sizes cross
+        // the small-geometry boundary and capacity rebuilds.
+        use hi_common::traits::{Dictionary, RankedDict};
+        use hi_common::BatchOp;
+        for (n_warm, batch_len, seed) in [(0u64, 40usize, 1u64), (500, 300, 2), (3_000, 900, 3)] {
             let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             let mut next = |m: u64| {
                 state = state
@@ -2118,81 +1726,61 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 (state >> 11) % m.max(1)
             };
-            // Shared warm-up trace, then a shared batch trace.
-            let warm: Vec<(bool, u64)> = (0..n_warm).map(|i| (true, next(i as u64 + 1))).collect();
-            let ops: Vec<(bool, u64)> = (0..batch_len)
-                .map(|_| (next(3) != 0, next(u64::MAX)))
+            let ops: Vec<BatchOp<u64, u64>> = (0..batch_len as u64)
+                .map(|i| match next(3) {
+                    0 => BatchOp::Remove(next(2 * n_warm + 64)),
+                    _ => BatchOp::Put(next(2 * n_warm + 64), i),
+                })
                 .collect();
-
-            let build_base = |seed: u64| {
-                let mut p: HiPma<u64> = HiPma::new(seed);
-                for (i, &(_, r)) in warm.iter().enumerate() {
-                    p.insert((r % (p.len() as u64 + 1)) as usize, i as u64)
-                        .unwrap();
+            let build_base = || {
+                let mut d = RankedDict::new(HiPma::<(u64, u64)>::new(seed));
+                for k in 0..n_warm {
+                    d.insert(k * 2, k);
                 }
-                p
+                d
             };
-            let mut per_op = build_base(seed);
-            let mut batched = build_base(seed);
-
-            // Apply the same op stream per-op and batched.
-            for (i, &(is_insert, r)) in ops.iter().enumerate() {
-                if is_insert || per_op.is_empty() {
-                    let rank = (r % (per_op.len() as u64 + 1)) as usize;
-                    per_op.insert(rank, 1_000_000 + i as u64).unwrap();
-                } else {
-                    let rank = (r % per_op.len() as u64) as usize;
-                    per_op.delete(rank).unwrap();
+            let mut per_op = build_base();
+            let mut removed = 0;
+            for op in ops.iter().cloned() {
+                match op {
+                    BatchOp::Put(k, v) => drop(per_op.insert(k, v)),
+                    BatchOp::Remove(k) => removed += usize::from(per_op.remove(&k).is_some()),
                 }
             }
-            batched.batch_begin();
-            for (i, &(is_insert, r)) in ops.iter().enumerate() {
-                if is_insert || batched.is_empty() {
-                    let rank = (r % (batched.len() as u64 + 1)) as usize;
-                    batched.batch_insert(rank, 1_000_000 + i as u64);
-                } else {
-                    let rank = (r % batched.len() as u64) as usize;
-                    batched.batch_delete(rank);
+            for chunk in [1usize, 7, batch_len] {
+                let mut batched = build_base();
+                let got: usize = ops
+                    .chunks(chunk)
+                    .map(|c| batched.apply_batch(c.to_vec()))
+                    .sum();
+                assert_eq!(got, removed, "n_warm={n_warm} chunk={chunk}");
+                assert_eq!(batched.seq().counters().snapshot().batch_gathers, 0);
+                assert_eq!(per_op.to_sorted_vec(), batched.to_sorted_vec());
+                assert_eq!(per_op.seq().n_hat(), batched.seq().n_hat());
+                assert_eq!(
+                    per_op.seq().occupancy(),
+                    batched.seq().occupancy(),
+                    "n_warm={n_warm} chunk={chunk}: occupancy must be bit-identical"
+                );
+                batched.seq().check_invariants();
+                let mut follow = per_op.clone();
+                for i in 0..200u64 {
+                    follow.insert(i * 7919, i);
+                    batched.insert(i * 7919, i);
                 }
+                assert_eq!(
+                    follow.seq().occupancy(),
+                    batched.seq().occupancy(),
+                    "n_warm={n_warm} chunk={chunk}: post-batch coin streams diverged"
+                );
             }
-            batched.batch_commit();
-
-            assert_eq!(per_op.to_vec(), batched.to_vec(), "n_warm={n_warm}");
-            assert_eq!(per_op.n_hat(), batched.n_hat(), "n_warm={n_warm}");
-            assert_eq!(
-                per_op.occupancy(),
-                batched.occupancy(),
-                "n_warm={n_warm}: occupancy must be bit-identical"
-            );
-            batched.check_invariants();
-            // Value trees agree: keyed searches land identically, and the
-            // structures stay coin-synchronized for further per-op updates.
-            if !per_op.is_empty() {
-                for probe in [0u64, 5, 1_000_123, u64::MAX] {
-                    assert_eq!(
-                        per_op.lower_bound_by(|x| x.cmp(&probe)),
-                        batched.lower_bound_by(|x| x.cmp(&probe)),
-                        "n_warm={n_warm}: keyed search diverged"
-                    );
-                }
-            }
-            for i in 0..200u64 {
-                let rank = (i * 7919) % (per_op.len() as u64 + 1);
-                per_op.insert(rank as usize, i).unwrap();
-                batched.insert(rank as usize, i).unwrap();
-            }
-            assert_eq!(
-                per_op.occupancy(),
-                batched.occupancy(),
-                "n_warm={n_warm}: post-batch coin streams diverged"
-            );
         }
     }
 
-    /// A scripted run over every exit path of the four update entry points:
-    /// per-op churn, then the same number of ops again in batches, both
-    /// crossing capacity rebuilds.
-    fn scripted_counters(batched_tail: bool) -> hi_common::counters::OpCounters {
+    #[test]
+    fn one_ledger_update_per_operation_counts_what_per_call_counting_did() {
+        // A scripted run over every exit path of the two update entry
+        // points, crossing capacity rebuilds.
         let mut state = 0x5EED_1E46u64;
         let mut next = |m: usize| {
             state = state
@@ -2209,30 +1797,19 @@ mod tests {
             }
         }
         for chunk in 0..12u64 {
-            if batched_tail {
-                pma.batch_begin();
-            }
             for i in 0..500u64 {
-                let delete = (i + chunk) % 4 == 3;
-                match (delete, batched_tail) {
-                    (true, true) => pma.batch_delete(next(pma.len())),
-                    (true, false) => drop(pma.delete(next(pma.len())).unwrap()),
-                    (false, true) => pma.batch_insert(next(pma.len() + 1), i),
-                    (false, false) => pma.insert(next(pma.len() + 1), i).unwrap(),
+                if (i + chunk) % 4 == 3 {
+                    pma.delete(next(pma.len())).unwrap();
+                } else {
+                    pma.insert(next(pma.len() + 1), i).unwrap();
                 }
             }
-            pma.batch_commit();
         }
         pma.check_invariants();
-        pma.counters().snapshot()
-    }
-
-    #[test]
-    fn one_ledger_update_per_operation_counts_what_per_call_counting_did() {
         // Captured from per-call counting (a lock per `add_insert`, per
         // rebuilt leaf's `add_moves` and per `add_rebuild`) under this
         // geometry: folding them into one update per operation moves no
-        // value, on the per-op path or the batch path.
+        // value.
         let per_call = OpCounters {
             element_moves: 1_349_010,
             rebuilds: 4_010,
@@ -2242,15 +1819,7 @@ mod tests {
             deletes: 3_500,
             ..OpCounters::default()
         };
-        assert_eq!(scripted_counters(false), per_call, "per-op path");
-        assert_eq!(
-            scripted_counters(true),
-            OpCounters {
-                batch_gathers: 48,
-                ..per_call
-            },
-            "batch path"
-        );
+        assert_eq!(pma.counters().snapshot(), per_call);
     }
 
     #[test]

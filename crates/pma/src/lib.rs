@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub(crate) mod batch;
 pub mod classic;
 pub mod fenwick;
 pub mod geometry;

@@ -229,34 +229,6 @@ impl<T> SlotStore<T> {
         self.respread_bits(g, count);
     }
 
-    /// Fills group `g` — which must be empty — with `count` elements taken
-    /// from `iter`, writing the group's slot bits from an explicit packed
-    /// pattern (`⌈group_slots/64⌉` words, low bit = the group's first slot).
-    ///
-    /// Used by the classic PMA's group commit, where a segment's bits are a
-    /// *slice* of its last rebalance window's even spread — not the
-    /// single-group spread the pattern table holds.
-    pub fn fill_group_with_bits<I: Iterator<Item = T>>(
-        &mut self,
-        g: usize,
-        iter: &mut I,
-        count: usize,
-        bits: &[u64],
-    ) {
-        debug_assert!(self.groups[g].is_empty(), "group must be drained first");
-        debug_assert!(count <= self.group_slots);
-        let group = &mut self.groups[g];
-        group.extend(iter.take(count));
-        debug_assert_eq!(group.len(), count, "iterator shorter than promised count");
-        debug_assert_eq!(
-            bits.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
-            count,
-            "bit pattern popcount disagrees with element count"
-        );
-        let start = self.group_start(g);
-        self.bitmap.write_range_bits(start, self.group_slots, bits);
-    }
-
     /// Lazily yields the elements from dense position `(g, idx)` onward, in
     /// rank order. Each group is charged to `tracer` as one sequential read
     /// of its slot span when the iterator enters it (per-window batching —

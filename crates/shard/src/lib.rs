@@ -258,12 +258,21 @@ where
     /// Per-shard health: `None` for a serving shard, `Some(error)` for a
     /// quarantined one.
     pub fn health(&self) -> Vec<Option<ShardError>> {
-        self.quarantine
-            .snapshot()
-            .into_iter()
-            .enumerate()
-            .map(|(shard, reason)| reason.map(|reason| ShardError::Degraded { shard, reason }))
-            .collect()
+        let mut out = Vec::with_capacity(self.shards.len());
+        self.health_into(&mut out);
+        out
+    }
+
+    /// [`Self::health`] into a caller-owned vector (cleared first): one
+    /// lock round trip for all shards, and no allocation once `out` has
+    /// held a snapshot and every shard serves.
+    pub fn health_into(&self, out: &mut Vec<Option<ShardError>>) {
+        let down = locked(&self.quarantine.down);
+        out.clear();
+        out.extend(down.iter().enumerate().map(|(shard, reason)| {
+            let reason = reason.clone()?;
+            Some(ShardError::Degraded { shard, reason })
+        }));
     }
 
     /// Number of quarantined shards (0 = fully healthy).
@@ -454,9 +463,9 @@ where
 
     /// Applies a mixed batch of keyed operations: groups the stream per
     /// shard preserving relative order, and routes each shard's subsequence
-    /// through its engine's group-commit [`Dictionary::apply_batch`] — one
-    /// descent per operation and one merge-rebalance per touched window,
-    /// executed on scoped worker threads for large batches. Returns how
+    /// through its engine's [`Dictionary::apply_batch`] (arrival order, so
+    /// any cut of a stream into batches leaves the same shards), on scoped
+    /// worker threads for large batches. Returns how
     /// many removes found their key.
     pub fn multi_apply(
         &mut self,
@@ -732,7 +741,7 @@ where
     }
 
     /// Routes each shard's subsequence of the batch through its engine's
-    /// group-commit batch path (the inline form;
+    /// [`Dictionary::apply_batch`] (the inline form;
     /// [`ShardedDict::multi_apply`] is the thread-parallel twin and
     /// produces bit-identical shards).
     fn apply_batch(&mut self, ops: Vec<BatchOp<D::Key, D::Value>>) -> usize {

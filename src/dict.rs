@@ -15,8 +15,8 @@
 //! | [`Backend::HiSkipList`] | [`skiplist::ExternalSkipList`] (HI params) | Theorem 3 |
 //! | [`Backend::FolkloreSkipList`] | [`skiplist::ExternalSkipList`] (1/B) | Lemma 15 baseline |
 //! | [`Backend::InMemorySkipList`] | [`skiplist::ExternalSkipList`] (1/2) | RAM baseline on disk |
-//! | [`Backend::HiPma`] | [`pma::HiPma`] behind [`RankedDict`] | Theorem 1, keyed by binary search |
-//! | [`Backend::ClassicPma`] | [`pma::ClassicPma`] behind [`RankedDict`] | density-band baseline, keyed |
+//! | [`Backend::HiPma`] | [`pma::HiPma`] behind [`RankedDict`] | Theorem 1, keyed by one value-tree descent |
+//! | [`Backend::ClassicPma`] | [`pma::ClassicPma`] behind [`RankedDict`] | density-band baseline, keyed by binary search |
 //!
 //! Every backend built here shares one [`SharedCounters`] ledger and one
 //! [`Tracer`], so instrumentation is uniform: enable an [`IoConfig`] on the
@@ -975,9 +975,9 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
         dispatch_mut!(self, d => d.bulk_load(pairs, seed))
     }
 
-    /// Group-commit batch updates: one enum dispatch for the whole batch,
-    /// then the engine's own batch path (deferred merge-rebalances for the
-    /// PMA-backed engines, finger insertion for the B-tree and skip lists).
+    /// One enum dispatch for the whole batch, then the engine's own
+    /// `apply_batch` (the arrival-order loop for the PMA-backed engines,
+    /// finger insertion for the B-tree and skip lists).
     fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
         dispatch_mut!(self, d => d.apply_batch(ops))
     }

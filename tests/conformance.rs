@@ -198,7 +198,7 @@ fn every_dyn_backend_bulk_loads_against_the_oracle() {
 
 #[test]
 fn every_dyn_backend_survives_mixed_batches_against_the_oracle() {
-    // Group-commit batches (apply_batch / extend / get_many) with duplicate
+    // Batches (apply_batch / extend / get_many) with duplicate
     // keys inside one batch, put-then-remove episodes and remove misses —
     // the oracle applies the same stream per-op, so any divergence between
     // the batched and the element-at-a-time semantics fails here.
@@ -226,7 +226,7 @@ fn every_dyn_backend_survives_mixed_batches_against_the_oracle() {
 #[test]
 fn sharded_service_survives_mixed_batches_against_the_oracle() {
     // The same battery through the sharded facade (router + per-shard
-    // group commit + k-way merged audits).
+    // batches + k-way merged audits).
     for shards in [1usize, 3] {
         let mut service: ShardedDict<DynDict<u64, u64>> = Dict::builder()
             .backend(Backend::HiPma)

@@ -227,11 +227,10 @@ fn classic_pma_layout_is_bit_identical_to_the_reference_engine() {
 }
 
 // ---------------------------------------------------------------------
-// Group-commit determinism: apply_batch must be *bit-identical* to per-op
-// application — the batch replay draws the same coins in the same order and
-// defers only the data movement, so the occupancy bitmap of every
-// slot-array backend must not depend on how the stream was chunked into
-// batches.
+// Batch determinism: apply_batch must be *bit-identical* to per-op
+// application — a batch is applied in arrival order, drawing the same coins
+// in the same order, so the occupancy bitmap of every slot-array backend
+// must not depend on how the stream was chunked into batches.
 // ---------------------------------------------------------------------
 
 /// A mixed keyed op stream: `(is_put, key, value)`.

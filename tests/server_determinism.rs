@@ -8,9 +8,9 @@
 //!   flushed on-disk image is *byte-identical* to a fresh single-threaded
 //!   dictionary holding the same final contents, flushed at the same seed
 //!   and block size. Epoch boundaries only partition the arrival-ordered
-//!   stream into batches, the exact degree of freedom the batch engine's
-//!   layout is invariant under, so the image is `f(contents, seed)` no
-//!   matter how many clients raced.
+//!   stream into batches, the exact degree of freedom the sharded
+//!   dictionary's layout is invariant under, so the image is
+//!   `f(contents, seed)` no matter how many clients raced.
 //! * **the two extreme partitions** — the same write stream driven once as
 //!   synchronous single requests (every epoch holds one operation) and
 //!   once as a single burst (every epoch is as full as the reader's
