@@ -16,7 +16,7 @@ cargo test --release -q -p block-store
 echo "==> cargo test --release -q -p pma (the refill kernel and its hard asserts as the benchmark runs them: optimised)"
 cargo test --release -q -p pma
 
-echo "==> cargo test --release -q -p dict-server (the completion ring's asserts and liveness tests as the benchmark runs them: optimised, debug assertions out)"
+echo "==> cargo test --release -q -p dict-server (the racing-leaders, answered-on-return and panic-containment tests as the benchmark runs the server: optimised, debug assertions out)"
 cargo test --release -q -p dict-server
 
 echo "==> cargo test --release -q --test determinism committed_data_file (the golden image as the benchmark writes it: the record encoder optimised)"

@@ -4,10 +4,11 @@
 //!
 //! - [`protocol`] — the hand-rolled length-prefixed binary wire format
 //!   (`std::io` only; see the module docs for the full grammar).
-//! - [`server`] — the TCP server: thread-per-connection framing feeding a
-//!   work-conserving epoch group-commit pipeline (an epoch closes when a
-//!   reader is about to block, never on a timer) that drains through the
-//!   sharded batch engine and responds in arrival order, with bounded
+//! - [`server`] — the TCP server: one thread per connection and
+//!   leader-based epoch group commit (the connection about to block
+//!   applies everything queued, never a timer and never another thread),
+//!   draining through the sharded dictionary and responding in arrival
+//!   order, with bounded
 //!   queues (shed-on-overload) and typed degradation for quarantined
 //!   shards.
 //! - [`client`] — a small blocking client used by the load generator and

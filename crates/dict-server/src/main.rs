@@ -16,9 +16,9 @@
 //! until the process is killed. With `--persist`, the `FLUSH` operation
 //! canonicalizes the served contents into the given block-store file.
 //!
-//! There is no epoch timer to set: a connection hands its queued requests
-//! to the engine when it is about to block, or when it holds `--epoch-ops`
-//! of them.
+//! There is no epoch timer to set: a connection applies what has been
+//! queued — by every connection — when it is about to block, or when it
+//! holds `--epoch-ops` requests of its own.
 
 use std::process::ExitCode;
 use std::str::FromStr;

@@ -1,70 +1,77 @@
-//! The TCP front-end: thread-per-connection framing on `std::net` around a
-//! **work-conserving epoch group-commit pipeline**.
+//! The TCP front-end: one thread per connection on `std::net`, and
+//! **leader-based epoch group commit** — the connection about to block
+//! applies everything queued, by every connection, itself.
 //!
 //! # Architecture
 //!
 //! ```text
-//! acceptor threads ──▶ per-connection reader ──▶ bounded per-shard queues
-//!   (one listener,        (parse every buffered      (seq-stamped tickets,
-//!    N acceptors)          frame, route by shard,     shed when full)
-//!                          release before blocking)        │
-//!                                                          ▼ epoch boundary
-//! per-connection writer ◀── completion ring ◀── engine thread (drain all
-//!   (pops the filled prefix,  (one per connection,  queues, merge by seq,
-//!    flushes before parking)   one cell per request) segment walk, apply_batch)
+//! acceptor threads ──▶ connection thread ──▶ bounded per-shard queues
+//!   (one listener,       (parse every buffered   (seq-stamped tickets,
+//!    N acceptors)         frame, route by shard)  shed when full)
+//!                              │ about to block: release()       │
+//!                              ▼                                 │
+//!                        take the engine mutex ◀─────────────────┘
+//!                        drain *all* queues, merge by seq,
+//!                        segment walk, multi_apply, fill cells
+//!                              │ unlock
+//!                              ▼
+//!                        pop own ring's filled prefix, encode,
+//!                        one write ──▶ then, and only then, read
 //! ```
 //!
-//! ## The completion ring
+//! There is no engine thread and no writer thread: a synchronous request is
+//! client → connection thread → client, two context switches and no wake.
+//!
+//! ## The answer ring
 //!
 //! Each connection owns one `Conn`: a mutex over a `ConnState` — a
 //! `VecDeque` of at most `inflight_bound` cells `(token, Option<Response>)`
-//! in arrival order, plus `base`, the request number of the head cell — and
-//! two condvars. The reader appends an empty cell per frame and parks on
-//! `space` only when `inflight_bound` cells are outstanding; a `Ticket`
-//! carries `(Arc<Conn>, n)`; reader shed, inline admin and the engine all
-//! answer through one `Conn::fill`; the writer pops the whole filled
-//! prefix under one lock, encodes it into its `BufWriter`, and flushes only
-//! before it parks on `filled`. Responses therefore leave in request order
-//! by construction (only the head is ever popped), and a request costs no
-//! allocation, no sync object and no channel hop of its own.
-//!
-//! **A wake happens only when someone is parked.** `fill` notifies only if
-//! its cell is the head *and* the writer has recorded that it is parked.
-//! The wake cannot be lost: the writer sets that flag and re-checks the
-//! head under the same lock `fill` takes, so a `fill` either runs before
-//! the re-check (the writer sees the response and does not park) or after
-//! the flag is set (it notifies). The reader's `space` wait is the mirror
-//! image, against the writer's pop.
+//! in arrival order, plus `base`, the request number of the head cell. The
+//! connection thread appends an empty cell per frame; a `Ticket` carries
+//! `(Arc<Conn>, n)`; shed, inline admin and whichever leader applies the
+//! ticket all answer through one `ConnState::fill`; the connection thread
+//! pops the whole filled prefix under one lock, encodes it into one buffer
+//! and writes it once. Responses leave in request order by construction
+//! (only the head is ever popped), and a request costs no allocation, no
+//! sync object and no hand-off of its own. Nobody ever waits on a ring, so
+//! it has no condition variable.
 //!
 //! ## What closes an epoch
 //!
-//! No timer does. The engine sleeps until some reader *releases* the
-//! tickets it has queued, then drains *every* queue; whatever is released
-//! while it is busy is the next epoch. An idle server answers a lone
-//! request at once, and a loaded one commits in groups that follow the
-//! load.
+//! No timer does, and no dedicated thread either.
 //!
-//! **The release rule: a reader never blocks while holding unreleased
-//! tickets.** A reader parses every frame already in its buffer and queues
-//! them without waking the engine; it releases (one `notify`) only
+//! **The release rule: a connection never blocks while holding unreleased
+//! tickets or unwritten answers.** It parses every frame already in its
+//! buffer and queues them without touching the engine; it *releases* only
 //!
 //! - before a `read` that reaches the socket — the buffer is short of the
 //!   next prefix or body, so the peer decides how long that read takes;
-//! - before it parks on a full ring (`inflight_bound` cells outstanding) —
-//!   the writer it would wait for may itself be waiting on one of those
-//!   tickets;
+//! - when its ring is full (`inflight_bound` requests parsed ahead of
+//!   their answers);
 //! - when it holds `epoch_ops` tickets, the one pacing bound;
-//! - on every way out of the reader, unwinding included (a drop guard).
+//! - on every way out of the connection, unwinding included (a drop guard).
 //!
-//! That gives liveness (a queued ticket is released before its connection
-//! can wait on anything) and batching (a pipelined burst that arrived
-//! together is applied together, in one `multi_apply`). The rule keys on a
-//! property of the input — which bytes have already arrived — not on a
-//! clock or a setting, so there is no idle-latency/throughput knob: no
-//! trade is left to make. The writer mirrors it, flushing its buffer only
-//! before it would park.
+//! `release` leads an epoch if tickets are held — engine mutex, every queue
+//! lock at once, drain, apply, fill — then drops the engine mutex and
+//! writes the filled prefix of its own ring. The write comes after the
+//! unlock, so a peer that will not read stalls its own connection (for at
+//! most `write_timeout`) and never an epoch.
 //!
-//! The engine merges the drained tickets by their global arrival sequence
+//! **Answered on return: when `release` returns, every ticket this
+//! connection queued has been answered.** Epochs are serialized by the
+//! engine mutex and a drain holds every queue lock, so once this thread
+//! holds the mutex each of its tickets is either still queued — and its
+//! own drain takes it — or was taken by an earlier epoch, which filled
+//! every cell it took before it unlocked. Hence nothing is ever left for
+//! another thread to write, a connection blocked in `read` has an empty
+//! ring, and liveness needs no wake. Batching is what it was: a pipelined
+//! burst that arrived together is applied together, and under load a
+//! leader applies what other connections queued while the previous epoch
+//! ran. The rule keys on a property of the input — which bytes have
+//! already arrived — not on a clock or a setting, so there is no
+//! idle-latency/throughput knob.
+//!
+//! A leader merges the drained tickets by their global arrival sequence
 //! number and walks them in that one order: point writes
 //! accumulate into a batch (plus a this-epoch overlay so a pipelined `GET`
 //! after a `PUT` on one connection observes its own write), point reads
@@ -76,42 +83,44 @@
 //!
 //! ## Why this preserves both correctness and history independence
 //!
-//! Neither argument mentions *when* an epoch closes, so neither changed
-//! when the timer went away.
+//! Neither argument mentions *when* an epoch closes or *which thread* runs
+//! it.
 //!
-//! *Correctness*: no response is issued until the engine fills its cell, so
+//! *Correctness*: no response is issued until a leader fills its cell, so
 //! every operation in an epoch is concurrent in real time and any single
-//! serial order is a valid linearization; the engine's order is global
+//! serial order is a valid linearization; the epoch's order is global
 //! arrival (seq) order, which also embeds each connection's program order,
 //! so pipelined streams read their own writes (the oracle battery in
 //! `tests/server_protocol.rs` pins this against `BTreeMap`).
 //!
-//! *History independence*: the engine only ever touches the dictionary
+//! *History independence*: an epoch only ever touches the dictionary
 //! through `multi_get`/`multi_apply`/`bulk_load`, and `multi_apply` applies
 //! each shard's share of a batch in arrival order, so the layout is
 //! invariant under batch partitioning (pinned in `tests/determinism.rs`).
 //! Scheduling decides only *where epoch boundaries fall*, i.e. how the one
 //! arrival-ordered stream is partitioned into batches — exactly the degree
 //! of freedom the layout is invariant under — so client count, how clients
-//! cut their sends, and `epoch_ops` cannot leak into the at-rest bytes. The
-//! determinism battery (`tests/server_determinism.rs`) verifies the flushed
-//! image byte-for-byte against a single-threaded rebuild of the same
-//! contents: after a concurrent multi-client run, and at the two extreme
-//! partitions (every epoch one operation; one burst in few, full epochs).
+//! cut their sends, which connection leads, and `epoch_ops` cannot leak
+//! into the at-rest bytes. The determinism battery
+//! (`tests/server_determinism.rs`) verifies the flushed image byte-for-byte
+//! against a single-threaded rebuild of the same contents: after a
+//! concurrent multi-client run, and at the two extreme partitions (every
+//! epoch one operation; one burst in few, full epochs).
 //!
 //! *Degradation*: a quarantined shard refuses typed — reads and writes
 //! that route to it answer `DEGRADED`, navigation that it could own goes
 //! through [`ShardedDict::try_successor`] and
 //! [`ShardedDict::try_predecessor`], and `FLUSH`
 //! refuses rather than persist partial contents. Never a silent wrong
-//! answer.
+//! answer. A ticket dropped unanswered (a panic unwinding out of an epoch)
+//! answers `UNAVAILABLE` from its `Drop`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -131,6 +140,11 @@ pub type ServedDict = ShardedDict<DynDict<u64, u64>>;
 /// return immediately.
 const READ_POLL: Duration = Duration::from_millis(25);
 
+/// A connection's read buffer. An epoch runs at every read that reaches the
+/// socket, so the buffer has to hold one default `epoch_ops` burst (512
+/// point requests are 19 KiB) or it, not the budget, cuts the epochs.
+const READ_BUF: usize = 32 * 1024;
+
 /// Hard bound on distinct HELLO-bound clients with live dedup windows.
 /// Beyond it the least-recently-used client's window is evicted whole —
 /// a count-based bound, so the registry can never grow with client churn.
@@ -149,9 +163,8 @@ pub struct ServerOptions {
 }
 
 /// One connection's in-flight requests, oldest first. Plain data — no
-/// socket, no lock, no thread — and every transition is a method that
-/// *returns* whether the other half has to be woken, so the type that runs
-/// is the type a model checker can drive step by step.
+/// socket, no lock, no thread — so the type that runs is the type a model
+/// checker can drive step by step.
 #[derive(Default)]
 struct ConnState {
     /// Most cells that may be outstanding (`inflight_bound`).
@@ -159,30 +172,8 @@ struct ConnState {
     /// Request number of the head cell: cell `n` sits at index `n - base`.
     base: u64,
     /// `(token, response)` per request, in arrival order; a cell is filled
-    /// exactly once, by whichever stage answers, and only the head leaves.
+    /// exactly once, by whoever answers, and only the head leaves.
     cells: VecDeque<(u64, Option<Response>)>,
-    /// The writer has found its head cell unfilled and is waiting on
-    /// `filled`. Set by the writer, taken by whoever wakes it.
-    writer_parked: bool,
-    /// The reader has found `bound` cells outstanding and is waiting on
-    /// `space`. Set by the reader, taken by whoever wakes it.
-    reader_parked: bool,
-    /// The reader has exited: no cell will be appended again.
-    reader_gone: bool,
-    /// The writer has exited: no cell will be emitted again, so appends
-    /// refuse and fills are dropped.
-    writer_gone: bool,
-}
-
-/// What [`ConnState::push`] did with a frame.
-#[derive(Debug, PartialEq, Eq)]
-enum Push {
-    /// Appended as request number `n`.
-    Cell(u64),
-    /// `bound` cells are outstanding: release, then park on `space`.
-    Full,
-    /// The writer is gone; the reader has nothing left to do.
-    Closed,
 }
 
 impl ConnState {
@@ -193,174 +184,75 @@ impl ConnState {
         }
     }
 
-    fn push(&mut self, token: u64) -> Push {
-        if self.writer_gone {
-            return Push::Closed;
-        }
+    /// Appends an empty cell for a frame carrying `token` and returns its
+    /// request number; `None` when `bound` cells are outstanding.
+    fn push(&mut self, token: u64) -> Option<u64> {
         if self.cells.len() >= self.bound {
-            return Push::Full;
+            return None;
         }
         self.cells.push_back((token, None));
-        Push::Cell(self.base + self.cells.len() as u64 - 1)
+        Some(self.base + self.cells.len() as u64 - 1)
     }
 
-    /// Stores the answer to request `n`; returns whether the writer must be
-    /// woken — only when this cell is the head and the writer is parked. A
-    /// fill after the writer has exited finds no cell and is dropped.
-    fn fill(&mut self, n: u64, resp: Response) -> bool {
-        let Some(at) = n.checked_sub(self.base) else {
-            return false;
-        };
-        let Some(cell) = self.cells.get_mut(at as usize) else {
-            return false;
-        };
-        debug_assert!(cell.1.is_none(), "request {n} answered twice");
-        cell.1 = Some(resp);
-        at == 0 && std::mem::take(&mut self.writer_parked)
+    /// Stores the answer to request `n` — the one way a response enters
+    /// the ring, for shed, inline admin and an epoch alike.
+    fn fill(&mut self, n: u64, resp: Response) {
+        let cell = n
+            .checked_sub(self.base)
+            .and_then(|at| self.cells.get_mut(at as usize));
+        debug_assert!(
+            matches!(cell, Some((_, None))),
+            "request {n} answered twice, or after it left"
+        );
+        if let Some(cell) = cell {
+            cell.1 = Some(resp);
+        }
     }
 
-    /// Moves the filled prefix to `out` in request order; returns whether
-    /// the reader must be woken (it was parked on a full ring and a cell
-    /// has come free).
-    fn pop_filled(&mut self, out: &mut Vec<(u64, Response)>) -> bool {
-        let before = self.cells.len();
+    /// Moves the filled prefix to `out` in request order.
+    fn pop_filled(&mut self, out: &mut Vec<(u64, Response)>) {
         while matches!(self.cells.front(), Some((_, Some(_)))) {
             if let Some((token, Some(resp))) = self.cells.pop_front() {
                 out.push((token, resp));
+                self.base += 1;
             }
         }
-        self.base += (before - self.cells.len()) as u64;
-        self.cells.len() < before && std::mem::take(&mut self.reader_parked)
-    }
-
-    /// Nothing is queued and nothing will be: the writer may exit.
-    fn is_over(&self) -> bool {
-        self.reader_gone && self.cells.is_empty()
     }
 }
 
-/// One connection's completion ring: the state under one lock, `filled`
-/// for the writer to wait on its head cell, `space` for the reader to wait
-/// on a free one.
-struct Conn {
-    state: Mutex<ConnState>,
-    filled: Condvar,
-    space: Condvar,
-    /// How many times `filled` has been notified by a `fill`.
-    #[cfg(test)]
-    fill_wakes: AtomicU64,
-}
-
-impl Conn {
-    fn new(inflight_bound: usize) -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(ConnState::new(inflight_bound)),
-            filled: Condvar::new(),
-            space: Condvar::new(),
-            #[cfg(test)]
-            fill_wakes: AtomicU64::new(0),
-        })
-    }
-
-    /// Reader side: appends an empty cell for a frame carrying `token` and
-    /// returns its request number, or `None` once the writer is gone. Parks
-    /// only on a full ring, and runs `release` before each wait — the writer
-    /// it waits for may be waiting on one of this reader's own tickets.
-    fn push(&self, token: u64, mut release: impl FnMut()) -> Option<u64> {
-        let mut st = locked(&self.state);
-        loop {
-            match st.push(token) {
-                Push::Cell(n) => return Some(n),
-                Push::Closed => return None,
-                Push::Full => {}
-            }
-            release();
-            st.reader_parked = true;
-            st = self.space.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Answers request `n` — the one way a response enters the ring, for
-    /// reader shed, inline admin and the engine alike. The writer is
-    /// notified only if it is parked on exactly this cell; the flag is read
-    /// under the lock the writer set it under, so the wake cannot be lost.
-    fn fill(&self, n: u64, resp: Response) {
-        let wake = locked(&self.state).fill(n, resp);
-        if wake {
-            #[cfg(test)]
-            self.fill_wakes.fetch_add(1, Ordering::Relaxed);
-            self.filled.notify_one();
-        }
-    }
-
-    /// Writer side: moves the filled prefix to `out`. With `park`, waits
-    /// until there is one; `out` is then left empty only when the
-    /// connection is over (reader gone, nothing queued).
-    fn pop_filled(&self, out: &mut Vec<(u64, Response)>, park: bool) {
-        let mut st = locked(&self.state);
-        loop {
-            if st.pop_filled(out) {
-                drop(st);
-                self.space.notify_one();
-                return;
-            }
-            if !out.is_empty() || !park || st.is_over() {
-                return;
-            }
-            st.writer_parked = true;
-            st = self.filled.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// The reader has exited (any way out, unwinding included): a writer
-    /// parked on an empty ring has nothing left to wait for.
-    fn reader_gone(&self) {
-        let mut st = locked(&self.state);
-        st.reader_gone = true;
-        st.writer_parked = false;
-        drop(st);
-        self.filled.notify_one();
-    }
-
-    /// The writer has exited (any way out, unwinding included): whatever is
-    /// queued can no longer be emitted, later fills are dropped, and a
-    /// reader parked on a full ring is let go.
-    fn writer_gone(&self) {
-        let mut st = locked(&self.state);
-        st.writer_gone = true;
-        st.reader_parked = false;
-        st.cells.clear();
-        drop(st);
-        self.space.notify_one();
-    }
-}
-
-/// Runs one half of a connection, contained and announced: a panic in
-/// `half` ends this half only, and on every way out — the unwind included
-/// — `gone` tells the ring, which lets the other half drain out. The
-/// engine and every other connection keep serving.
-fn run_half(gone: impl FnOnce(), half: impl FnOnce()) {
-    // Bound, not discarded: a panic's payload is dropped after `gone` runs.
-    let _contained = catch_unwind(AssertUnwindSafe(half));
-    gone();
-}
+/// One connection's answer ring: the state under one lock. Its connection
+/// thread appends and pops; that thread and the leader of an epoch fill.
+type Conn = Mutex<ConnState>;
 
 /// Where one request's answer goes: cell `n` of its connection's ring.
+/// Dropped unanswered — a panic unwinding out of an epoch — it answers
+/// `UNAVAILABLE`, so no connection is left waiting on a cell nobody holds.
 struct Reply {
     conn: Arc<Conn>,
     n: u64,
+    answered: bool,
 }
 
 impl Reply {
-    fn fill(&self, resp: Response) {
-        self.conn.fill(self.n, resp);
+    fn fill(mut self, resp: Response) {
+        self.answered = true;
+        locked(&self.conn).fill(self.n, resp);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            let lost = Response::Unavailable("the request was dropped unanswered".into());
+            locked(&self.conn).fill(self.n, lost);
+        }
     }
 }
 
 /// A queued operation: its global arrival sequence number, the request,
-/// the ring cell its connection's writer will emit it from, and — for
-/// mutating requests from a HELLO-bound client — the `(client, token)`
-/// idempotency identity the engine dedups on.
+/// the ring cell its connection will emit it from, and — for mutating
+/// requests from a HELLO-bound client — the `(client, token)` idempotency
+/// identity an epoch dedups on.
 struct Ticket {
     seq: u64,
     req: Request,
@@ -372,9 +264,18 @@ struct Ticket {
 /// operations that need the global view).
 struct Queue {
     ops: VecDeque<Ticket>,
-    /// Set by the engine's final drain: no ticket enqueued after this can
-    /// ever be drained, so enqueue refuses instead.
+    /// Set by the closing epoch: no ticket enqueued after this is owed a
+    /// drain, so enqueue refuses instead.
     closed: bool,
+}
+
+/// What an epoch works with, owned by whoever holds `Shared::engine`: the
+/// exactly-once ledger, and scratch that every epoch leaves empty for the
+/// next to reuse.
+struct Engine {
+    dedup: DedupRegistry,
+    epoch: Vec<Ticket>,
+    segment: Segment,
 }
 
 struct Shared {
@@ -386,14 +287,13 @@ struct Shared {
     /// `shard_count + 1` queues: one per shard, plus the barrier queue.
     queues: Vec<Mutex<Queue>>,
     /// A copy of the dictionary's router (`ShardRouter` is `Copy` and
-    /// fixed for the server's lifetime), so readers route without the
-    /// service lock the engine holds for the whole of an epoch.
+    /// fixed for the server's lifetime), so connections route without the
+    /// service lock a leader holds for the whole of an epoch.
     router: ShardRouter,
     seq: AtomicU64,
-    /// Whether a reader has released tickets since the engine last drained
-    /// — the one condition the engine sleeps on (with `wake`).
-    released: Mutex<bool>,
-    wake: Condvar,
+    /// Held for the whole of an epoch: epochs are serialized, and the
+    /// thread that holds it is the leader.
+    engine: Mutex<Engine>,
     shutdown: AtomicBool,
     /// Non-empty epochs processed and tickets drained into them. RAM-only
     /// statistics: read by [`Server::epoch_stats`], never persisted.
@@ -435,20 +335,20 @@ impl Shared {
 
     /// Stamps, bounds-checks and enqueues one operation; answers it
     /// immediately with the typed shed/refusal response when the queue is
-    /// full or closed. Returns whether a ticket was queued — the reader
-    /// then owes the engine a release (see [`Unreleased::enqueue`]).
-    fn enqueue(&self, queue: usize, req: Request, reply: Reply, idem: Option<Idem>) -> bool {
+    /// full or closed. Returns the ticket's arrival stamp if one was queued
+    /// — the connection then owes it a release (see [`Unreleased::enqueue`]).
+    fn enqueue(&self, queue: usize, req: Request, reply: Reply, idem: Option<Idem>) -> Option<u64> {
         let mut q = locked(&self.queues[queue]);
         if q.closed {
             reply.fill(Response::Unavailable("server is shutting down".into()));
-            return false;
+            return None;
         }
         if q.ops.len() >= self.cfg.queue_bound {
             reply.fill(Response::Overloaded);
-            return false;
+            return None;
         }
         // The global sequence is drawn under the queue lock, so each
-        // queue's tickets are seq-sorted and the engine's merge by seq
+        // queue's tickets are seq-sorted and an epoch's merge by seq
         // reconstructs one total arrival order.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         q.ops.push_back(Ticket {
@@ -457,46 +357,134 @@ impl Shared {
             reply,
             idem,
         });
-        true
+        Some(seq)
+    }
+
+    /// Runs `epoch` as the leader: alone, under the engine mutex. If it
+    /// unwinds, whatever it left in the scratch is dropped — each ticket
+    /// answering `UNAVAILABLE` — before the mutex is let go, so the next
+    /// leader finds the engine as clean as a finished epoch leaves it.
+    fn lead(&self, epoch: impl FnOnce(&mut Engine)) {
+        let mut engine = locked(&self.engine);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| epoch(&mut engine))) {
+            engine.epoch.clear();
+            engine.segment = Segment::default();
+            drop(engine);
+            resume_unwind(panic);
+        }
+    }
+
+    /// Drains one epoch and, if it holds anything, counts and applies it.
+    fn run_epoch(&self, closing: bool) {
+        self.lead(|engine| {
+            drain_epoch(self, closing, &mut engine.epoch);
+            if engine.epoch.is_empty() {
+                return;
+            }
+            self.epochs.fetch_add(1, Ordering::Relaxed);
+            self.tickets
+                .fetch_add(engine.epoch.len() as u64, Ordering::Relaxed);
+            process_epoch(self, engine);
+        });
     }
 }
 
-/// The tickets one reader has queued but not yet released to the engine.
+/// A connection thread's half of the pipeline: the tickets it has queued
+/// but not yet released, and the answers it has not yet written.
 ///
-/// The release rule: **a reader never blocks while holding unreleased
-/// tickets.** It releases (one `notify`) before a socket read, before it
-/// parks on a full completion ring, when `epoch_ops` tickets are held, and
-/// — through `Drop` — on every exit path, unwinding included.
-struct Unreleased<'a> {
+/// The release rule: **a connection never blocks while holding either.**
+/// It releases before a socket read, on a full ring, when `epoch_ops`
+/// tickets are held, and — through `Drop` — on every exit path, unwinding
+/// included, so that a refusal still reaches the peer before the close.
+struct Unreleased<'a, W: Write> {
     shared: &'a Shared,
+    conn: Arc<Conn>,
     held: usize,
+    /// The peer, unbuffered: `frames` is the buffer.
+    sink: W,
+    /// A write failed or timed out: the peer is gone, or will not read.
+    /// Answers are dropped from here on and the connection winds up.
+    severed: bool,
+    /// Scratch, reused by every release.
+    ready: Vec<(u64, Response)>,
+    frames: Vec<u8>,
 }
 
-impl Unreleased<'_> {
+impl<'a, W: Write> Unreleased<'a, W> {
+    fn new(shared: &'a Shared, sink: W) -> Self {
+        Self {
+            shared,
+            conn: Arc::new(Mutex::new(ConnState::new(shared.cfg.inflight_bound))),
+            held: 0,
+            sink,
+            severed: false,
+            ready: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    /// Leads an epoch if tickets are held, then writes every answer this
+    /// connection is owed. On return the ring is empty: each of its cells
+    /// was filled inline or by an epoch that has finished (module docs,
+    /// "Answered on return").
     fn release(&mut self) {
-        if self.held == 0 {
+        if std::mem::take(&mut self.held) > 0 {
+            self.shared.run_epoch(false);
+        }
+        let mut ring = locked(&self.conn);
+        ring.pop_filled(&mut self.ready);
+        debug_assert!(ring.cells.is_empty(), "released, and a cell is unanswered");
+        drop(ring);
+        if self.ready.is_empty() {
             return;
         }
-        self.held = 0;
-        *locked(&self.shared.released) = true;
-        self.shared.wake.notify_one();
+        self.frames.clear();
+        for (token, resp) in self.ready.drain(..) {
+            encode_response_into(&mut self.frames, token, &resp);
+        }
+        // One write per burst, after the engine mutex is dropped: a peer
+        // that will not read costs itself the connection, never an epoch.
+        if !self.severed && self.sink.write_all(&self.frames).is_err() {
+            self.severed = true;
+        }
     }
 
-    /// [`Shared::enqueue`], counting the ticket if one was queued and
-    /// releasing once the op budget is held.
-    fn enqueue(&mut self, queue: usize, req: Request, reply: Reply, idem: Option<Idem>) {
-        if self.shared.enqueue(queue, req, reply, idem) {
-            self.held += 1;
-            if self.held >= self.shared.cfg.epoch_ops {
-                self.release();
-            }
+    /// Appends a ring cell for a frame carrying `token`; a full ring is
+    /// released — which empties it — first. `None` once the peer is gone.
+    fn push(&mut self, token: u64) -> Option<u64> {
+        let cell = locked(&self.conn).push(token);
+        if cell.is_some() {
+            return cell;
         }
+        self.release();
+        if self.severed {
+            return None;
+        }
+        locked(&self.conn).push(token)
+    }
+
+    /// [`Shared::enqueue`] for request number `n`, counting the ticket if
+    /// one was queued and releasing once the op budget is held.
+    fn enqueue(&mut self, queue: usize, n: u64, req: Request, idem: Option<Idem>) -> Option<u64> {
+        let reply = Reply {
+            conn: Arc::clone(&self.conn),
+            n,
+            answered: false,
+        };
+        let seq = self.shared.enqueue(queue, req, reply, idem)?;
+        self.held += 1;
+        if self.held >= self.shared.cfg.epoch_ops {
+            self.release();
+        }
+        Some(seq)
     }
 }
 
-impl Drop for Unreleased<'_> {
+impl<W: Write> Drop for Unreleased<'_, W> {
     fn drop(&mut self) {
-        self.release();
+        // A panic in this last epoch is kept in: the drop may itself be
+        // part of an unwind, and a second panic would abort the process.
+        let _ = catch_unwind(AssertUnwindSafe(|| self.release()));
     }
 }
 
@@ -506,7 +494,6 @@ impl Drop for Unreleased<'_> {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    engine: Option<JoinHandle<()>>,
     acceptors: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     stopped: bool,
@@ -515,7 +502,7 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), validates the
     /// configuration, builds the sharded dictionary, and spawns the accept
-    /// loop and the epoch engine.
+    /// loop.
     pub fn spawn(addr: impl ToSocketAddrs, opts: ServerOptions) -> io::Result<Server> {
         opts.config
             .validate()
@@ -541,18 +528,17 @@ impl Server {
                 .collect(),
             router,
             seq: AtomicU64::new(0),
-            released: Mutex::new(false),
-            wake: Condvar::new(),
+            engine: Mutex::new(Engine {
+                dedup: DedupRegistry::new(cfg.dedup_window),
+                epoch: Vec::new(),
+                segment: Segment::default(),
+            }),
             shutdown: AtomicBool::new(false),
             epochs: AtomicU64::new(0),
             tickets: AtomicU64::new(0),
             cfg,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let engine = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || engine_loop(&shared))
-        };
         let mut acceptors = Vec::with_capacity(cfg.acceptors);
         for _ in 0..cfg.acceptors {
             let listener = listener.try_clone()?;
@@ -565,7 +551,6 @@ impl Server {
         Ok(Server {
             addr: local,
             shared,
-            engine: Some(engine),
             acceptors,
             conns,
             stopped: false,
@@ -577,9 +562,9 @@ impl Server {
         self.addr
     }
 
-    /// `(epochs, tickets)`: how many non-empty epochs the engine has
-    /// processed and how many tickets they held in total — the observable
-    /// form of the batching the release rule produces.
+    /// `(epochs, tickets)`: how many non-empty epochs have been led and how
+    /// many tickets they held in total — the observable form of the
+    /// batching the release rule produces.
     pub fn epoch_stats(&self) -> (u64, u64) {
         (
             self.shared.epochs.load(Ordering::Relaxed),
@@ -587,10 +572,10 @@ impl Server {
         )
     }
 
-    /// How many connection threads (a reader and a writer per connection)
-    /// the server still holds a handle to. Finished ones are reaped each
-    /// time a connection is accepted, so this follows the live connections,
-    /// not the connections ever made. RAM-only, never persisted.
+    /// How many connection threads (one per connection) the server still
+    /// holds a handle to. Finished ones are reaped each time a connection
+    /// is accepted, so this follows the live connections, not the
+    /// connections ever made. RAM-only, never persisted.
     pub fn conn_threads(&self) -> usize {
         locked(&self.conns).len()
     }
@@ -602,14 +587,7 @@ impl Server {
             return;
         }
         self.stopped = true;
-        // Stored under the engine's mutex: the engine tests the flag under
-        // it before every untimed wait, so the notify cannot fall between
-        // the test and the wait.
-        {
-            let _released = locked(&self.shared.released);
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        self.shared.wake.notify_one();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         // One nudge connection per acceptor unblocks every accept() call.
         for _ in 0..self.acceptors.len() {
             let _ = TcpStream::connect(self.addr);
@@ -617,9 +595,10 @@ impl Server {
         for handle in self.acceptors.drain(..) {
             let _ = handle.join();
         }
-        if let Some(engine) = self.engine.take() {
-            let _ = engine.join();
-        }
+        // The closing epoch: `closed` is set under every queue lock, so
+        // whatever was queued is answered here and nothing can slip in
+        // behind it. Each connection writes its own answers on its way out.
+        self.shared.run_epoch(true);
         let handles: Vec<JoinHandle<()>> = locked(&self.conns).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
@@ -643,7 +622,7 @@ impl Drop for Server {
 }
 
 // ---------------------------------------------------------------------------
-// Accept loop and per-connection threads
+// Accept loop and connection threads
 // ---------------------------------------------------------------------------
 
 fn accept_loop(
@@ -658,33 +637,15 @@ fn accept_loop(
                     return;
                 }
                 let _ = stream.set_nodelay(true);
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                // At most `inflight_bound` cells: once that many responses
-                // are outstanding the *reader* parks admitting new frames
-                // (its TCP window fills and the slow client backpressures
-                // itself). The engine fills cells and never waits on one.
-                let conn = Conn::new(shared.cfg.inflight_bound);
-                let write_timeout = shared.cfg.write_timeout;
-                let reader = {
+                // The thread is the containment: a panic in one
+                // connection's plumbing ends that connection only, its
+                // drop guard releasing what it had queued on the way out.
+                let connection = {
                     let shared = Arc::clone(shared);
-                    let conn = Arc::clone(&conn);
-                    std::thread::spawn(move || {
-                        run_half(
-                            || conn.reader_gone(),
-                            || connection_reader(&shared, stream, &conn),
-                        );
-                    })
+                    std::thread::spawn(move || connection(&shared, &stream))
                 };
-                let writer = std::thread::spawn(move || {
-                    run_half(
-                        || conn.writer_gone(),
-                        || connection_writer(write_half, &conn, write_timeout),
-                    );
-                });
                 let mut guard = locked(conns);
-                // Reap the halves of connections that have ended, so the
+                // Reap the threads of connections that have ended, so the
                 // list follows the live connections and not their churn.
                 let mut at = 0;
                 while at < guard.len() {
@@ -694,8 +655,7 @@ fn accept_loop(
                         at += 1;
                     }
                 }
-                guard.push(reader);
-                guard.push(writer);
+                guard.push(connection);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -727,29 +687,32 @@ enum Wire {
     /// The idle budget ran out: the peer sent nothing — not even a PING —
     /// for `idle_timeout` worth of read polls. Reap the connection.
     Idle,
-    /// Hard socket error.
+    /// Hard socket error, or a write of answers that failed or timed out.
     Dead,
 }
 
 /// Fills `buf` completely, tolerating read timeouts (used to poll the
 /// shutdown flag) and preserving partial progress across them. Releases
-/// the reader's tickets first unless the bytes are already buffered — the
-/// only case in which no `read` reaches the socket and nothing can block.
+/// first unless the bytes are already buffered — the only case in which no
+/// `read` reaches the socket and nothing can block.
 /// `idle` counts consecutive empty read polls across calls — any received
 /// byte resets it, `budget` exhausts it. The reap decision is therefore a
 /// *count* of poll intervals, not a wall-clock read: determinism-hygiene
 /// keeps clocks out of the reaper the same way it keeps them out of the
 /// retry budget.
 fn fill_buf(
-    stream: &mut BufReader<TcpStream>,
+    stream: &mut BufReader<&TcpStream>,
     buf: &mut [u8],
-    unreleased: &mut Unreleased<'_>,
+    unreleased: &mut Unreleased<'_, &TcpStream>,
     at_boundary: bool,
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
     if stream.buffer().len() < buf.len() {
         unreleased.release();
+        if unreleased.severed {
+            return Wire::Dead;
+        }
     }
     let shared = unreleased.shared;
     let mut filled = 0;
@@ -788,9 +751,9 @@ fn fill_buf(
 /// every frame into (its length is bounded by `max_frame` before a byte of
 /// it is staged).
 fn read_wire_frame(
-    stream: &mut BufReader<TcpStream>,
+    stream: &mut BufReader<&TcpStream>,
     body: &mut Vec<u8>,
-    unreleased: &mut Unreleased<'_>,
+    unreleased: &mut Unreleased<'_, &TcpStream>,
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
@@ -808,11 +771,15 @@ fn read_wire_frame(
     fill_buf(stream, body, unreleased, false, idle, budget)
 }
 
-fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) {
+fn connection(shared: &Shared, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut stream = BufReader::new(stream);
+    // A peer that stops draining responses is shed after `write_timeout`
+    // (the write errors and the connection winds up): a slow client costs
+    // itself the connection, never an epoch.
+    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let mut unreleased = Unreleased::new(shared, stream);
+    let mut stream = BufReader::with_capacity(READ_BUF, stream);
     let mut body = Vec::new();
-    let mut unreleased = Unreleased { shared, held: 0 };
     // Idle reaper: a count-based budget of consecutive empty read polls.
     // Any received byte — a PING included — resets it.
     let budget = ((shared.cfg.idle_timeout.as_millis() / READ_POLL.as_millis()).max(1)) as usize;
@@ -846,8 +813,8 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) 
             // released on the way out and still apply.
             Wire::Eof | Wire::MidFrameCut | Wire::Dead | Wire::Shutdown | Wire::Idle => return,
         };
-        let Some(n) = conn.push(token, || unreleased.release()) else {
-            // Writer died (peer stopped reading); no point parsing more.
+        let Some(n) = unreleased.push(token) else {
+            // The peer stopped reading; no point parsing more.
             return;
         };
         let req = match parsed {
@@ -856,30 +823,26 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) 
                 // Refuse, then close: after an oversized prefix or a
                 // checksum mismatch the stream offset can no longer be
                 // trusted.
-                conn.fill(n, Response::BadRequest(why));
+                locked(&unreleased.conn).fill(n, Response::BadRequest(why));
                 return;
             }
         };
         // Mutating requests from a HELLO-bound client with a nonzero token
-        // carry an idempotency identity the engine dedups on.
+        // carry an idempotency identity the epoch dedups on.
         let idem = match (client, token, &req) {
             (0, _, _) | (_, 0, _) => None,
             (c, t, Request::Put { .. } | Request::Del { .. } | Request::Flush) => Some((c, t)),
             _ => None,
         };
-        let reply = || Reply {
-            conn: Arc::clone(conn),
-            n,
-        };
         let inline = match req {
             // Data operations ride the epoch pipeline, routed by shard.
             Request::Get { key } | Request::Put { key, .. } | Request::Del { key } => {
-                unreleased.enqueue(shared.shard_queue(key), req, reply(), idem);
+                unreleased.enqueue(shared.shard_queue(key), n, req, idem);
                 continue;
             }
-            // Order-sensitive operations are barriers in the engine.
+            // Order-sensitive operations are barriers in the epoch.
             Request::Succ { .. } | Request::Pred { .. } | Request::Len | Request::Flush => {
-                unreleased.enqueue(shared.barrier_queue(), req, reply(), idem);
+                unreleased.enqueue(shared.barrier_queue(), n, req, idem);
                 continue;
             }
             // Health management answers inline under a *read* lock: the
@@ -933,40 +896,7 @@ fn connection_reader(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) 
                 Response::Done
             }
         };
-        conn.fill(n, inline);
-    }
-}
-
-fn connection_writer(stream: TcpStream, conn: &Conn, write_timeout: Duration) {
-    // A peer that stops draining responses is shed after `write_timeout`
-    // (the write errors, the writer exits, the reader's next append is
-    // refused): slow clients cost themselves the connection, never an
-    // engine stall.
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut out = BufWriter::new(stream);
-    let mut ready: Vec<(u64, Response)> = Vec::new();
-    let mut frame = Vec::new();
-    loop {
-        // The mirror of the reader's release rule: every response already
-        // filled behind the head shares one buffer, flushed only before the
-        // writer would park on an unfilled (or absent) head cell.
-        conn.pop_filled(&mut ready, false);
-        if ready.is_empty() {
-            if out.flush().is_err() {
-                return;
-            }
-            conn.pop_filled(&mut ready, true);
-            if ready.is_empty() {
-                return;
-            }
-        }
-        for (token, resp) in ready.drain(..) {
-            frame.clear();
-            encode_response_into(&mut frame, token, &resp);
-            if out.write_all(&frame).is_err() {
-                return;
-            }
-        }
+        locked(&unreleased.conn).fill(n, inline);
     }
 }
 
@@ -983,11 +913,11 @@ struct DedupWindow {
     last_use: u64,
 }
 
-/// The engine-owned exactly-once ledger: per HELLO-bound client, the last
+/// The exactly-once ledger: per HELLO-bound client, the last
 /// `dedup_window` successfully-applied mutating tokens and their retained
-/// responses. Owned by the engine thread alone (no lock), consulted before
-/// a mutating ticket joins a segment and appended to when its write
-/// commits healthy.
+/// responses. Part of the [`Engine`], so only ever touched by the leader of
+/// an epoch: consulted before a mutating ticket joins a segment and
+/// appended to when its write commits healthy.
 ///
 /// Memory bound: at most [`MAX_DEDUP_CLIENTS`] clients × `dedup_window`
 /// retained responses, each a small fixed-size variant (`Done` /
@@ -1049,62 +979,6 @@ impl DedupRegistry {
     }
 }
 
-fn engine_loop(shared: &Arc<Shared>) {
-    let mut dedup = DedupRegistry::new(shared.cfg.dedup_window);
-    // Engine-owned scratch, emptied by every epoch and reused by the next.
-    let mut epoch: Vec<Ticket> = Vec::new();
-    let mut segment = Segment::default();
-    loop {
-        let shutting = wait_for_epoch(shared);
-        run_epoch(shared, shutting, &mut epoch, &mut segment, &mut dedup);
-        if shutting {
-            // Final sweep: `closed` is now set under every queue lock, so
-            // nothing can slip in after this drain.
-            run_epoch(shared, true, &mut epoch, &mut segment, &mut dedup);
-            return;
-        }
-    }
-}
-
-/// Drains one epoch and, if it holds anything, counts and applies it.
-fn run_epoch(
-    shared: &Arc<Shared>,
-    closing: bool,
-    epoch: &mut Vec<Ticket>,
-    segment: &mut Segment,
-    dedup: &mut DedupRegistry,
-) {
-    drain_epoch(shared, closing, epoch);
-    if epoch.is_empty() {
-        return;
-    }
-    shared.epochs.fetch_add(1, Ordering::Relaxed);
-    shared
-        .tickets
-        .fetch_add(epoch.len() as u64, Ordering::Relaxed);
-    process_epoch(shared, epoch, segment, dedup);
-}
-
-/// Blocks until a reader has released tickets or shutdown begins — never
-/// on a deadline. Whatever is released while the engine is busy with one
-/// epoch is the next epoch, so the batch size follows the load. Returns
-/// whether the server is shutting down.
-fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
-    let mut released = locked(&shared.released);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return true;
-        }
-        if std::mem::take(&mut *released) {
-            return false;
-        }
-        released = shared
-            .wake
-            .wait(released)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
 /// Drains every queue into `epoch` (empty on entry) and merges the tickets
 /// into one global arrival-ordered stream. During shutdown the queues are closed under
 /// their locks first, so no later enqueue can be stranded unanswered.
@@ -1112,12 +986,14 @@ fn wait_for_epoch(shared: &Arc<Shared>) -> bool {
 /// Every queue lock is held at once, so the epoch is a *prefix* of the
 /// arrival order: a stamp is drawn under a queue lock, hence no ticket with
 /// a smaller stamp than a drained one can still be on its way into a queue
-/// already passed. Draining the queues one lock at a time let a reader slip
-/// a `PUT` into a shard queue the engine had just emptied and the `LEN`
+/// already passed — and, with epochs serialized, no ticket queued before the
+/// drain can be left behind it, which is what "answered on return" rests on.
+/// Draining the queues one lock at a time let a connection slip
+/// a `PUT` into a shard queue the drain had just emptied and the `LEN`
 /// behind it into the barrier queue it had not reached yet, and the barrier
 /// then ran an epoch before the write it follows. (`enqueue` takes one queue
 /// lock and nothing else takes two, so holding all of them cannot deadlock.)
-fn drain_epoch(shared: &Arc<Shared>, closing: bool, epoch: &mut Vec<Ticket>) {
+fn drain_epoch(shared: &Shared, closing: bool, epoch: &mut Vec<Ticket>) {
     let mut queues: Vec<_> = shared.queues.iter().map(locked).collect();
     for q in &mut queues {
         if closing {
@@ -1161,7 +1037,7 @@ struct Segment {
     /// The keys of `deferred_reads`, as `multi_get` wants them.
     deferred_keys: Vec<u64>,
     /// Per-shard health as of the last point it could have changed. The
-    /// engine holds the dictionary's write lock for the whole epoch, so
+    /// leader holds the dictionary's write lock for the whole epoch, so
     /// that is the start of the epoch and each `multi_get` / `multi_apply`
     /// (a contained panic quarantines its shard): one snapshot there
     /// instead of a lock round trip per ticket and per response.
@@ -1256,12 +1132,12 @@ impl Segment {
 }
 
 /// Applies one epoch in arrival order, leaving `epoch` and `segment` empty.
-fn process_epoch(
-    shared: &Arc<Shared>,
-    epoch: &mut Vec<Ticket>,
-    segment: &mut Segment,
-    dedup: &mut DedupRegistry,
-) {
+fn process_epoch(shared: &Shared, engine: &mut Engine) {
+    let Engine {
+        dedup,
+        epoch,
+        segment,
+    } = engine;
     let mut dict = write_locked(&shared.dict);
     dict.health_into(&mut segment.health);
     for ticket in epoch.drain(..) {
@@ -1323,9 +1199,9 @@ fn barrier_response(shared: &Shared, dict: &mut ServedDict, req: Request) -> Res
         },
         Request::Len => Response::Count(dict.len() as u64),
         Request::Flush => flush_response(shared, dict),
-        // Admin and data ops never reach the barrier path (readers answer
-        // admin inline and route data ops by shard); refuse defensively
-        // instead of panicking inside the engine.
+        // Admin and data ops never reach the barrier path (connections
+        // answer admin inline and route data ops by shard); refuse
+        // defensively instead of panicking inside the epoch.
         _ => Response::BadRequest("operation is not a barrier".into()),
     }
 }
@@ -1352,11 +1228,13 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_response, read_frame, Frame};
 
-    fn serve() -> Server {
+    fn serve_with(server: ServerConfig) -> Server {
         let config = DictConfig {
             seed: 0xD1C7,
             shards: 4,
+            server,
             ..DictConfig::default()
         };
         let opts = ServerOptions {
@@ -1366,6 +1244,17 @@ mod tests {
         Server::spawn("127.0.0.1:0", opts).expect("bind loopback")
     }
 
+    fn serve() -> Server {
+        serve_with(ServerConfig::default())
+    }
+
+    fn bounded(inflight_bound: usize) -> ServerConfig {
+        ServerConfig {
+            inflight_bound,
+            ..ServerConfig::default()
+        }
+    }
+
     #[test]
     fn readers_route_with_a_copy_of_the_dictionary_router() {
         let server = serve();
@@ -1373,39 +1262,11 @@ mod tests {
         assert_eq!(shared.router, *read_locked(&shared.dict).router());
     }
 
-    // The ring, with no socket anywhere: the tests play reader, engine and
-    // writer themselves. Where a test needs another thread to have parked,
-    // it waits for the flag that thread sets under the ring's lock — a
-    // condition, not a sleep.
-
-    fn wait_until(conn: &Conn, parked: impl Fn(&ConnState) -> bool) {
-        while !parked(&locked(&conn.state)) {
-            std::thread::yield_now();
-        }
-    }
-
-    fn fill_wakes(conn: &Conn) -> u64 {
-        conn.fill_wakes.load(Ordering::Relaxed)
-    }
-
-    /// Pops with `park` until the connection is over; what a writer emits.
-    fn drain_ring(conn: &Conn) -> Vec<(u64, Response)> {
-        let mut emitted = Vec::new();
-        let mut ready = Vec::new();
-        loop {
-            conn.pop_filled(&mut ready, true);
-            if ready.is_empty() {
-                return emitted;
-            }
-            emitted.append(&mut ready);
-        }
-    }
-
     #[test]
     fn cells_filled_out_of_order_are_emitted_in_order() {
         let mut ring = ConnState::new(8);
         for token in 10..14 {
-            assert_eq!(ring.push(token), Push::Cell(token - 10));
+            assert_eq!(ring.push(token), Some(token - 10));
         }
         let mut out = Vec::new();
         ring.fill(2, Response::Value(2));
@@ -1424,7 +1285,7 @@ mod tests {
         );
         assert_eq!((ring.base, ring.cells.len()), (3, 1));
         // Request numbers keep counting across pops.
-        assert_eq!(ring.push(14), Push::Cell(4));
+        assert_eq!(ring.push(14), Some(4));
         ring.fill(4, Response::Done);
         ring.fill(3, Response::NotFound);
         out.clear();
@@ -1432,217 +1293,139 @@ mod tests {
         assert_eq!(out, [(13, Response::NotFound), (14, Response::Done)]);
     }
 
-    #[test]
-    fn only_a_fill_of_the_head_with_the_writer_parked_wakes() {
-        let conn = Conn::new(8);
-        for token in 0..4 {
-            conn.push(token, || ()).expect("room");
-        }
-        // Head, writer not parked (it is encoding, or flushing).
-        conn.fill(0, Response::Done);
-        assert_eq!(fill_wakes(&conn), 0);
+    // The connection's half of the pipeline with no socket anywhere: the
+    // listener of `serve()` is never dialled, the tests queue and release
+    // the way `connection` does, and the peer is a sink they can read back.
+
+    /// The `(token, response)` frames a sink received, in order.
+    fn answers(mut bytes: &[u8]) -> Vec<(u64, Response)> {
         let mut out = Vec::new();
-        conn.pop_filled(&mut out, false);
-        assert_eq!(out.len(), 1);
-        // Writer parked, but on cell 1: cells 3 and 2 are not its business.
-        locked(&conn.state).writer_parked = true;
-        conn.fill(3, Response::Done);
-        conn.fill(2, Response::Done);
-        assert_eq!(fill_wakes(&conn), 0);
-        assert!(locked(&conn.state).writer_parked);
-        // The head, with the writer parked: the one wake.
-        conn.fill(1, Response::Done);
-        assert_eq!(fill_wakes(&conn), 1);
-        assert!(
-            !locked(&conn.state).writer_parked,
-            "the waker takes the flag"
-        );
-    }
-
-    #[test]
-    fn a_parked_writer_is_woken_once_for_a_whole_burst() {
-        let conn = Conn::new(8);
-        let writer = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                conn.pop_filled(&mut out, true);
-                out
-            })
-        };
-        wait_until(&conn, |st| st.writer_parked);
-        // Parked on an *empty* ring: appends alone do not wake it.
-        for token in 0..3 {
-            conn.push(token, || ()).expect("room");
+        while let Frame::Body(body) = read_frame(&mut bytes).expect("whole frames") {
+            out.push(decode_response(&body).expect("a response"));
         }
-        conn.fill(2, Response::Value(2));
-        conn.fill(1, Response::Value(1));
-        assert_eq!(fill_wakes(&conn), 0);
-        conn.fill(0, Response::Value(0));
-        let out = writer.join().expect("writer");
-        assert_eq!(
-            out,
-            [
-                (0, Response::Value(0)),
-                (1, Response::Value(1)),
-                (2, Response::Value(2))
-            ]
-        );
-        assert_eq!(fill_wakes(&conn), 1);
+        out
     }
 
-    #[test]
-    fn a_full_ring_releases_before_it_parks_and_its_own_head_unblocks_it() {
-        // The deadlock the release rule exists to prevent: the reader waits
-        // for room, the writer for the head cell, and the head's ticket sits
-        // unreleased with the reader. Bounds 1 and 2 are the tight cases.
-        for bound in [1u64, 2] {
-            let conn = Conn::new(bound as usize);
-            let released = Arc::new(AtomicBool::new(false));
-            let reader = {
-                let conn = Arc::clone(&conn);
-                let released = Arc::clone(&released);
-                std::thread::spawn(move || {
-                    (0..=bound)
-                        .map(|token| conn.push(token, || released.store(true, Ordering::SeqCst)))
-                        .collect::<Vec<_>>()
-                })
-            };
-            wait_until(&conn, |st| st.reader_parked);
-            assert!(
-                released.load(Ordering::SeqCst),
-                "bound {bound}: parked holding unreleased tickets"
-            );
-            assert_eq!(locked(&conn.state).cells.len() as u64, bound);
-            // The engine answers the head — one of this reader's own
-            // tickets — and the writer emits it, which is the room.
-            conn.fill(0, Response::Done);
-            let mut out = Vec::new();
-            conn.pop_filled(&mut out, true);
-            assert_eq!(out, [(0, Response::Done)]);
-            let numbers = reader.join().expect("reader");
-            let want: Vec<Option<u64>> = (0..=bound).map(Some).collect();
-            assert_eq!(numbers, want, "bound {bound}");
+    /// A peer that has gone away: every write fails.
+    struct Gone;
+
+    impl Write for Gone {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 
-    #[test]
-    fn an_append_with_room_neither_releases_nor_parks() {
-        let conn = Conn::new(2);
-        assert_eq!(
-            conn.push(7, || panic!("released with room to spare")),
-            Some(0)
-        );
-        assert!(!locked(&conn.state).reader_parked);
-    }
-
-    #[test]
-    fn writer_gone_refuses_the_next_push_and_a_later_fill_is_harmless() {
-        let conn = Conn::new(2);
-        let reader = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                (0..3)
-                    .map(|token| conn.push(token, || ()))
-                    .collect::<Vec<_>>()
-            })
-        };
-        // The reader is parked on a full ring when the writer dies.
-        wait_until(&conn, |st| st.reader_parked);
-        conn.writer_gone();
-        assert_eq!(
-            reader.join().expect("reader"),
-            [Some(0), Some(1), None],
-            "the parked append is refused, and the reader exits on it"
-        );
-        assert_eq!(conn.push(9, || panic!("nothing to wait for")), None);
-        // The engine still answers the tickets it holds: dropped, no wake.
-        conn.fill(1, Response::Done);
-        conn.fill(0, Response::Done);
-        assert_eq!(fill_wakes(&conn), 0);
-        let mut out = Vec::new();
-        conn.pop_filled(&mut out, false);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn reader_gone_lets_the_writer_drain_what_is_queued_and_then_exit() {
-        let conn = Conn::new(8);
-        for token in 0..3 {
-            conn.push(token, || ()).expect("room");
-        }
-        conn.fill(0, Response::Value(0));
-        conn.reader_gone();
-        let writer = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || drain_ring(&conn))
-        };
-        // Cell 0 leaves; cells 1 and 2 are queued with the engine, so the
-        // writer waits for them rather than exit.
-        wait_until(&conn, |st| st.writer_parked && st.base == 1);
-        assert!(!writer.is_finished());
-        conn.fill(2, Response::Value(2));
-        conn.fill(1, Response::Value(1));
-        assert_eq!(
-            writer.join().expect("writer"),
-            [
-                (0, Response::Value(0)),
-                (1, Response::Value(1)),
-                (2, Response::Value(2))
-            ]
-        );
-        // And a writer parked on an empty ring is let go by the exit itself.
-        let conn = Conn::new(8);
-        let writer = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || drain_ring(&conn))
-        };
-        wait_until(&conn, |st| st.writer_parked);
-        conn.reader_gone();
-        assert!(writer.join().expect("writer").is_empty());
-    }
-
-    /// Queues `PUT key → key` the way a reader does; `None` once the ring
-    /// refuses the append.
-    fn queue_put(conn: &Arc<Conn>, unreleased: &mut Unreleased<'_>, key: u64) -> Option<u64> {
-        let n = conn.push(key, || unreleased.release())?;
-        let reply = Reply {
-            conn: Arc::clone(conn),
-            n,
-        };
+    /// Queues `PUT key → key` under token `key` the way `connection` does;
+    /// `None` once the peer is gone.
+    fn queue_put<W: Write>(unreleased: &mut Unreleased<'_, W>, key: u64) -> Option<u64> {
+        let n = unreleased.push(key)?;
         let queue = unreleased.shared.shard_queue(key);
-        unreleased.enqueue(queue, Request::Put { key, value: key }, reply, None);
+        unreleased.enqueue(queue, n, Request::Put { key, value: key }, None);
         Some(n)
     }
 
     #[test]
-    fn a_reader_that_panics_still_has_its_tickets_applied_and_its_writer_exit() {
-        // The real engine, no connection: the listener is never dialled.
+    fn an_append_with_room_neither_releases_nor_parks() {
+        let server = serve_with(bounded(2));
+        let mut peer = Vec::new();
+        let mut unreleased = Unreleased::new(&server.shared, &mut peer);
+        assert_eq!(unreleased.push(7), Some(0));
+        assert_eq!(unreleased.push(8), Some(1));
+        locked(&unreleased.conn).fill(1, Response::Done);
+        locked(&unreleased.conn).fill(0, Response::NotFound);
+        assert!(
+            unreleased.sink.is_empty(),
+            "nothing is written before a release"
+        );
+        assert_eq!(server.epoch_stats(), (0, 0));
+        drop(unreleased);
+        assert_eq!(
+            answers(&peer),
+            [(7, Response::NotFound), (8, Response::Done)]
+        );
+    }
+
+    /// `3 × inflight_bound + 1` requests parsed before a byte is read back. The ring never holds more than the
+    /// bound, because a full ring is released — and its own answers are the
+    /// room. Bounds 1 and 2 are the tight cases.
+    #[test]
+    fn a_full_ring_releases_and_its_own_answers_make_the_room() {
+        for bound in [1usize, 2, 16] {
+            let server = serve_with(bounded(bound));
+            let mut peer = Vec::new();
+            let mut unreleased = Unreleased::new(&server.shared, &mut peer);
+            let sent = 3 * bound as u64 + 1;
+            for key in 0..sent {
+                assert_eq!(queue_put(&mut unreleased, key), Some(key), "bound {bound}");
+                let cells = locked(&unreleased.conn).cells.len();
+                assert!(cells <= bound, "bound {bound}: {cells} cells outstanding");
+            }
+            drop(unreleased);
+            let want: Vec<(u64, Response)> = (0..sent).map(|key| (key, Response::Done)).collect();
+            assert_eq!(answers(&peer), want, "bound {bound}");
+            assert_eq!(server.epoch_stats(), (4, sent), "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn a_whole_burst_leaves_in_one_write() {
+        /// Records each `write` call.
+        struct Writes(Vec<Vec<u8>>);
+
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let server = serve();
+        let mut unreleased = Unreleased::new(&server.shared, Writes(Vec::new()));
+        for key in 0..3 {
+            queue_put(&mut unreleased, key).expect("room");
+        }
+        // Inline answers ride the same write as the epoch's.
+        let n = unreleased.push(3).expect("room");
+        locked(&unreleased.conn).fill(n, Response::Done);
+        unreleased.release();
+        assert_eq!(unreleased.sink.0.len(), 1);
+        let want: Vec<(u64, Response)> = (0..4).map(|key| (key, Response::Done)).collect();
+        assert_eq!(answers(&unreleased.sink.0[0]), want);
+        // Nothing owed, nothing written — `held == 0` still emits, though.
+        unreleased.release();
+        assert_eq!(unreleased.sink.0.len(), 1);
+        let n = unreleased.push(4).expect("room");
+        locked(&unreleased.conn).fill(n, Response::Overloaded);
+        unreleased.release();
+        assert_eq!(answers(&unreleased.sink.0[1]), [(4, Response::Overloaded)]);
+        assert_eq!(server.epoch_stats(), (1, 3));
+    }
+
+    #[test]
+    fn a_connection_that_panics_still_has_its_tickets_applied_and_answered() {
         let server = serve();
         let shared = &server.shared;
-        let conn = Conn::new(8);
-        let writer = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let mut emitted = Vec::new();
-                run_half(|| conn.writer_gone(), || emitted = drain_ring(&conn));
-                emitted
-            })
-        };
-        run_half(
-            || conn.reader_gone(),
-            || {
-                let mut unreleased = Unreleased { shared, held: 0 };
-                for key in 0..4 {
-                    queue_put(&conn, &mut unreleased, key).expect("room");
-                }
-                // Dies holding four unreleased tickets (`resume_unwind`: a
-                // panic without the hook's stderr report).
-                std::panic::resume_unwind(Box::new("reader half dies"));
-            },
-        );
+        let mut peer = Vec::new();
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            let mut unreleased = Unreleased::new(shared, &mut peer);
+            for key in 0..4 {
+                queue_put(&mut unreleased, key).expect("room");
+            }
+            // Dies holding four unreleased tickets (`resume_unwind`: a
+            // panic without the hook's stderr report).
+            resume_unwind(Box::new("connection dies"));
+        }));
+        assert!(died.is_err());
         let want: Vec<(u64, Response)> = (0..4).map(|key| (key, Response::Done)).collect();
-        assert_eq!(writer.join().expect("writer"), want);
+        assert_eq!(answers(&peer), want);
         let dict = read_locked(&shared.dict);
         for key in 0..4u64 {
             assert_eq!(dict.get(&key), Some(key));
@@ -1650,47 +1433,226 @@ mod tests {
     }
 
     #[test]
-    fn a_writer_that_panics_still_lets_its_reader_exit_and_its_tickets_apply() {
-        let mut server = serve();
-        let shared = Arc::clone(&server.shared);
-        let conn = Conn::new(2);
-        let reader = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let mut queued = 0u64;
-                run_half(
-                    || conn.reader_gone(),
-                    || {
-                        let mut unreleased = Unreleased {
-                            shared: &shared,
-                            held: 0,
-                        };
-                        while queue_put(&conn, &mut unreleased, queued).is_some() {
-                            queued += 1;
-                        }
-                    },
-                );
-                queued
-            })
-        };
-        run_half(
-            || conn.writer_gone(),
-            || {
-                let mut out = Vec::new();
-                conn.pop_filled(&mut out, true);
-                assert_eq!(out.first(), Some(&(0, Response::Done)));
-                std::panic::resume_unwind(Box::new("writer half dies"));
-            },
-        );
-        // The reader's next append is refused and it leaves, releasing what
-        // it had queued; the engine applies all of it, answered or not.
-        let queued = reader.join().expect("reader");
-        assert!(queued >= 1);
-        server.shutdown();
+    fn a_write_that_fails_still_lets_the_connection_exit_and_its_tickets_apply() {
+        let server = serve_with(bounded(2));
+        let mut unreleased = Unreleased::new(&server.shared, Gone);
+        let mut queued = 0u64;
+        while queue_put(&mut unreleased, queued).is_some() {
+            queued += 1;
+        }
+        // The third append found the ring full, released, and the write of
+        // the two answers failed: the append is refused and the connection
+        // leaves. What it had queued was applied all the same.
+        assert_eq!(queued, 2);
+        assert!(unreleased.severed);
+        drop(unreleased);
         let dict = read_locked(&server.shared.dict);
         for key in 0..queued {
-            assert_eq!(dict.get(&key), Some(key), "{queued} queued");
+            assert_eq!(dict.get(&key), Some(key));
         }
         assert_eq!(dict.len() as u64, queued);
+    }
+
+    #[test]
+    fn a_ticket_dropped_unanswered_answers_unavailable() {
+        let conn = Arc::new(Mutex::new(ConnState::new(2)));
+        let n = locked(&conn).push(9).expect("room");
+        let ticket = Ticket {
+            seq: 0,
+            req: Request::Len,
+            reply: Reply {
+                conn: Arc::clone(&conn),
+                n,
+                answered: false,
+            },
+            idem: None,
+        };
+        drop(ticket);
+        let mut out = Vec::new();
+        locked(&conn).pop_filled(&mut out);
+        assert!(
+            matches!(out[..], [(9, Response::Unavailable(_))]),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn an_epoch_that_panics_answers_its_tickets_and_leaves_a_clean_engine() {
+        let server = serve();
+        let shared = &server.shared;
+        let mut peer = Vec::new();
+        let mut unreleased = Unreleased::new(shared, &mut peer);
+        for key in 0..4 {
+            queue_put(&mut unreleased, key).expect("room");
+        }
+        // An epoch that dies with one ticket in the segment and three still
+        // in the epoch.
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            shared.lead(|engine| {
+                drain_epoch(shared, false, &mut engine.epoch);
+                let first = engine.epoch.remove(0);
+                engine.segment.push_write(0, Some(0), first.reply, None);
+                resume_unwind(Box::new("epoch dies"));
+            })
+        }));
+        assert!(died.is_err());
+        {
+            let engine = shared
+                .engine
+                .lock()
+                .expect("not poisoned: the leader cleaned up");
+            assert!(engine.epoch.is_empty());
+            assert!(engine.segment.is_empty() && engine.segment.writes.is_empty());
+            assert!(engine.segment.overlay.is_empty());
+        }
+        // The next leader — this same connection — finds nothing of it, and
+        // every one of the four requests has its (typed) answer.
+        queue_put(&mut unreleased, 4).expect("room");
+        drop(unreleased);
+        let got = answers(&peer);
+        assert_eq!(got.len(), 5);
+        for (key, (token, resp)) in got.iter().enumerate().take(4) {
+            assert_eq!(*token, key as u64);
+            assert!(matches!(resp, Response::Unavailable(_)), "{resp:?}");
+        }
+        assert_eq!(got[4], (4, Response::Done));
+        let dict = read_locked(&shared.dict);
+        assert_eq!((dict.len(), dict.get(&4)), (1, Some(4)));
+    }
+
+    /// Eight connections race to lead on one `Shared`. Whoever wins, every `release` returns with its own ring
+    /// answered and written, and the answers are those of one serial
+    /// execution in `seq` order.
+    #[test]
+    fn racing_leaders_answer_everything_before_release_returns() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 200;
+        let server = serve_with(bounded(4));
+        let shared = &server.shared;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let mut log: Vec<(u64, Request, Response)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut log = Vec::new();
+                        let mut unreleased = Unreleased::new(shared, Vec::new());
+                        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1);
+                        start.wait();
+                        for round in 0..ROUNDS {
+                            let mut sent = Vec::new();
+                            // One to three requests a round, on sixteen keys
+                            // every thread fights over, and `LEN`.
+                            for i in 0..=(round + t) % 3 {
+                                state = state
+                                    .wrapping_mul(6_364_136_223_846_793_005)
+                                    .wrapping_add(1_442_695_040_888_963_407);
+                                let key = (state >> 33) % 16;
+                                let req = match (state >> 40) % 4 {
+                                    0 => Request::Put {
+                                        key,
+                                        value: t << 32 | round << 2 | i,
+                                    },
+                                    1 => Request::Del { key },
+                                    2 => Request::Get { key },
+                                    _ => Request::Len,
+                                };
+                                let n = unreleased.push(round).expect("a Vec takes every write");
+                                // A barrier goes to its own queue, so a
+                                // drain that was not a prefix of the
+                                // arrival order would show in its count.
+                                let queue = match req {
+                                    Request::Len => shared.barrier_queue(),
+                                    _ => shared.shard_queue(key),
+                                };
+                                let seq = unreleased
+                                    .enqueue(queue, n, req.clone(), None)
+                                    .expect("queue_bound is far away");
+                                sent.push((seq, req));
+                            }
+                            unreleased.release();
+                            assert!(locked(&unreleased.conn).cells.is_empty());
+                            let got = answers(&unreleased.sink);
+                            unreleased.sink.clear();
+                            assert_eq!(got.len(), sent.len(), "thread {t} round {round}");
+                            for ((seq, req), (token, resp)) in sent.into_iter().zip(got) {
+                                assert_eq!(token, round);
+                                log.push((seq, req, resp));
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().expect("leader"))
+                .collect()
+        });
+        log.sort_by_key(|(seq, ..)| *seq);
+        let mut oracle = BTreeMap::new();
+        for (at, (seq, req, resp)) in log.iter().enumerate() {
+            assert_eq!(*seq, at as u64, "stamps are dense");
+            let want = match *req {
+                Request::Put { key, value } => {
+                    oracle.insert(key, value);
+                    Response::Done
+                }
+                Request::Del { key } => {
+                    oracle.remove(&key);
+                    Response::Done
+                }
+                Request::Get { key } => match oracle.get(&key) {
+                    Some(&v) => Response::Value(v),
+                    None => Response::NotFound,
+                },
+                Request::Len => Response::Count(oracle.len() as u64),
+                _ => unreachable!("no other request was sent"),
+            };
+            assert_eq!(*resp, want, "seq {seq}: {req:?}");
+        }
+        let (epochs, tickets) = server.epoch_stats();
+        assert_eq!(tickets, log.len() as u64);
+        assert!(
+            epochs <= THREADS * ROUNDS,
+            "{epochs} non-empty epochs for {} releases",
+            THREADS * ROUNDS
+        );
+        let dict = read_locked(&shared.dict);
+        let served: Vec<(u64, u64)> = (0..16).filter_map(|k| Some((k, dict.get(&k)?))).collect();
+        assert_eq!(served, oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Shutdown leads the closing epoch itself, so
+    /// tickets a connection has parsed but not yet released are answered by
+    /// it, and whatever arrives afterwards is refused typed.
+    #[test]
+    fn shutdown_answers_tickets_that_were_parsed_but_not_released() {
+        let mut server = serve();
+        let shared = Arc::clone(&server.shared);
+        let mut peer = Vec::new();
+        let mut unreleased = Unreleased::new(&shared, &mut peer);
+        for key in 0..5 {
+            queue_put(&mut unreleased, key).expect("room");
+        }
+        server.shutdown();
+        assert_eq!(server.epoch_stats(), (1, 5));
+        assert!(
+            locked(&unreleased.conn)
+                .cells
+                .iter()
+                .all(|(_, resp)| *resp == Some(Response::Done)),
+            "the closing epoch answered what was queued"
+        );
+        queue_put(&mut unreleased, 5).expect("room");
+        drop(unreleased);
+        let got = answers(&peer);
+        let want: Vec<(u64, Response)> = (0..5).map(|key| (key, Response::Done)).collect();
+        assert_eq!(got[..5], want);
+        assert!(
+            matches!(got[5..], [(5, Response::Unavailable(_))]),
+            "{got:?}"
+        );
+        assert_eq!(read_locked(&shared.dict).len(), 5);
     }
 }

@@ -170,10 +170,11 @@ pub struct DictConfig {
 }
 
 /// Epoch group-commit and backpressure knobs consumed by the `dict-server`
-/// front-end: a connection hands its queued operations to the engine when
-/// it is about to block or holds `epoch_ops` of them, whichever comes
-/// first (there is no timer), and each shard queue sheds load (typed
-/// `Overloaded` response) beyond `queue_bound` waiting operations.
+/// front-end: a connection applies the queued operations — every
+/// connection's, as leader of an epoch — when it is about to block or holds
+/// `epoch_ops` of its own (there is no timer and no engine thread), and
+/// each shard queue sheds load (typed `Overloaded` response) beyond
+/// `queue_bound` waiting operations.
 ///
 /// The knobs live here — not as server CLI flags alone — so
 /// [`DictConfig::validate`] can reject the degenerate values *before* a
@@ -182,8 +183,8 @@ pub struct DictConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Epoch budget in operations (`≥ 1`): the most operations one
-    /// connection queues before handing them to the engine, even when more
-    /// of its requests have already arrived.
+    /// connection queues before it leads an epoch, even when more of its
+    /// requests have already arrived.
     pub epoch_ops: usize,
     /// Per-shard queue bound (`≥ 1`): operations beyond this shed with a
     /// typed overload response instead of queueing unboundedly.
@@ -199,14 +200,14 @@ pub struct ServerConfig {
     /// A retry whose token is still inside the window replays the retained
     /// response instead of re-applying the write.
     pub dedup_window: usize,
-    /// Per-connection response-buffer bound (`≥ 1` slots): the reader
-    /// stops admitting new frames once this many responses are queued for
-    /// a connection's writer, so a slow client backpressures its own TCP
-    /// stream — never the epoch engine.
+    /// Per-connection answer-ring bound (`≥ 1` slots): the most requests a
+    /// connection parses ahead of its answers. At the bound it applies what
+    /// is queued and writes its answers before it parses on, so a slow
+    /// client backpressures its own TCP stream — never an epoch.
     pub inflight_bound: usize,
-    /// Socket write timeout (nonzero): a client that stops draining
-    /// responses for this long is shed (disconnected) instead of pinning
-    /// a writer thread forever.
+    /// Socket write timeout (nonzero): bounds a connection thread's write of
+    /// its own answers, outside any epoch. A client that stops draining
+    /// responses for this long is shed (disconnected), not waited on.
     pub write_timeout: Duration,
     /// Idle-connection bound (nonzero): a connection that sends no bytes —
     /// not even a PING — for this long is reaped. Enforced as a

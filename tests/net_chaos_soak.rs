@@ -591,8 +591,8 @@ fn idle_connections_are_reaped_but_ping_keeps_them_alive() {
 }
 
 /// A tiny in-flight bound still answers a deep pipelined burst completely
-/// and in order — the reader blocks at the bound (TCP backpressure) but
-/// the engine never does, and nothing is lost or reordered.
+/// and in order — the connection parses no further ahead of its answers
+/// than the bound, and nothing is lost or reordered.
 #[test]
 fn bounded_inflight_answers_deep_pipelines_in_order() {
     let mut cfg = config();

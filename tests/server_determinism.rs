@@ -13,10 +13,10 @@
 //!   `f(contents, seed)` no matter how many clients raced.
 //! * **the two extreme partitions** — the same write stream driven once as
 //!   synchronous single requests (every epoch holds one operation) and
-//!   once as a single burst (every epoch is as full as the reader's
-//!   `epoch_ops` budget and the engine's pace make it) flushes the same
+//!   once as a single burst (every epoch is as full as the connection's
+//!   `epoch_ops` budget and read buffer make it) flushes the same
 //!   bytes, equal to the single-threaded rebuild. The server closes an
-//!   epoch when a reader is about to block, so *where* epochs close is
+//!   epoch when a connection is about to block, so *where* epochs close is
 //!   set by how the client sends; this names the two ends of that range.
 //! * **kill-the-server-mid-flush** — a torn-write `FaultPlan` armed on the
 //!   persistent store trips partway through a client-initiated `FLUSH`.
@@ -278,9 +278,9 @@ fn one_op_epochs_and_full_epochs_flush_the_same_image() {
     assert_eq!(sync.epoch_stats, (n, n), "one epoch per request");
 
     // The other: the whole stream in one burst (a second thread writes so
-    // that the answers can be read meanwhile). The reader hands over at
-    // most `epoch_ops` at a time and the engine takes everything queued
-    // since its last epoch, so the burst lands in few, large epochs.
+    // that the answers can be read meanwhile). The connection applies
+    // `epoch_ops` at a time for as long as its buffer holds that many, so
+    // the burst lands in few, large epochs.
     let mut burst_cfg = config();
     burst_cfg.server = ServerConfig {
         epoch_ops: 64,

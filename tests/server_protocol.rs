@@ -181,8 +181,8 @@ fn wire_fuzz_never_panics_and_never_poisons_other_connections() {
 #[test]
 fn pipelined_mixed_stream_matches_btreemap_oracle() {
     let mut cfg = config();
-    // Each 512-deep drain arrives as one burst, so the reader hands it
-    // over in batches of `epoch_ops`: many ops share a batch, and the
+    // Each 512-deep drain arrives as one burst, so the connection applies
+    // it in epochs of `epoch_ops`: many ops share a batch, and the
     // oracle checks reads-of-this-epoch-writes through the overlay path.
     cfg.server = ServerConfig {
         epoch_ops: 64,
@@ -257,12 +257,12 @@ fn pipelined_mixed_stream_matches_btreemap_oracle() {
     server.shutdown();
 }
 
-/// A barrier never overtakes the write it follows, however the engine's
-/// drain interleaves with a reader that is still parsing. `PUT new; LEN`
-/// pairs put consecutive stamps into a shard queue and the barrier queue,
-/// and a small `epoch_ops` keeps waking the engine while the reader is in
-/// the middle of a burst — the schedule under which a drain that took the
-/// queue locks one at a time answered the `LEN` an epoch before its `PUT`.
+/// A barrier never overtakes the write it follows, wherever the epoch
+/// boundaries fall. `PUT new; LEN` pairs put consecutive stamps into a
+/// shard queue and the barrier queue, and a small `epoch_ops` cuts an
+/// epoch in the middle of every burst. A connection drains its own queues;
+/// the race between a drain and *another* connection's enqueue is driven
+/// by `server::tests::racing_leaders_answer_everything_before_release_returns`.
 #[test]
 fn a_barrier_never_overtakes_the_write_before_it() {
     let mut cfg = config();
@@ -410,9 +410,9 @@ fn quarantined_shard_refuses_typed_over_the_wire_and_restores() {
 
 /// Backpressure: a queue bound of 1 sheds pipelined requests with
 /// `OVERLOADED` — a typed refusal the client can retry — while everything
-/// admitted is answered correctly. No timer holds the engine back: the N
-/// frames leave in one `write`, so the reader finds them in one buffer and
-/// queues them all before it releases any to the engine. The first is
+/// admitted is answered correctly. No timer holds the epoch back: the N
+/// frames leave in one `write`, so the connection finds them in one buffer
+/// and queues them all before it releases any. The first is
 /// always admitted (the queue is empty); how the kernel cuts the bytes
 /// into reads is not ours to fix, so the count of the rest is not pinned.
 #[test]
@@ -469,7 +469,7 @@ fn raw(server: &Server) -> TcpStream {
 }
 
 /// Release rule, liveness: whole frames followed by the first half of
-/// another are answered *before* the second half is sent — the reader
+/// another are answered *before* the second half is sent — the connection
 /// releases what it has queued when its buffer runs short of the next
 /// frame, because the read that follows may block for as long as the peer
 /// likes.
@@ -491,10 +491,10 @@ fn whole_frames_before_a_split_frame_are_answered_before_the_rest_arrives() {
     server.shutdown();
 }
 
-/// Release rule, liveness: with room for one response in flight the reader
-/// blocks on its writer after every frame, and must have released the
-/// ticket the writer is waiting for. A 256-deep pipeline still completes
-/// with every answer right.
+/// Release rule, liveness: with room for one response in flight the
+/// connection finds its ring full at every second frame, and must release
+/// — apply and write the one answer it owes — before it parses on. A
+/// 256-deep pipeline still completes with every answer right.
 #[test]
 fn inflight_bound_of_one_still_drains_a_deep_pipeline() {
     let mut cfg = config();
@@ -522,7 +522,42 @@ fn inflight_bound_of_one_still_drains_a_deep_pipeline() {
     server.shutdown();
 }
 
-/// Release rule, every exit path: a reader that has queued tickets and
+/// The open-loop shape: one thread sends without ever pausing while another
+/// receives. A connection is one thread, so it must keep applying and writing
+/// between its reads; a small `inflight_bound` makes it do so mid-buffer too.
+#[test]
+fn a_sender_that_never_pauses_is_answered_in_order() {
+    const N: u64 = 20_000;
+    let mut cfg = config();
+    cfg.server = ServerConfig {
+        inflight_bound: 64,
+        ..cfg.server
+    };
+    let mut server = spawn(cfg);
+    let mut s = raw(&server);
+    let mut sender = s.try_clone().expect("clone");
+    let sending = std::thread::spawn(move || {
+        for k in 0..N {
+            let req = match k % 2 {
+                0 => Request::Put { key: k, value: k },
+                _ => Request::Get { key: k - 1 },
+            };
+            sender.write_all(&request_frame(k + 1, &req)).expect("send");
+        }
+    });
+    for k in 0..N {
+        let want = match k % 2 {
+            0 => Response::Done,
+            _ => Response::Value(k - 1),
+        };
+        assert_eq!(read_reply(&mut s), (k + 1, want));
+    }
+    sending.join().expect("sender");
+    assert_eq!(server.epoch_stats().1, N);
+    server.shutdown();
+}
+
+/// Release rule, every exit path: a connection that has queued tickets and
 /// then leaves — peer gone mid-frame, oversized prefix, bad checksum —
 /// releases them on the way out, so they are applied and answered.
 #[test]
@@ -585,8 +620,8 @@ fn tickets_queued_before_a_reader_exits_are_still_applied() {
     server.shutdown();
 }
 
-/// Release rule, batching: a burst that arrives in one `write` is handed
-/// to the engine a buffer at a time, not a frame at a time, while
+/// Release rule, batching: a burst that arrives in one `write` is applied
+/// a buffer at a time, not a frame at a time, while
 /// synchronous requests get an epoch each. This is the property the
 /// pipelined throughput rests on, pinned by counting epochs — no timer.
 #[test]
@@ -625,10 +660,10 @@ fn a_burst_shares_epochs_and_synchronous_requests_do_not() {
 }
 
 /// Connection churn does not grow the server: the acceptor reaps the
-/// finished reader and writer of past connections each time it accepts, so
-/// the handles it holds follow the live connections. Four hundred
+/// finished threads of past connections each time it accepts, so the
+/// handles it holds follow the live connections. Four hundred
 /// open-ping-close connections in a row — never more than one alive — must
-/// leave a handful of handles, not eight hundred.
+/// leave a handful of handles, not four hundred.
 #[test]
 fn connection_churn_does_not_accumulate_thread_handles() {
     let mut server = spawn(config());
@@ -640,7 +675,7 @@ fn connection_churn_does_not_accumulate_thread_handles() {
         most = most.max(server.conn_threads());
     }
     assert!(
-        most <= 64,
+        most <= 32,
         "{most} connection-thread handles held with one connection alive at a time"
     );
     server.shutdown();
