@@ -7,7 +7,8 @@
 //! - [`server`] — the TCP server: one thread per connection and
 //!   leader-based epoch group commit (the connection about to block
 //!   applies everything queued, never a timer and never another thread),
-//!   draining through the sharded dictionary and responding in arrival
+//!   draining through the sharded dictionary (HI-PMA shards, the one
+//!   engine served) and responding in arrival
 //!   order, with bounded
 //!   queues (shed-on-overload) and typed degradation for quarantined
 //!   shards.

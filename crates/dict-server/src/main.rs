@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dict-server [--addr 127.0.0.1:0] [--addr-file PATH]
-//!             [--backend hi-pma] [--seed N] [--shards N]
+//!             [--seed N] [--shards N]
 //!             [--epoch-ops N] [--queue-bound N]
 //!             [--acceptors N] [--parallel-threshold N]
 //!             [--max-frame N] [--dedup-window N] [--inflight-bound N]
@@ -15,6 +15,9 @@
 //! address to `--addr-file` (how `ci.sh` discovers the port), then serves
 //! until the process is killed. With `--persist`, the `FLUSH` operation
 //! canonicalizes the served contents into the given block-store file.
+//!
+//! The shards are HI-PMAs: the baseline engines are not served, so there is
+//! no backend to choose.
 //!
 //! There is no epoch timer to set: a connection applies what has been
 //! queued — by every connection — when it is about to block, or when it
@@ -52,9 +55,6 @@ fn parse_args(it: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--addr-file" => args.addr_file = Some(value("--addr-file")?),
             "--persist" => args.persist = Some(value("--persist")?),
-            "--backend" => {
-                args.config.backend = Backend::from_str(&value("--backend")?)?;
-            }
             "--seed" => args.config.seed = parse_num(&value("--seed")?, "--seed")?,
             "--shards" => {
                 args.config.shards = parse_num::<usize>(&value("--shards")?, "--shards")?;
@@ -112,7 +112,7 @@ fn run() -> Result<(), String> {
     let persist = match &args.persist {
         Some(path) => Some(
             Dict::builder()
-                .backend(args.config.backend)
+                .backend(Backend::HiPma)
                 .seed(args.config.seed)
                 .build_persistent(path)
                 .map_err(|e| format!("--persist {path}: {e}"))?,
@@ -165,5 +165,15 @@ mod tests {
         );
         let args = parse(&["--epoch-ops", "64"]).expect("the op budget stays");
         assert_eq!(args.config.server.epoch_ops, 64);
+    }
+
+    #[test]
+    fn the_backend_flag_is_gone_and_the_shards_are_hi_pmas() {
+        let err = parse(&["--backend", "btree"]).map(|_| ()).unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains("--backend"),
+            "{err}"
+        );
+        assert_eq!(parse(&[]).expect("defaults").config.backend, Backend::HiPma);
     }
 }

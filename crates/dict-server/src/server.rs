@@ -124,16 +124,18 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use anti_persistence::dict::{DictBuilder, DictConfig, DynDict, PersistentDict, ServerConfig};
+use anti_persistence::dict::{
+    Backend, DictBuilder, DictConfig, DictConfigError, HiDict, PersistentDict, ServerConfig,
+};
 use hi_common::batch::BatchOp;
 use hi_common::sync::locked;
 use hi_common::traits::Dictionary;
-use shard::{ShardError, ShardRouter, ShardedDict};
+use shard::{RunMerge, ShardError, ShardRouter, ShardedDict};
 
 use crate::protocol::{decode_request, encode_response_into, envelope_token, Request, Response};
 
-/// The concrete dictionary this front-end serves.
-pub type ServedDict = ShardedDict<DynDict<u64, u64>>;
+/// What this front-end serves: HI-PMA shards, with no enum dispatch.
+pub type ServedDict = ShardedDict<HiDict>;
 
 /// How long a blocked socket read waits before re-checking the shutdown
 /// flag. Latency of *shutdown*, not of requests — reads that have data
@@ -153,12 +155,12 @@ const MAX_DEDUP_CLIENTS: usize = 1024;
 /// Everything the server hands to [`Server::spawn`] besides the address.
 pub struct ServerOptions {
     /// Dictionary + epoch/backpressure configuration (validated up front;
-    /// see `DictConfig::validate`).
+    /// see `DictConfig::validate`), over [`Backend::HiPma`], the one engine served.
     pub config: DictConfig,
     /// When present, `FLUSH` canonicalizes the served contents into this
     /// store; when `None`, `FLUSH` answers `UNAVAILABLE`. Passing the
     /// dictionary in (rather than a path) lets crash batteries arm a
-    /// `block_store::FaultPlan` before the server starts.
+    /// `block_store::FaultPlan` before the server starts. A HI-PMA store too.
     pub persist: Option<PersistentDict>,
 }
 
@@ -444,7 +446,11 @@ impl<'a, W: Write> Unreleased<'a, W> {
         }
         // One write per burst, after the engine mutex is dropped: a peer
         // that will not read costs itself the connection, never an epoch.
-        if !self.severed && self.sink.write_all(&self.frames).is_err() {
+        // The send timeout bounds the whole call, so a short write is
+        // `write_timeout` run out: sever, rather than wait again.
+        if !self.severed
+            && !matches!(self.sink.write(&self.frames), Ok(n) if n == self.frames.len())
+        {
             self.severed = true;
         }
     }
@@ -500,17 +506,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), validates the
-    /// configuration, builds the sharded dictionary, and spawns the accept
-    /// loop.
+    /// Validates the configuration (another backend than [`Backend::HiPma`],
+    /// in it or under `persist`, is `InvalidInput`), builds the sharded
+    /// dictionary, binds `addr` (port 0: ephemeral) and spawns the acceptors.
     pub fn spawn(addr: impl ToSocketAddrs, opts: ServerOptions) -> io::Result<Server> {
-        opts.config
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let cfg = opts.config.server;
-        let dict: ServedDict = DictBuilder::from_config(opts.config)
-            .try_build_sharded()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let dict: ServedDict = match opts.persist.as_ref().map(|p| p.backend()) {
+            Some(other) if other != Backend::HiPma => Err(DictConfigError::NotHiPma(other)),
+            _ => DictBuilder::from_config(opts.config).try_build_hi_sharded(),
+        }
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let shard_count = dict.shard_count();
         let router = *dict.router();
         let listener = TcpListener::bind(addr)?;
@@ -866,29 +871,19 @@ fn connection(shared: &Shared, stream: &TcpStream) {
                     degraded: degraded_shards,
                 }
             }
+            Request::Quarantine { shard, .. } | Request::Restore { shard }
+                if shard >= shared.router.shard_count() as u64 =>
+            {
+                let shards = shared.router.shard_count();
+                Response::BadRequest(format!("shard {shard} out of range ({shards} shards)"))
+            }
             Request::Quarantine { shard, reason } => {
-                let dict = read_locked(&shared.dict);
-                if (shard as usize) < dict.shard_count() {
-                    dict.quarantine_shard(shard as usize, reason);
-                    Response::Done
-                } else {
-                    Response::BadRequest(format!(
-                        "shard {shard} out of range ({} shards)",
-                        dict.shard_count()
-                    ))
-                }
+                read_locked(&shared.dict).quarantine_shard(shard as usize, reason);
+                Response::Done
             }
             Request::Restore { shard } => {
-                let dict = read_locked(&shared.dict);
-                if (shard as usize) < dict.shard_count() {
-                    dict.restore_shard(shard as usize);
-                    Response::Done
-                } else {
-                    Response::BadRequest(format!(
-                        "shard {shard} out of range ({} shards)",
-                        dict.shard_count()
-                    ))
-                }
+                read_locked(&shared.dict).restore_shard(shard as usize);
+                Response::Done
             }
             Request::Ping => Response::Done,
             Request::Hello { client: id } => {
@@ -1151,22 +1146,21 @@ fn process_epoch(shared: &Shared, engine: &mut Engine) {
                 continue;
             }
         }
+        // A point operation on a quarantined shard refuses before joining
+        // the segment — `multi_get`'s silent omission never becomes a
+        // silent NOT_FOUND.
+        if let Request::Get { key } | Request::Put { key, .. } | Request::Del { key } = ticket.req {
+            if let Some(resp) = refusal(&segment.health, &dict, key) {
+                ticket.reply.fill(resp);
+                continue;
+            }
+        }
         match ticket.req {
-            // A read on a quarantined shard refuses before joining the
-            // segment — `multi_get`'s silent omission never becomes a
-            // silent NOT_FOUND.
-            Request::Get { key } => match refusal(&segment.health, &dict, key) {
-                Some(resp) => ticket.reply.fill(resp),
-                None => segment.push_read(key, ticket.reply),
-            },
-            Request::Put { key, value } => match refusal(&segment.health, &dict, key) {
-                Some(resp) => ticket.reply.fill(resp),
-                None => segment.push_write(key, Some(value), ticket.reply, ticket.idem),
-            },
-            Request::Del { key } => match refusal(&segment.health, &dict, key) {
-                Some(resp) => ticket.reply.fill(resp),
-                None => segment.push_write(key, None, ticket.reply, ticket.idem),
-            },
+            Request::Get { key } => segment.push_read(key, ticket.reply),
+            Request::Put { key, value } => {
+                segment.push_write(key, Some(value), ticket.reply, ticket.idem)
+            }
+            Request::Del { key } => segment.push_write(key, None, ticket.reply, ticket.idem),
             barrier => {
                 segment.commit(&mut dict, dedup);
                 let resp = barrier_response(shared, &mut dict, barrier);
@@ -1218,8 +1212,12 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
     let Some(p) = guard.as_mut() else {
         return Response::Unavailable("no persistent store configured (--persist)".into());
     };
-    // The shard merge is consumed once, by the store's record encoder.
-    match p.flush_from(dict) {
+    // The shards' leaves are merged once, straight into the record encoder.
+    let records = RunMerge::new(
+        dict.shards().iter().map(|s| s.seq().leaves()),
+        |r: &(u64, u64)| r.0,
+    );
+    match p.flush_from(dict.len(), records) {
         Ok(generation) => Response::Generation(generation),
         Err(e) => Response::Unavailable(format!("flush failed: {e}")),
     }
@@ -1232,6 +1230,7 @@ mod tests {
 
     fn serve_with(server: ServerConfig) -> Server {
         let config = DictConfig {
+            backend: Backend::HiPma,
             seed: 0xD1C7,
             shards: 4,
             server,
@@ -1252,6 +1251,43 @@ mod tests {
         ServerConfig {
             inflight_bound,
             ..ServerConfig::default()
+        }
+    }
+
+    /// Only the HI-PMA is served. Another backend, in the config or under
+    /// the persistent store, is refused typed before the listener binds:
+    /// the address below is taken, and binding it would fail otherwise.
+    #[test]
+    fn another_backend_is_refused_before_the_server_binds() {
+        let taken = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = taken.local_addr().expect("bound address");
+        let config = |backend| DictConfig {
+            backend,
+            ..DictConfig::default()
+        };
+        let classic = DictBuilder::from_config(config(Backend::ClassicPma))
+            .build_persistent(anti_persistence::block_store::temp_path("served-classic"))
+            .expect("a classic-PMA store opens");
+        let (data, journal) = (
+            classic.store().path().to_path_buf(),
+            classic.store().journal_path().to_path_buf(),
+        );
+        for opts in [
+            ServerOptions {
+                config: config(Backend::BTree),
+                persist: None,
+            },
+            ServerOptions {
+                config: config(Backend::HiPma),
+                persist: Some(classic),
+            },
+        ] {
+            let err = Server::spawn(addr, opts).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("hi-pma only"), "{err}");
+        }
+        for path in [data, journal] {
+            let _ = std::fs::remove_file(path);
         }
     }
 

@@ -73,7 +73,7 @@ use veb_tree::VebTree;
 
 use crate::geometry::Geometry;
 use crate::spread::spread_position;
-use crate::store::{ScanIter, SlotStore};
+use crate::store::{Groups, ScanIter, SlotStore};
 
 /// Diagnostic record describing one range's balance element, used by the
 /// χ²-uniformity experiment (paper §4.3) and the statistical tests.
@@ -877,6 +877,14 @@ impl<T: Clone> HiPma<T> {
     /// Borrows every element in rank order (a full sequential scan).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.iter_from(0)
+    }
+
+    /// Borrows every leaf's elements as one dense `&[T]` run, leaves in rank
+    /// order and empty ones included: the scan of [`Self::iter`] a run at a
+    /// time, charged to the tracer the same way (one read per leaf).
+    pub fn leaves(&self) -> Groups<'_, T> {
+        self.store
+            .groups_from(0, self.tracer.clone(), self.array_region)
     }
 
     /// The zero-copy form of the paper's `Query(i, j)`: lazily yields the

@@ -229,10 +229,22 @@ impl<T> SlotStore<T> {
         self.respread_bits(g, count);
     }
 
+    /// Lazily yields the groups from `g` onward as dense slices, in rank
+    /// order, empty groups included. Each group is charged to `tracer` as
+    /// one sequential read of its slot span when it is yielded.
+    pub fn groups_from(&self, g: usize, tracer: Tracer, region: Region) -> Groups<'_, T> {
+        Groups {
+            store: self,
+            next: g,
+            tracer,
+            region,
+        }
+    }
+
     /// Lazily yields the elements from dense position `(g, idx)` onward, in
-    /// rank order. Each group is charged to `tracer` as one sequential read
-    /// of its slot span when the iterator enters it (per-window batching —
-    /// the old engine charged per slot).
+    /// rank order: [`Self::groups_from`] flattened, so each group is charged
+    /// to `tracer` as one sequential read when the iterator enters it
+    /// (per-window batching — the old engine charged per slot).
     pub fn iter_from(
         &self,
         g: usize,
@@ -241,35 +253,45 @@ impl<T> SlotStore<T> {
         region: Region,
     ) -> ScanIter<'_, T> {
         ScanIter {
-            store: self,
-            group: g,
-            idx,
-            entered: false,
-            tracer,
-            region,
+            groups: self.groups_from(g, tracer, region),
+            skip: idx,
+            run: [].iter(),
         }
+    }
+}
+
+/// The groups of a [`SlotStore`] as dense `&[T]` runs, charging each to the
+/// tracer as one read as it is yielded.
+pub struct Groups<'a, T> {
+    store: &'a SlotStore<T>,
+    next: usize,
+    tracer: Tracer,
+    region: Region,
+}
+
+impl<'a, T> Iterator for Groups<'a, T> {
+    type Item = &'a [T];
+
+    fn next(&mut self) -> Option<&'a [T]> {
+        let g = self.next;
+        let group = self.store.groups.get(g)?;
+        self.next += 1;
+        if self.tracer.is_enabled() {
+            let slots = self.store.group_slots as u64;
+            self.tracer
+                .read(self.region.addr(g as u64 * slots), self.region.span(slots));
+        }
+        Some(group)
     }
 }
 
 /// Sequential scan over a [`SlotStore`] from a dense position, charging each
 /// visited group to the tracer as one read.
 pub struct ScanIter<'a, T> {
-    store: &'a SlotStore<T>,
-    group: usize,
-    idx: usize,
-    entered: bool,
-    tracer: Tracer,
-    region: Region,
-}
-
-impl<'a, T> ScanIter<'a, T> {
-    fn charge_group(&self, g: usize) {
-        if self.tracer.is_enabled() {
-            let slots = self.store.group_slots as u64;
-            self.tracer
-                .read(self.region.addr(g as u64 * slots), self.region.span(slots));
-        }
-    }
+    groups: Groups<'a, T>,
+    /// Dense index to start at within the first group entered.
+    skip: usize,
+    run: std::slice::Iter<'a, T>,
 }
 
 impl<'a, T> Iterator for ScanIter<'a, T> {
@@ -277,20 +299,14 @@ impl<'a, T> Iterator for ScanIter<'a, T> {
 
     fn next(&mut self) -> Option<&'a T> {
         loop {
-            if self.group >= self.store.group_count() {
-                return None;
-            }
-            if !self.entered {
-                self.charge_group(self.group);
-                self.entered = true;
-            }
-            if let Some(item) = self.store.groups[self.group].get(self.idx) {
-                self.idx += 1;
+            if let Some(item) = self.run.next() {
                 return Some(item);
             }
-            self.group += 1;
-            self.idx = 0;
-            self.entered = false;
+            let group = self.groups.next()?;
+            self.run = group
+                .get(std::mem::take(&mut self.skip)..)
+                .unwrap_or(&[])
+                .iter();
         }
     }
 }
@@ -427,6 +443,11 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(none, Vec::<u64>::new());
+        // The group walk under it yields every group, the empty ones too.
+        let groups: Vec<&[u64]> = s
+            .groups_from(0, Tracer::disabled(), Region::new(0, 8, 16))
+            .collect();
+        assert_eq!(groups, [&[][..], &[7], &[], &[8, 9]]);
     }
 
     #[test]
@@ -439,6 +460,10 @@ mod tests {
         assert_eq!(n, 6);
         // Each group spans exactly one 4 KiB block (256 slots x 16 bytes):
         // one read per group entered, not one per slot visited.
+        assert_eq!(tracer.stats().reads, 2);
+        // A walk over the groups as runs charges them the same way.
+        tracer.reset_cold();
+        assert_eq!(s.groups_from(0, tracer.clone(), region).count(), 2);
         assert_eq!(tracer.stats().reads, 2);
     }
 }

@@ -31,8 +31,9 @@
 //! Batches execute on scoped worker threads (one per shard holding work,
 //! [`std::thread::scope`]); small batches stay inline under a configurable
 //! threshold. Global range scans k-way-merge the shards' lazy iterators
-//! without allocating ([`merge::KWayMerge`]). Per-shard instrumentation
-//! rolls up through the [`Instrumented`] trait.
+//! without allocating ([`merge::KWayMerge`]); a full export from shards that
+//! expose sorted runs merges the runs instead ([`merge::RunMerge`]).
+//! Per-shard instrumentation rolls up through the [`Instrumented`] trait.
 //!
 //! ## Graceful degradation
 //!
@@ -61,7 +62,6 @@
 pub mod merge;
 pub mod router;
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hash;
 use std::ops::RangeBounds;
@@ -75,7 +75,7 @@ use hi_common::sync::{locked, panic_message};
 use hi_common::traits::{cloned_bounds, Dictionary, KeyValue};
 use io_sim::IoStats;
 
-pub use merge::KWayMerge;
+pub use merge::{KWayMerge, RunMerge};
 pub use router::{derive_seed, SeededHasher, ShardRouter, MAX_SHARDS};
 
 /// A typed failure from the sharded service's fallible surface.
@@ -809,12 +809,6 @@ where
         }
         total
     }
-}
-
-/// Compares merge items by key; exposed for callers that build their own
-/// [`KWayMerge`] over shard iterators.
-pub fn by_key<K: Ord, V>(a: &(&K, &V), b: &(&K, &V)) -> Ordering {
-    a.0.cmp(b.0)
 }
 
 #[cfg(test)]

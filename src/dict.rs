@@ -139,7 +139,8 @@ impl FromStr for Backend {
 /// are simply ignored by it, which is what lets one config drive all seven.
 #[derive(Debug, Clone)]
 pub struct DictConfig {
-    /// Which engine to construct.
+    /// Which engine to construct. `dict-server` serves [`Backend::HiPma`]
+    /// only, and refuses a config naming any other.
     pub backend: Backend,
     /// Secret coins for the randomized (history-independent) engines.
     pub seed: u64,
@@ -170,11 +171,12 @@ pub struct DictConfig {
 }
 
 /// Epoch group-commit and backpressure knobs consumed by the `dict-server`
-/// front-end: a connection applies the queued operations — every
-/// connection's, as leader of an epoch — when it is about to block or holds
-/// `epoch_ops` of its own (there is no timer and no engine thread), and
-/// each shard queue sheds load (typed `Overloaded` response) beyond
-/// `queue_bound` waiting operations.
+/// front-end, which serves shards of [`HiDict`] (the config's `backend`
+/// must be [`Backend::HiPma`]): a connection applies the queued
+/// operations — every connection's, as leader of an epoch — when it is
+/// about to block or holds `epoch_ops` of its own (there is no timer and
+/// no engine thread), and each shard queue sheds load (typed `Overloaded`
+/// response) beyond `queue_bound` waiting operations.
 ///
 /// The knobs live here — not as server CLI flags alone — so
 /// [`DictConfig::validate`] can reject the degenerate values *before* a
@@ -300,6 +302,9 @@ pub enum DictConfigError {
     /// Client read timeout of zero: every response wait would expire
     /// before the server could answer.
     ZeroReadTimeout,
+    /// A HI-PMA-only builder ([`DictBuilder::try_build_hi_sharded`], which
+    /// is what `dict-server` serves) was configured with another backend.
+    NotHiPma(Backend),
 }
 
 impl fmt::Display for DictConfigError {
@@ -355,6 +360,7 @@ impl fmt::Display for DictConfigError {
             DictConfigError::ZeroReadTimeout => {
                 write!(f, "client read_timeout must be nonzero")
             }
+            DictConfigError::NotHiPma(b) => write!(f, "{b} is not served: hi-pma only"),
         }
     }
 }
@@ -413,7 +419,37 @@ impl DictConfig {
         }
         Ok(())
     }
+
+    /// A tracer with this config's cache model, or a disabled one.
+    fn tracer(&self) -> Tracer {
+        match self.io {
+            Some(io) => Tracer::enabled(io),
+            None => Tracer::disabled(),
+        }
+    }
+
+    /// The HI-PMA behind the keyed adapter, seeded and instrumented as
+    /// configured: [`Backend::HiPma`]'s engine, whether a [`DynDict`] wraps
+    /// it or a served shard is it.
+    fn hi_dict<K: Ord + Clone, V: Clone>(
+        &self,
+        counters: &SharedCounters,
+        tracer: &Tracer,
+    ) -> RankedDict<HiPma<(K, V)>, K, V> {
+        let pma = HiPma::with_parts(
+            RngSource::from_seed(self.seed),
+            counters.clone(),
+            tracer.clone(),
+            self.elem_size,
+        );
+        RankedDict::with_counters(pma, counters.clone())
+    }
 }
+
+/// The dictionary `dict-server` shards and serves: the HI-PMA (Theorem 1)
+/// behind the keyed adapter, one concrete type. [`DynDict`] and its enum
+/// dispatch stay for the baselines, the conformance suite and embedded use.
+pub type HiDict = RankedDict<HiPma<(u64, u64)>, u64, u64>;
 
 /// Fluent constructor for any backend — the single entry point the README
 /// and the examples teach:
@@ -533,10 +569,7 @@ impl DictBuilder {
         self.config.validate()?;
         let c = self.config;
         let counters = SharedCounters::new();
-        let tracer = match c.io {
-            Some(io) => Tracer::enabled(io),
-            None => Tracer::disabled(),
-        };
+        let tracer = c.tracer();
         let inner = match c.backend {
             Backend::CobBTree => Inner::CobBTree(CobBTree::with_parts(
                 RngSource::from_seed(c.seed),
@@ -567,15 +600,7 @@ impl DictBuilder {
                 counters.clone(),
                 tracer.clone(),
             )),
-            Backend::HiPma => Inner::HiPma(RankedDict::with_counters(
-                HiPma::with_parts(
-                    RngSource::from_seed(c.seed),
-                    counters.clone(),
-                    tracer.clone(),
-                    c.elem_size,
-                ),
-                counters.clone(),
-            )),
+            Backend::HiPma => Inner::HiPma(c.hi_dict(&counters, &tracer)),
             Backend::ClassicPma => Inner::ClassicPma(RankedDict::with_counters(
                 ClassicPma::with_parts(
                     DensityBands::standard(),
@@ -637,14 +662,33 @@ impl DictBuilder {
         K: Ord + Clone + Hash,
         V: Clone,
     {
+        self.sharded(|c| DictBuilder::from_config(c).build())
+    }
+
+    /// [`Self::try_build_sharded`] for the one type `dict-server` serves:
+    /// shards of [`HiDict`] directly, with no [`DynDict`] enum in between.
+    /// The shards are the ones `try_build_sharded` builds for
+    /// [`Backend::HiPma`], coin for coin. Any other backend is refused
+    /// ([`DictConfigError::NotHiPma`]) rather than built as a HI-PMA anyway.
+    pub fn try_build_hi_sharded(self) -> Result<ShardedDict<HiDict>, DictConfigError> {
+        if self.config.backend != Backend::HiPma {
+            return Err(DictConfigError::NotHiPma(self.config.backend));
+        }
+        self.sharded(|c| c.hi_dict(&SharedCounters::new(), &c.tracer()))
+    }
+
+    /// Validates once, then builds `shards` shards with `build`, each from
+    /// this config with the shard's derived seed.
+    fn sharded<D>(self, build: impl Fn(DictConfig) -> D) -> Result<ShardedDict<D>, DictConfigError>
+    where
+        D: Dictionary,
+        D::Key: Hash,
+    {
         self.config.validate()?;
         let c = self.config;
         let router = ShardRouter::new(c.seed, c.shards);
-        let mut service = ShardedDict::build_with(router, |_, shard_seed| {
-            let mut shard_config = c.clone();
-            shard_config.seed = shard_seed;
-            DictBuilder::from_config(shard_config).build()
-        });
+        let mut service =
+            ShardedDict::build_with(router, |_, seed| build(DictConfig { seed, ..c.clone() }));
         service.set_parallel_threshold(c.parallel_threshold);
         Ok(service)
     }
@@ -733,23 +777,23 @@ fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, P
 
 /// The one way contents become a committed image: the occupancy
 /// `bulk_load(contents, seed)` would draw, computed from `(len, seed)`, and
-/// `source`'s pairs streamed behind it. Keys are checked strictly ascending
+/// the `records` streamed behind it. Keys are checked strictly ascending
 /// as they pass: records out of order would reopen cleanly once `bulk_load`
 /// sorts them, and the bytes would no longer be `f(contents, seed)`.
 fn commit_sorted(
     store: &mut BlockStore,
     occupancy: fn(usize, u64) -> (u64, Vec<u64>),
     seed: u64,
-    source: &impl Dictionary<Key = u64, Value = u64>,
+    len: usize,
+    records: impl IntoIterator<Item = (u64, u64)>,
 ) -> Result<u64, PersistError> {
-    let len = source.len();
     let (slots, words) = occupancy(len, seed);
     let len = len as u64;
     let (mut taken, mut prev, mut disorder) = (0u64, None, None);
     // Disorder ends the stream: the encoder comes up short and refuses
     // before anything is written. Past `len` the stream is too long anyway,
     // which the encoder can only refuse if it sees the record.
-    let ascending = source.iter().map_while(|(&k, &v)| {
+    let ascending = records.into_iter().map_while(|(k, v)| {
         if disorder.is_none() && prev.is_some_and(|p| p >= k) {
             disorder = Some(taken);
         }
@@ -1054,24 +1098,34 @@ impl PersistentDict {
     /// variant, and all of them still fold into [`io::Error`] for callers
     /// on the facade's `io::Result` surface.
     pub fn flush(&mut self) -> Result<u64, PersistError> {
-        commit_sorted(&mut self.store, self.occupancy, self.seed, &self.dict)
+        let records = self.dict.iter().map(|(&k, &v)| (k, v));
+        commit_sorted(
+            &mut self.store,
+            self.occupancy,
+            self.seed,
+            self.dict.len(),
+            records,
+        )
     }
 
-    /// Commits the canonical image of `source`'s contents under this
+    /// Commits the canonical image of `len` records under this
     /// dictionary's seed — the bytes [`Self::flush`] would write had they
-    /// been loaded here first — in one pass over `source.iter()`, copying
-    /// nothing. The in-RAM dictionary is neither read nor changed.
+    /// been loaded here first — in one pass over `records`, copying
+    /// nothing. The in-RAM dictionary is neither read nor changed; the
+    /// served `FLUSH` streams the shards' merged leaves through here.
     ///
-    /// The source is a [`Dictionary`] for what that contract promises:
-    /// `len()` exact and `iter()` strictly ascending. Both are checked
-    /// before the first byte is written; a source that breaks either is
-    /// refused ([`PersistError::SourceOutOfOrder`], or the store's
-    /// record-count error) with the file and the store as they were.
+    /// The source promises what a [`Dictionary`] does of its `len()` and
+    /// `iter()`: `len` exact and `records` strictly ascending by key. Both
+    /// are checked before the first byte is written; a source that breaks
+    /// either is refused ([`PersistError::SourceOutOfOrder`], or the
+    /// store's record-count error) with the file and the store as they
+    /// were.
     pub fn flush_from(
         &mut self,
-        source: &impl Dictionary<Key = u64, Value = u64>,
+        len: usize,
+        records: impl IntoIterator<Item = (u64, u64)>,
     ) -> Result<u64, PersistError> {
-        commit_sorted(&mut self.store, self.occupancy, self.seed, source)
+        commit_sorted(&mut self.store, self.occupancy, self.seed, len, records)
     }
 
     /// Sweeps the committed image's integrity chain block by block and
@@ -1145,6 +1199,7 @@ impl Dict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shard::RunMerge;
 
     #[test]
     fn every_backend_builds_and_serves_identical_call_sites() {
@@ -1261,6 +1316,35 @@ mod tests {
             for s in service.shards() {
                 s.check_invariants();
             }
+        }
+    }
+
+    #[test]
+    fn the_served_shards_are_the_hi_pma_backends_shards_and_nothing_else() {
+        let config = |backend| DictConfig {
+            backend,
+            seed: 31,
+            shards: 3,
+            ..DictConfig::default()
+        };
+        let mut served = DictBuilder::from_config(config(Backend::HiPma))
+            .try_build_hi_sharded()
+            .unwrap();
+        let mut dynamic = DictBuilder::from_config(config(Backend::HiPma))
+            .try_build_sharded::<u64, u64>()
+            .unwrap();
+        let pairs = (0..3_000u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i));
+        served.multi_put(pairs.clone());
+        dynamic.multi_put(pairs);
+        for (s, d) in served.shards().iter().zip(dynamic.shards()) {
+            assert_eq!(Some(s.seq().occupancy_words()), d.occupancy_words());
+        }
+        assert_eq!(served.to_sorted_vec(), dynamic.to_sorted_vec());
+        // No silent fallback: another backend is refused, not served as a
+        // HI-PMA.
+        for backend in Backend::ALL.into_iter().filter(|&b| b != Backend::HiPma) {
+            let refused = DictBuilder::from_config(config(backend)).try_build_hi_sharded();
+            assert_eq!(refused.map(|_| ()), Err(DictConfigError::NotHiPma(backend)));
         }
     }
 
@@ -1560,46 +1644,6 @@ mod tests {
         );
     }
 
-    /// A [`Dictionary`] whose `len()` and `iter()` say what the test tells
-    /// them to: the two promises `flush_from` relies on, broken on demand.
-    struct Lying {
-        len: usize,
-        pairs: Vec<(u64, u64)>,
-    }
-
-    impl Dictionary for Lying {
-        type Key = u64;
-        type Value = u64;
-
-        fn len(&self) -> usize {
-            self.len
-        }
-
-        fn range_iter<R: RangeBounds<u64>>(&self, _: R) -> impl Iterator<Item = (&u64, &u64)> {
-            self.pairs.iter().map(|(k, v)| (k, v))
-        }
-
-        fn insert(&mut self, _: u64, _: u64) -> Option<u64> {
-            unimplemented!("read-only test double")
-        }
-
-        fn remove(&mut self, _: &u64) -> Option<u64> {
-            unimplemented!("read-only test double")
-        }
-
-        fn get_ref(&self, _: &u64) -> Option<&u64> {
-            unimplemented!("read-only test double")
-        }
-
-        fn successor(&self, _: &u64) -> Option<(u64, u64)> {
-            unimplemented!("read-only test double")
-        }
-
-        fn predecessor(&self, _: &u64) -> Option<(u64, u64)> {
-            unimplemented!("read-only test double")
-        }
-    }
-
     #[test]
     fn flush_from_refuses_a_source_that_breaks_its_contract_and_writes_nothing() {
         let path = block_store::temp_path("dict-lying-source");
@@ -1613,20 +1657,26 @@ mod tests {
         assert_eq!(p.flush().unwrap(), 1);
         let committed = p.store().raw_bytes().unwrap();
 
-        let source = |len: usize, edit: fn(&mut [(u64, u64)])| {
+        // The served FLUSH's source: a run merge over leaf-sized runs. With
+        // one input it hands the runs on as they stand, so a lie in them
+        // reaches the commit at the rank it was told at.
+        let pairs = |edit: fn(&mut [(u64, u64)])| {
             let mut pairs = honest.clone();
             pairs.push((600, 0));
             edit(&mut pairs);
-            Lying { len, pairs }
+            pairs
         };
+        fn runs(pairs: &[(u64, u64)]) -> impl Iterator<Item = (u64, u64)> + '_ {
+            RunMerge::new([pairs.chunks(17)], |r: &(u64, u64)| r.0)
+        }
         // Out of order mid-stream, a repeated key, and disorder in the one
         // record past `len` that only the encoder's last look sees.
-        for (lying, rank) in [
-            (source(301, |p| p.swap(100, 101)), 101),
-            (source(301, |p| p[7].0 = p[6].0), 7),
-            (source(300, |p| p[300].0 = 0), 300),
+        for (len, lying, rank) in [
+            (301, pairs(|p| p.swap(100, 101)), 101),
+            (301, pairs(|p| p[7].0 = p[6].0), 7),
+            (300, pairs(|p| p[300].0 = 0), 300),
         ] {
-            match p.flush_from(&lying) {
+            match p.flush_from(len, runs(&lying)) {
                 Err(PersistError::SourceOutOfOrder { rank: r }) => assert_eq!(r, rank),
                 other => panic!("expected a source-out-of-order refusal, got {other:?}"),
             }
@@ -1634,15 +1684,16 @@ mod tests {
             assert_eq!(p.store().raw_bytes().unwrap(), committed);
         }
         // In order and the wrong length, either way.
-        for lying in [source(302, |_| ()), source(300, |_| ())] {
-            let err = p.flush_from(&lying).unwrap_err();
+        let sorted = pairs(|_| ());
+        for len in [302, 300] {
+            let err = p.flush_from(len, runs(&sorted)).unwrap_err();
             assert!(matches!(err, PersistError::Corrupt { block: 0 }), "{err}");
             assert!(!p.store().is_poisoned());
             assert_eq!(p.store().raw_bytes().unwrap(), committed);
         }
         // The store took no harm: an honest source commits the next
         // generation, and it reopens.
-        assert_eq!(p.flush_from(&source(301, |_| ())).unwrap(), 2);
+        assert_eq!(p.flush_from(301, runs(&sorted)).unwrap(), 2);
         drop(p);
         let reopened = Dict::builder()
             .backend(Backend::HiPma)
@@ -1676,11 +1727,10 @@ mod tests {
             let _ = std::fs::remove_file(reopened.store().journal_path());
             image
         };
-        let empty: DynDict<u64, u64> = Dict::builder().backend(Backend::BTree).build();
         let streamed = image_of("dict-empty-from", &|p| {
             // The handle's own dictionary is not the source and is not read.
             p.insert(1, 1);
-            assert_eq!(p.flush_from(&empty).unwrap(), 1);
+            assert_eq!(p.flush_from(0, []).unwrap(), 1);
         });
         let own = image_of("dict-empty-own", &|p| {
             p.insert(1, 1);

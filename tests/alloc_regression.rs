@@ -17,7 +17,9 @@
 //!   reallocated leaf arrays on every insert).
 //!
 //! * a served request costs the server a bounded number of allocations, and
-//!   its response path (ring cell, fill, pop, encode) none at all.
+//!   its response path (ring cell, fill, pop, encode) none at all;
+//! * a steady-state served FLUSH allocates a number of times that grows with
+//!   the shard count and not with the records it writes.
 //!
 //! The tests share one global allocation counter, so they serialize on a
 //! mutex instead of running concurrently.
@@ -410,6 +412,86 @@ fn served_allocations(client: &mut Client, reqs: &[Request]) -> u64 {
         }
     }
     allocations() - before
+}
+
+/// What a steady-state served FLUSH may allocate, server side. Measured 23
+/// at one shard, 25 at two and 33 at eight: the epoch's queue-guard vector,
+/// `health()`, the canonical-occupancy computation (a unit-element HI-PMA,
+/// whose leaves hold no bytes, then its words) and the merge's first input
+/// vector, none of which grow with the contents, plus per shard beyond the
+/// first one merge node with its record buffer and, per tree level, one
+/// vector. Nothing per record or per leaf: the store's staging buffers were
+/// sized by the first FLUSH, and the merge reads the leaves in place.
+const FLUSH_ALLOCS_FIXED: u64 = 24;
+const FLUSH_ALLOCS_PER_SHARD: u64 = 2;
+
+#[test]
+fn a_steady_state_served_flush_allocates_per_shard_not_per_record() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // This thread is the client from here to its end.
+    UNCOUNTED.with(|u| u.set(true));
+    const KEYS: u64 = 40_000;
+    for shards in [1usize, 2, 8] {
+        let path = temp_path(&format!("alloc-served-flush-{shards}"));
+        let persist = Dict::builder()
+            .backend(Backend::HiPma)
+            .seed(0xF1A5)
+            .build_persistent_with(&path, StoreOptions::new(4096).no_sync())
+            .expect("open store");
+        let config = DictConfig {
+            backend: Backend::HiPma,
+            seed: 0xF1A5,
+            shards,
+            ..DictConfig::default()
+        };
+        let opts = ServerOptions {
+            config,
+            persist: Some(persist),
+        };
+        let server = Server::spawn("127.0.0.1:0", opts).expect("bind loopback");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let mut state = 0xF1u64;
+        let mut keys: Vec<u64> = (0..KEYS)
+            .map(|_| next_rank(&mut state, u64::MAX) as u64)
+            .collect();
+        let warm: Vec<Request> = keys
+            .iter()
+            .map(|&key| Request::Put { key, value: key })
+            .collect();
+        served_allocations(&mut client, &warm);
+        // The first FLUSH writes the whole image and sizes the store's
+        // staging buffers; the length stays put from here on.
+        client.flush_store().expect("first flush");
+        let mut most = 0;
+        for round in 0..6usize {
+            let churn: Vec<Request> = (0..256)
+                .flat_map(|i| {
+                    let key = next_rank(&mut state, u64::MAX) as u64;
+                    let old = std::mem::replace(&mut keys[round * 256 + i], key);
+                    [Request::Put { key, value: key }, Request::Del { key: old }]
+                })
+                .collect();
+            served_allocations(&mut client, &churn);
+            let before = allocations();
+            client.flush_store().expect("steady-state flush");
+            most = most.max(allocations() - before);
+        }
+        println!("served FLUSH of {KEYS} records over {shards} shards: {most} allocations");
+        let bound = FLUSH_ALLOCS_FIXED + FLUSH_ALLOCS_PER_SHARD * shards as u64;
+        assert!(
+            most <= bound,
+            "a steady-state FLUSH of {KEYS} records over {shards} shards allocated {most} \
+             times (pinned at {bound})"
+        );
+        let persist = server.into_persist().expect("the store comes back");
+        let (data, journal) = (
+            persist.store().path().to_path_buf(),
+            persist.store().journal_path().to_path_buf(),
+        );
+        drop(persist);
+        let _ = std::fs::remove_file(data);
+        let _ = std::fs::remove_file(journal);
+    }
 }
 
 #[test]

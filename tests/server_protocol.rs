@@ -682,6 +682,83 @@ fn connection_churn_does_not_accumulate_thread_handles() {
     assert_eq!(server.conn_threads(), 0, "shutdown joins the rest");
 }
 
+/// A peer that pipelines past the socket buffers and never reads blocks its
+/// own connection thread, in a write that holds no lock, and is severed
+/// once that write has waited `write_timeout`: a second connection is
+/// answered while the first is stuck, and the first is cut off (reset)
+/// within `write_timeout` of the moment its buffers filled.
+#[test]
+fn a_peer_that_never_reads_is_severed_within_write_timeout_and_stalls_no_one() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const WRITE_TIMEOUT: Duration = Duration::from_millis(1_500);
+    let mut cfg = config();
+    cfg.server = ServerConfig {
+        write_timeout: WRITE_TIMEOUT,
+        ..cfg.server
+    };
+    let mut server = spawn(cfg);
+    // 2^20 PINGs: 21 MiB of answers, several times what the loopback send
+    // and receive buffers of one connection hold.
+    let ping = request_frame(1, &Request::Ping);
+    let burst: Vec<u8> = ping
+        .iter()
+        .copied()
+        .cycle()
+        .take(ping.len() << 20)
+        .collect();
+    let mut hog = TcpStream::connect(server.addr()).expect("connect");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let sending = {
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            for chunk in burst.chunks(64 << 10) {
+                if hog.write_all(chunk).is_err() {
+                    return Some(Instant::now());
+                }
+                sent.fetch_add(chunk.len(), Ordering::Relaxed);
+            }
+            None
+        })
+    };
+    // Stuck: nothing more has left the sender for 200 ms.
+    let stuck = loop {
+        let before = sent.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(200));
+        if sent.load(Ordering::Relaxed) == before {
+            break Instant::now();
+        }
+    };
+    assert!(
+        !sending.is_finished(),
+        "the whole burst was taken: no backpressure"
+    );
+
+    let mut c = Client::connect(server.addr()).expect("second connection");
+    for k in 0..200u64 {
+        c.put(k, k + 1).expect("put");
+        assert_eq!(c.get(k).expect("get"), Some(k + 1));
+    }
+    assert!(
+        !sending.is_finished(),
+        "the second connection was served only after the first was severed"
+    );
+
+    let severed = sending
+        .join()
+        .expect("sender")
+        .expect("a peer that never reads is severed, so its sends fail");
+    let waited = severed.saturating_duration_since(stuck);
+    assert!(
+        waited <= WRITE_TIMEOUT + Duration::from_millis(500),
+        "severed {waited:?} after the buffers filled (write_timeout {WRITE_TIMEOUT:?})"
+    );
+    assert_eq!(c.get(7).expect("still served"), Some(8));
+    server.shutdown();
+}
+
 /// Shutdown answers every in-flight request: a pipeline cut off by server
 /// shutdown receives only typed responses (possibly `UNAVAILABLE`), and the
 /// stream ends with EOF rather than a hang or a torn frame.
