@@ -8,6 +8,7 @@
 use ap_bench::env_usize;
 use cob_btree::CobBTree;
 use hi_common::stats::chi2::chi2_gof;
+use hi_common::traits::Occupancy;
 use pma::ClassicPma;
 
 fn layout_bucket(occupancy: &[bool], buckets: usize) -> usize {

@@ -118,7 +118,7 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     /// fingerprint used by the history-independence tests. See the
     /// [`Occupancy`](hi_common::traits::Occupancy) impl for the packed form.
     pub fn occupancy(&self) -> Vec<bool> {
-        self.pma.occupancy()
+        hi_common::traits::Occupancy::occupancy(&self.pma)
     }
 
     /// Verifies the backing PMA's structural invariants plus key ordering.
@@ -290,8 +290,8 @@ impl<K: Ord + Clone, V: Clone> hi_common::traits::Occupancy for CobBTree<K, V> {
         self.pma.total_slots()
     }
 
-    fn occupancy_words(&self) -> &[u64] {
-        hi_common::traits::Occupancy::occupancy_words(&self.pma)
+    fn occupancy_into(&self, words: &mut Vec<u64>) {
+        hi_common::traits::Occupancy::occupancy_into(&self.pma, words);
     }
 }
 

@@ -699,7 +699,10 @@ enum Wire {
 /// Fills `buf` completely, tolerating read timeouts (used to poll the
 /// shutdown flag) and preserving partial progress across them. Releases
 /// first unless the bytes are already buffered — the only case in which no
-/// `read` reaches the socket and nothing can block.
+/// `read` reaches the socket and nothing can block — and then, once shutdown
+/// is flagged, reads no more: a peer that never stops sending never lets a
+/// read time out, so the flag is checked before the socket is, not only
+/// when it is quiet.
 /// `idle` counts consecutive empty read polls across calls — any received
 /// byte resets it, `budget` exhausts it. The reap decision is therefore a
 /// *count* of poll intervals, not a wall-clock read: determinism-hygiene
@@ -713,13 +716,16 @@ fn fill_buf(
     idle: &mut usize,
     budget: usize,
 ) -> Wire {
+    let shared = unreleased.shared;
     if stream.buffer().len() < buf.len() {
         unreleased.release();
         if unreleased.severed {
             return Wire::Dead;
         }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Wire::Shutdown;
+        }
     }
-    let shared = unreleased.shared;
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -1657,6 +1663,58 @@ mod tests {
         let dict = read_locked(&shared.dict);
         let served: Vec<(u64, u64)> = (0..16).filter_map(|k| Some((k, dict.get(&k)?))).collect();
         assert_eq!(served, oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    /// A peer that never stops sending does not hold `shutdown` up: once the
+    /// flag is set its connection reads no more, answers what it parsed and
+    /// ends, so `shutdown` returns within `READ_POLL` + `write_timeout`.
+    /// Back-to-back PINGs never let a read time out, so noticing the flag
+    /// cannot wait for one.
+    #[test]
+    fn shutdown_returns_within_read_poll_and_write_timeout_while_a_peer_streams() {
+        use std::time::Instant;
+        let mut server = serve();
+        let mut client = crate::Client::connect(server.addr()).expect("connect");
+        let answered = Arc::new(AtomicU64::new(0));
+        let streaming = {
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                // Bounded, so that a server which waits for the peer to stop
+                // fails the assertion below instead of hanging the test.
+                let until = Instant::now() + Duration::from_secs(10);
+                while Instant::now() < until {
+                    for _ in 0..64 {
+                        if client.send(&Request::Ping).is_err() {
+                            return;
+                        }
+                    }
+                    if client.flush().is_err() {
+                        return;
+                    }
+                    for _ in 0..64 {
+                        match client.recv() {
+                            Ok(Response::Done) => answered.fetch_add(1, Ordering::Relaxed),
+                            _ => return,
+                        };
+                    }
+                }
+            })
+        };
+        while answered.load(Ordering::Relaxed) < 4_096 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        streaming
+            .join()
+            .expect("the client ends when the server closes");
+        let bound = READ_POLL + server.shared.cfg.write_timeout;
+        assert!(
+            took <= bound,
+            "shutdown took {took:?} against a streaming peer (bound {bound:?}, {} PINGs answered)",
+            answered.load(Ordering::Relaxed)
+        );
     }
 
     /// Shutdown leads the closing epoch itself, so

@@ -3,7 +3,7 @@
 //! The PMAs' memory representation — the thing the history-independence
 //! definitions quantify over — is *which slots are occupied*. This module
 //! stores that representation directly as packed `u64` words, so that
-//! occupancy counts are popcounts, gap scans are word scans, and the whole
+//! occupancy counts are popcounts, scans are word scans, and the whole
 //! map costs one bit per slot instead of the discriminant-plus-padding of a
 //! `Vec<Option<T>>` slot array (16 bytes per slot for `u64` records).
 //!
@@ -148,68 +148,6 @@ impl Bitmap {
         None
     }
 
-    /// Replaces the bits of `[start, start + len)` with the low `len` bits
-    /// of `pattern` (word 0 = slots `start..start + 64`, low bit first).
-    /// Word-wise: each affected bitmap word is rewritten with one masked
-    /// store, so rewriting a window costs `O(len / 64)` operations however
-    /// many bits are set.
-    pub fn write_range_bits(&mut self, start: usize, len: usize, pattern: &[u64]) {
-        debug_assert!(start + len <= self.len);
-        debug_assert!(pattern.len() >= len.div_ceil(64));
-        if len == 0 {
-            return;
-        }
-        // 64 pattern bits starting at pattern-bit offset `q`, zero-extended.
-        let bits_at = |q: usize| -> u64 {
-            let i = q / 64;
-            let s = q % 64;
-            let lo = pattern.get(i).copied().unwrap_or(0) >> s;
-            if s == 0 {
-                lo
-            } else {
-                lo | (pattern.get(i + 1).copied().unwrap_or(0) << (64 - s))
-            }
-        };
-        let end = start + len;
-        let shift = start % 64;
-        let w0 = start / 64;
-        for w in w0..=(end - 1) / 64 {
-            // Pattern bits aligned to output word `w`: the first word takes
-            // pattern offset 0 shifted up by `start % 64`; later words read
-            // at offset `w·64 − start`.
-            let value = if w == w0 {
-                bits_at(0) << shift
-            } else {
-                bits_at(w * 64 - start)
-            };
-            let mask = Self::word_mask(w, start, end);
-            self.words[w] = (self.words[w] & !mask) | (value & mask);
-        }
-    }
-
-    /// Largest run of clear slots *between two set slots* of `[start, end)`
-    /// (leading and trailing runs are not counted), scanning word by word.
-    pub fn max_interior_gap(&self, start: usize, end: usize) -> usize {
-        debug_assert!(start <= end && end <= self.len);
-        let mut max_gap = 0usize;
-        let mut prev: Option<usize> = None;
-        if start >= end {
-            return 0;
-        }
-        for w in start / 64..=(end - 1) / 64 {
-            let mut word = self.words[w] & Self::word_mask(w, start, end);
-            while word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                if let Some(p) = prev {
-                    max_gap = max_gap.max(i - p - 1);
-                }
-                prev = Some(i);
-                word &= word - 1;
-            }
-        }
-        max_gap
-    }
-
     /// Decodes the bitmap into one `bool` per slot.
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()
@@ -229,24 +167,6 @@ mod tests {
     impl Reference {
         fn count_range(&self, start: usize, end: usize) -> usize {
             self.0[start..end].iter().filter(|&&b| b).count()
-        }
-
-        fn max_interior_gap(&self, start: usize, end: usize) -> usize {
-            let mut max_gap = 0usize;
-            let mut current = 0usize;
-            let mut seen = false;
-            for &b in &self.0[start..end] {
-                if b {
-                    if seen {
-                        max_gap = max_gap.max(current);
-                    }
-                    seen = true;
-                    current = 0;
-                } else {
-                    current += 1;
-                }
-            }
-            max_gap
         }
 
         fn nth_set_in_range(&self, start: usize, end: usize, n: usize) -> Option<usize> {
@@ -306,23 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn max_interior_gap_matches_reference_on_random_patterns() {
-        for (seed, density) in [(10u64, 0.05), (11, 0.3), (12, 0.7), (13, 0.02)] {
-            let len = 413;
-            let (bm, reference) = random_pair(len, density, seed);
-            for start in (0..len).step_by(19) {
-                for end in (start..=len).step_by(23) {
-                    assert_eq!(
-                        bm.max_interior_gap(start, end),
-                        reference.max_interior_gap(start, end),
-                        "seed {seed} range [{start}, {end})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn nth_set_matches_reference_on_random_patterns() {
         for seed in [20u64, 21, 22] {
             let len = 200;
@@ -375,34 +278,6 @@ mod tests {
         assert_eq!(bm.count_ones(), 110);
         bm.clear_range(0, 300);
         assert_eq!(bm.count_ones(), 0);
-    }
-
-    #[test]
-    fn write_range_bits_matches_per_bit_reference() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..500 {
-            let len_total = 1 + rng.gen_range(0..300usize);
-            let (mut bm, reference) = random_pair(len_total, 0.5, rng.gen());
-            let mut bools = reference.0;
-            let start = rng.gen_range(0..len_total);
-            let len = rng.gen_range(0..=len_total - start);
-            // Random pattern over `len` bits.
-            let mut pattern = vec![0u64; len.div_ceil(64).max(1)];
-            for b in 0..len {
-                if rng.gen_bool(0.5) {
-                    pattern[b / 64] |= 1 << (b % 64);
-                    bools[start + b] = true;
-                } else {
-                    bools[start + b] = false;
-                }
-            }
-            bm.write_range_bits(start, len, &pattern);
-            assert_eq!(
-                bm.to_bools(),
-                bools,
-                "start={start} len={len} total={len_total}"
-            );
-        }
     }
 
     #[test]

@@ -252,17 +252,28 @@ pub type KeyValue<K, V> = (K, V);
 /// A structure whose memory representation is (or embeds) a slot-occupancy
 /// map — the fingerprint the history-independence definitions quantify over.
 ///
-/// Implementations expose the packed [`bitmap`](crate::bitmap::Bitmap) words
-/// directly, so the statistical tests and the secure-delete audits can
-/// compare layouts without per-slot probing. The provided methods derive the
-/// legacy representations from the words.
+/// Implementations write the packed occupancy words into a caller's buffer —
+/// the HI-PMA computes them from its leaf counts, the classic PMA copies its
+/// [`bitmap`](crate::bitmap::Bitmap) — so the statistical tests, the
+/// secure-delete audits and a flush can compare or commit layouts without
+/// per-slot probing, and a caller that reuses its buffer allocates nothing.
+/// The provided methods derive the other representations from the words.
 pub trait Occupancy {
     /// Number of slots in the backing array.
     fn slot_count(&self) -> usize;
 
-    /// The packed occupancy words, 64 slots per `u64`, low bit = low slot.
-    /// Bits at and beyond [`Self::slot_count`] are zero.
-    fn occupancy_words(&self) -> &[u64];
+    /// Replaces the contents of `words` with the packed occupancy words, 64
+    /// slots per `u64`, low bit = low slot: `⌈slot_count / 64⌉` words, bits
+    /// at and beyond [`Self::slot_count`] zero.
+    fn occupancy_into(&self, words: &mut Vec<u64>);
+
+    /// The packed occupancy words of [`Self::occupancy_into`], in a new
+    /// vector.
+    fn occupancy_words(&self) -> Vec<u64> {
+        let mut words = Vec::new();
+        self.occupancy_into(&mut words);
+        words
+    }
 
     /// One `bool` per slot (the historical representation; allocates).
     fn occupancy(&self) -> Vec<bool> {

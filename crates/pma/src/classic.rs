@@ -15,17 +15,21 @@
 //! lets the tests demonstrate the leak itself.
 //!
 //! Storage uses the same allocation-free engine as the HI PMA
-//! ([`SlotStore`]): values dense per segment, slot layout in a packed
-//! bitmap, rebalances gathering into a reusable [`Scratch`] arena and
-//! moving (never cloning) elements.
+//! ([`SlotStore`]): values dense per segment, rebalances gathering into a
+//! reusable [`Scratch`] arena and moving (never cloning) elements. The slot
+//! layout is a packed bitmap of its own: a window rebalance spreads its
+//! elements evenly over the *window*, not segment by segment, so unlike the
+//! HI PMA's leaves the layout is not a function of the segment counts.
 
 use hi_common::batch::SeekFinger;
+use hi_common::bitmap::Bitmap;
 use hi_common::counters::SharedCounters;
 use hi_common::scratch::Scratch;
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 
 use crate::fenwick::Fenwick;
+use crate::spread::for_each_spread_position;
 use crate::store::{ScanIter, SlotStore};
 
 /// Density thresholds for the classic PMA, linearly interpolated by depth.
@@ -74,6 +78,8 @@ impl DensityBands {
 #[derive(Debug, Clone)]
 pub struct ClassicPma<T: Clone> {
     store: SlotStore<T>,
+    /// Slot occupancy, rewritten beside every window fill of `store`.
+    bitmap: Bitmap,
     /// Elements per segment.
     seg_counts: Fenwick,
     seg_size: usize,
@@ -111,6 +117,7 @@ impl<T: Clone> ClassicPma<T> {
     ) -> Self {
         let mut pma = Self {
             store: SlotStore::new(1, 8),
+            bitmap: Bitmap::new(8),
             seg_counts: Fenwick::new(0),
             seg_size: 0,
             segments: 0,
@@ -152,25 +159,14 @@ impl<T: Clone> ClassicPma<T> {
         &self.counters
     }
 
-    /// Occupancy bitmap of the backing array (used by the history-leak
-    /// demonstrations: unlike the HI PMA, this bitmap betrays where inserts
-    /// happened). Decoded from the packed words; see the [`Occupancy`] impl
-    /// for the allocation-free form.
-    pub fn occupancy(&self) -> Vec<bool> {
-        self.store.bitmap().to_bools()
-    }
-
     /// Verifies structural invariants (rank index consistent with slots,
     /// densities within the root band). Intended for tests.
     pub fn check_invariants(&self) {
-        assert_eq!(self.store.bitmap().count_ones(), self.len);
+        assert_eq!(self.bitmap.count_ones(), self.len);
         assert_eq!(self.seg_counts.total() as usize, self.len);
         for seg in 0..self.segments {
             let start = seg * self.seg_size;
-            let occ = self
-                .store
-                .bitmap()
-                .count_range(start, start + self.seg_size);
+            let occ = self.bitmap.count_range(start, start + self.seg_size);
             assert_eq!(occ as u64, self.seg_counts.get(seg), "segment {seg}");
             assert_eq!(
                 occ,
@@ -202,6 +198,7 @@ impl<T: Clone> ClassicPma<T> {
         let seg_size = total_slots / segments;
         debug_assert!(seg_size * segments == total_slots);
         self.store = SlotStore::new(segments, seg_size);
+        self.bitmap = Bitmap::new(total_slots);
         self.seg_size = seg_size;
         self.segments = segments;
         self.height = segments.trailing_zeros();
@@ -213,6 +210,7 @@ impl<T: Clone> ClassicPma<T> {
         let mut iter = buf.drain(..);
         self.store.fill_window(0, segments, &mut iter, count);
         drop(iter);
+        self.spread_bits(0, total_slots, count);
         self.scratch.restore(buf);
         self.counters.add_moves(count as u64);
         self.counters.add_resize();
@@ -273,6 +271,7 @@ impl<T: Clone> ClassicPma<T> {
         self.store
             .fill_window(first_seg, window_segs, &mut iter, count);
         drop(iter);
+        self.spread_bits(start, slot_count, count);
         self.scratch.restore(buf);
         self.counters.add_moves(count as u64);
         self.counters.add_rebuild(slot_count as u64);
@@ -285,6 +284,14 @@ impl<T: Clone> ClassicPma<T> {
             let old = self.seg_counts.get(s) as i64;
             self.seg_counts.add(s, occ as i64 - old);
         }
+    }
+
+    /// Rewrites the bits of the `slot_count` slots from `start` to the
+    /// positions `fill_window` spread `count` elements to.
+    fn spread_bits(&mut self, start: usize, slot_count: usize, count: usize) {
+        let bitmap = &mut self.bitmap;
+        bitmap.clear_range(start, start + slot_count);
+        for_each_spread_position(count, slot_count, |p| bitmap.set(start + p));
     }
 
     /// Moves the elements of the window of `1 << level` segments containing
@@ -570,8 +577,9 @@ impl<T: Clone> Occupancy for ClassicPma<T> {
         self.store.total_slots()
     }
 
-    fn occupancy_words(&self) -> &[u64] {
-        self.store.bitmap().words()
+    fn occupancy_into(&self, words: &mut Vec<u64>) {
+        words.clear();
+        words.extend_from_slice(self.bitmap.words());
     }
 }
 
@@ -783,9 +791,13 @@ mod tests {
 
     #[test]
     fn occupancy_trait_matches_legacy_representation() {
-        use hi_common::traits::Occupancy;
         let pma = filled(700);
-        assert_eq!(Occupancy::occupancy(&pma), pma.occupancy());
+        let occupancy = pma.occupancy();
+        assert_eq!(occupancy.len(), pma.total_slots());
+        for (seg, slots) in occupancy.chunks(pma.segment_size()).enumerate() {
+            let held = slots.iter().filter(|&&b| b).count();
+            assert_eq!(held, pma.store.group_len(seg), "segment {seg}");
+        }
         assert_eq!(pma.occupied_slots(), 700);
         assert_eq!(pma.slot_count(), pma.total_slots());
     }

@@ -46,19 +46,20 @@
 //!
 //! The backing array is a [`SlotStore`]: element values live **dense, in
 //! rank order, one `Vec<T>` per leaf range** (capacity fixed at the leaf's
-//! slot count), and the slot-occupancy layout — the memory representation
-//! that weak history independence quantifies over — is a packed `u64`
-//! [`hi_common::Bitmap`] maintained bit-identically to the historical
-//! `Vec<Option<T>>` engine. A steady-state leaf update is therefore one
-//! `Vec::insert`/`remove` plus a rewrite of the leaf's bitmap words — **zero
-//! heap allocations and zero `Clone` calls** — and rebalances gather into a
-//! reusable [`Scratch`] arena and *move* elements back into the leaves,
-//! right to left, so that each leaf takes the tail of the gather buffer in
-//! one contiguous move. An operation reports to the counter ledger once, on
-//! its way out. This is pure representation engineering: the occupancy
-//! distribution, the coins drawn, and therefore the WHI guarantee are
-//! unchanged (the representation function of Lemma 9 is computed, not
-//! sampled).
+//! slot count). The slot-occupancy layout — the memory representation that
+//! weak history independence quantifies over — is not stored at all: by
+//! ingredient 3 it is a function of the leaf counts, so the [`Occupancy`]
+//! impl computes it from them, bit-identical to the historical
+//! `Vec<Option<T>>` engine, whenever it is observed. A steady-state leaf
+//! update is therefore one `Vec::insert`/`remove` — **zero heap allocations
+//! and zero `Clone` calls** — and rebalances gather into a reusable
+//! [`Scratch`] arena and *move* elements back into the leaves, right to
+//! left, so that each leaf takes the tail of the gather buffer in one
+//! contiguous move. An update moves elements and counts and nothing else,
+//! and reports to the counter ledger once, on its way out. This is pure
+//! representation engineering: the occupancy distribution, the coins drawn,
+//! and therefore the WHI guarantee are unchanged (the representation
+//! function of Lemma 9 is computed, not sampled).
 
 use hi_common::batch::SeekFinger;
 use hi_common::capacity::{CapacityEvent, HiCapacity};
@@ -251,15 +252,6 @@ impl<T: Clone> HiPma<T> {
         &self.tracer
     }
 
-    /// Occupancy bitmap of the backing array — the part of the memory
-    /// representation that the weak-history-independence tests compare across
-    /// histories (slot contents are determined by the element set once the
-    /// occupancy is fixed). Decoded from the packed words; see the
-    /// [`Occupancy`] impl for the allocation-free form.
-    pub fn occupancy(&self) -> Vec<bool> {
-        self.store.bitmap().to_bools()
-    }
-
     /// Balance-element diagnostics for every non-leaf range, used by the
     /// §4.3 χ² experiment. Derived purely from the rank tree — no slot
     /// probing.
@@ -306,24 +298,11 @@ impl<T: Clone> HiPma<T> {
             self.len(),
             "root count disagrees with len()"
         );
-        // Occupied slots equal the logical length, by popcount…
         assert_eq!(
-            self.store.bitmap().count_ones(),
+            self.store.element_count(),
             self.len(),
-            "occupied slots disagree with len()"
+            "stored elements disagree with len()"
         );
-        // …and the dense storage holds exactly as many values as the bitmap
-        // claims, leaf by leaf.
-        for leaf in 0..self.geometry.leaf_count() {
-            let start = self.geometry.leaf_start(leaf);
-            assert_eq!(
-                self.store.group_len(leaf),
-                self.store
-                    .bitmap()
-                    .count_range(start, start + self.geometry.leaf_slots),
-                "leaf {leaf}: dense values and bitmap disagree"
-            );
-        }
         if self.is_empty() {
             return;
         }
@@ -345,27 +324,15 @@ impl<T: Clone> HiPma<T> {
             len <= slots,
             "range {range} at depth {depth} holds {len} elements in {slots} slots"
         );
-        let occupied = self
-            .store
-            .bitmap()
-            .count_range(slot_start, slot_start + slots);
-        assert_eq!(
-            occupied, len,
-            "range {range}: rank tree says {len}, slots say {occupied}"
-        );
         if depth == self.geometry.height {
-            // Leaf: evenly spread, so interior gaps are bounded by the
-            // slots-per-element ratio.
-            if len >= 2 {
-                let gap = self
-                    .store
-                    .bitmap()
-                    .max_interior_gap(slot_start, slot_start + slots);
-                assert!(
-                    gap <= slots / len + 1,
-                    "leaf {range}: gap {gap} too large for {len} elements in {slots} slots"
-                );
-            }
+            // The leaf's layout is its pattern row for `len`, pinned for
+            // every leaf size by the store's tests; what must agree here is
+            // the count.
+            let held = self.store.group_len(self.geometry.leaf_of_slot(slot_start));
+            assert_eq!(
+                held, len,
+                "range {range}: rank tree says {len}, leaf holds {held}"
+            );
             return;
         }
         let (left, right) = children(range);
@@ -650,8 +617,8 @@ impl<T: Clone> HiPma<T> {
     // Leaf operations
     // ------------------------------------------------------------------
 
-    /// Steady-state leaf insert: one dense `Vec::insert` plus a rewrite of
-    /// the leaf's bitmap words. No allocation, no clone, no gather buffer.
+    /// Steady-state leaf insert: one dense `Vec::insert`. No allocation, no
+    /// clone, no gather buffer.
     fn leaf_insert(&mut self, slot_start: usize, rel_rank: usize, item: T) {
         let slot_count = self.geometry.leaf_slots;
         self.tracer.read(
@@ -1137,8 +1104,8 @@ impl<T: Clone> Occupancy for HiPma<T> {
         self.geometry.total_slots
     }
 
-    fn occupancy_words(&self) -> &[u64] {
-        self.store.bitmap().words()
+    fn occupancy_into(&self, words: &mut Vec<u64>) {
+        self.store.occupancy_into(words);
     }
 }
 
@@ -1708,9 +1675,17 @@ mod tests {
 
     #[test]
     fn occupancy_trait_matches_legacy_representation() {
-        use hi_common::traits::Occupancy;
+        // The legacy layout: leaf `g` holding `n` elements occupies
+        // `g·L + ⌊j·L/n⌋`, what `Vec<Option<T>>` held and a bitmap mirrored.
         let pma = filled(900, 21);
-        assert_eq!(Occupancy::occupancy(&pma), pma.occupancy());
+        let mut legacy = vec![false; pma.total_slots()];
+        for (g, leaf) in pma.leaves().enumerate() {
+            for j in 0..leaf.len() {
+                let slot = pma.geometry().leaf_start(g) + pma.leaf_slot_for(j, leaf.len());
+                legacy[slot] = true;
+            }
+        }
+        assert_eq!(pma.occupancy(), legacy);
         assert_eq!(pma.occupied_slots(), 900);
         assert_eq!(pma.slot_count(), pma.total_slots());
         // The packed words cover every slot and nothing beyond.

@@ -181,7 +181,7 @@ where
     S: Occupancy + RankedSequence<Item = ()>,
 {
     unit.bulk_load(std::iter::repeat_n((), len), seed);
-    (unit.slot_count() as u64, unit.occupancy_words().to_vec())
+    (unit.slot_count() as u64, unit.occupancy_words())
 }
 
 impl<T: Clone> CanonicalOccupancy for HiPma<T> {
@@ -256,7 +256,7 @@ mod tests {
         let mut store = BlockStore::open(path, StoreOptions::new(512).no_sync()).unwrap();
         let (meta, words, records) = store.load::<T>().unwrap();
         fresh.bulk_load(records, meta.seed);
-        verify_layout(fresh.occupancy_words(), fresh.slot_count() as u64, &meta).unwrap();
+        verify_layout(&fresh.occupancy_words(), fresh.slot_count() as u64, &meta).unwrap();
         (fresh, meta, words)
     }
 
@@ -271,16 +271,16 @@ mod tests {
             let rank = pma.lower_bound_by(|x| x.cmp(&k));
             pma.insert_at(rank, k).unwrap();
         }
-        let words_in_ram = pma.occupancy_words().to_vec();
+        let words_in_ram = pma.occupancy_words();
         flush_canonical(&pma, 0xA5EED, &mut store).unwrap();
-        assert_eq!(pma.occupancy_words(), &words_in_ram[..], "flush moved RAM");
+        assert_eq!(pma.occupancy_words(), words_in_ram, "flush moved RAM");
 
         let (reopened, meta, committed) = reopen(&path, HiPma::<u64>::new(2));
         assert_eq!(meta.seed, 0xA5EED);
         assert_eq!(reopened.len(), 2_000);
         assert_eq!(
             reopened.occupancy_words(),
-            &committed[..],
+            committed,
             "reopen must reproduce the canonical layout bit for bit"
         );
         assert_eq!(
@@ -302,7 +302,7 @@ mod tests {
         flush_canonical(&pma, 7, &mut store).unwrap();
 
         let (reopened, _, committed) = reopen(&path, ClassicPma::<(u64, u64)>::new());
-        assert_eq!(reopened.occupancy_words(), &committed[..]);
+        assert_eq!(reopened.occupancy_words(), committed);
         assert_eq!(reopened.len(), 500);
         assert_eq!(reopened.get(499), Some((499, 499 * 499)));
         cleanup(&store);
@@ -310,22 +310,34 @@ mod tests {
 
     /// `canonical_occupancy(len, seed)` against `bulk_load` of two unrelated
     /// key sets of that length, around every word boundary and both sides of
-    /// the HI-PMA's range-tree height steps.
+    /// the HI-PMA's range-tree height steps, then at lengths and seeds drawn
+    /// at random. The HI-PMA's occupancy is computed from its leaf counts, so
+    /// this pins the computation to the canonical image word for word.
     fn assert_occupancy_is_a_function_of_len_and_seed<S>(fresh: impl Fn(u64) -> S)
     where
         S: CanonicalOccupancy + Occupancy + RankedSequence<Item = u64>,
     {
         const LENS: [usize; 11] = [0, 1, 2, 63, 64, 65, 1_000, 65_536, 65_537, 140_046, 140_047];
-        for seed in [1u64, 0xA5EED, u64::MAX] {
-            for len in LENS {
-                let (slots, words) = S::canonical_occupancy(len, seed);
-                let mut pma = fresh(seed ^ 0x5A);
-                for keys in [|i: u64| i, |i: u64| i * i + 7] {
-                    pma.bulk_load((0..len as u64).map(keys), seed);
-                    assert_eq!(pma.len(), len);
-                    assert_eq!(slots, pma.slot_count() as u64, "len {len} seed {seed}");
-                    assert!(words == pma.occupancy_words(), "len {len} seed {seed}");
-                }
+        let fixed = [1u64, 0xA5EED, u64::MAX]
+            .into_iter()
+            .flat_map(|seed| LENS.map(|len| (len, seed)));
+        let mut state = 0x0CC0_9A4Eu64;
+        let drawn = std::iter::repeat_with(move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize % 20_000, state.rotate_left(17))
+        });
+        let mut words = Vec::new();
+        for (len, seed) in fixed.chain(drawn.take(24)) {
+            let (slots, canonical) = S::canonical_occupancy(len, seed);
+            let mut pma = fresh(seed ^ 0x5A);
+            for keys in [|i: u64| i, |i: u64| i * i + 7] {
+                pma.bulk_load((0..len as u64).map(keys), seed);
+                assert_eq!(pma.len(), len);
+                assert_eq!(slots, pma.slot_count() as u64, "len {len} seed {seed}");
+                pma.occupancy_into(&mut words);
+                assert!(words == canonical, "len {len} seed {seed}");
             }
         }
     }

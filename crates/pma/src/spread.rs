@@ -6,8 +6,8 @@
 //! slots must be a function of `(n, L)` only (paper §3.1, base case of the
 //! recursion), never of which element arrived when.
 //!
-//! The placement arithmetic lives here; the storage it drives (dense values
-//! plus an occupancy bitmap) lives in [`crate::store`].
+//! The placement arithmetic lives here; the storage it drives (dense values,
+//! their layout tabulated by count) lives in [`crate::store`].
 
 /// Slot index of the `j`-th of `n` elements spread evenly over `slots` slots
 /// (`0 ≤ j < n ≤ slots`).

@@ -1,10 +1,11 @@
-//! Flat slot storage: dense per-group values plus a packed occupancy bitmap.
+//! Flat slot storage: dense per-group values; the slot layout is computed
+//! from the group counts, not stored.
 //!
 //! Both PMAs view their backing array as a sequence of fixed-width *groups*
 //! of slots (the HI PMA's leaf ranges, the classic PMA's segments). The old
 //! engine stored the array as `Vec<Option<T>>` — 16 bytes per slot for `u64`
 //! records, a discriminant probe per slot scan, and a clone per element per
-//! rebalance. [`SlotStore`] splits the representation:
+//! rebalance. [`SlotStore`] keeps the values only:
 //!
 //! * **values** live dense, in rank order, in one `Vec<T>` per group whose
 //!   capacity is fixed at the group's slot count (Lemma 7 guarantees a group
@@ -12,32 +13,34 @@
 //!   values and steady-state leaf updates are a single `Vec::insert`;
 //! * the **virtual slot layout** — which slot of the group each element
 //!   occupies, i.e. the memory representation that weak history independence
-//!   is defined over — lives in a [`Bitmap`], maintained bit-identically to
-//!   the old engine's `Option` occupancy (`⌊j·slots/n⌋` even spreading).
+//!   is defined over — is the even spread of the group's count over its slots
+//!   (`⌊j·slots/n⌋`), a function of that count alone. It is not kept up to
+//!   date on every update: [`SlotStore::occupancy_into`] computes it, one
+//!   tabulated pattern row per group, when something observes it. (The classic
+//!   PMA's window rebalances spread over a whole window rather than per group,
+//!   so it keeps a bitmap of its own.)
 //!
-//! Occupancy counts are popcounts, gap checks are word scans, and rebalances
-//! *move* elements (drain/refill) instead of cloning them: a window drains
-//! into one buffer with an `append` per group, and the HI PMA refills its
-//! leaves from that buffer's tail, right to left, one contiguous move each.
+//! Rebalances *move* elements (drain/refill) instead of cloning them: a
+//! window drains into one buffer with an `append` per group, and the HI PMA
+//! refills its leaves from that buffer's tail, right to left, one contiguous
+//! move each.
 
-use hi_common::bitmap::Bitmap;
 use io_sim::{Region, Tracer};
 
 use crate::spread::for_each_spread_position;
 
-/// Dense per-group value storage with a packed slot-occupancy bitmap.
+/// Dense per-group value storage, with each group's slot layout tabulated by
+/// element count.
 #[derive(Debug, Clone)]
 pub struct SlotStore<T> {
     groups: Vec<Vec<T>>,
-    bitmap: Bitmap,
     group_slots: usize,
     /// Words per group-sized bit pattern (`⌈group_slots / 64⌉`).
     pattern_stride: usize,
     /// `patterns[n·stride .. (n+1)·stride]` is the even spread of `n`
-    /// elements over one group's slots, as packed bits. A group's occupancy
-    /// is a pure function of its element count, so a group rewrite is a
-    /// table row blitted in with a couple of masked word stores instead of
-    /// one read-modify-write per element.
+    /// elements over one group's slots, as packed bits: a group's occupancy
+    /// is a pure function of its element count, so the layout is a table
+    /// row per group.
     patterns: Vec<u64>,
 }
 
@@ -57,7 +60,6 @@ impl<T> SlotStore<T> {
             groups: (0..group_count)
                 .map(|_| Vec::with_capacity(group_slots))
                 .collect(),
-            bitmap: Bitmap::new(group_count * group_slots),
             group_slots,
             pattern_stride,
             patterns,
@@ -66,7 +68,7 @@ impl<T> SlotStore<T> {
 
     /// Total number of slots.
     pub fn total_slots(&self) -> usize {
-        self.bitmap.len()
+        self.groups.len() * self.group_slots
     }
 
     /// Slots per group.
@@ -77,11 +79,6 @@ impl<T> SlotStore<T> {
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The occupancy bitmap (the structure's layout fingerprint).
-    pub fn bitmap(&self) -> &Bitmap {
-        &self.bitmap
     }
 
     /// The dense elements of group `g`, in rank order.
@@ -104,46 +101,44 @@ impl<T> SlotStore<T> {
         self.groups.get(g)?.get(idx)
     }
 
-    /// First slot of group `g`.
-    #[inline]
-    fn group_start(&self, g: usize) -> usize {
-        g * self.group_slots
+    /// Writes the slot occupancy of the array — every group's elements
+    /// evenly spread over its slots, 64 slots per word, low bit first — into
+    /// `words`, replacing its contents. One pattern row per group; allocates
+    /// only when `words` has less capacity than `⌈total_slots / 64⌉` words.
+    pub fn occupancy_into(&self, words: &mut Vec<u64>) {
+        words.clear();
+        words.resize(self.total_slots().div_ceil(64), 0);
+        let stride = self.pattern_stride;
+        for (g, group) in self.groups.iter().enumerate() {
+            let start = g * self.group_slots;
+            let shift = start % 64;
+            let row = &self.patterns[group.len() * stride..(group.len() + 1) * stride];
+            for (w, &bits) in (start / 64..).zip(row) {
+                // A row word straddles two array words unless the group
+                // starts word-aligned. Its bits past the group's last slot
+                // are zero, so the spill never reaches past the array.
+                words[w] |= bits << shift;
+                if shift > 0 && bits >> (64 - shift) != 0 {
+                    words[w + 1] |= bits >> (64 - shift);
+                }
+            }
+        }
     }
 
-    /// Rewrites the bitmap bits of group `g` to the even spread of `n`
-    /// elements over its slots — the exact layout the old `spread_into`
-    /// produced — as one masked store per word (the precomputed pattern
-    /// row; an out-of-range `n` fails the row indexing).
-    fn respread_bits(&mut self, g: usize, n: usize) {
-        let start = self.group_start(g);
-        self.bitmap.write_range_bits(
-            start,
-            self.group_slots,
-            &self.patterns[n * self.pattern_stride..(n + 1) * self.pattern_stride],
-        );
-    }
-
-    /// Inserts `item` at dense rank `rel` of group `g` and respreads the
-    /// group's slot bits. Zero allocations (the group's capacity is fixed)
-    /// and zero clones.
+    /// Inserts `item` at dense rank `rel` of group `g`. Zero allocations (the
+    /// group's capacity is fixed) and zero clones.
     pub fn insert_in_group(&mut self, g: usize, rel: usize, item: T) {
         debug_assert!(self.groups[g].len() < self.group_slots, "group overflow");
         self.groups[g].insert(rel, item);
-        let n = self.groups[g].len();
-        self.respread_bits(g, n);
     }
 
-    /// Removes and returns the element at dense rank `rel` of group `g`,
-    /// respreading the group's slot bits.
+    /// Removes and returns the element at dense rank `rel` of group `g`.
     pub fn remove_in_group(&mut self, g: usize, rel: usize) -> T {
-        let item = self.groups[g].remove(rel);
-        let n = self.groups[g].len();
-        self.respread_bits(g, n);
-        item
+        self.groups[g].remove(rel)
     }
 
     /// Moves every element of groups `[g0, g0 + window_groups)` into `out`
-    /// (in rank order), clearing the groups and their bits.
+    /// (in rank order), leaving the groups empty.
     pub fn drain_window_into(&mut self, g0: usize, window_groups: usize, out: &mut Vec<T>) {
         let mut total = 0usize;
         for g in g0..g0 + window_groups {
@@ -153,15 +148,11 @@ impl<T> SlotStore<T> {
         for g in g0..g0 + window_groups {
             out.append(&mut self.groups[g]);
         }
-        let start = self.group_start(g0);
-        self.bitmap
-            .clear_range(start, start + window_groups * self.group_slots);
     }
 
     /// Fills groups `[g0, g0 + window_groups)` — which must be empty — with
     /// `count` elements taken from `iter`, evenly spread over the window's
-    /// slots. Elements land in the group owning their spread position, so
-    /// the dense storage and the bitmap describe the same layout.
+    /// slots: each element lands in the group owning its spread position.
     pub fn fill_window<I: Iterator<Item = T>>(
         &mut self,
         g0: usize,
@@ -177,23 +168,16 @@ impl<T> SlotStore<T> {
             count <= slots,
             "cannot pack {count} elements into {slots} slots"
         );
-        let start = self.group_start(g0);
         if window_groups == 1 {
             // Single-group fill (the classic PMA's level-0 rebalances): move
-            // the elements in one tight loop, blit the pattern row in one go.
+            // the elements in one tight loop.
             let group = &mut self.groups[g0];
             debug_assert!(group.is_empty());
             group.extend(iter.take(count));
             debug_assert_eq!(group.len(), count, "iterator shorter than promised count");
-            self.bitmap.write_range_bits(
-                start,
-                self.group_slots,
-                &self.patterns[count * self.pattern_stride..(count + 1) * self.pattern_stride],
-            );
             return;
         }
         let groups = &mut self.groups;
-        let bitmap = &mut self.bitmap;
         let group_slots = self.group_slots;
         for_each_spread_position(count, slots, |p| {
             let g = g0 + p / group_slots;
@@ -201,15 +185,14 @@ impl<T> SlotStore<T> {
             // hi-lint: allow(panic-surface): for_each_spread_position yields exactly count positions, the iterator's promised length
             let item = iter.next().expect("iterator shorter than promised count");
             groups[g].push(item);
-            bitmap.set(start + p);
         });
     }
 
     /// Fills group `g` — which must be empty — with the last `count`
-    /// elements of `buf`, in order, as one contiguous move, and blits the
-    /// group's pattern row: the same group contents and bitmap words as
-    /// `fill_window(g, 1, …, count)`. A rebuild that refills its leaves right
-    /// to left hands each leaf the tail of the gather buffer this way.
+    /// elements of `buf`, in order, as one contiguous move: the same group
+    /// contents as `fill_window(g, 1, …, count)`. A rebuild that refills its
+    /// leaves right to left hands each leaf the tail of the gather buffer
+    /// this way.
     pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
         // Hard asserts, as in `fill_window`: an overfull group in release
         // would outgrow its fixed capacity instead of failing loudly.
@@ -226,7 +209,6 @@ impl<T> SlotStore<T> {
         let group = &mut self.groups[g];
         debug_assert!(group.is_empty(), "group must be drained first");
         group.extend(buf.drain(buf.len() - count..));
-        self.respread_bits(g, count);
     }
 
     /// Lazily yields the groups from `g` onward as dense slices, in rank
@@ -314,6 +296,7 @@ impl<'a, T> Iterator for ScanIter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spread::spread_position;
 
     fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
         let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots);
@@ -324,6 +307,16 @@ mod tests {
         s
     }
 
+    /// The occupied slots, as `occupancy_into` computes them.
+    fn occupied<T>(s: &SlotStore<T>) -> Vec<usize> {
+        let mut words = vec![u64::MAX; 3]; // stale contents are replaced
+        s.occupancy_into(&mut words);
+        assert_eq!(words.len(), s.total_slots().div_ceil(64));
+        (0..64 * words.len())
+            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
     #[test]
     fn fill_and_bits_match_even_spread() {
         let s = store_with(&[&[10, 20], &[30, 40, 50]], 6);
@@ -331,23 +324,70 @@ mod tests {
         assert_eq!(s.element_count(), 5);
         // Group 0: 2 elements over 6 slots -> slots 0 and 3.
         // Group 1: 3 elements over 6 slots -> slots 6, 8, 10.
-        let occupied: Vec<usize> = (0..12).filter(|&i| s.bitmap().get(i)).collect();
-        assert_eq!(occupied, vec![0, 3, 6, 8, 10]);
+        assert_eq!(occupied(&s), vec![0, 3, 6, 8, 10]);
         assert_eq!(s.group(0), &[10, 20]);
         assert_eq!(s.group(1), &[30, 40, 50]);
+        // Groups of 70 slots start at every offset within a word and
+        // straddle words: group `g` holding `n` occupies `70·g + ⌊70·j/n⌋`.
+        let counts = [3usize, 70, 0, 41, 1, 64, 69];
+        let mut s: SlotStore<()> = SlotStore::new(counts.len(), 70);
+        let mut want = Vec::new();
+        for (g, &n) in counts.iter().enumerate() {
+            s.fill_window(g, 1, &mut std::iter::repeat_n((), n), n);
+            want.extend((0..n).map(|j| 70 * g + spread_position(j, n, 70)));
+        }
+        assert_eq!(occupied(&s), want);
+    }
+
+    /// Row `n` of the pattern table, for every leaf size the HI-PMA geometry
+    /// produces up to `N̂ = 2²²`, is the even spread of `n` elements over the
+    /// leaf's `L` slots: popcount `n`, the slots `⌊j·L/n⌋` and no others, and
+    /// no interior gap wider than `L/n + 1`. The computed layout of a leaf is
+    /// its row, so this is the per-leaf layout check.
+    #[test]
+    fn pattern_rows_are_the_even_spread_for_every_leaf_size() {
+        use crate::geometry::Geometry;
+        let mut sizes = std::collections::BTreeSet::new();
+        let mut n_hat = 1usize;
+        while n_hat < 1 << 22 {
+            sizes.insert(Geometry::for_n_hat(n_hat).leaf_slots);
+            // Every N̂ below 2¹³, where the constants adapt; above it a leaf
+            // is `8·⌈2 log N̂⌉` slots, one size per factor of √2 in N̂, so a
+            // stride of N̂/64 lands on each.
+            n_hat += if n_hat < 1 << 13 { 1 } else { n_hat / 64 };
+        }
+        sizes.insert(Geometry::for_n_hat(1 << 22).leaf_slots);
+        assert!(sizes.contains(&4) && sizes.contains(&352), "{sizes:?}");
+        for &l in &sizes {
+            let s: SlotStore<()> = SlotStore::new(1, l);
+            for n in 0..=l {
+                let row = &s.patterns[n * s.pattern_stride..(n + 1) * s.pattern_stride];
+                let popcount: u32 = row.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(popcount as usize, n, "L {l}, n {n}");
+                let slots: Vec<usize> = (0..64 * row.len())
+                    .filter(|&i| row[i / 64] >> (i % 64) & 1 == 1)
+                    .collect();
+                let spread: Vec<usize> = (0..n).map(|j| spread_position(j, n, l)).collect();
+                assert_eq!(slots, spread, "L {l}, n {n}");
+                let gap = slots.windows(2).map(|p| p[1] - p[0] - 1).max();
+                assert!(
+                    gap.is_none_or(|gap| gap <= l / n + 1),
+                    "L {l}, n {n}: gap {gap:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn insert_and_remove_respread() {
+    fn insert_and_remove_move_the_computed_layout() {
         let mut s = store_with(&[&[10, 30]], 8);
         s.insert_in_group(0, 1, 20);
         assert_eq!(s.group(0), &[10, 20, 30]);
         // 3 elements over 8 slots -> 0, 2, 5.
-        let occupied: Vec<usize> = (0..8).filter(|&i| s.bitmap().get(i)).collect();
-        assert_eq!(occupied, vec![0, 2, 5]);
+        assert_eq!(occupied(&s), vec![0, 2, 5]);
         assert_eq!(s.remove_in_group(0, 0), 10);
         assert_eq!(s.group(0), &[20, 30]);
-        assert_eq!(s.bitmap().count_ones(), 2);
+        assert_eq!(occupied(&s), vec![0, 4]);
     }
 
     #[test]
@@ -357,7 +397,7 @@ mod tests {
         s.drain_window_into(0, 3, &mut out);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(s.element_count(), 0);
-        assert_eq!(s.bitmap().count_ones(), 0);
+        assert_eq!(occupied(&s), Vec::<usize>::new());
         // Refill as one 3-group window: 6 elements over 12 slots.
         let mut iter = out.into_iter();
         s.fill_window(0, 3, &mut iter, 6);
@@ -383,7 +423,7 @@ mod tests {
 
     #[test]
     fn tail_fill_is_bit_identical_to_a_single_group_window_fill() {
-        // 70 slots: a group that straddles bitmap words, sitting between two
+        // 70 slots: a group that straddles words, sitting between two
         // neighbours whose bits must not move.
         const L: usize = 70;
         for count in 0..=L {
@@ -398,11 +438,7 @@ mod tests {
             let mut buf: Vec<u64> = (700..707).chain(0..count as u64).collect();
             by_tail.fill_group_from_tail(1, &mut buf, count);
             assert_eq!(buf, (700..707).collect::<Vec<u64>>(), "count {count}");
-            assert_eq!(
-                by_tail.bitmap().words(),
-                by_window.bitmap().words(),
-                "count {count}"
-            );
+            assert_eq!(occupied(&by_tail), occupied(&by_window), "count {count}");
             for g in 0..3 {
                 assert_eq!(by_tail.group(g), by_window.group(g), "count {count}");
             }

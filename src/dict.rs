@@ -771,7 +771,7 @@ fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, P
         .expect("slot-array backend exposes occupancy");
     // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
     let slots = dict.slot_count().expect("slot-array backend") as u64;
-    verify_layout(words, slots, &meta)?;
+    verify_layout(&words, slots, &meta)?;
     Ok(meta.seed)
 }
 
@@ -895,15 +895,16 @@ impl<K: Ord + Clone, V: Clone> DynDict<K, V> {
         }
     }
 
-    /// The engine's packed slot-occupancy bitmap (the [`Occupancy`] view),
+    /// The engine's packed slot-occupancy words (the [`Occupancy`] view),
     /// for backends whose representation is a slot array: the PMA-backed
     /// engines and the cache-oblivious B-tree. `None` for the node-based
     /// engines (B-tree, skip lists), whose layout observables are exposed by
-    /// their own crates instead.
+    /// their own crates instead. The HI-PMA engines compute the words from
+    /// their leaf counts on each call.
     ///
     /// This is the fingerprint the history-independence and determinism
     /// batteries hash — per shard — to pin a [`ShardedDict`]'s layout.
-    pub fn occupancy_words(&self) -> Option<&[u64]> {
+    pub fn occupancy_words(&self) -> Option<Vec<u64>> {
         match &self.inner {
             Inner::CobBTree(d) => Some(d.occupancy_words()),
             Inner::HiPma(d) => Some(d.seq().occupancy_words()),

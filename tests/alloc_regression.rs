@@ -324,11 +324,14 @@ fn steady_state_block_store_flushes_are_allocation_free() {
         pma.insert(rank, i).unwrap();
     }
     // What is pinned is the store's staging buffers, so the commit is called
-    // directly, on the live layout (any bitmap of the right popcount will do).
-    let commit = |pma: &HiPma<u64>, store: &mut BlockStore| {
+    // directly, on the live layout (any bitmap of the right popcount will do),
+    // computed into one reused buffer: with the length fixed, computing it
+    // allocates nothing either.
+    let mut words = Vec::new();
+    let mut commit = |pma: &HiPma<u64>, store: &mut BlockStore| {
         let (slots, len) = (pma.slot_count() as u64, pma.len() as u64);
-        let records = pma.iter().copied();
-        store.commit(pma.occupancy_words(), slots, len, records, 9)
+        pma.occupancy_into(&mut words);
+        store.commit(&words, slots, len, pma.iter().copied(), 9)
     };
     commit(&pma, &mut store).unwrap();
 
@@ -414,15 +417,16 @@ fn served_allocations(client: &mut Client, reqs: &[Request]) -> u64 {
     allocations() - before
 }
 
-/// What a steady-state served FLUSH may allocate, server side. Measured 23
-/// at one shard, 25 at two and 33 at eight: the epoch's queue-guard vector,
+/// What a steady-state served FLUSH may allocate, server side. Measured 20
+/// at one shard, 22 at two and 30 at eight: the epoch's queue-guard vector,
 /// `health()`, the canonical-occupancy computation (a unit-element HI-PMA,
-/// whose leaves hold no bytes, then its words) and the merge's first input
-/// vector, none of which grow with the contents, plus per shard beyond the
-/// first one merge node with its record buffer and, per tree level, one
-/// vector. Nothing per record or per leaf: the store's staging buffers were
-/// sized by the first FLUSH, and the merge reads the leaves in place.
-const FLUSH_ALLOCS_FIXED: u64 = 24;
+/// whose leaves hold no bytes, then the words computed from its leaf counts)
+/// and the merge's first input vector, none of which grow with the contents, plus
+/// per shard beyond the first one merge node with its record buffer and, per
+/// tree level, one vector. Nothing per record or per leaf: the store's
+/// staging buffers were sized by the first FLUSH, and the merge reads the
+/// leaves in place.
+const FLUSH_ALLOCS_FIXED: u64 = 21;
 const FLUSH_ALLOCS_PER_SHARD: u64 = 2;
 
 #[test]
