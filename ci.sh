@@ -13,14 +13,14 @@ cargo test -q
 echo "==> cargo test --release -q -p block-store (the block-hash kernel as the benchmark runs it: optimised)"
 cargo test --release -q -p block-store
 
-echo "==> cargo test --release -q -p pma (the refill kernel and its hard asserts as the benchmark runs them: optimised)"
+echo "==> cargo test --release -q -p pma (the in-place rebuild, its redistribute kernel and the hard asserts as the benchmark runs them: optimised)"
 cargo test --release -q -p pma
 
 echo "==> cargo test --release -q -p dict-server (the racing-leaders, answered-on-return and panic-containment tests as the benchmark runs the server: optimised, debug assertions out)"
 cargo test --release -q -p dict-server
 
-echo "==> cargo test --release -q --test determinism committed_data_file (the golden image as the benchmark writes it: the record encoder optimised)"
-cargo test --release -q --test determinism committed_data_file
+echo "==> cargo test --release -q --test determinism (every fingerprint and the golden image as the benchmark builds them: optimised, debug assertions out)"
+cargo test --release -q --test determinism
 
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint

@@ -288,6 +288,15 @@ mod tests {
                     g.slots_at_depth(d)
                 );
             }
+            // An insert lands in its leaf of the old layout before any
+            // rebuild it triggers, so a leaf at the bound takes one more.
+            let leaf_bound = (n_hat as f64 / (1u64 << g.height) as f64) * (1.0 + g.c1) + 3.0;
+            assert!(
+                leaf_bound + 1.0 <= g.leaf_slots as f64,
+                "N̂ = {n_hat}: a leaf at the Lemma 7 bound {leaf_bound} has no free slot \
+                 among {}",
+                g.leaf_slots
+            );
             g.height
         };
         // A geometric sweep (steps are a factor ~2 apart, strides 1/64), and

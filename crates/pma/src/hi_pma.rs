@@ -50,13 +50,26 @@
 //! weak history independence quantifies over — is not stored at all: by
 //! ingredient 3 it is a function of the leaf counts, so the [`Occupancy`]
 //! impl computes it from them, bit-identical to the historical
-//! `Vec<Option<T>>` engine, whenever it is observed. A steady-state leaf
-//! update is therefore one `Vec::insert`/`remove` — **zero heap allocations
-//! and zero `Clone` calls** — and rebalances gather into a reusable
-//! [`Scratch`] arena and *move* elements back into the leaves, right to
-//! left, so that each leaf takes the tail of the gather buffer in one
-//! contiguous move. An update moves elements and counts and nothing else,
-//! and reports to the counter ledger once, on its way out. This is pure
+//! `Vec<Option<T>>` engine, whenever it is observed.
+//!
+//! Every update first applies itself to the leaf its descent reaches — one
+//! `Vec::insert`/`remove`, **zero heap allocations and zero `Clone`
+//! calls** — and most end there. One whose descent changed a range's balance
+//! then rebuilds that range in place, in three steps:
+//!
+//! 1. a count-only planner draws the balance coins, in the same pre-order
+//!    as ever, and writes the new counts into the rank tree;
+//! 2. [`SlotStore::redistribute`] moves the elements across the leaf
+//!    boundaries that moved, and no others, each straight to its new leaf;
+//! 3. the value tree is written last: each range's entry is the first
+//!    element of its right child.
+//!
+//! No rebuilt element passes through a buffer. A resize replaces the slot
+//! array, so it gathers every element into a reusable [`Scratch`] arena,
+//! runs the same planner, refills the new leaves right to left (each takes
+//! the tail of the buffer in one contiguous move) and ends with the same
+//! value pass. An update moves elements and counts and nothing else, and
+//! reports to the counter ledger once, on its way out. This is pure
 //! representation engineering: the occupancy distribution, the coins drawn,
 //! and therefore the WHI guarantee are unchanged (the representation
 //! function of Lemma 9 is computed, not sampled).
@@ -114,6 +127,20 @@ enum Decision {
     Rebuild { forced: Option<usize> },
 }
 
+/// A range rebuild decided on the way down: the descent goes on to the leaf
+/// of the old layout, applies the update there, and then rebuilds the range.
+#[derive(Debug, Clone, Copy)]
+struct PendingRebuild {
+    /// BFS index of the range.
+    range: usize,
+    depth: u32,
+    slot_start: usize,
+    /// The range's element count after the update.
+    len: usize,
+    /// The reservoir's forced balance, as in [`Decision::Rebuild`].
+    forced: Option<usize>,
+}
+
 /// The weakly history-independent packed-memory array.
 ///
 /// Implements [`RankedSequence`]: elements are addressed by rank, exactly as
@@ -137,8 +164,8 @@ pub struct HiPma<T: Clone> {
     tracer: Tracer,
     array_region: Region,
     elem_size: u64,
-    /// Reusable gather buffer for the rebuild paths; capacity persists
-    /// across rebalances so steady-state rebuilds allocate nothing.
+    /// Reusable gather buffer for resizes and `bulk_load`; range rebuilds
+    /// move elements in place and never touch it.
     scratch: Scratch<T>,
 }
 
@@ -369,20 +396,6 @@ impl<T: Clone> HiPma<T> {
         buf
     }
 
-    /// Moves the elements of the range starting at `slot_start` spanning
-    /// `slot_count` slots into the scratch buffer.
-    fn gather_range(&mut self, slot_start: usize, slot_count: usize) -> Vec<T> {
-        self.tracer.read(
-            self.array_region.addr(slot_start as u64),
-            self.array_region.span(slot_count as u64),
-        );
-        let g0 = self.geometry.leaf_of_slot(slot_start);
-        let window = slot_count / self.geometry.leaf_slots;
-        let mut buf = self.scratch.take();
-        self.store.drain_window_into(g0, window, &mut buf);
-        buf
-    }
-
     /// Replaces the geometry, the slot store and both trees with empty ones
     /// sized for `n_hat`. The old store — already drained by the caller — is
     /// freed before its successor is sized, so a resize peaks at one slot
@@ -417,57 +430,62 @@ impl<T: Clone> HiPma<T> {
             c.rebuild_slots += slots;
             c.element_moves += moved;
         });
-        self.plan_range(0, 0, 0, &buf, None);
-        self.refill_leaves(0, self.geometry.leaf_count(), &mut buf);
+        self.plan_counts(0, 0, 0, buf.len(), None);
+        let levels = self.geometry.levels();
+        for leaf in (0..self.geometry.leaf_count()).rev() {
+            let count = *self.rank_tree.peek(leaf_index(levels, leaf)) as usize;
+            self.store.fill_group_from_tail(leaf, &mut buf, count);
+        }
+        debug_assert!(buf.is_empty(), "resize left elements unplaced");
+        self.write_balances(0, 0, 0);
         self.scratch.restore(buf);
     }
 
-    /// Rebuilds range `range` (BFS index) at `depth`, whose slots start at
-    /// `slot_start`, so that it contains exactly the elements of `buf`.
-    /// Phase 1 ([`Self::plan_range`]) draws the balance coins and updates
-    /// the trees in exactly the old engine's order; phase 2
-    /// ([`Self::refill_leaves`]) moves the elements back into the leaves.
-    fn rebuild_range(
-        &mut self,
-        range: usize,
-        depth: u32,
-        slot_start: usize,
-        mut buf: Vec<T>,
-        forced_balance: Option<usize>,
-    ) {
-        self.plan_range(range, depth, slot_start, &buf, forced_balance);
-        let g0 = self.geometry.leaf_of_slot(slot_start);
-        let window = self.geometry.slots_at_depth(depth) / self.geometry.leaf_slots;
-        self.refill_leaves(g0, window, &mut buf);
-        self.scratch.restore(buf);
+    /// Rebuilds a range whose leaves already hold the update that triggered
+    /// it: plans the new counts, moves elements across the leaf boundaries
+    /// that moved, then writes the value tree. Charged to the tracer as the
+    /// paper's rebuild: one read of the range, one write per leaf.
+    fn rebuild_range(&mut self, r: PendingRebuild) {
+        let slot_count = self.geometry.slots_at_depth(r.depth);
+        self.tracer.read(
+            self.array_region.addr(r.slot_start as u64),
+            self.array_region.span(slot_count as u64),
+        );
+        self.plan_counts(r.range, r.depth, r.slot_start, r.len, r.forced);
+        let first_leaf = self.geometry.leaf_of_slot(r.slot_start);
+        let (levels, rank_tree) = (self.geometry.levels(), &self.rank_tree);
+        self.store
+            .redistribute(first_leaf, slot_count / self.geometry.leaf_slots, |leaf| {
+                *rank_tree.peek(leaf_index(levels, leaf)) as usize
+            });
+        self.write_balances(r.range, r.depth, first_leaf);
     }
 
-    /// Phase 1 of a rebuild: descends the range tree, drawing each range's
-    /// balance element (reservoir-forced or uniform) and writing the rank
-    /// and value trees — the same coin order as an element-placing rebuild,
-    /// so layouts stay bit-identical to the historical engine. Leaf visits
+    /// The planner of a rebuild: descends the range tree below `range`,
+    /// which is to hold `len` elements, drawing each range's balance
+    /// (reservoir-forced or uniform) in pre-order — the coin order of every
+    /// engine before this one, so layouts stay bit-identical — and writing
+    /// every count into the rank tree. It touches no element. Leaf visits
     /// charge the sequential leaf write; the element moves (the leaf counts
-    /// sum to the range's element count) are the caller's one ledger update.
+    /// sum to `len`) are the caller's one ledger update.
     ///
     /// `forced_balance` pins the relative rank of the balance element of
     /// *this* range (a reservoir lottery winner); descendant ranges always
     /// draw their balances uniformly from their candidate windows.
-    fn plan_range(
+    fn plan_counts(
         &mut self,
         range: usize,
         depth: u32,
         slot_start: usize,
-        elements: &[T],
+        len: usize,
         forced_balance: Option<usize>,
     ) {
         let slot_count = self.geometry.slots_at_depth(depth);
         debug_assert!(
-            elements.len() <= slot_count,
-            "range overflow: {} elements into {} slots",
-            elements.len(),
-            slot_count
+            len <= slot_count,
+            "range overflow: {len} elements into {slot_count} slots"
         );
-        self.rank_tree.set(range, elements.len() as u64);
+        self.rank_tree.set(range, len as u64);
         if depth == self.geometry.height {
             self.tracer.write(
                 self.array_region.addr(slot_start as u64),
@@ -475,7 +493,6 @@ impl<T: Clone> HiPma<T> {
             );
             return;
         }
-        let len = elements.len();
         let m = self.geometry.candidate_size(depth);
         let (w, m_eff) = Geometry::candidate_window(len, m);
         let balance = if len == 0 {
@@ -489,29 +506,26 @@ impl<T: Clone> HiPma<T> {
                 None => w + self.rng.gen_range(0..m_eff.max(1)),
             }
         };
-        self.value_tree.set(range, elements.get(balance).cloned());
         let (left, right) = children(range);
-        self.plan_range(left, depth + 1, slot_start, &elements[..balance], None);
-        self.plan_range(
-            right,
-            depth + 1,
-            slot_start + slot_count / 2,
-            &elements[balance..],
-            None,
-        );
+        self.plan_counts(left, depth + 1, slot_start, balance, None);
+        let right_start = slot_start + slot_count / 2;
+        self.plan_counts(right, depth + 1, right_start, len - balance, None);
     }
 
-    /// Phase 2 of a rebuild: refills leaves `[first_leaf, first_leaf +
-    /// leaf_window)` from `buf` with the per-leaf counts phase 1 recorded in
-    /// the rank tree — right to left, so every leaf takes the tail of the
-    /// buffer in one contiguous move. Every element is *moved*.
-    fn refill_leaves(&mut self, first_leaf: usize, leaf_window: usize, buf: &mut Vec<T>) {
-        let levels = self.geometry.levels();
-        for leaf in (first_leaf..first_leaf + leaf_window).rev() {
-            let count = *self.rank_tree.peek(leaf_index(levels, leaf)) as usize;
-            self.store.fill_group_from_tail(leaf, buf, count);
+    /// The value pass of a rebuild, once the leaves hold their new counts:
+    /// every non-leaf range under `range` (at `depth`, its leaves starting
+    /// at `first_leaf`) stores its balance element, the first element of its
+    /// right child — `None` when that child is empty.
+    fn write_balances(&mut self, range: usize, depth: u32, first_leaf: usize) {
+        if depth == self.geometry.height {
+            return;
         }
-        debug_assert!(buf.is_empty(), "rebuild left elements unplaced");
+        let half = 1usize << (self.geometry.height - depth - 1);
+        let balance = self.store.first_in(first_leaf + half, half).cloned();
+        self.value_tree.set(range, balance);
+        let (left, right) = children(range);
+        self.write_balances(left, depth + 1, first_leaf);
+        self.write_balances(right, depth + 1, first_leaf + half);
     }
 
     // ------------------------------------------------------------------
@@ -617,8 +631,8 @@ impl<T: Clone> HiPma<T> {
     // Leaf operations
     // ------------------------------------------------------------------
 
-    /// Steady-state leaf insert: one dense `Vec::insert`. No allocation, no
-    /// clone, no gather buffer.
+    /// Leaf insert, the first step of every insert that does not resize:
+    /// one dense `Vec::insert`. No allocation, no clone, no buffer.
     fn leaf_insert(&mut self, slot_start: usize, rel_rank: usize, item: T) {
         let slot_count = self.geometry.leaf_slots;
         self.tracer.read(
@@ -628,7 +642,14 @@ impl<T: Clone> HiPma<T> {
         let leaf = self.geometry.leaf_of_slot(slot_start);
         let n = self.store.group_len(leaf);
         debug_assert!(rel_rank <= n, "leaf rank out of bounds");
-        debug_assert!(n < slot_count, "leaf overflow: Lemma 7 violated");
+        // The leaf is one of the old layout's, even when a rebuild follows:
+        // Lemma 7 bounds its count by (N̂/2^h)(1 + c₁) + 3, and the geometry
+        // keeps that bound plus one within `leaf_slots`, so it has a free
+        // slot (pinned in `geometry`'s tests).
+        assert!(
+            n < slot_count,
+            "leaf {leaf} holds {n} elements in {slot_count} slots: Lemma 7 violated"
+        );
         self.store.insert_in_group(leaf, rel_rank.min(n), item);
         self.tracer.write(
             self.array_region.addr(slot_start as u64),
@@ -636,7 +657,7 @@ impl<T: Clone> HiPma<T> {
         );
     }
 
-    /// Steady-state leaf delete: the mirror of [`Self::leaf_insert`].
+    /// Leaf delete: the mirror of [`Self::leaf_insert`].
     fn leaf_delete(&mut self, slot_start: usize, rel_rank: usize) -> T {
         let slot_count = self.geometry.leaf_slots;
         self.tracer.read(
@@ -682,6 +703,29 @@ impl<T: Clone> HiPma<T> {
         });
     }
 
+    /// The end of an update that did not resize, once its leaf has taken
+    /// it: the leaf's new count `leaf_len` at BFS index `leaf_range`, or the
+    /// rebuild its descent decided on. Then the one ledger update.
+    fn finish_update(
+        &mut self,
+        insert: bool,
+        leaf_range: usize,
+        leaf_len: usize,
+        pending: Option<PendingRebuild>,
+    ) {
+        match pending {
+            None => {
+                self.rank_tree.set(leaf_range, leaf_len as u64);
+                self.record_update(insert, leaf_len, None);
+            }
+            Some(r) => {
+                let slot_count = self.geometry.slots_at_depth(r.depth);
+                self.record_update(insert, r.len, Some(slot_count));
+                self.rebuild_range(r);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Public operations
     // ------------------------------------------------------------------
@@ -705,47 +749,47 @@ impl<T: Clone> HiPma<T> {
         // Descend the range tree. Only the root count and each level's left
         // child are read from the rank tree: a child's own count is derived
         // from its parent's (`l1` going left, `len − l1` going right),
-        // halving the vEB accesses per level.
+        // halving the vEB accesses per level. Once a range's balance
+        // changes, the rest of the descent only finds the leaf of the old
+        // layout that takes the element; the counts below are the planner's.
         let mut range = 0usize;
         let mut depth = 0u32;
         let mut slot_start = 0usize;
         let mut rel_rank = rank;
         let mut len_before = *self.rank_tree.get(0) as usize;
+        let mut pending = None;
         loop {
             if depth == self.geometry.height {
-                self.rank_tree.set(range, (len_before + 1) as u64);
                 self.leaf_insert(slot_start, rel_rank, item);
-                self.record_update(true, len_before + 1, None);
+                self.finish_update(true, range, len_before + 1, pending);
                 return Ok(());
             }
-            let (left, _right) = children(range);
+            let (left, right) = children(range);
             let l1 = *self.rank_tree.get(left) as usize;
-            let m = self.geometry.candidate_size(depth);
-            let decision = self.decide_insert(rel_rank, l1, len_before, m);
-            self.rank_tree.set(range, (len_before + 1) as u64);
-            match decision {
-                Decision::Rebuild { forced } => {
-                    let slot_count = self.geometry.slots_at_depth(depth);
-                    let mut buf = self.gather_range(slot_start, slot_count);
-                    buf.insert(rel_rank, item);
-                    self.record_update(true, buf.len(), Some(slot_count));
-                    self.rebuild_range(range, depth, slot_start, buf, forced);
-                    return Ok(());
-                }
-                Decision::Descend => {
-                    let half = self.geometry.slots_at_depth(depth) / 2;
-                    if rel_rank <= l1 {
-                        range = left;
-                        len_before = l1;
-                    } else {
-                        range = 2 * range + 2;
-                        slot_start += half;
-                        rel_rank -= l1;
-                        len_before -= l1;
-                    }
-                    depth += 1;
+            if pending.is_none() {
+                let m = self.geometry.candidate_size(depth);
+                let decision = self.decide_insert(rel_rank, l1, len_before, m);
+                self.rank_tree.set(range, (len_before + 1) as u64);
+                if let Decision::Rebuild { forced } = decision {
+                    pending = Some(PendingRebuild {
+                        range,
+                        depth,
+                        slot_start,
+                        len: len_before + 1,
+                        forced,
+                    });
                 }
             }
+            if rel_rank <= l1 {
+                range = left;
+                len_before = l1;
+            } else {
+                range = right;
+                slot_start += self.geometry.slots_at_depth(depth) / 2;
+                rel_rank -= l1;
+                len_before -= l1;
+            }
+            depth += 1;
         }
     }
 
@@ -775,40 +819,39 @@ impl<T: Clone> HiPma<T> {
         let mut slot_start = 0usize;
         let mut rel_rank = rank;
         let mut len_before = *self.rank_tree.get(0) as usize;
+        let mut pending = None;
         loop {
             if depth == self.geometry.height {
-                self.rank_tree.set(range, (len_before - 1) as u64);
-                self.record_update(false, len_before - 1, None);
-                return Ok(self.leaf_delete(slot_start, rel_rank));
+                let removed = self.leaf_delete(slot_start, rel_rank);
+                self.finish_update(false, range, len_before - 1, pending);
+                return Ok(removed);
             }
-            let (left, _right) = children(range);
+            let (left, right) = children(range);
             let l1 = *self.rank_tree.get(left) as usize;
-            let m = self.geometry.candidate_size(depth);
-            let decision = self.decide_delete(rel_rank, l1, len_before, m);
-            self.rank_tree.set(range, (len_before - 1) as u64);
-            match decision {
-                Decision::Rebuild { forced } => {
-                    let slot_count = self.geometry.slots_at_depth(depth);
-                    let mut buf = self.gather_range(slot_start, slot_count);
-                    let removed = buf.remove(rel_rank);
-                    self.record_update(false, buf.len(), Some(slot_count));
-                    self.rebuild_range(range, depth, slot_start, buf, forced);
-                    return Ok(removed);
-                }
-                Decision::Descend => {
-                    let half = self.geometry.slots_at_depth(depth) / 2;
-                    if rel_rank < l1 {
-                        range = left;
-                        len_before = l1;
-                    } else {
-                        range = 2 * range + 2;
-                        slot_start += half;
-                        rel_rank -= l1;
-                        len_before -= l1;
-                    }
-                    depth += 1;
+            if pending.is_none() {
+                let m = self.geometry.candidate_size(depth);
+                let decision = self.decide_delete(rel_rank, l1, len_before, m);
+                self.rank_tree.set(range, (len_before - 1) as u64);
+                if let Decision::Rebuild { forced } = decision {
+                    pending = Some(PendingRebuild {
+                        range,
+                        depth,
+                        slot_start,
+                        len: len_before - 1,
+                        forced,
+                    });
                 }
             }
+            if rel_rank < l1 {
+                range = left;
+                len_before = l1;
+            } else {
+                range = right;
+                slot_start += self.geometry.slots_at_depth(depth) / 2;
+                rel_rank -= l1;
+                len_before -= l1;
+            }
+            depth += 1;
         }
     }
 
@@ -1176,6 +1219,22 @@ mod tests {
     use rand::SeedableRng;
     use std::collections::VecDeque;
 
+    /// Every non-leaf range's value-tree entry is its balance element: the
+    /// first element of its right child, `None` when that child is empty.
+    fn check_value_tree(pma: &HiPma<u64>) {
+        let height = pma.geometry().height;
+        for depth in 0..height {
+            let half = 1usize << (height - depth - 1);
+            for k in 0..1usize << depth {
+                let range = (1 << depth) - 1 + k;
+                let right_first = (2 * k + 1) * half;
+                let want =
+                    (right_first..right_first + half).find_map(|l| pma.store.group(l).first());
+                assert_eq!(pma.value_tree.peek(range).as_ref(), want, "range {range}");
+            }
+        }
+    }
+
     fn filled(n: usize, seed: u64) -> HiPma<u64> {
         let mut pma = HiPma::new(seed);
         for i in 0..n {
@@ -1248,6 +1307,7 @@ mod tests {
             }
             if step % 500 == 0 {
                 pma.check_invariants();
+                check_value_tree(&pma);
             }
         }
         if !model.is_empty() {
@@ -1279,6 +1339,7 @@ mod tests {
                 push(&mut pma, &mut model, i);
                 if i.is_multiple_of(500) {
                     pma.check_invariants();
+                    check_value_tree(&pma);
                     heights.insert(pma.geometry().height);
                 }
             }
@@ -1296,6 +1357,7 @@ mod tests {
                 op += 1;
                 if op.is_multiple_of(500) {
                     pma.check_invariants();
+                    check_value_tree(&pma);
                 }
             }
             pma.check_invariants();
@@ -1361,6 +1423,7 @@ mod tests {
         assert_eq!(pma.get_rank(0), Some(0));
         assert_eq!(pma.get_rank(4999), Some(9998));
         pma.check_invariants();
+        check_value_tree(&pma);
         // Still fully operational afterwards.
         pma.insert(0, 123).unwrap();
         assert_eq!(pma.get_rank(0), Some(123));
@@ -1832,9 +1895,10 @@ mod tests {
 
     #[test]
     fn rebuild_scratch_capacity_is_reused() {
-        // After a capacity rebuild has sized the arena, steady-state range
-        // rebuilds must not grow it again (the allocation-free guarantee is
-        // asserted allocator-level in tests/alloc_regression.rs).
+        // After a capacity rebuild has sized the arena, it keeps its capacity
+        // through steady-state updates, whose range rebuilds move elements
+        // in place (the allocation-free guarantee is asserted
+        // allocator-level in tests/alloc_regression.rs).
         let mut pma = filled(4_000, 23);
         let cap_after_warmup = pma.scratch.capacity();
         assert!(cap_after_warmup >= 2_000, "arena never warmed up");

@@ -20,10 +20,12 @@
 //!   PMA's window rebalances spread over a whole window rather than per group,
 //!   so it keeps a bitmap of its own.)
 //!
-//! Rebalances *move* elements (drain/refill) instead of cloning them: a
-//! window drains into one buffer with an `append` per group, and the HI PMA
-//! refills its leaves from that buffer's tail, right to left, one contiguous
-//! move each.
+//! Rebalances *move* elements instead of cloning them. The HI PMA rebuilds a
+//! range in place: [`SlotStore::redistribute`] moves only the elements whose
+//! group changes, across the group boundaries that moved, each straight to
+//! its new group. A window that is rebuilt from nothing (the classic PMA's
+//! rebalances, either PMA's resize) drains into one buffer with an `append`
+//! per group and is filled back from it.
 
 use io_sim::{Region, Tracer};
 
@@ -137,6 +139,83 @@ impl<T> SlotStore<T> {
         self.groups[g].remove(rel)
     }
 
+    /// The first element of groups `[g0, g0 + window_groups)`, if any.
+    pub fn first_in(&self, g0: usize, window_groups: usize) -> Option<&T> {
+        self.groups[g0..g0 + window_groups]
+            .iter()
+            .find_map(|group| group.first())
+    }
+
+    /// Moves elements across the boundaries between groups `[g0, g0 +
+    /// window_groups)` until group `g` holds `new_len(g)` elements, in
+    /// unchanged rank order. The new counts must sum to the window's element
+    /// count and each fit its group. An element moves only if its group
+    /// changes, and then straight to its new group, however many boundaries
+    /// it crosses; a group that gains or loses elements at its front shifts
+    /// the ones it keeps. No allocation (no group outgrows its fixed
+    /// capacity) and no clone.
+    ///
+    /// Two sweeps. Left to right, wherever the prefix sum of the new counts
+    /// runs ahead of the groups' current one — a boundary that moved right —
+    /// the group before the boundary pulls the difference from the fronts of
+    /// the groups after it. Right to left, the mirror image pulls elements
+    /// rightward across the boundaries that moved left. After the first
+    /// sweep every prefix holds at least its new count, so the second only
+    /// takes elements the groups to its left can spare, and no group ever
+    /// holds more than the larger of its old and new counts.
+    pub fn redistribute(
+        &mut self,
+        g0: usize,
+        window_groups: usize,
+        new_len: impl Fn(usize) -> usize,
+    ) {
+        let groups = &mut self.groups[g0..g0 + window_groups];
+        let (mut have, mut want) = (0, 0);
+        for i in 0..groups.len() {
+            have += groups[i].len();
+            want += new_len(g0 + i);
+            if want > have {
+                let (head, tail) = groups.split_at_mut(i + 1);
+                let mut short = want - have;
+                for src in tail {
+                    let take = short.min(src.len());
+                    head[i].extend(src.drain(..take));
+                    short -= take;
+                    if short == 0 {
+                        break;
+                    }
+                }
+                debug_assert_eq!(short, 0, "new counts exceed the window's elements");
+                have = want;
+            }
+        }
+        debug_assert_eq!(have, want, "new counts must sum to the window's elements");
+        let (mut have, mut want) = (0, 0);
+        for i in (0..groups.len()).rev() {
+            have += groups[i].len();
+            want += new_len(g0 + i);
+            if want > have {
+                let (head, tail) = groups.split_at_mut(i);
+                let mut short = want - have;
+                for src in head.iter_mut().rev() {
+                    let take = short.min(src.len());
+                    let from = src.len() - take;
+                    drop(tail[0].splice(..0, src.drain(from..)));
+                    short -= take;
+                    if short == 0 {
+                        break;
+                    }
+                }
+                debug_assert_eq!(short, 0, "new counts exceed the window's elements");
+                have = want;
+            }
+        }
+        debug_assert!(
+            (0..groups.len()).all(|i| groups[i].len() == new_len(g0 + i)),
+            "a group missed its new count"
+        );
+    }
+
     /// Moves every element of groups `[g0, g0 + window_groups)` into `out`
     /// (in rank order), leaving the groups empty.
     pub fn drain_window_into(&mut self, g0: usize, window_groups: usize, out: &mut Vec<T>) {
@@ -190,9 +269,9 @@ impl<T> SlotStore<T> {
 
     /// Fills group `g` — which must be empty — with the last `count`
     /// elements of `buf`, in order, as one contiguous move: the same group
-    /// contents as `fill_window(g, 1, …, count)`. A rebuild that refills its
-    /// leaves right to left hands each leaf the tail of the gather buffer
-    /// this way.
+    /// contents as `fill_window(g, 1, …, count)`. The HI PMA's resize, which
+    /// refills its leaves right to left, hands each leaf the tail of the
+    /// gather buffer this way.
     pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
         // Hard asserts, as in `fill_window`: an overfull group in release
         // would outgrow its fixed capacity instead of failing loudly.
@@ -297,6 +376,8 @@ impl<'a, T> Iterator for ScanIter<'a, T> {
 mod tests {
     use super::*;
     use crate::spread::spread_position;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
         let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots);
@@ -459,6 +540,131 @@ mod tests {
     fn tail_fill_from_a_short_buffer_panics() {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4);
         s.fill_group_from_tail(0, &mut vec![1, 2], 3);
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An element whose clones are counted, per test thread.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// `total` elements dealt over `groups` groups of `slots` slots, in one
+    /// of four shapes: packed to the left, packed to the right, at random,
+    /// or at random over a random half of the groups (more if the half
+    /// cannot hold `total`), the rest left empty.
+    fn dealt(
+        rng: &mut StdRng,
+        shape: usize,
+        groups: usize,
+        slots: usize,
+        total: usize,
+    ) -> Vec<usize> {
+        let mut counts = vec![0; groups];
+        let mut left = total;
+        match shape {
+            0 | 1 => {
+                for g in 0..groups {
+                    let g = if shape == 0 { g } else { groups - 1 - g };
+                    counts[g] = left.min(slots);
+                    left -= counts[g];
+                }
+            }
+            _ => {
+                let mut open: Vec<usize> = (0..groups)
+                    .filter(|_| shape == 2 || rng.gen_bool(0.5))
+                    .collect();
+                while open.len() * slots < total {
+                    let g = rng.gen_range(0..groups);
+                    if !open.contains(&g) {
+                        open.push(g);
+                    }
+                }
+                while left > 0 {
+                    let g = open[rng.gen_range(0..open.len())];
+                    if counts[g] < slots {
+                        counts[g] += 1;
+                        left -= 1;
+                    }
+                }
+            }
+        }
+        counts
+    }
+
+    /// `redistribute` against a flat `Vec` model: the window's elements in
+    /// rank order, cut by the new counts. Old and new counts are dealt
+    /// independently, so boundaries move both ways, by more than a whole
+    /// group, and between empty groups; a group on either side of the
+    /// window must not be touched.
+    #[test]
+    fn redistribute_matches_a_flat_model() {
+        let mut rng = StdRng::seed_from_u64(0x5ED1);
+        let (mut long_shifts, mut empty_neighbours) = (0, 0);
+        for window in [1usize, 2, 3, 64] {
+            for slots in [1usize, 3, 8] {
+                for trial in 0..64 {
+                    let total = rng.gen_range(0..=window * slots);
+                    let old = dealt(&mut rng, trial % 4, window, slots, total);
+                    let new = dealt(&mut rng, trial / 4 % 4, window, slots, total);
+                    let mut s: SlotStore<Counted> = SlotStore::new(window + 2, slots);
+                    let mut model = Vec::new();
+                    for (g, &n) in old.iter().enumerate() {
+                        let first = model.len() as u64;
+                        model.extend(first..first + n as u64);
+                        s.fill_window(g + 1, 1, &mut (first..).map(Counted), n);
+                    }
+                    for g in [0, window + 1] {
+                        s.fill_window(g, 1, &mut std::iter::once(Counted(u64::MAX)), 1);
+                    }
+                    let capacities: Vec<usize> = s.groups.iter().map(Vec::capacity).collect();
+                    let clones = CLONES.with(|c| c.get());
+                    s.redistribute(1, window, |g| new[g - 1]);
+                    let case = format!("window {window}, slots {slots}, {old:?} -> {new:?}");
+                    assert_eq!(CLONES.with(|c| c.get()), clones, "{case}: cloned");
+                    let mut cut = &model[..];
+                    for (g, &n) in new.iter().enumerate() {
+                        let (want, rest) = cut.split_at(n);
+                        let got: Vec<u64> = s.group(g + 1).iter().map(|e| e.0).collect();
+                        assert_eq!(got, want, "{case}: group {g}");
+                        cut = rest;
+                    }
+                    for g in [0, window + 1] {
+                        assert_eq!(
+                            s.group(g),
+                            [Counted(u64::MAX)],
+                            "{case}: outside the window"
+                        );
+                    }
+                    let after: Vec<usize> = s.groups.iter().map(Vec::capacity).collect();
+                    assert_eq!(after, capacities, "{case}: a group's capacity changed");
+                    let (mut old_prefix, mut new_prefix) = (0usize, 0usize);
+                    for k in 1..window {
+                        old_prefix += old[k - 1];
+                        new_prefix += new[k - 1];
+                        long_shifts += usize::from(old_prefix.abs_diff(new_prefix) > slots);
+                        empty_neighbours +=
+                            usize::from(old[k - 1] + old[k] == 0 || new[k - 1] + new[k] == 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            long_shifts > 100,
+            "{long_shifts} boundaries moved by more than a group"
+        );
+        assert!(
+            empty_neighbours > 100,
+            "{empty_neighbours} boundaries between empty groups"
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl VebLayout {
     }
 
     /// vEB position of the node with BFS index `bfs`.
-    #[inline]
+    #[inline(always)]
     pub fn position(&self, bfs: usize) -> usize {
         self.map[bfs] as usize
     }

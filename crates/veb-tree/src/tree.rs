@@ -59,7 +59,7 @@ impl<T: Clone + Default> VebTree<T> {
     }
 
     /// Reads the value at BFS index `bfs`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, bfs: usize) -> &T {
         let pos = self.layout.position(bfs);
         self.tracer
@@ -68,7 +68,7 @@ impl<T: Clone + Default> VebTree<T> {
     }
 
     /// Writes the value at BFS index `bfs`.
-    #[inline]
+    #[inline(always)]
     pub fn set(&mut self, bfs: usize, value: T) {
         let pos = self.layout.position(bfs);
         self.tracer
@@ -78,7 +78,7 @@ impl<T: Clone + Default> VebTree<T> {
 
     /// Reads without charging I/O (used by internal consistency checks and
     /// tests; real operations must use [`VebTree::get`]).
-    #[inline]
+    #[inline(always)]
     pub fn peek(&self, bfs: usize) -> &T {
         &self.data[self.layout.position(bfs)]
     }

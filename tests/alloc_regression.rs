@@ -7,8 +7,8 @@
 //!
 //! * a steady-state HI-PMA insert — no capacity resize — performs **zero
 //!   heap allocations**, whether it is a leaf-only update or a range
-//!   rebalance (the scratch arena and the fixed-capacity leaf vectors
-//!   absorb both);
+//!   rebalance (the fixed-capacity leaf vectors absorb both: a range
+//!   rebuild moves elements between leaves in place);
 //! * a leaf-only insert additionally performs **zero `Clone` calls**; a
 //!   range rebalance clones only the balance pivots the augmented value
 //!   tree stores by design (bounded by the rebuilt subtree's node count);
