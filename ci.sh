@@ -44,10 +44,6 @@ echo "==> smoke-run the update-throughput harness (alloc-free engine gate)"
 AP_BENCH_JSON=target/ci_update_rows.json \
     cargo run --release --bin update_throughput -- --smoke >/dev/null
 
-echo "==> smoke-run the shard-scaling harness (sharded service gate)"
-AP_BENCH_JSON=target/ci_shard_rows.json \
-    cargo run --release --bin shard_scaling -- --smoke >/dev/null
-
 echo "==> smoke-run the block-store I/O harness (DAM-vs-device gate)"
 AP_BENCH_JSON=target/ci_blockstore_rows.json \
     cargo run --release --bin block_store_io -- --smoke >/dev/null
@@ -82,10 +78,9 @@ AP_BENCH_JSON=target/ci_netfault_rows.json \
 
 echo "==> validate the bench JSON row dumps (malformed rows fail CI)"
 cargo run --release --quiet --bin json_check \
-    target/ci_update_rows.json target/ci_shard_rows.json \
-    target/ci_blockstore_rows.json target/ci_fault_rows.json \
-    target/ci_loadgen_rows.json target/ci_netfault_rows.json \
-    BENCH_baseline.json
+    target/ci_update_rows.json target/ci_blockstore_rows.json \
+    target/ci_fault_rows.json target/ci_loadgen_rows.json \
+    target/ci_netfault_rows.json BENCH_baseline.json
 
 echo "==> run the chaos soak battery (fixed seeds, smoke sweep)"
 CHAOS_SMOKE=1 cargo test -q --test chaos_soak >/dev/null

@@ -4,8 +4,8 @@
 //! dict-server [--addr 127.0.0.1:0] [--addr-file PATH]
 //!             [--seed N] [--shards N]
 //!             [--epoch-ops N] [--queue-bound N]
-//!             [--acceptors N] [--parallel-threshold N]
-//!             [--max-frame N] [--dedup-window N] [--inflight-bound N]
+//!             [--acceptors N] [--max-frame N]
+//!             [--dedup-window N] [--inflight-bound N]
 //!             [--write-timeout-millis N] [--idle-timeout-millis N]
 //!             [--persist PATH]
 //! ```
@@ -69,10 +69,6 @@ fn parse_args(it: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--acceptors" => {
                 args.config.server.acceptors = parse_num(&value("--acceptors")?, "--acceptors")?;
             }
-            "--parallel-threshold" => {
-                args.config.parallel_threshold =
-                    parse_num(&value("--parallel-threshold")?, "--parallel-threshold")?;
-            }
             "--max-frame" => {
                 args.config.server.max_frame = parse_num(&value("--max-frame")?, "--max-frame")?;
             }
@@ -132,7 +128,7 @@ fn run() -> Result<(), String> {
         std::fs::write(path, server.addr().to_string())
             .map_err(|e| format!("--addr-file {path}: {e}"))?;
     }
-    // Serve until killed; the worker threads own all the work.
+    // Serve until killed; the connection threads own all the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
@@ -158,11 +154,12 @@ mod tests {
 
     #[test]
     fn the_epoch_timer_flag_is_gone_and_refused_by_name() {
-        let err = parse(&["--epoch-micros", "200"]).map(|_| ()).unwrap_err();
-        assert!(
-            err.contains("unknown flag") && err.contains("--epoch-micros"),
-            "{err}"
-        );
+        // Every retired flag: the epoch timer, the backend choice and the
+        // worker fan-out's batch-size cut-over.
+        for flag in ["--epoch-micros", "--backend", "--parallel-threshold"] {
+            let err = parse(&[flag, "200"]).map(|_| ()).unwrap_err();
+            assert!(err.contains("unknown flag") && err.contains(flag), "{err}");
+        }
         let args = parse(&["--epoch-ops", "64"]).expect("the op budget stays");
         assert_eq!(args.config.server.epoch_ops, 64);
     }

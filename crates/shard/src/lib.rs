@@ -23,23 +23,24 @@
 //!    [`ShardedDict::multi_remove`]) group a batch by shard *preserving the
 //!    batch's relative order within each shard*. A shard therefore observes
 //!    exactly the subsequence of operations routed to it, regardless of how
-//!    the caller split the stream into batches or how many worker threads
-//!    executed them — so the final layout is bit-identical across every
-//!    split and schedule (`tests/shard_history_independence.rs` and the
-//!    determinism battery pin this).
+//!    the caller split the stream into batches — so the final layout is
+//!    bit-identical across every split (`tests/shard_history_independence.rs`
+//!    and the determinism battery pin this).
 //!
-//! Batches execute on scoped worker threads (one per shard holding work,
-//! [`std::thread::scope`]); small batches stay inline under a configurable
-//! threshold. Global range scans k-way-merge the shards' lazy iterators
-//! without allocating ([`merge::KWayMerge`]); a full export from shards that
-//! expose sorted runs merges the runs instead ([`merge::RunMerge`]).
+//! There is one batch path: a batch runs shard by shard on the calling
+//! thread, each shard's subsequence under [`std::panic::catch_unwind`].
+//! Concurrency comes from the callers — the service is `Send + Sync`, and
+//! readers share it — not from worker threads inside a batch. Global range
+//! scans k-way-merge the shards' lazy iterators without allocating
+//! ([`merge::KWayMerge`]); a full export from shards that expose sorted runs
+//! merges the runs instead ([`merge::RunMerge`]).
 //! Per-shard instrumentation rolls up through the [`Instrumented`] trait.
 //!
 //! ## Graceful degradation
 //!
 //! A service front-end must survive one shard going bad without dropping the
-//! other `S − 1`. Two failure sources exist at this layer: a worker panic
-//! (an engine bug or a poisoned invariant surfacing mid-batch) and a
+//! other `S − 1`. Two failure sources exist at this layer: an engine panic
+//! (a bug or a poisoned invariant surfacing mid-batch) and a
 //! shard-local storage error reported by the owner of that shard's
 //! persistence (the facade's `PersistentDict`). Either one **quarantines**
 //! the shard: it is taken out of every read and write path, the service
@@ -50,10 +51,10 @@
 //! [`Dictionary`] surface degrades by omission — a quarantined shard's keys
 //! read as absent and writes routed to it are dropped — which is the
 //! documented trade for keeping the trait's signatures. A quarantined shard
-//! rejoins after its contents are rebuilt ([`Dictionary::bulk_load`] /
-//! [`ShardedDict::bulk_load_parallel`] re-admit every shard they rebuild
-//! successfully) or after an explicit [`ShardedDict::restore_shard`] by a
-//! caller that repaired the underlying storage.
+//! rejoins after its contents are rebuilt ([`Dictionary::bulk_load`]
+//! re-admits every shard it rebuilds successfully) or after an explicit
+//! [`ShardedDict::restore_shard`] by a caller that repaired the underlying
+//! storage.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -67,7 +68,6 @@ use std::hash::Hash;
 use std::ops::RangeBounds;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::thread;
 
 use hi_common::batch::BatchOp;
 use hi_common::counters::OpCounters;
@@ -81,8 +81,8 @@ pub use router::{derive_seed, SeededHasher, ShardRouter, MAX_SHARDS};
 /// A typed failure from the sharded service's fallible surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// The shard the operation routed to is quarantined: a worker panicked
-    /// on it or its storage failed, and it has not been restored since.
+    /// The shard the operation routed to is quarantined: its engine panicked
+    /// or its storage failed, and it has not been restored since.
     /// The healthy shards are unaffected.
     Degraded {
         /// Index of the quarantined shard.
@@ -112,7 +112,7 @@ pub type NavResult<K, V> = Result<Option<KeyValue<K, V>>, ShardError>;
 
 /// Interior-mutable per-shard quarantine ledger. Lives behind a [`Mutex`]
 /// because read-only entry points (`multi_get` takes `&self`) must be able
-/// to quarantine a shard whose worker panicked; the lock guards a plain
+/// to quarantine a shard whose engine panicked; the lock guards a plain
 /// `Vec<Option<String>>` that is consistent after every single mutation, so
 /// the workspace's poisoned-lock recovery policy ([`locked`]) applies.
 #[derive(Debug)]
@@ -159,11 +159,6 @@ impl Clone for Quarantine {
     }
 }
 
-/// Batches smaller than this run inline instead of spawning worker threads;
-/// the result is identical either way, so the threshold is purely a
-/// throughput knob (and the tests drive it to 0 to force the threaded path).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1024;
-
 /// Read access to the per-engine instrumentation ledgers, so a sharded
 /// service can report one aggregated [`IoStats`] / [`OpCounters`] view.
 ///
@@ -180,13 +175,12 @@ pub trait Instrumented {
 ///
 /// Implements the whole [`Dictionary`] surface (single-key operations route
 /// through the seeded router; ordered navigation and range scans merge
-/// across shards), and adds the batched, thread-parallel operations a
-/// service front-end actually calls.
+/// across shards), and adds the batched operations a service front-end
+/// actually calls.
 #[derive(Debug, Clone)]
 pub struct ShardedDict<D> {
     router: ShardRouter,
     shards: Vec<D>,
-    parallel_threshold: usize,
     quarantine: Quarantine,
 }
 
@@ -205,7 +199,6 @@ where
         Self {
             router,
             shards,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             quarantine,
         }
     }
@@ -241,18 +234,6 @@ where
     /// The shard `key` routes to.
     pub fn shard_of(&self, key: &D::Key) -> usize {
         self.router.route(key)
-    }
-
-    /// Batches at or above the returned size fan out to worker threads.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_threshold
-    }
-
-    /// Overrides the inline/threaded cut-over (0 forces threads for every
-    /// non-empty batch — the determinism tests use this to prove scheduling
-    /// is not a layout side channel).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold;
     }
 
     /// Per-shard health: `None` for a serving shard, `Some(error)` for a
@@ -428,35 +409,19 @@ where
         }
         parts
     }
-}
 
-impl<D> ShardedDict<D>
-where
-    D: Dictionary + Send,
-    D::Key: Hash + Send + Sync,
-    D::Value: Send + Sync,
-{
-    /// Inserts every pair, batched per shard and executed on scoped worker
-    /// threads (one per shard with work). Semantically identical to calling
-    /// [`Dictionary::insert`] per pair in order: pairs routed to the same
-    /// shard are applied in their batch order, so later duplicates win, and
-    /// the resulting layout is bit-identical no matter how the caller split
-    /// the stream into batches — per-shard subsequences are invariant under
-    /// batch partitioning.
+    /// Inserts every pair, batched per shard. Semantically identical to
+    /// calling [`Dictionary::insert`] per pair in order: pairs routed to the
+    /// same shard are applied in their batch order, so later duplicates win,
+    /// and the resulting layout is bit-identical no matter how the caller
+    /// split the stream into batches — per-shard subsequences are invariant
+    /// under batch partitioning.
     pub fn multi_put(&mut self, pairs: impl IntoIterator<Item = KeyValue<D::Key, D::Value>>) {
         self.multi_apply(pairs.into_iter().map(|(k, v)| BatchOp::Put(k, v)));
     }
 
-    /// Batched, order-preserving parallel form of [`Dictionary::extend`].
-    ///
-    /// This inherent method shadows the trait's default when called on a
-    /// concrete `ShardedDict`; both produce identical shard states.
-    pub fn extend(&mut self, pairs: impl IntoIterator<Item = KeyValue<D::Key, D::Value>>) {
-        self.multi_put(pairs);
-    }
-
-    /// Removes every key in `keys`, batched per shard on scoped worker
-    /// threads. Returns how many were present.
+    /// Removes every key in `keys`, batched per shard. Returns how many were
+    /// present.
     pub fn multi_remove(&mut self, keys: impl IntoIterator<Item = D::Key>) -> usize {
         self.multi_apply(keys.into_iter().map(BatchOp::Remove))
     }
@@ -464,9 +429,9 @@ where
     /// Applies a mixed batch of keyed operations: groups the stream per
     /// shard preserving relative order, and routes each shard's subsequence
     /// through its engine's [`Dictionary::apply_batch`] (arrival order, so
-    /// any cut of a stream into batches leaves the same shards), on scoped
-    /// worker threads for large batches. Returns how
-    /// many removes found their key.
+    /// any cut of a stream into batches leaves the same shards), shard by
+    /// shard on the calling thread. Returns how many removes found their
+    /// key. The service's own [`Dictionary::apply_batch`] is this call.
     pub fn multi_apply(
         &mut self,
         ops: impl IntoIterator<Item = BatchOp<D::Key, D::Value>>,
@@ -474,157 +439,59 @@ where
         // Partition while consuming the stream: only the per-shard
         // subsequences are ever buffered.
         let parts = self.partition_ops(ops);
-        let total: usize = parts.iter().map(Vec::len).sum();
         let quarantine = &self.quarantine;
-        if total < self.parallel_threshold.max(1) || self.shards.len() == 1 {
-            self.shards
-                .iter_mut()
-                .zip(parts)
-                .enumerate()
-                .map(|(i, (shard, part))| {
-                    if part.is_empty() || quarantine.is_down(i) {
-                        return 0;
+        self.shards
+            .iter_mut()
+            .zip(parts)
+            .enumerate()
+            .map(|(i, (shard, part))| {
+                if part.is_empty() || quarantine.is_down(i) {
+                    return 0;
+                }
+                // A panicking engine is contained, not propagated: the
+                // shard is quarantined and the rest of the batch runs.
+                match catch_unwind(AssertUnwindSafe(|| shard.apply_batch(part))) {
+                    Ok(hits) => hits,
+                    Err(payload) => {
+                        quarantine.put_down(i, panic_message(payload.as_ref()));
+                        0
                     }
-                    // A panicking engine is contained, not propagated: the
-                    // shard is quarantined and the rest of the batch runs.
-                    match catch_unwind(AssertUnwindSafe(|| shard.apply_batch(part))) {
-                        Ok(hits) => hits,
-                        Err(payload) => {
-                            quarantine.put_down(i, panic_message(payload.as_ref()));
-                            0
-                        }
-                    }
-                })
-                .sum()
-        } else {
-            thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(parts)
-                    .enumerate()
-                    .filter(|(i, (_, part))| !part.is_empty() && !quarantine.is_down(*i))
-                    .map(|(i, (shard, part))| (i, s.spawn(move || shard.apply_batch(part))))
-                    .collect();
-                handles
-                    .into_iter()
-                    // A worker panic degrades its shard only: the join error
-                    // carries the payload, the shard is quarantined, and the
-                    // healthy shards' results still count.
-                    .map(|(i, h)| match h.join() {
-                        Ok(hits) => hits,
-                        Err(payload) => {
-                            quarantine.put_down(i, panic_message(payload.as_ref()));
-                            0
-                        }
-                    })
-                    .sum()
+                }
             })
-        }
+            .sum()
     }
 
-    /// Looks up every key of `keys`, batched per shard on scoped worker
-    /// threads, returning the values in input order. Each shard receives
-    /// its probes as one [`Dictionary::get_many`] call, which sorts them and
-    /// reuses a descent finger across consecutive keys instead of
-    /// restarting at the root per probe; the original order is restored by
-    /// scattering through the recorded index permutation. Read-only: shards
-    /// are shared (`&self`), so callers can run `multi_get` from many
-    /// threads concurrently.
-    pub fn multi_get(&self, keys: &[D::Key]) -> Vec<Option<D::Value>>
-    where
-        D: Sync,
-    {
+    /// Looks up every key of `keys`, batched per shard, returning the values
+    /// in input order. Each shard receives its probes as one
+    /// [`Dictionary::get_many`] call, which sorts them and reuses a descent
+    /// finger across consecutive keys instead of restarting at the root per
+    /// probe; the original order is restored by scattering through the
+    /// recorded index permutation. Read-only: shards are shared (`&self`),
+    /// so callers can run `multi_get` from many threads concurrently. The
+    /// service's own [`Dictionary::get_many`] is this call.
+    pub fn multi_get(&self, keys: &[D::Key]) -> Vec<Option<D::Value>> {
         let mut parts: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (i, k) in keys.iter().enumerate() {
             parts[self.router.route(k)].push(i);
         }
         let mut out: Vec<Option<D::Value>> = (0..keys.len()).map(|_| None).collect();
-        let probe_keys =
-            |part: &[usize]| -> Vec<D::Key> { part.iter().map(|&i| keys[i].clone()).collect() };
-        let probe_keys = &probe_keys;
-        let quarantine = &self.quarantine;
-        if keys.len() < self.parallel_threshold.max(1) || self.shards.len() == 1 {
-            for (i, (shard, part)) in self.shards.iter().zip(&parts).enumerate() {
-                if part.is_empty() || quarantine.is_down(i) {
-                    continue;
-                }
-                // Contain a panicking engine: its probes stay `None`, the
-                // shard is quarantined, the rest of the scatter proceeds.
-                match catch_unwind(AssertUnwindSafe(|| shard.get_many(&probe_keys(part)))) {
-                    Ok(values) => {
-                        for (&i, v) in part.iter().zip(values) {
-                            out[i] = v;
-                        }
-                    }
-                    Err(payload) => quarantine.put_down(i, panic_message(payload.as_ref())),
-                }
+        for (i, (shard, part)) in self.shards.iter().zip(&parts).enumerate() {
+            if part.is_empty() || self.quarantine.is_down(i) {
+                continue;
             }
-        } else {
-            thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(&parts)
-                    .enumerate()
-                    .filter(|(i, (_, part))| !part.is_empty() && !quarantine.is_down(*i))
-                    .map(|(i, (shard, part))| {
-                        (i, part, s.spawn(move || shard.get_many(&probe_keys(part))))
-                    })
-                    .collect();
-                // Scatter each worker's results straight into `out` — no
-                // intermediate flattened buffer. A panicked worker degrades
-                // its shard only: its probes stay `None`.
-                for (i, part, handle) in handles {
-                    match handle.join() {
-                        Ok(values) => {
-                            for (&i, v) in part.iter().zip(values) {
-                                out[i] = v;
-                            }
-                        }
-                        Err(payload) => quarantine.put_down(i, panic_message(payload.as_ref())),
+            let probe: Vec<D::Key> = part.iter().map(|&i| keys[i].clone()).collect();
+            // Contain a panicking engine: its probes stay `None`, the shard
+            // is quarantined, the rest of the scatter proceeds.
+            match catch_unwind(AssertUnwindSafe(|| shard.get_many(&probe))) {
+                Ok(values) => {
+                    for (&i, v) in part.iter().zip(values) {
+                        out[i] = v;
                     }
                 }
-            });
+                Err(payload) => self.quarantine.put_down(i, panic_message(payload.as_ref())),
+            }
         }
         out
-    }
-
-    /// Parallel [`Dictionary::bulk_load`]: partitions `pairs` by shard and
-    /// rebuilds every shard concurrently, each from coins derived as a pure
-    /// function of `(seed, shard index)`. Bit-identical to the sequential
-    /// trait method for the same `(contents, seed, S)`.
-    ///
-    /// A rebuild replaces a shard's state wholesale, so every shard that
-    /// loads successfully — quarantined or not — returns to service; a shard
-    /// whose rebuild panics is (re-)quarantined.
-    pub fn bulk_load_parallel(
-        &mut self,
-        pairs: impl IntoIterator<Item = KeyValue<D::Key, D::Value>>,
-        seed: u64,
-    ) {
-        let parts = self.partition_pairs(pairs);
-        let quarantine = &self.quarantine;
-        thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .enumerate()
-                .map(|(i, (shard, part))| {
-                    (
-                        i,
-                        s.spawn(move || shard.bulk_load(part, derive_seed(seed, i))),
-                    )
-                })
-                .collect();
-            for (i, handle) in handles {
-                match handle.join() {
-                    Ok(()) => quarantine.restore(i),
-                    Err(payload) => quarantine.put_down(i, panic_message(payload.as_ref())),
-                }
-            }
-        });
     }
 }
 
@@ -718,8 +585,6 @@ where
     /// derived from `(seed, shard index)` — the layout becomes a pure
     /// function of `(contents, seed, S)`, independent of arrival order and
     /// of everything the structure held before.
-    /// [`ShardedDict::bulk_load_parallel`] is the multi-threaded form and
-    /// produces bit-identical shards.
     ///
     /// A rebuild replaces each shard's state wholesale, so every shard that
     /// loads successfully returns to service; a shard whose rebuild panics
@@ -740,48 +605,14 @@ where
         }
     }
 
-    /// Routes each shard's subsequence of the batch through its engine's
-    /// [`Dictionary::apply_batch`] (the inline form;
-    /// [`ShardedDict::multi_apply`] is the thread-parallel twin and
-    /// produces bit-identical shards).
+    /// Calls [`ShardedDict::multi_apply`], the one batch body.
     fn apply_batch(&mut self, ops: Vec<BatchOp<D::Key, D::Value>>) -> usize {
-        let parts = self.partition_ops(ops);
-        let quarantine = &self.quarantine;
-        self.shards
-            .iter_mut()
-            .zip(parts)
-            .enumerate()
-            .map(|(i, (shard, part))| {
-                if part.is_empty() || quarantine.is_down(i) {
-                    return 0;
-                }
-                match catch_unwind(AssertUnwindSafe(|| shard.apply_batch(part))) {
-                    Ok(hits) => hits,
-                    Err(payload) => {
-                        quarantine.put_down(i, panic_message(payload.as_ref()));
-                        0
-                    }
-                }
-            })
-            .sum()
+        self.multi_apply(ops)
     }
 
+    /// Calls [`ShardedDict::multi_get`], the one batch body.
     fn get_many(&self, keys: &[D::Key]) -> Vec<Option<D::Value>> {
-        let mut parts: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (i, k) in keys.iter().enumerate() {
-            parts[self.router.route(k)].push(i);
-        }
-        let mut out: Vec<Option<D::Value>> = (0..keys.len()).map(|_| None).collect();
-        for (shard_idx, (shard, part)) in self.shards.iter().zip(&parts).enumerate() {
-            if part.is_empty() || self.quarantine.is_down(shard_idx) {
-                continue;
-            }
-            let probe: Vec<D::Key> = part.iter().map(|&i| keys[i].clone()).collect();
-            for (&i, v) in part.iter().zip(shard.get_many(&probe)) {
-                out[i] = v;
-            }
-        }
-        out
+        self.multi_get(keys)
     }
 }
 
@@ -815,6 +646,7 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::thread;
 
     /// A trivial shard engine for exercising the service layer in
     /// isolation from the real engines (those are covered by the root
@@ -977,11 +809,14 @@ mod tests {
 
     #[test]
     fn a_worker_panic_quarantines_only_its_shard() {
+        // The batch runs on the caller's thread, one shard after another; a
+        // panic in one shard's slice quarantines that shard and no other.
         let mut d = flaky(4);
-        d.set_parallel_threshold(0); // force worker threads
         let bad = d.shard_of(&POISON);
+        // The poison sits mid-batch: keys on the healthy shards on either
+        // side of it still land.
         let mut batch: Vec<(u64, u64)> = (0..400u64).map(|k| (k, k + 1)).collect();
-        batch.push((POISON, 0));
+        batch.insert(200, (POISON, 0));
         d.multi_put(batch);
 
         assert_eq!(d.degraded_count(), 1);
@@ -1015,7 +850,8 @@ mod tests {
 
     #[test]
     fn an_inline_batch_panic_is_contained_too() {
-        let mut d = flaky(4); // default threshold keeps this batch inline
+        // A batch of three is contained the same way as a large one.
+        let mut d = flaky(4);
         let bad = d.shard_of(&POISON);
         d.multi_put(vec![(1, 10), (POISON, 0), (2, 20)]);
         assert_eq!(d.degraded_count(), 1);
@@ -1029,19 +865,27 @@ mod tests {
 
     #[test]
     fn a_reader_panic_degrades_its_probes_to_none() {
-        let mut d = flaky(4);
-        d.multi_put((0..100u64).map(|k| (k, k * 2)));
-        assert_eq!(d.degraded_count(), 0);
-        d.set_parallel_threshold(0);
-        let bad = d.shard_of(&POISON);
-        let keys: Vec<u64> = vec![1, 2, POISON, 3];
-        let got = d.multi_get(&keys);
-        assert_eq!(d.degraded_count(), 1);
-        for (k, v) in keys.iter().zip(got) {
-            if d.shard_of(k) == bad {
-                assert_eq!(v, None, "probe {k} rode the panicked worker");
-            } else {
-                assert_eq!(v, Some(k * 2), "probe {k} on a healthy shard");
+        // Both batched read doors contain the panic: the inherent
+        // `multi_get` and the trait's `get_many`.
+        type Probe = fn(&ShardedDict<FlakyDict>, &[u64]) -> Vec<Option<u64>>;
+        let doors: [(&str, Probe); 2] = [
+            ("multi_get", |d, keys| d.multi_get(keys)),
+            ("get_many", |d, keys| d.get_many(keys)),
+        ];
+        for (door, probe) in doors {
+            let mut d = flaky(4);
+            d.multi_put((0..100u64).map(|k| (k, k * 2)));
+            assert_eq!(d.degraded_count(), 0);
+            let bad = d.shard_of(&POISON);
+            let keys: Vec<u64> = vec![1, 2, POISON, 3];
+            let got = probe(&d, &keys);
+            assert_eq!(d.degraded_count(), 1, "{door}");
+            for (k, v) in keys.iter().zip(got) {
+                if d.shard_of(k) == bad {
+                    assert_eq!(v, None, "{door}: probe {k} rode the panicked shard");
+                } else {
+                    assert_eq!(v, Some(k * 2), "{door}: probe {k} on a healthy shard");
+                }
             }
         }
     }
@@ -1049,18 +893,12 @@ mod tests {
     #[test]
     fn bulk_load_readmits_a_quarantined_shard() {
         let mut d = flaky(4);
-        d.set_parallel_threshold(0);
         d.multi_put(vec![(POISON, 0)]);
         assert_eq!(d.degraded_count(), 1);
         // A wholesale rebuild with clean contents re-validates every shard.
         d.bulk_load((0..100u64).map(|k| (k, k)), 9);
         assert_eq!(d.degraded_count(), 0);
         assert_eq!(d.len(), 100);
-        // The parallel form readmits the same way.
-        d.multi_put(vec![(POISON, 0)]);
-        assert_eq!(d.degraded_count(), 1);
-        d.bulk_load_parallel((0..100u64).map(|k| (k, k)), 9);
-        assert_eq!(d.degraded_count(), 0);
     }
 
     #[test]
@@ -1156,7 +994,6 @@ mod tests {
     #[test]
     fn a_cloned_service_carries_the_quarantine_ledger() {
         let mut d = flaky(4);
-        d.set_parallel_threshold(0);
         d.multi_put(vec![(POISON, 0)]);
         let cloned = d.clone();
         assert_eq!(cloned.degraded_count(), 1);
@@ -1223,9 +1060,10 @@ mod tests {
 
     #[test]
     fn batched_ops_match_sequential_ops_bit_for_bit() {
-        // Same stream, three splits: per-op, small batches threaded, one
-        // giant batch. Shard states must be identical — the per-shard
-        // subsequence is invariant under batch partitioning.
+        // Same stream, four splits: per-op, small batches, one giant batch,
+        // and the trait's `extend` (bounded chunks through `apply_batch`).
+        // Shard states must be identical — the per-shard subsequence is
+        // invariant under batch partitioning.
         let stream: Vec<(u64, u64)> = (0..3_000u64)
             .map(|i| (i.wrapping_mul(2_654_435_761) % 997, i))
             .collect();
@@ -1236,7 +1074,6 @@ mod tests {
         }
 
         let mut batched = sharded(6);
-        batched.set_parallel_threshold(0); // force worker threads
         for chunk in stream.chunks(113) {
             batched.multi_put(chunk.to_vec());
         }
@@ -1244,13 +1081,21 @@ mod tests {
         let mut single_batch = sharded(6);
         single_batch.multi_put(stream.clone());
 
-        for i in 0..6 {
-            assert_eq!(per_op.shards()[i].map, batched.shards()[i].map, "shard {i}");
-            assert_eq!(
-                per_op.shards()[i].map,
-                single_batch.shards()[i].map,
-                "shard {i}"
-            );
+        let mut extended = sharded(6);
+        Dictionary::extend(&mut extended, stream.iter().copied());
+
+        for (label, d) in [
+            ("batches of 113", &batched),
+            ("one batch", &single_batch),
+            ("extend", &extended),
+        ] {
+            for i in 0..6 {
+                assert_eq!(
+                    per_op.shards()[i].map,
+                    d.shards()[i].map,
+                    "{label}: shard {i}"
+                );
+            }
         }
     }
 
@@ -1261,10 +1106,7 @@ mod tests {
         let keys: Vec<u64> = vec![499, 3, 1_000, 0, 77, 2_000];
         let expected: Vec<Option<u64>> = vec![Some(500), Some(4), None, Some(1), Some(78), None];
         assert_eq!(d.multi_get(&keys), expected);
-        // Threaded path agrees with the inline path.
-        let mut threaded = d.clone();
-        threaded.set_parallel_threshold(0);
-        assert_eq!(threaded.multi_get(&keys), expected);
+        assert_eq!(d.get_many(&keys), expected);
     }
 
     #[test]
@@ -1273,7 +1115,6 @@ mod tests {
         d.multi_put((0..100u64).map(|k| (k, k)));
         assert_eq!(d.multi_remove(vec![1, 2, 3, 500]), 3);
         assert_eq!(d.len(), 97);
-        d.set_parallel_threshold(0);
         assert_eq!(d.multi_remove((0..200u64).collect::<Vec<_>>()), 97);
         assert!(d.is_empty());
     }
@@ -1291,9 +1132,9 @@ mod tests {
             assert_eq!(d.shards()[i].loads, 1);
         }
 
-        // The parallel form produces bit-identical shards.
+        // Reversed arrival order loads bit-identical shards.
         let mut p = sharded(4);
-        p.bulk_load_parallel((0..400u64).rev().map(|k| (k, k)), 0xB01D);
+        p.bulk_load((0..400u64).rev().map(|k| (k, k)), 0xB01D);
         for i in 0..4 {
             assert_eq!(d.shards()[i].map, p.shards()[i].map, "shard {i}");
             assert_eq!(d.shards()[i].last_seed, p.shards()[i].last_seed);

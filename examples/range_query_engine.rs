@@ -4,12 +4,12 @@
 //! One builder line turns any engine into an `S`-shard service
 //! (`.shards(S).build_sharded()`): keys hash-partition across `S`
 //! independent history-independent shards behind a seeded router, bulk
-//! ingest and point-read traffic arrive as batches that fan out to scoped
-//! worker threads, and global range scans k-way-merge the shards' lazy
-//! iterators without allocating. The per-shard I/O tracers roll up into
-//! one aggregated ledger, so the measurement code below is identical for
-//! every backend — and the merged scans still show the `log_B N + k/B`
-//! shape of Theorems 2 and 3.
+//! ingest and point-read traffic arrive as batches split per shard, and
+//! global range scans k-way-merge the shards' lazy iterators without
+//! allocating. The per-shard I/O tracers roll up into one aggregated
+//! ledger, so the measurement code below is identical for every backend —
+//! and the merged scans still show the `log_B N + k/B` shape of Theorems 2
+//! and 3.
 //!
 //! Run with: `cargo run --release --example range_query_engine`
 
@@ -52,7 +52,6 @@ fn main() {
             .io(IoConfig::new(4096, 1 << 10))
             .shards(shards)
             .build_sharded();
-        service.set_parallel_threshold(0); // every batch takes the threaded path
 
         // Bulk ingest: the load trace arrives as one batched multi_put.
         let t0 = Instant::now();

@@ -54,7 +54,7 @@ use hi_common::traits::{Dictionary, Occupancy, RankedDict};
 use io_sim::{IoConfig, IoStats, Tracer};
 use pma::persist::{verify_layout, CanonicalOccupancy, PersistError};
 use pma::{ClassicPma, DensityBands, HiPma};
-use shard::{Instrumented, ShardRouter, ShardedDict, DEFAULT_PARALLEL_THRESHOLD};
+use shard::{Instrumented, ShardRouter, ShardedDict};
 use skiplist::{ExternalSkipList, SkipParams};
 
 /// The dictionary engines a [`DictBuilder`] can construct.
@@ -156,15 +156,10 @@ pub struct DictConfig {
     /// cache configuration; when `None`, tracing is disabled (zero cost).
     pub io: Option<IoConfig>,
     /// Shard count for [`DictBuilder::build_sharded`] (`1..=64`). Ignored by
-    /// the single-shard [`DictBuilder::build`].
+    /// the single-shard [`DictBuilder::build`]. A [`ShardedDict`] runs each
+    /// batch shard by shard on the calling thread, so this is the only
+    /// sharding knob.
     pub shards: usize,
-    /// Batch size at which [`ShardedDict`] fans out to worker threads
-    /// (`≥ 1`). Zero is rejected at validation: the service itself clamps a
-    /// zero threshold to "thread every non-empty batch" as a deliberate
-    /// test hook, but as a *configuration* it only ever means the operator
-    /// wanted inline processing and got a thread spawn per batch instead —
-    /// refuse it with a named knob rather than silently burn schedulers.
-    pub parallel_threshold: usize,
     /// Epoch group-commit and backpressure knobs for the network front-end
     /// (`dict-server`). Ignored by the in-process builders.
     pub server: ServerConfig,
@@ -244,7 +239,6 @@ impl Default for DictConfig {
             elem_size: 16,
             io: None,
             shards: 1,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             server: ServerConfig::default(),
         }
     }
@@ -272,9 +266,6 @@ pub enum DictConfigError {
     ZeroElemSize,
     /// Shard count outside `1..=64`.
     ShardsOutOfRange(usize),
-    /// Inline/threaded cut-over of zero: every non-empty batch would spawn
-    /// worker threads, which is a test hook, not a configuration.
-    ZeroParallelThreshold,
     /// Epoch budget of 0 operations: every epoch would close before
     /// admitting a single request.
     ZeroEpochOps,
@@ -323,12 +314,6 @@ impl fmt::Display for DictConfigError {
             DictConfigError::ZeroElemSize => write!(f, "elem_size must be positive"),
             DictConfigError::ShardsOutOfRange(v) => {
                 write!(f, "shards must lie in 1..=64, got {v}")
-            }
-            DictConfigError::ZeroParallelThreshold => {
-                write!(
-                    f,
-                    "parallel_threshold must be at least 1 (0 is the test-only force-threads hook)"
-                )
             }
             DictConfigError::ZeroEpochOps => {
                 write!(f, "server.epoch_ops must be at least 1")
@@ -389,9 +374,6 @@ impl DictConfig {
         }
         if self.shards == 0 || self.shards > 64 {
             return Err(DictConfigError::ShardsOutOfRange(self.shards));
-        }
-        if self.parallel_threshold == 0 {
-            return Err(DictConfigError::ZeroParallelThreshold);
         }
         if self.server.epoch_ops == 0 {
             return Err(DictConfigError::ZeroEpochOps);
@@ -532,15 +514,6 @@ impl DictBuilder {
         self
     }
 
-    /// Sets the batch size at which the sharded service fans out to worker
-    /// threads (`≥ 1`; zero is rejected by [`DictConfig::validate`] — the
-    /// force-threads hook is [`ShardedDict::set_parallel_threshold`], a
-    /// test affordance, not a configuration).
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.config.parallel_threshold = threshold;
-        self
-    }
-
     /// Sets the network front-end's epoch/backpressure knobs (consumed by
     /// `dict-server`; validated by [`DictConfig::validate`]).
     pub fn server(mut self, server: ServerConfig) -> Self {
@@ -629,7 +602,7 @@ impl DictBuilder {
     /// observable state — key-to-shard assignment plus every shard's layout
     /// — is therefore a pure function of *(contents, seed, shard count)*,
     /// which `tests/shard_history_independence.rs` verifies across
-    /// histories, batch partitionings and thread schedules.
+    /// histories and batch partitionings.
     ///
     /// ```
     /// use anti_persistence::dict::{Backend, Dict};
@@ -687,10 +660,9 @@ impl DictBuilder {
         self.config.validate()?;
         let c = self.config;
         let router = ShardRouter::new(c.seed, c.shards);
-        let mut service =
-            ShardedDict::build_with(router, |_, seed| build(DictConfig { seed, ..c.clone() }));
-        service.set_parallel_threshold(c.parallel_threshold);
-        Ok(service)
+        Ok(ShardedDict::build_with(router, |_, seed| {
+            build(DictConfig { seed, ..c.clone() })
+        }))
     }
 
     /// Opens (or creates) a file-backed [`PersistentDict`] at `path` with
@@ -1269,9 +1241,9 @@ mod tests {
 
     #[test]
     fn every_backend_is_send_and_sync() {
-        // Compile-time audit for the sharded service layer: all seven
-        // engines must migrate onto worker threads, and so must the
-        // sharded facade over them.
+        // Compile-time audit for the sharded service layer: connection
+        // threads share one served dictionary, so all seven engines and the
+        // sharded facade over them must be `Send + Sync`.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DynDict<u64, u64>>();
         assert_send_sync::<DynDict<String, Vec<u8>>>();
@@ -1428,16 +1400,7 @@ mod tests {
     }
 
     #[test]
-    fn try_build_rejects_degenerate_server_and_batching_knobs() {
-        // A zero cut-over as *configuration* would thread every batch; the
-        // test-only force-threads hook stays on the service setter.
-        assert!(matches!(
-            Dict::builder()
-                .parallel_threshold(0)
-                .try_build_sharded::<u64, u64>()
-                .map(|_| ()),
-            Err(DictConfigError::ZeroParallelThreshold)
-        ));
+    fn try_build_rejects_degenerate_server_knobs() {
         // Degenerate epoch/backpressure knobs are refused before the server
         // could stall (0-op budget) or shed every request (0-length queues).
         for (server, expected) in [
@@ -1506,13 +1469,6 @@ mod tests {
             assert_eq!(err, expected, "{server:?}");
             assert!(!err.to_string().is_empty());
         }
-        // A validated threshold really reaches the service.
-        let service = Dict::builder()
-            .shards(3)
-            .parallel_threshold(7)
-            .try_build_sharded::<u64, u64>()
-            .unwrap();
-        assert_eq!(service.parallel_threshold(), 7);
         // Defaults remain valid end to end.
         assert!(Dict::builder()
             .server(ServerConfig::default())

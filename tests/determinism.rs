@@ -310,8 +310,8 @@ fn batched_apply_is_bit_identical_across_batch_sizes() {
 fn sharded_mixed_batches_are_bit_identical_across_splits() {
     use hi_common::batch::BatchOp;
     // Mixed put/remove streams through multi_apply, at several shard
-    // counts and several chunkings (inline and threaded): every split must
-    // leave bit-identical per-shard layouts — the batched twin of
+    // counts and several chunkings: every split must leave bit-identical
+    // per-shard layouts — the batched twin of
     // `sharded_layouts_are_bit_identical_across_work_splits`.
     let stream = keyed_stream(5_000, "uniform", 0x51AB);
     for shards in [2usize, 4, 8] {
@@ -328,13 +328,12 @@ fn sharded_mixed_batches_are_bit_identical_across_splits() {
             }
         }
         let reference = shard_layouts(&per_op);
-        for (chunk, threshold) in [(97usize, 0usize), (1_024, usize::MAX), (5_000, 0)] {
+        for chunk in [97usize, 1_024, 5_000] {
             let mut batched: ShardedDict<DynDict<u64, u64>> = Dict::builder()
                 .backend(Backend::HiPma)
                 .seed(0xD15C)
                 .shards(shards)
                 .build_sharded();
-            batched.set_parallel_threshold(threshold);
             for part in stream.chunks(chunk) {
                 let ops: Vec<BatchOp<u64, u64>> = part
                     .iter()
@@ -468,8 +467,7 @@ fn hi_pma_bulk_load_matches_across_prior_histories() {
 // ---------------------------------------------------------------------
 // Sharded determinism: a ShardedDict's layout must be a pure function of
 // (contents, seed, S) — the same operation stream must produce bit-identical
-// per-shard layouts no matter how the caller split it into batches and no
-// matter whether the batches ran inline or on scoped worker threads. This
+// per-shard layouts no matter how the caller split it into batches. This
 // holds by construction (grouping a stream by shard preserves each shard's
 // subsequence, and shards share no randomness), and these tests pin it.
 // ---------------------------------------------------------------------
@@ -486,19 +484,18 @@ fn shard_layouts(d: &ShardedDict<DynDict<u64, u64>>) -> Vec<Vec<bool>> {
 #[test]
 fn sharded_layouts_are_bit_identical_across_work_splits() {
     // Same stream of 4 000 operations, same root seed, four execution
-    // plans: per-op inserts, small threaded batches, large sequential
-    // batches, one giant threaded batch. Across ≥ 3 shard counts.
+    // plans: per-op inserts, small batches, large batches, one giant
+    // batch. Across ≥ 3 shard counts.
     let stream: Vec<(u64, u64)> = (0..4_000u64)
         .map(|i| (i.wrapping_mul(2_654_435_761) % 60_000, i))
         .collect();
     for shards in [2usize, 4, 8] {
-        let build = |chunk: usize, threshold: usize| {
+        let build = |chunk: usize| {
             let mut d: ShardedDict<DynDict<u64, u64>> = Dict::builder()
                 .backend(Backend::HiPma)
                 .seed(0x5A4D)
                 .shards(shards)
                 .build_sharded();
-            d.set_parallel_threshold(threshold);
             for part in stream.chunks(chunk) {
                 d.multi_put(part.to_vec());
             }
@@ -513,13 +510,13 @@ fn sharded_layouts_are_bit_identical_across_work_splits() {
             per_op.insert(*k, *v);
         }
         let reference = shard_layouts(&per_op);
-        let threaded_small = build(173, 0);
-        let sequential_large = build(1_024, usize::MAX);
-        let threaded_whole = build(stream.len(), 0);
+        let small = build(173);
+        let large = build(1_024);
+        let whole = build(stream.len());
         for (label, d) in [
-            ("threaded batches of 173", &threaded_small),
-            ("sequential batches of 1024", &sequential_large),
-            ("one threaded batch", &threaded_whole),
+            ("batches of 173", &small),
+            ("batches of 1024", &large),
+            ("one batch", &whole),
         ] {
             assert_eq!(
                 d.to_sorted_vec(),
@@ -540,31 +537,27 @@ fn sharded_bulk_load_layout_is_pinned_and_order_free() {
     // bulk_load is the strongest form: layout = f(contents, seed, S) with
     // *no* dependence on arrival order at all. Pin the S=4 fingerprint so
     // engine rewrites cannot silently change the sharded representation,
-    // and check the parallel loader is bit-identical to the sequential one.
-    let load = |input: Vec<(u64, u64)>, parallel: bool| {
+    // and check a reversed load is bit-identical to an ascending one.
+    let load = |input: Vec<(u64, u64)>| {
         let mut d: ShardedDict<DynDict<u64, u64>> = Dict::builder()
             .backend(Backend::HiPma)
             .seed(0xC0DE)
             .shards(4)
             .build_sharded();
         d.insert(999_999, 1); // pre-existing state must not leak through
-        if parallel {
-            d.bulk_load_parallel(input, 0xB01D);
-        } else {
-            d.bulk_load(input, 0xB01D);
-        }
+        d.bulk_load(input, 0xB01D);
         d
     };
     let ascending: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k * 7, k)).collect();
     let mut shuffled = ascending.clone();
     shuffled.reverse();
-    let a = load(ascending.clone(), false);
-    let b = load(shuffled, true);
+    let a = load(ascending.clone());
+    let b = load(shuffled);
     assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
     assert_eq!(
         shard_layouts(&a),
         shard_layouts(&b),
-        "parallel reversed load must be bit-identical to sequential ascending load"
+        "reversed load must be bit-identical to ascending load"
     );
 
     let mut fingerprint_bits: Vec<bool> = Vec::new();

@@ -4,14 +4,10 @@
 //! two operation sequences reaching the same logical state induce the same
 //! distribution over memory representations. This battery extends the claim
 //! to the deployment shape the ROADMAP targets — `S` hash-partitioned
-//! shards fed by batched, multi-threaded writes — and adds the two new ways
-//! a sharded service could leak history that a single structure cannot:
-//!
-//! 1. **Batch partitioning**: how the caller split the operation stream
-//!    into `multi_put` batches must not show up in the layout.
-//! 2. **Thread scheduling**: whether batches executed on scoped worker
-//!    threads or inline (and in whatever interleaving the scheduler chose)
-//!    must not show up either.
+//! shards fed by batched writes — and adds the new way a sharded service
+//! could leak history that a single structure cannot: **batch
+//! partitioning**. How the caller split the operation stream into
+//! `multi_put` batches must not show up in the layout.
 //!
 //! Methodology is identical to the single-structure battery: build the same
 //! final contents through different histories over many independent seeds,
@@ -79,10 +75,9 @@ fn build_descending_with_churn(seed: u64, shards: usize) -> ShardedDict<DynDict<
 }
 
 /// History C: interleaved arrival order (evens then odds), delivered as
-/// small `multi_put` batches forced onto worker threads.
-fn build_threaded_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
+/// `multi_put` batches of 97.
+fn build_interleaved_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
     let mut d = service(seed, shards);
-    d.set_parallel_threshold(0); // every batch fans out to scoped threads
     let ascending = pairs_ascending();
     let mut interleaved: Vec<(u64, u64)> = ascending.iter().copied().step_by(2).collect();
     interleaved.extend(ascending.iter().copied().skip(1).step_by(2));
@@ -93,10 +88,9 @@ fn build_threaded_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, 
 }
 
 /// History D: a different arrival order (back half, then front half) with a
-/// different batch partitioning, executed on the inline (unthreaded) path.
-fn build_sequential_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
+/// different batch partitioning: batches of 13.
+fn build_rotated_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
     let mut d = service(seed, shards);
-    d.set_parallel_threshold(usize::MAX); // never spawn threads
     let ascending = pairs_ascending();
     let half = ascending.len() / 2;
     let mut rotated = ascending[half..].to_vec();
@@ -141,8 +135,8 @@ fn sharded_layout_distribution_is_history_and_schedule_free() {
             let builds = [
                 build_ascending(seed, shards),
                 build_descending_with_churn(seed, shards),
-                build_threaded_batches(seed, shards),
-                build_sequential_batches(seed, shards),
+                build_interleaved_batches(seed, shards),
+                build_rotated_batches(seed, shards),
             ];
             let reference = builds[0].to_sorted_vec();
             for (h, d) in hist.iter_mut().zip(&builds) {
@@ -158,12 +152,12 @@ fn sharded_layout_distribution_is_history_and_schedule_free() {
         assert_same_distribution(
             &hist[0],
             &hist[2],
-            &format!("S={shards}: ascending vs threaded interleaved batches"),
+            &format!("S={shards}: ascending vs interleaved batches of 97"),
         );
         assert_same_distribution(
             &hist[0],
             &hist[3],
-            &format!("S={shards}: ascending vs sequential rotated batches"),
+            &format!("S={shards}: ascending vs rotated batches of 13"),
         );
     }
 }
@@ -203,7 +197,7 @@ fn shard_density_distribution_survives_batched_churn() {
     // Sharded form of the secure-delete test: the per-shard slot density
     // (occupied / total slots, which tracks the secret capacity parameter
     // N̂) must be distributed identically whether the contents arrived
-    // clean or through a threaded batch storm with an insert-then-delete
+    // clean or through a batch storm with an insert-then-delete
     // episode. Compared as total-variation distance between the two
     // empirical density histograms, like the skip-list height test.
     let shards = 3usize;
@@ -219,12 +213,10 @@ fn shard_density_distribution_survives_batched_churn() {
     for t in 0..trials {
         let seed = 4_000_000 + t;
         let mut clean = service(seed, shards);
-        clean.set_parallel_threshold(0);
         clean.multi_put((0..KEYS).map(|k| (k * 3, k)));
         clean_hist[density_bucket(&clean)] += 1;
 
         let mut churn = service(seed + 500_000, shards);
-        churn.set_parallel_threshold(0);
         churn.multi_put((0..KEYS).map(|k| (k * 3, k)));
         churn.multi_put((0..EXTRA).map(|k| (3 * KEYS + k, k)));
         churn.multi_remove((0..EXTRA).map(|k| 3 * KEYS + k).collect::<Vec<_>>());

@@ -6,8 +6,7 @@
 //! 1. **Writer storm**: `WRITERS` threads, one per disjoint key range,
 //!    generate seeded batches behind a [`Barrier`] (so generation is
 //!    genuinely concurrent), which are then applied through the service's
-//!    batched write path with the parallel threshold forced to 0 — every
-//!    batch fans out to scoped per-shard worker threads.
+//!    batched write path.
 //! 2. **Reader storm**: `READERS` threads share the service immutably
 //!    behind another barrier and hammer `multi_get`, merged `range_iter`
 //!    scans and ordered navigation, each checked against the oracle.
@@ -60,7 +59,6 @@ fn run_storm(backend: Backend, shards: usize, root_seed: u64) {
         .seed(root_seed)
         .shards(shards)
         .build_sharded();
-    service.set_parallel_threshold(0); // every batch takes the threaded path
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
 
     for round in 0..ROUNDS {
@@ -82,8 +80,8 @@ fn run_storm(backend: Backend, shards: usize, root_seed: u64) {
                 .collect()
         });
 
-        // Apply in writer order (deterministic), each batch fanning out to
-        // per-shard worker threads; mirror into the oracle identically.
+        // Apply in writer order (deterministic), one batch per writer;
+        // mirror into the oracle identically.
         for (w, (puts, removes)) in batches.into_iter().enumerate() {
             service.multi_put(puts.clone());
             for (k, v) in puts {
