@@ -19,8 +19,8 @@ cargo test --release -q -p pma
 echo "==> cargo test --release -q -p dict-server (the racing-leaders, answered-on-return and panic-containment tests as the benchmark runs the server: optimised, debug assertions out)"
 cargo test --release -q -p dict-server
 
-echo "==> cargo test --release -q --test determinism (every fingerprint and the golden image as the benchmark builds them: optimised, debug assertions out)"
-cargo test --release -q --test determinism
+echo "==> cargo test --release -q --test determinism --test server_determinism (every fingerprint, the golden image and the restart round trips as the benchmark builds them: optimised, debug assertions out)"
+cargo test --release -q --test determinism --test server_determinism
 
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint

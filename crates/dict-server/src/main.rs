@@ -13,8 +13,15 @@
 //! Binds the address (port 0 picks an ephemeral port), prints the bound
 //! address on stdout as `listening on ADDR`, optionally writes the bare
 //! address to `--addr-file` (how `ci.sh` discovers the port), then serves
-//! until the process is killed. With `--persist`, the `FLUSH` operation
-//! canonicalizes the served contents into the given block-store file.
+//! until the process is killed. With `--persist`, the server boots from the
+//! given block-store file's last committed image, and the `FLUSH` operation
+//! canonicalizes the served contents into it. An existing file's seed must
+//! be `--seed`'s; a mismatch is refused before the address is bound.
+//!
+//! A restart therefore serves what was last flushed, and nothing since:
+//! shutdown does not flush, and the retry dedup registry lives in RAM, so
+//! a request retried across a restart is applied again. Each shard's
+//! in-RAM layout is a fresh draw of `f(contents, seed)`.
 //!
 //! The shards are HI-PMAs: the baseline engines are not served, so there is
 //! no backend to choose.
@@ -122,7 +129,7 @@ fn run() -> Result<(), String> {
             persist,
         },
     )
-    .map_err(|e| format!("bind {}: {e}", args.addr))?;
+    .map_err(|e| format!("serve on {}: {e}", args.addr))?;
     println!("listening on {}", server.addr());
     if let Some(path) = &args.addr_file {
         std::fs::write(path, server.addr().to_string())

@@ -124,9 +124,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use anti_persistence::dict::{
-    Backend, DictBuilder, DictConfig, DictConfigError, HiDict, PersistentDict, ServerConfig,
-};
+use anti_persistence::dict::{DictBuilder, DictConfig, HiDict, PersistentDict, ServerConfig};
 use hi_common::batch::BatchOp;
 use hi_common::sync::locked;
 use hi_common::traits::Dictionary;
@@ -155,12 +153,16 @@ const MAX_DEDUP_CLIENTS: usize = 1024;
 /// Everything the server hands to [`Server::spawn`] besides the address.
 pub struct ServerOptions {
     /// Dictionary + epoch/backpressure configuration (validated up front;
-    /// see `DictConfig::validate`), over [`Backend::HiPma`], the one engine served.
+    /// see `DictConfig::validate`), over [`Backend::HiPma`], the one engine
+    /// served.
+    ///
+    /// [`Backend::HiPma`]: anti_persistence::dict::Backend::HiPma
     pub config: DictConfig,
-    /// When present, `FLUSH` canonicalizes the served contents into this
-    /// store; when `None`, `FLUSH` answers `UNAVAILABLE`. Passing the
-    /// dictionary in (rather than a path) lets crash batteries arm a
-    /// `block_store::FaultPlan` before the server starts. A HI-PMA store too.
+    /// When present, the server boots from this store's contents, and
+    /// `FLUSH` canonicalizes the served contents into it; when `None`,
+    /// `FLUSH` answers `UNAVAILABLE`. Its seed must be the config's.
+    /// Passing the dictionary in (rather than a path) lets crash batteries
+    /// arm a `block_store::FaultPlan` before the server starts.
     pub persist: Option<PersistentDict>,
 }
 
@@ -506,16 +508,34 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the configuration (another backend than [`Backend::HiPma`],
-    /// in it or under `persist`, is `InvalidInput`), builds the sharded
-    /// dictionary, binds `addr` (port 0: ephemeral) and spawns the acceptors.
-    pub fn spawn(addr: impl ToSocketAddrs, opts: ServerOptions) -> io::Result<Server> {
+    /// Validates the configuration, builds the sharded dictionary, boots it
+    /// from `persist`, binds `addr` (port 0: ephemeral) and spawns the
+    /// acceptors.
+    ///
+    /// A backend other than [`Backend::HiPma`], or a `persist` store whose
+    /// seed is not the config's, is `InvalidInput` before the listener
+    /// binds. A store's contents are bulk-loaded into the shards under that
+    /// one seed, so a restart serves the last committed image, and the
+    /// store's own dictionary is emptied: the shards are the one copy.
+    ///
+    /// [`Backend::HiPma`]: anti_persistence::dict::Backend::HiPma
+    pub fn spawn(addr: impl ToSocketAddrs, mut opts: ServerOptions) -> io::Result<Server> {
         let cfg = opts.config.server;
-        let dict: ServedDict = match opts.persist.as_ref().map(|p| p.backend()) {
-            Some(other) if other != Backend::HiPma => Err(DictConfigError::NotHiPma(other)),
-            _ => DictBuilder::from_config(opts.config).try_build_hi_sharded(),
+        let seed = opts.config.seed;
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        let mut dict: ServedDict = DictBuilder::from_config(opts.config)
+            .try_build_hi_sharded()
+            .map_err(|e| invalid(e.to_string()))?;
+        if let Some(p) = opts.persist.as_mut() {
+            if p.seed() != seed {
+                let stored = p.seed();
+                return Err(invalid(format!(
+                    "the store holds seed {stored}, the config names seed {seed}"
+                )));
+            }
+            dict.bulk_load(p.iter().map(|(&k, &v)| (k, v)), seed);
+            p.bulk_load([], seed);
         }
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let shard_count = dict.shard_count();
         let router = *dict.router();
         let listener = TcpListener::bind(addr)?;
@@ -612,8 +632,8 @@ impl Server {
 
     /// Takes the persistence layer back out of a stopped server — the
     /// crash batteries reopen the store to assert whole-old/whole-new. Its
-    /// store holds the last `FLUSH`; its in-RAM dictionary is whatever it
-    /// was at spawn (the server never served from it).
+    /// store holds the last `FLUSH`; its in-RAM dictionary is empty (spawn
+    /// moved the contents into the shards).
     pub fn into_persist(mut self) -> Option<PersistentDict> {
         self.shutdown();
         locked(&self.shared.persist).take()
@@ -1233,6 +1253,7 @@ fn flush_response(shared: &Shared, dict: &ServedDict) -> Response {
 mod tests {
     use super::*;
     use crate::protocol::{decode_response, read_frame, Frame};
+    use anti_persistence::dict::Backend;
 
     fn serve_with(server: ServerConfig) -> Server {
         let config = DictConfig {
@@ -1260,9 +1281,10 @@ mod tests {
         }
     }
 
-    /// Only the HI-PMA is served. Another backend, in the config or under
-    /// the persistent store, is refused typed before the listener binds:
-    /// the address below is taken, and binding it would fail otherwise.
+    /// Only the HI-PMA is served, and only under the seed its store was
+    /// committed with. Another backend in the config, or a store under
+    /// another seed, is refused typed before the listener binds: the
+    /// address below is taken, and binding it would fail otherwise.
     #[test]
     fn another_backend_is_refused_before_the_server_binds() {
         let taken = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -1271,26 +1293,37 @@ mod tests {
             backend,
             ..DictConfig::default()
         };
-        let classic = DictBuilder::from_config(config(Backend::ClassicPma))
-            .build_persistent(anti_persistence::block_store::temp_path("served-classic"))
-            .expect("a classic-PMA store opens");
+        let mut foreign = DictBuilder::from_config(config(Backend::HiPma))
+            .seed(1)
+            .build_persistent(anti_persistence::block_store::temp_path(
+                "served-foreign-seed",
+            ))
+            .expect("a HI-PMA store opens");
+        foreign.insert(1, 1);
+        foreign.flush().expect("the store commits under seed 1");
         let (data, journal) = (
-            classic.store().path().to_path_buf(),
-            classic.store().journal_path().to_path_buf(),
+            foreign.store().path().to_path_buf(),
+            foreign.store().journal_path().to_path_buf(),
         );
-        for opts in [
-            ServerOptions {
-                config: config(Backend::BTree),
-                persist: None,
-            },
-            ServerOptions {
-                config: config(Backend::HiPma),
-                persist: Some(classic),
-            },
+        for (opts, why) in [
+            (
+                ServerOptions {
+                    config: config(Backend::BTree),
+                    persist: None,
+                },
+                "hi-pma only",
+            ),
+            (
+                ServerOptions {
+                    config: config(Backend::HiPma),
+                    persist: Some(foreign),
+                },
+                "the store holds seed 1, the config names seed 0",
+            ),
         ] {
             let err = Server::spawn(addr, opts).map(|_| ()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-            assert!(err.to_string().contains("hi-pma only"), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
         }
         for path in [data, journal] {
             let _ = std::fs::remove_file(path);

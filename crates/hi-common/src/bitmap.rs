@@ -105,53 +105,6 @@ impl Bitmap {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// Index of the first set slot at or after `from`, scanning word by word.
-    pub fn next_set_bit(&self, from: usize) -> Option<usize> {
-        if from >= self.len {
-            return None;
-        }
-        let mut w = from / 64;
-        let mut word = self.words[w] & (u64::MAX << (from % 64));
-        loop {
-            if word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                return (i < self.len).then_some(i);
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
-            word = self.words[w];
-        }
-    }
-
-    /// Slot of the `n`-th (0-based) set bit in `[start, end)`, if it exists.
-    pub fn nth_set_in_range(&self, start: usize, end: usize, mut n: usize) -> Option<usize> {
-        debug_assert!(start <= end && end <= self.len);
-        if start >= end {
-            return None;
-        }
-        for w in start / 64..=(end - 1) / 64 {
-            let mut word = self.words[w] & Self::word_mask(w, start, end);
-            let ones = word.count_ones() as usize;
-            if n >= ones {
-                n -= ones;
-                continue;
-            }
-            // The n-th set bit lives in this word; peel bits off.
-            for _ in 0..n {
-                word &= word - 1;
-            }
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        None
-    }
-
-    /// Decodes the bitmap into one `bool` per slot.
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +120,6 @@ mod tests {
     impl Reference {
         fn count_range(&self, start: usize, end: usize) -> usize {
             self.0[start..end].iter().filter(|&&b| b).count()
-        }
-
-        fn nth_set_in_range(&self, start: usize, end: usize, n: usize) -> Option<usize> {
-            self.0[start..end]
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b)
-                .nth(n)
-                .map(|(i, _)| start + i)
         }
     }
 
@@ -226,46 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn nth_set_matches_reference_on_random_patterns() {
-        for seed in [20u64, 21, 22] {
-            let len = 200;
-            let (bm, reference) = random_pair(len, 0.4, seed);
-            for start in (0..len).step_by(11) {
-                for end in (start..=len).step_by(29) {
-                    let total = reference.count_range(start, end);
-                    for n in 0..total + 2 {
-                        assert_eq!(
-                            bm.nth_set_in_range(start, end, n),
-                            reference.nth_set_in_range(start, end, n),
-                            "seed {seed} range [{start}, {end}) n {n}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn next_set_bit_walks_every_set_slot() {
-        let (bm, reference) = random_pair(260, 0.25, 33);
-        let mut via_scan = Vec::new();
-        let mut at = 0usize;
-        while let Some(i) = bm.next_set_bit(at) {
-            via_scan.push(i);
-            at = i + 1;
-        }
-        let expected: Vec<usize> = reference
-            .0
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(via_scan, expected);
-        assert_eq!(bm.next_set_bit(260), None);
-    }
-
-    #[test]
     fn clear_range_is_word_exact() {
         let mut bm = Bitmap::new(300);
         for i in 0..300 {
@@ -281,17 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn to_bools_roundtrip() {
-        let (bm, reference) = random_pair(97, 0.5, 44);
-        assert_eq!(bm.to_bools(), reference.0);
-    }
-
-    #[test]
     fn empty_bitmap() {
         let bm = Bitmap::new(0);
         assert!(bm.is_empty());
         assert_eq!(bm.count_ones(), 0);
-        assert_eq!(bm.next_set_bit(0), None);
-        assert_eq!(bm.to_bools(), Vec::<bool>::new());
     }
 }

@@ -1,5 +1,5 @@
-//! Persisting PMAs: mapping a slot array onto a [`block_store::BlockStore`]
-//! image and rebuilding it on open.
+//! Persisting the HI-PMA: mapping its slot array onto a
+//! [`block_store::BlockStore`] image and checking that image on open.
 //!
 //! The image is an occupancy bitmap plus a record region of the elements
 //! packed in rank order, with no extra framing: the k-th set bit owns the
@@ -7,25 +7,25 @@
 //! pure function `f(contents, seed)` — the layout `bulk_load(contents, seed)`
 //! draws — and that layout's coins go *by rank*: the capacity is drawn from
 //! the length, each balance from a window whose bounds are counts. So the
-//! bitmap is a function of *(len, seed)* alone ([`CanonicalOccupancy`]), and
-//! writing the canonical image never needs the canonical structure:
-//! [`flush_canonical`] computes the bitmap from the coins and streams the
-//! sequence's elements, in the order they already stand in, behind it.
-//! Nothing about the operation history survives on disk, and the in-RAM
-//! layout is not touched.
+//! bitmap is a function of *(len, seed)* alone
+//! ([`HiPma::canonical_occupancy`]), and writing the canonical image never
+//! needs the canonical structure: a flush computes the bitmap from the
+//! coins and streams the contents in key order behind it. Nothing about the
+//! operation history survives on disk, and the in-RAM layout is not
+//! touched.
 //!
-//! Opening is the other half of the contract and does redraw: load the
-//! records, `bulk_load(records, stored_seed)`, and require the result to
-//! reproduce the committed fingerprint ([`verify_layout`]). A reopened
-//! structure is `f(contents, seed)` regardless of how the previous process
-//! built it, and an image that is not is refused by name.
+//! Opening is the other half of the contract and computes too: the
+//! committed bitmap must be the canonical one for the stored *(len, seed)*
+//! ([`verify_layout`] on the computed words) before a record is loaded. An
+//! image that is not `f(contents, seed)` is refused by name, whatever
+//! process wrote it.
 
-use block_store::{layout_fingerprint, BlockStore, FileError, Record, StoreMeta};
-use hi_common::traits::{Occupancy, RankedSequence};
+use block_store::{layout_fingerprint, FileError, StoreMeta};
+use hi_common::traits::Occupancy;
 use std::fmt;
 use std::io;
 
-use crate::{ClassicPma, HiPma};
+use crate::HiPma;
 
 /// A typed error from persisting or reopening a PMA.
 ///
@@ -68,13 +68,14 @@ pub enum PersistError {
         /// The only version this build reads and writes.
         supported: u64,
     },
-    /// The layout rebuilt from the stored records and seed does not
-    /// reproduce the committed image's fingerprint — the image was flushed
-    /// non-canonically or the store's contents were tampered with.
+    /// The committed bitmap is not the canonical one for the image's
+    /// *(len, seed)* — the image was flushed non-canonically or the store's
+    /// contents were tampered with.
     FingerprintMismatch {
         /// Fingerprint recorded in the committed header.
         committed: u64,
-        /// Fingerprint of the layout rebuilt by `bulk_load`.
+        /// Fingerprint of [`HiPma::canonical_occupancy`] for the image's
+        /// `(len, seed)`.
         rebuilt: u64,
     },
     /// The dictionary handed to a flush did not yield its keys strictly
@@ -165,57 +166,21 @@ impl From<PersistError> for io::Error {
     }
 }
 
-/// Slot-array structures whose `bulk_load` layout has an occupancy that is
-/// a function of *(len, seed)* alone.
-pub trait CanonicalOccupancy {
+impl<T: Clone> HiPma<T> {
     /// `(slot_count, occupancy_words)` of `bulk_load(items, seed)` for any
-    /// `len` items, computed without them.
-    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>);
-}
-
-/// Runs the structure's own planner over `len` unit elements: it only ever
-/// asks how many elements a range holds, so it draws the coin sequence it
-/// draws for real ones, and moving a `()` costs nothing.
-fn unit_occupancy<S>(mut unit: S, len: usize, seed: u64) -> (u64, Vec<u64>)
-where
-    S: Occupancy + RankedSequence<Item = ()>,
-{
-    unit.bulk_load(std::iter::repeat_n((), len), seed);
-    (unit.slot_count() as u64, unit.occupancy_words())
-}
-
-impl<T: Clone> CanonicalOccupancy for HiPma<T> {
-    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>) {
-        unit_occupancy(HiPma::<()>::new(seed), len, seed)
+    /// `len` items, computed without them: the planner runs over `len` unit
+    /// elements. It only ever asks how many elements a range holds, so it
+    /// draws the coin sequence it draws for real ones, and moving a `()`
+    /// costs nothing.
+    pub fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>) {
+        let mut unit = HiPma::<()>::new(seed);
+        unit.bulk_load(std::iter::repeat_n((), len), seed);
+        (unit.slot_count() as u64, unit.occupancy_words())
     }
 }
 
-impl<T: Clone> CanonicalOccupancy for ClassicPma<T> {
-    fn canonical_occupancy(len: usize, seed: u64) -> (u64, Vec<u64>) {
-        unit_occupancy(ClassicPma::<()>::new(), len, seed)
-    }
-}
-
-/// Commits the canonical image of the sequence's contents — the bytes
-/// `bulk_load(contents, seed)` would flush — leaving the sequence as it is:
-/// the occupancy comes from *(len, seed)*, the records from one pass over
-/// `seq`. Returns the committed generation.
-pub fn flush_canonical<S, T>(
-    seq: &S,
-    seed: u64,
-    store: &mut BlockStore,
-) -> Result<u64, PersistError>
-where
-    S: CanonicalOccupancy + RankedSequence<Item = T>,
-    T: Record + Clone,
-{
-    let len = seq.len();
-    let (slots, words) = S::canonical_occupancy(len, seed);
-    Ok(store.commit(&words, slots, len as u64, seq.iter().cloned(), seed)?)
-}
-
-/// Checks that a rebuilt layout — its occupancy words and slot count —
-/// reproduces the committed image's fingerprint: the recovery half of the
+/// Checks that a layout — its occupancy words and slot count — reproduces
+/// the committed image's fingerprint: the recovery half of the
 /// `f(contents, seed)` contract.
 pub fn verify_layout(
     words: &[u64],
@@ -236,34 +201,14 @@ pub fn verify_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use block_store::{temp_path, StoreOptions};
-
-    fn cleanup(store: &BlockStore) {
-        let data = store.path().to_path_buf();
-        let journal = store.journal_path().to_path_buf();
-        let _ = std::fs::remove_file(data);
-        let _ = std::fs::remove_file(journal);
-    }
-
-    /// Reopens `path` the way every reader does: load, redraw with the
-    /// stored seed, require the committed fingerprint. Returns the redrawn
-    /// structure beside the committed words.
-    fn reopen<S, T>(path: &std::path::Path, mut fresh: S) -> (S, StoreMeta, Vec<u64>)
-    where
-        S: Occupancy + RankedSequence<Item = T>,
-        T: Record + Clone,
-    {
-        let mut store = BlockStore::open(path, StoreOptions::new(512).no_sync()).unwrap();
-        let (meta, words, records) = store.load::<T>().unwrap();
-        fresh.bulk_load(records, meta.seed);
-        verify_layout(&fresh.occupancy_words(), fresh.slot_count() as u64, &meta).unwrap();
-        (fresh, meta, words)
-    }
+    use block_store::{temp_path, BlockStore, StoreOptions};
+    use hi_common::traits::RankedSequence;
 
     #[test]
     fn hi_pma_canonical_roundtrip_reproduces_layout_exactly() {
         let path = temp_path("persist-hi");
-        let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
+        let opts = StoreOptions::new(512).no_sync();
+        let mut store = BlockStore::open(&path, opts).unwrap();
 
         // Build through an arbitrary (history-dependent) insertion order.
         let mut pma: HiPma<u64> = HiPma::new(1);
@@ -272,40 +217,29 @@ mod tests {
             pma.insert_at(rank, k).unwrap();
         }
         let words_in_ram = pma.occupancy_words();
-        flush_canonical(&pma, 0xA5EED, &mut store).unwrap();
+        let (slots, words) = HiPma::<u64>::canonical_occupancy(pma.len(), 0xA5EED);
+        let len = pma.len() as u64;
+        store
+            .commit(&words, slots, len, pma.iter().cloned(), 0xA5EED)
+            .unwrap();
         assert_eq!(pma.occupancy_words(), words_in_ram, "flush moved RAM");
 
-        let (reopened, meta, committed) = reopen(&path, HiPma::<u64>::new(2));
+        // A reader that loads the records under the stored seed draws the
+        // committed layout bit for bit.
+        let mut store = BlockStore::open(&path, opts).unwrap();
+        let (meta, committed, records) = store.load::<u64>().unwrap();
         assert_eq!(meta.seed, 0xA5EED);
-        assert_eq!(reopened.len(), 2_000);
-        assert_eq!(
-            reopened.occupancy_words(),
-            committed,
-            "reopen must reproduce the canonical layout bit for bit"
-        );
+        assert_eq!(committed, words);
+        let mut reopened = HiPma::<u64>::new(2);
+        reopened.bulk_load(records, meta.seed);
+        verify_layout(&reopened.occupancy_words(), slots, &meta).unwrap();
+        assert_eq!(reopened.occupancy_words(), committed);
         assert_eq!(
             reopened.iter().copied().collect::<Vec<_>>(),
             (0..2_000u64).collect::<Vec<_>>()
         );
-        cleanup(&store);
-    }
-
-    #[test]
-    fn classic_pma_roundtrips_too() {
-        let path = temp_path("persist-classic");
-        let mut store = BlockStore::open(&path, StoreOptions::new(512).no_sync()).unwrap();
-        let mut pma: ClassicPma<(u64, u64)> = ClassicPma::new();
-        for k in 0..500u64 {
-            let rank = pma.len();
-            pma.insert_at(rank, (k, k * k)).unwrap();
-        }
-        flush_canonical(&pma, 7, &mut store).unwrap();
-
-        let (reopened, _, committed) = reopen(&path, ClassicPma::<(u64, u64)>::new());
-        assert_eq!(reopened.occupancy_words(), committed);
-        assert_eq!(reopened.len(), 500);
-        assert_eq!(reopened.get(499), Some((499, 499 * 499)));
-        cleanup(&store);
+        let _ = std::fs::remove_file(store.path());
+        let _ = std::fs::remove_file(store.journal_path());
     }
 
     /// `canonical_occupancy(len, seed)` against `bulk_load` of two unrelated
@@ -313,10 +247,8 @@ mod tests {
     /// the HI-PMA's range-tree height steps, then at lengths and seeds drawn
     /// at random. The HI-PMA's occupancy is computed from its leaf counts, so
     /// this pins the computation to the canonical image word for word.
-    fn assert_occupancy_is_a_function_of_len_and_seed<S>(fresh: impl Fn(u64) -> S)
-    where
-        S: CanonicalOccupancy + Occupancy + RankedSequence<Item = u64>,
-    {
+    #[test]
+    fn hi_pma_occupancy_is_a_function_of_len_and_seed() {
         const LENS: [usize; 11] = [0, 1, 2, 63, 64, 65, 1_000, 65_536, 65_537, 140_046, 140_047];
         let fixed = [1u64, 0xA5EED, u64::MAX]
             .into_iter()
@@ -330,8 +262,8 @@ mod tests {
         });
         let mut words = Vec::new();
         for (len, seed) in fixed.chain(drawn.take(24)) {
-            let (slots, canonical) = S::canonical_occupancy(len, seed);
-            let mut pma = fresh(seed ^ 0x5A);
+            let (slots, canonical) = HiPma::<u64>::canonical_occupancy(len, seed);
+            let mut pma = HiPma::<u64>::new(seed ^ 0x5A);
             for keys in [|i: u64| i, |i: u64| i * i + 7] {
                 pma.bulk_load((0..len as u64).map(keys), seed);
                 assert_eq!(pma.len(), len);
@@ -340,15 +272,5 @@ mod tests {
                 assert!(words == canonical, "len {len} seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn hi_pma_occupancy_is_a_function_of_len_and_seed() {
-        assert_occupancy_is_a_function_of_len_and_seed(HiPma::<u64>::new);
-    }
-
-    #[test]
-    fn classic_pma_occupancy_is_a_function_of_len_and_seed() {
-        assert_occupancy_is_a_function_of_len_and_seed(|_| ClassicPma::<u64>::new());
     }
 }

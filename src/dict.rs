@@ -52,7 +52,7 @@ use hi_common::counters::{OpCounters, SharedCounters};
 use hi_common::rng::RngSource;
 use hi_common::traits::{Dictionary, Occupancy, RankedDict};
 use io_sim::{IoConfig, IoStats, Tracer};
-use pma::persist::{verify_layout, CanonicalOccupancy, PersistError};
+use pma::persist::{verify_layout, PersistError};
 use pma::{ClassicPma, DensityBands, HiPma};
 use shard::{Instrumented, ShardRouter, ShardedDict};
 use skiplist::{ExternalSkipList, SkipParams};
@@ -665,17 +665,18 @@ impl DictBuilder {
         }))
     }
 
-    /// Opens (or creates) a file-backed [`PersistentDict`] at `path` with
-    /// the configured backend — which must be one of the slot-array engines
-    /// ([`Backend::HiPma`] or [`Backend::ClassicPma`]); the node-based
-    /// engines have no canonical slot image to persist.
+    /// Opens (or creates) a file-backed [`PersistentDict`] at `path`. The
+    /// configured backend must be [`Backend::HiPma`], the one engine
+    /// persisted; any other is refused (`InvalidInput`) before the file is
+    /// touched.
     ///
     /// On a fresh file the dictionary starts empty with the builder's seed.
-    /// On an existing file the stored records are bulk-loaded with the
-    /// *stored* seed (the builder's seed is ignored) and the rebuilt layout
-    /// is verified against the committed fingerprint, so a reopened
-    /// dictionary is the pure function `f(contents, seed)` regardless of
-    /// the history that produced the file.
+    /// On an existing file the *stored* seed wins (the builder's is
+    /// ignored): the committed bitmap must be the canonical one for the
+    /// stored *(len, seed)*, and only then are the records bulk-loaded under
+    /// that seed. A reopened dictionary is therefore the pure function
+    /// `f(contents, seed)` regardless of the history that produced the
+    /// file.
     ///
     /// When the builder carries an [`IoConfig`], its `block_size` is used as
     /// the store's real write granularity; otherwise 4096 bytes.
@@ -688,62 +689,41 @@ impl DictBuilder {
     /// e.g. [`StoreOptions::no_sync`] for crash-injection tests, where the
     /// process survives and write *ordering* is all that matters.
     pub fn build_persistent_with(
-        mut self,
+        self,
         path: impl AsRef<Path>,
         options: StoreOptions,
     ) -> io::Result<PersistentDict> {
-        self.config
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let occupancy = match self.config.backend {
-            Backend::HiPma => HiPma::<(u64, u64)>::canonical_occupancy,
-            Backend::ClassicPma => ClassicPma::<(u64, u64)>::canonical_occupancy,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "backend {other} has no slot-array image to persist; \
-                         use hi-pma or classic-pma"
-                    ),
-                ))
-            }
-        };
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        self.config.validate().map_err(|e| invalid(e.to_string()))?;
+        if self.config.backend != Backend::HiPma {
+            let other = self.config.backend;
+            return Err(invalid(format!(
+                "backend {other} is not persisted: hi-pma only"
+            )));
+        }
         let mut store = BlockStore::open(path, options).map_err(PersistError::from)?;
-        let committed = store.meta();
-        if let Some(meta) = committed {
-            self.config.seed = meta.seed;
-        }
-        let seed = self.config.seed;
+        let fresh_seed = self.config.seed;
         let mut dict: DynDict<u64, u64> = self.build();
-        if committed.is_some() {
-            reload(&mut store, &mut dict)?;
-        }
+        let seed = match store.meta() {
+            Some(_) => reload(&mut store, &mut dict)?,
+            None => fresh_seed,
+        };
         dict.counters().reset();
-        Ok(PersistentDict {
-            dict,
-            store,
-            seed,
-            occupancy,
-        })
+        Ok(PersistentDict { dict, store, seed })
     }
 }
 
-/// The one way a committed image becomes an in-RAM dictionary: load the
-/// records, redraw the layout with `bulk_load(records, stored seed)`, and
-/// require the redraw to reproduce the committed fingerprint
-/// ([`verify_layout`]), so that what is served is `f(contents, seed)` and
-/// what is on disk was too. `dict` must be a slot-array backend. Returns
-/// the stored seed.
+/// The one way a committed image becomes an in-RAM dictionary. The image is
+/// checked before anything is built: its bitmap must be
+/// [`HiPma::canonical_occupancy`] of the stored *(len, seed)*
+/// ([`verify_layout`]), so what is on disk is `f(contents, seed)`. Only
+/// then are the records bulk-loaded under the stored seed, which is
+/// returned.
 fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, PersistError> {
     let (meta, _words, records) = store.load::<(u64, u64)>()?;
-    dict.bulk_load(records, meta.seed);
-    let words = dict
-        .occupancy_words()
-        // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
-        .expect("slot-array backend exposes occupancy");
-    // hi-lint: allow(panic-surface): PersistentDict is only built over slot-array backends (checked in build_persistent)
-    let slots = dict.slot_count().expect("slot-array backend") as u64;
+    let (slots, words) = HiPma::<(u64, u64)>::canonical_occupancy(meta.len as usize, meta.seed);
     verify_layout(&words, slots, &meta)?;
+    dict.bulk_load(records, meta.seed);
     Ok(meta.seed)
 }
 
@@ -754,12 +734,11 @@ fn reload(store: &mut BlockStore, dict: &mut DynDict<u64, u64>) -> Result<u64, P
 /// sorts them, and the bytes would no longer be `f(contents, seed)`.
 fn commit_sorted(
     store: &mut BlockStore,
-    occupancy: fn(usize, u64) -> (u64, Vec<u64>),
     seed: u64,
     len: usize,
     records: impl IntoIterator<Item = (u64, u64)>,
 ) -> Result<u64, PersistError> {
-    let (slots, words) = occupancy(len, seed);
+    let (slots, words) = HiPma::<(u64, u64)>::canonical_occupancy(len, seed);
     let len = len as u64;
     let (mut taken, mut prev, mut disorder) = (0u64, None, None);
     // Disorder ends the stream: the encoder comes up short and refuses
@@ -1006,7 +985,7 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
     }
 }
 
-/// A slot-array dictionary mapped onto a real file: the paper's
+/// A HI-PMA dictionary mapped onto a real file: the paper's
 /// anti-persistence guarantee made literal. Every [`Self::flush`]
 /// commits the image of the layout `bulk_load(contents, seed)` draws,
 /// through the [`BlockStore`]'s journaled two-phase protocol, so
@@ -1019,13 +998,17 @@ impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
 ///   (`tests/block_store_crash.rs` kills the process at every write).
 ///
 /// That layout is never built on the write side: its bitmap is a function
-/// of *(len, seed)* ([`CanonicalOccupancy`]) and its records are the
-/// contents in key order, so a flush computes the one and streams the other
-/// ([`Self::flush_from`]) and leaves the in-RAM layout as it is. Reopening
-/// does redraw, and must reproduce the committed fingerprint.
+/// of *(len, seed)* ([`HiPma::canonical_occupancy`]) and its records are
+/// the contents in key order, so a flush computes the one and streams the
+/// other ([`Self::flush_from`]) and leaves the in-RAM layout as it is.
+/// Reopening computes the same bitmap and refuses an image whose committed
+/// one differs, before it loads a record.
 ///
 /// Built by [`DictBuilder::build_persistent`]; between flushes it is an
 /// ordinary in-RAM [`DynDict<u64, u64>`] (this type [`Deref`]s to it).
+/// `dict-server` serves its own shards instead: it boots them from this
+/// dictionary's contents and empties it, so the served contents exist
+/// once.
 ///
 /// ```
 /// use anti_persistence::dict::{Backend, Dict};
@@ -1052,8 +1035,6 @@ pub struct PersistentDict {
     dict: DynDict<u64, u64>,
     store: BlockStore,
     seed: u64,
-    /// The backend's [`CanonicalOccupancy::canonical_occupancy`].
-    occupancy: fn(usize, u64) -> (u64, Vec<u64>),
 }
 
 impl PersistentDict {
@@ -1072,13 +1053,7 @@ impl PersistentDict {
     /// on the facade's `io::Result` surface.
     pub fn flush(&mut self) -> Result<u64, PersistError> {
         let records = self.dict.iter().map(|(&k, &v)| (k, v));
-        commit_sorted(
-            &mut self.store,
-            self.occupancy,
-            self.seed,
-            self.dict.len(),
-            records,
-        )
+        commit_sorted(&mut self.store, self.seed, self.dict.len(), records)
     }
 
     /// Commits the canonical image of `len` records under this
@@ -1098,7 +1073,7 @@ impl PersistentDict {
         len: usize,
         records: impl IntoIterator<Item = (u64, u64)>,
     ) -> Result<u64, PersistError> {
-        commit_sorted(&mut self.store, self.occupancy, self.seed, len, records)
+        commit_sorted(&mut self.store, self.seed, len, records)
     }
 
     /// Sweeps the committed image's integrity chain block by block and
@@ -1768,10 +1743,10 @@ mod tests {
     }
 
     /// A flushed 500-key store; returns its path and committed fingerprint.
-    fn flushed_store(tag: &str, backend: Backend) -> (PersistentDict, std::path::PathBuf, u64) {
+    fn flushed_store(tag: &str) -> (PersistentDict, std::path::PathBuf, u64) {
         let path = block_store::temp_path(tag);
         let mut dict = Dict::builder()
-            .backend(backend)
+            .backend(Backend::HiPma)
             .seed(7)
             .build_persistent_with(&path, StoreOptions::new(512).no_sync())
             .unwrap();
@@ -1796,10 +1771,10 @@ mod tests {
 
     #[test]
     fn reopen_refuses_an_image_that_does_not_reproduce_typed() {
-        let (dict, path, committed) = flushed_store("dict-mismatch", Backend::HiPma);
+        let (dict, path, committed) = flushed_store("dict-mismatch");
         drop(dict);
         // An intact image whose seed is not the one its layout was drawn
-        // with: every checksum holds, the redraw comes out different.
+        // with: every checksum holds, the canonical bitmap differs.
         resign_header(&path, 6, 8);
         match reopen_error(&path) {
             (
@@ -1837,12 +1812,20 @@ mod tests {
 
     #[test]
     fn repair_from_refuses_an_image_that_does_not_reproduce_typed() {
-        // A replica with the same contents and seed under the *other* slot
-        // engine: a clean source, block for block, whose layout this
-        // dictionary's engine does not draw.
-        let (mut target, path, _) = flushed_store("dict-repair-hi", Backend::HiPma);
-        let (mut source, source_path, committed) =
-            flushed_store("dict-repair-classic", Backend::ClassicPma);
+        // A replica with the same contents whose header is re-signed with
+        // another seed: a clean source, block for block, whose bitmap is
+        // not the canonical one for its (len, seed). Opening it through the
+        // builder would refuse, so the handle is assembled by hand.
+        let (mut target, path, _) = flushed_store("dict-repair-target");
+        let (source, source_path, committed) = flushed_store("dict-repair-source");
+        let contents = source.to_sorted_vec();
+        drop(source);
+        resign_header(&source_path, 6, 8);
+        let mut source = PersistentDict {
+            dict: Dict::builder().backend(Backend::HiPma).build(),
+            store: BlockStore::open(&source_path, StoreOptions::new(512).no_sync()).unwrap(),
+            seed: 8,
+        };
         match target.repair_from(&mut source) {
             Err(PersistError::FingerprintMismatch {
                 committed: c,
@@ -1850,14 +1833,16 @@ mod tests {
             }) => assert!(c == committed && rebuilt != committed),
             other => panic!("expected a fingerprint mismatch, got {other:?}"),
         }
-        // The next flush writes this engine's image of those contents.
+        // Nothing was loaded: the next flush writes this dictionary's own
+        // contents under its own seed.
         target.flush().unwrap();
         drop(target);
         let reopened = Dict::builder()
             .backend(Backend::HiPma)
             .build_persistent_with(&path, StoreOptions::new(512).no_sync())
             .unwrap();
-        assert_eq!(reopened.to_sorted_vec(), source.to_sorted_vec());
+        assert_eq!(reopened.seed(), 7);
+        assert_eq!(reopened.to_sorted_vec(), contents);
         for p in [path, source_path] {
             std::fs::remove_file(&p).unwrap();
         }
@@ -1865,13 +1850,18 @@ mod tests {
 
     #[test]
     fn build_persistent_rejects_node_based_backends() {
+        // Every backend but the HI-PMA, the classic PMA's slot array
+        // included, is refused before the file is created.
         let path = block_store::temp_path("dict-reject");
-        let err = Dict::builder()
-            .backend(Backend::BTree)
-            .build_persistent(&path)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        for backend in Backend::ALL.into_iter().filter(|&b| b != Backend::HiPma) {
+            let err = Dict::builder()
+                .backend(backend)
+                .build_persistent(&path)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{backend}");
+            assert!(!path.exists(), "{backend}");
+        }
     }
 
     #[test]
