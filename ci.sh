@@ -19,8 +19,8 @@ cargo test --release -q -p pma
 echo "==> cargo test --release -q -p dict-server (the racing-leaders, answered-on-return and panic-containment tests as the benchmark runs the server: optimised, debug assertions out)"
 cargo test --release -q -p dict-server
 
-echo "==> cargo test --release -q --test determinism --test server_determinism (every fingerprint, the golden image and the restart round trips as the benchmark builds them: optimised, debug assertions out)"
-cargo test --release -q --test determinism --test server_determinism
+echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence (every fingerprint, the golden image, the restart round trips and Lemma 9's oracle as the benchmark builds them: optimised, debug assertions out)"
+cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence
 
 echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
 cargo run --release --quiet --bin hi-lint
@@ -36,9 +36,6 @@ cargo bench --no-run
 
 echo "==> cargo doc --no-deps (API surface must document cleanly)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
-
-echo "==> smoke-run the HI verification binary"
-AP_BENCH_SCALE=1 cargo run --release --bin hi_verification >/dev/null
 
 echo "==> smoke-run the update-throughput harness (alloc-free engine gate)"
 AP_BENCH_JSON=target/ci_update_rows.json \

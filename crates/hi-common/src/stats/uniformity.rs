@@ -1,44 +1,135 @@
-//! Uniformity testing harnesses.
+//! The pooled uniformity test of the HI-PMA's coins (paper §3.3, §4.3).
 //!
-//! The paper's §4.3 experiment works in two stages:
+//! Invariant 6 says every balance element is uniform over its candidate set,
+//! and §2.1 says the capacity parameter `N̂` is uniform over `{n, …, 2n−1}`.
+//! [`Pooled`] maps every draw `k` of a uniform set of `m` values to
+//! `u = (k + V)/m`, `V` uniform on `[0, 1)` from its own RNG. Under the
+//! paper every `u` is U(0, 1) whatever the set, so balances from every
+//! range, depth, trial and history pool into one 20-bin χ² test.
 //!
-//! 1. For every candidate set (of size ≥ 8, with expected bucket counts
-//!    ≥ 10), χ²-test the observed balance-element positions against the
-//!    uniform distribution, producing one p-value per candidate set.
-//! 2. The p-values themselves should be uniform on `[0, 1]` under the null
-//!    hypothesis, so run a second χ² test on the binned p-values. The paper
-//!    reports `p = 0.47` over `n = 148` p-values.
-//!
-//! [`uniformity_p_value`] implements stage 1 and [`uniformity_of_p_values`]
-//! stage 2; [`UniformityReport`] bundles the combined outcome for the E4
-//! harness and the history-independence integration tests.
+//! The paper's §4.3 instead runs one χ² per candidate set and then a second
+//! χ² over the p-values (p = 0.47 over n = 148 sets). A per-set histogram
+//! needs a set that recurs with the same geometry across trials; at test
+//! scale none does. The second stage survives as [`uniformity_of_p_values`],
+//! which checks the pooled test's own calibration over many seeds.
 
 use super::chi2::{chi2_gof_uniform, Chi2Outcome};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::fmt;
 
-/// Minimum expected count per bucket for a χ² test to be considered valid
-/// (the paper uses ten).
-pub const MIN_EXPECTED_PER_BUCKET: f64 = 10.0;
+/// Bins of every pooled χ² test.
+const BINS: usize = 20;
 
-/// Stage-1 test: are these discrete observations (category counts) uniform?
-/// Returns `None` if the test would be invalid (fewer than two categories or
-/// expected bucket counts below [`MIN_EXPECTED_PER_BUCKET`]).
-pub fn uniformity_p_value(counts: &[u64]) -> Option<Chi2Outcome> {
-    if counts.len() < 2 {
-        return None;
-    }
-    let total: u64 = counts.iter().sum();
-    let expected = total as f64 / counts.len() as f64;
-    if expected < MIN_EXPECTED_PER_BUCKET {
-        return None;
-    }
-    Some(chi2_gof_uniform(counts))
+/// Samples a sub-test needs to run: five expected per bin.
+const MIN_SAMPLES: u64 = 5 * BINS as u64;
+
+/// Balance elements and capacity parameters pooled under the randomized
+/// probability-integral transform (see the module docs).
+#[derive(Debug)]
+pub struct Pooled {
+    rng: StdRng,
+    by_depth: Vec<[u64; BINS]>,
+    capacity: [u64; BINS],
 }
 
-/// Stage-2 test: are these p-values uniform on `[0, 1]`?
-///
-/// The p-values are binned into `bins` equal-width buckets and χ²-tested
-/// against uniform. Returns `None` when there are too few p-values for the
-/// expected bucket counts to reach [`MIN_EXPECTED_PER_BUCKET`].
+impl Pooled {
+    /// An empty pool whose `V` draws come from `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            by_depth: Vec::new(),
+            capacity: [0; BINS],
+        }
+    }
+
+    /// The bin of `u = (k + V)/m` for a draw `k` from `{0, …, m−1}`.
+    fn bin(&mut self, k: usize, m: usize) -> usize {
+        assert!(k < m, "draw {k} outside a set of {m}");
+        let u = (k as f64 + self.rng.gen::<f64>()) / m as f64;
+        ((u * BINS as f64) as usize).min(BINS - 1)
+    }
+
+    /// Adds the balance of a range at `depth` that sits at `offset` of its
+    /// candidate window of `window` elements.
+    pub fn balance(&mut self, depth: u32, window: usize, offset: usize) {
+        let bin = self.bin(offset, window);
+        let depth = depth as usize;
+        if self.by_depth.len() <= depth {
+            self.by_depth.resize(depth + 1, [0; BINS]);
+        }
+        self.by_depth[depth][bin] += 1;
+    }
+
+    /// Adds the capacity parameter `n_hat` of a structure holding `n ≥ 1`
+    /// elements: `n_hat − n` should be uniform on `{0, …, n−1}`.
+    pub fn capacity(&mut self, n: usize, n_hat: usize) {
+        assert!(n_hat >= n, "N̂ = {n_hat} below n = {n}");
+        let bin = self.bin(n_hat - n, n);
+        self.capacity[bin] += 1;
+    }
+
+    /// Runs every sub-test with at least five expected samples per bin:
+    /// all balances, the balances of each depth, and the capacities.
+    pub fn report(&self) -> Report {
+        let mut all = [0u64; BINS];
+        for row in &self.by_depth {
+            for (a, b) in all.iter_mut().zip(row) {
+                *a += b;
+            }
+        }
+        let depths = self.by_depth.iter().enumerate();
+        let tests = std::iter::once(("all balances".to_string(), &all))
+            .chain(depths.map(|(d, row)| (format!("depth {d}"), row)))
+            .chain(std::iter::once(("N̂ − n".to_string(), &self.capacity)))
+            .filter_map(|(name, row)| {
+                let samples = row.iter().sum::<u64>();
+                (samples >= MIN_SAMPLES).then(|| (name, samples, chi2_gof_uniform(row).p_value))
+            })
+            .collect();
+        Report {
+            balances: all.iter().sum(),
+            tests,
+        }
+    }
+}
+
+/// The outcome of [`Pooled::report`].
+#[derive(Debug)]
+pub struct Report {
+    /// Balance elements pooled.
+    pub balances: u64,
+    /// `(name, samples, p)` of every sub-test that ran.
+    pub tests: Vec<(String, u64, f64)>,
+}
+
+impl Report {
+    /// Whether the family rejects uniformity at level `alpha`, Bonferroni
+    /// corrected: some sub-test has `p < alpha / (number of sub-tests)`.
+    pub fn rejects(&self, alpha: f64) -> bool {
+        let bound = alpha / self.tests.len().max(1) as f64;
+        self.tests.iter().any(|&(_, _, p)| p < bound)
+    }
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} balances pooled", self.balances)?;
+        for (name, samples, p) in &self.tests {
+            write!(f, "\n  {name:<14} {samples:>8} samples  p = {p:.4}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Minimum expected count per bucket of [`uniformity_of_p_values`] (the
+/// paper uses ten).
+pub const MIN_EXPECTED_PER_BUCKET: f64 = 10.0;
+
+/// Are these p-values uniform on `[0, 1]`? The paper's second stage: the
+/// p-values are binned into `bins` equal-width buckets and χ²-tested against
+/// uniform. Returns `None` when too few p-values reach
+/// [`MIN_EXPECTED_PER_BUCKET`] per bucket.
 pub fn uniformity_of_p_values(p_values: &[f64], bins: usize) -> Option<Chi2Outcome> {
     assert!(bins >= 2, "need at least two bins");
     if (p_values.len() as f64) / (bins as f64) < MIN_EXPECTED_PER_BUCKET {
@@ -53,128 +144,73 @@ pub fn uniformity_of_p_values(p_values: &[f64], bins: usize) -> Option<Chi2Outco
     Some(chi2_gof_uniform(&counts))
 }
 
-/// Combined two-stage uniformity report, mirroring the paper's §4.3 numbers.
-#[derive(Debug, Clone)]
-pub struct UniformityReport {
-    /// Stage-1 p-values, one per tested candidate set.
-    pub per_set_p_values: Vec<f64>,
-    /// Number of candidate sets skipped because they had too few samples.
-    pub skipped_sets: usize,
-    /// Stage-2 outcome over the p-values (None when too few p-values).
-    pub meta: Option<Chi2Outcome>,
-}
-
-impl UniformityReport {
-    /// Builds a report from per-candidate-set position counts.
-    ///
-    /// Each entry of `per_set_counts` is the histogram of observed balance
-    /// positions for one candidate set across all trials.
-    pub fn from_counts(per_set_counts: &[Vec<u64>], meta_bins: usize) -> Self {
-        let mut per_set_p_values = Vec::new();
-        let mut skipped_sets = 0usize;
-        for counts in per_set_counts {
-            match uniformity_p_value(counts) {
-                Some(outcome) => per_set_p_values.push(outcome.p_value),
-                None => skipped_sets += 1,
-            }
-        }
-        let meta = uniformity_of_p_values(&per_set_p_values, meta_bins);
-        Self {
-            per_set_p_values,
-            skipped_sets,
-            meta,
-        }
-    }
-
-    /// Number of candidate sets that produced a valid p-value (the paper's
-    /// `n = 148`).
-    pub fn tested_sets(&self) -> usize {
-        self.per_set_p_values.len()
-    }
-
-    /// The stage-2 p-value (the paper's `p = 0.47`), if available.
-    pub fn meta_p_value(&self) -> Option<f64> {
-        self.meta.map(|m| m.p_value)
-    }
-
-    /// Returns `true` when no statistically significant deviation from
-    /// uniformity was found at level `alpha`.
-    pub fn consistent_with_uniform(&self, alpha: f64) -> bool {
-        match self.meta {
-            Some(m) => m.p_value >= alpha,
-            // Without a meta test fall back to requiring most individual sets
-            // to pass (Bonferroni-ish; only used at tiny scales in tests).
-            None => {
-                let failures = self
-                    .per_set_p_values
-                    .iter()
-                    .filter(|&&p| p < alpha / (self.per_set_p_values.len().max(1) as f64))
-                    .count();
-                failures == 0
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn uniform_counts_pass() {
-        let outcome = uniformity_p_value(&[50, 48, 52, 50]).unwrap();
-        assert!(outcome.p_value > 0.5);
+    /// `draws` uniform draws from sets of 1–39 values, spread over three
+    /// depths, each passed through `skew` before it is pooled.
+    fn pool(seed: u64, draws: usize, skew: impl Fn(usize, usize) -> usize) -> Report {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pooled = Pooled::new(seed ^ 1);
+        for _ in 0..draws {
+            let m = rng.gen_range(1..40usize);
+            let k = rng.gen_range(0..m);
+            pooled.balance((m % 3) as u32, m, skew(m, k));
+            pooled.capacity(m, m + k);
+        }
+        pooled.report()
     }
 
     #[test]
-    fn small_samples_rejected() {
-        assert!(uniformity_p_value(&[3, 2, 4]).is_none());
-        assert!(uniformity_p_value(&[500]).is_none());
+    fn uniform_counts_pass() {
+        let report = pool(3, 20_000, |_, k| k);
+        assert_eq!(report.balances, 20_000);
+        assert_eq!(report.tests.len(), 5, "{report}");
+        assert!(!report.rejects(0.01), "{report}");
     }
 
     #[test]
     fn skewed_counts_fail() {
-        let outcome = uniformity_p_value(&[500, 20, 20, 20]).unwrap();
-        assert!(outcome.p_value < 1e-6);
-    }
-
-    #[test]
-    fn p_values_from_uniform_samples_are_uniform() {
-        // Simulate the full two-stage pipeline with genuinely uniform data.
-        let mut rng = StdRng::seed_from_u64(12345);
-        let sets = 150usize;
-        let buckets = 8usize;
-        let samples_per_set = 400usize;
-        let mut per_set_counts = Vec::new();
-        for _ in 0..sets {
-            let mut counts = vec![0u64; buckets];
-            for _ in 0..samples_per_set {
-                counts[rng.gen_range(0..buckets)] += 1;
-            }
-            per_set_counts.push(counts);
-        }
-        let report = UniformityReport::from_counts(&per_set_counts, 10);
-        assert_eq!(report.tested_sets(), sets);
-        assert_eq!(report.skipped_sets, 0);
-        let meta = report.meta.expect("enough p-values for meta test");
-        assert!(
-            meta.p_value > 0.001,
-            "meta p-value unexpectedly small: {}",
-            meta.p_value
-        );
-        assert!(report.consistent_with_uniform(0.001));
+        // Every draw at the middle of its set.
+        let report = pool(3, 20_000, |m, _| m / 2);
+        assert!(report.rejects(0.01), "{report}");
+        assert_eq!(report.tests[0].0, "all balances");
+        assert!(report.tests[0].2 < 1e-6, "{report}");
     }
 
     #[test]
     fn biased_sets_are_detected() {
-        // Every set heavily prefers bucket 0: stage-1 p-values collapse to 0
-        // and the meta test must reject.
-        let sets = 120usize;
-        let per_set_counts: Vec<Vec<u64>> = (0..sets).map(|_| vec![300, 20, 20, 20]).collect();
-        let report = UniformityReport::from_counts(&per_set_counts, 10);
-        assert!(!report.consistent_with_uniform(0.01));
+        // A subtler bias: each set's last value folded onto its first.
+        let report = pool(3, 20_000, |m, k| if k + 1 == m { 0 } else { k });
+        assert!(report.rejects(0.01), "{report}");
+    }
+
+    #[test]
+    fn small_samples_rejected() {
+        // Below five expected per bin a sub-test does not run.
+        let mut pooled = Pooled::new(2);
+        for k in 0..MIN_SAMPLES as usize - 1 {
+            pooled.balance(0, 7, k % 7);
+        }
+        assert!(pooled.report().tests.is_empty());
+        assert!(!pooled.report().rejects(0.01));
+        pooled.balance(0, 7, 0);
+        assert_eq!(pooled.report().tests.len(), 2, "all balances and depth 0");
+    }
+
+    #[test]
+    fn p_values_from_uniform_samples_are_uniform() {
+        // The pooled test is calibrated: over many seeds of uniform draws its
+        // p-values are themselves uniform (the paper's second stage).
+        let p_values: Vec<f64> = (0..200)
+            .map(|seed| {
+                let report = pool(seed, 2_000, |_, k| k);
+                report.tests[0].2
+            })
+            .collect();
+        let meta = uniformity_of_p_values(&p_values, 10).expect("200 p-values in 10 bins");
+        assert!(meta.p_value > 0.001, "meta p = {}", meta.p_value);
     }
 
     #[test]
@@ -187,5 +223,11 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_range_p_value_panics() {
         uniformity_of_p_values(&[1.5; 200], 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a set of 4")]
+    fn a_draw_outside_its_set_is_refused() {
+        Pooled::new(0).balance(3, 4, 4);
     }
 }

@@ -89,8 +89,7 @@ use crate::geometry::Geometry;
 use crate::spread::spread_position;
 use crate::store::{Groups, ScanIter, SlotStore};
 
-/// Diagnostic record describing one range's balance element, used by the
-/// χ²-uniformity experiment (paper §4.3) and the statistical tests.
+/// One range's balance element, as Lemma 9's representation reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalanceRecord {
     /// BFS index of the range in the range tree.
@@ -279,36 +278,39 @@ impl<T: Clone> HiPma<T> {
         &self.tracer
     }
 
-    /// Balance-element diagnostics for every non-leaf range, used by the
-    /// §4.3 χ² experiment. Derived purely from the rank tree — no slot
-    /// probing.
+    /// The balance element of every non-empty non-leaf range: Lemma 9's
+    /// representation is `(N, N̂, these records)`. Records are keyed by
+    /// their BFS `range`; the order they come in is not pre-order and means
+    /// nothing. Derived purely from the rank tree — no slot probing.
+    ///
+    /// # Panics
+    ///
+    /// If a balance lies outside its range's candidate window (Invariant 6
+    /// broken), naming the range.
     pub fn balance_records(&self) -> Vec<BalanceRecord> {
         let mut records = Vec::new();
-        if self.geometry.is_small() {
-            return records;
-        }
         let mut stack = vec![(0usize, 0u32)];
         while let Some((range, depth)) = stack.pop() {
-            if depth >= self.geometry.height {
-                continue;
-            }
             let len = *self.rank_tree.peek(range) as usize;
-            if len == 0 {
+            if depth == self.geometry.height || len == 0 {
                 continue;
             }
             let (left, right) = children(range);
             let l1 = *self.rank_tree.peek(left) as usize;
             let m = self.geometry.candidate_size(depth);
-            let (w, m_eff) = Geometry::candidate_window(len, m);
-            if m_eff > 0 && l1 >= w && l1 < w + m_eff {
-                records.push(BalanceRecord {
-                    range,
-                    depth,
-                    len,
-                    window: m_eff,
-                    offset: l1 - w,
-                });
-            }
+            let (w, window) = Geometry::candidate_window(len, m);
+            assert!(
+                (w..w + window).contains(&l1),
+                "range {range} at depth {depth}: balance rank {l1} outside its window [{w}, {})",
+                w + window
+            );
+            records.push(BalanceRecord {
+                range,
+                depth,
+                len,
+                window,
+                offset: l1 - w,
+            });
             stack.push((left, depth + 1));
             stack.push((right, depth + 1));
         }
@@ -1534,12 +1536,27 @@ mod tests {
     #[test]
     fn balance_records_are_well_formed() {
         let pma = filled(5_000, 16);
-        let records = pma.balance_records();
-        assert!(!records.is_empty());
+        let mut records = pma.balance_records();
+        // No range of a structure this full is empty: one record each.
+        records.sort_by_key(|r| r.range);
+        let ranges: Vec<usize> = records.iter().map(|r| r.range).collect();
+        assert_eq!(
+            ranges,
+            (0..(1 << pma.geometry().height) - 1).collect::<Vec<_>>()
+        );
         for r in &records {
             assert!(r.offset < r.window, "offset outside window: {r:?}");
             assert!(r.len > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "range 0 at depth 0: balance rank 0 outside its window")]
+    fn balance_records_name_a_balance_outside_its_window() {
+        let mut pma = filled(5_000, 16);
+        // Empty the root's left child: its split leaves the centred window.
+        pma.rank_tree.set(1, 0);
+        pma.balance_records();
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!    batch's relative order within each shard*. A shard therefore observes
 //!    exactly the subsequence of operations routed to it, regardless of how
 //!    the caller split the stream into batches — so the final layout is
-//!    bit-identical across every split (`tests/shard_history_independence.rs`
-//!    and the determinism battery pin this).
+//!    bit-identical across every split (`tests/determinism.rs` pins this;
+//!    `tests/shard_history_independence.rs` holds every shard to Lemma 9's
+//!    representation after every batch).
 //!
 //! There is one batch path: a batch runs shard by shard on the calling
 //! thread, each shard's subsequence under [`std::panic::catch_unwind`].

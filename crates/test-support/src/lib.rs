@@ -19,6 +19,8 @@
 //! * [`dictionary_edge_cases`] is a deterministic battery of the classic
 //!   boundary conditions: empty structure, single element, duplicate-key
 //!   overwrite, remove-of-absent-key, and full-drain-then-refill.
+//! * [`whi`] checks the HI-PMA's layout half: Lemma 9's representation
+//!   function, whose coins `hi_common::stats::uniformity` tests.
 //!
 //! Adding a future structure to the conformance suite is one line per script:
 //! construct it, hand it to the runner.
@@ -32,6 +34,8 @@ use hi_common::traits::{Dictionary, RankedSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+pub mod whi;
 
 /// One keyed operation in a differential script, covering the full
 /// [`Dictionary`] surface (a superset of `workloads::Op`, which only models

@@ -600,9 +600,10 @@ impl DictBuilder {
     /// router hashes keys with it, and shard `i`'s engine draws its layout
     /// coins from [`ShardRouter::shard_seed`]`(i)`. The sharded map's full
     /// observable state — key-to-shard assignment plus every shard's layout
-    /// — is therefore a pure function of *(contents, seed, shard count)*,
-    /// which `tests/shard_history_independence.rs` verifies across
-    /// histories and batch partitionings.
+    /// — is therefore a pure function of *(contents, seed, shard count)*:
+    /// `tests/determinism.rs` pins it across batch partitionings, and
+    /// `tests/shard_history_independence.rs` holds every shard to Lemma 9's
+    /// representation function across histories.
     ///
     /// ```
     /// use anti_persistence::dict::{Backend, Dict};

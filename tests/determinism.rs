@@ -1,9 +1,10 @@
 //! Seeded-determinism regression tests.
 //!
-//! The history-independence tests in `tests/history_independence.rs`
-//! silently assume that a structure's layout is a pure function of
-//! `(contents, seed)` — the paper's "secret coins" become reproducible
-//! streams under a fixed seed. These tests make that assumption explicit:
+//! The history-independence oracles in `tests/history_independence.rs`
+//! check the layout a structure draws under fixed coins, which assumes
+//! that a structure's layout is a pure function of `(contents, seed)` —
+//! the paper's "secret coins" become reproducible streams under a fixed
+//! seed. These tests make that assumption explicit:
 //! replaying the same operations with the same seed must produce
 //! *bit-identical* layouts, while a different seed must (overwhelmingly
 //! likely) produce a different one.

@@ -1,119 +1,337 @@
-//! Integration tests of the workspace's central claim: weak history
-//! independence. Two operation sequences that reach the same logical state
-//! must induce the same *distribution* over memory representations.
+//! Weak history independence, checked through Lemma 9 (paper §3.3): the
+//! HI-PMA's layout is a fixed function R(N, N̂, balance elements), and the
+//! inputs of R are uniform whatever the history.
 //!
-//! The tests build the same final contents through different histories over
-//! many independent seeds and compare layout statistics with a χ² test
-//! (the same methodology as the paper's §4.3 experiment). Thresholds are
-//! deliberately generous so the tests are stable in CI while still catching
-//! real leaks (the classic PMA fails the analogous check deterministically —
-//! see the `classic_pma_layout_leaks_history` test in the `pma` crate).
+//! * The deterministic half holds `occupancy_words()` to
+//!   `test_support::whi::lemma9_occupancy`, which is R written from the
+//!   paper's formulas. It is checked after every step of a script that
+//!   crosses both geometry boundaries and of the two `CobBTree` histories,
+//!   at the end of every trial, and on the FLUSH layout. A control moves one
+//!   balance by one at several depths, and R must change.
+//! * The random half pools every balance of every trial of four histories
+//!   into one χ² test (`hi_common::stats::Pooled`): overall, per depth, and
+//!   `N̂ − n` against U{0, …, n−1}. Two corrupted copies of the same records
+//!   must be rejected: midpoint balances, and the last offset folded onto 0.
+//!   A bias one history alone carries could hide in the pool, so the keyed
+//!   histories, the drained one (per depth), a grow-then-shrink history and
+//!   an insert/delete episode (capacity only) are also pooled on their own.
 
+use anti_persistence::pma::BalanceRecord;
 use anti_persistence::prelude::*;
-use hi_common::stats::chi2::chi2_gof;
+use hi_common::stats::{Pooled, Report};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::fmt::Arguments;
+use std::sync::OnceLock;
+use test_support::whi::lemma9_occupancy;
+use workloads::{alternating_adversary, front_loaded_inserts, replay, Op, Trace};
 
-/// Returns the index of the first occupied slot, bucketed into `buckets`
-/// equal parts of the array — a coarse layout fingerprint.
-fn layout_bucket(occupancy: &[bool], buckets: usize) -> usize {
-    let pos = occupancy.iter().position(|&b| b).unwrap_or(0);
-    (pos * buckets / occupancy.len()).min(buckets - 1)
+/// R(N, N̂, `records`) for `pma`'s N and N̂.
+fn lemma9<T: Clone>(pma: &HiPma<T>, records: &[BalanceRecord]) -> (usize, Vec<u64>) {
+    let balances = records.iter().map(|r| (r.range, r.window, r.offset));
+    lemma9_occupancy(pma.len(), pma.n_hat(), balances)
 }
 
-/// Builds the set {0, …, n−1} in the HI cache-oblivious B-tree via history A
-/// (ascending inserts) and history B (descending inserts, plus an
-/// insert-then-delete episode for keys n..n+extra), and χ²-compares the
-/// layout-fingerprint distributions.
-fn compare_histories(n: u64, extra: u64, trials: u64, buckets: usize) -> (Vec<u64>, Vec<u64>) {
-    let mut hist_a = vec![0u64; buckets];
-    let mut hist_b = vec![0u64; buckets];
-    for t in 0..trials {
-        let mut a: CobBTree<u64, u64> = CobBTree::new(1_000_000 + t);
-        for k in 0..n {
-            a.insert(k, k);
+/// Asserts that `pma`'s layout is R of its own balance records.
+fn assert_lemma9<T: Clone>(pma: &HiPma<T>, records: &[BalanceRecord], context: Arguments<'_>) {
+    assert!(
+        (pma.slot_count(), pma.occupancy_words()) == lemma9(pma, records),
+        "{context}: the layout is not R(N = {}, N̂ = {}, balances)",
+        pma.len(),
+        pma.n_hat()
+    );
+}
+
+#[test]
+fn every_step_across_both_geometry_boundaries_is_lemma9() {
+    // Random ranks, growing past N̂ = 4096 (the paper's constants) and then
+    // shrinking below N̂ = 128 (one leaf): both boundaries, both directions.
+    let mut rng = StdRng::seed_from_u64(0x1E449);
+    let mut pma: HiPma<u64> = HiPma::new(0x1E449);
+    let regime = |n_hat: usize| usize::from(n_hat >= 128) + usize::from(n_hat >= 4096);
+    let mut crossings = BTreeSet::new();
+    for step in 0..12_000u64 {
+        let before = regime(pma.n_hat());
+        let p_insert = if step < 6_000 { 0.8 } else { 0.2 };
+        if pma.is_empty() || rng.gen_bool(p_insert) {
+            pma.insert(rng.gen_range(0..=pma.len()), step).unwrap();
+        } else {
+            pma.delete(rng.gen_range(0..pma.len())).unwrap();
         }
-        let mut b: CobBTree<u64, u64> = CobBTree::new(2_000_000 + t);
-        for k in (0..n).rev() {
-            b.insert(k, k);
-        }
-        for k in n..n + extra {
-            b.insert(k, k);
-        }
-        for k in n..n + extra {
-            b.remove(&k);
-        }
-        assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
-        hist_a[layout_bucket(&a.occupancy(), buckets)] += 1;
-        hist_b[layout_bucket(&b.occupancy(), buckets)] += 1;
+        assert_lemma9(&pma, &pma.balance_records(), format_args!("step {step}"));
+        crossings.insert((before, regime(pma.n_hat())));
     }
-    (hist_a, hist_b)
+    for crossing in [(0, 1), (1, 2), (2, 1), (1, 0)] {
+        assert!(crossings.contains(&crossing), "never crossed {crossing:?}");
+    }
+}
+
+#[test]
+fn the_flush_layout_is_lemma9() {
+    // `pma::persist`'s lengths: word boundaries and both sides of height steps.
+    let lens = [0, 1, 2, 63, 64, 65, 1_000, 65_536, 65_537, 140_046, 140_047];
+    for seed in [1u64, 0xA5EED, u64::MAX] {
+        for len in lens {
+            let mut unit = HiPma::<()>::new(seed);
+            unit.bulk_load(std::iter::repeat_n((), len), seed);
+            let (slots, words) = lemma9(&unit, &unit.balance_records());
+            assert!(
+                HiPma::<u64>::canonical_occupancy(len, seed) == (slots as u64, words),
+                "len {len} seed {seed}"
+            );
+        }
+    }
+}
+
+#[test]
+fn moving_one_balance_by_one_changes_r() {
+    let mut pma: HiPma<u64> = HiPma::new(7);
+    pma.bulk_load(0..20_000u64, 7);
+    let records = pma.balance_records();
+    assert_lemma9(&pma, &records, format_args!("unmoved"));
+    let layout = (pma.slot_count(), pma.occupancy_words());
+    let mut depths = BTreeSet::new();
+    for (i, r) in records.iter().enumerate() {
+        if r.window < 2 || !depths.insert(r.depth) {
+            continue;
+        }
+        let mut moved = records.clone();
+        moved[i].offset = if r.offset + 1 < r.window {
+            r.offset + 1
+        } else {
+            r.offset - 1
+        };
+        assert!(
+            lemma9(&pma, &moved) != layout,
+            "depth {}: R did not move",
+            r.depth
+        );
+    }
+    assert!(depths.len() >= 3, "depths tried: {depths:?}");
+}
+
+/// What the trials of one history observed: `(depth, window, offset)` per
+/// balance and `(n, N̂)` per structure.
+#[derive(Default)]
+struct Samples {
+    balances: Vec<(u32, usize, usize)>,
+    capacities: Vec<(usize, usize)>,
+}
+
+impl Samples {
+    /// Holds `pma` to R, then records its balances and capacity.
+    fn observe<T: Clone>(&mut self, pma: &HiPma<T>, history: &str, trial: u64) {
+        let records = pma.balance_records();
+        assert_lemma9(pma, &records, format_args!("{history}, trial {trial}"));
+        self.balances
+            .extend(records.iter().map(|r| (r.depth, r.window, r.offset)));
+        self.capacities.push((pma.len(), pma.n_hat()));
+    }
+}
+
+/// The pooled report of `histories`, every offset replaced by
+/// `offset(window, offset)`.
+fn pool<'a>(
+    histories: impl IntoIterator<Item = &'a Samples>,
+    offset: impl Fn(usize, usize) -> usize,
+) -> Report {
+    let mut pooled = Pooled::new(0x0DD_BA11);
+    for samples in histories {
+        for &(depth, window, o) in &samples.balances {
+            pooled.balance(depth, window, offset(window, o));
+        }
+        for &(n, n_hat) in &samples.capacities {
+            pooled.capacity(n, n_hat);
+        }
+    }
+    pooled.report()
+}
+
+/// Reverse inserts, then an insert/delete burst above them, keyed.
+fn reverse_and_burst() -> Trace {
+    let mut trace = front_loaded_inserts(2_000);
+    trace.ops.extend((2_001..2_400).map(|k| Op::Insert(k, k)));
+    trace.ops.extend((2_001..2_400).map(Op::Delete));
+    trace
+}
+
+/// Observation 1: one key inserted and deleted over and over.
+fn alternation() -> Trace {
+    alternating_adversary(2_000, 1_001)
+}
+
+/// Indices into [`four_histories`].
+const SEQUENTIAL: usize = 0;
+const REVERSE_AND_BURST: usize = 1;
+const FRONT_DRAIN: usize = 2;
+const ALTERNATION: usize = 3;
+
+/// 200 trials of each of four histories, every trial's structure held to R:
+/// built once and shared by the tests that pool them.
+fn four_histories() -> &'static [Samples; 4] {
+    static SAMPLES: OnceLock<[Samples; 4]> = OnceLock::new();
+    SAMPLES.get_or_init(|| {
+        let mut samples: [Samples; 4] = Default::default();
+        let (reverse, alternating) = (reverse_and_burst(), alternation());
+        for t in 0..200u64 {
+            // §4.3's protocol: sequential inserts.
+            let mut sequential: HiPma<u64> = HiPma::new((1 << 32) | t);
+            for k in 0..4_000 {
+                sequential.insert(k, k as u64).unwrap();
+            }
+            samples[SEQUENTIAL].observe(&sequential, "sequential inserts", t);
+
+            let mut cob: CobBTree<u64, u64> = CobBTree::new((2 << 32) | t);
+            replay(&reverse, &mut cob);
+            samples[REVERSE_AND_BURST].observe(cob.pma(), "reverse inserts + burst", t);
+
+            // `bulk_load`, then a one-sided drain from the front.
+            let mut drained: HiPma<u64> = HiPma::new(0);
+            drained.bulk_load(0..30_000u64, (3 << 32) | t);
+            for _ in 0..7_500 {
+                drained.delete(0).unwrap();
+            }
+            samples[FRONT_DRAIN].observe(&drained, "bulk_load + front drain", t);
+
+            let mut cob: CobBTree<u64, u64> = CobBTree::new((4 << 32) | t);
+            replay(&alternating, &mut cob);
+            samples[ALTERNATION].observe(cob.pma(), "Observation 1 alternation", t);
+        }
+        samples
+    })
+}
+
+#[test]
+fn balances_and_capacity_are_uniform_over_four_histories() {
+    let samples = four_histories();
+    let report = pool(samples, |_, offset| offset);
+    assert!(report.balances >= 100_000, "{report}");
+    assert!(report.tests.len() >= 10, "{report}");
+    assert!(!report.rejects(0.01), "{report}");
+    let midpoint = pool(samples, |window, _| window / 2);
+    assert!(
+        midpoint.rejects(0.01),
+        "midpoint balances passed: {midpoint}"
+    );
+    let folded = pool(samples, |window, o| if o + 1 == window { 0 } else { o });
+    assert!(folded.rejects(0.01), "folded last offsets passed: {folded}");
 }
 
 #[test]
 fn cob_btree_layout_distribution_is_history_free() {
-    let (hist_a, hist_b) = compare_histories(300, 60, 400, 6);
-    // Treat history A's histogram (scaled) as the expected distribution for
-    // history B. Merge tiny buckets to keep the test valid.
-    let mut observed = Vec::new();
-    let mut expected = Vec::new();
-    for (a, b) in hist_a.iter().zip(&hist_b) {
-        if *a >= 20 {
-            expected.push(*a as f64);
-            observed.push(*b);
+    // The layout is R after every operation of both keyed histories, and
+    // their balances and capacities, pooled apart from the others, are
+    // uniform: so the layout's distribution is R's over uniform inputs.
+    for (name, trace) in [
+        ("reverse inserts + burst", reverse_and_burst()),
+        ("alternation", alternation()),
+    ] {
+        for t in 0..2u64 {
+            let mut cob: CobBTree<u64, u64> = CobBTree::new((5 << 32) | t);
+            for (step, op) in trace.ops.iter().enumerate() {
+                match *op {
+                    Op::Insert(k, v) => {
+                        cob.insert(k, v);
+                    }
+                    Op::Delete(k) => {
+                        cob.remove(&k);
+                    }
+                    _ => unreachable!("insert/delete traces only"),
+                }
+                let pma = cob.pma();
+                assert_lemma9(
+                    pma,
+                    &pma.balance_records(),
+                    format_args!("{name}, trial {t}, step {step}"),
+                );
+            }
         }
     }
-    if observed.len() >= 2 {
-        let outcome = chi2_gof(&observed, &expected);
+    let samples = four_histories();
+    let report = pool(
+        [&samples[REVERSE_AND_BURST], &samples[ALTERNATION]],
+        |_, o| o,
+    );
+    assert!(report.tests.len() >= 5, "{report}");
+    assert!(!report.rejects(0.01), "{report}");
+}
+
+#[test]
+fn balance_elements_stay_uniform_at_every_depth_that_draws_a_coin() {
+    // The drained history alone: N̂ ≥ 22 500 gives the range tree eight or
+    // nine levels, and every level whose window holds a choice gets its own
+    // sub-test, down to the deepest.
+    let drained = &four_histories()[FRONT_DRAIN];
+    let report = pool([drained], |_, o| o);
+    let coin_depths: BTreeSet<u32> = drained
+        .balances
+        .iter()
+        .filter(|&&(_, window, _)| window >= 2)
+        .map(|&(depth, _, _)| depth)
+        .collect();
+    assert!(
+        coin_depths.len() >= 8,
+        "depths drawing a coin: {coin_depths:?}"
+    );
+    for depth in coin_depths {
+        let name = format!("depth {depth}");
         assert!(
-            outcome.p_value > 1e-4,
-            "layout distributions differ: A = {hist_a:?}, B = {hist_b:?}, p = {}",
-            outcome.p_value
+            report.tests.iter().any(|(test, _, _)| *test == name),
+            "{name} has no sub-test: {report}"
         );
-    } else {
-        // Everything landed in one bucket for both histories — identical
-        // distributions trivially.
-        assert_eq!(hist_a, hist_b);
     }
+    assert!(!report.rejects(0.01), "{report}");
+}
+
+#[test]
+fn balance_elements_stay_uniform_after_a_long_history() {
+    // A fifth history, pooled on its own: grow to 600, then delete the
+    // first half in descending rank order, every structure held to R.
+    let mut samples = Samples::default();
+    for t in 0..600u64 {
+        let mut pma: HiPma<u64> = HiPma::new(7_000_000 + t);
+        for k in 0..600 {
+            pma.insert(k, k as u64).unwrap();
+        }
+        for k in (0..300).rev() {
+            pma.delete(k).unwrap();
+        }
+        samples.observe(&pma, "grow then delete half", t);
+    }
+    let report = pool([&samples], |_, o| o);
+    assert!(report.balances >= 4_000, "{report}");
+    assert!(!report.rejects(0.01), "{report}");
 }
 
 #[test]
 fn secure_delete_leaves_no_trace_in_capacity() {
     // After inserting and deleting a batch, N̂ must be distributed exactly as
-    // if the batch never existed: uniform over {N, …, 2N−1}.
-    let n = 64usize;
-    let trials = 4_000u64;
-    let mut with_episode = vec![0u64; n];
-    let mut without = vec![0u64; n];
-    for t in 0..trials {
-        let mut clean: CobBTree<u64, u64> = CobBTree::new(3_000_000 + t);
-        for k in 0..n as u64 {
-            clean.insert(k, k);
+    // if the batch never existed: uniform over {N, …, 2N−1}. Each history
+    // is tested on its own against the exact uniform distribution.
+    let n = 64u64;
+    let (mut clean, mut episodic) = (Samples::default(), Samples::default());
+    for t in 0..4_000u64 {
+        let mut a: CobBTree<u64, u64> = CobBTree::new(3_000_000 + t);
+        for k in 0..n {
+            a.insert(k, k);
         }
-        without[clean.pma().n_hat() - n] += 1;
+        clean.observe(a.pma(), "clean", t);
 
-        let mut episodic: CobBTree<u64, u64> = CobBTree::new(4_000_000 + t);
-        for k in 0..(n as u64 + 40) {
-            episodic.insert(k, k);
+        let mut b: CobBTree<u64, u64> = CobBTree::new(4_000_000 + t);
+        for k in 0..n + 40 {
+            b.insert(k, k);
         }
-        for k in n as u64..(n as u64 + 40) {
-            episodic.remove(&k);
+        for k in n..n + 40 {
+            b.remove(&k);
         }
-        with_episode[episodic.pma().n_hat() - n] += 1;
+        episodic.observe(b.pma(), "insert/delete episode", t);
     }
-    // Both histories must produce N̂ uniform over {N, …, 2N−1}; test each
-    // against the exact uniform distribution (comparing against the other
-    // empirical sample would double-count sampling noise).
-    let clean_outcome = hi_common::stats::chi2::chi2_gof_uniform(&without);
-    let episodic_outcome = hi_common::stats::chi2::chi2_gof_uniform(&with_episode);
-    assert!(
-        clean_outcome.p_value > 1e-4,
-        "clean-history capacity not uniform: p = {}",
-        clean_outcome.p_value
-    );
-    assert!(
-        episodic_outcome.p_value > 1e-4,
-        "capacity distribution leaks the episode: p = {}",
-        episodic_outcome.p_value
-    );
+    for (name, samples) in [("clean history", clean), ("episodic history", episodic)] {
+        let report = pool([&samples], |_, o| o);
+        assert_eq!(report.tests.len(), 1, "{name}: only N̂ − n runs: {report}");
+        assert!(!report.rejects(0.01), "{name}: capacity leaks: {report}");
+    }
 }
 
 #[test]
@@ -160,106 +378,4 @@ fn skip_list_heights_do_not_leak_history() {
         tv < 0.2,
         "height distributions differ: TV = {tv}, {heights_a:?} vs {heights_b:?}"
     );
-}
-
-#[test]
-fn balance_elements_stay_uniform_after_a_long_history() {
-    // Invariant 6 end-to-end: after a long mixed history, the balance
-    // elements recorded across seeds are uniform over their candidate sets.
-    //
-    // Windows of different sizes are folded into a fixed number of buckets;
-    // because a window of size w does not split evenly into `buckets` parts,
-    // the correct expected count per bucket is accumulated per record (the
-    // fraction of the w offsets that map into that bucket), not assumed
-    // uniform.
-    let trials = 600u64;
-    let n = 600usize;
-    let buckets = 8usize;
-    let mut observed = vec![0u64; buckets];
-    let mut expected = vec![0f64; buckets];
-    for t in 0..trials {
-        let mut pma: HiPma<u64> = HiPma::new(7_000_000 + t);
-        for k in 0..n {
-            pma.insert(k, k as u64).unwrap();
-        }
-        for k in (0..n / 2).rev() {
-            pma.delete(k).unwrap();
-        }
-        for r in pma.balance_records() {
-            if r.window >= 8 {
-                observed[r.offset * buckets / r.window] += 1;
-                for offset in 0..r.window {
-                    expected[offset * buckets / r.window] += 1.0 / r.window as f64;
-                }
-            }
-        }
-    }
-    let total: u64 = observed.iter().sum();
-    assert!(total > 500, "not enough samples: {observed:?}");
-    let outcome = chi2_gof(&observed, &expected);
-    assert!(
-        outcome.p_value > 1e-4,
-        "balance offsets deviate from uniform: {observed:?} vs expected {expected:?}, p = {}",
-        outcome.p_value
-    );
-}
-
-#[test]
-fn balance_elements_stay_uniform_at_every_depth_that_draws_a_coin() {
-    // The test above samples windows ≥ 8 at n = 600, which under the
-    // shorter range tree is the top three internal levels. This one is large
-    // enough (15 000 ≤ N̂ < 30 000: paper constants, height 8) to give every
-    // internal depth its own χ², down to the deepest, whose candidate set
-    // has 5–8 elements — so every level that still draws a coin is covered.
-    // Fewer trials suffice: a trial yields 2^d records at depth d.
-    let trials = 96u64;
-    let n = 20_000usize;
-    // Per depth, counted from the leaves up: (observed, expected).
-    let mut by_depth: Vec<(Vec<u64>, Vec<f64>)> = Vec::new();
-    let mut deepest_windows = std::collections::BTreeSet::new();
-    for t in 0..trials {
-        let mut pma: HiPma<u64> = HiPma::new(9_000_000 + t);
-        for k in 0..n {
-            pma.insert(k, k as u64).unwrap();
-        }
-        // A one-sided episode: drain a quarter from the front, the history
-        // an unbalanced structure would remember.
-        for _ in 0..n / 4 {
-            pma.delete(0).unwrap();
-        }
-        let height = pma.geometry().height;
-        for r in pma.balance_records() {
-            let above_leaves = (height - 1 - r.depth) as usize;
-            let buckets = if above_leaves == 0 { 4 } else { 8 };
-            if by_depth.len() <= above_leaves {
-                by_depth.resize(above_leaves + 1, (Vec::new(), Vec::new()));
-            }
-            let (observed, expected) = &mut by_depth[above_leaves];
-            observed.resize(buckets, 0);
-            expected.resize(buckets, 0.0);
-            if above_leaves == 0 {
-                deepest_windows.insert(r.window);
-            }
-            observed[r.offset * buckets / r.window] += 1;
-            for offset in 0..r.window {
-                expected[offset * buckets / r.window] += 1.0 / r.window as f64;
-            }
-        }
-    }
-    assert!(
-        deepest_windows.iter().all(|w| (5..=8).contains(w)),
-        "deepest candidate sets: {deepest_windows:?}"
-    );
-    assert_eq!(by_depth.len(), 8, "internal depths");
-    for (above_leaves, (observed, expected)) in by_depth.iter().enumerate() {
-        // At least the root's one record per trial.
-        assert!(observed.iter().sum::<u64>() >= trials, "{observed:?}");
-        let outcome = chi2_gof(observed, expected);
-        assert!(
-            outcome.p_value > 1e-4,
-            "{above_leaves} levels above the leaves: balance offsets deviate from uniform: \
-             {observed:?} vs expected {expected:?}, p = {}",
-            outcome.p_value
-        );
-    }
 }

@@ -1,165 +1,123 @@
-//! History independence of the *sharded* dictionary service.
+//! History independence of the sharded service, on the type the server runs:
+//! `ShardedDict<HiDict>`.
 //!
-//! `tests/history_independence.rs` establishes the single-structure claim:
-//! two operation sequences reaching the same logical state induce the same
-//! distribution over memory representations. This battery extends the claim
-//! to the deployment shape the ROADMAP targets — `S` hash-partitioned
-//! shards fed by batched writes — and adds the new way a sharded service
-//! could leak history that a single structure cannot: **batch
-//! partitioning**. How the caller split the operation stream into
-//! `multi_put` batches must not show up in the layout.
-//!
-//! Methodology is identical to the single-structure battery: build the same
-//! final contents through different histories over many independent seeds,
-//! fingerprint the layout (first-occupied-slot bucket of a shard's
-//! occupancy bitmap), and χ²-compare the fingerprint distributions. Run
-//! across three shard counts, per the acceptance criteria.
+//! `tests/history_independence.rs` holds one HI-PMA to Lemma 9: its layout
+//! is R(N, N̂, balances), and those inputs are uniform. A sharded service
+//! could leak history two more ways: through how the caller cut the
+//! operation stream into batches, and through the key → shard assignment.
+//! Here every shard is held to R after every batch of four histories that
+//! differ in order and in batching, every shard's N̂ is tested for
+//! uniformity after a batched insert/delete episode, and the router is
+//! shown to ignore load.
 
-use anti_persistence::dict::{Backend, Dict, DynDict};
+use anti_persistence::dict::{Backend, Dict, HiDict};
+use anti_persistence::hi_common::BatchOp;
 use anti_persistence::prelude::*;
-use hi_common::stats::chi2::chi2_gof;
+use hi_common::stats::Pooled;
+use std::fmt::Arguments;
+use test_support::whi::lemma9_occupancy;
 
-const KEYS: u64 = 240;
-const EXTRA: u64 = 48;
-const TRIALS: u64 = 300;
-const BUCKETS: usize = 6;
+const KEYS: u64 = 600;
+const EXTRA: u64 = 120;
 
-/// The contents every history converges to: keys `{0, 3, …, 3·(KEYS−1)}`.
-fn pairs_ascending() -> Vec<(u64, u64)> {
-    (0..KEYS).map(|k| (k * 3, k)).collect()
-}
-
-fn service(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
+fn service(seed: u64, shards: usize) -> ShardedDict<HiDict> {
     Dict::builder()
         .backend(Backend::HiPma)
         .seed(seed)
         .shards(shards)
-        .build_sharded()
+        .try_build_hi_sharded()
+        .expect("a HI-PMA config")
 }
 
-/// First-occupied-slot bucket of shard 0's occupancy bitmap — the same
-/// coarse layout fingerprint the single-structure χ² test uses. Shard 0's
-/// contents are identical across histories under a fixed seed (the router
-/// is part of the seed), so its layout distribution is directly comparable.
-fn layout_bucket(d: &ShardedDict<DynDict<u64, u64>>) -> usize {
-    let occupancy = d.shards()[0]
-        .occupancy()
-        .expect("HiPma shards expose occupancy");
-    let pos = occupancy.iter().position(|&b| b).unwrap_or(0);
-    (pos * BUCKETS / occupancy.len().max(1)).min(BUCKETS - 1)
-}
-
-/// History A: ascending single-key inserts.
-fn build_ascending(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
-    let mut d = service(seed, shards);
-    for (k, v) in pairs_ascending() {
-        d.insert(k, v);
-    }
-    d
-}
-
-/// History B: descending single-key inserts plus an insert-then-delete
-/// episode — the classic history-revealing workload.
-fn build_descending_with_churn(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
-    let mut d = service(seed, shards);
-    for (k, v) in pairs_ascending().into_iter().rev() {
-        d.insert(k, v);
-    }
-    for k in 0..EXTRA {
-        d.insert(3 * KEYS + k, k);
-    }
-    for k in 0..EXTRA {
-        d.remove(&(3 * KEYS + k));
-    }
-    d
-}
-
-/// History C: interleaved arrival order (evens then odds), delivered as
-/// `multi_put` batches of 97.
-fn build_interleaved_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
-    let mut d = service(seed, shards);
-    let ascending = pairs_ascending();
-    let mut interleaved: Vec<(u64, u64)> = ascending.iter().copied().step_by(2).collect();
-    interleaved.extend(ascending.iter().copied().skip(1).step_by(2));
-    for chunk in interleaved.chunks(97) {
-        d.multi_put(chunk.to_vec());
-    }
-    d
-}
-
-/// History D: a different arrival order (back half, then front half) with a
-/// different batch partitioning: batches of 13.
-fn build_rotated_batches(seed: u64, shards: usize) -> ShardedDict<DynDict<u64, u64>> {
-    let mut d = service(seed, shards);
-    let ascending = pairs_ascending();
-    let half = ascending.len() / 2;
-    let mut rotated = ascending[half..].to_vec();
-    rotated.extend_from_slice(&ascending[..half]);
-    for chunk in rotated.chunks(13) {
-        d.multi_put(chunk.to_vec());
-    }
-    d
-}
-
-/// χ²-compares two fingerprint histograms, treating A (scaled) as the
-/// expected distribution and merging tiny buckets, exactly like the
-/// single-structure battery.
-fn assert_same_distribution(hist_a: &[u64], hist_b: &[u64], label: &str) {
-    let mut observed = Vec::new();
-    let mut expected = Vec::new();
-    for (a, b) in hist_a.iter().zip(hist_b) {
-        if *a >= 20 {
-            expected.push(*a as f64);
-            observed.push(*b);
-        }
-    }
-    if observed.len() >= 2 {
-        let outcome = chi2_gof(&observed, &expected);
+/// Asserts that every shard's layout is R of its own balance records.
+fn assert_lemma9(d: &ShardedDict<HiDict>, context: Arguments<'_>) {
+    for (i, shard) in d.shards().iter().enumerate() {
+        let pma = shard.seq();
+        let balances = pma
+            .balance_records()
+            .into_iter()
+            .map(|r| (r.range, r.window, r.offset));
         assert!(
-            outcome.p_value > 1e-4,
-            "{label}: layout distributions differ: A = {hist_a:?}, B = {hist_b:?}, p = {}",
-            outcome.p_value
+            (pma.slot_count(), pma.occupancy_words())
+                == lemma9_occupancy(pma.len(), pma.n_hat(), balances),
+            "{context}: shard {i}'s layout is not R(N = {}, N̂ = {}, balances)",
+            pma.len(),
+            pma.n_hat()
         );
-    } else {
-        assert_eq!(hist_a, hist_b, "{label}: degenerate histograms must agree");
+    }
+}
+
+/// A history: the batches, in order, that a caller hands `multi_apply`.
+type Batches = Vec<Vec<BatchOp<u64, u64>>>;
+
+/// Four histories, as batches, that all reach keys `{0, 3, …, 3·(KEYS−1)}`:
+/// ascending single puts; descending single puts, then `EXTRA` more keys
+/// put and removed one at a time; evens then odds in batches of 97; the
+/// back half then the front half in batches of 13.
+fn histories() -> [(&'static str, Batches); 4] {
+    let put = |k: u64| BatchOp::Put(3 * k, k);
+    let puts = |keys: Vec<u64>, size: usize| {
+        let batch = |chunk: &[u64]| chunk.iter().copied().map(put).collect();
+        keys.chunks(size).map(batch).collect()
+    };
+    let episode = (KEYS..KEYS + EXTRA).map(put);
+    let removals = (KEYS..KEYS + EXTRA).map(|k| BatchOp::Remove(3 * k));
+    let descending = (0..KEYS).rev().map(put).chain(episode).chain(removals);
+    let interleaved = (0..KEYS).step_by(2).chain((1..KEYS).step_by(2));
+    let rotated = (KEYS / 2..KEYS).chain(0..KEYS / 2);
+    [
+        ("ascending", puts((0..KEYS).collect(), 1)),
+        (
+            "descending + churn",
+            descending.map(|op| vec![op]).collect(),
+        ),
+        (
+            "evens then odds, batches of 97",
+            puts(interleaved.collect(), 97),
+        ),
+        ("rotated, batches of 13", puts(rotated.collect(), 13)),
+    ]
+}
+
+#[test]
+fn every_shard_is_lemma9_after_every_batch_of_four_histories() {
+    for shards in [2usize, 3, 5] {
+        for seed in [11u64, 12, 13] {
+            let mut contents = None;
+            for (name, batches) in histories() {
+                let mut d = service(seed, shards);
+                for (b, batch) in batches.into_iter().enumerate() {
+                    d.multi_apply(batch);
+                    assert_lemma9(
+                        &d,
+                        format_args!("S={shards} seed {seed}, {name}, batch {b}"),
+                    );
+                }
+                let got = d.to_sorted_vec();
+                assert_eq!(contents.get_or_insert_with(|| got.clone()), &got, "{name}");
+            }
+        }
     }
 }
 
 #[test]
-fn sharded_layout_distribution_is_history_and_schedule_free() {
-    // Acceptance: the χ² comparison must pass across ≥ 3 shard counts.
-    for shards in [2usize, 3, 5] {
-        let mut hist = [[0u64; BUCKETS]; 4];
-        for t in 0..TRIALS {
-            let seed = 9_000_000 + t * 7 + shards as u64;
-            let builds = [
-                build_ascending(seed, shards),
-                build_descending_with_churn(seed, shards),
-                build_interleaved_batches(seed, shards),
-                build_rotated_batches(seed, shards),
-            ];
-            let reference = builds[0].to_sorted_vec();
-            for (h, d) in hist.iter_mut().zip(&builds) {
-                assert_eq!(d.to_sorted_vec(), reference, "contents must agree");
-                h[layout_bucket(d)] += 1;
-            }
+fn every_shards_capacity_is_uniform_after_batched_churn() {
+    // The sharded form of secure delete: after a batch of inserts and a
+    // batch removing them again, each shard's N̂ is uniform on
+    // {len, …, 2·len − 1}, as if the episode had never happened.
+    let mut pooled = Pooled::new(0xCA9);
+    for t in 0..400u64 {
+        let mut d = service(4_000_000 + t, 3);
+        d.multi_put((0..KEYS).map(|k| (3 * k, k)));
+        d.multi_put((KEYS..KEYS + EXTRA).map(|k| (3 * k, k)));
+        d.multi_remove((KEYS..KEYS + EXTRA).map(|k| 3 * k));
+        for shard in d.shards() {
+            pooled.capacity(shard.len(), shard.seq().n_hat());
         }
-        assert_same_distribution(
-            &hist[0],
-            &hist[1],
-            &format!("S={shards}: ascending vs descending+churn"),
-        );
-        assert_same_distribution(
-            &hist[0],
-            &hist[2],
-            &format!("S={shards}: ascending vs interleaved batches of 97"),
-        );
-        assert_same_distribution(
-            &hist[0],
-            &hist[3],
-            &format!("S={shards}: ascending vs rotated batches of 13"),
-        );
     }
+    let report = pooled.report();
+    assert_eq!(report.tests.len(), 1, "{report}");
+    assert!(!report.rejects(0.01), "{report}");
 }
 
 #[test]
@@ -190,46 +148,4 @@ fn router_assignment_is_load_free_and_balanced() {
             );
         }
     }
-}
-
-#[test]
-fn shard_density_distribution_survives_batched_churn() {
-    // Sharded form of the secure-delete test: the per-shard slot density
-    // (occupied / total slots, which tracks the secret capacity parameter
-    // N̂) must be distributed identically whether the contents arrived
-    // clean or through a batch storm with an insert-then-delete
-    // episode. Compared as total-variation distance between the two
-    // empirical density histograms, like the skip-list height test.
-    let shards = 3usize;
-    let trials = 1_000u64;
-    let buckets = 16usize;
-    let mut clean_hist = vec![0u64; buckets];
-    let mut churn_hist = vec![0u64; buckets];
-    let density_bucket = |d: &ShardedDict<DynDict<u64, u64>>| {
-        let occupancy = d.shards()[0].occupancy().expect("HiPma occupancy");
-        let occupied = occupancy.iter().filter(|&&b| b).count();
-        ((occupied * buckets) / occupancy.len().max(1)).min(buckets - 1)
-    };
-    for t in 0..trials {
-        let seed = 4_000_000 + t;
-        let mut clean = service(seed, shards);
-        clean.multi_put((0..KEYS).map(|k| (k * 3, k)));
-        clean_hist[density_bucket(&clean)] += 1;
-
-        let mut churn = service(seed + 500_000, shards);
-        churn.multi_put((0..KEYS).map(|k| (k * 3, k)));
-        churn.multi_put((0..EXTRA).map(|k| (3 * KEYS + k, k)));
-        churn.multi_remove((0..EXTRA).map(|k| 3 * KEYS + k).collect::<Vec<_>>());
-        churn_hist[density_bucket(&churn)] += 1;
-    }
-    let tv: f64 = clean_hist
-        .iter()
-        .zip(&churn_hist)
-        .map(|(&a, &b)| (a as f64 - b as f64).abs())
-        .sum::<f64>()
-        / (2.0 * trials as f64);
-    assert!(
-        tv < 0.1,
-        "density distributions differ: TV = {tv}, clean = {clean_hist:?}, churn = {churn_hist:?}"
-    );
 }
