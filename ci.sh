@@ -10,14 +10,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release -q -p block-store (the block-hash kernel as the benchmark runs it: optimised)"
-cargo test --release -q -p block-store
-
-echo "==> cargo test --release -q -p pma (the in-place rebuild, its redistribute kernel and the hard asserts as the benchmark runs them: optimised)"
-cargo test --release -q -p pma
-
-echo "==> cargo test --release -q -p dict-server (the racing-leaders, answered-on-return and panic-containment tests as the benchmark runs the server: optimised, debug assertions out)"
-cargo test --release -q -p dict-server
+echo "==> cargo test --release -q -p block-store -p pma -p dict-server (the block-hash kernel, the in-place rebuild and its hard asserts, the racing-leaders and panic-containment tests as the benchmark runs them: optimised, debug assertions out)"
+cargo test --release -q -p block-store -p pma -p dict-server
 
 echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence (every fingerprint, the golden image, the restart round trips and Lemma 9's oracle as the benchmark builds them: optimised, debug assertions out)"
 cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence

@@ -10,9 +10,12 @@ use hi_common::capacity::{HiCapacity, ShiCanonicalCapacity};
 use hi_common::RngSource;
 
 fn main() {
-    let rounds = scaled(100_000);
     let mut rows = Vec::new();
     for &n in &[1usize << 10, 1 << 14, 1 << 18] {
+        // The WHI rule resizes about 3/N times per operation, so fewer than
+        // N rounds can draw no resize at all and read a cost of zero: run at
+        // least 8N rounds per N.
+        let rounds = scaled(100_000).max(8 * n);
         let mut rng = RngSource::from_seed(n as u64);
         let r = rng.rng();
         let mut whi = HiCapacity::with_len(n, r);

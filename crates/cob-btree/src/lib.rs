@@ -6,7 +6,10 @@
 //! of every balance element**. A keyed search descends that value tree —
 //! `O(log N)` comparisons, `O(log_B N)` I/Os, without knowing `B` — converts
 //! the key to a rank, and then delegates to the PMA, whose leaves answer
-//! range queries at the scan-optimal `O(k/B)` I/Os.
+//! range queries at the scan-optimal `O(k/B)` I/Os. A read needs no rank:
+//! `get`, `successor` and a range scan descend the value tree alone
+//! ([`HiPma::iter_from_by`]) and scan on from the landing leaf; only the
+//! writes, which address the PMA by rank, sum the rank tree on the way down.
 //!
 //! In this workspace the augmented PMA lives inside [`pma::HiPma`] (which
 //! maintains the value tree under exactly the same rebuild events as the
@@ -15,6 +18,8 @@
 //! * `insert`, `remove`, `get` — amortized `O(log²N / B + log_B N)` I/Os whp;
 //! * `range(a, b)` — `O(log_B N + k/B)` I/Os;
 //! * `predecessor` / `successor` — one descent each.
+//!
+//! Every keyed read counts one query in the ledger.
 //!
 //! Because every layout decision is inherited from the HI PMA (size, balance
 //! elements, even leaf spreading) and the two auxiliary trees are
@@ -40,11 +45,13 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-use std::ops::{Bound, RangeBounds};
+use std::ops::RangeBounds;
 
 use hi_common::counters::SharedCounters;
 use hi_common::rng::RngSource;
-use hi_common::traits::{below_end_bound, cloned_bounds, normalize_pairs, Dictionary};
+use hi_common::traits::{
+    below_end_bound, cloned_bounds, normalize_pairs, start_bound_cmp, Dictionary,
+};
 use io_sim::Tracer;
 use pma::HiPma;
 
@@ -130,11 +137,6 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
         }
     }
 
-    /// Rank of the first element with key ≥ `key`.
-    fn lower_bound(&self, key: &K) -> usize {
-        self.pma.lower_bound_by(|(k, _)| k.cmp(key))
-    }
-
     /// Rank of the first element with key > `key`.
     fn upper_bound(&self, key: &K) -> usize {
         self.pma.lower_bound_by(|(k, _)| {
@@ -150,8 +152,8 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     /// The occupancy probe borrows the stored pair (no clone); only a
     /// replacement pays the delete + reinsert.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let rank = self.lower_bound(&key);
-        if let Some((existing, _)) = self.pma.get_rank_ref(rank) {
+        let (rank, probe) = self.pma.lower_bound_ref_by(|(k, _)| k.cmp(&key));
+        if let Some((existing, _)) = probe {
             if *existing == key {
                 // Replace: delete + reinsert at the same rank keeps the
                 // layout distribution a function of the key set only.
@@ -174,8 +176,8 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     /// Removes a key, returning its value if present. The probe borrows the
     /// stored pair; only an actual removal moves it out.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let rank = self.lower_bound(key);
-        match self.pma.get_rank_ref(rank) {
+        let (rank, probe) = self.pma.lower_bound_ref_by(|(k, _)| k.cmp(key));
+        match probe {
             Some((existing, _)) if existing == key => {
                 // hi-lint: allow(panic-surface): delete at the rank the probe just returned
                 let (_, v) = self.pma.delete(rank).expect("rank just observed");
@@ -191,29 +193,23 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     }
 
     /// Borrows the value stored under `key` without copying it: one
-    /// cache-oblivious descent, zero allocations.
+    /// cache-oblivious descent of the value tree, zero allocations.
     pub fn get_ref(&self, key: &K) -> Option<&V> {
         self.counters().add_query();
-        let rank = self.lower_bound(key);
-        match self.pma.get_rank_ref(rank) {
+        match self.pma.iter_from_by(|(k, _)| k.cmp(key)).next() {
             Some((existing, v)) if existing == key => Some(v),
             _ => None,
         }
     }
 
     /// Lazily yields every pair whose key lies in `range`, in ascending key
-    /// order: one descent to the first matching rank, then a sequential leaf
+    /// order: one descent to the first matching pair, then a sequential leaf
     /// scan at `O(log_B N + k/B)` I/Os with **no per-query allocation**.
     pub fn range_iter<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         self.counters().add_query();
         let (start, end) = cloned_bounds(&range);
-        let from = match &start {
-            Bound::Included(k) => self.lower_bound(k),
-            Bound::Excluded(k) => self.upper_bound(k),
-            Bound::Unbounded => 0,
-        };
         self.pma
-            .iter_from(from)
+            .iter_from_by(move |(k, _)| start_bound_cmp(k, &start))
             .take_while(move |(k, _)| below_end_bound(k, &end))
             .map(|(k, v)| (k, v))
     }
@@ -224,25 +220,6 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.counters().add_query();
         self.pma.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Returns every pair with `low ≤ key ≤ high`, in ascending key order.
-    /// Pre-sized from the rank bounds, which give the exact result count.
-    pub fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        self.counters().add_query();
-        if low > high || self.is_empty() {
-            return Vec::new();
-        }
-        let start = self.lower_bound(low);
-        let end = self.upper_bound(high);
-        let mut out = Vec::with_capacity(end.saturating_sub(start));
-        out.extend(
-            self.pma
-                .iter_from(start)
-                .take(end.saturating_sub(start))
-                .map(|(k, v)| (k.clone(), v.clone())),
-        );
-        out
     }
 
     /// Replaces the entire contents with `pairs`, drawing fresh coins from
@@ -258,12 +235,13 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
 
     /// Smallest key ≥ `key`, with its value.
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
-        let rank = self.lower_bound(key);
-        self.pma.get_rank(rank)
+        self.counters().add_query();
+        self.pma.iter_from_by(|(k, _)| k.cmp(key)).next().cloned()
     }
 
     /// Largest key ≤ `key`, with its value.
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
+        self.counters().add_query();
         let rank = self.upper_bound(key);
         if rank == 0 {
             None
@@ -321,10 +299,6 @@ impl<K: Ord + Clone, V: Clone> Dictionary for CobBTree<K, V> {
 
     fn range_iter<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         CobBTree::range_iter(self, range)
-    }
-
-    fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        CobBTree::range(self, low, high)
     }
 
     fn successor(&self, key: &K) -> Option<(K, V)> {

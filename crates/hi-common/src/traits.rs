@@ -80,6 +80,17 @@ pub fn cloned_bounds<K: Clone, R: RangeBounds<K>>(range: &R) -> (Bound<K>, Bound
     (range.start_bound().cloned(), range.end_bound().cloned())
 }
 
+/// Where `key` lies against an owned start bound, as a keyed search reads
+/// it: `Less` while `key` is below the bound, `Equal` or `Greater` once it
+/// is in range.
+pub fn start_bound_cmp<K: Ord>(key: &K, start: &Bound<K>) -> std::cmp::Ordering {
+    match start {
+        Bound::Included(low) => key.cmp(low),
+        Bound::Excluded(low) if key <= low => std::cmp::Ordering::Less,
+        Bound::Excluded(_) | Bound::Unbounded => std::cmp::Ordering::Greater,
+    }
+}
+
 /// Returns `true` when `key` satisfies an owned end bound.
 pub fn below_end_bound<K: Ord>(key: &K, end: &Bound<K>) -> bool {
     match end {
@@ -91,6 +102,12 @@ pub fn below_end_bound<K: Ord>(key: &K, end: &Bound<K>) -> bool {
 
 /// A dynamic sequence addressed by rank, in the style of the paper's PMA API
 /// (§3): `Query(i, j)`, `Insert(i, x)`, `Delete(i)`.
+///
+/// A caller that keeps the sequence sorted under some order also gets keyed
+/// access, in two forms. [`Self::lower_bound_ref_by`] returns the rank and
+/// the element, for writes that go on to address the sequence by rank.
+/// [`Self::iter_from_by`] returns only the elements, for reads, and so may
+/// skip the rank bookkeeping altogether (the HI PMA's does).
 pub trait RankedSequence {
     /// Element type stored in the sequence.
     type Item: Clone;
@@ -123,9 +140,9 @@ pub trait RankedSequence {
     /// `O(log n)` probes, each potentially a full rank descent.
     /// Implementations with an internal search index override this with a
     /// single descent (the HI PMA routes it through its augmented value
-    /// tree, the paper's §5 keyed search), which is what makes the
-    /// [`RankedDict`] adapter's keyed operations competitive with native
-    /// rank addressing.
+    /// tree, the paper's §5 keyed search, summing the rank tree on the way
+    /// down), which is what makes the [`RankedDict`] adapter's keyed writes
+    /// competitive with native rank addressing.
     fn lower_bound_by<F>(&self, f: F) -> usize
     where
         F: Fn(&Self::Item) -> std::cmp::Ordering,
@@ -174,6 +191,34 @@ pub trait RankedSequence {
     {
         let _ = finger;
         self.lower_bound_ref_by(f)
+    }
+
+    /// Lazily yields the elements from the first one `e` for which `f(e)`
+    /// is not [`Less`](std::cmp::Ordering::Less), in rank order: the keyed
+    /// read of a sequence kept sorted under `f`, for callers that want
+    /// elements, not ranks (a point lookup takes the first, a successor the
+    /// first, a range scan the prefix its end bound admits).
+    ///
+    /// The provided default is [`Self::lower_bound_by`] followed by
+    /// [`Self::range_iter`], so it counts what `range_iter` counts. Keyed
+    /// callers count the read themselves, so a sequence whose `range_iter`
+    /// counts queries overrides this with an uncounted scan, as both PMAs
+    /// do. The HI PMA's override descends its value tree alone, reading no
+    /// rank, and its scan walks on past the landing leaf with no second
+    /// descent.
+    fn iter_from_by<F>(&self, f: F) -> impl Iterator<Item = &Self::Item>
+    where
+        F: Fn(&Self::Item) -> std::cmp::Ordering,
+    {
+        let from = self.lower_bound_by(f);
+        let (i, j) = if from < self.len() {
+            (from, self.len() - 1)
+        } else {
+            (1, 0)
+        };
+        self.range_iter(i, j)
+            // hi-lint: allow(panic-surface): ranks are the canonical empty pair or from..len-1 with from < len
+            .expect("clamped range is valid")
     }
 
     /// Returns a clone of the `rank`-th element.
@@ -487,24 +532,25 @@ fn counted_cmp<K: Ord>(comparisons: &Cell<u64>, probe: &K, key: &K) -> std::cmp:
 /// pairs kept in ascending key order.
 ///
 /// This is the paper's observation that a sparse table plus a search
-/// structure *is* a dictionary, in adapter form: a key's rank is found by
-/// [`RankedSequence::lower_bound_ref_by`] (one value-tree descent on the HI
-/// PMA, a binary search over `get_ref` on the classic one), after which
-/// every operation delegates to the rank-addressed API. It is
-/// how the two PMAs ([`HiPma`](https://docs.rs/pma), `ClassicPma`) join the
-/// dictionary conformance suite and the runtime-selectable backend set
-/// without bespoke wrappers.
+/// structure *is* a dictionary, in adapter form. A read (get, successor, a
+/// range scan) takes [`RankedSequence::iter_from_by`]: on the HI PMA one
+/// value-tree descent that reads no rank, on the classic one a binary
+/// search over `get_ref`. A write finds the key's rank with
+/// [`RankedSequence::lower_bound_ref_by`] and delegates to the
+/// rank-addressed API. It is how the two PMAs
+/// ([`HiPma`](https://docs.rs/pma), `ClassicPma`) join the dictionary
+/// conformance suite and the runtime-selectable backend set without bespoke
+/// wrappers.
 #[derive(Debug, Clone)]
 pub struct RankedDict<S, K, V> {
     seq: S,
-    /// Keyed-operation ledger. Point lookups and ordered navigation (get,
-    /// successor, predecessor) are counted here, each with the key
-    /// comparisons its search made — the sequence only sees uncounted
-    /// `get_ref` probes for them. Range queries are *not* counted
-    /// here: they delegate to [`RankedSequence::range_iter`], whose
-    /// implementations count the query themselves (sharing this ledger when
-    /// built by the dictionary builder), and counting at both layers would
-    /// double-book them.
+    /// Keyed-operation ledger. Every keyed read (get, successor,
+    /// predecessor, a range scan) is counted here once; a point lookup and
+    /// ordered navigation also add the key comparisons their search made.
+    /// The sequence counts none of them: [`RankedSequence::iter_from_by`]
+    /// and the lower-bound searches are uncounted on both PMAs, so a ledger
+    /// shared with the sequence (as the dictionary builder shares it) books
+    /// each read once.
     counters: crate::counters::SharedCounters,
     _pairs: std::marker::PhantomData<(K, V)>,
 }
@@ -545,12 +591,6 @@ where
         self.seq
     }
 
-    /// Rank of the first pair whose key is ≥ `key` (or `len` if none).
-    /// One [`RankedSequence::lower_bound_by`] descent.
-    fn lower_bound(&self, key: &K) -> usize {
-        self.seq.lower_bound_by(|pair| pair.0.cmp(key))
-    }
-
     /// Rank of the first pair whose key is > `key` (or `len` if none),
     /// tallying the key comparisons made. `Equal` probes are mapped to
     /// `Less`, turning the lower-bound descent into an upper bound.
@@ -572,13 +612,16 @@ where
         });
     }
 
-    fn start_rank(&self, start: &Bound<K>) -> usize {
-        match start {
-            Bound::Included(k) => self.lower_bound(k),
-            // Range queries are counted by the sequence, not here.
-            Bound::Excluded(k) => self.upper_bound(k, &Cell::new(0)),
-            Bound::Unbounded => 0,
-        }
+    /// The first pair whose key is ≥ `key`: one keyed read of the
+    /// sequence, counted once with its comparisons.
+    fn first_at_or_after(&self, key: &K) -> Option<&(K, V)> {
+        let comparisons = Cell::new(0);
+        let first = self
+            .seq
+            .iter_from_by(|pair| counted_cmp(&comparisons, &pair.0, key))
+            .next();
+        self.record_query(&comparisons);
+        first
     }
 }
 
@@ -631,12 +674,7 @@ where
     }
 
     fn get_ref(&self, key: &K) -> Option<&V> {
-        let comparisons = Cell::new(0);
-        let (_, probe) = self
-            .seq
-            .lower_bound_ref_by(|pair| counted_cmp(&comparisons, &pair.0, key));
-        self.record_query(&comparisons);
-        match probe {
+        match self.first_at_or_after(key) {
             Some((existing, v)) if existing == key => Some(v),
             _ => None,
         }
@@ -644,25 +682,15 @@ where
 
     fn range_iter<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         let (start, end) = cloned_bounds(&range);
-        let from = self.start_rank(&start);
-        let last = self.seq.len().saturating_sub(1);
-        let i = if from >= self.seq.len() { 1 } else { from };
-        let j = if from >= self.seq.len() { 0 } else { last };
+        self.counters.add_query();
         self.seq
-            .range_iter(i, j)
-            // hi-lint: allow(panic-surface): ranks were clamped to the canonical empty pair or 0..len-1 just above
-            .expect("clamped range is valid")
+            .iter_from_by(move |pair| start_bound_cmp(&pair.0, &start))
             .take_while(move |(k, _)| below_end_bound(k, &end))
             .map(|(k, v)| (k, v))
     }
 
     fn successor(&self, key: &K) -> Option<(K, V)> {
-        let comparisons = Cell::new(0);
-        let (_, probe) = self
-            .seq
-            .lower_bound_ref_by(|pair| counted_cmp(&comparisons, &pair.0, key));
-        self.record_query(&comparisons);
-        probe.cloned()
+        self.first_at_or_after(key).cloned()
     }
 
     fn predecessor(&self, key: &K) -> Option<(K, V)> {

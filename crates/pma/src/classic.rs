@@ -613,6 +613,15 @@ impl<T: Clone> RankedSequence for ClassicPma<T> {
         ClassicPma::lower_bound_seek_by(self, finger, f)
     }
 
+    fn iter_from_by<F>(&self, f: F) -> impl Iterator<Item = &T>
+    where
+        F: Fn(&T) -> std::cmp::Ordering,
+    {
+        // The default's composition without `range_iter`'s query count: the
+        // keyed caller counts the read.
+        self.iter_from(self.lower_bound_by(f))
+    }
+
     fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {
         ClassicPma::range_iter(self, i, j)
     }

@@ -87,7 +87,7 @@ use veb_tree::VebTree;
 
 use crate::geometry::Geometry;
 use crate::spread::spread_position;
-use crate::store::{Groups, ScanIter, SlotStore};
+use crate::store::{partition_point_by_lines, Groups, ScanIter, SlotStore};
 
 /// One range's balance element, as Lemma 9's representation reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -882,6 +882,11 @@ impl<T: Clone> HiPma<T> {
         } else {
             self.locate(rank)
         };
+        self.scan_from(leaf, idx)
+    }
+
+    /// The leaf scan from dense position `(leaf, idx)` onward.
+    fn scan_from(&self, leaf: usize, idx: usize) -> ScanIter<'_, T> {
         self.store
             .iter_from(leaf, idx, self.tracer.clone(), self.array_region)
     }
@@ -1002,10 +1007,11 @@ impl<T: Clone> HiPma<T> {
     /// cache-oblivious B-tree does with keys). Returns `len()` when every
     /// element compares `Less`.
     ///
-    /// This is the paper's §5 keyed search over the *augmented PMA*: the
-    /// descent reads the value tree (balance elements) and the rank tree,
-    /// both in the vEB layout, costing `O(log N)` comparisons and
-    /// `O(log_B N)` I/Os, then scans one leaf.
+    /// This is the paper's §5 keyed search over the *augmented PMA*, ranked:
+    /// the value-tree descent of [`Self::iter_from_by`] plus the rank of the
+    /// landing leaf, summed from the rank tree on the way down. Writes and
+    /// the seek finger need the rank; a read that only wants the element
+    /// takes [`Self::iter_from_by`] and reads no rank at all.
     pub fn lower_bound_by<F>(&self, f: F) -> usize
     where
         F: Fn(&T) -> std::cmp::Ordering,
@@ -1014,65 +1020,79 @@ impl<T: Clone> HiPma<T> {
     }
 
     /// [`HiPma::lower_bound_by`] fused with a borrow of the element at the
-    /// returned rank, still in one descent: when the lower bound lands in
-    /// the leaf the descent reached, the element is read straight out of
-    /// the dense leaf; only the rare fall-off-the-leaf case (the bound
-    /// belongs to a later leaf) pays a second rank descent.
+    /// returned rank, still in one descent. When every element of the
+    /// landing leaf compares `Less`, the element is the first one of the
+    /// next non-empty leaf. The leaves in between are empty, since after
+    /// its last left turn at a non-empty right child the descent passed
+    /// only empty ones, so the scan steps over them without a second
+    /// descent.
     pub fn lower_bound_ref_by<F>(&self, f: F) -> (usize, Option<&T>)
     where
         F: Fn(&T) -> std::cmp::Ordering,
     {
-        if self.is_empty() {
-            return (0, None);
-        }
-        let (leaf, rank_offset) = self.lower_bound_leaf_by(&f);
-        self.tracer.read(
-            self.array_region
-                .addr(self.geometry.leaf_start(leaf) as u64),
-            self.array_region.span(self.geometry.leaf_slots as u64),
-        );
-        let group = self.store.group(leaf);
-        // The dense leaf is sorted under `f`; binary-search it instead of
-        // the previous linear scan.
-        let pos = group.partition_point(|e| f(e) == std::cmp::Ordering::Less);
-        let rank = rank_offset + pos;
-        if pos < group.len() {
-            (rank, Some(&group[pos]))
-        } else {
-            // The bound lies beyond this leaf; resolve the element (if any)
-            // by rank.
-            (rank, self.get_rank_ref(rank))
-        }
+        let (leaf, base) = self.lower_bound_leaf_by(&f);
+        let pos =
+            partition_point_by_lines(self.store.group(leaf), |e| f(e) == std::cmp::Ordering::Less);
+        (base + pos, self.scan_from(leaf, pos).next())
     }
 
-    /// The leaf a keyed descent lands in and the rank of its first element
-    /// (the non-terminal part of [`HiPma::lower_bound_ref_by`]).
-    fn lower_bound_leaf_by<F>(&self, f: &F) -> (usize, usize)
+    /// The elements from the first one that `f` does not call `Less`, in
+    /// rank order: the paper's §5 keyed search with no rank in it. One
+    /// descent of the value tree (no rank-tree node is read), one
+    /// line-stride search of the landing leaf, then the leaf scan of
+    /// [`Self::iter_from`], which walks on into the following leaves when
+    /// the bound lies past the landing one. The landing leaf is charged to
+    /// the tracer once, as the scan enters it.
+    pub fn iter_from_by<F>(&self, f: F) -> ScanIter<'_, T>
+    where
+        F: Fn(&T) -> std::cmp::Ordering,
+    {
+        let leaf = self.descend_by(&f, |_, _| {});
+        let pos =
+            partition_point_by_lines(self.store.group(leaf), |e| f(e) == std::cmp::Ordering::Less);
+        self.scan_from(leaf, pos)
+    }
+
+    /// The keyed descent of the value tree: at each range, go right when its
+    /// balance element (the first element of its right child) compares
+    /// `Less`, and left otherwise or when the right child is empty (`None`).
+    /// The index arithmetic is BFS (`2·range + 1 + go_right`), so the turn
+    /// is data, not a branch on `f`. Reports each `(range, go_right)` to
+    /// `turn` and returns the landing leaf.
+    ///
+    /// The bound is in the landing leaf or is the first element after it:
+    /// below the last left turn at a non-empty right child, the descent only
+    /// went right or passed empty right children, so every leaf between the
+    /// landing leaf and that right child is empty.
+    fn descend_by<F>(&self, f: &F, mut turn: impl FnMut(usize, bool)) -> usize
     where
         F: Fn(&T) -> std::cmp::Ordering,
     {
         let mut range = 0usize;
-        let mut depth = 0u32;
-        let mut slot_start = 0usize;
-        let mut rank_offset = 0usize;
-        while depth < self.geometry.height {
-            let (left, right) = children(range);
-            let l1 = *self.rank_tree.get(left) as usize;
-            let half = self.geometry.slots_at_depth(depth) / 2;
-            let go_right = match self.value_tree.get(range) {
-                Some(balance) => f(balance) == std::cmp::Ordering::Less,
-                None => false,
-            };
-            if go_right {
-                rank_offset += l1;
-                slot_start += half;
-                range = right;
-            } else {
-                range = left;
-            }
-            depth += 1;
+        for _ in 0..self.geometry.height {
+            let go_right = matches!(
+                self.value_tree.get(range),
+                Some(balance) if f(balance) == std::cmp::Ordering::Less
+            );
+            turn(range, go_right);
+            range = 2 * range + 1 + usize::from(go_right);
         }
-        (self.geometry.leaf_of_slot(slot_start), rank_offset)
+        range + 1 - self.geometry.leaf_count()
+    }
+
+    /// The leaf a keyed descent lands in and the rank of its first element:
+    /// [`Self::descend_by`] plus a masked sum of the left children's counts
+    /// at the right turns.
+    fn lower_bound_leaf_by<F>(&self, f: &F) -> (usize, usize)
+    where
+        F: Fn(&T) -> std::cmp::Ordering,
+    {
+        let mut base = 0usize;
+        let leaf = self.descend_by(f, |range, go_right| {
+            let l1 = *self.rank_tree.get(2 * range + 1) as usize;
+            base += l1 & usize::from(go_right).wrapping_neg();
+        });
+        (leaf, base)
     }
 
     /// How many leaves a seek finger walks before giving up and paying one
@@ -1136,7 +1156,7 @@ impl<T: Clone> HiPma<T> {
             self.array_region.span(self.geometry.leaf_slots as u64),
         );
         let group = self.store.group(leaf);
-        let pos = group.partition_point(|e| f(e) == std::cmp::Ordering::Less);
+        let pos = partition_point_by_lines(group, |e| f(e) == std::cmp::Ordering::Less);
         finger.group = leaf;
         finger.base_rank = base;
         finger.valid = true;
@@ -1199,6 +1219,13 @@ impl<T: Clone> RankedSequence for HiPma<T> {
         F: Fn(&T) -> std::cmp::Ordering,
     {
         HiPma::lower_bound_seek_by(self, finger, f)
+    }
+
+    fn iter_from_by<F>(&self, f: F) -> impl Iterator<Item = &T>
+    where
+        F: Fn(&T) -> std::cmp::Ordering,
+    {
+        HiPma::iter_from_by(self, f)
     }
 
     fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {

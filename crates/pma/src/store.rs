@@ -31,6 +31,32 @@ use io_sim::{Region, Tracer};
 
 use crate::spread::for_each_spread_position;
 
+/// Bytes per cache line, the unit [`partition_point_by_lines`] strides by.
+const LINE_BYTES: usize = 64;
+
+/// `run.partition_point(is_less)` for a run sorted under `is_less`, searched
+/// the way a dense leaf spanning many cache lines is cheapest to search.
+/// First one element per 64-byte line is compared, at stride
+/// `max(1, 64 / size_of::<T>())`, every one of them whatever the others
+/// said: the loads are independent, so their misses overlap. Then the one
+/// line-block that holds the bound is binary-searched. A binary search of
+/// the whole run waits on each line it touches in turn.
+pub fn partition_point_by_lines<T>(run: &[T], is_less: impl Fn(&T) -> bool) -> usize {
+    let stride = (LINE_BYTES / std::mem::size_of::<T>().max(1)).max(1);
+    let heads: usize = run
+        .iter()
+        .step_by(stride)
+        .map(|e| usize::from(is_less(e)))
+        .sum();
+    if heads == 0 {
+        return 0;
+    }
+    // The bound lies after head `heads − 1` and at or before head `heads`.
+    let lo = (heads - 1) * stride + 1;
+    let hi = (heads * stride).min(run.len());
+    lo + run[lo..hi].partition_point(is_less)
+}
+
 /// Dense per-group value storage, with each group's slot layout tabulated by
 /// element count.
 #[derive(Debug, Clone)]
@@ -707,5 +733,32 @@ mod tests {
         tracer.reset_cold();
         assert_eq!(s.groups_from(0, tracer.clone(), region).count(), 2);
         assert_eq!(tracer.stats().reads, 2);
+    }
+
+    /// Every run of `W`-byte elements of length 0..=352, with the bound at
+    /// every position: the line-stride search agrees with `partition_point`.
+    fn line_search_matches_partition_point<const W: usize>() {
+        let is_less = |e: &[u8; W]| e[0] == 0;
+        for len in 0..=352 {
+            for bound in 0..=len {
+                let mut run = vec![[0u8; W]; bound];
+                run.resize(len, [1u8; W]);
+                assert_eq!(
+                    partition_point_by_lines(&run, is_less),
+                    run.partition_point(is_less),
+                    "{W}-byte elements, len {len}, bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn line_stride_leaf_search_equals_partition_point() {
+        // Strides 64, 8, 4, 2 and 1.
+        line_search_matches_partition_point::<1>();
+        line_search_matches_partition_point::<8>();
+        line_search_matches_partition_point::<16>();
+        line_search_matches_partition_point::<24>();
+        line_search_matches_partition_point::<72>();
     }
 }

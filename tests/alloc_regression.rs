@@ -30,9 +30,10 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use anti_persistence::dict::{Backend, Dict, DictConfig, DynDict};
+use anti_persistence::dict::{Backend, Dict, DictConfig, DynDict, HiDict};
 use anti_persistence::prelude::{Dictionary, Occupancy, RankedDict, ShardedDict};
 use block_store::{temp_path, BlockStore, StoreOptions};
+use cob_btree::CobBTree;
 use dict_server::{Client, Request, Response, Server, ServerOptions};
 use pma::HiPma;
 use skiplist::ExternalSkipList;
@@ -232,6 +233,35 @@ fn sharded_merged_scans_are_allocation_free_after_setup() {
         delta, 0,
         "merged k-way scans allocated {delta} times across 100 scans"
     );
+}
+
+#[test]
+fn keyed_reads_are_allocation_free() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A keyed read is one descent plus a scan of borrowed leaves, so once
+    // the dictionary is built `get_ref`, `successor` and `range_iter` cost
+    // zero heap allocations, on the served type and on the COB-tree.
+    let mut hi: HiDict = RankedDict::new(HiPma::new(0x4EAD));
+    let mut cob: CobBTree<u64, u64> = CobBTree::new(0x4EAD);
+    for k in 0..20_000u64 {
+        hi.insert(k * 2, k);
+        cob.insert(k * 2, k);
+    }
+
+    let mut sink = 0u64;
+    let before = allocations();
+    for i in 0..2_000u64 {
+        let key = (i * 7_919) % 40_000;
+        sink ^= hi.get_ref(&key).copied().unwrap_or(0);
+        sink ^= cob.get_ref(&key).copied().unwrap_or(0);
+        sink ^= hi.successor(&key).map_or(0, |(k, _)| k);
+        sink ^= cob.successor(&key).map_or(0, |(k, _)| k);
+        sink ^= hi.range_iter(key..).take(64).map(|(_, v)| *v).sum::<u64>();
+        sink ^= cob.range_iter(key..).take(64).map(|(_, v)| *v).sum::<u64>();
+    }
+    let delta = allocations() - before;
+    black_box(sink);
+    assert_eq!(delta, 0, "12 000 keyed reads allocated {delta} times");
 }
 
 #[test]
