@@ -23,31 +23,9 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use ap_bench::{emit, env_usize, Row};
+use ap_bench::{emit, env_usize, mix_op, preload, Row};
 use dict_server::protocol::{decode_response, encode_request, read_frame, write_frame, Frame};
-use dict_server::{Client, ClientError, Request, Response};
-
-/// splitmix64, the stateless key scrambler used across the benches.
-fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The i-th operation of the seeded 95/5 get/put mix over `keyspace` keys.
-fn mix_op(i: u64, salt: u64, keyspace: u64) -> Request {
-    let r = scramble(i ^ salt);
-    let key = scramble(r) % keyspace;
-    if r % 100 < 95 {
-        Request::Get { key }
-    } else {
-        Request::Put {
-            key,
-            value: r ^ key,
-        }
-    }
-}
+use dict_server::{Client, ClientError, Response};
 
 fn percentile(sorted: &[u64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -55,26 +33,6 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
     sorted[idx] as f64
-}
-
-/// Preloads `keyspace` keys over one pipelined connection so the mix's
-/// gets mostly hit.
-fn preload(addr: SocketAddr, keyspace: u64) -> Result<(), ClientError> {
-    let mut c = Client::connect(addr)?;
-    for k in 0..keyspace {
-        c.send(&Request::Put {
-            key: k,
-            value: scramble(k),
-        })?;
-    }
-    c.flush()?;
-    for _ in 0..keyspace {
-        match c.recv()? {
-            Response::Done => {}
-            other => return Err(ClientError::Unexpected(other)),
-        }
-    }
-    Ok(())
 }
 
 struct Measured {

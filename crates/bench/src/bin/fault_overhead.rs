@@ -24,15 +24,7 @@
 use anti_persistence::block_store::temp_path;
 use anti_persistence::dict::{Backend, Dict};
 use anti_persistence::prelude::*;
-use ap_bench::{emit, scaled, timed, Row};
-
-/// splitmix64, the stateless key scrambler used across the benches.
-fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use ap_bench::{emit, scaled, scramble, timed, Row};
 
 const BLOCK: usize = 4096;
 

@@ -22,49 +22,8 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use anti_persistence::dict::{Backend, DictConfig};
-use ap_bench::{emit, env_usize, Row};
-use dict_server::{Client, ClientConfig, ClientError, Request, Response, Server, ServerOptions};
-
-/// splitmix64, the stateless key scrambler used across the benches.
-fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The i-th operation of the seeded 95/5 get/put mix over `keyspace` keys.
-fn mix_op(i: u64, salt: u64, keyspace: u64) -> Request {
-    let r = scramble(i ^ salt);
-    let key = scramble(r) % keyspace;
-    if r % 100 < 95 {
-        Request::Get { key }
-    } else {
-        Request::Put {
-            key,
-            value: r ^ key,
-        }
-    }
-}
-
-/// Preloads `keyspace` keys over one pipelined connection.
-fn preload(addr: SocketAddr, keyspace: u64) -> Result<(), ClientError> {
-    let mut c = Client::connect(addr)?;
-    for k in 0..keyspace {
-        c.send(&Request::Put {
-            key: k,
-            value: scramble(k),
-        })?;
-    }
-    c.flush()?;
-    for _ in 0..keyspace {
-        match c.recv()? {
-            Response::Done => {}
-            other => return Err(ClientError::Unexpected(other)),
-        }
-    }
-    Ok(())
-}
+use ap_bench::{emit, env_usize, mix_op, preload, Row};
+use dict_server::{Client, ClientConfig, ClientError, Server, ServerOptions};
 
 /// `clients` synchronous connections, `ops` requests each; returns ops/s.
 /// `tokened` switches between the anonymous fast path and HELLO-bound

@@ -19,18 +19,10 @@ use std::hint::black_box;
 
 use anti_persistence::dict::{Backend, Dict, DynDict};
 use anti_persistence::prelude::Dictionary;
-use ap_bench::{emit, env_usize, timed, Row};
+use ap_bench::{emit, env_usize, scramble, timed, Row};
 use hi_common::RankedSequence;
 use pma::{ClassicPma, HiPma};
 use workloads::{mixed, sequential_inserts, zipf_inserts, Op, Trace};
-
-/// splitmix64, the stateless key scrambler used across the benches.
-fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Pre-generated rank sequence so generation cost never pollutes the timing.
 /// `skew` 0 = uniform over the legal range; otherwise ranks are squashed

@@ -1,15 +1,13 @@
 //! Shared plumbing for the benchmark harnesses.
 //!
-//! Every figure and table of the paper's evaluation (and every theorem-shape
-//! experiment listed in `DESIGN.md` §4) is regenerated by a binary in
-//! `src/bin/`. The binaries print Markdown/CSV-ish tables to stdout and can
-//! optionally dump the raw rows as JSON (set `AP_BENCH_JSON=/path/out.json`).
+//! Every figure, table and theorem of the paper's evaluation is an anchor of
+//! the [`paper`] registry, driven by the `paper` binary; the other binaries
+//! in `src/bin/` measure this workspace's own layers. They print Markdown
+//! tables to stdout and can dump the raw rows as JSON (set
+//! `AP_BENCH_JSON=/path/out.json`).
 //!
-//! Scale knobs are environment variables so the same binaries work for a
-//! quick smoke run and for a paper-scale run:
-//!
-//! * `AP_BENCH_SCALE` — multiplies every default input size (default 1).
-//! * `AP_BENCH_TRIALS` — overrides trial counts where applicable.
+//! `AP_BENCH_SCALE` multiplies every default input size (default 1), so the
+//! same binaries serve a quick run and a paper-scale run.
 
 // The forbid covers the library target only; the one unsafe block in the
 // workspace (the counting GlobalAlloc in bin/bulk_vs_incremental.rs) lives
@@ -18,8 +16,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use dict_server::{Client, ClientError, Request, Response};
 use serde::Serialize;
+use std::net::SocketAddr;
 use std::time::Instant;
+
+pub mod paper;
 
 /// Reads a `usize` environment variable with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -65,53 +67,94 @@ impl Row {
 }
 
 /// Prints a Markdown table of rows grouped by series (one column per series,
-/// one line per x value) and optionally dumps the raw rows as JSON.
+/// one line per x value) and dumps the raw rows as JSON to `AP_BENCH_JSON`,
+/// when it is set.
 pub fn emit(title: &str, rows: &[Row]) {
+    print_table(title, rows);
+    dump_json(rows);
+}
+
+/// The table half of [`emit`].
+pub fn print_table(title: &str, rows: &[Row]) {
     println!("\n### {title}\n");
-    let mut series: Vec<String> = Vec::new();
-    for r in rows {
-        if !series.contains(&r.series) {
-            series.push(r.series.clone());
-        }
-    }
+    let mut series: Vec<&str> = Vec::new();
     let mut xs: Vec<f64> = Vec::new();
     for r in rows {
+        if !series.contains(&r.series.as_str()) {
+            series.push(&r.series);
+        }
         if !xs.iter().any(|&x| (x - r.x).abs() < 1e-9) {
             xs.push(r.x);
         }
     }
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let metric = rows.first().map(|r| r.metric.as_str()).unwrap_or("value");
-    print!("| x \\ {metric} |");
-    for s in &series {
-        print!(" {s} |");
-    }
-    println!();
-    print!("|---|");
-    for _ in &series {
-        print!("---|");
-    }
-    println!();
+    let metric = rows.first().map_or("value", |r| r.metric.as_str());
+    println!(
+        "| x \\ {metric} |{}",
+        series.iter().map(|s| format!(" {s} |")).collect::<String>()
+    );
+    println!("|---|{}", "---|".repeat(series.len()));
     for &x in &xs {
-        print!("| {x} |");
-        for s in &series {
-            let v = rows
+        let cell = |s: &&str| {
+            let row = rows
                 .iter()
-                .find(|r| r.series == *s && (r.x - x).abs() < 1e-9)
-                .map(|r| r.y);
-            match v {
-                Some(v) => print!(" {v:.3} |"),
-                None => print!(" – |"),
-            }
-        }
-        println!();
+                .find(|r| r.series == *s && (r.x - x).abs() < 1e-9);
+            row.map_or(" – |".to_string(), |r| format!(" {:.3} |", r.y))
+        };
+        println!("| {x} |{}", series.iter().map(cell).collect::<String>());
     }
+}
+
+/// The JSON half of [`emit`]: writes `rows` to `AP_BENCH_JSON`, when set.
+pub fn dump_json(rows: &[Row]) {
     if let Ok(path) = std::env::var("AP_BENCH_JSON") {
         let json = serde_json::to_string_pretty(rows).expect("rows serialize");
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("warning: could not write {path}: {e}");
         }
     }
+}
+
+/// splitmix64, the stateless key scrambler used across the benches.
+pub fn scramble(i: u64) -> u64 {
+    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The i-th operation of the seeded 95/5 get/put mix over `keyspace` keys.
+pub fn mix_op(i: u64, salt: u64, keyspace: u64) -> Request {
+    let r = scramble(i ^ salt);
+    let key = scramble(r) % keyspace;
+    if r % 100 < 95 {
+        Request::Get { key }
+    } else {
+        Request::Put {
+            key,
+            value: r ^ key,
+        }
+    }
+}
+
+/// Preloads `keyspace` keys over one pipelined connection, so the mix's
+/// gets mostly hit.
+pub fn preload(addr: SocketAddr, keyspace: u64) -> Result<(), ClientError> {
+    let mut c = Client::connect(addr)?;
+    for key in 0..keyspace {
+        c.send(&Request::Put {
+            key,
+            value: scramble(key),
+        })?;
+    }
+    c.flush()?;
+    for _ in 0..keyspace {
+        match c.recv()? {
+            Response::Done => {}
+            other => return Err(ClientError::Unexpected(other)),
+        }
+    }
+    Ok(())
 }
 
 /// Times a closure, returning (result, seconds).

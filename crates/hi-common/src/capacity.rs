@@ -18,7 +18,7 @@
 //! [`ShiCanonicalCapacity`] is the strongly-history-independent strawman used
 //! by Observation 1: a canonical (deterministic) capacity per `n`. The
 //! alternating adversary of Observation 1 forces it into an `Ω(n)` resize on
-//! every operation; benchmark `obs1_shi_vs_whi` demonstrates the separation.
+//! every operation; the `obs1` anchor of `ap_bench::paper` measures the separation.
 
 use rand::Rng;
 
