@@ -16,10 +16,7 @@ cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench
 echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence (every fingerprint, the golden image, the restart round trips and Lemma 9's oracle as the benchmark builds them: optimised, debug assertions out)"
 cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence
 
-echo "==> hi-lint (determinism-hygiene gate: zero diagnostics, zero stale suppressions)"
-cargo run --release --quiet --bin hi-lint
-
-echo "==> cargo clippy -- -D warnings"
+echo "==> cargo clippy -- -D warnings (the determinism gate: clippy.toml's disallowed types and methods, the panic lints, forbidden unsafe, and no stale #[expect])"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"

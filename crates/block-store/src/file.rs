@@ -16,8 +16,8 @@ pub const PAGE_ALIGN: usize = 4096;
 
 /// Attempts per block transfer before a transient fault becomes a typed
 /// [`FileError::Transient`]. A fixed count — never a clock-based backoff —
-/// so retry behavior is a pure function of the fault script and hi-lint's
-/// nondeterminism rule has nothing to object to.
+/// so retry behavior is a pure function of the fault script and reads no
+/// clock (`std::time::Instant` is a disallowed type in `clippy.toml`).
 pub const IO_RETRY_ATTEMPTS: u32 = 3;
 
 /// A typed error from block-granular file I/O.

@@ -28,8 +28,11 @@ impl Record for u64 {
         out.copy_from_slice(&self.to_le_bytes());
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Record::decode contract: callers always slice exactly SIZE bytes"
+    )]
     fn decode(buf: &[u8]) -> Self {
-        // hi-lint: allow(panic-surface): Record::decode contract: callers always slice exactly SIZE bytes
         u64::from_le_bytes(buf.try_into().expect("u64 record is 8 bytes"))
     }
 }

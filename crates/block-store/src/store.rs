@@ -514,8 +514,8 @@ fn encode_journal_header(
     // Field 2 is reserved and always zero. An earlier revision journaled the
     // commit generation here, but recovery never reads it — that was a
     // transient copy of operation history on the platter, exactly what the
-    // anti-persistence goal forbids. hi-lint's persisted-history rule pins
-    // this encoder's field list so the leak cannot come back.
+    // anti-persistence goal forbids. The test
+    // `header_fields_hold_no_commit_history` keeps the leak from coming back.
     put_u64(out, 2, 0);
     put_u64(out, 3, count);
     put_u64(out, 4, target_len);
@@ -1368,6 +1368,62 @@ mod tests {
         assert_eq!(back_records, records);
         assert_eq!(meta.fingerprint, layout_fingerprint(&words, 256));
         cleanup(&path);
+    }
+
+    /// The persisted headers carry no commit history. Image A committed
+    /// once and A committed again after three other images give the same
+    /// data header, whose fields are exactly what `encode_header` writes
+    /// with reserved field 7 zero; the journal header of a next commit, torn
+    /// just after it lands, has reserved field 2 zero and the same bytes.
+    #[test]
+    fn header_fields_hold_no_commit_history() {
+        let total = 512u64;
+        let commit = |store: &mut BlockStore, step: usize| {
+            let set: Vec<u64> = (0..total).step_by(step).collect();
+            let words = words_for(total, &set);
+            store.commit(&words, total, set.len() as u64, set.iter().copied(), 5)
+        };
+        // A (step 4) once, or A, `others` other images and A again.
+        let history = |others: usize| {
+            let path = temp_path("store-history");
+            let mut store = BlockStore::open(&path, opts()).unwrap();
+            for step in [4].into_iter().chain(5..5 + others) {
+                commit(&mut store, step).unwrap();
+            }
+            if others > 0 {
+                commit(&mut store, 4).unwrap();
+            }
+            (store, path)
+        };
+        // The next commit's header write, from a dry run: the journal write
+        // before its last, which retires the journal.
+        let (mut dry, dry_path) = history(0);
+        let before = dry.stats().journal.blocks_written;
+        commit(&mut dry, 3).unwrap();
+        let commit_point = dry.stats().journal.blocks_written - before - 1;
+        cleanup(&dry_path);
+
+        let mut headers = Vec::new();
+        for others in [0, 3] {
+            let (mut store, path) = history(others);
+            let meta = store.meta().unwrap();
+            assert_eq!(meta.generation, if others == 0 { 1 } else { 5 });
+            let data = std::fs::read(&path).unwrap()[..B].to_vec();
+            let fields: Vec<u64> = (0..HEADER_FIELDS).map(|f| get_u64(&data, f)).collect();
+            let sum = fnv1a(FNV_OFFSET, &data[..(HEADER_FIELDS - 1) * 8]);
+            let (fp, root, n) = (meta.fingerprint, meta.checksum_root, total / 4);
+            let want = [MAGIC, VERSION, B as u64, 8, total, n, 5, 0, fp, root, sum];
+            assert_eq!(fields, want);
+
+            store.set_fault_plan(FaultPlan::new([Fault::TornWrite { at: commit_point }]));
+            assert!(commit(&mut store, 3).is_err());
+            let journal = std::fs::read(journal_path_for(&path)).unwrap()[..B].to_vec();
+            assert_eq!(get_u64(&journal, 0), JMAGIC);
+            assert_eq!(get_u64(&journal, 2), 0);
+            headers.push((data, journal));
+            cleanup(&path);
+        }
+        assert_eq!(headers[0], headers[1], "headers after 1 and 5 commits");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,6 +86,10 @@ impl<K: Ord + Clone, V: Clone> Clone for BTree<K, V> {
     }
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "node-kind match arms: every Node is Leaf or Internal and the recursion's depth invariant (leaves at height 0, internals above) decides which before the match; reaching the other arm is a logic bug where aborting beats silently corrupting the tree, and a typed error would force an impossible-error variant on every caller"
+)]
 impl<K: Ord + Clone, V: Clone> BTree<K, V> {
     /// Creates an empty B+-tree with the given fanout (`B ≥ 4`).
     pub fn new(fanout: usize) -> Self {
@@ -355,8 +358,11 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
                         let mut probe = children[idx - 1];
                         loop {
                             match &self.nodes[probe] {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "B-tree invariant: internal nodes always hold at least one child"
+                                )]
                                 Node::Internal { children, .. } => {
-                                    // hi-lint: allow(panic-surface): B-tree invariant: internal nodes always hold at least one child
                                     probe = *children.last().expect("internal node has children");
                                 }
                                 Node::Leaf { keys, values } => {
@@ -725,14 +731,16 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             (children[idx - 1], children[idx])
         };
         if self.nodes[left_id].is_leaf() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the donor sibling was checked to have surplus entries"
+            )]
             let (k, v) = {
                 let Node::Leaf { keys, values } = &mut self.nodes[left_id] else {
                     unreachable!();
                 };
                 (
-                    // hi-lint: allow(panic-surface): the donor sibling was checked to have surplus entries
                     keys.pop().expect("donor leaf"),
-                    // hi-lint: allow(panic-surface): the donor sibling was checked to have surplus entries
                     values.pop().expect("donor leaf"),
                 )
             };
@@ -749,11 +757,14 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             };
             keys[idx - 1] = new_sep;
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "the donor sibling was checked to have surplus entries"
+            )]
             let (donated_child, donated_key) = {
                 let Node::Internal { keys, children } = &mut self.nodes[left_id] else {
                     unreachable!();
                 };
-                // hi-lint: allow(panic-surface): the donor sibling was checked to have surplus entries
                 (children.pop().expect("donor"), keys.pop().expect("donor"))
             };
             let old_sep = {

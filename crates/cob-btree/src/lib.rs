@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 use std::ops::RangeBounds;
 
@@ -71,9 +70,12 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     }
 
     /// Creates an empty tree drawing its coins from OS entropy.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "forwards to the audited RngSource intake; production trees need a seed the observer cannot know"
+    )]
     pub fn from_entropy() -> Self {
         Self {
-            // hi-lint: allow(entropy): forwards to the audited RngSource intake; production trees need a seed the observer cannot know
             pma: HiPma::from_entropy(),
         }
     }
@@ -157,18 +159,27 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
             if *existing == key {
                 // Replace: delete + reinsert at the same rank keeps the
                 // layout distribution a function of the key set only.
-                // hi-lint: allow(panic-surface): delete at the rank the probe just returned
+                #[expect(
+                    clippy::expect_used,
+                    reason = "delete at the rank the probe just returned"
+                )]
                 let (_, old_value) = self.pma.delete(rank).expect("rank just observed");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "reinsert at the rank the delete just vacated"
+                )]
                 self.pma
                     .insert(rank, (key, value))
-                    // hi-lint: allow(panic-surface): reinsert at the rank the delete just vacated
                     .expect("rank still valid");
                 return Some(old_value);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "lower_bound returns a rank <= len, the valid insertion range"
+        )]
         self.pma
             .insert(rank, (key, value))
-            // hi-lint: allow(panic-surface): lower_bound returns a rank <= len, the valid insertion range
             .expect("lower bound is a valid insertion rank");
         None
     }
@@ -179,7 +190,10 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
         let (rank, probe) = self.pma.lower_bound_ref_by(|(k, _)| k.cmp(key));
         match probe {
             Some((existing, _)) if existing == key => {
-                // hi-lint: allow(panic-surface): delete at the rank the probe just returned
+                #[expect(
+                    clippy::expect_used,
+                    reason = "delete at the rank the probe just returned"
+                )]
                 let (_, v) = self.pma.delete(rank).expect("rank just observed");
                 Some(v)
             }
@@ -251,13 +265,16 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     }
 
     /// Collects the whole dictionary in ascending key order.
+    #[expect(
+        clippy::expect_used,
+        reason = "empty trees take the explicit empty-range branch; otherwise 0..len-1 is valid"
+    )]
     pub fn to_sorted_vec(&self) -> Vec<(K, V)> {
         if self.is_empty() {
             Vec::new()
         } else {
             self.pma
                 .range_query(0, self.len() - 1)
-                // hi-lint: allow(panic-surface): empty trees take the explicit empty-range branch; otherwise 0..len-1 is valid
                 .expect("full range is valid")
         }
     }

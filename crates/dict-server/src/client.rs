@@ -539,7 +539,10 @@ impl Client {
     }
 
     /// Shard-health snapshot: `(shard_count, [(shard, reason)…])`.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the wire reply's shape, spelled out once"
+    )]
     pub fn health(&mut self) -> Result<(u64, Vec<(u64, String)>), ClientError> {
         match self.roundtrip(&Request::Health)? {
             Response::Health { shards, degraded } => Ok((shards, degraded)),

@@ -1682,7 +1682,7 @@ mod tests {
                     None => Response::NotFound,
                 },
                 Request::Len => Response::Count(oracle.len() as u64),
-                _ => unreachable!("no other request was sent"),
+                _ => panic!("no other request was sent, got {req:?}"),
             };
             assert_eq!(*resp, want, "seq {seq}: {req:?}");
         }
@@ -1704,6 +1704,10 @@ mod tests {
     /// Back-to-back PINGs never let a read time out, so noticing the flag
     /// cannot wait for one.
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the wall clock bounds the streaming peer and times `shutdown`; the server under test reads none"
+    )]
     fn shutdown_returns_within_read_poll_and_write_timeout_while_a_peer_streams() {
         use std::time::Instant;
         let mut server = serve();

@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod bitmap;

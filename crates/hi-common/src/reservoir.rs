@@ -369,7 +369,7 @@ mod tests {
     fn explicit_reservoir_uniform_under_deletes() {
         // Insert 0..12, delete the evens, check leader uniform over odds.
         let trials = 12_000;
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(40_000 + t as u64);
             let mut res = ExplicitReservoir::new();

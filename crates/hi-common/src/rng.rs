@@ -60,7 +60,9 @@ impl RngSource {
     /// Use this in production settings where reproducibility is not desired;
     /// the WHI guarantees require the seed to be unknown to the observer.
     pub fn from_entropy() -> Self {
-        // hi-lint: allow(entropy): the one production entropy intake — WHI needs a seed the observer cannot know; everything downstream is a pure function of it
+        // The one production entropy intake: WHI needs a seed the observer
+        // cannot know, and everything downstream is a pure function of it.
+        // Its callers are disallowed methods (`clippy.toml`).
         let seed = rand::rngs::OsRng.next_u64();
         Self::from_seed(seed)
     }
@@ -98,8 +100,11 @@ impl RngSource {
 }
 
 impl Default for RngSource {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the safe default is the adversary-unknown seed; deterministic runs must opt in with from_seed"
+    )]
     fn default() -> Self {
-        // hi-lint: allow(entropy): the safe default is the adversary-unknown seed; deterministic runs must opt in with from_seed
         Self::from_entropy()
     }
 }
@@ -166,6 +171,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the entropy intake itself is the subject"
+    )]
     fn entropy_sources_differ() {
         // Overwhelmingly likely to differ; failure would indicate a broken
         // OsRng shim rather than bad luck.

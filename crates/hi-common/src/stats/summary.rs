@@ -33,7 +33,10 @@ impl Summary {
             return None;
         }
         let mut sorted: Vec<f64> = samples.to_vec();
-        // hi-lint: allow(panic-surface): a NaN sample is a harness bug; aborting the summary beats silently skewing the stats
+        #[expect(
+            clippy::expect_used,
+            reason = "a NaN sample is a harness bug; aborting the summary beats silently skewing the stats"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
         let count = sorted.len();
         let mean = sorted.iter().sum::<f64>() / count as f64;

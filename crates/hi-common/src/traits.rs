@@ -150,7 +150,10 @@ pub trait RankedSequence {
         let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            // hi-lint: allow(panic-surface): mid < len: the binary-search bounds maintain lo <= mid < hi <= len
+            #[expect(
+                clippy::expect_used,
+                reason = "mid < len: the binary-search bounds maintain lo <= mid < hi <= len"
+            )]
             let probe = self.get_ref(mid).expect("mid < len");
             if f(probe) == std::cmp::Ordering::Less {
                 lo = mid + 1;
@@ -206,6 +209,10 @@ pub trait RankedSequence {
     /// do. The HI PMA's override descends its value tree alone, reading no
     /// rank, and its scan walks on past the landing leaf with no second
     /// descent.
+    #[expect(
+        clippy::expect_used,
+        reason = "ranks are the canonical empty pair or from..len-1 with from < len"
+    )]
     fn iter_from_by<F>(&self, f: F) -> impl Iterator<Item = &Self::Item>
     where
         F: Fn(&Self::Item) -> std::cmp::Ordering,
@@ -216,9 +223,7 @@ pub trait RankedSequence {
         } else {
             (1, 0)
         };
-        self.range_iter(i, j)
-            // hi-lint: allow(panic-surface): ranks are the canonical empty pair or from..len-1 with from < len
-            .expect("clamped range is valid")
+        self.range_iter(i, j).expect("clamped range is valid")
     }
 
     /// Returns a clone of the `rank`-th element.
@@ -238,13 +243,16 @@ pub trait RankedSequence {
     ) -> Result<impl Iterator<Item = &Self::Item>, RankError>;
 
     /// Borrows every element in rank order.
+    #[expect(
+        clippy::expect_used,
+        reason = "empty sequences take the explicit empty-range branch; otherwise 0..len-1 is valid"
+    )]
     fn iter(&self) -> impl Iterator<Item = &Self::Item> {
         // The full range is always valid (empty sequences take the `i > j`
         // empty-range branch via `0 > len - 1 == usize::MAX` wrap-around
         // being avoided by the explicit guard below).
         let last = self.len().saturating_sub(1);
         self.range_iter(usize::from(self.is_empty()), last)
-            // hi-lint: allow(panic-surface): empty sequences take the explicit empty-range branch; otherwise 0..len-1 is valid
             .expect("full range is valid")
     }
 
@@ -265,8 +273,11 @@ pub trait RankedSequence {
     fn extend_back(&mut self, items: impl IntoIterator<Item = Self::Item>) {
         for item in items {
             let len = self.len();
+            #[expect(
+                clippy::expect_used,
+                reason = "insert at rank == len is the always-valid append form"
+            )]
             self.insert_at(len, item)
-                // hi-lint: allow(panic-surface): insert at rank == len is the always-valid append form
                 .expect("insert at len is always valid");
         }
     }
@@ -284,7 +295,10 @@ pub trait RankedSequence {
         let _ = seed;
         while !self.is_empty() {
             let last = self.len() - 1;
-            // hi-lint: allow(panic-surface): last = len - 1 under the !is_empty loop guard
+            #[expect(
+                clippy::expect_used,
+                reason = "last = len - 1 under the !is_empty loop guard"
+            )]
             self.delete_at(last).expect("last rank is valid");
         }
         self.extend_back(items);
@@ -646,17 +660,26 @@ where
             // HI-preserving replace `CobBTree::insert` uses: the layout
             // distribution stays a function of the key set only, at the
             // cost of two rank updates for a value change.
-            // hi-lint: allow(panic-surface): delete at the rank the probe just returned
+            #[expect(
+                clippy::expect_used,
+                reason = "delete at the rank the probe just returned"
+            )]
             let (_, old) = self.seq.delete_at(rank).expect("rank just observed");
+            #[expect(
+                clippy::expect_used,
+                reason = "reinsert at the rank the delete just vacated"
+            )]
             self.seq
                 .insert_at(rank, (key, value))
-                // hi-lint: allow(panic-surface): reinsert at the rank the delete just vacated
                 .expect("rank still valid");
             return Some(old);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "lower_bound returns a rank <= len, the valid insertion range"
+        )]
         self.seq
             .insert_at(rank, (key, value))
-            // hi-lint: allow(panic-surface): lower_bound returns a rank <= len, the valid insertion range
             .expect("lower bound is a valid insertion rank");
         None
     }
@@ -665,7 +688,10 @@ where
         let (rank, probe) = self.seq.lower_bound_ref_by(|pair| pair.0.cmp(key));
         let hit = matches!(probe, Some((existing, _)) if existing == key);
         if hit {
-            // hi-lint: allow(panic-surface): delete at the rank the probe just returned
+            #[expect(
+                clippy::expect_used,
+                reason = "delete at the rank the probe just returned"
+            )]
             let (_, v) = self.seq.delete_at(rank).expect("rank just observed");
             Some(v)
         } else {

@@ -265,6 +265,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "std's HashMap is the reference DetMap is checked against"
+    )]
     fn tracks_std_hashmap_under_mixed_operations() {
         use std::collections::HashMap;
         let mut det = DetMap::new();

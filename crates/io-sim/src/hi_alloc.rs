@@ -121,7 +121,10 @@ impl HiAllocator {
                 }
                 pick -= options;
             }
-            // hi-lint: allow(panic-surface): candidates is the sum of per-run options, so pick < candidates always lands in a run
+            #[expect(
+                clippy::expect_used,
+                reason = "candidates is the sum of per-run options, so pick < candidates always lands in a run"
+            )]
             let (idx, start) = chosen.expect("candidate accounting is consistent");
             self.carve(idx, start, blocks);
             self.live_blocks += blocks;

@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub mod detmap;
 pub mod hi_alloc;

@@ -243,17 +243,23 @@ impl<T: Clone> ClassicPma<T> {
             if self.len == 0 {
                 return (0, 0);
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "len > 0 on this branch, so len - 1 is a valid rank"
+            )]
             let (seg, within) = self
                 .seg_counts
                 .find_rank((self.len - 1) as u64)
-                // hi-lint: allow(panic-surface): len > 0 on this branch, so len - 1 is a valid rank
                 .expect("len - 1 is a valid rank");
             return (seg, within as usize + 1);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "rank < len was checked by the branch above"
+        )]
         let (seg, within) = self
             .seg_counts
             .find_rank(rank as u64)
-            // hi-lint: allow(panic-surface): rank < len was checked by the branch above
             .expect("rank < len was checked");
         (seg, within as usize)
     }
@@ -508,7 +514,10 @@ impl<T: Clone> ClassicPma<T> {
                 let (mut lo, mut hi) = (0usize, self.len);
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    // hi-lint: allow(panic-surface): mid < len: the binary-search bounds maintain lo <= mid < hi <= len
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "mid < len: the binary-search bounds maintain lo <= mid < hi <= len"
+                    )]
                     let probe = self.get_rank_ref(mid).expect("mid < len");
                     if f(probe) == std::cmp::Ordering::Less {
                         lo = mid + 1;

@@ -180,9 +180,12 @@ impl<T: Clone> HiPma<T> {
     }
 
     /// Creates an empty PMA drawing its coins from OS entropy.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "forwards to the audited RngSource intake; production PMAs need a seed the observer cannot know"
+    )]
     pub fn from_entropy() -> Self {
         Self::with_parts(
-            // hi-lint: allow(entropy): forwards to the audited RngSource intake; production PMAs need a seed the observer cannot know
             RngSource::from_entropy(),
             SharedCounters::new(),
             Tracer::disabled(),

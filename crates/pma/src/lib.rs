@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub mod classic;
 pub mod fenwick;

@@ -287,7 +287,10 @@ impl<T> SlotStore<T> {
         for_each_spread_position(count, slots, |p| {
             let g = g0 + p / group_slots;
             debug_assert!(groups[g].len() < group_slots);
-            // hi-lint: allow(panic-surface): for_each_spread_position yields exactly count positions, the iterator's promised length
+            #[expect(
+                clippy::expect_used,
+                reason = "for_each_spread_position yields exactly count positions, the iterator's promised length"
+            )]
             let item = iter.next().expect("iterator shorter than promised count");
             groups[g].push(item);
         });

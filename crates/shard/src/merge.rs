@@ -104,7 +104,10 @@ where
             }
             inputs = level;
         }
-        // hi-lint: allow(panic-surface): the assert above leaves at least one input, and pairing never empties the list
+        #[expect(
+            clippy::expect_used,
+            reason = "the assert above leaves at least one input, and pairing never empties the list"
+        )]
         let root = inputs.pop().expect("one input is left");
         Self { root, key }
     }
@@ -290,6 +293,10 @@ where
 {
     type Item = I::Item;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "pending[b] was Some, so iterator slot b is still filled"
+    )]
     fn next(&mut self) -> Option<I::Item> {
         let mut best: Option<usize> = None;
         for i in 0..self.len {
@@ -298,7 +305,10 @@ where
                     None => Some(i),
                     // Strict `Less` keeps ties on the lowest shard index.
                     Some(b) => {
-                        // hi-lint: allow(panic-surface): best only ever indexes slots this loop observed as pending
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "best only ever indexes slots this loop observed as pending"
+                        )]
                         let incumbent = self.pending[b].as_ref().expect("best is pending");
                         if (self.cmp)(item, incumbent) == Ordering::Less {
                             Some(i)
@@ -311,7 +321,6 @@ where
         }
         let b = best?;
         let item = self.pending[b].take();
-        // hi-lint: allow(panic-surface): pending[b] was Some, so iterator slot b is still filled
         self.pending[b] = self.iters[b].as_mut().expect("slot b is filled").next();
         item
     }

@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn shard_seeds_are_distinct() {
         let r = ShardRouter::new(1234, 16);
-        let seeds: std::collections::HashSet<u64> = (0..16).map(|i| r.shard_seed(i)).collect();
+        let seeds: std::collections::BTreeSet<u64> = (0..16).map(|i| r.shard_seed(i)).collect();
         assert_eq!(seeds.len(), 16);
     }
 

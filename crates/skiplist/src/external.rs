@@ -605,10 +605,13 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
                 // The headless first array joins the previous node's last
                 // array; the other arrays are appended whole.
                 let first = node.arrays.remove(0);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "node arrays are never empty: merges append and splits leave at least one array per node"
+                )]
                 let last = prev_node
                     .arrays
                     .last_mut()
-                    // hi-lint: allow(panic-surface): node arrays are never empty: merges append and splits leave at least one array per node
                     .expect("nodes always hold at least one array");
                 last.entries.extend(first.entries);
                 let n = last.len();
@@ -1121,7 +1124,7 @@ impl<K: Ord + Clone, V: Clone> Dictionary for ExternalSkipList<K, V> {
 
 /// Ordering helper kept for documentation symmetry with the paper's Figure 3
 /// (unused variants are future-proofing for custom comparators).
-#[allow(dead_code)]
+#[allow(dead_code, reason = "kept for symmetry with the paper's Figure 3")]
 fn compare<K: Ord>(a: &K, b: &K) -> Ordering {
     a.cmp(b)
 }

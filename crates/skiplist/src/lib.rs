@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub mod external;
 pub mod params;

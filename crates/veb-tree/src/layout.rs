@@ -123,7 +123,7 @@ impl VebLayout {
 mod tests {
     use super::*;
     use crate::navigation::{depth_of, node_count};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn single_level() {
@@ -167,7 +167,7 @@ mod tests {
         for levels in 1..=14u32 {
             let l = VebLayout::new(levels);
             let n = node_count(levels);
-            let set: HashSet<usize> = (0..n).map(|i| l.position(i)).collect();
+            let set: BTreeSet<usize> = (0..n).map(|i| l.position(i)).collect();
             assert_eq!(set.len(), n, "levels = {levels}");
             assert!(set.iter().all(|&p| p < n));
         }
@@ -194,8 +194,8 @@ mod tests {
         let mut worst_bfs = 0usize;
         for leaf_k in (0..(1usize << (levels - 1))).step_by(997) {
             let mut node = crate::navigation::leaf_index(levels, leaf_k);
-            let mut veb_blocks = HashSet::new();
-            let mut bfs_blocks = HashSet::new();
+            let mut veb_blocks = BTreeSet::new();
+            let mut bfs_blocks = BTreeSet::new();
             loop {
                 veb_blocks.insert(l.position(node) as u64 * elem / block);
                 bfs_blocks.insert(node as u64 * elem / block);

@@ -18,7 +18,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub mod layout;
 pub mod navigation;

@@ -11,7 +11,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +60,10 @@ impl Trace {
 /// Distinct uniformly random keys, in insertion order (Figure 2's workload).
 pub fn random_inserts(n: usize, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
-    // hi-lint: allow(nondeterminism): membership-only dedup — trace order comes from the seeded rng; the set is never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only dedup — trace order comes from the seeded rng; the set is never iterated"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     let mut ops = Vec::with_capacity(n);
     while ops.len() < n {
@@ -226,7 +228,7 @@ mod tests {
         let t = random_inserts(5000, 1);
         assert_eq!(t.len(), 5000);
         assert_eq!(t.insert_count(), 5000);
-        let keys: std::collections::HashSet<u64> = t
+        let keys: std::collections::BTreeSet<u64> = t
             .ops
             .iter()
             .map(|op| match op {
@@ -270,7 +272,7 @@ mod tests {
     #[test]
     fn zipf_is_skewed() {
         let t = zipf_inserts(20_000, 1000, 1.1, 5);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for op in &t.ops {
             if let Op::Insert(k, _) = op {
                 *counts.entry(*k).or_insert(0usize) += 1;

@@ -9,6 +9,9 @@
 //!
 //! Run with: `cargo run --release --example io_model_explorer`
 
+// Examples are seeded end to end: the determinism gate applies here too.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use anti_persistence::prelude::*;
 
 fn measure(block_size: usize, memory_blocks: usize, n: u64, probes: u64) -> (f64, f64) {

@@ -2,6 +2,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+// Examples are seeded end to end: the determinism gate applies here too.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use anti_persistence::prelude::*;
 
 fn main() {

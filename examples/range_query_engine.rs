@@ -13,10 +13,16 @@
 //!
 //! Run with: `cargo run --release --example range_query_engine`
 
+// Examples are seeded end to end: the determinism gate applies here too.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use anti_persistence::prelude::*;
-use std::time::Instant;
 use workloads::{mixed, random_inserts, Op};
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the example times its engines for the printed table; no reading reaches a layout"
+)]
 fn main() {
     let n = 50_000usize;
     let block = 64usize;
@@ -54,7 +60,7 @@ fn main() {
             .build_sharded();
 
         // Bulk ingest: the load trace arrives as one batched multi_put.
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         service.multi_put(load.ops.iter().filter_map(|op| match op {
             Op::Insert(k, v) => Some((*k, *v)),
             _ => None,
@@ -64,7 +70,7 @@ fn main() {
         // Mixed traffic: point reads go through batched multi_get, writes
         // and deletes through the batched write path, range queries through
         // the merged scan.
-        let t1 = Instant::now();
+        let t1 = std::time::Instant::now();
         let mut puts: Vec<(u64, u64)> = Vec::new();
         let mut gets: Vec<u64> = Vec::new();
         let mut sink = 0u64;

@@ -22,6 +22,9 @@
 //!
 //! Run with: `cargo run --release --example secure_delete_audit`
 
+// Examples are seeded end to end: the determinism gate applies here too.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::io::Write as _;
 
 use anti_persistence::dict::{Backend, Dict};

@@ -528,9 +528,12 @@ impl DictBuilder {
 
     /// Constructs the configured backend, panicking on a degenerate config
     /// (see [`Self::try_build`] for the fallible form).
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: this constructor panics on invalid config; validate() is the non-panicking path"
+    )]
     pub fn build<K: Ord + Clone, V: Clone>(self) -> DynDict<K, V> {
         self.try_build()
-            // hi-lint: allow(panic-surface): documented contract: this constructor panics on invalid config; validate() is the non-panicking path
             .unwrap_or_else(|e| panic!("invalid dictionary config: {e}"))
     }
 
@@ -619,13 +622,16 @@ impl DictBuilder {
     /// assert_eq!(service.multi_get(&[3, 2_000])[0], Some(3));
     /// assert_eq!(service.range_iter(10..20).count(), 10);
     /// ```
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: this constructor panics on invalid config; validate() is the non-panicking path"
+    )]
     pub fn build_sharded<K, V>(self) -> ShardedDict<DynDict<K, V>>
     where
         K: Ord + Clone + Hash,
         V: Clone,
     {
         self.try_build_sharded()
-            // hi-lint: allow(panic-surface): documented contract: this constructor panics on invalid config; validate() is the non-panicking path
             .unwrap_or_else(|e| panic!("invalid dictionary config: {e}"))
     }
 

@@ -185,6 +185,19 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
+// The determinism gate at `[workspace.lints]`'s levels, stated here because
+// this package's tests and examples share its manifest.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod dict;
 
@@ -241,5 +254,21 @@ mod tests {
         assert_eq!(hi.to_sorted_vec(), bt.to_sorted_vec());
         assert_eq!(hi.to_sorted_vec(), sl.to_sorted_vec());
         assert_eq!(hi.to_sorted_vec(), dy.to_sorted_vec());
+    }
+
+    /// The determinism gate reaches a crate only through its manifest, so a
+    /// library crate that drops `[lints] workspace = true` would leave it
+    /// silently. Only the bench, test-support and lint-gate crates stay out.
+    #[test]
+    fn every_library_crate_inherits_the_determinism_gate() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+        for dir in std::fs::read_dir(crates).unwrap() {
+            let dir = dir.unwrap().path();
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            let inherits = manifest.contains("[lints]\nworkspace = true");
+            let tool = ["bench", "test-support", "lint-gate"].contains(&name.as_str());
+            assert_eq!(inherits, !tool, "crates/{name}");
+        }
     }
 }
