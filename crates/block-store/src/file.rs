@@ -184,6 +184,11 @@ impl AlignedBuf {
         &self.raw[off..off + len]
     }
 
+    /// Zeroes the whole buffer, keeping its capacity.
+    pub fn wipe(&mut self) {
+        self.raw.fill(0);
+    }
+
     fn offset(&self) -> usize {
         let addr = self.raw.as_ptr() as usize;
         (PAGE_ALIGN - addr % PAGE_ALIGN) % PAGE_ALIGN

@@ -688,8 +688,25 @@ impl BlockStore {
     /// staging phase, after which the store is as it was.
     ///
     /// Steady-state commits are allocation-free: all staging buffers are
-    /// reused and were sized by the first (full) commit.
+    /// reused and were sized by the first (full) commit. The staged images
+    /// are wiped on the way out, whatever the outcome: they hold records
+    /// that may be deleted before the next commit, and the buffer outlives
+    /// them.
     pub fn commit<T: Record>(
+        &mut self,
+        words: &[u64],
+        total_slots: u64,
+        len: u64,
+        records: impl IntoIterator<Item = T>,
+        seed: u64,
+    ) -> Result<u64, FileError> {
+        let committed = self.stage_and_commit(words, total_slots, len, records, seed);
+        self.payload.wipe();
+        committed
+    }
+
+    /// The body of [`Self::commit`], before the wipe.
+    fn stage_and_commit<T: Record>(
         &mut self,
         words: &[u64],
         total_slots: u64,

@@ -57,11 +57,11 @@ use pma::HiPma;
 /// A weakly history-independent, cache-oblivious B-tree: a keyed dictionary
 /// backed by the augmented HI PMA.
 #[derive(Debug, Clone)]
-pub struct CobBTree<K: Ord + Clone, V: Clone> {
+pub struct CobBTree<K: Ord + Clone + Default, V: Clone + Default> {
     pma: HiPma<(K, V)>,
 }
 
-impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> CobBTree<K, V> {
     /// Creates an empty tree seeded from `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
@@ -131,7 +131,10 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     }
 
     /// Verifies the backing PMA's structural invariants plus key ordering.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self)
+    where
+        V: PartialEq,
+    {
         self.pma.check_invariants();
         let all = self.to_sorted_vec();
         for window in all.windows(2) {
@@ -280,7 +283,7 @@ impl<K: Ord + Clone, V: Clone> CobBTree<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> hi_common::traits::Occupancy for CobBTree<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> hi_common::traits::Occupancy for CobBTree<K, V> {
     fn slot_count(&self) -> usize {
         self.pma.total_slots()
     }
@@ -290,7 +293,7 @@ impl<K: Ord + Clone, V: Clone> hi_common::traits::Occupancy for CobBTree<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> Dictionary for CobBTree<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> Dictionary for CobBTree<K, V> {
     type Key = K;
     type Value = V;
 

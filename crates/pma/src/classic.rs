@@ -15,8 +15,10 @@
 //! lets the tests demonstrate the leak itself.
 //!
 //! Storage uses the same allocation-free engine as the HI PMA
-//! ([`SlotStore`]): values dense per segment, rebalances gathering into a
-//! reusable [`Scratch`] arena and moving (never cloning) elements. The slot
+//! ([`SlotStore`]): one slot arena with each segment's values dense at its
+//! front and the default in every other slot, rebalances taking elements
+//! out into a reusable [`Scratch`] arena and moving (never cloning) them
+//! back, so no deleted record stays in the arena or the buffer. The slot
 //! layout is a packed bitmap of its own: a window rebalance spreads its
 //! elements evenly over the *window*, not segment by segment, so unlike the
 //! HI PMA's leaves the layout is not a function of the segment counts.
@@ -24,7 +26,7 @@
 use hi_common::batch::SeekFinger;
 use hi_common::bitmap::Bitmap;
 use hi_common::counters::SharedCounters;
-use hi_common::scratch::Scratch;
+use hi_common::scratch::{take_out, Scratch};
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 
@@ -76,7 +78,7 @@ impl DensityBands {
 
 /// The classic density-threshold PMA. Rank-addressed, like [`crate::HiPma`].
 #[derive(Debug, Clone)]
-pub struct ClassicPma<T: Clone> {
+pub struct ClassicPma<T: Clone + Default> {
     store: SlotStore<T>,
     /// Slot occupancy, rewritten beside every window fill of `store`.
     bitmap: Bitmap,
@@ -96,7 +98,7 @@ pub struct ClassicPma<T: Clone> {
     scratch: Scratch<T>,
 }
 
-impl<T: Clone> ClassicPma<T> {
+impl<T: Clone + Default> ClassicPma<T> {
     /// Creates an empty PMA with the standard density bands.
     pub fn new() -> Self {
         Self::with_parts(
@@ -128,7 +130,7 @@ impl<T: Clone> ClassicPma<T> {
             tracer,
             region: Region::new(0, elem_size, 1),
             elem_size,
-            scratch: Scratch::new(),
+            scratch: Scratch::default(),
         };
         pma.resize_to(8, Vec::new());
         pma
@@ -161,8 +163,12 @@ impl<T: Clone> ClassicPma<T> {
 
     /// Verifies structural invariants (rank index consistent with slots,
     /// densities within the root band). Intended for tests.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self)
+    where
+        T: PartialEq,
+    {
         assert_eq!(self.bitmap.count_ones(), self.len);
+        assert!(self.store.vacant_slots_hold_defaults());
         assert_eq!(self.seg_counts.total() as usize, self.len);
         for seg in 0..self.segments {
             let start = seg * self.seg_size;
@@ -197,28 +203,23 @@ impl<T: Clone> ClassicPma<T> {
         let segments = (total_slots / target_seg).next_power_of_two().max(1);
         let seg_size = total_slots / segments;
         debug_assert!(seg_size * segments == total_slots);
-        self.store = SlotStore::new(segments, seg_size);
+        self.store.reshape(segments, seg_size);
         self.bitmap = Bitmap::new(total_slots);
         self.seg_size = seg_size;
         self.segments = segments;
         self.height = segments.trailing_zeros();
         self.len = buf.len();
         self.region = Region::new(0, self.elem_size, total_slots as u64);
-        // Spread evenly across the whole array (one window of every
-        // segment), then record per-segment counts.
-        let count = buf.len();
-        let mut iter = buf.drain(..);
-        self.store.fill_window(0, segments, &mut iter, count);
-        drop(iter);
-        self.spread_bits(0, total_slots, count);
+        // Spread over one window of every segment; record the counts.
+        self.store.fill_window(0, segments, &mut buf);
+        self.spread_bits(0, total_slots, self.len);
         self.scratch.restore(buf);
-        self.counters.add_moves(count as u64);
+        self.counters.add_moves(self.len as u64);
         self.counters.add_resize();
         self.tracer.write(self.region.base, self.region.byte_len());
-        let mut counts = vec![0u64; segments];
-        for (seg, c) in counts.iter_mut().enumerate() {
-            *c = self.store.group_len(seg) as u64;
-        }
+        let counts: Vec<u64> = (0..segments)
+            .map(|g| self.store.group_len(g) as u64)
+            .collect();
         self.seg_counts = Fenwick::from_counts(&counts);
     }
 
@@ -273,10 +274,7 @@ impl<T: Clone> ClassicPma<T> {
         let start = first_seg * self.seg_size;
         let slot_count = window_segs * self.seg_size;
         let count = buf.len();
-        let mut iter = buf.drain(..);
-        self.store
-            .fill_window(first_seg, window_segs, &mut iter, count);
-        drop(iter);
+        self.store.fill_window(first_seg, window_segs, &mut buf);
         self.spread_bits(start, slot_count, count);
         self.scratch.restore(buf);
         self.counters.add_moves(count as u64);
@@ -399,7 +397,7 @@ impl<T: Clone> ClassicPma<T> {
                 let first_seg = (seg / window_segs) * window_segs;
                 let rank_of_window_start = self.seg_counts.prefix_sum(first_seg) as usize;
                 let mut buf = self.gather_window(seg, level);
-                let removed = buf.remove(rank - rank_of_window_start);
+                let removed = take_out(&mut buf, rank - rank_of_window_start);
                 self.rebalance_window(seg, level, buf);
                 self.len -= 1;
                 return Ok(removed);
@@ -407,7 +405,7 @@ impl<T: Clone> ClassicPma<T> {
             if root_level {
                 // Shrink (or just rebuild at the same size when small).
                 let mut buf = self.gather_all();
-                let removed = buf.remove(rank);
+                let removed = take_out(&mut buf, rank);
                 let new_slots = Self::target_slots(buf.len());
                 self.resize_to(new_slots, buf);
                 return Ok(removed);
@@ -433,7 +431,7 @@ impl<T: Clone> ClassicPma<T> {
             self.region.addr(start as u64),
             self.region.span(self.seg_size as u64),
         );
-        self.store.get(seg, within)
+        self.store.group(seg).get(within)
     }
 
     /// Lazily yields the elements with ranks `rank..len` in order: one
@@ -575,13 +573,13 @@ impl<T: Clone> ClassicPma<T> {
     }
 }
 
-impl<T: Clone> Default for ClassicPma<T> {
+impl<T: Clone + Default> Default for ClassicPma<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone> Occupancy for ClassicPma<T> {
+impl<T: Clone + Default> Occupancy for ClassicPma<T> {
     fn slot_count(&self) -> usize {
         self.store.total_slots()
     }
@@ -592,7 +590,7 @@ impl<T: Clone> Occupancy for ClassicPma<T> {
     }
 }
 
-impl<T: Clone> RankedSequence for ClassicPma<T> {
+impl<T: Clone + Default> RankedSequence for ClassicPma<T> {
     type Item = T;
 
     fn len(&self) -> usize {

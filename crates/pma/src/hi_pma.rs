@@ -44,49 +44,46 @@
 //!
 //! # Storage engine
 //!
-//! The backing array is a [`SlotStore`]: element values live **dense, in
-//! rank order, one `Vec<T>` per leaf range** (capacity fixed at the leaf's
-//! slot count). The slot-occupancy layout — the memory representation that
-//! weak history independence quantifies over — is not stored at all: by
-//! ingredient 3 it is a function of the leaf counts, so the [`Occupancy`]
-//! impl computes it from them, bit-identical to the historical
-//! `Vec<Option<T>>` engine, whenever it is observed.
+//! The backing array is a [`SlotStore`]: one slot arena, each leaf range's
+//! elements **dense, in rank order, at its front**, `T::default()` in every
+//! other slot. The slot-occupancy layout — what weak history independence
+//! quantifies over — is not stored: by ingredient 3 it is a function of the
+//! leaf counts, so the [`Occupancy`] impl computes it from them when it is
+//! observed, bit-identical to the historical `Vec<Option<T>>` engine.
 //!
 //! Every update first applies itself to the leaf its descent reaches — one
-//! `Vec::insert`/`remove`, **zero heap allocations and zero `Clone`
+//! rotate inside the leaf's slice, **zero heap allocations and zero `Clone`
 //! calls** — and most end there. One whose descent changed a range's balance
 //! then rebuilds that range in place, in three steps:
 //!
 //! 1. a count-only planner draws the balance coins, in the same pre-order
 //!    as ever, and writes the new counts into the rank tree;
 //! 2. [`SlotStore::redistribute`] moves the elements across the leaf
-//!    boundaries that moved, and no others, each straight to its new leaf;
+//!    boundaries that moved, and no others, one slice move per run;
 //! 3. the value tree is written last: each range's entry is the first
 //!    element of its right child.
 //!
 //! No rebuilt element passes through a buffer. A resize replaces the slot
-//! array, so it gathers every element into a reusable [`Scratch`] arena,
-//! runs the same planner, refills the new leaves right to left (each takes
-//! the tail of the buffer in one contiguous move) and ends with the same
-//! value pass. An update moves elements and counts and nothing else, and
-//! reports to the counter ledger once, on its way out. This is pure
-//! representation engineering: the occupancy distribution, the coins drawn,
-//! and therefore the WHI guarantee are unchanged (the representation
-//! function of Lemma 9 is computed, not sampled).
+//! array, so it takes every element out into a reusable [`Scratch`] arena,
+//! runs the same planner, refills the new leaves right to left (each swaps
+//! in the tail of the buffer) and ends with the same value pass. An update
+//! moves elements and counts and nothing else, and reports to the counter
+//! ledger once, on its way out. This is pure representation engineering:
+//! the occupancy distribution, the coins drawn, and therefore the WHI
+//! guarantee are unchanged (Lemma 9's function is computed, not sampled).
 
 use hi_common::batch::SeekFinger;
 use hi_common::capacity::{CapacityEvent, HiCapacity};
 use hi_common::counters::SharedCounters;
 use hi_common::rng::{DetRng, RngSource};
-use hi_common::scratch::Scratch;
+use hi_common::scratch::{take_out, Scratch};
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 use rand::Rng;
-use veb_tree::navigation::{children, leaf_index};
+use veb_tree::navigation::children;
 use veb_tree::VebTree;
 
 use crate::geometry::Geometry;
-use crate::spread::spread_position;
 use crate::store::{partition_point_by_lines, Groups, ScanIter, SlotStore};
 
 /// One range's balance element, as Lemma 9's representation reads it.
@@ -147,7 +144,7 @@ struct PendingRebuild {
 /// by key is the responsibility of the caller (or of the
 /// [cache-oblivious B-tree](https://docs.rs/cob-btree) built on top).
 #[derive(Debug, Clone)]
-pub struct HiPma<T: Clone> {
+pub struct HiPma<T: Clone + Default> {
     store: SlotStore<T>,
     rank_tree: VebTree<u64>,
     /// For every non-leaf range, a copy of its balance element (the paper's
@@ -166,9 +163,11 @@ pub struct HiPma<T: Clone> {
     /// Reusable gather buffer for resizes and `bulk_load`; range rebuilds
     /// move elements in place and never touch it.
     scratch: Scratch<T>,
+    /// The leaf counts the last plan wrote, left to right (capacity reused).
+    leaf_counts: Vec<usize>,
 }
 
-impl<T: Clone> HiPma<T> {
+impl<T: Clone + Default> HiPma<T> {
     /// Creates an empty PMA seeded from `seed` (the structure's secret coins).
     pub fn new(seed: u64) -> Self {
         Self::with_parts(
@@ -227,7 +226,8 @@ impl<T: Clone> HiPma<T> {
             tracer,
             array_region,
             elem_size,
-            scratch: Scratch::new(),
+            scratch: Scratch::default(),
+            leaf_counts: Vec::new(),
         }
     }
 
@@ -323,7 +323,10 @@ impl<T: Clone> HiPma<T> {
     /// Verifies the structural invariants the analysis relies on. Panics with
     /// a description of the violated invariant. Intended for tests; cost is
     /// `Θ(N_S)`.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self)
+    where
+        T: PartialEq,
+    {
         // Root count equals the logical length.
         assert_eq!(
             *self.rank_tree.peek(0) as usize,
@@ -335,6 +338,7 @@ impl<T: Clone> HiPma<T> {
             self.len(),
             "stored elements disagree with len()"
         );
+        assert!(self.store.vacant_slots_hold_defaults());
         if self.is_empty() {
             return;
         }
@@ -401,14 +405,17 @@ impl<T: Clone> HiPma<T> {
         buf
     }
 
-    /// Replaces the geometry, the slot store and both trees with empty ones
-    /// sized for `n_hat`. The old store — already drained by the caller — is
-    /// freed before its successor is sized, so a resize peaks at one slot
-    /// array plus the gather buffer, not two.
+    /// Empties the geometry, the store (re-sized in place: one slot array at
+    /// a time), both trees and `leaf_counts` (sized for any plan, so no later
+    /// rebuild allocates), all for `n_hat`. The old value tree may hold the
+    /// record this update deletes, so it is scrubbed before it is freed.
     fn reallocate(&mut self, n_hat: usize) {
         self.geometry = Geometry::for_n_hat(n_hat);
-        drop(std::mem::replace(&mut self.store, SlotStore::new(1, 1)));
-        self.store = SlotStore::new(self.geometry.leaf_count(), self.geometry.leaf_slots);
+        self.value_tree.scrub(Some(T::default()));
+        self.store
+            .reshape(self.geometry.leaf_count(), self.geometry.leaf_slots);
+        self.leaf_counts.clear();
+        self.leaf_counts.reserve_exact(self.geometry.leaf_count());
         self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
         self.rank_tree = VebTree::new(
             self.geometry.levels(),
@@ -436,9 +443,7 @@ impl<T: Clone> HiPma<T> {
             c.element_moves += moved;
         });
         self.plan_counts(0, 0, 0, buf.len(), None);
-        let levels = self.geometry.levels();
-        for leaf in (0..self.geometry.leaf_count()).rev() {
-            let count = *self.rank_tree.peek(leaf_index(levels, leaf)) as usize;
+        for (leaf, &count) in self.leaf_counts.iter().enumerate().rev() {
             self.store.fill_group_from_tail(leaf, &mut buf, count);
         }
         debug_assert!(buf.is_empty(), "resize left elements unplaced");
@@ -456,13 +461,10 @@ impl<T: Clone> HiPma<T> {
             self.array_region.addr(r.slot_start as u64),
             self.array_region.span(slot_count as u64),
         );
+        self.leaf_counts.clear();
         self.plan_counts(r.range, r.depth, r.slot_start, r.len, r.forced);
         let first_leaf = self.geometry.leaf_of_slot(r.slot_start);
-        let (levels, rank_tree) = (self.geometry.levels(), &self.rank_tree);
-        self.store
-            .redistribute(first_leaf, slot_count / self.geometry.leaf_slots, |leaf| {
-                *rank_tree.peek(leaf_index(levels, leaf)) as usize
-            });
+        self.store.redistribute(first_leaf, &self.leaf_counts);
         self.write_balances(r.range, r.depth, first_leaf);
     }
 
@@ -470,9 +472,10 @@ impl<T: Clone> HiPma<T> {
     /// which is to hold `len` elements, drawing each range's balance
     /// (reservoir-forced or uniform) in pre-order — the coin order of every
     /// engine before this one, so layouts stay bit-identical — and writing
-    /// every count into the rank tree. It touches no element. Leaf visits
-    /// charge the sequential leaf write; the element moves (the leaf counts
-    /// sum to `len`) are the caller's one ledger update.
+    /// every count into the rank tree, the leaf counts also onto
+    /// `leaf_counts`. It touches no element. Leaf visits charge the
+    /// sequential leaf write; the element moves (the leaf counts sum to
+    /// `len`) are the caller's one ledger update.
     ///
     /// `forced_balance` pins the relative rank of the balance element of
     /// *this* range (a reservoir lottery winner); descendant ranges always
@@ -492,6 +495,7 @@ impl<T: Clone> HiPma<T> {
         );
         self.rank_tree.set(range, len as u64);
         if depth == self.geometry.height {
+            self.leaf_counts.push(len);
             self.tracer.write(
                 self.array_region.addr(slot_start as u64),
                 self.array_region.span(slot_count as u64),
@@ -520,14 +524,21 @@ impl<T: Clone> HiPma<T> {
     /// The value pass of a rebuild, once the leaves hold their new counts:
     /// every non-leaf range under `range` (at `depth`, its leaves starting
     /// at `first_leaf`) stores its balance element, the first element of its
-    /// right child — `None` when that child is empty.
+    /// right child — `None` when that child is empty, written over the
+    /// default, as a `None` keeps the old payload.
     fn write_balances(&mut self, range: usize, depth: u32, first_leaf: usize) {
         if depth == self.geometry.height {
             return;
         }
         let half = 1usize << (self.geometry.height - depth - 1);
-        let balance = self.store.first_in(first_leaf + half, half).cloned();
-        self.value_tree.set(range, balance);
+        match self.store.first_in(first_leaf + half, half) {
+            Some(balance) => self.value_tree.set(range, Some(balance.clone())),
+            None => self.value_tree.set_with(range, |entry| {
+                *entry = Some(T::default());
+                std::hint::black_box(&*entry);
+                *entry = None;
+            }),
+        }
         let (left, right) = children(range);
         self.write_balances(left, depth + 1, first_leaf);
         self.write_balances(right, depth + 1, first_leaf + half);
@@ -637,7 +648,7 @@ impl<T: Clone> HiPma<T> {
     // ------------------------------------------------------------------
 
     /// Leaf insert, the first step of every insert that does not resize:
-    /// one dense `Vec::insert`. No allocation, no clone, no buffer.
+    /// one rotate in the leaf's slice. No allocation, no clone, no buffer.
     fn leaf_insert(&mut self, slot_start: usize, rel_rank: usize, item: T) {
         let slot_count = self.geometry.leaf_slots;
         self.tracer.read(
@@ -809,7 +820,7 @@ impl<T: Clone> HiPma<T> {
         let event = self.capacity.on_delete(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
             let mut buf = self.gather_all();
-            let removed = buf.remove(rank);
+            let removed = take_out(&mut buf, rank);
             self.record_update(false, 0, None);
             if self.capacity.is_empty() {
                 self.scratch.restore(buf);
@@ -871,7 +882,7 @@ impl<T: Clone> HiPma<T> {
             return None;
         }
         let (leaf, idx) = self.locate(rank);
-        self.store.get(leaf, idx)
+        self.store.group(leaf).get(idx)
     }
 
     /// Lazily yields the elements with ranks `rank..len` in order, without
@@ -997,12 +1008,6 @@ impl<T: Clone> HiPma<T> {
             self.array_region.span(self.geometry.leaf_slots as u64),
         );
         (self.geometry.leaf_of_slot(slot_start), rel_rank)
-    }
-
-    /// Expected slot position of the `j`-th element of a leaf holding `n`
-    /// elements (exposed for the layout tests).
-    pub fn leaf_slot_for(&self, j: usize, n: usize) -> usize {
-        spread_position(j, n, self.geometry.leaf_slots)
     }
 
     /// Rank of the first element `e` for which `f(e)` is not `Less`, assuming
@@ -1167,7 +1172,7 @@ impl<T: Clone> HiPma<T> {
     }
 }
 
-impl<T: Clone> Occupancy for HiPma<T> {
+impl<T: Clone + Default> Occupancy for HiPma<T> {
     fn slot_count(&self) -> usize {
         self.geometry.total_slots
     }
@@ -1177,7 +1182,7 @@ impl<T: Clone> Occupancy for HiPma<T> {
     }
 }
 
-impl<T: Clone> RankedSequence for HiPma<T> {
+impl<T: Clone + Default> RankedSequence for HiPma<T> {
     type Item = T;
 
     fn len(&self) -> usize {
@@ -1246,6 +1251,7 @@ impl<T: Clone> RankedSequence for HiPma<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spread::spread_position;
     use hi_common::counters::OpCounters;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1791,7 +1797,8 @@ mod tests {
         let mut legacy = vec![false; pma.total_slots()];
         for (g, leaf) in pma.leaves().enumerate() {
             for j in 0..leaf.len() {
-                let slot = pma.geometry().leaf_start(g) + pma.leaf_slot_for(j, leaf.len());
+                let l = pma.geometry().leaf_slots;
+                let slot = pma.geometry().leaf_start(g) + spread_position(j, leaf.len(), l);
                 legacy[slot] = true;
             }
         }

@@ -166,7 +166,7 @@ impl From<PersistError> for io::Error {
     }
 }
 
-impl<T: Clone> HiPma<T> {
+impl<T: Clone + Default> HiPma<T> {
     /// `(slot_count, occupancy_words)` of `bulk_load(items, seed)` for any
     /// `len` items, computed without them: the planner runs over `len` unit
     /// elements. It only ever asks how many elements a range holds, so it

@@ -1,31 +1,27 @@
-//! Flat slot storage: dense per-group values; the slot layout is computed
-//! from the group counts, not stored.
+//! Flat slot storage: one arena of slots per geometry, each group's values
+//! dense at its front; the slot layout is computed from the counts.
 //!
 //! Both PMAs view their backing array as a sequence of fixed-width *groups*
-//! of slots (the HI PMA's leaf ranges, the classic PMA's segments). The old
-//! engine stored the array as `Vec<Option<T>>` — 16 bytes per slot for `u64`
-//! records, a discriminant probe per slot scan, and a clone per element per
-//! rebalance. [`SlotStore`] keeps the values only:
+//! of slots (the HI PMA's leaf ranges, the classic PMA's segments).
+//! [`SlotStore`] holds them in one `Vec<T>` of `total_slots` slots:
 //!
-//! * **values** live dense, in rank order, in one `Vec<T>` per group whose
-//!   capacity is fixed at the group's slot count (Lemma 7 guarantees a group
-//!   never overflows), so gathers and spreads are `memmove`s of contiguous
-//!   values and steady-state leaf updates are a single `Vec::insert`;
-//! * the **virtual slot layout** — which slot of the group each element
-//!   occupies, i.e. the memory representation that weak history independence
-//!   is defined over — is the even spread of the group's count over its slots
-//!   (`⌊j·slots/n⌋`), a function of that count alone. It is not kept up to
-//!   date on every update: [`SlotStore::occupancy_into`] computes it, one
-//!   tabulated pattern row per group, when something observes it. (The classic
-//!   PMA's window rebalances spread over a whole window rather than per group,
-//!   so it keeps a bitmap of its own.)
+//! * group `g` holds its elements dense, in rank order, at `[g·L, g·L +
+//!   count_g)` (Lemma 7 keeps `count_g ≤ L`), so gathers and spreads move
+//!   contiguous values and a leaf update is one `rotate`;
+//! * **every other slot holds `T::default()`** between operations: a slot an
+//!   element leaves gets the default (`mem::take`, or the far side of a slice
+//!   swap), so no deleted record survives in the arena;
+//! * the **virtual slot layout** — which slot of its group each element
+//!   occupies, the memory representation weak history independence is
+//!   defined over — is the even spread (`⌊j·slots/n⌋`) of the group's count,
+//!   so it is not stored: [`SlotStore::occupancy_into`] computes it, one
+//!   pattern row per group. (The classic PMA's rebalances spread over a
+//!   whole window, so it keeps a bitmap of its own.)
 //!
-//! Rebalances *move* elements instead of cloning them. The HI PMA rebuilds a
-//! range in place: [`SlotStore::redistribute`] moves only the elements whose
-//! group changes, across the group boundaries that moved, each straight to
-//! its new group. A window that is rebuilt from nothing (the classic PMA's
-//! rebalances, either PMA's resize) drains into one buffer with an `append`
-//! per group and is filled back from it.
+//! Rebalances *move* elements, never clone them: a range rebuild moves each
+//! run of elements whose group changes as one slice ([`SlotStore::redistribute`]).
+
+use std::mem::take;
 
 use io_sim::{Region, Tracer};
 
@@ -57,11 +53,63 @@ pub fn partition_point_by_lines<T>(run: &[T], is_less: impl Fn(&T) -> bool) -> u
     lo + run[lo..hi].partition_point(is_less)
 }
 
-/// Dense per-group value storage, with each group's slot layout tabulated by
-/// element count.
-#[derive(Debug, Clone)]
+/// Calls `f(src, dst, len)` for each run of a redistribution of a window of
+/// groups of `l` slots from counts `old` to `new` — a maximal stretch of
+/// elements sharing an old and a new group, moving from window slot `src` to
+/// `dst` — in ascending rank order, or descending if `rev`.
+fn for_each_run(
+    l: usize,
+    old: &[usize],
+    new: &[usize],
+    rev: bool,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let groups = old.len();
+    // The `k`-th group walked; the slot of a run of `len`, `at` into a group of `n`.
+    let group = |k: usize| if rev { groups - 1 - k } else { k };
+    let slot = |k, at, n, len| group(k) * l + if rev { n - at - len } else { at };
+    // Cursors: old group `i` holding `m` with `p` walked, new group `j`
+    // holding `n` with `q` walked.
+    let (mut i, mut p, mut m) = (0, 0, old[group(0)]);
+    let (mut j, mut q, mut n) = (0, 0, new[group(0)]);
+    loop {
+        while p == m {
+            i += 1;
+            if i == groups {
+                return;
+            }
+            (p, m) = (0, old[group(i)]);
+        }
+        while q == n {
+            (j, q, n) = (j + 1, 0, new[group(j + 1)]);
+        }
+        let len = (m - p).min(n - q);
+        f(slot(i, p, m, len), slot(j, q, n, len), len);
+        (p, q) = (p + len, q + len);
+    }
+}
+
+/// Moves the `len` elements at `slots[src..]` to `slots[dst..]`, whose
+/// slots outside the source hold defaults, leaving defaults behind: one
+/// rotation of the union when the two overlap, else one slice swap.
+fn move_run<T>(slots: &mut [T], src: usize, dst: usize, len: usize) {
+    if dst < src && src - dst < len {
+        slots[dst..src + len].rotate_left(src - dst);
+    } else if src < dst && dst - src < len {
+        slots[src..dst + len].rotate_right(dst - src);
+    } else {
+        let (lo, hi) = slots.split_at_mut(src.max(dst));
+        lo[src.min(dst)..][..len].swap_with_slice(&mut hi[..len]);
+    }
+}
+
+/// Dense per-group values in one slot arena, each group's layout tabulated.
+#[derive(Debug, Clone, Default)]
 pub struct SlotStore<T> {
-    groups: Vec<Vec<T>>,
+    /// `total_slots` slots: group `g`'s elements at `[g·L, g·L + counts[g])`,
+    /// `T::default()` in every other slot.
+    slots: Vec<T>,
+    counts: Vec<usize>,
     group_slots: usize,
     /// Words per group-sized bit pattern (`⌈group_slots / 64⌉`).
     pattern_stride: usize,
@@ -72,61 +120,66 @@ pub struct SlotStore<T> {
     patterns: Vec<u64>,
 }
 
-impl<T> SlotStore<T> {
+impl<T: Clone + Default> SlotStore<T> {
     /// Creates an empty store of `group_count` groups of `group_slots` slots
-    /// each. Every group's capacity is reserved up front so steady-state
-    /// updates never reallocate.
+    /// each: one arena of defaults, so steady-state updates never reallocate.
     pub fn new(group_count: usize, group_slots: usize) -> Self {
+        let mut store = Self::default();
+        store.reshape(group_count, group_slots);
+        store
+    }
+
+    /// Empties the store, writing defaults over what it still holds, and
+    /// re-sizes it to `group_count` groups of `group_slots` slots in place:
+    /// the arena is reallocated, not replaced, so a resize never holds two
+    /// arenas and the heap does not fragment around a freed one.
+    pub fn reshape(&mut self, group_count: usize, group_slots: usize) {
         assert!(group_count > 0 && group_slots > 0);
-        let pattern_stride = group_slots.div_ceil(64);
-        let mut patterns = vec![0u64; (group_slots + 1) * pattern_stride];
-        for n in 0..=group_slots {
-            let row = &mut patterns[n * pattern_stride..(n + 1) * pattern_stride];
-            for_each_spread_position(n, group_slots, |p| row[p / 64] |= 1 << (p % 64));
+        for (g, &n) in self.counts.iter().enumerate() {
+            self.slots[g * self.group_slots..][..n].fill(T::default());
         }
-        Self {
-            groups: (0..group_count)
-                .map(|_| Vec::with_capacity(group_slots))
-                .collect(),
-            group_slots,
-            pattern_stride,
-            patterns,
+        let total = group_count * group_slots;
+        self.slots.truncate(total);
+        self.slots.shrink_to_fit();
+        self.slots.reserve_exact(total - self.slots.len());
+        self.slots.resize(total, T::default());
+        self.counts = vec![0; group_count];
+        (self.group_slots, self.pattern_stride) = (group_slots, group_slots.div_ceil(64));
+        let stride = self.pattern_stride;
+        self.patterns = vec![0u64; (group_slots + 1) * stride];
+        for n in 0..=group_slots {
+            let row = &mut self.patterns[n * stride..(n + 1) * stride];
+            for_each_spread_position(n, group_slots, |p| row[p / 64] |= 1 << (p % 64));
         }
     }
 
     /// Total number of slots.
     pub fn total_slots(&self) -> usize {
-        self.groups.len() * self.group_slots
-    }
-
-    /// Slots per group.
-    pub fn group_slots(&self) -> usize {
-        self.group_slots
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.slots.len()
     }
 
     /// The dense elements of group `g`, in rank order.
     pub fn group(&self, g: usize) -> &[T] {
-        &self.groups[g]
+        &self.slots[g * self.group_slots..][..self.counts[g]]
     }
 
     /// Number of elements in group `g`.
     pub fn group_len(&self, g: usize) -> usize {
-        self.groups[g].len()
+        self.counts[g]
     }
 
     /// Total number of stored elements.
     pub fn element_count(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
+        self.counts.iter().sum()
     }
 
-    /// Borrows the element at dense index `idx` of group `g`.
-    pub fn get(&self, g: usize, idx: usize) -> Option<&T> {
-        self.groups.get(g)?.get(idx)
+    /// Whether every slot outside the groups' dense prefixes is default.
+    pub fn vacant_slots_hold_defaults(&self) -> bool
+    where
+        T: PartialEq,
+    {
+        let mut groups = self.slots.chunks(self.group_slots).zip(&self.counts);
+        groups.all(|(group, &n)| group[n..].iter().all(|e| *e == T::default()))
     }
 
     /// Writes the slot occupancy of the array — every group's elements
@@ -137,10 +190,10 @@ impl<T> SlotStore<T> {
         words.clear();
         words.resize(self.total_slots().div_ceil(64), 0);
         let stride = self.pattern_stride;
-        for (g, group) in self.groups.iter().enumerate() {
+        for (g, &n) in self.counts.iter().enumerate() {
             let start = g * self.group_slots;
             let shift = start % 64;
-            let row = &self.patterns[group.len() * stride..(group.len() + 1) * stride];
+            let row = &self.patterns[n * stride..(n + 1) * stride];
             for (w, &bits) in (start / 64..).zip(row) {
                 // A row word straddles two array words unless the group
                 // starts word-aligned. Its bits past the group's last slot
@@ -153,157 +206,97 @@ impl<T> SlotStore<T> {
         }
     }
 
-    /// Inserts `item` at dense rank `rel` of group `g`. Zero allocations (the
-    /// group's capacity is fixed) and zero clones.
+    /// Inserts `item` at dense rank `rel` of group `g`: it takes the first
+    /// vacant slot and rotates into place. Zero allocations and zero clones.
     pub fn insert_in_group(&mut self, g: usize, rel: usize, item: T) {
-        debug_assert!(self.groups[g].len() < self.group_slots, "group overflow");
-        self.groups[g].insert(rel, item);
+        let n = self.counts[g];
+        debug_assert!(n < self.group_slots, "group overflow");
+        let run = &mut self.slots[g * self.group_slots..][rel..=n];
+        run[n - rel] = item;
+        run.rotate_right(1);
+        self.counts[g] = n + 1;
     }
 
-    /// Removes and returns the element at dense rank `rel` of group `g`.
+    /// Removes and returns the element at dense rank `rel` of group `g`,
+    /// leaving the default in the slot the group vacates.
     pub fn remove_in_group(&mut self, g: usize, rel: usize) -> T {
-        self.groups[g].remove(rel)
+        let n = self.counts[g];
+        let run = &mut self.slots[g * self.group_slots..][rel..n];
+        let item = take(&mut run[0]);
+        run.rotate_left(1);
+        self.counts[g] = n - 1;
+        item
     }
 
     /// The first element of groups `[g0, g0 + window_groups)`, if any.
     pub fn first_in(&self, g0: usize, window_groups: usize) -> Option<&T> {
-        self.groups[g0..g0 + window_groups]
-            .iter()
-            .find_map(|group| group.first())
+        let g = (g0..g0 + window_groups).find(|&g| self.counts[g] > 0)?;
+        Some(&self.slots[g * self.group_slots])
     }
 
     /// Moves elements across the boundaries between groups `[g0, g0 +
-    /// window_groups)` until group `g` holds `new_len(g)` elements, in
+    /// new.len())` until group `g0 + i` holds `new[i]` elements, in
     /// unchanged rank order. The new counts must sum to the window's element
     /// count and each fit its group. An element moves only if its group
-    /// changes, and then straight to its new group, however many boundaries
-    /// it crosses; a group that gains or loses elements at its front shifts
-    /// the ones it keeps. No allocation (no group outgrows its fixed
-    /// capacity) and no clone.
+    /// changes, straight to its new group; no allocation and no clone.
     ///
-    /// Two sweeps. Left to right, wherever the prefix sum of the new counts
-    /// runs ahead of the groups' current one — a boundary that moved right —
-    /// the group before the boundary pulls the difference from the fronts of
-    /// the groups after it. Right to left, the mirror image pulls elements
-    /// rightward across the boundaries that moved left. After the first
-    /// sweep every prefix holds at least its new count, so the second only
-    /// takes elements the groups to its left can spare, and no group ever
-    /// holds more than the larger of its old and new counts.
-    pub fn redistribute(
-        &mut self,
-        g0: usize,
-        window_groups: usize,
-        new_len: impl Fn(usize) -> usize,
-    ) {
-        let groups = &mut self.groups[g0..g0 + window_groups];
-        let (mut have, mut want) = (0, 0);
-        for i in 0..groups.len() {
-            have += groups[i].len();
-            want += new_len(g0 + i);
-            if want > have {
-                let (head, tail) = groups.split_at_mut(i + 1);
-                let mut short = want - have;
-                for src in tail {
-                    let take = short.min(src.len());
-                    head[i].extend(src.drain(..take));
-                    short -= take;
-                    if short == 0 {
-                        break;
-                    }
+    /// Each `for_each_run` run is one slice move. Old and new slots both
+    /// rise with rank, so left-moving runs, moved in ascending order, and
+    /// then right-moving runs, in descending order, find their targets
+    /// vacated by the runs moved before them.
+    pub fn redistribute(&mut self, g0: usize, new: &[usize]) {
+        let (l, groups) = (self.group_slots, new.len());
+        let window = &mut self.slots[g0 * l..(g0 + groups) * l];
+        let old = &self.counts[g0..g0 + groups];
+        for rev in [false, true] {
+            for_each_run(l, old, new, rev, |src, dst, len| {
+                if src != dst && (dst < src) != rev {
+                    move_run(window, src, dst, len);
                 }
-                debug_assert_eq!(short, 0, "new counts exceed the window's elements");
-                have = want;
-            }
+            });
         }
-        debug_assert_eq!(have, want, "new counts must sum to the window's elements");
-        let (mut have, mut want) = (0, 0);
-        for i in (0..groups.len()).rev() {
-            have += groups[i].len();
-            want += new_len(g0 + i);
-            if want > have {
-                let (head, tail) = groups.split_at_mut(i);
-                let mut short = want - have;
-                for src in head.iter_mut().rev() {
-                    let take = short.min(src.len());
-                    let from = src.len() - take;
-                    drop(tail[0].splice(..0, src.drain(from..)));
-                    short -= take;
-                    if short == 0 {
-                        break;
-                    }
-                }
-                debug_assert_eq!(short, 0, "new counts exceed the window's elements");
-                have = want;
-            }
-        }
-        debug_assert!(
-            (0..groups.len()).all(|i| groups[i].len() == new_len(g0 + i)),
-            "a group missed its new count"
-        );
+        debug_assert!(new.iter().all(|&n| n <= l), "a group overfilled");
+        self.counts[g0..g0 + groups].copy_from_slice(new);
     }
 
     /// Moves every element of groups `[g0, g0 + window_groups)` into `out`
-    /// (in rank order), leaving the groups empty.
+    /// (in rank order), leaving the groups empty and their slots default.
     pub fn drain_window_into(&mut self, g0: usize, window_groups: usize, out: &mut Vec<T>) {
-        let mut total = 0usize;
-        for g in g0..g0 + window_groups {
-            total += self.groups[g].len();
-        }
+        let total: usize = self.counts[g0..g0 + window_groups].iter().sum();
         out.reserve(total + 1); // +1: callers usually insert one more element
         for g in g0..g0 + window_groups {
-            out.append(&mut self.groups[g]);
+            let n = std::mem::replace(&mut self.counts[g], 0);
+            out.extend(self.slots[g * self.group_slots..][..n].iter_mut().map(take));
         }
     }
 
-    /// Fills groups `[g0, g0 + window_groups)` — which must be empty — with
-    /// `count` elements taken from `iter`, evenly spread over the window's
-    /// slots: each element lands in the group owning its spread position.
-    pub fn fill_window<I: Iterator<Item = T>>(
-        &mut self,
-        g0: usize,
-        window_groups: usize,
-        iter: &mut I,
-        count: usize,
-    ) {
-        let slots = window_groups * self.group_slots;
-        // Hard assert (as the old `spread_into` had): an overfull window in
-        // release would silently repeat positions and overflow group
-        // capacities instead of failing loudly.
+    /// Fills groups `[g0, g0 + groups)` — which must be empty — with every
+    /// element of `buf`, evenly spread over the window's slots (each lands in
+    /// the group owning its spread position), leaving `buf` empty.
+    pub fn fill_window(&mut self, g0: usize, groups: usize, buf: &mut Vec<T>) {
+        let (l, count) = (self.group_slots, buf.len());
+        // Hard assert: overfull, release would spill between groups.
         assert!(
-            count <= slots,
-            "cannot pack {count} elements into {slots} slots"
+            count <= groups * l,
+            "cannot pack {count} elements into {} slots",
+            groups * l
         );
-        if window_groups == 1 {
-            // Single-group fill (the classic PMA's level-0 rebalances): move
-            // the elements in one tight loop.
-            let group = &mut self.groups[g0];
-            debug_assert!(group.is_empty());
-            group.extend(iter.take(count));
-            debug_assert_eq!(group.len(), count, "iterator shorter than promised count");
-            return;
-        }
-        let groups = &mut self.groups;
-        let group_slots = self.group_slots;
-        for_each_spread_position(count, slots, |p| {
-            let g = g0 + p / group_slots;
-            debug_assert!(groups[g].len() < group_slots);
-            #[expect(
-                clippy::expect_used,
-                reason = "for_each_spread_position yields exactly count positions, the iterator's promised length"
-            )]
-            let item = iter.next().expect("iterator shorter than promised count");
-            groups[g].push(item);
+        let (slots, counts, mut items) = (&mut self.slots, &mut self.counts, buf.iter_mut());
+        for_each_spread_position(count, groups * l, |p| {
+            let g = g0 + p / l;
+            debug_assert!(counts[g] < l);
+            slots[g * l + counts[g]] = items.next().map(take).unwrap_or_default();
+            counts[g] += 1;
         });
+        buf.clear();
     }
 
     /// Fills group `g` — which must be empty — with the last `count`
-    /// elements of `buf`, in order, as one contiguous move: the same group
-    /// contents as `fill_window(g, 1, …, count)`. The HI PMA's resize, which
-    /// refills its leaves right to left, hands each leaf the tail of the
-    /// gather buffer this way.
+    /// elements of `buf`, in order, as one slice swap that leaves defaults in
+    /// the buffer before it is truncated: the contents `fill_window` gives a
+    /// one-group window. The HI PMA's resize refills its leaves right to left.
     pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
-        // Hard asserts, as in `fill_window`: an overfull group in release
-        // would outgrow its fixed capacity instead of failing loudly.
+        // Hard asserts, as in `fill_window`.
         assert!(
             count <= self.group_slots,
             "cannot pack {count} elements into {} slots",
@@ -314,9 +307,11 @@ impl<T> SlotStore<T> {
             "buffer holds {} elements, fewer than the promised {count}",
             buf.len()
         );
-        let group = &mut self.groups[g];
-        debug_assert!(group.is_empty(), "group must be drained first");
-        group.extend(buf.drain(buf.len() - count..));
+        debug_assert_eq!(self.counts[g], 0, "group must be drained first");
+        let tail = buf.len() - count;
+        self.slots[g * self.group_slots..][..count].swap_with_slice(&mut buf[tail..]);
+        buf.truncate(tail);
+        self.counts[g] = count;
     }
 
     /// Lazily yields the groups from `g` onward as dense slices, in rank
@@ -359,19 +354,21 @@ pub struct Groups<'a, T> {
     region: Region,
 }
 
-impl<'a, T> Iterator for Groups<'a, T> {
+impl<'a, T: Clone + Default> Iterator for Groups<'a, T> {
     type Item = &'a [T];
 
     fn next(&mut self) -> Option<&'a [T]> {
         let g = self.next;
-        let group = self.store.groups.get(g)?;
+        if g >= self.store.counts.len() {
+            return None;
+        }
         self.next += 1;
         if self.tracer.is_enabled() {
             let slots = self.store.group_slots as u64;
             self.tracer
                 .read(self.region.addr(g as u64 * slots), self.region.span(slots));
         }
-        Some(group)
+        Some(self.store.group(g))
     }
 }
 
@@ -384,7 +381,7 @@ pub struct ScanIter<'a, T> {
     run: std::slice::Iter<'a, T>,
 }
 
-impl<'a, T> Iterator for ScanIter<'a, T> {
+impl<'a, T: Clone + Default> Iterator for ScanIter<'a, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
@@ -411,14 +408,13 @@ mod tests {
     fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
         let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots);
         for (g, elems) in groups.iter().enumerate() {
-            let mut iter = elems.iter().copied();
-            s.fill_window(g, 1, &mut iter, elems.len());
+            s.fill_window(g, 1, &mut elems.to_vec());
         }
         s
     }
 
     /// The occupied slots, as `occupancy_into` computes them.
-    fn occupied<T>(s: &SlotStore<T>) -> Vec<usize> {
+    fn occupied<T: Clone + Default>(s: &SlotStore<T>) -> Vec<usize> {
         let mut words = vec![u64::MAX; 3]; // stale contents are replaced
         s.occupancy_into(&mut words);
         assert_eq!(words.len(), s.total_slots().div_ceil(64));
@@ -443,7 +439,7 @@ mod tests {
         let mut s: SlotStore<()> = SlotStore::new(counts.len(), 70);
         let mut want = Vec::new();
         for (g, &n) in counts.iter().enumerate() {
-            s.fill_window(g, 1, &mut std::iter::repeat_n((), n), n);
+            s.fill_window(g, 1, &mut vec![(); n]);
             want.extend((0..n).map(|j| 70 * g + spread_position(j, n, 70)));
         }
         assert_eq!(occupied(&s), want);
@@ -509,8 +505,7 @@ mod tests {
         assert_eq!(s.element_count(), 0);
         assert_eq!(occupied(&s), Vec::<usize>::new());
         // Refill as one 3-group window: 6 elements over 12 slots.
-        let mut iter = out.into_iter();
-        s.fill_window(0, 3, &mut iter, 6);
+        s.fill_window(0, 3, &mut out);
         assert_eq!(s.element_count(), 6);
         let gathered: Vec<u64> = s
             .iter_from(0, 0, Tracer::disabled(), Region::new(0, 8, 12))
@@ -527,8 +522,7 @@ mod tests {
     #[should_panic(expected = "cannot pack")]
     fn overfull_window_panics() {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4);
-        let mut iter = 0..9u64;
-        s.fill_window(0, 2, &mut iter, 9);
+        s.fill_window(0, 2, &mut (0..9u64).collect());
     }
 
     #[test]
@@ -540,10 +534,10 @@ mod tests {
             let mut by_window: SlotStore<u64> = SlotStore::new(3, L);
             let mut by_tail: SlotStore<u64> = SlotStore::new(3, L);
             for s in [&mut by_window, &mut by_tail] {
-                s.fill_window(0, 1, &mut (500..503u64), 3);
-                s.fill_window(2, 1, &mut (900..905u64), 5);
+                s.fill_window(0, 1, &mut (500..503u64).collect());
+                s.fill_window(2, 1, &mut (900..905u64).collect());
             }
-            by_window.fill_window(1, 1, &mut (0..count as u64), count);
+            by_window.fill_window(1, 1, &mut (0..count as u64).collect());
             // The buffer holds a longer gather; the group takes its tail.
             let mut buf: Vec<u64> = (700..707).chain(0..count as u64).collect();
             by_tail.fill_group_from_tail(1, &mut buf, count);
@@ -576,7 +570,7 @@ mod tests {
     }
 
     /// An element whose clones are counted, per test thread.
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Default, PartialEq)]
     struct Counted(u64);
 
     impl Clone for Counted {
@@ -633,7 +627,8 @@ mod tests {
     /// rank order, cut by the new counts. Old and new counts are dealt
     /// independently, so boundaries move both ways, by more than a whole
     /// group, and between empty groups; a group on either side of the
-    /// window must not be touched.
+    /// window must not be touched, and every slot of the window and its two
+    /// guards outside a group's elements must hold the default afterwards.
     #[test]
     fn redistribute_matches_a_flat_model() {
         let mut rng = StdRng::seed_from_u64(0x5ED1);
@@ -645,18 +640,18 @@ mod tests {
                     let old = dealt(&mut rng, trial % 4, window, slots, total);
                     let new = dealt(&mut rng, trial / 4 % 4, window, slots, total);
                     let mut s: SlotStore<Counted> = SlotStore::new(window + 2, slots);
+                    // Elements count from 1: `Counted(0)` is the default.
                     let mut model = Vec::new();
                     for (g, &n) in old.iter().enumerate() {
-                        let first = model.len() as u64;
+                        let first = model.len() as u64 + 1;
                         model.extend(first..first + n as u64);
-                        s.fill_window(g + 1, 1, &mut (first..).map(Counted), n);
+                        s.fill_window(g + 1, 1, &mut (first..).map(Counted).take(n).collect());
                     }
                     for g in [0, window + 1] {
-                        s.fill_window(g, 1, &mut std::iter::once(Counted(u64::MAX)), 1);
+                        s.fill_window(g, 1, &mut vec![Counted(u64::MAX)]);
                     }
-                    let capacities: Vec<usize> = s.groups.iter().map(Vec::capacity).collect();
                     let clones = CLONES.with(|c| c.get());
-                    s.redistribute(1, window, |g| new[g - 1]);
+                    s.redistribute(1, &new);
                     let case = format!("window {window}, slots {slots}, {old:?} -> {new:?}");
                     assert_eq!(CLONES.with(|c| c.get()), clones, "{case}: cloned");
                     let mut cut = &model[..];
@@ -673,8 +668,7 @@ mod tests {
                             "{case}: outside the window"
                         );
                     }
-                    let after: Vec<usize> = s.groups.iter().map(Vec::capacity).collect();
-                    assert_eq!(after, capacities, "{case}: a group's capacity changed");
+                    assert!(s.vacant_slots_hold_defaults(), "{case}: a vacated slot");
                     let (mut old_prefix, mut new_prefix) = (0usize, 0usize);
                     for k in 1..window {
                         old_prefix += old[k - 1];

@@ -18,18 +18,20 @@
 //!    pure function of the root seed and the shard index
 //!    ([`router::ShardRouter::shard_seed`]), so no randomness is shared and
 //!    no cross-shard draw order exists for thread scheduling to perturb.
-//! 3. **Order-preserving batching**: the batched operations
-//!    ([`ShardedDict::multi_put`], [`ShardedDict::multi_get`],
-//!    [`ShardedDict::multi_remove`]) group a batch by shard *preserving the
-//!    batch's relative order within each shard*. A shard therefore observes
-//!    exactly the subsequence of operations routed to it, regardless of how
-//!    the caller split the stream into batches — so the final layout is
-//!    bit-identical across every split (`tests/determinism.rs` pins this;
+//! 3. **Order-preserving batching**: the batched writes
+//!    ([`ShardedDict::multi_put`], [`ShardedDict::multi_remove`],
+//!    [`ShardedDict::multi_apply`]) hand each operation straight to its
+//!    shard, in arrival order. A shard therefore observes exactly the
+//!    subsequence of operations routed to it, regardless of how the caller
+//!    split the stream into batches — so the final layout is bit-identical
+//!    across every split (`tests/determinism.rs` pins this;
 //!    `tests/shard_history_independence.rs` holds every shard to Lemma 9's
-//!    representation after every batch).
+//!    representation after every batch). No write is buffered on the way,
+//!    so no buffer of this layer keeps the key of a record it deletes.
 //!
-//! There is one batch path: a batch runs shard by shard on the calling
-//! thread, each shard's subsequence under [`std::panic::catch_unwind`].
+//! There is one batch path: a batch runs on the calling thread, each
+//! operation under [`std::panic::catch_unwind`]; [`ShardedDict::multi_get`]
+//! groups its probes by shard.
 //! Concurrency comes from the callers — the service is `Send + Sync`, and
 //! readers share it — not from worker threads inside a batch. Global range
 //! scans k-way-merge the shards' lazy iterators without allocating
@@ -396,20 +398,6 @@ where
         parts
     }
 
-    /// Groups batch operations by destination shard, preserving relative
-    /// order (each shard observes exactly its subsequence of the stream).
-    fn partition_ops(
-        &self,
-        ops: impl IntoIterator<Item = BatchOp<D::Key, D::Value>>,
-    ) -> Vec<Vec<BatchOp<D::Key, D::Value>>> {
-        let mut parts: Vec<Vec<BatchOp<D::Key, D::Value>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for op in ops {
-            parts[self.router.route(op.key())].push(op);
-        }
-        parts
-    }
-
     /// Inserts every pair, batched per shard. Semantically identical to
     /// calling [`Dictionary::insert`] per pair in order: pairs routed to the
     /// same shard are applied in their batch order, so later duplicates win,
@@ -426,39 +414,40 @@ where
         self.multi_apply(keys.into_iter().map(BatchOp::Remove))
     }
 
-    /// Applies a mixed batch of keyed operations: groups the stream per
-    /// shard preserving relative order, and routes each shard's subsequence
-    /// through its engine's [`Dictionary::apply_batch`] (arrival order, so
-    /// any cut of a stream into batches leaves the same shards), shard by
-    /// shard on the calling thread. Returns how many removes found their
-    /// key. The service's own [`Dictionary::apply_batch`] is this call.
+    /// Applies a mixed batch of keyed operations: each one goes straight
+    /// to its shard's [`Dictionary::insert`] or [`Dictionary::remove`], in
+    /// arrival order, on the calling thread, so any cut of a stream into
+    /// batches leaves the same shards. Nothing is buffered, so no buffer
+    /// outlives a removed key. Returns how many removes found their key.
+    /// The service's own [`Dictionary::apply_batch`] is this call.
     pub fn multi_apply(
         &mut self,
         ops: impl IntoIterator<Item = BatchOp<D::Key, D::Value>>,
     ) -> usize {
-        // Partition while consuming the stream: only the per-shard
-        // subsequences are ever buffered.
-        let parts = self.partition_ops(ops);
-        let quarantine = &self.quarantine;
-        self.shards
-            .iter_mut()
-            .zip(parts)
-            .enumerate()
-            .map(|(i, (shard, part))| {
-                if part.is_empty() || quarantine.is_down(i) {
-                    return 0;
-                }
-                // A panicking engine is contained, not propagated: the
-                // shard is quarantined and the rest of the batch runs.
-                match catch_unwind(AssertUnwindSafe(|| shard.apply_batch(part))) {
-                    Ok(hits) => hits,
-                    Err(payload) => {
-                        quarantine.put_down(i, panic_message(payload.as_ref()));
-                        0
-                    }
-                }
-            })
-            .sum()
+        // `&mut self`: the quarantine ledger needs no lock round trip.
+        let down = self
+            .quarantine
+            .down
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut hits = 0;
+        for op in ops {
+            let i = self.router.route(op.key());
+            if down[i].is_some() {
+                continue;
+            }
+            let shard = &mut self.shards[i];
+            // A panicking engine is contained, not propagated: the shard is
+            // quarantined and the rest of the batch runs.
+            match catch_unwind(AssertUnwindSafe(|| match op {
+                BatchOp::Put(k, v) => drop(shard.insert(k, v)),
+                BatchOp::Remove(k) => hits += usize::from(shard.remove(&k).is_some()),
+            })) {
+                Ok(()) => {}
+                Err(payload) => down[i] = Some(panic_message(payload.as_ref())),
+            }
+        }
+        hits
     }
 
     /// Looks up every key of `keys`, batched per shard, returning the values

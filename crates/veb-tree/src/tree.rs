@@ -70,10 +70,17 @@ impl<T: Clone + Default> VebTree<T> {
     /// Writes the value at BFS index `bfs`.
     #[inline(always)]
     pub fn set(&mut self, bfs: usize, value: T) {
+        self.set_with(bfs, |v| *v = value);
+    }
+
+    /// Writes the value at BFS index `bfs` through `write`, charged as one
+    /// write.
+    #[inline(always)]
+    pub fn set_with(&mut self, bfs: usize, write: impl FnOnce(&mut T)) {
         let pos = self.layout.position(bfs);
         self.tracer
             .write(self.region.addr(pos as u64), self.region.elem_size);
-        self.data[pos] = value;
+        write(&mut self.data[pos]);
     }
 
     /// Reads without charging I/O (used by internal consistency checks and
@@ -81,6 +88,12 @@ impl<T: Clone + Default> VebTree<T> {
     #[inline(always)]
     pub fn peek(&self, bfs: usize) -> &T {
         &self.data[self.layout.position(bfs)]
+    }
+
+    /// Overwrites every node with `value`, uncharged: a scrub of memory
+    /// about to be freed, not an access of the modelled structure.
+    pub fn scrub(&mut self, value: T) {
+        self.data.fill(value);
     }
 
     /// Overwrites every node with `T::default()` and charges a sequential

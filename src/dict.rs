@@ -413,7 +413,7 @@ impl DictConfig {
     /// The HI-PMA behind the keyed adapter, seeded and instrumented as
     /// configured: [`Backend::HiPma`]'s engine, whether a [`DynDict`] wraps
     /// it or a served shard is it.
-    fn hi_dict<K: Ord + Clone, V: Clone>(
+    fn hi_dict<K: Ord + Clone + Default, V: Clone + Default>(
         &self,
         counters: &SharedCounters,
         tracer: &Tracer,
@@ -532,7 +532,7 @@ impl DictBuilder {
         clippy::panic,
         reason = "documented contract: this constructor panics on invalid config; validate() is the non-panicking path"
     )]
-    pub fn build<K: Ord + Clone, V: Clone>(self) -> DynDict<K, V> {
+    pub fn build<K: Ord + Clone + Default, V: Clone + Default>(self) -> DynDict<K, V> {
         self.try_build()
             .unwrap_or_else(|e| panic!("invalid dictionary config: {e}"))
     }
@@ -541,7 +541,9 @@ impl DictBuilder {
     /// (`IoConfig` with a zero block size or zero memory blocks, zero
     /// element sizes, out-of-range `ε`, …) with a [`DictConfigError`]
     /// instead of panicking deep inside an engine or the I/O model.
-    pub fn try_build<K: Ord + Clone, V: Clone>(self) -> Result<DynDict<K, V>, DictConfigError> {
+    pub fn try_build<K: Ord + Clone + Default, V: Clone + Default>(
+        self,
+    ) -> Result<DynDict<K, V>, DictConfigError> {
         self.config.validate()?;
         let c = self.config;
         let counters = SharedCounters::new();
@@ -628,8 +630,8 @@ impl DictBuilder {
     )]
     pub fn build_sharded<K, V>(self) -> ShardedDict<DynDict<K, V>>
     where
-        K: Ord + Clone + Hash,
-        V: Clone,
+        K: Ord + Clone + Default + Hash,
+        V: Clone + Default,
     {
         self.try_build_sharded()
             .unwrap_or_else(|e| panic!("invalid dictionary config: {e}"))
@@ -639,8 +641,8 @@ impl DictBuilder {
     /// once up front, so no shard constructor can panic.
     pub fn try_build_sharded<K, V>(self) -> Result<ShardedDict<DynDict<K, V>>, DictConfigError>
     where
-        K: Ord + Clone + Hash,
-        V: Clone,
+        K: Ord + Clone + Default + Hash,
+        V: Clone + Default,
     {
         self.sharded(|c| DictBuilder::from_config(c).build())
     }
@@ -768,7 +770,7 @@ fn commit_sorted(
 
 /// The engine behind a [`DynDict`]. One variant per concrete type; the three
 /// skip-list backends share a variant (they differ only in parameters).
-enum Inner<K: Ord + Clone, V: Clone> {
+enum Inner<K: Ord + Clone + Default, V: Clone + Default> {
     BTree(BTree<K, V>),
     CobBTree(CobBTree<K, V>),
     SkipList(ExternalSkipList<K, V>),
@@ -782,7 +784,7 @@ enum Inner<K: Ord + Clone, V: Clone> {
 /// zero-copy surface (`get_ref`, `iter`, `range_iter`), which goes through a
 /// small enum iterator rather than a `Box`, so the no-allocation property of
 /// the underlying engines is preserved.
-pub struct DynDict<K: Ord + Clone, V: Clone> {
+pub struct DynDict<K: Ord + Clone + Default, V: Clone + Default> {
     backend: Backend,
     counters: SharedCounters,
     tracer: Tracer,
@@ -815,7 +817,7 @@ macro_rules! dispatch_mut {
     };
 }
 
-impl<K: Ord + Clone, V: Clone> DynDict<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
     /// Starts a [`DictBuilder`] (see the module docs for the full tour).
     pub fn builder() -> DictBuilder {
         DictBuilder::new()
@@ -843,7 +845,10 @@ impl<K: Ord + Clone, V: Clone> DynDict<K, V> {
 
     /// Verifies the engine's structural invariants. Intended for tests;
     /// cost is at least linear in the structure size.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self)
+    where
+        V: PartialEq,
+    {
         match &self.inner {
             Inner::BTree(d) => d.check_invariants(),
             Inner::CobBTree(d) => d.check_invariants(),
@@ -896,7 +901,7 @@ impl<K: Ord + Clone, V: Clone> DynDict<K, V> {
 
 /// Lets a [`ShardedDict`] of `DynDict` shards roll its per-shard tracers
 /// and counter ledgers up into one aggregated view.
-impl<K: Ord + Clone, V: Clone> Instrumented for DynDict<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> Instrumented for DynDict<K, V> {
     fn io_stats(&self) -> IoStats {
         self.tracer.stats()
     }
@@ -937,7 +942,7 @@ where
     }
 }
 
-impl<K: Ord + Clone, V: Clone> Dictionary for DynDict<K, V> {
+impl<K: Ord + Clone + Default, V: Clone + Default> Dictionary for DynDict<K, V> {
     type Key = K;
     type Value = V;
 

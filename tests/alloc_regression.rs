@@ -7,8 +7,9 @@
 //!
 //! * a steady-state HI-PMA insert — no capacity resize — performs **zero
 //!   heap allocations**, whether it is a leaf-only update or a range
-//!   rebalance (the fixed-capacity leaf vectors absorb both: a range
-//!   rebuild moves elements between leaves in place);
+//!   rebalance (the slot arena absorbs both: a leaf update rotates inside
+//!   the leaf's slice, and a range rebuild moves elements between leaves in
+//!   place);
 //! * a leaf-only insert additionally performs **zero `Clone` calls**; a
 //!   range rebalance clones only the balance pivots the augmented value
 //!   tree stores by design (bounded by the rebuilt subtree's node count);
@@ -86,7 +87,7 @@ fn allocations() -> u64 {
 
 /// An element whose clones are counted, so "zero `Clone` calls" is asserted
 /// at the type level rather than inferred from allocator silence.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct CountedClone(u64);
 
 static CLONES: AtomicU64 = AtomicU64::new(0);

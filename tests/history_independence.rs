@@ -28,13 +28,17 @@ use test_support::whi::lemma9_occupancy;
 use workloads::{alternating_adversary, front_loaded_inserts, replay, Op, Trace};
 
 /// R(N, N̂, `records`) for `pma`'s N and N̂.
-fn lemma9<T: Clone>(pma: &HiPma<T>, records: &[BalanceRecord]) -> (usize, Vec<u64>) {
+fn lemma9<T: Clone + Default>(pma: &HiPma<T>, records: &[BalanceRecord]) -> (usize, Vec<u64>) {
     let balances = records.iter().map(|r| (r.range, r.window, r.offset));
     lemma9_occupancy(pma.len(), pma.n_hat(), balances)
 }
 
 /// Asserts that `pma`'s layout is R of its own balance records.
-fn assert_lemma9<T: Clone>(pma: &HiPma<T>, records: &[BalanceRecord], context: Arguments<'_>) {
+fn assert_lemma9<T: Clone + Default>(
+    pma: &HiPma<T>,
+    records: &[BalanceRecord],
+    context: Arguments<'_>,
+) {
     assert!(
         (pma.slot_count(), pma.occupancy_words()) == lemma9(pma, records),
         "{context}: the layout is not R(N = {}, N̂ = {}, balances)",
@@ -121,7 +125,7 @@ struct Samples {
 
 impl Samples {
     /// Holds `pma` to R, then records its balances and capacity.
-    fn observe<T: Clone>(&mut self, pma: &HiPma<T>, history: &str, trial: u64) {
+    fn observe<T: Clone + Default>(&mut self, pma: &HiPma<T>, history: &str, trial: u64) {
         let records = pma.balance_records();
         assert_lemma9(pma, &records, format_args!("{history}, trial {trial}"));
         self.balances
