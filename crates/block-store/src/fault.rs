@@ -287,7 +287,7 @@ impl FaultPlan {
 
 /// SplitMix64 finalizer: the workspace's stand-in for a seeded hash where a
 /// full RNG would be overkill. Pure function of its input — no entropy.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

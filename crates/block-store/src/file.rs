@@ -184,6 +184,11 @@ impl AlignedBuf {
         &self.raw[off..off + len]
     }
 
+    /// Bytes a view can span without growing the buffer.
+    pub fn capacity(&self) -> usize {
+        self.raw.len().saturating_sub(PAGE_ALIGN)
+    }
+
     /// Zeroes the whole buffer, keeping its capacity.
     pub fn wipe(&mut self) {
         self.raw.fill(0);
@@ -226,16 +231,26 @@ pub struct BlockFile {
 
 impl BlockFile {
     /// Opens (creating if absent, never truncating) `path` for block I/O at
-    /// the given granularity.
+    /// the given granularity. A file this call creates has its parent
+    /// directory synced before the handle is returned: an `fsync` of the
+    /// file makes its bytes durable, not the directory entry that names it,
+    /// so without this a crash could lose a store whose every commit was
+    /// synced. An existing file costs no sync.
     pub fn open(path: impl AsRef<Path>, block_size: usize) -> io::Result<Self> {
         assert!(block_size > 0, "block size must be positive");
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
+        let mut options = OpenOptions::new();
+        options.read(true).write(true);
+        let file = match options.open(&path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let file = options.create_new(true).open(&path)?;
+                #[cfg(test)]
+                crate::crash::log(&path, || crate::crash::Op::Create);
+                sync_parent_dir(&path)?;
+                file
+            }
+            opened => opened?,
+        };
         Ok(Self {
             file,
             path,
@@ -291,6 +306,8 @@ impl BlockFile {
     pub fn set_len(&mut self, bytes: u64) -> Result<(), FileError> {
         self.check_poisoned()?;
         self.file.set_len(bytes)?;
+        #[cfg(test)]
+        crate::crash::log(&self.path, || crate::crash::Op::SetLen(bytes));
         Ok(())
     }
 
@@ -368,7 +385,15 @@ impl BlockFile {
     fn raw_write(&mut self, block: u64, chunk: &[u8]) -> io::Result<()> {
         self.file
             .seek(SeekFrom::Start(block * self.block_size as u64))?;
-        self.file.write_all(chunk)
+        self.file.write_all(chunk)?;
+        #[cfg(test)]
+        for (block, bytes) in (block..).zip(chunk.chunks(self.block_size)) {
+            crate::crash::log(&self.path, || crate::crash::Op::Write {
+                block,
+                bytes: bytes.to_vec(),
+            });
+        }
+        Ok(())
     }
 
     /// Reads `buf.len()` bytes (a multiple of the block size) starting at
@@ -458,6 +483,8 @@ impl BlockFile {
         self.check_poisoned()?;
         self.file.sync_all()?;
         self.stats.syncs += 1;
+        #[cfg(test)]
+        crate::crash::log(&self.path, || crate::crash::Op::Sync);
         Ok(())
     }
 
@@ -468,6 +495,18 @@ impl BlockFile {
             Ok(())
         }
     }
+}
+
+/// Syncs the directory that holds `path`, making a new entry in it durable.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
+    #[cfg(test)]
+    crate::crash::log(path, || crate::crash::Op::DirSync);
+    Ok(())
 }
 
 #[cfg(test)]

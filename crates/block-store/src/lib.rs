@@ -32,16 +32,18 @@
 //! A committed image is generated from exactly three inputs: the occupancy
 //! bitmap, the records in slot order, and the header metadata (which
 //! includes the layout seed). Every region is zero padded to a block, the
-//! journal is zeroed and truncated after every successful commit, and
-//! shrinking images truncate the file — so at rest the file contains the
-//! serialized layout and nothing else. When the in-RAM layout is itself
+//! journal is overwritten with zeros after every successful commit (at rest
+//! it is a fixed run of zero blocks sized by the image), and shrinking
+//! images truncate the file — so at rest the file contains the serialized
+//! layout and nothing else. When the in-RAM layout is itself
 //! canonicalized to `f(contents, seed)` before flushing (see the facade's
 //! `PersistentDict::flush`), the entire file becomes that same pure
 //! function: an observer of the raw bytes learns the contents and nothing
 //! about the history, and deleted records leave no trace
 //! (`examples/secure_delete_audit.rs` greps the raw bytes to prove it).
-//! The guarantee is over the bytes of the two files: truncation hands
-//! blocks back to the filesystem without overwriting them.
+//! The guarantee is over the bytes of the two files. The journal hands the
+//! filesystem back only zeros; a shrinking data file's cut tail goes back
+//! without being overwritten.
 //!
 //! The mid-flush window is the one moment the disk holds more than the
 //! image: the journal then contains the dirty blocks of the *new* image —
@@ -50,6 +52,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod crash;
 mod fault;
 mod file;
 mod record;

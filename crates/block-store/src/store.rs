@@ -22,7 +22,12 @@
 //!                                        checksum
 //!                 blocks 1..1+I          dirty block ids (zero padded)
 //!                 blocks 1+I..1+I+count  dirty block images
+//!                 the rest, up to J      zeros
 //! ```
+//!
+//! At rest the journal is J = 1 + ⌈8D/B⌉ + D blocks of zeros for an image of
+//! D data blocks (none for an empty store): room for a commit that rewrites
+//! every block of the image, written once and then overwritten in place.
 //!
 //! The file stores the sparse table's occupancy and its records, not its
 //! vacant slots: the k-th set bit of the bitmap owns the k-th record, so the
@@ -66,14 +71,35 @@
 //!    and the header from the region's root, staging dirty ones the same
 //!    way. The staging buffer ends up as the journal payload, with no
 //!    per-block copy.
-//! 2. Write the journal ids and payload (one contiguous transfer each),
-//!    sync, then write the journal header and sync again — the single-block
-//!    header write is the commit point.
+//! 2. Write the journal ids and payload (one contiguous transfer each) and
+//!    the journal header, then sync the journal: the barrier that makes the
+//!    header — the commit point — durable with everything it vouches for.
 //! 3. Write the dirty blocks into the data file in place, one transfer per
 //!    run of consecutive ids — a full image is three runs — then set the
 //!    file's length (a shorter image is cut here; a longer one has already
 //!    grown the file) and sync.
-//! 4. Zero the journal header, truncate the journal to zero length, sync.
+//! 4. Wipe the staging buffers and write their zeros over the journal
+//!    blocks step 2 wrote; grow the journal with written zeros, or cut it,
+//!    to J of the new image. No sync. In the steady state — an image of
+//!    unchanged size — no length of either file changes.
+//!
+//! A commit pays two barriers. Between them the device may keep any subset
+//! of the writes issued since a file's last sync, in any order, and tear
+//! any of them; two facts make that safe without a barrier in step 2 or
+//! after step 4:
+//!
+//! * a journal header that persists without all of its ids and payload
+//!   fails the payload checksum, and `open` discards the journal (the
+//!   data file has not been touched: its writes wait for the barrier);
+//! * a retire that a crash loses, in whole or in part, leaves the journal
+//!   of an image the data file already holds: `open` replays it
+//!   idempotently, or discards what is left of it, and wipes every byte it
+//!   finds. The next commit's journal barrier makes the zeros durable
+//!   before that commit touches the data file.
+//!
+//! The crash-state model in this crate's tests (`crash.rs`) enumerates
+//! those subsets over a run of commits and holds every one of them to
+//! whole-old or whole-new bytes.
 //!
 //! With a [`FaultPlan`] armed, every multi-block transfer falls back to one
 //! block at a time in the same order, so each block boundary of each phase
@@ -83,7 +109,7 @@
 //! image survives); a crash after it leaves a valid journal that
 //! [`BlockStore::open`] replays idempotently. Either way the quiescent file
 //! is exactly one committed image — never a blend, and never a byte of a
-//! record that is not in the image.
+//! record that is not in the image — and the quiescent journal is zeros.
 
 use crate::file::{AlignedBuf, BlockFile, FileError, FileStats};
 use crate::record::Record;
@@ -106,10 +132,10 @@ const VERSION: u64 = 4;
 const HEADER_FIELDS: usize = 11;
 const JHEADER_FIELDS: usize = 7;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -223,7 +249,9 @@ pub struct StoreOptions {
     /// Write granularity in bytes — every physical transfer moves exactly
     /// this many bytes. Must be a multiple of 8 and at least 128.
     pub block_size: usize,
-    /// Whether to `fsync` between commit phases. Disabling keeps the
+    /// Whether to `fsync` at the commit's two barriers: the journal after
+    /// its header is written, and the data file after it is applied (and
+    /// the data file after a replay on open). Disabling keeps the
     /// *injected*-crash guarantees (the fault plan respects write order)
     /// but not real power-loss durability; tests disable it for speed.
     pub sync: bool,
@@ -595,10 +623,12 @@ pub struct BlockStore {
 
 impl BlockStore {
     /// Opens (creating if absent) the store at `path`, replaying a pending
-    /// journal first if a previous process crashed mid-commit. Never
-    /// panics on a malformed file: a zero-length file is simply
-    /// uninitialized, a truncated header is a typed [`FileError::ShortRead`],
-    /// and a mangled one is a typed [`FileError::Corrupt`].
+    /// journal first if a previous process crashed mid-commit, then leaving
+    /// the journal as the image's J zero blocks. Never panics on a
+    /// malformed file: a zero-length file is simply uninitialized, a
+    /// truncated header is a typed [`FileError::ShortRead`], and a mangled
+    /// one is a typed [`FileError::Corrupt`]. An open that refuses the files
+    /// leaves the journal as it found it.
     pub fn open(path: impl AsRef<Path>, opts: StoreOptions) -> Result<Self, FileError> {
         opts.validate()?;
         let path = path.as_ref();
@@ -617,8 +647,14 @@ impl BlockStore {
             payload: AlignedBuf::new(),
             poisoned: false,
         };
-        store.recover()?;
+        store.replay_journal()?;
         store.read_meta()?;
+        // After the header checks out: opened with another block size, a
+        // store would otherwise resize a zero journal, or wipe a committed
+        // one that the right options still replay.
+        let b = opts.block_size as u64;
+        let data_blocks = store.data.len()?.div_ceil(b);
+        store.settle_journal(journal_blocks(data_blocks, b))?;
         Ok(store)
     }
 
@@ -689,9 +725,10 @@ impl BlockStore {
     ///
     /// Steady-state commits are allocation-free: all staging buffers are
     /// reused and were sized by the first (full) commit. The staged images
-    /// are wiped on the way out, whatever the outcome: they hold records
-    /// that may be deleted before the next commit, and the buffer outlives
-    /// them.
+    /// and their ids are wiped on the way out, whatever the outcome: they
+    /// hold records that may be deleted before the next commit, and the
+    /// buffers outlive them. Wiped, the staging buffer is also where the
+    /// zeros that retire the journal come from.
     pub fn commit<T: Record>(
         &mut self,
         words: &[u64],
@@ -700,20 +737,35 @@ impl BlockStore {
         records: impl IntoIterator<Item = T>,
         seed: u64,
     ) -> Result<u64, FileError> {
-        let committed = self.stage_and_commit(words, total_slots, len, records, seed);
+        let applied = self.stage_and_apply(words, total_slots, len, records, seed);
         self.payload.wipe();
-        committed
+        self.ids_buf.wipe();
+        if let Some(retire) = applied? {
+            // Phase 4: zero the journal blocks this commit wrote, then bring
+            // the journal to the new image's length. No sync: a crash that
+            // loses any of it leaves the journal of an image that is already
+            // applied, which `open` replays idempotently and wipes, and the
+            // next commit's journal barrier makes it durable.
+            self.write_journal_zeros(0, retire.used)?;
+            let blocks = self.journal.len()?.div_ceil(self.opts.block_size as u64);
+            self.resize_journal(blocks, retire.journal_blocks)?;
+            self.poisoned = false;
+        }
+        Ok(self.meta.map_or(0, |m| m.generation))
     }
 
-    /// The body of [`Self::commit`], before the wipe.
-    fn stage_and_commit<T: Record>(
+    /// Phases 1–3 of [`Self::commit`]: `None` when the commit is a no-op,
+    /// otherwise what phase 4 has to retire. The image is durable once this
+    /// returns `Some`; the handle stays poisoned until the journal is
+    /// retired.
+    fn stage_and_apply<T: Record>(
         &mut self,
         words: &[u64],
         total_slots: u64,
         len: u64,
         records: impl IntoIterator<Item = T>,
         seed: u64,
-    ) -> Result<u64, FileError> {
+    ) -> Result<Option<Retire>, FileError> {
         if self.poisoned {
             return Err(FileError::Poisoned);
         }
@@ -789,7 +841,7 @@ impl BlockStore {
             checksum_root,
         };
         if self.ids.is_empty() && prev == Some(unchanged) {
-            return Ok(unchanged.generation);
+            return Ok(None);
         }
         let meta = StoreMeta {
             generation: unchanged.generation + 1,
@@ -803,11 +855,13 @@ impl BlockStore {
             staged += bs;
         }
 
-        // Phase 2: journal payload, sync, journal header, sync (the commit
-        // point is the single-block header write). Up to here nothing has
-        // been written and a refusal costs nothing; from here until the
-        // journal is retired an error leaves the files mid-protocol and the
-        // handle poisoned.
+        // Phase 2: ids, payload and header, then one sync. The header is
+        // the commit point, and it needs no barrier of its own: a header
+        // that lands without all of its payload fails the payload checksum,
+        // and `open` discards the journal. Up to here nothing has been
+        // written and a refusal costs nothing; from here until the journal
+        // is retired an error leaves the files mid-protocol and the handle
+        // poisoned.
         self.poisoned = true;
         let count = self.ids.len() as u64;
         let ids_blocks = (count * 8).div_ceil(b);
@@ -827,9 +881,6 @@ impl BlockStore {
             .write_blocks(1, self.ids_buf.get(ids_area_len))?;
         self.journal
             .write_blocks(1 + ids_blocks, self.payload.get(staged))?;
-        if self.opts.sync {
-            self.journal.sync()?;
-        }
         encode_journal_header(
             self.block_buf.get_mut(bs),
             b,
@@ -855,17 +906,16 @@ impl BlockStore {
             self.data.sync()?;
         }
 
-        // Phase 4: retire the journal.
-        self.clear_journal()?;
-
         std::mem::swap(&mut self.block_hashes, &mut self.scratch_hashes);
         // Pre-size the swapped-out vector now, while we are still on the
         // "first commit may allocate" path: the next commit's resize then
         // finds capacity and steady-state flushes stay allocation-free.
         self.scratch_hashes.resize(data_blocks, 0);
         self.meta = Some(meta);
-        self.poisoned = false;
-        Ok(meta.generation)
+        Ok(Some(Retire {
+            used: 1 + ids_blocks + count,
+            journal_blocks: journal_blocks(geo.data_blocks(), b),
+        }))
     }
 
     /// Dirty gate for the `n` freshly generated blocks `first_id..` whose
@@ -1094,6 +1144,13 @@ impl BlockStore {
         let bs = self.opts.block_size;
         let b = bs as u64;
         let geo = Geometry::of(b, &smeta)?;
+        // Retire the journal durably before the first data write: a commit
+        // record whose retire a crash lost, replayed over repaired blocks,
+        // would blend two images.
+        self.settle_journal(journal_blocks(geo.data_blocks(), b))?;
+        if self.opts.sync {
+            self.journal.sync()?;
+        }
         self.data.set_len(geo.file_len())?;
         let mut mine = vec![0u8; bs];
         let mut repaired = 0u64;
@@ -1114,7 +1171,6 @@ impl BlockStore {
         if self.opts.sync {
             self.data.sync()?;
         }
-        self.clear_journal()?;
         self.meta = Some(StoreMeta {
             generation: self.meta.map_or(0, |m| m.generation),
             ..smeta
@@ -1164,18 +1220,19 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Replays a valid pending journal (crash after the commit point) or
-    /// discards a torn one (crash before it). A journal left by the previous
-    /// revision is judged by that revision's checksum rule — discarding a
-    /// committed one as "torn" would strand a half-applied image.
-    fn recover(&mut self) -> Result<(), FileError> {
+    /// Applies the journal to the data file if it holds a whole committed
+    /// commit (a crash after the commit point); does nothing to one that is
+    /// torn, or left behind by a retire that a crash lost, which
+    /// [`Self::settle_journal`] wipes. A journal left by the previous
+    /// revision is judged by that revision's checksum rule: discarding a
+    /// committed one as "torn" would strand a half-applied image. The
+    /// journal is read through the staging buffers, which
+    /// [`Self::settle_journal`] wipes too.
+    fn replay_journal(&mut self) -> Result<(), FileError> {
         let bs = self.opts.block_size;
         let b = bs as u64;
         let jlen = self.journal.len()?;
         if jlen < b {
-            if jlen != 0 {
-                self.journal.set_len(0)?;
-            }
             return Ok(());
         }
         let (valid_header, legacy, count, target_len, payload_sum) = {
@@ -1196,48 +1253,116 @@ impl BlockStore {
             )
         };
         if !valid_header {
-            return self.clear_journal();
+            return Ok(());
         }
         let ids_blocks = (count * 8).div_ceil(b);
         if jlen < (1 + ids_blocks + count) * b {
-            return self.clear_journal();
+            return Ok(());
         }
-        let mut ids_area = vec![0u8; (ids_blocks * b) as usize];
-        self.journal.read_blocks(1, &mut ids_area)?;
-        let mut payload = vec![0u8; (count * b) as usize];
-        self.journal.read_blocks(1 + ids_blocks, &mut payload)?;
+        let ids_area_len = (ids_blocks * b) as usize;
+        let payload_len = (count * b) as usize;
+        self.journal
+            .read_blocks(1, self.ids_buf.get_mut(ids_area_len))?;
+        self.journal
+            .read_blocks(1 + ids_blocks, self.payload.get_mut(payload_len))?;
+        let (ids_area, payload) = (
+            self.ids_buf.get(ids_area_len),
+            self.payload.get(payload_len),
+        );
         let sum = if legacy {
-            fnv1a(fnv1a(FNV_OFFSET, &ids_area), &payload)
+            fnv1a(fnv1a(FNV_OFFSET, ids_area), payload)
         } else {
-            let mut hashes = vec![0u64; count as usize];
-            hash_blocks(&payload, bs, &mut hashes);
-            journal_sum(&ids_area, hashes.into_iter())
+            self.scratch_hashes.clear();
+            self.scratch_hashes.resize(count as usize, 0);
+            hash_blocks(payload, bs, &mut self.scratch_hashes);
+            journal_sum(ids_area, self.scratch_hashes.iter().copied())
         };
         if sum != payload_sum {
-            return self.clear_journal();
+            return Ok(());
         }
-        let ids: Vec<u64> = (0..count as usize).map(|i| get_u64(&ids_area, i)).collect();
+        self.ids.clear();
+        self.ids
+            .extend((0..count as usize).map(|i| get_u64(ids_area, i)));
         self.data.set_len(target_len)?;
-        write_runs(&mut self.data, &ids, &payload, bs)?;
+        write_runs(&mut self.data, &self.ids, payload, bs)?;
         if self.opts.sync {
             self.data.sync()?;
         }
-        self.clear_journal()
+        Ok(())
     }
 
-    fn clear_journal(&mut self) -> Result<(), FileError> {
+    /// Leaves the journal as `target` blocks of zeros. Every block that
+    /// holds a byte — of a torn or discarded journal, or of one whose
+    /// retire a crash lost — is overwritten with zeros before the length
+    /// moves, so no journal byte stays in the file or goes back to the
+    /// filesystem. A clean journal of the right length costs reads only.
+    fn settle_journal(&mut self, target: u64) -> Result<(), FileError> {
         let bs = self.opts.block_size;
-        if self.journal.len()? >= bs as u64 {
-            let buf = self.block_buf.get_mut(bs);
-            buf.fill(0);
-            let zeros = self.block_buf.get(bs);
-            self.journal.write_blocks(0, zeros)?;
+        let b = bs as u64;
+        let len = self.journal.len()?;
+        let blocks = len.div_ceil(b);
+        if len != blocks * b {
+            // Half a block from a torn write: pad it out to be read whole.
+            self.journal.set_len(blocks * b)?;
         }
-        self.journal.set_len(0)?;
-        if self.opts.sync {
-            self.journal.sync()?;
+        for at in (0..blocks).step_by(GROUP_BLOCKS) {
+            let n = (blocks - at).min(GROUP_BLOCKS as u64) as usize;
+            let group = self.payload.get_mut(n * bs);
+            self.journal.read_blocks(at, group)?;
+            if group.iter().any(|&x| x != 0) {
+                group.fill(0);
+                self.journal.write_blocks(at, self.payload.get(n * bs))?;
+            }
+        }
+        self.payload.wipe();
+        self.ids_buf.wipe();
+        self.resize_journal(blocks, target)
+    }
+
+    /// Moves an all-zero journal of `blocks` blocks to `target` blocks. It
+    /// grows by written zeros, never by a hole, so the blocks a commit
+    /// writes are allocated before it needs them; it shrinks by a cut, which
+    /// hands back only zeros.
+    fn resize_journal(&mut self, blocks: u64, target: u64) -> Result<(), FileError> {
+        if blocks > target {
+            self.journal.set_len(target * self.opts.block_size as u64)
+        } else {
+            self.write_journal_zeros(blocks, target)
+        }
+    }
+
+    /// Writes zeros over journal blocks `from..to`, taken from the staging
+    /// buffer, which every caller has just wiped, a buffer's worth at a time
+    /// (one staging group, if the buffer is smaller than that).
+    fn write_journal_zeros(&mut self, mut from: u64, to: u64) -> Result<(), FileError> {
+        let bs = self.opts.block_size;
+        while from < to {
+            self.payload.reserve(GROUP_BLOCKS * bs);
+            let n = ((self.payload.capacity() / bs) as u64).min(to - from);
+            self.journal
+                .write_blocks(from, self.payload.get(n as usize * bs))?;
+            from += n;
         }
         Ok(())
+    }
+}
+
+/// What phase 4 of a commit retires.
+struct Retire {
+    /// Journal blocks the commit wrote, from block 0: header, ids, payload.
+    used: u64,
+    /// The journal length of the committed image.
+    journal_blocks: u64,
+}
+
+/// The journal length, in blocks, kept for an image of `data_blocks`
+/// blocks: header, ids area and payload of a commit that rewrites every
+/// block, the most any commit of that image writes. Zero for an empty data
+/// file.
+fn journal_blocks(data_blocks: u64, b: u64) -> u64 {
+    match data_blocks {
+        0 => 0,
+        d => 1 + (d * 8).div_ceil(b) + d,
     }
 }
 
@@ -1268,6 +1393,21 @@ mod tests {
     fn cleanup(path: &Path) {
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(journal_path_for(path));
+    }
+
+    /// The journal writes before the first data write of a commit that
+    /// writes `data_writes` data blocks: ids, payload and header.
+    fn journal_writes(data_writes: u64) -> u64 {
+        1 + (data_writes * 8).div_ceil(B as u64) + data_writes
+    }
+
+    /// `true` when the journal beside the data file at `path` is at rest:
+    /// J blocks of zeros for the data file's D blocks.
+    fn journal_at_rest(path: &Path) -> bool {
+        let data_blocks = std::fs::metadata(path).unwrap().len().div_ceil(B as u64);
+        let journal = std::fs::read(journal_path_for(path)).unwrap();
+        journal.len() as u64 == journal_blocks(data_blocks, B as u64) * B as u64
+            && journal.iter().all(|&x| x == 0)
     }
 
     #[test]
@@ -1307,6 +1447,18 @@ mod tests {
         }
         let err = BlockStore::open(&path, StoreOptions::new(256).no_sync()).unwrap_err();
         assert!(matches!(err, FileError::Corrupt { block: 0, .. }));
+        cleanup(&path);
+
+        // The refusal writes nothing, not even to a committed journal that
+        // the store's own block size still replays.
+        let (path, _, image_b) = torn_after_commit_point("store-badbs-journal", 5);
+        let files = |path: &Path| (std::fs::read(path), std::fs::read(journal_path_for(path)));
+        let before = files(&path);
+        let err = BlockStore::open(&path, StoreOptions::new(256).no_sync()).unwrap_err();
+        assert!(matches!(err, FileError::Corrupt { block: 0, .. }), "{err}");
+        assert_eq!(files(&path).0.unwrap(), before.0.unwrap());
+        assert_eq!(files(&path).1.unwrap(), before.1.unwrap());
+        assert_eq!(reopen(&path), Some(image_b));
         cleanup(&path);
     }
 
@@ -1412,12 +1564,12 @@ mod tests {
             }
             (store, path)
         };
-        // The next commit's header write, from a dry run: the journal write
-        // before its last, which retires the journal.
+        // The next commit's first data write, from a dry run: its header is
+        // the last of the journal writes before it.
         let (mut dry, dry_path) = history(0);
-        let before = dry.stats().journal.blocks_written;
+        let before = dry.stats().data.blocks_written;
         commit(&mut dry, 3).unwrap();
-        let commit_point = dry.stats().journal.blocks_written - before - 1;
+        let commit_point = journal_writes(dry.stats().data.blocks_written - before);
         cleanup(&dry_path);
 
         let mut headers = Vec::new();
@@ -1619,9 +1771,9 @@ mod tests {
 
         // Change one record's value: one slot block, its checksum-region
         // block, and the header differ (three data writes), journaled as
-        // ids + three payload blocks + the journal header, plus the zero
-        // block that retires the journal — nine block writes instead of a
-        // full image.
+        // ids + three payload blocks + the journal header, plus the five
+        // zero blocks that retire those — thirteen block writes instead of
+        // a full image.
         let mut records2 = records.clone();
         records2[10] = 999_999;
         store
@@ -1629,7 +1781,7 @@ mod tests {
             .unwrap();
         let delta = store.stats().blocks_written() - full_writes;
         assert!(
-            delta <= 9,
+            delta <= 13,
             "one-record change should touch a handful of blocks, wrote {delta}"
         );
         let gen = store.meta().unwrap().generation;
@@ -1699,7 +1851,7 @@ mod tests {
         let (_meta, words, recs) = store.load::<u64>().unwrap();
         assert_eq!(words, words1);
         assert_eq!(recs, set1);
-        assert_eq!(store.journal.len().unwrap(), 0);
+        assert!(journal_at_rest(&path));
         cleanup(&path);
     }
 
@@ -1778,28 +1930,27 @@ mod tests {
         let set_b: Vec<u64> = (0..total).step_by(2).collect();
         let (words_a, words_b) = (words_for(total, &set_a), words_for(total, &set_b));
         let recs_b: Vec<u64> = set_b.iter().map(|&s| s + 1).collect();
-        // `tear_at`: B's commit dies at that write. Returns the journal
-        // blocks B's commit wrote.
+        // `tear_at`: B's commit dies at that write. Returns the data blocks
+        // B's commit wrote.
         let a_then_b = |path: &Path, tear_at: Option<u64>| {
             let mut store = BlockStore::open(path, opts()).unwrap();
             let len_a = set_a.len() as u64;
             store
                 .commit(&words_a, total, len_a, set_a.iter().copied(), 2)
                 .unwrap();
-            let before = store.stats().journal.blocks_written;
+            let before = store.stats().data.blocks_written;
             if let Some(at) = tear_at {
                 store.set_fault_plan(FaultPlan::new([Fault::TornWrite { at }]));
             }
             let len_b = recs_b.len() as u64;
             let result = store.commit(&words_b, total, len_b, recs_b.iter().copied(), 2);
             assert_eq!(result.is_err(), tear_at.is_some());
-            store.stats().journal.blocks_written - before
+            store.stats().data.blocks_written - before
         };
         // B holds twice A's records, so its journal is longer than A's was:
-        // the commit point is learnt from a dry run of B itself. Its last
-        // journal write retires the journal; the one before is the header.
+        // the commit point is learnt from a dry run of B itself.
         let dry = temp_path(tag);
-        let to_commit_point = a_then_b(&dry, None) - 1;
+        let to_commit_point = journal_writes(a_then_b(&dry, None));
         cleanup(&dry);
         let path = temp_path(tag);
         a_then_b(&path, Some(to_commit_point + data_writes));
@@ -1835,7 +1986,7 @@ mod tests {
         std::fs::write(&jpath, &journal).unwrap();
 
         assert_eq!(reopen(&path), Some(image_b), "whole new image");
-        assert!(std::fs::read(&jpath).unwrap().is_empty());
+        assert!(journal_at_rest(&path));
         cleanup(&path);
     }
 
@@ -1869,10 +2020,7 @@ mod tests {
                 std::fs::write(&path, &data).unwrap();
                 std::fs::write(&jpath, &bad).unwrap();
                 let outcome = reopen(&path);
-                assert!(
-                    std::fs::read(&jpath).unwrap().is_empty(),
-                    "flip at {flip}: journal discarded"
-                );
+                assert!(journal_at_rest(&path), "flip at {flip}: journal discarded");
                 if data_writes == 0 {
                     // Nothing was applied yet: the old image is intact.
                     assert_eq!(outcome, Some(image_a.clone()), "flip at {flip}");
@@ -1997,7 +2145,7 @@ mod tests {
                 }
                 assert_eq!(store.data.len().unwrap(), file_len(meta.len));
                 assert!(store.scrub().unwrap().is_clean());
-                assert_eq!(store.journal.len().unwrap(), 0);
+                assert!(journal_at_rest(&path));
                 cleanup(&path);
             }
             assert!(rollbacks > 0 && replays > 0, "{from}→{to}");
@@ -2048,13 +2196,16 @@ mod tests {
         assert_eq!(tracer.stats().reads, 0);
         drop(store);
 
-        // Reopen: `open` reads the header, `load` reads the image once.
+        // Reopen: `open` reads the header, and the journal's header and then
+        // all of it to check it is zeros; `load` reads the image once.
         let mut store = BlockStore::open(&path, opts).unwrap();
         let tracer = ledger();
         store.set_tracer(tracer.clone());
         store.load::<(u64, u64)>().unwrap();
         assert_eq!(tracer.stats().reads, image_blocks);
-        assert_eq!(store.stats().blocks_read(), 1 + image_blocks);
+        assert_eq!(store.stats().data.blocks_read, 1 + image_blocks);
+        let journal_len = journal_blocks(image_blocks, BS as u64);
+        assert_eq!(store.stats().journal.blocks_read, 1 + journal_len);
         assert_eq!(store.stats().blocks_written(), 0);
         cleanup(&path);
     }
@@ -2070,15 +2221,81 @@ mod tests {
         cleanup(&path);
     }
 
+    /// At rest the journal is J zero blocks for the image's D blocks — after
+    /// a commit, after a reopen, and after a history that grew the image and
+    /// shrank it again, byte for byte the journal of the direct history.
     #[test]
-    fn journal_is_empty_at_rest() {
-        let path = temp_path("store-jempty");
-        let mut store = BlockStore::open(&path, opts()).unwrap();
-        let words = words_for(128, &[1, 2, 3]);
-        store.commit(&words, 128, 3, [1u64, 2, 3], 0).unwrap();
-        assert_eq!(store.journal.len().unwrap(), 0);
-        let (_, journal_bytes) = store.raw_bytes().unwrap();
-        assert!(journal_bytes.is_empty());
+    fn journal_is_zero_at_rest() {
+        let commit = |store: &mut BlockStore, n: u64| {
+            let set: Vec<u64> = (0..n).collect();
+            let words = words_for(1024, &set);
+            store
+                .commit(&words, 1024, n, set.iter().copied(), 0)
+                .unwrap();
+        };
+        let direct = temp_path("store-jzero-direct");
+        let mut store = BlockStore::open(&direct, opts()).unwrap();
+        commit(&mut store, 3);
+        assert!(journal_at_rest(&direct));
+        let data_blocks = store.data.len().unwrap() / B as u64;
+        assert_eq!(
+            store.journal.len().unwrap(),
+            (1 + (data_blocks * 8).div_ceil(B as u64) + data_blocks) * B as u64
+        );
+        drop(store);
+        BlockStore::open(&direct, opts()).unwrap();
+        assert!(journal_at_rest(&direct));
+
+        let grown = temp_path("store-jzero-grown");
+        let mut store = BlockStore::open(&grown, opts()).unwrap();
+        commit(&mut store, 3);
+        commit(&mut store, 1000);
+        assert!(journal_at_rest(&grown));
+        commit(&mut store, 3);
+        assert!(journal_at_rest(&grown));
+        let (data, journal) = store.raw_bytes().unwrap();
+        assert_eq!(
+            (data, journal),
+            BlockStore::open(&direct, opts())
+                .unwrap()
+                .raw_bytes()
+                .unwrap()
+        );
+        cleanup(&direct);
+        cleanup(&grown);
+    }
+
+    /// The commit's two barriers, pinned: a steady-state commit with sync on
+    /// syncs the journal once and the data file once and moves neither
+    /// file's length; `open` of a clean store syncs and writes nothing.
+    #[test]
+    fn a_steady_state_commit_pays_two_barriers_and_moves_no_length() {
+        let path = temp_path("store-barriers");
+        let commit = |store: &mut BlockStore, salt: u64| {
+            let set: Vec<u64> = (0..512).step_by(2).collect();
+            let words = words_for(512, &set);
+            let recs = set.iter().map(|&s| s ^ salt);
+            store
+                .commit(&words, 512, set.len() as u64, recs, 0)
+                .unwrap();
+        };
+        let lengths =
+            |store: &BlockStore| (store.data.len().unwrap(), store.journal.len().unwrap());
+        let mut store = BlockStore::open(&path, StoreOptions::new(B)).unwrap();
+        commit(&mut store, 1);
+        let (before, lens) = (store.stats(), lengths(&store));
+        commit(&mut store, 2);
+        let after = store.stats();
+        assert_eq!(after.journal.syncs - before.journal.syncs, 1);
+        assert_eq!(after.data.syncs - before.data.syncs, 1);
+        assert_eq!(lengths(&store), lens);
+        drop(store);
+
+        let store = BlockStore::open(&path, StoreOptions::new(B)).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.data.syncs, stats.journal.syncs), (0, 0));
+        assert_eq!(stats.blocks_written(), 0);
+        assert_eq!(lengths(&store), lens);
         cleanup(&path);
     }
 

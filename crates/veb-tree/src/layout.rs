@@ -16,9 +16,13 @@ use crate::navigation::{children, node_count};
 
 /// Precomputed BFS-index → vEB-position permutation for a complete binary
 /// tree with a fixed number of levels.
+///
+/// The map is the only field: the level count follows from its length, and
+/// a `u32` beside the `Vec` would leave four bytes of padding, which a move
+/// through the stack fills with whatever the stack last held (a deleted
+/// record's bytes included; `tests/deleted_residue.rs` found one there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VebLayout {
-    levels: u32,
     /// `map[bfs_index] = position` in the vEB-ordered array.
     map: Vec<u32>,
 }
@@ -40,12 +44,12 @@ impl VebLayout {
         Self::assign(0, levels, &mut map, &mut next);
         debug_assert_eq!(next as usize, n);
         debug_assert!(map.iter().all(|&p| p != u32::MAX));
-        Self { levels, map }
+        Self { map }
     }
 
-    /// Number of levels.
+    /// Number of levels: the map holds `2^levels − 1` nodes.
     pub fn levels(&self) -> u32 {
-        self.levels
+        (self.map.len() + 1).trailing_zeros()
     }
 
     /// Number of nodes.

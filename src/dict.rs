@@ -1545,7 +1545,10 @@ mod tests {
             }
         });
         assert_eq!(data_a, data_b, "on-disk image must be f(contents, seed)");
-        assert_eq!(journal_a, journal_b, "journal must be empty at rest");
+        assert_eq!(
+            journal_a, journal_b,
+            "journal must be the image's zeros at rest"
+        );
     }
 
     #[test]
@@ -1722,16 +1725,17 @@ mod tests {
         let checksums = ((bitmap + records) * 8).div_ceil(B);
         assert_eq!(image_blocks, 1 + checksums + bitmap + records);
         // Header, checksum region and records go to the data file; the
-        // journal holds their ids and images, its header, and the zero
-        // block that retires it.
+        // journal holds their ids and images and its header, and the zeros
+        // that retire them are as many blocks again.
         let dirty = 1 + checksums + records;
         assert_eq!(
             after.data.blocks_written - before.data.blocks_written,
             dirty
         );
+        let journaled = 1 + (dirty * 8).div_ceil(B) + dirty;
         assert_eq!(
             after.blocks_written() - before.blocks_written(),
-            2 * dirty + (dirty * 8).div_ceil(B) + 2
+            dirty + 2 * journaled
         );
 
         // Nothing changed: nothing is written.

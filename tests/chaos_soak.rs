@@ -442,17 +442,17 @@ fn flipping_any_byte_of_a_committed_image_is_rejected_typed() {
 #[test]
 fn flipping_any_byte_of_a_mid_commit_state_recovers_whole_or_rejects_typed() {
     const SEED: u64 = 0xF1A;
-    // Learn the crashed flush's write count once.
+    // Learn the crashed flush's data write count once.
     let path = temp_path("chaos-mid-dry");
     let mut oracle = BTreeMap::new();
     let mut dict = open(&path, SEED);
     phase1(&mut dict, &mut oracle, 0);
     dict.flush().unwrap();
     let oracle1 = oracle_vec(&oracle);
-    let before = dict.store().stats().blocks_written();
+    let before = dict.store().stats().data.blocks_written;
     phase2(&mut dict, &mut oracle, 0);
     dict.flush().unwrap();
-    let writes = dict.store().stats().blocks_written() - before;
+    let data_writes = dict.store().stats().data.blocks_written - before;
     let oracle2 = oracle_vec(&oracle);
     let (d, j) = (
         dict.store().path().to_path_buf(),
@@ -462,8 +462,11 @@ fn flipping_any_byte_of_a_mid_commit_state_recovers_whole_or_rejects_typed() {
     drop_paths(&d, &j);
 
     // An early kill (mid-journal, pre-commit-point) and a late one
-    // (mid-data, post-commit-point).
-    let kill_points = [2, writes - 1];
+    // (mid-data, post-commit-point). The flush writes the journal's ids,
+    // payload and header, then the data blocks, then the zeros that retire
+    // the journal.
+    let journal_writes = 1 + (data_writes * 8).div_ceil(BLOCK as u64) + data_writes;
+    let kill_points = [2, journal_writes + data_writes - 1];
     let step = if smoke() { 13 } else { 1 };
     let mut recovered_old = 0u64;
     let mut recovered_new = 0u64;
