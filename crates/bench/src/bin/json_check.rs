@@ -1,12 +1,11 @@
-//! CI guard: validates a bench harness's JSON row dump.
+//! Validates JSON row dumps: the committed ledger `BENCH_baseline.json`, and
+//! any dump the `paper` runner writes to `AP_BENCH_JSON`.
 //!
-//! Every bench binary can dump its rows via `AP_BENCH_JSON=path`; `ci.sh`
-//! runs the smoke harnesses with a dump path and then runs
-//! `json_check <path>...` on the results. The check fails (non-zero exit)
-//! when a file is missing, is not valid JSON, is not a non-empty array, or
-//! contains a row without the `series`/`x`/`y`/`metric` fields or with a
-//! non-finite measurement — the malformed-row classes a silently truncated
-//! or interleaved write would produce.
+//! `json_check <path>...` fails (non-zero exit) when a file is missing, is
+//! not valid JSON, is not a non-empty array, or contains a row without the
+//! `series`/`x`/`y`/`metric` fields or with a non-finite measurement — the
+//! malformed-row classes a silently truncated or interleaved write would
+//! produce.
 //!
 //! The vendored `serde_json` shim is serialize-only (the container has no
 //! crates.io access), so the guard carries its own minimal recursive-descent

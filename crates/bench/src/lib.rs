@@ -1,24 +1,19 @@
-//! Shared plumbing for the benchmark harnesses.
+//! The paper's evaluation and its plumbing.
 //!
 //! Every figure, table and theorem of the paper's evaluation is an anchor of
-//! the [`paper`] registry, driven by the `paper` binary; the other binaries
-//! in `src/bin/` measure this workspace's own layers. They print Markdown
-//! tables to stdout and can dump the raw rows as JSON (set
-//! `AP_BENCH_JSON=/path/out.json`).
+//! the [`paper`] registry, driven by the `paper` binary, which prints each
+//! anchor's rows as a Markdown table and can dump them all as JSON (set
+//! `AP_BENCH_JSON=/path/out.json`); `json_check` validates such a dump and
+//! the committed `BENCH_baseline.json`.
 //!
 //! `AP_BENCH_SCALE` multiplies every default input size (default 1), so the
-//! same binaries serve a quick run and a paper-scale run.
+//! same runner serves a quick run and a paper-scale run.
 
-// The forbid covers the library target only; the one unsafe block in the
-// workspace (the counting GlobalAlloc in bin/bulk_vs_incremental.rs) lives
-// in a bin target and stays auditable there.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use dict_server::{Client, ClientError, Request, Response};
 use serde::Serialize;
-use std::net::SocketAddr;
 use std::time::Instant;
 
 pub mod paper;
@@ -66,15 +61,8 @@ impl Row {
     }
 }
 
-/// Prints a Markdown table of rows grouped by series (one column per series,
-/// one line per x value) and dumps the raw rows as JSON to `AP_BENCH_JSON`,
-/// when it is set.
-pub fn emit(title: &str, rows: &[Row]) {
-    print_table(title, rows);
-    dump_json(rows);
-}
-
-/// The table half of [`emit`].
+/// Prints a Markdown table of rows grouped by series: one column per
+/// series, one line per x value.
 pub fn print_table(title: &str, rows: &[Row]) {
     println!("\n### {title}\n");
     let mut series: Vec<&str> = Vec::new();
@@ -105,7 +93,7 @@ pub fn print_table(title: &str, rows: &[Row]) {
     }
 }
 
-/// The JSON half of [`emit`]: writes `rows` to `AP_BENCH_JSON`, when set.
+/// Writes `rows` to `AP_BENCH_JSON` as JSON, when it is set.
 pub fn dump_json(rows: &[Row]) {
     if let Ok(path) = std::env::var("AP_BENCH_JSON") {
         let json = serde_json::to_string_pretty(rows).expect("rows serialize");
@@ -113,48 +101,6 @@ pub fn dump_json(rows: &[Row]) {
             eprintln!("warning: could not write {path}: {e}");
         }
     }
-}
-
-/// splitmix64, the stateless key scrambler used across the benches.
-pub fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The i-th operation of the seeded 95/5 get/put mix over `keyspace` keys.
-pub fn mix_op(i: u64, salt: u64, keyspace: u64) -> Request {
-    let r = scramble(i ^ salt);
-    let key = scramble(r) % keyspace;
-    if r % 100 < 95 {
-        Request::Get { key }
-    } else {
-        Request::Put {
-            key,
-            value: r ^ key,
-        }
-    }
-}
-
-/// Preloads `keyspace` keys over one pipelined connection, so the mix's
-/// gets mostly hit.
-pub fn preload(addr: SocketAddr, keyspace: u64) -> Result<(), ClientError> {
-    let mut c = Client::connect(addr)?;
-    for key in 0..keyspace {
-        c.send(&Request::Put {
-            key,
-            value: scramble(key),
-        })?;
-    }
-    c.flush()?;
-    for _ in 0..keyspace {
-        match c.recv()? {
-            Response::Done => {}
-            other => return Err(ClientError::Unexpected(other)),
-        }
-    }
-    Ok(())
 }
 
 /// Times a closure, returning (result, seconds).

@@ -2154,11 +2154,10 @@ mod tests {
 
     #[test]
     fn device_transfers_equal_the_dam_prediction_and_the_tracer_ledger() {
-        // The two equalities the `block_store_io` harness reports, asserted:
-        // a full commit writes each block of the image to the data file
-        // exactly once (the DAM prediction, `file_len / B`), and a tracer
-        // attached to the store is charged exactly the physical transfers,
-        // data and journal together.
+        // The DAM cost model against the device: a full commit writes each
+        // block of the image to the data file exactly once (the DAM
+        // prediction, `file_len / B`), and a tracer attached to the store is
+        // charged exactly the physical transfers, data and journal together.
         const BS: usize = 4096;
         let path = temp_path("store-dam");
         let (len, total) = (200_000u64, 800_000u64);

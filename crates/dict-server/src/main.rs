@@ -12,11 +12,12 @@
 //!
 //! Binds the address (port 0 picks an ephemeral port), prints the bound
 //! address on stdout as `listening on ADDR`, optionally writes the bare
-//! address to `--addr-file` (how `ci.sh` discovers the port), then serves
-//! until the process is killed. With `--persist`, the server boots from the
-//! given block-store file's last committed image, and the `FLUSH` operation
-//! canonicalizes the served contents into it. An existing file's seed must
-//! be `--seed`'s; a mismatch is refused before the address is bound.
+//! address to `--addr-file` (how `tests/binary.rs` discovers the port), then
+//! serves until the process is killed. With `--persist`, the server boots
+//! from the given block-store file's last committed image, and the `FLUSH`
+//! operation canonicalizes the served contents into it. An existing file's
+//! seed must be `--seed`'s; a mismatch is refused before the address is
+//! bound.
 //!
 //! A restart therefore serves what was last flushed, and nothing since:
 //! shutdown does not flush, and the retry dedup registry lives in RAM, so

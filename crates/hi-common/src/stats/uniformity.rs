@@ -52,9 +52,8 @@ impl Pooled {
 
     /// Adds the balance of a range at `depth` that sits at `offset` of its
     /// candidate window of `window` elements.
-    pub fn balance(&mut self, depth: u32, window: usize, offset: usize) {
+    pub fn balance(&mut self, depth: usize, window: usize, offset: usize) {
         let bin = self.bin(offset, window);
-        let depth = depth as usize;
         if self.by_depth.len() <= depth {
             self.by_depth.resize(depth + 1, [0; BINS]);
         }
@@ -156,7 +155,7 @@ mod tests {
         for _ in 0..draws {
             let m = rng.gen_range(1..40usize);
             let k = rng.gen_range(0..m);
-            pooled.balance((m % 3) as u32, m, skew(m, k));
+            pooled.balance(m % 3, m, skew(m, k));
             pooled.capacity(m, m + k);
         }
         pooled.report()

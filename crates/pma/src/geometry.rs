@@ -50,7 +50,7 @@ pub const PAPER_CONSTANTS_LIMIT: usize = 4096;
 /// sweep in EXPERIMENTS.md: the largest step that keeps element moves per
 /// update (the paper's Figure 2 quantity) within 10 % of the literal
 /// geometry, and a leaf of 16-byte records is then about one 4 KiB block.
-pub const LEAF_SCALE_LOG2: u32 = 3;
+pub const LEAF_SCALE_LOG2: usize = 3;
 
 /// The complete set of layout parameters derived from `N̂`.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +58,9 @@ pub struct Geometry {
     /// The capacity parameter this geometry was derived from.
     pub n_hat: usize,
     /// Height of the range tree (leaves at depth `h`; `h = 0` means the whole
-    /// array is one leaf).
-    pub height: u32,
+    /// array is one leaf). A `usize`, like every other field, so the struct
+    /// has no padding (see DESIGN.md "Deleted records in RAM").
+    pub height: usize,
     /// Slots per leaf range.
     pub leaf_slots: usize,
     /// Total slots in the array (`2^h · leaf_slots`).
@@ -101,7 +102,7 @@ impl Geometry {
             let c_l = 1.0 + c1 + 6.0 / lg + 0.05;
             (c1, c_l)
         };
-        let full_height = (lg - lg.log2()).ceil().max(1.0) as u32;
+        let full_height = (lg - lg.log2()).ceil().max(1.0) as usize;
         let height = full_height.saturating_sub(LEAF_SCALE_LOG2).max(1);
         let leaf_slots = ((c_l * lg).ceil() as usize) << (full_height - height);
         let total_slots = (1usize << height) * leaf_slots;
@@ -130,7 +131,7 @@ impl Geometry {
     /// Number of levels in the range tree (`h + 1`), which is also the number
     /// of levels of the rank tree.
     pub fn levels(&self) -> u32 {
-        self.height + 1
+        self.height as u32 + 1
     }
 
     /// Total number of ranges (nodes of the range tree).
@@ -139,7 +140,7 @@ impl Geometry {
     }
 
     /// Number of slots in a range at depth `d`.
-    pub fn slots_at_depth(&self, d: u32) -> usize {
+    pub fn slots_at_depth(&self, d: usize) -> usize {
         debug_assert!(d <= self.height);
         self.total_slots >> d
     }
@@ -150,9 +151,9 @@ impl Geometry {
     /// Precomputed at construction, so the per-level lookup on the update
     /// path is a table read.
     #[inline]
-    pub fn candidate_size(&self, d: u32) -> usize {
+    pub fn candidate_size(&self, d: usize) -> usize {
         debug_assert!(d < self.height, "leaves have no candidate set");
-        self.candidate_sizes[d as usize]
+        self.candidate_sizes[d]
     }
 
     /// Leaf (group) index owning `slot`.
@@ -254,14 +255,14 @@ mod tests {
         let g1 = Geometry::for_n_hat(1 << 12);
         let g2 = Geometry::for_n_hat(1 << 20);
         assert!(g2.height > g1.height);
-        assert!(g2.height as usize <= 21);
+        assert!(g2.height <= 21);
     }
 
     /// The paper's height `⌈log N̂ − log log N̂⌉` and slot count
     /// `2^H · ⌈C_L log N̂⌉`, computed without [`LEAF_SCALE_LOG2`].
-    fn literal_geometry(n_hat: usize, c_l: f64) -> (u32, usize) {
+    fn literal_geometry(n_hat: usize, c_l: f64) -> (usize, usize) {
         let lg = (n_hat as f64).log2();
-        let full_height = (lg - lg.log2()).ceil() as u32;
+        let full_height = (lg - lg.log2()).ceil() as usize;
         (
             full_height,
             (1usize << full_height) * (c_l * lg).ceil() as usize,
@@ -270,7 +271,7 @@ mod tests {
 
     #[test]
     fn shorter_tree_keeps_the_slot_array_and_lemma_7_at_every_depth() {
-        let check = |n_hat: usize| -> u32 {
+        let check = |n_hat: usize| -> usize {
             let g = Geometry::for_n_hat(n_hat);
             let (full_height, literal_slots) = literal_geometry(n_hat, g.c_l);
             assert_eq!(g.total_slots, literal_slots, "N̂ = {n_hat}");
@@ -369,9 +370,18 @@ mod tests {
     }
 
     #[test]
+    fn geometry_has_no_padding() {
+        // Every byte of a `Geometry` is a field's: no padding can keep the
+        // bytes of whatever the memory held before it.
+        use std::mem::size_of;
+        let fields = 4 * size_of::<usize>() + 2 * size_of::<f64>() + size_of::<Vec<usize>>();
+        assert_eq!(size_of::<Geometry>(), fields);
+    }
+
+    #[test]
     fn levels_and_range_count() {
         let g = Geometry::for_n_hat(1 << 14);
-        assert_eq!(g.levels(), g.height + 1);
+        assert_eq!(g.levels(), g.height as u32 + 1);
         assert_eq!(g.range_count(), (1 << (g.height + 1)) - 1);
         assert_eq!(g.leaf_count(), 1 << g.height);
     }

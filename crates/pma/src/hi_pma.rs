@@ -92,7 +92,7 @@ pub struct BalanceRecord {
     /// BFS index of the range in the range tree.
     pub range: usize,
     /// Depth of the range (root = 0).
-    pub depth: u32,
+    pub depth: usize,
     /// Number of elements currently in the range.
     pub len: usize,
     /// Effective candidate-set size (`min(|M_d|, len)`).
@@ -129,7 +129,7 @@ enum Decision {
 struct PendingRebuild {
     /// BFS index of the range.
     range: usize,
-    depth: u32,
+    depth: usize,
     slot_start: usize,
     /// The range's element count after the update.
     len: usize,
@@ -292,7 +292,7 @@ impl<T: Clone + Default> HiPma<T> {
     /// broken), naming the range.
     pub fn balance_records(&self) -> Vec<BalanceRecord> {
         let mut records = Vec::new();
-        let mut stack = vec![(0usize, 0u32)];
+        let mut stack = vec![(0usize, 0usize)];
         while let Some((range, depth)) = stack.pop() {
             let len = *self.rank_tree.peek(range) as usize;
             if depth == self.geometry.height || len == 0 {
@@ -352,7 +352,7 @@ impl<T: Clone + Default> HiPma<T> {
         self.check_range(0, 0, 0);
     }
 
-    fn check_range(&self, range: usize, depth: u32, slot_start: usize) {
+    fn check_range(&self, range: usize, depth: usize, slot_start: usize) {
         let slots = self.geometry.slots_at_depth(depth);
         let len = *self.rank_tree.peek(range) as usize;
         // Lemma 7: a range never holds more elements than it has slots.
@@ -483,7 +483,7 @@ impl<T: Clone + Default> HiPma<T> {
     fn plan_counts(
         &mut self,
         range: usize,
-        depth: u32,
+        depth: usize,
         slot_start: usize,
         len: usize,
         forced_balance: Option<usize>,
@@ -526,7 +526,7 @@ impl<T: Clone + Default> HiPma<T> {
     /// at `first_leaf`) stores its balance element, the first element of its
     /// right child — `None` when that child is empty, written over the
     /// default, as a `None` keeps the old payload.
-    fn write_balances(&mut self, range: usize, depth: u32, first_leaf: usize) {
+    fn write_balances(&mut self, range: usize, depth: usize, first_leaf: usize) {
         if depth == self.geometry.height {
             return;
         }
@@ -769,7 +769,7 @@ impl<T: Clone + Default> HiPma<T> {
         // changes, the rest of the descent only finds the leaf of the old
         // layout that takes the element; the counts below are the planner's.
         let mut range = 0usize;
-        let mut depth = 0u32;
+        let mut depth = 0usize;
         let mut slot_start = 0usize;
         let mut rel_rank = rank;
         let mut len_before = *self.rank_tree.get(0) as usize;
@@ -831,7 +831,7 @@ impl<T: Clone + Default> HiPma<T> {
             return Ok(removed);
         }
         let mut range = 0usize;
-        let mut depth = 0u32;
+        let mut depth = 0usize;
         let mut slot_start = 0usize;
         let mut rel_rank = rank;
         let mut len_before = *self.rank_tree.get(0) as usize;
@@ -987,7 +987,7 @@ impl<T: Clone + Default> HiPma<T> {
     fn locate(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.len());
         let mut range = 0usize;
-        let mut depth = 0u32;
+        let mut depth = 0usize;
         let mut slot_start = 0usize;
         let mut rel_rank = rank;
         while depth < self.geometry.height {

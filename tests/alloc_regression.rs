@@ -1,8 +1,7 @@
 //! Allocator-level regression tests for the allocation-free rebalance
 //! engine.
 //!
-//! A counting global allocator (the same technique as the
-//! `bulk_vs_incremental` bench) and a clone-counting element type pin the
+//! A counting global allocator and a clone-counting element type pin the
 //! engine's core guarantees:
 //!
 //! * a steady-state HI-PMA insert — no capacity resize — performs **zero

@@ -119,7 +119,7 @@ fn moving_one_balance_by_one_changes_r() {
 /// balance and `(n, N̂)` per structure.
 #[derive(Default)]
 struct Samples {
-    balances: Vec<(u32, usize, usize)>,
+    balances: Vec<(usize, usize, usize)>,
     capacities: Vec<(usize, usize)>,
 }
 
@@ -268,7 +268,7 @@ fn balance_elements_stay_uniform_at_every_depth_that_draws_a_coin() {
     // sub-test, down to the deepest.
     let drained = &four_histories()[FRONT_DRAIN];
     let report = pool([drained], |_, o| o);
-    let coin_depths: BTreeSet<u32> = drained
+    let coin_depths: BTreeSet<usize> = drained
         .balances
         .iter()
         .filter(|&&(_, window, _)| window >= 2)
@@ -305,6 +305,27 @@ fn balance_elements_stay_uniform_after_a_long_history() {
     }
     let report = pool([&samples], |_, o| o);
     assert!(report.balances >= 4_000, "{report}");
+    assert!(!report.rejects(0.01), "{report}");
+}
+
+#[test]
+fn balance_elements_stay_uniform_when_every_insert_lands_in_the_middle() {
+    // A sixth history, pooled on its own: 1 000 inserts, each at rank n/2,
+    // so every newcomer lands inside the root's candidate window. A
+    // reservoir that let the newcomer win more often than 1/|M| would pile
+    // the root's balance onto the last arrivals; one root per trial gives
+    // depth 0 its 4 000 samples.
+    let mut samples = Samples::default();
+    for t in 0..4_000u64 {
+        let mut pma: HiPma<u64> = HiPma::new((6 << 32) | t);
+        for k in 0..1_000 {
+            pma.insert(pma.len() / 2, k).unwrap();
+        }
+        samples.observe(&pma, "centre inserts", t);
+    }
+    let report = pool([&samples], |_, o| o);
+    let root = report.tests.iter().find(|(name, _, _)| name == "depth 0");
+    assert!(root.is_some_and(|&(_, n, _)| n >= 4_000), "{report}");
     assert!(!report.rejects(0.01), "{report}");
 }
 
