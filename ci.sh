@@ -10,7 +10,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench (the block-hash kernel, the crash-state enumeration of every barrier of a commit run, the in-place rebuild and its hard asserts, the racing-leaders and panic-containment tests as the benchmark runs them: optimised, debug assertions out; the dict-server binary booted, served, killed and rebooted on its file; and every paper anchor's verdict at smoke size: fig2, space, overhead, chi2, thm1, thm2, thm3, obs1, lemma15)"
+echo "==> cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench (the block-hash kernel, the crash-state enumeration of every barrier of a commit run, the remnant scan of the strict device for deleted records' tags (no_deleted_record_survives_on_the_strict_device), the in-place rebuild and its hard asserts, the racing-leaders and panic-containment tests as the benchmark runs them: optimised, debug assertions out; the dict-server binary booted, served, killed and rebooted on its file; and every paper anchor's verdict at smoke size: fig2, space, overhead, chi2, thm1, thm2, thm3, obs1, lemma15)"
 cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench
 
 echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence --test deleted_residue (every fingerprint, the golden image, the restart round trips, Lemma 9's oracle and the deleted-record tag oracle as the benchmark builds them: optimised, debug assertions out)"

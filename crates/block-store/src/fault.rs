@@ -178,11 +178,6 @@ impl FaultPlan {
         self.shared.is_some()
     }
 
-    /// Logical block writes begun so far across all shared clones.
-    pub fn writes_begun(&self) -> u64 {
-        self.state().map_or(0, |s| s.writes)
-    }
-
     /// Logical block reads begun so far across all shared clones.
     pub fn reads_begun(&self) -> u64 {
         self.state().map_or(0, |s| s.reads)

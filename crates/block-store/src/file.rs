@@ -20,6 +20,10 @@ pub const PAGE_ALIGN: usize = 4096;
 /// clock (`std::time::Instant` is a disallowed type in `clippy.toml`).
 pub const IO_RETRY_ATTEMPTS: u32 = 3;
 
+/// Blocks of zeros [`BlockFile::resize`] writes per transfer. A length
+/// changes rarely, so the zeros are allocated for each change, never kept.
+const ZERO_BLOCKS: u64 = 16;
+
 /// A typed error from block-granular file I/O.
 ///
 /// The interesting failure modes — an injected crash, a poisoned handle, a
@@ -302,12 +306,48 @@ impl BlockFile {
         Ok(self.len()? == 0)
     }
 
-    /// Sets the file length (grow zero-fills, shrink truncates).
-    pub fn set_len(&mut self, bytes: u64) -> Result<(), FileError> {
+    /// Moves the file to `bytes` long, a whole number of blocks. This is the
+    /// one way a store file changes length, and no length change exposes or
+    /// hands back a byte the file held. The file grows by written zeros,
+    /// never by a hole; a torn last block is zeroed whole. It shrinks in
+    /// three steps: zeros over the cut, a sync that makes them durable (when
+    /// `sync`), then the cut, so the filesystem gets back only zeros. The
+    /// cut itself is durable at the file's next sync. At the current length
+    /// this does nothing.
+    pub fn resize(&mut self, bytes: u64, sync: bool) -> Result<(), FileError> {
         self.check_poisoned()?;
-        self.file.set_len(bytes)?;
-        #[cfg(test)]
-        crate::crash::log(&self.path, || crate::crash::Op::SetLen(bytes));
+        let b = self.block_size as u64;
+        if !bytes.is_multiple_of(b) {
+            return Err(FileError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("file length {bytes} is not a whole number of {b}-byte blocks"),
+            )));
+        }
+        let len = self.len()?;
+        if bytes > len {
+            return self.write_zeros(len / b, bytes / b);
+        }
+        if bytes < len {
+            self.write_zeros(bytes / b, len.div_ceil(b))?;
+            if sync {
+                self.sync()?;
+            }
+            self.file.set_len(bytes)?;
+            #[cfg(test)]
+            crate::crash::log(&self.path, || crate::crash::Op::SetLen(bytes));
+        }
+        Ok(())
+    }
+
+    /// Writes zeros over blocks `from..to`, at most [`ZERO_BLOCKS`] to a
+    /// transfer.
+    fn write_zeros(&mut self, mut from: u64, to: u64) -> Result<(), FileError> {
+        let zeros = vec![0u8; to.saturating_sub(from).min(ZERO_BLOCKS) as usize * self.block_size];
+        while from < to {
+            let n = (to - from).min(ZERO_BLOCKS);
+            self.write_blocks(from, &zeros[..n as usize * self.block_size])?;
+            from += n;
+        }
         Ok(())
     }
 
@@ -541,6 +581,21 @@ mod tests {
         assert_eq!(f.stats().blocks_written, 3);
         assert_eq!(f.stats().blocks_read, 3);
         assert_eq!(f.len().unwrap(), 5 * 64);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resize_moves_whole_blocks_over_written_zeros() {
+        let path = crate::temp_path("file-resize");
+        let mut f = BlockFile::open(&path, 64).unwrap();
+        f.write_blocks(0, &[7u8; 3 * 64]).unwrap();
+        f.resize(5 * 64, false).unwrap();
+        f.resize(64, false).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), [7u8; 64]);
+        // Three blocks of 7s, two grown, then four zeroed before the cut.
+        assert_eq!(f.stats().blocks_written, 3 + 2 + 4);
+        let err = f.resize(100, false).unwrap_err();
+        assert!(matches!(err, FileError::Io(e) if e.kind() == io::ErrorKind::InvalidInput));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -33,17 +33,20 @@
 //! bitmap, the records in slot order, and the header metadata (which
 //! includes the layout seed). Every region is zero padded to a block, the
 //! journal is overwritten with zeros after every successful commit (at rest
-//! it is a fixed run of zero blocks sized by the image), and shrinking
-//! images truncate the file — so at rest the file contains the serialized
-//! layout and nothing else. When the in-RAM layout is itself
+//! it is a fixed run of zero blocks sized by the image), and a shrinking
+//! image zeroes its tail before it cuts the file — so at rest the file
+//! contains the serialized layout and nothing else. When the in-RAM layout is itself
 //! canonicalized to `f(contents, seed)` before flushing (see the facade's
 //! `PersistentDict::flush`), the entire file becomes that same pure
 //! function: an observer of the raw bytes learns the contents and nothing
 //! about the history, and deleted records leave no trace
 //! (`examples/secure_delete_audit.rs` greps the raw bytes to prove it).
-//! The guarantee is over the bytes of the two files. The journal hands the
-//! filesystem back only zeros; a shrinking data file's cut tail goes back
-//! without being overwritten.
+//! Every length change of either file goes through [`BlockFile::resize`],
+//! which grows by written zeros and shrinks by zeros, a sync, then the cut,
+//! so neither file hands the filesystem back anything but zeros. The
+//! guarantee assumes a device that overwrites a block in place: a flash
+//! translation layer or a copy-on-write filesystem may keep the old copy of
+//! a rewritten block, and that is out of scope.
 //!
 //! The mid-flush window is the one moment the disk holds more than the
 //! image: the journal then contains the dirty blocks of the *new* image —

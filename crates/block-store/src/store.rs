@@ -74,19 +74,27 @@
 //! 2. Write the journal ids and payload (one contiguous transfer each) and
 //!    the journal header, then sync the journal: the barrier that makes the
 //!    header — the commit point — durable with everything it vouches for.
+//!    A shorter image cuts the journal to its new J here, zeros written over
+//!    the cut before this barrier.
 //! 3. Write the dirty blocks into the data file in place, one transfer per
-//!    run of consecutive ids — a full image is three runs — then set the
-//!    file's length (a shorter image is cut here; a longer one has already
-//!    grown the file) and sync.
+//!    run of consecutive ids — a full image is three runs — then bring the
+//!    file to its length and sync. A longer image has already grown the
+//!    file; a shorter one writes zeros over its tail, syncs, and cuts.
 //! 4. Wipe the staging buffers and write their zeros over the journal
-//!    blocks step 2 wrote; grow the journal with written zeros, or cut it,
-//!    to J of the new image. No sync. In the steady state — an image of
-//!    unchanged size — no length of either file changes.
+//!    blocks step 2 wrote; grow the journal with written zeros to J of the
+//!    new image. No sync. In the steady state — an image of unchanged
+//!    size — no length of either file changes.
 //!
-//! A commit pays two barriers. Between them the device may keep any subset
-//! of the writes issued since a file's last sync, in any order, and tear
-//! any of them; two facts make that safe without a barrier in step 2 or
-//! after step 4:
+//! Every length change of either file goes through
+//! [`BlockFile::resize`]: a file grows by written zeros, and shrinks by
+//! zeros over the cut, a sync, then the cut, so no cut hands the
+//! filesystem a byte of an old image.
+//!
+//! A commit pays two barriers; one that shrinks the image pays a third, the
+//! sync that makes the data file's cut durable before the journal is
+//! retired. Between barriers the device may keep any subset of the writes
+//! issued since a file's last sync, in any order, and tear any of them; two
+//! facts make that safe without a barrier in step 2 or after step 4:
 //!
 //! * a journal header that persists without all of its ids and payload
 //!   fails the payload checksum, and `open` discards the journal (the
@@ -740,24 +748,35 @@ impl BlockStore {
         let applied = self.stage_and_apply(words, total_slots, len, records, seed);
         self.payload.wipe();
         self.ids_buf.wipe();
-        if let Some(retire) = applied? {
-            // Phase 4: zero the journal blocks this commit wrote, then bring
-            // the journal to the new image's length. No sync: a crash that
-            // loses any of it leaves the journal of an image that is already
-            // applied, which `open` replays idempotently and wipes, and the
-            // next commit's journal barrier makes it durable.
-            self.write_journal_zeros(0, retire.used)?;
-            let blocks = self.journal.len()?.div_ceil(self.opts.block_size as u64);
-            self.resize_journal(blocks, retire.journal_blocks)?;
+        if let Some(used) = applied? {
+            // Phase 4: zero the journal blocks this commit wrote, a wiped
+            // buffer's worth at a time, then grow the journal with zeros to
+            // the new image's J (a shorter image cut it in phase 2). No sync:
+            // a crash that loses any of it leaves the journal of an image
+            // that is already applied, which `open` replays idempotently
+            // and wipes, and the next commit's journal barrier makes it
+            // durable.
+            let bs = self.opts.block_size;
+            let b = bs as u64;
+            let mut at = 0;
+            while at < used {
+                let n = ((self.payload.capacity() / bs) as u64).min(used - at);
+                self.journal
+                    .write_blocks(at, self.payload.get(n as usize * bs))?;
+                at += n;
+            }
+            let data_blocks = self.data.len()? / b;
+            self.journal
+                .resize(journal_blocks(data_blocks, b) * b, self.opts.sync)?;
             self.poisoned = false;
         }
         Ok(self.meta.map_or(0, |m| m.generation))
     }
 
     /// Phases 1–3 of [`Self::commit`]: `None` when the commit is a no-op,
-    /// otherwise what phase 4 has to retire. The image is durable once this
-    /// returns `Some`; the handle stays poisoned until the journal is
-    /// retired.
+    /// otherwise the journal blocks phase 4 has to zero. The image is
+    /// durable once this returns `Some`; the handle stays poisoned until the
+    /// journal is retired.
     fn stage_and_apply<T: Record>(
         &mut self,
         words: &[u64],
@@ -765,7 +784,7 @@ impl BlockStore {
         len: u64,
         records: impl IntoIterator<Item = T>,
         seed: u64,
-    ) -> Result<Option<Retire>, FileError> {
+    ) -> Result<Option<u64>, FileError> {
         if self.poisoned {
             return Err(FileError::Poisoned);
         }
@@ -890,7 +909,12 @@ impl BlockStore {
         );
         let jheader = self.block_buf.get(bs);
         self.journal.write_blocks(0, jheader)?;
-        if self.opts.sync {
+        // The journal barrier. A shorter image cuts its journal here, and the
+        // zeros over the cut are made durable by this same barrier.
+        let journal_len = journal_blocks(geo.data_blocks(), b) * b;
+        if journal_len < self.journal.len()? {
+            self.journal.resize(journal_len, self.opts.sync)?;
+        } else if self.opts.sync {
             self.journal.sync()?;
         }
 
@@ -899,9 +923,11 @@ impl BlockStore {
         // length goes last — a longer image has grown the file by then (its
         // new tail is always dirty), a shorter one is cut here — so until a
         // block of the new image lands the file is still the old image,
-        // byte for byte.
+        // byte for byte. A shorter image's tail is zeroed and synced before
+        // the cut, and the cut is synced before the journal is retired: the
+        // one commit that pays a third barrier is one that shrinks.
         write_runs(&mut self.data, &self.ids, self.payload.get(staged), bs)?;
-        self.data.set_len(geo.file_len())?;
+        self.data.resize(geo.file_len(), self.opts.sync)?;
         if self.opts.sync {
             self.data.sync()?;
         }
@@ -912,10 +938,7 @@ impl BlockStore {
         // finds capacity and steady-state flushes stay allocation-free.
         self.scratch_hashes.resize(data_blocks, 0);
         self.meta = Some(meta);
-        Ok(Some(Retire {
-            used: 1 + ids_blocks + count,
-            journal_blocks: journal_blocks(geo.data_blocks(), b),
-        }))
+        Ok(Some(1 + ids_blocks + count))
     }
 
     /// Dirty gate for the `n` freshly generated blocks `first_id..` whose
@@ -1151,7 +1174,7 @@ impl BlockStore {
         if self.opts.sync {
             self.journal.sync()?;
         }
-        self.data.set_len(geo.file_len())?;
+        self.data.resize(geo.file_len(), self.opts.sync)?;
         let mut mine = vec![0u8; bs];
         let mut repaired = 0u64;
         for block in 0..geo.data_blocks() {
@@ -1283,30 +1306,28 @@ impl BlockStore {
         self.ids.clear();
         self.ids
             .extend((0..count as usize).map(|i| get_u64(ids_area, i)));
-        self.data.set_len(target_len)?;
         write_runs(&mut self.data, &self.ids, payload, bs)?;
+        self.data.resize(target_len, self.opts.sync)?;
         if self.opts.sync {
             self.data.sync()?;
         }
         Ok(())
     }
 
-    /// Leaves the journal as `target` blocks of zeros. Every block that
-    /// holds a byte — of a torn or discarded journal, or of one whose
-    /// retire a crash lost — is overwritten with zeros before the length
-    /// moves, so no journal byte stays in the file or goes back to the
-    /// filesystem. A clean journal of the right length costs reads only.
+    /// Leaves the journal as `target` blocks of zeros. Every block below
+    /// `target` that holds a byte — of a torn or discarded journal, or of one
+    /// whose retire a crash lost — is overwritten with zeros, and the blocks
+    /// past it go through [`BlockFile::resize`]'s zero-then-cut, so no
+    /// journal byte stays in the file or goes back to the filesystem. A
+    /// clean journal of the right length costs reads only.
     fn settle_journal(&mut self, target: u64) -> Result<(), FileError> {
         let bs = self.opts.block_size;
         let b = bs as u64;
-        let len = self.journal.len()?;
-        let blocks = len.div_ceil(b);
-        if len != blocks * b {
-            // Half a block from a torn write: pad it out to be read whole.
-            self.journal.set_len(blocks * b)?;
-        }
-        for at in (0..blocks).step_by(GROUP_BLOCKS) {
-            let n = (blocks - at).min(GROUP_BLOCKS as u64) as usize;
+        // A torn last block is zeroed whole, so that every block reads whole.
+        let blocks = self.journal.len()?.div_ceil(b);
+        self.journal.resize(blocks * b, self.opts.sync)?;
+        for at in (0..blocks.min(target)).step_by(GROUP_BLOCKS) {
+            let n = (blocks.min(target) - at).min(GROUP_BLOCKS as u64) as usize;
             let group = self.payload.get_mut(n * bs);
             self.journal.read_blocks(at, group)?;
             if group.iter().any(|&x| x != 0) {
@@ -1316,43 +1337,8 @@ impl BlockStore {
         }
         self.payload.wipe();
         self.ids_buf.wipe();
-        self.resize_journal(blocks, target)
+        self.journal.resize(target * b, self.opts.sync)
     }
-
-    /// Moves an all-zero journal of `blocks` blocks to `target` blocks. It
-    /// grows by written zeros, never by a hole, so the blocks a commit
-    /// writes are allocated before it needs them; it shrinks by a cut, which
-    /// hands back only zeros.
-    fn resize_journal(&mut self, blocks: u64, target: u64) -> Result<(), FileError> {
-        if blocks > target {
-            self.journal.set_len(target * self.opts.block_size as u64)
-        } else {
-            self.write_journal_zeros(blocks, target)
-        }
-    }
-
-    /// Writes zeros over journal blocks `from..to`, taken from the staging
-    /// buffer, which every caller has just wiped, a buffer's worth at a time
-    /// (one staging group, if the buffer is smaller than that).
-    fn write_journal_zeros(&mut self, mut from: u64, to: u64) -> Result<(), FileError> {
-        let bs = self.opts.block_size;
-        while from < to {
-            self.payload.reserve(GROUP_BLOCKS * bs);
-            let n = ((self.payload.capacity() / bs) as u64).min(to - from);
-            self.journal
-                .write_blocks(from, self.payload.get(n as usize * bs))?;
-            from += n;
-        }
-        Ok(())
-    }
-}
-
-/// What phase 4 of a commit retires.
-struct Retire {
-    /// Journal blocks the commit wrote, from block 0: header, ids, payload.
-    used: u64,
-    /// The journal length of the committed image.
-    journal_blocks: u64,
 }
 
 /// The journal length, in blocks, kept for an image of `data_blocks`
@@ -2295,6 +2281,69 @@ mod tests {
         assert_eq!((stats.data.syncs, stats.journal.syncs), (0, 0));
         assert_eq!(stats.blocks_written(), 0);
         assert_eq!(lengths(&store), lens);
+        cleanup(&path);
+    }
+
+    /// A shrinking commit, pinned: three barriers (the journal once, the
+    /// data file twice), and the data file's cut tail written with zeros
+    /// that a sync makes durable before the cut, which the last sync makes
+    /// durable in turn. The journal is cut behind its own barrier, over
+    /// zeros written before it.
+    #[test]
+    fn a_shrinking_commit_pays_three_barriers_and_cuts_only_zeros() {
+        use crate::crash::{Op, Recording};
+        let path = temp_path("store-shrink-barriers");
+        let commit = |store: &mut BlockStore, n: u64| {
+            let set: Vec<u64> = (0..n).collect();
+            let words = words_for(512, &set);
+            store
+                .commit(&words, 512, n, set.iter().map(|&s| s ^ 0xD1E), 0)
+                .unwrap();
+        };
+        let mut store = BlockStore::open(&path, StoreOptions::new(B)).unwrap();
+        commit(&mut store, 400);
+        let (before, data_len) = (store.stats(), store.data.len().unwrap());
+        let journal_len = store.journal.len().unwrap();
+        let recording = Recording::start();
+        commit(&mut store, 40);
+        let ops = recording.finish();
+        let after = store.stats();
+        assert_eq!(after.journal.syncs - before.journal.syncs, 1);
+        assert_eq!(after.data.syncs - before.data.syncs, 2);
+        let (new_data, new_journal) = (store.data.len().unwrap(), store.journal.len().unwrap());
+        assert!(new_data < data_len && new_journal < journal_len);
+
+        // Each file's ops, in order, and the cut's place among them.
+        for (file, old, new) in [
+            (&path, data_len, new_data),
+            (&journal_path_for(&path), journal_len, new_journal),
+        ] {
+            let ops: Vec<&Op> = ops
+                .iter()
+                .filter(|(p, _)| p == file)
+                .map(|(_, op)| op)
+                .collect();
+            let cut = ops.iter().position(|op| matches!(op, Op::SetLen(_)));
+            let cut = cut.unwrap();
+            assert!(
+                matches!(ops[cut - 1..], [Op::Sync, Op::SetLen(len), ..] if *len == new),
+                "{file:?}: no sync right before the cut"
+            );
+            let zeroed = |at: u64| {
+                ops[..cut].iter().any(|op| {
+                    matches!(op, Op::Write { block, bytes } if *block == at && bytes.iter().all(|&x| x == 0))
+                })
+            };
+            let tail = new / B as u64..old / B as u64;
+            assert!(
+                tail.clone().all(zeroed),
+                "{file:?}: tail {tail:?} not zeroed"
+            );
+        }
+        assert!(
+            matches!(ops.iter().rfind(|(p, _)| *p == path), Some((_, Op::Sync))),
+            "the data cut must be durable before the retire"
+        );
         cleanup(&path);
     }
 

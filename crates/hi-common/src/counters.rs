@@ -161,11 +161,6 @@ impl SharedCounters {
         locked(&self.inner).resizes += 1;
     }
 
-    /// Adds `n` key comparisons.
-    pub fn add_comparisons(&self, n: u64) {
-        locked(&self.inner).comparisons += n;
-    }
-
     /// Records a completed insert.
     pub fn add_insert(&self) {
         locked(&self.inner).inserts += 1;

@@ -9,8 +9,6 @@
 //!   of Hartline et al. (paper §2.1): the backing size of an `n`-element array
 //!   is kept uniformly distributed over `{n, …, 2n−1}` with only `O(1/n)`
 //!   resize probability per update.
-//! * [`reservoir`] — reservoir sampling with deletes (paper §3.2), used to keep
-//!   every balance element uniformly distributed over its candidate set.
 //! * [`rng`] — deterministic, splittable random-number plumbing so that every
 //!   structure in the workspace can be driven reproducibly in tests and
 //!   benchmarks while still modelling the "secret coins" of the WHI analyses.
@@ -29,7 +27,6 @@ pub mod batch;
 pub mod bitmap;
 pub mod capacity;
 pub mod counters;
-pub mod reservoir;
 pub mod rng;
 pub mod scratch;
 pub mod stats;
@@ -40,7 +37,6 @@ pub use batch::{BatchOp, SeekFinger};
 pub use bitmap::Bitmap;
 pub use capacity::HiCapacity;
 pub use counters::{OpCounters, SharedCounters};
-pub use reservoir::ReservoirLeader;
 pub use rng::{DetRng, RngSource};
 pub use scratch::Scratch;
 pub use traits::{Dictionary, KeyValue, Occupancy, RankError, RankedDict, RankedSequence};

@@ -87,12 +87,6 @@ impl RngSource {
         DetRng::seed_from_u64(self.seed ^ h ^ fresh.rotate_left(17))
     }
 
-    /// Derives an independent RNG stream without a label.
-    pub fn split_anonymous(&mut self) -> DetRng {
-        let fresh: u64 = self.rng.gen();
-        DetRng::seed_from_u64(fresh)
-    }
-
     /// Draws directly from the underlying stream.
     pub fn rng(&mut self) -> &mut DetRng {
         &mut self.rng

@@ -1,13 +1,10 @@
-//! Address-space layout helpers.
+//! Address-space layout.
 //!
 //! Cache-oblivious structures in this workspace are array-based: the PMA is
 //! one big array of slots, the vEB trees are arrays of nodes. To charge I/Os
 //! for them we only need to map *element indices* to *byte addresses* in the
 //! simulated address space. A [`Region`] records a base address and an
-//! element size and performs that mapping; an [`ArenaPlanner`] hands out
-//! disjoint regions so a composite structure (PMA + rank tree + value tree)
-//! can lay its components out the way the real structure would be laid out on
-//! disk.
+//! element size and performs that mapping.
 
 /// A contiguous region of the simulated address space holding fixed-size
 /// elements.
@@ -53,48 +50,6 @@ impl Region {
     pub fn byte_len(&self) -> u64 {
         self.slots * self.elem_size
     }
-
-    /// One-past-the-end byte address.
-    pub fn end(&self) -> u64 {
-        self.base + self.byte_len()
-    }
-}
-
-/// Hands out disjoint, block-aligned regions from a growing address space.
-///
-/// This models the simplest possible on-disk layout: components are placed
-/// one after another, each starting on a fresh alignment boundary. It is
-/// *not* history independent (allocation order is visible in the addresses);
-/// structures that need HI placement use [`crate::hi_alloc::HiAllocator`]
-/// instead. The planner is used where the paper itself assumes a fixed
-/// layout, e.g. the single array of the PMA plus its auxiliary trees.
-#[derive(Debug, Clone)]
-pub struct ArenaPlanner {
-    next: u64,
-    alignment: u64,
-}
-
-impl ArenaPlanner {
-    /// Creates a planner whose regions start on multiples of `alignment`
-    /// bytes (use the simulated block size for realistic layouts).
-    pub fn new(alignment: u64) -> Self {
-        assert!(alignment > 0, "alignment must be positive");
-        Self { next: 0, alignment }
-    }
-
-    /// Reserves a region of `slots` slots of `elem_size` bytes.
-    pub fn reserve(&mut self, elem_size: u64, slots: u64) -> Region {
-        let base = self.next;
-        let region = Region::new(base, elem_size, slots);
-        let end = region.end();
-        self.next = end.div_ceil(self.alignment) * self.alignment;
-        region
-    }
-
-    /// Total bytes reserved so far (including alignment padding).
-    pub fn reserved_bytes(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -108,33 +63,11 @@ mod tests {
         assert_eq!(r.addr(5), 1040);
         assert_eq!(r.span(3), 24);
         assert_eq!(r.byte_len(), 800);
-        assert_eq!(r.end(), 1800);
     }
 
     #[test]
     #[should_panic(expected = "element size")]
     fn zero_elem_size_panics() {
         Region::new(0, 0, 10);
-    }
-
-    #[test]
-    fn planner_regions_are_disjoint_and_aligned() {
-        let mut p = ArenaPlanner::new(4096);
-        let a = p.reserve(8, 1000); // 8000 bytes
-        let b = p.reserve(16, 10);
-        assert_eq!(a.base, 0);
-        assert_eq!(b.base, 8192);
-        assert!(a.end() <= b.base);
-        assert_eq!(b.base % 4096, 0);
-        assert!(p.reserved_bytes() >= b.end());
-    }
-
-    #[test]
-    fn planner_exact_block_multiple() {
-        let mut p = ArenaPlanner::new(64);
-        let a = p.reserve(8, 8); // exactly one block
-        let b = p.reserve(8, 1);
-        assert_eq!(a.base, 0);
-        assert_eq!(b.base, 64);
     }
 }

@@ -15,12 +15,8 @@
 //! * [`tracer::Tracer`] — a cheap, cloneable handle that data structures call
 //!   (`read`/`write` of address ranges). A disabled tracer compiles down to a
 //!   no-op so pure-RAM benchmarks (Figure 2) pay nothing.
-//! * [`hi_alloc::HiAllocator`] — a simulation of Naor–Teague
-//!   history-independent allocation, used as a black box by the paper (§2.1,
-//!   §6.3): allocations are placed uniformly at random among the block-aligned
-//!   free runs of the simulated disk, so addresses carry no history.
-//! * [`layout`] — helpers for laying out arrays and implicit trees in the
-//!   simulated address space.
+//! * [`layout::Region`] — maps element indices of an array-based structure
+//!   to byte addresses in the simulated address space.
 //!
 //! Cache-oblivious structures (the PMA, the vEB trees, the cache-oblivious
 //! B-tree) never see `B` or `M`: they just report which addresses they touch,
@@ -30,13 +26,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod detmap;
-pub mod hi_alloc;
 pub mod layout;
 pub mod lru;
 pub mod model;
 pub mod tracer;
 
-pub use hi_alloc::{Allocation, HiAllocator};
 pub use layout::Region;
 pub use lru::LruCache;
 pub use model::{IoConfig, IoConfigError, IoModel, IoStats};

@@ -70,11 +70,6 @@ impl IoConfig {
         }
         Ok(())
     }
-
-    /// Internal-memory size `M` in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.block_size * self.memory_blocks
-    }
 }
 
 impl Default for IoConfig {

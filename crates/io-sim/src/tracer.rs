@@ -44,11 +44,6 @@ impl Tracer {
         }
     }
 
-    /// Wraps an existing model (shared with other tracers).
-    pub fn with_model(model: Arc<Mutex<IoModel>>) -> Self {
-        Self { model: Some(model) }
-    }
-
     /// Returns `true` when connected to a model.
     pub fn is_enabled(&self) -> bool {
         self.model.is_some()

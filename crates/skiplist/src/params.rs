@@ -96,11 +96,6 @@ impl SkipParams {
         }
     }
 
-    /// The promotion probability `p`.
-    pub fn promotion_probability(&self) -> f64 {
-        1.0 / self.promote_inv as f64
-    }
-
     /// Draws a level for a newly inserted element: the number of successful
     /// promotions before the first failure, capped at 40.
     pub fn draw_level<R: Rng + ?Sized>(&self, rng: &mut R) -> u8 {

@@ -100,18 +100,6 @@ impl Backend {
             Backend::ClassicPma => "classic-pma",
         }
     }
-
-    /// Returns `true` for the weakly history-independent engines.
-    pub fn is_history_independent(&self) -> bool {
-        matches!(
-            self,
-            Backend::CobBTree
-                | Backend::HiSkipList
-                | Backend::FolkloreSkipList
-                | Backend::InMemorySkipList
-                | Backend::HiPma
-        )
-    }
 }
 
 impl fmt::Display for Backend {
