@@ -419,6 +419,61 @@ mod tests {
         assert!(tally.old > 0 && tally.new > 0, "{tally:?}");
     }
 
+    /// A short write's half block is in the log, so the crash states and the
+    /// strict device see it: a commit torn by [`Fault::ShortWrite`] at each
+    /// of its writes in turn, replayed op by op with every write kept,
+    /// leaves both files byte-equal to what the crash left on disk, and the
+    /// log's last write is the half block.
+    ///
+    /// [`Fault::ShortWrite`]: crate::Fault::ShortWrite
+    #[test]
+    fn a_short_write_is_logged_as_the_half_block_it_leaves() {
+        use crate::{Fault, FaultPlan};
+        let images = images();
+        let mut torn = 0;
+        for at in 0.. {
+            let data = temp_path("short-write");
+            let paths = [data.clone(), journal_path_for(&data)];
+            let recording = Recording::start();
+            let mut store = BlockStore::open(&data, StoreOptions::new(B)).unwrap();
+            let commit = |store: &mut BlockStore, (total, slots, records): &Image| {
+                let words = words_for(*total, slots);
+                let records = records.iter().copied();
+                store.commit(&words, *total, slots.len() as u64, records, 0xC4A5)
+            };
+            commit(&mut store, &images[0]).unwrap();
+            store.set_fault_plan(FaultPlan::new([Fault::ShortWrite { at }]));
+            let crashed = commit(&mut store, &images[1]).is_err();
+            drop(store);
+            let ops = recording.finish();
+            if crashed {
+                let Some((path, Op::Write { bytes, .. })) = ops
+                    .iter()
+                    .rev()
+                    .find(|(_, op)| matches!(op, Op::Write { .. }))
+                else {
+                    panic!("write {at}: nothing written");
+                };
+                assert_eq!(bytes.len(), B / 2, "write {at}: the last logged write");
+                torn += usize::from(bytes.iter().any(|&b| b != 0) && paths.contains(path));
+                for path in &paths {
+                    let mut state = file_state(&ops, path, ops.len());
+                    for &j in &state.pending {
+                        apply(&mut state.durable, &ops[j].1, false);
+                    }
+                    let on_disk = std::fs::read(path).unwrap();
+                    assert!(state.durable == on_disk, "write {at}: {path:?} replayed");
+                }
+            }
+            paths.iter().for_each(|p| drop(std::fs::remove_file(p)));
+            if !crashed {
+                assert!(at > 4, "a commit of {at} writes");
+                break;
+            }
+        }
+        assert!(torn > 0, "no short write left nonzero bytes");
+    }
+
     /// One file on the strict device: its durable bytes, the writes issued
     /// since its last sync (byte offset, bytes), and its length.
     #[derive(Default)]

@@ -401,6 +401,11 @@ impl BlockFile {
                     self.file
                         .seek(SeekFrom::Start(block * self.block_size as u64))?;
                     self.file.write_all(half)?;
+                    #[cfg(test)]
+                    crate::crash::log(&self.path, || crate::crash::Op::Write {
+                        block,
+                        bytes: half.to_vec(),
+                    });
                     self.poisoned = true;
                     return Err(FileError::Crashed);
                 }

@@ -118,7 +118,7 @@ impl<T: Clone + Default> ClassicPma<T> {
         elem_size: u64,
     ) -> Self {
         let mut pma = Self {
-            store: SlotStore::new(1, 8),
+            store: SlotStore::new(1, 8, 8),
             bitmap: Bitmap::new(8),
             seg_counts: Fenwick::new(0),
             seg_size: 0,
@@ -203,7 +203,7 @@ impl<T: Clone + Default> ClassicPma<T> {
         let segments = (total_slots / target_seg).next_power_of_two().max(1);
         let seg_size = total_slots / segments;
         debug_assert!(seg_size * segments == total_slots);
-        self.store.reshape(segments, seg_size);
+        self.store.reshape(segments, seg_size, seg_size);
         self.bitmap = Bitmap::new(total_slots);
         self.seg_size = seg_size;
         self.segments = segments;

@@ -192,6 +192,31 @@ impl Geometry {
         self.height == 0
     }
 
+    /// Lemma 7's bound on a leaf's element count, `⌊(N̂/2^h)(1 + c₁) + 3⌋`,
+    /// once every update has finished (with `h = 0`, `c₁ = 0` it is `N̂ + 3`,
+    /// above the `N ≤ N̂` a single leaf holds).
+    pub fn leaf_bound(&self) -> usize {
+        let per_leaf = self.n_hat as f64 / self.leaf_count() as f64;
+        (per_leaf * (1.0 + self.c1) + 3.0).floor() as usize
+    }
+
+    /// Physical slots per leaf: how many elements a leaf can ever hold, so
+    /// how much of the slot arena it is given. [`Self::leaf_bound`] plus
+    /// one — an insert lands in its leaf of the old layout before any
+    /// rebuild it triggers — and at most [`Self::leaf_slots`]; the single
+    /// leaf of the small geometry gets all `leaf_slots`. The logical
+    /// layout (occupancy, tracer addresses, `total_slots`) keeps
+    /// `leaf_slots`.
+    ///
+    /// [`Self::leaf_slots`]: Geometry::leaf_slots
+    pub fn leaf_capacity(&self) -> usize {
+        if self.is_small() {
+            self.leaf_slots
+        } else {
+            self.leaf_bound() + 1
+        }
+    }
+
     /// Verifies the Lemma 7 pre-condition `C_L ≥ 1 + c₁ + 6/log N̂` and the
     /// Lemma 8 pre-condition `c₁ < 1 − 6/log N̂`. Used by tests and debug
     /// assertions.
@@ -215,6 +240,7 @@ mod tests {
             assert!(g.is_small());
             assert_eq!(g.leaf_count(), 1);
             assert!(g.total_slots >= 2 * n_hat || g.total_slots >= 4);
+            assert_eq!(g.leaf_capacity(), g.leaf_slots);
             assert!(g.constants_are_valid());
         }
     }
@@ -298,6 +324,11 @@ mod tests {
                  among {}",
                 g.leaf_slots
             );
+            // The arena gives a leaf exactly that: the bound plus one, which
+            // every N̂ past the small geometry keeps below the width.
+            assert_eq!(g.leaf_bound(), leaf_bound.floor() as usize, "N̂ = {n_hat}");
+            assert_eq!(g.leaf_capacity(), g.leaf_bound() + 1, "N̂ = {n_hat}");
+            assert!(g.leaf_capacity() < g.leaf_slots, "N̂ = {n_hat}");
             g.height
         };
         // A geometric sweep (steps are a factor ~2 apart, strides 1/64), and

@@ -51,6 +51,13 @@
 //! leaf counts, so the [`Occupancy`] impl computes it from them when it is
 //! observed, bit-identical to the historical `Vec<Option<T>>` engine.
 //!
+//! So the arena need not hold the logical array's `N_S` slots. It gives
+//! each leaf [`Geometry::leaf_capacity`] slots — Lemma 7's leaf bound
+//! `(N̂/2^h)(1 + c₁) + 3` plus the one element an insert adds before its
+//! rebuild — and holds `leaf_count × capacity` in all; the layout, the
+//! tracer's addresses and [`HiPma::total_slots`] keep the leaves' logical
+//! width `L`. [`HiPma::check_invariants`] asserts the bound at every leaf.
+//!
 //! Every update first applies itself to the leaf its descent reaches — one
 //! rotate inside the leaf's slice, **zero heap allocations and zero `Clone`
 //! calls** — and most end there. One whose descent changed a range's balance
@@ -216,7 +223,11 @@ impl<T: Clone + Default> HiPma<T> {
         );
         let array_region = Region::new(0, elem_size, geometry.total_slots as u64);
         Self {
-            store: SlotStore::new(geometry.leaf_count(), geometry.leaf_slots),
+            store: SlotStore::new(
+                geometry.leaf_count(),
+                geometry.leaf_slots,
+                geometry.leaf_capacity(),
+            ),
             rank_tree,
             value_tree,
             geometry,
@@ -369,6 +380,13 @@ impl<T: Clone + Default> HiPma<T> {
                 held, len,
                 "range {range}: rank tree says {len}, leaf holds {held}"
             );
+            // Lemma 7 at the leaves: the arena's capacity is this bound
+            // plus the one element an insert adds before its rebuild.
+            let bound = self.geometry.leaf_bound();
+            assert!(
+                len <= bound,
+                "leaf range {range} holds {len} elements, above Lemma 7's bound {bound}"
+            );
             return;
         }
         let (left, right) = children(range);
@@ -405,15 +423,19 @@ impl<T: Clone + Default> HiPma<T> {
         buf
     }
 
-    /// Empties the geometry, the store (re-sized in place: one slot array at
-    /// a time), both trees and `leaf_counts` (sized for any plan, so no later
-    /// rebuild allocates), all for `n_hat`. The old value tree may hold the
+    /// Empties the geometry, the store (re-sized in place to the new leaf
+    /// count and capacity: one slot array at a time), both trees and
+    /// `leaf_counts` (sized for any plan, so no later rebuild allocates),
+    /// all for `n_hat`. The old value tree may hold the
     /// record this update deletes, so it is scrubbed before it is freed.
     fn reallocate(&mut self, n_hat: usize) {
         self.geometry = Geometry::for_n_hat(n_hat);
         self.value_tree.scrub(Some(T::default()));
-        self.store
-            .reshape(self.geometry.leaf_count(), self.geometry.leaf_slots);
+        self.store.reshape(
+            self.geometry.leaf_count(),
+            self.geometry.leaf_slots,
+            self.geometry.leaf_capacity(),
+        );
         self.leaf_counts.clear();
         self.leaf_counts.reserve_exact(self.geometry.leaf_count());
         self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
@@ -659,12 +681,14 @@ impl<T: Clone + Default> HiPma<T> {
         let n = self.store.group_len(leaf);
         debug_assert!(rel_rank <= n, "leaf rank out of bounds");
         // The leaf is one of the old layout's, even when a rebuild follows:
-        // Lemma 7 bounds its count by (N̂/2^h)(1 + c₁) + 3, and the geometry
-        // keeps that bound plus one within `leaf_slots`, so it has a free
-        // slot (pinned in `geometry`'s tests).
+        // Lemma 7 bounds its count by (N̂/2^h)(1 + c₁) + 3, and the arena
+        // gives each leaf that bound plus one slots (`leaf_capacity`), so
+        // it has a free one. Hard assert: past it, release would write into
+        // the next leaf.
+        let capacity = self.store.group_capacity();
         assert!(
-            n < slot_count,
-            "leaf {leaf} holds {n} elements in {slot_count} slots: Lemma 7 violated"
+            n < capacity,
+            "leaf {leaf} holds {n} elements, its capacity {capacity}: Lemma 7 violated"
         );
         self.store.insert_in_group(leaf, rel_rank.min(n), item);
         self.tracer.write(
@@ -1404,6 +1428,59 @@ mod tests {
         }
     }
 
+    /// Lemma 7's leaf bound, which sizes the slot arena, after every update
+    /// of four histories: random ranks, appends, front inserts and middle
+    /// inserts, each growing to 8 000 elements (N̂ crosses the height steps
+    /// near 590, 1 350, 3 000 and 6 600) and shrinking back at the same
+    /// place. Prints the fullest leaf seen against the bound.
+    #[test]
+    fn every_leaf_stays_within_lemma_7_through_one_sided_and_random_histories() {
+        let mut rng = StdRng::seed_from_u64(0x1E77A);
+        for history in ["random", "append", "front", "middle"] {
+            let mut pma: HiPma<u64> = HiPma::new(0x7B0 + history.len() as u64);
+            let mut model: Vec<u64> = Vec::new();
+            let (mut heights, mut worst) = (std::collections::BTreeSet::new(), (0.0, 0, 0));
+            // A rank in `0..ranks`: the last, first or middle one, or any.
+            let mut rank = |ranks: usize| match history {
+                "random" => rng.gen_range(0..ranks),
+                "append" => ranks - 1,
+                "front" => 0,
+                _ => (ranks - 1) / 2,
+            };
+            for step in 0..16_000u64 {
+                if step < 8_000 {
+                    let r = rank(model.len() + 1);
+                    pma.insert(r, step).unwrap();
+                    model.insert(r, step);
+                } else {
+                    let r = rank(model.len());
+                    assert_eq!(pma.delete(r).ok(), Some(model.remove(r)), "{history}");
+                }
+                let fullest = pma.leaves().map(<[u64]>::len).max().unwrap_or(0);
+                let bound = pma.geometry().leaf_bound();
+                assert!(
+                    fullest <= bound,
+                    "{history}, step {step}: {fullest} > {bound}"
+                );
+                let fill = fullest as f64 / bound as f64;
+                if fill > worst.0 {
+                    worst = (fill, fullest, bound);
+                }
+                heights.insert(pma.geometry().height);
+                if step % 400 == 0 {
+                    pma.check_invariants();
+                }
+            }
+            pma.check_invariants();
+            assert_eq!(pma.to_vec(), model, "{history}");
+            assert!(heights.len() >= 3, "{history}: saw heights {heights:?}");
+            println!(
+                "{history}: fullest leaf {} of Lemma 7's bound {} ({:.2}), heights {heights:?}",
+                worst.1, worst.2, worst.0
+            );
+        }
+    }
+
     #[test]
     fn delete_everything_then_reuse() {
         let mut pma = filled(600, 8);
@@ -1807,6 +1884,52 @@ mod tests {
         assert_eq!(pma.slot_count(), pma.total_slots());
         // The packed words cover every slot and nothing beyond.
         assert_eq!(pma.occupancy_words().len(), pma.total_slots().div_ceil(64));
+    }
+
+    /// The arena holds `leaf_count × leaf_capacity` slots, fewer than the
+    /// `total_slots` of the logical array from `SMALL_LIMIT` on, while the
+    /// occupancy stays the even spread over each leaf's `L` logical slots:
+    /// a size mixed up between the two shows as a wrong arena, a wrong bit
+    /// or a wrong element. Swept over bulk loads of 20 to 3 200 keys (`N̂`
+    /// up to ~6 400, across every height step in between), each followed
+    /// by middle inserts.
+    #[test]
+    fn the_arena_holds_capacity_slots_and_the_layout_keeps_logical_width() {
+        use crate::geometry::SMALL_LIMIT;
+        let (mut heights, mut n) = (std::collections::BTreeSet::new(), 20usize);
+        while n < 3_200 {
+            let mut pma: HiPma<u64> = HiPma::new(1);
+            pma.bulk_load((0..n as u64).map(|k| 2 * k), n as u64);
+            for i in 0..n as u64 / 8 {
+                pma.insert(pma.len() / 2, 2 * i + 1).unwrap();
+            }
+            let g = pma.geometry().clone();
+            let (l, capacity) = (g.leaf_slots, g.leaf_capacity());
+            let case = format!("N̂ = {}, L = {l}, capacity {capacity}", g.n_hat);
+            assert_eq!(pma.store.arena_slots(), g.leaf_count() * capacity, "{case}");
+            assert!(capacity <= l, "{case}");
+            if g.n_hat >= SMALL_LIMIT {
+                assert!(pma.store.arena_slots() < pma.total_slots(), "{case}");
+            } else {
+                assert_eq!(pma.store.arena_slots(), pma.total_slots(), "{case}");
+            }
+            let mut spread = vec![false; pma.total_slots()];
+            for (leaf, elems) in pma.leaves().enumerate() {
+                for j in 0..elems.len() {
+                    spread[leaf * l + spread_position(j, elems.len(), l)] = true;
+                }
+            }
+            assert_eq!(pma.occupancy(), spread, "{case}");
+            let mut want: Vec<u64> = (0..n as u64).map(|k| 2 * k).collect();
+            for i in 0..n as u64 / 8 {
+                want.insert(want.len() / 2, 2 * i + 1);
+            }
+            assert_eq!(pma.to_vec(), want, "{case}");
+            pma.check_invariants();
+            heights.insert(g.height);
+            n += n / 16;
+        }
+        assert!(heights.len() >= 6, "heights {heights:?}");
     }
 
     #[test]

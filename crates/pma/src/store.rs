@@ -1,19 +1,30 @@
-//! Flat slot storage: one arena of slots per geometry, each group's values
-//! dense at its front; the slot layout is computed from the counts.
+//! Flat slot storage: one arena per geometry, each group's values dense at
+//! its front; the slot layout is computed from the counts.
 //!
 //! Both PMAs view their backing array as a sequence of fixed-width *groups*
-//! of slots (the HI PMA's leaf ranges, the classic PMA's segments).
-//! [`SlotStore`] holds them in one `Vec<T>` of `total_slots` slots:
+//! of slots (the HI PMA's leaf ranges, the classic PMA's segments). A group
+//! has two sizes:
 //!
-//! * group `g` holds its elements dense, in rank order, at `[g·L, g·L +
-//!   count_g)` (Lemma 7 keeps `count_g ≤ L`), so gathers and spreads move
-//!   contiguous values and a leaf update is one `rotate`;
+//! * its **logical width** `L` — the slots of the array the paper lays out,
+//!   which the occupancy rows, [`SlotStore::total_slots`] and every tracer
+//!   address count in;
+//! * its **capacity** `C ≤ L` — the most elements it can ever hold, and
+//!   what [`SlotStore`] allocates for it: one `Vec<T>` of `groups · C`
+//!   slots. The HI PMA's leaves get Lemma 7's bound plus one, so the arena
+//!   holds only slots an element can reach; the classic PMA's segments get
+//!   `C = L`.
+//!
+//! In the arena:
+//!
+//! * group `g` holds its elements dense, in rank order, at `[g·C, g·C +
+//!   count_g)`, so gathers and spreads move contiguous values and a leaf
+//!   update is one `rotate`;
 //! * **every other slot holds `T::default()`** between operations: a slot an
 //!   element leaves gets the default (`mem::take`, or the far side of a slice
 //!   swap), so no deleted record survives in the arena;
-//! * the **virtual slot layout** — which slot of its group each element
-//!   occupies, the memory representation weak history independence is
-//!   defined over — is the even spread (`⌊j·slots/n⌋`) of the group's count,
+//! * the **virtual slot layout** — which of its `L` logical slots each
+//!   element occupies, the memory representation weak history independence
+//!   is defined over — is the even spread (`⌊j·L/n⌋`) of the group's count,
 //!   so it is not stored: [`SlotStore::occupancy_into`] computes it, one
 //!   pattern row per group. (The classic PMA's rebalances spread over a
 //!   whole window, so it keeps a bitmap of its own.)
@@ -54,11 +65,11 @@ pub fn partition_point_by_lines<T>(run: &[T], is_less: impl Fn(&T) -> bool) -> u
 }
 
 /// Calls `f(src, dst, len)` for each run of a redistribution of a window of
-/// groups of `l` slots from counts `old` to `new` — a maximal stretch of
-/// elements sharing an old and a new group, moving from window slot `src` to
-/// `dst` — in ascending rank order, or descending if `rev`.
+/// groups of `cap` arena slots each from counts `old` to `new` — a maximal
+/// stretch of elements sharing an old and a new group, moving from window
+/// slot `src` to `dst` — in ascending rank order, or descending if `rev`.
 fn for_each_run(
-    l: usize,
+    cap: usize,
     old: &[usize],
     new: &[usize],
     rev: bool,
@@ -67,7 +78,7 @@ fn for_each_run(
     let groups = old.len();
     // The `k`-th group walked; the slot of a run of `len`, `at` into a group of `n`.
     let group = |k: usize| if rev { groups - 1 - k } else { k };
-    let slot = |k, at, n, len| group(k) * l + if rev { n - at - len } else { at };
+    let slot = |k, at, n, len| group(k) * cap + if rev { n - at - len } else { at };
     // Cursors: old group `i` holding `m` with `p` walked, new group `j`
     // holding `n` with `q` walked.
     let (mut i, mut p, mut m) = (0, 0, old[group(0)]);
@@ -106,61 +117,79 @@ fn move_run<T>(slots: &mut [T], src: usize, dst: usize, len: usize) {
 /// Dense per-group values in one slot arena, each group's layout tabulated.
 #[derive(Debug, Clone, Default)]
 pub struct SlotStore<T> {
-    /// `total_slots` slots: group `g`'s elements at `[g·L, g·L + counts[g])`,
-    /// `T::default()` in every other slot.
+    /// `groups · group_cap` slots: group `g`'s elements at `[g·C, g·C +
+    /// counts[g])`, `T::default()` in every other slot.
     slots: Vec<T>,
     counts: Vec<usize>,
+    /// The logical width `L` of a group: what its occupancy row spreads over.
     group_slots: usize,
+    /// The capacity `C ≤ L` of a group: its slots in the arena.
+    group_cap: usize,
     /// Words per group-sized bit pattern (`⌈group_slots / 64⌉`).
     pattern_stride: usize,
-    /// `patterns[n·stride .. (n+1)·stride]` is the even spread of `n`
-    /// elements over one group's slots, as packed bits: a group's occupancy
-    /// is a pure function of its element count, so the layout is a table
-    /// row per group.
+    /// `patterns[n·stride .. (n+1)·stride]`, for `n ≤ C`, is the even spread
+    /// of `n` elements over one group's `L` slots, as packed bits: a group's
+    /// occupancy is a pure function of its element count, so the layout is
+    /// a table row per group.
     patterns: Vec<u64>,
 }
 
 impl<T: Clone + Default> SlotStore<T> {
-    /// Creates an empty store of `group_count` groups of `group_slots` slots
-    /// each: one arena of defaults, so steady-state updates never reallocate.
-    pub fn new(group_count: usize, group_slots: usize) -> Self {
+    /// Creates an empty store of `group_count` groups `group_slots` slots
+    /// wide, each holding at most `group_cap` elements: one arena of
+    /// `group_count · group_cap` defaults, so steady-state updates never
+    /// reallocate.
+    pub fn new(group_count: usize, group_slots: usize, group_cap: usize) -> Self {
         let mut store = Self::default();
-        store.reshape(group_count, group_slots);
+        store.reshape(group_count, group_slots, group_cap);
         store
     }
 
     /// Empties the store, writing defaults over what it still holds, and
-    /// re-sizes it to `group_count` groups of `group_slots` slots in place:
-    /// the arena is reallocated, not replaced, so a resize never holds two
-    /// arenas and the heap does not fragment around a freed one.
-    pub fn reshape(&mut self, group_count: usize, group_slots: usize) {
-        assert!(group_count > 0 && group_slots > 0);
+    /// re-sizes it to `group_count` groups `group_slots` slots wide holding
+    /// `group_cap` each, in place: the arena is reallocated, not replaced,
+    /// so a resize never holds two arenas and the heap does not fragment
+    /// around a freed one.
+    pub fn reshape(&mut self, group_count: usize, group_slots: usize, group_cap: usize) {
+        assert!(group_count > 0 && group_cap > 0 && group_cap <= group_slots);
         for (g, &n) in self.counts.iter().enumerate() {
-            self.slots[g * self.group_slots..][..n].fill(T::default());
+            self.slots[g * self.group_cap..][..n].fill(T::default());
         }
-        let total = group_count * group_slots;
+        let total = group_count * group_cap;
         self.slots.truncate(total);
         self.slots.shrink_to_fit();
         self.slots.reserve_exact(total - self.slots.len());
         self.slots.resize(total, T::default());
         self.counts = vec![0; group_count];
-        (self.group_slots, self.pattern_stride) = (group_slots, group_slots.div_ceil(64));
-        let stride = self.pattern_stride;
-        self.patterns = vec![0u64; (group_slots + 1) * stride];
-        for n in 0..=group_slots {
+        (self.group_slots, self.group_cap) = (group_slots, group_cap);
+        let stride = group_slots.div_ceil(64);
+        self.pattern_stride = stride;
+        self.patterns = vec![0u64; (group_cap + 1) * stride];
+        for n in 0..=group_cap {
             let row = &mut self.patterns[n * stride..(n + 1) * stride];
             for_each_spread_position(n, group_slots, |p| row[p / 64] |= 1 << (p % 64));
         }
     }
 
-    /// Total number of slots.
+    /// Total number of logical slots (`groups · L`).
     pub fn total_slots(&self) -> usize {
+        self.counts.len() * self.group_slots
+    }
+
+    /// The most elements a group can hold (`C`).
+    pub fn group_capacity(&self) -> usize {
+        self.group_cap
+    }
+
+    /// The slots the arena holds (`groups · C`).
+    #[cfg(test)]
+    pub(crate) fn arena_slots(&self) -> usize {
         self.slots.len()
     }
 
     /// The dense elements of group `g`, in rank order.
     pub fn group(&self, g: usize) -> &[T] {
-        &self.slots[g * self.group_slots..][..self.counts[g]]
+        &self.slots[g * self.group_cap..][..self.counts[g]]
     }
 
     /// Number of elements in group `g`.
@@ -178,12 +207,12 @@ impl<T: Clone + Default> SlotStore<T> {
     where
         T: PartialEq,
     {
-        let mut groups = self.slots.chunks(self.group_slots).zip(&self.counts);
+        let mut groups = self.slots.chunks(self.group_cap).zip(&self.counts);
         groups.all(|(group, &n)| group[n..].iter().all(|e| *e == T::default()))
     }
 
     /// Writes the slot occupancy of the array — every group's elements
-    /// evenly spread over its slots, 64 slots per word, low bit first — into
+    /// evenly spread over its `L` logical slots, 64 per word, low bit first — into
     /// `words`, replacing its contents. One pattern row per group; allocates
     /// only when `words` has less capacity than `⌈total_slots / 64⌉` words.
     pub fn occupancy_into(&self, words: &mut Vec<u64>) {
@@ -210,8 +239,8 @@ impl<T: Clone + Default> SlotStore<T> {
     /// vacant slot and rotates into place. Zero allocations and zero clones.
     pub fn insert_in_group(&mut self, g: usize, rel: usize, item: T) {
         let n = self.counts[g];
-        debug_assert!(n < self.group_slots, "group overflow");
-        let run = &mut self.slots[g * self.group_slots..][rel..=n];
+        debug_assert!(n < self.group_cap, "group overflow");
+        let run = &mut self.slots[g * self.group_cap..][rel..=n];
         run[n - rel] = item;
         run.rotate_right(1);
         self.counts[g] = n + 1;
@@ -221,7 +250,7 @@ impl<T: Clone + Default> SlotStore<T> {
     /// leaving the default in the slot the group vacates.
     pub fn remove_in_group(&mut self, g: usize, rel: usize) -> T {
         let n = self.counts[g];
-        let run = &mut self.slots[g * self.group_slots..][rel..n];
+        let run = &mut self.slots[g * self.group_cap..][rel..n];
         let item = take(&mut run[0]);
         run.rotate_left(1);
         self.counts[g] = n - 1;
@@ -231,13 +260,13 @@ impl<T: Clone + Default> SlotStore<T> {
     /// The first element of groups `[g0, g0 + window_groups)`, if any.
     pub fn first_in(&self, g0: usize, window_groups: usize) -> Option<&T> {
         let g = (g0..g0 + window_groups).find(|&g| self.counts[g] > 0)?;
-        Some(&self.slots[g * self.group_slots])
+        Some(&self.slots[g * self.group_cap])
     }
 
     /// Moves elements across the boundaries between groups `[g0, g0 +
     /// new.len())` until group `g0 + i` holds `new[i]` elements, in
     /// unchanged rank order. The new counts must sum to the window's element
-    /// count and each fit its group. An element moves only if its group
+    /// count and each fit its group's capacity. An element moves only if its group
     /// changes, straight to its new group; no allocation and no clone.
     ///
     /// Each `for_each_run` run is one slice move. Old and new slots both
@@ -245,17 +274,17 @@ impl<T: Clone + Default> SlotStore<T> {
     /// then right-moving runs, in descending order, find their targets
     /// vacated by the runs moved before them.
     pub fn redistribute(&mut self, g0: usize, new: &[usize]) {
-        let (l, groups) = (self.group_slots, new.len());
-        let window = &mut self.slots[g0 * l..(g0 + groups) * l];
+        let (cap, groups) = (self.group_cap, new.len());
+        let window = &mut self.slots[g0 * cap..(g0 + groups) * cap];
         let old = &self.counts[g0..g0 + groups];
         for rev in [false, true] {
-            for_each_run(l, old, new, rev, |src, dst, len| {
+            for_each_run(cap, old, new, rev, |src, dst, len| {
                 if src != dst && (dst < src) != rev {
                     move_run(window, src, dst, len);
                 }
             });
         }
-        debug_assert!(new.iter().all(|&n| n <= l), "a group overfilled");
+        debug_assert!(new.iter().all(|&n| n <= cap), "a group overfilled");
         self.counts[g0..g0 + groups].copy_from_slice(new);
     }
 
@@ -266,16 +295,16 @@ impl<T: Clone + Default> SlotStore<T> {
         out.reserve(total + 1); // +1: callers usually insert one more element
         for g in g0..g0 + window_groups {
             let n = std::mem::replace(&mut self.counts[g], 0);
-            out.extend(self.slots[g * self.group_slots..][..n].iter_mut().map(take));
+            out.extend(self.slots[g * self.group_cap..][..n].iter_mut().map(take));
         }
     }
 
     /// Fills groups `[g0, g0 + groups)` — which must be empty — with every
-    /// element of `buf`, evenly spread over the window's slots (each lands in
-    /// the group owning its spread position), leaving `buf` empty.
+    /// element of `buf`, evenly spread over the window's logical slots (each
+    /// lands in the group owning its spread position), leaving `buf` empty.
     pub fn fill_window(&mut self, g0: usize, groups: usize, buf: &mut Vec<T>) {
-        let (l, count) = (self.group_slots, buf.len());
-        // Hard assert: overfull, release would spill between groups.
+        let (l, cap, count) = (self.group_slots, self.group_cap, buf.len());
+        // Hard asserts: overfull, release would spill between groups.
         assert!(
             count <= groups * l,
             "cannot pack {count} elements into {} slots",
@@ -284,8 +313,8 @@ impl<T: Clone + Default> SlotStore<T> {
         let (slots, counts, mut items) = (&mut self.slots, &mut self.counts, buf.iter_mut());
         for_each_spread_position(count, groups * l, |p| {
             let g = g0 + p / l;
-            debug_assert!(counts[g] < l);
-            slots[g * l + counts[g]] = items.next().map(take).unwrap_or_default();
+            assert!(counts[g] < cap, "group {g} holds its capacity {cap}");
+            slots[g * cap + counts[g]] = items.next().map(take).unwrap_or_default();
             counts[g] += 1;
         });
         buf.clear();
@@ -298,9 +327,9 @@ impl<T: Clone + Default> SlotStore<T> {
     pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
         // Hard asserts, as in `fill_window`.
         assert!(
-            count <= self.group_slots,
+            count <= self.group_cap,
             "cannot pack {count} elements into {} slots",
-            self.group_slots
+            self.group_cap
         );
         assert!(
             count <= buf.len(),
@@ -309,7 +338,7 @@ impl<T: Clone + Default> SlotStore<T> {
         );
         debug_assert_eq!(self.counts[g], 0, "group must be drained first");
         let tail = buf.len() - count;
-        self.slots[g * self.group_slots..][..count].swap_with_slice(&mut buf[tail..]);
+        self.slots[g * self.group_cap..][..count].swap_with_slice(&mut buf[tail..]);
         buf.truncate(tail);
         self.counts[g] = count;
     }
@@ -406,7 +435,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
-        let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots);
+        let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots, group_slots);
         for (g, elems) in groups.iter().enumerate() {
             s.fill_window(g, 1, &mut elems.to_vec());
         }
@@ -436,7 +465,7 @@ mod tests {
         // Groups of 70 slots start at every offset within a word and
         // straddle words: group `g` holding `n` occupies `70·g + ⌊70·j/n⌋`.
         let counts = [3usize, 70, 0, 41, 1, 64, 69];
-        let mut s: SlotStore<()> = SlotStore::new(counts.len(), 70);
+        let mut s: SlotStore<()> = SlotStore::new(counts.len(), 70, 70);
         let mut want = Vec::new();
         for (g, &n) in counts.iter().enumerate() {
             s.fill_window(g, 1, &mut vec![(); n]);
@@ -465,7 +494,7 @@ mod tests {
         sizes.insert(Geometry::for_n_hat(1 << 22).leaf_slots);
         assert!(sizes.contains(&4) && sizes.contains(&352), "{sizes:?}");
         for &l in &sizes {
-            let s: SlotStore<()> = SlotStore::new(1, l);
+            let s: SlotStore<()> = SlotStore::new(1, l, l);
             for n in 0..=l {
                 let row = &s.patterns[n * s.pattern_stride..(n + 1) * s.pattern_stride];
                 let popcount: u32 = row.iter().map(|w| w.count_ones()).sum();
@@ -482,6 +511,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Groups 70 slots wide holding at most 20: the arena is 20 slots per
+    /// group, while the occupancy, `total_slots` and the pattern rows stay
+    /// those of the 70-slot groups.
+    #[test]
+    fn capacity_sizes_the_arena_and_width_the_layout() {
+        let counts = [20usize, 0, 7, 1, 20];
+        let mut s: SlotStore<u64> = SlotStore::new(counts.len(), 70, 20);
+        assert_eq!((s.total_slots(), s.arena_slots()), (350, 100));
+        let mut want = Vec::new();
+        for (g, &n) in counts.iter().enumerate() {
+            let first = 100 * g as u64;
+            s.fill_window(g, 1, &mut (first..first + n as u64).collect());
+            want.extend((0..n).map(|j| 70 * g + spread_position(j, n, 70)));
+        }
+        assert_eq!(occupied(&s), want);
+        for (g, &n) in counts.iter().enumerate() {
+            let first = 100 * g as u64;
+            assert_eq!(s.group(g), (first..first + n as u64).collect::<Vec<_>>());
+        }
+        s.insert_in_group(2, 3, 999);
+        assert_eq!(s.remove_in_group(0, 19), 19);
+        s.redistribute(1, &[4, 4]);
+        assert_eq!(s.group(1), [200, 201, 202, 999]);
+        assert_eq!(s.group(2), [203, 204, 205, 206]);
+        assert!(s.vacant_slots_hold_defaults());
+        s.reshape(2, 70, 30);
+        assert_eq!(
+            (s.total_slots(), s.arena_slots(), s.element_count()),
+            (140, 60, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "group 0 holds its capacity 2")]
+    fn a_window_fill_past_a_group_capacity_panics() {
+        // Four elements spread over two 8-slot groups give each two, and
+        // five give the first three: more than it holds.
+        let mut s: SlotStore<u64> = SlotStore::new(2, 8, 2);
+        let mut buf = (0..4).collect();
+        s.fill_window(0, 2, &mut buf);
+        assert_eq!((s.group_len(0), s.group_len(1)), (2, 2));
+        s.drain_window_into(0, 2, &mut buf);
+        buf.push(4);
+        s.fill_window(0, 2, &mut buf);
     }
 
     #[test]
@@ -521,7 +596,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot pack")]
     fn overfull_window_panics() {
-        let mut s: SlotStore<u64> = SlotStore::new(2, 4);
+        let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
         s.fill_window(0, 2, &mut (0..9u64).collect());
     }
 
@@ -531,8 +606,8 @@ mod tests {
         // neighbours whose bits must not move.
         const L: usize = 70;
         for count in 0..=L {
-            let mut by_window: SlotStore<u64> = SlotStore::new(3, L);
-            let mut by_tail: SlotStore<u64> = SlotStore::new(3, L);
+            let mut by_window: SlotStore<u64> = SlotStore::new(3, L, L);
+            let mut by_tail: SlotStore<u64> = SlotStore::new(3, L, L);
             for s in [&mut by_window, &mut by_tail] {
                 s.fill_window(0, 1, &mut (500..503u64).collect());
                 s.fill_window(2, 1, &mut (900..905u64).collect());
@@ -554,14 +629,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot pack 5 elements into 4 slots")]
     fn overfull_tail_fill_panics() {
-        let mut s: SlotStore<u64> = SlotStore::new(2, 4);
+        let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
         s.fill_group_from_tail(0, &mut (0..9).collect(), 5);
     }
 
     #[test]
     #[should_panic(expected = "fewer than the promised 3")]
     fn tail_fill_from_a_short_buffer_panics() {
-        let mut s: SlotStore<u64> = SlotStore::new(2, 4);
+        let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
         s.fill_group_from_tail(0, &mut vec![1, 2], 3);
     }
 
@@ -629,6 +704,8 @@ mod tests {
     /// group, and between empty groups; a group on either side of the
     /// window must not be touched, and every slot of the window and its two
     /// guards outside a group's elements must hold the default afterwards.
+    /// Each group is twice as wide as it can hold, so a run that strode by
+    /// the width instead of the capacity would land in the wrong group.
     #[test]
     fn redistribute_matches_a_flat_model() {
         let mut rng = StdRng::seed_from_u64(0x5ED1);
@@ -639,7 +716,7 @@ mod tests {
                     let total = rng.gen_range(0..=window * slots);
                     let old = dealt(&mut rng, trial % 4, window, slots, total);
                     let new = dealt(&mut rng, trial / 4 % 4, window, slots, total);
-                    let mut s: SlotStore<Counted> = SlotStore::new(window + 2, slots);
+                    let mut s: SlotStore<Counted> = SlotStore::new(window + 2, 2 * slots, slots);
                     // Elements count from 1: `Counted(0)` is the default.
                     let mut model = Vec::new();
                     for (g, &n) in old.iter().enumerate() {
