@@ -656,10 +656,10 @@ where
         let (rank, probe) = self.seq.lower_bound_ref_by(|pair| pair.0.cmp(&key));
         let hit = matches!(probe, Some((existing, _)) if *existing == key);
         if hit {
-            // Overwrite as delete + reinsert at the same rank — the same
-            // HI-preserving replace `CobBTree::insert` uses: the layout
-            // distribution stays a function of the key set only, at the
-            // cost of two rank updates for a value change.
+            // Overwrite as delete + reinsert at the same rank, the
+            // HI-preserving replace: the layout distribution stays a
+            // function of the key set only, at the cost of two rank updates
+            // for a value change.
             #[expect(
                 clippy::expect_used,
                 reason = "delete at the rank the probe just returned"

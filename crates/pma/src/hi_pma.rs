@@ -148,8 +148,9 @@ struct PendingRebuild {
 ///
 /// Implements [`RankedSequence`]: elements are addressed by rank, exactly as
 /// in the paper's `Insert(i, x)` / `Delete(i)` / `Query(i, j)` API. Ordering
-/// by key is the responsibility of the caller (or of the
-/// [cache-oblivious B-tree](https://docs.rs/cob-btree) built on top).
+/// by key is the responsibility of the caller, or of the keyed
+/// [`RankedDict`](hi_common::traits::RankedDict) over it, which is the
+/// cache-oblivious B-tree of Theorem 2 (the root crate's `HiDict`).
 #[derive(Debug, Clone)]
 pub struct HiPma<T: Clone + Default> {
     store: SlotStore<T>,

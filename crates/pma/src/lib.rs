@@ -65,4 +65,13 @@ mod send_sync_audit {
         assert_send_sync::<HiPma<(u64, String)>>();
         assert_send_sync::<ClassicPma<u64>>();
     }
+
+    // Theorem 2's cache-oblivious B-tree is the HI-PMA behind the keyed
+    // adapter; it must move onto workers whenever its keys and values can.
+    #[test]
+    fn cob_btree_is_send_and_sync() {
+        use hi_common::traits::RankedDict;
+        assert_send_sync::<RankedDict<HiPma<(u64, u64)>, u64, u64>>();
+        assert_send_sync::<RankedDict<HiPma<(String, Vec<u8>)>, String, Vec<u8>>>();
+    }
 }

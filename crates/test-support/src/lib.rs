@@ -5,8 +5,8 @@
 //! independent". The behavioural half is what this crate tests, uniformly,
 //! for every implementation:
 //!
-//! * [`Dictionary`] implementations (`BTree`, `CobBTree`, `ExternalSkipList`
-//!   in all three parameterizations) are driven against a
+//! * [`Dictionary`] implementations (`BTree`, `RankedDict` over either PMA,
+//!   `ExternalSkipList` in all three parameterizations) are driven against a
 //!   [`std::collections::BTreeMap`] reference by seeded random operation
 //!   scripts ([`DictScript`]), checking the *return value of every single
 //!   operation* — insert's previous-value, remove's evicted value, range

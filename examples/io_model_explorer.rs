@@ -18,7 +18,7 @@ fn measure(block_size: usize, memory_blocks: usize, n: u64, probes: u64) -> (f64
     // The builder wires the I/O model into the structure uniformly; swap the
     // backend to explore any other engine under the same meter.
     let mut tree: DynDict<u64, u64> = Dict::builder()
-        .backend(Backend::CobBTree)
+        .backend(Backend::HiPma)
         .seed(99)
         .io(IoConfig::new(block_size, memory_blocks))
         .build();

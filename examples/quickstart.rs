@@ -11,10 +11,8 @@ fn main() {
     // One builder constructs any engine; the HI cache-oblivious B-tree is
     // the drop-in replacement for a database index. The seed is the
     // structure's secret randomness — draw it from OS entropy in production.
-    let mut index: DynDict<u64, String> = Dict::builder()
-        .backend(Backend::CobBTree)
-        .seed(2024)
-        .build();
+    let mut index: DynDict<u64, String> =
+        Dict::builder().backend(Backend::HiPma).seed(2024).build();
 
     println!("== inserting a few records ==");
     for (id, name) in [
@@ -44,10 +42,8 @@ fn main() {
     println!("  the array layout now follows the same distribution as if 1002 had never existed");
 
     println!("\n== batch loading with fresh coins ==");
-    let mut replica: DynDict<u64, String> = Dict::builder()
-        .backend(Backend::CobBTree)
-        .seed(9999)
-        .build();
+    let mut replica: DynDict<u64, String> =
+        Dict::builder().backend(Backend::HiPma).seed(9999).build();
     // bulk_load re-draws every layout coin from the given seed, so the
     // replica's bytes are a function of (contents, 0xC0FFEE) only — not of
     // the order the pairs arrive in.

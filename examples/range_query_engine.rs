@@ -33,7 +33,7 @@ fn main() {
 
     // The engines under comparison — a runtime value, not a code path.
     let engines = [
-        Backend::CobBTree,
+        Backend::HiPma,
         Backend::HiSkipList,
         Backend::FolkloreSkipList,
         Backend::BTree,

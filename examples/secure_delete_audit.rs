@@ -27,7 +27,7 @@
 
 use std::io::Write as _;
 
-use anti_persistence::dict::{Backend, Dict};
+use anti_persistence::dict::{Backend, Dict, HiDict};
 use anti_persistence::prelude::*;
 use block_store::temp_path;
 
@@ -176,9 +176,9 @@ fn main() {
         // History A is a bulk import: one O(n) load drawing fresh coins from
         // seed_a — the layout distribution is identical to an incremental
         // build, which is exactly what makes the comparison below fair.
-        let mut hi_a: CobBTree<u64, u64> = CobBTree::new(seed_a);
+        let mut hi_a = HiDict::new(HiPma::new(seed_a));
         hi_a.bulk_load((0..n).map(|k| (k, k)), seed_a);
-        let mut hi_b: CobBTree<u64, u64> = CobBTree::new(seed_b);
+        let mut hi_b = HiDict::new(HiPma::new(seed_b));
         for k in (0..n).rev() {
             hi_b.insert(k, k);
         }
@@ -202,10 +202,10 @@ fn main() {
         );
         println!(
             "  HI structure  front-density: bulk-import {:.3} vs redacted     {:.3}  (slots {} vs {})",
-            front_density(&hi_a.occupancy()),
-            front_density(&hi_b.occupancy()),
-            hi_a.total_slots(),
-            hi_b.total_slots(),
+            front_density(&hi_a.seq().occupancy()),
+            front_density(&hi_b.seq().occupancy()),
+            hi_a.seq().total_slots(),
+            hi_b.seq().total_slots(),
         );
     };
 

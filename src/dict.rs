@@ -3,19 +3,18 @@
 //! The paper's thesis is that a history-independent structure can be
 //! *swapped in* for a conventional B-tree without the caller noticing. This
 //! module makes the swap a one-word change (or a runtime value): a single
-//! [`DictBuilder`] constructs any of the workspace's seven backends, and the
+//! [`DictBuilder`] constructs any of the workspace's six backends, and the
 //! [`DynDict`] facade dispatches the whole [`Dictionary`] surface over them,
 //! so benchmarks, workloads and examples select engines with data instead of
 //! per-type code paths.
 //!
 //! | [`Backend`] | Engine | Paper role |
 //! |---|---|---|
-//! | [`Backend::CobBTree`] | [`cob_btree::CobBTree`] | Theorem 2: HI cache-oblivious B-tree |
 //! | [`Backend::BTree`] | [`btree::BTree`] | the conventional baseline |
 //! | [`Backend::HiSkipList`] | [`skiplist::ExternalSkipList`] (HI params) | Theorem 3 |
 //! | [`Backend::FolkloreSkipList`] | [`skiplist::ExternalSkipList`] (1/B) | Lemma 15 baseline |
 //! | [`Backend::InMemorySkipList`] | [`skiplist::ExternalSkipList`] (1/2) | RAM baseline on disk |
-//! | [`Backend::HiPma`] | [`pma::HiPma`] behind [`RankedDict`] | Theorem 1, keyed by one value-tree descent |
+//! | [`Backend::HiPma`] | [`pma::HiPma`] behind [`RankedDict`] ([`HiDict`]) | Theorems 1 and 2: the HI cache-oblivious B-tree, keyed by one value-tree descent |
 //! | [`Backend::ClassicPma`] | [`pma::ClassicPma`] behind [`RankedDict`] | density-band baseline, keyed by binary search |
 //!
 //! Every backend built here shares one [`SharedCounters`] ledger and one
@@ -47,7 +46,6 @@ use std::time::Duration;
 
 use block_store::{BlockStore, StoreOptions};
 use btree::BTree;
-use cob_btree::CobBTree;
 use hi_common::counters::{OpCounters, SharedCounters};
 use hi_common::rng::RngSource;
 use hi_common::traits::{Dictionary, Occupancy, RankedDict};
@@ -60,8 +58,6 @@ use skiplist::{ExternalSkipList, SkipParams};
 /// The dictionary engines a [`DictBuilder`] can construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// The history-independent cache-oblivious B-tree (Theorem 2).
-    CobBTree,
     /// The conventional external-memory B+-tree baseline.
     BTree,
     /// The history-independent external skip list (Theorem 3).
@@ -70,7 +66,8 @@ pub enum Backend {
     FolkloreSkipList,
     /// An in-memory (Pugh) skip list run in external memory.
     InMemorySkipList,
-    /// The history-independent PMA (Theorem 1) behind a keyed adapter.
+    /// The history-independent PMA (Theorem 1) behind a keyed adapter: the
+    /// HI cache-oblivious B-tree (Theorem 2), and the engine served.
     HiPma,
     /// The classic density-band PMA behind a keyed adapter.
     ClassicPma,
@@ -78,8 +75,7 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in the order the comparison tables print them.
-    pub const ALL: [Backend; 7] = [
-        Backend::CobBTree,
+    pub const ALL: [Backend; 6] = [
         Backend::BTree,
         Backend::HiSkipList,
         Backend::FolkloreSkipList,
@@ -91,7 +87,6 @@ impl Backend {
     /// Stable, machine-friendly name (accepted back by [`FromStr`]).
     pub fn name(&self) -> &'static str {
         match self {
-            Backend::CobBTree => "cob-btree",
             Backend::BTree => "btree",
             Backend::HiSkipList => "hi-skiplist",
             Backend::FolkloreSkipList => "folklore-skiplist",
@@ -124,7 +119,7 @@ impl FromStr for Backend {
 
 /// Complete configuration of a dictionary: the backend plus every tuning and
 /// instrumentation knob any engine understands. Knobs an engine does not use
-/// are simply ignored by it, which is what lets one config drive all seven.
+/// are simply ignored by it, which is what lets one config drive all six.
 #[derive(Debug, Clone)]
 pub struct DictConfig {
     /// Which engine to construct. `dict-server` serves [`Backend::HiPma`]
@@ -219,7 +214,7 @@ impl Default for ServerConfig {
 impl Default for DictConfig {
     fn default() -> Self {
         Self {
-            backend: Backend::CobBTree,
+            backend: Backend::HiPma,
             seed: 0,
             fanout: 64,
             block_elems: 64,
@@ -417,8 +412,11 @@ impl DictConfig {
 }
 
 /// The dictionary `dict-server` shards and serves: the HI-PMA (Theorem 1)
-/// behind the keyed adapter, one concrete type. [`DynDict`] and its enum
-/// dispatch stay for the baselines, the conformance suite and embedded use.
+/// behind the keyed adapter, one concrete type. It is the paper's
+/// history-independent cache-oblivious B-tree (Theorem 2): §5 augments the
+/// PMA with a value tree, which lives inside [`HiPma`], and reads descend
+/// it. [`DynDict`] and its enum dispatch stay for the baselines, the
+/// conformance suite and embedded use.
 pub type HiDict = RankedDict<HiPma<(u64, u64)>, u64, u64>;
 
 /// Fluent constructor for any backend — the single entry point the README
@@ -537,12 +535,6 @@ impl DictBuilder {
         let counters = SharedCounters::new();
         let tracer = c.tracer();
         let inner = match c.backend {
-            Backend::CobBTree => Inner::CobBTree(CobBTree::with_parts(
-                RngSource::from_seed(c.seed),
-                counters.clone(),
-                tracer.clone(),
-                c.elem_size,
-            )),
             Backend::BTree => Inner::BTree(BTree::with_instrumentation(
                 c.fanout,
                 counters.clone(),
@@ -760,7 +752,6 @@ fn commit_sorted(
 /// skip-list backends share a variant (they differ only in parameters).
 enum Inner<K: Ord + Clone + Default, V: Clone + Default> {
     BTree(BTree<K, V>),
-    CobBTree(CobBTree<K, V>),
     SkipList(ExternalSkipList<K, V>),
     HiPma(RankedDict<HiPma<(K, V)>, K, V>),
     ClassicPma(RankedDict<ClassicPma<(K, V)>, K, V>),
@@ -784,7 +775,6 @@ macro_rules! dispatch {
     ($self:expr, $d:ident => $body:expr) => {
         match &$self.inner {
             Inner::BTree($d) => $body,
-            Inner::CobBTree($d) => $body,
             Inner::SkipList($d) => $body,
             Inner::HiPma($d) => $body,
             Inner::ClassicPma($d) => $body,
@@ -797,7 +787,6 @@ macro_rules! dispatch_mut {
     ($self:expr, $d:ident => $body:expr) => {
         match &mut $self.inner {
             Inner::BTree($d) => $body,
-            Inner::CobBTree($d) => $body,
             Inner::SkipList($d) => $body,
             Inner::HiPma($d) => $body,
             Inner::ClassicPma($d) => $body,
@@ -839,7 +828,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
     {
         match &self.inner {
             Inner::BTree(d) => d.check_invariants(),
-            Inner::CobBTree(d) => d.check_invariants(),
             Inner::SkipList(d) => d.check_invariants(),
             Inner::HiPma(d) => d.seq().check_invariants(),
             Inner::ClassicPma(d) => d.seq().check_invariants(),
@@ -848,16 +836,14 @@ impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
 
     /// The engine's packed slot-occupancy words (the [`Occupancy`] view),
     /// for backends whose representation is a slot array: the PMA-backed
-    /// engines and the cache-oblivious B-tree. `None` for the node-based
-    /// engines (B-tree, skip lists), whose layout observables are exposed by
-    /// their own crates instead. The HI-PMA engines compute the words from
-    /// their leaf counts on each call.
+    /// engines. `None` for the node-based engines (B-tree, skip lists),
+    /// whose layout observables are exposed by their own crates instead. The
+    /// HI-PMA engine computes the words from its leaf counts on each call.
     ///
     /// This is the fingerprint the history-independence and determinism
     /// batteries hash — per shard — to pin a [`ShardedDict`]'s layout.
     pub fn occupancy_words(&self) -> Option<Vec<u64>> {
         match &self.inner {
-            Inner::CobBTree(d) => Some(d.occupancy_words()),
             Inner::HiPma(d) => Some(d.seq().occupancy_words()),
             Inner::ClassicPma(d) => Some(d.seq().occupancy_words()),
             Inner::BTree(_) | Inner::SkipList(_) => None,
@@ -868,7 +854,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
     /// form of [`Self::occupancy_words`]).
     pub fn occupancy(&self) -> Option<Vec<bool>> {
         match &self.inner {
-            Inner::CobBTree(d) => Some(d.occupancy()),
             Inner::HiPma(d) => Some(d.seq().occupancy()),
             Inner::ClassicPma(d) => Some(d.seq().occupancy()),
             Inner::BTree(_) | Inner::SkipList(_) => None,
@@ -879,7 +864,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
     /// (the domain of [`Self::occupancy_words`]); `None` otherwise.
     pub fn slot_count(&self) -> Option<usize> {
         match &self.inner {
-            Inner::CobBTree(d) => Some(d.slot_count()),
             Inner::HiPma(d) => Some(d.seq().slot_count()),
             Inner::ClassicPma(d) => Some(d.seq().slot_count()),
             Inner::BTree(_) | Inner::SkipList(_) => None,
@@ -901,28 +885,25 @@ impl<K: Ord + Clone + Default, V: Clone + Default> Instrumented for DynDict<K, V
 
 /// Lazy iterator over a [`DynDict`]: one variant per engine iterator type,
 /// so dispatch costs a jump instead of a heap allocation.
-enum DynIter<A, B, C, D, E> {
+enum DynIter<A, B, C, D> {
     BTree(A),
-    CobBTree(B),
-    SkipList(C),
-    HiPma(D),
-    ClassicPma(E),
+    SkipList(B),
+    HiPma(C),
+    ClassicPma(D),
 }
 
-impl<T, A, B, C, D, E> Iterator for DynIter<A, B, C, D, E>
+impl<T, A, B, C, D> Iterator for DynIter<A, B, C, D>
 where
     A: Iterator<Item = T>,
     B: Iterator<Item = T>,
     C: Iterator<Item = T>,
     D: Iterator<Item = T>,
-    E: Iterator<Item = T>,
 {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
         match self {
             DynIter::BTree(it) => it.next(),
-            DynIter::CobBTree(it) => it.next(),
             DynIter::SkipList(it) => it.next(),
             DynIter::HiPma(it) => it.next(),
             DynIter::ClassicPma(it) => it.next(),
@@ -953,7 +934,6 @@ impl<K: Ord + Clone + Default, V: Clone + Default> Dictionary for DynDict<K, V> 
     fn range_iter<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
         match &self.inner {
             Inner::BTree(d) => DynIter::BTree(d.range_iter(range)),
-            Inner::CobBTree(d) => DynIter::CobBTree(d.range_iter(range)),
             Inner::SkipList(d) => DynIter::SkipList(d.range_iter(range)),
             Inner::HiPma(d) => DynIter::HiPma(d.range_iter(range)),
             Inner::ClassicPma(d) => DynIter::ClassicPma(d.range_iter(range)),
@@ -1217,12 +1197,14 @@ mod tests {
     #[test]
     fn every_backend_is_send_and_sync() {
         // Compile-time audit for the sharded service layer: connection
-        // threads share one served dictionary, so all seven engines and the
-        // sharded facade over them must be `Send + Sync`.
+        // threads share one served dictionary, so all six engines, the
+        // served type and the sharded facade over them must be `Send + Sync`.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DynDict<u64, u64>>();
         assert_send_sync::<DynDict<String, Vec<u8>>>();
         assert_send_sync::<ShardedDict<DynDict<u64, u64>>>();
+        assert_send_sync::<HiDict>();
+        assert_send_sync::<ShardedDict<HiDict>>();
     }
 
     #[test]
@@ -1323,10 +1305,7 @@ mod tests {
                 d.insert(k, k);
             }
             let words = d.occupancy_words();
-            let slot_backed = matches!(
-                backend,
-                Backend::CobBTree | Backend::HiPma | Backend::ClassicPma
-            );
+            let slot_backed = matches!(backend, Backend::HiPma | Backend::ClassicPma);
             assert_eq!(words.is_some(), slot_backed, "{backend}");
             if let (Some(words), Some(bits)) = (words, d.occupancy()) {
                 let popcount: usize = words.iter().map(|w| w.count_ones() as usize).sum();

@@ -13,7 +13,7 @@
 //! | Structure | Crate | Paper result |
 //! |---|---|---|
 //! | History-independent packed-memory array | [`pma::HiPma`] | Theorem 1: `O(log²N)` amortized moves whp, `O(log²N/B + log_B N)` I/Os |
-//! | History-independent cache-oblivious B-tree | [`cob_btree::CobBTree`] | Theorem 2: B-tree-like bounds with no knowledge of `B` |
+//! | History-independent cache-oblivious B-tree | [`dict::HiDict`]: [`pma::HiPma`] behind [`RankedDict`](hi_common::traits::RankedDict) | Theorem 2: B-tree-like bounds with no knowledge of `B` |
 //! | History-independent external-memory skip list | [`skiplist::ExternalSkipList`] | Theorem 3: `O(log_B N)` searches/updates whp |
 //! | Classic PMA, folklore B-skip list, external B-tree | [`pma::ClassicPma`], [`skiplist`], [`btree::BTree`] | the baselines the paper compares against |
 //!
@@ -24,7 +24,7 @@
 //!
 //! The whole point of a history-independent dictionary is that it drops in
 //! for a conventional index. The [`dict`] module makes that literal: a
-//! single builder constructs any of the seven backends, and the call sites
+//! single builder constructs any of the six backends, and the call sites
 //! never change.
 //!
 //! ```
@@ -32,7 +32,7 @@
 //!
 //! // A keyed, history-independent index (the cache-oblivious B-tree).
 //! let mut index: DynDict<u64, String> = Dict::builder()
-//!     .backend(Backend::CobBTree)
+//!     .backend(Backend::HiPma)
 //!     .seed(0xDEADBEEF) // the structure's secret coins
 //!     .build();
 //! index.insert(3, "three".into());
@@ -79,15 +79,6 @@
 //! assert_eq!((d.get(&1), d.successor(&2)), (Some(10), Some((2, 20))));
 //! ```
 //!
-//! The HI cache-oblivious B-tree (Theorem 2):
-//!
-//! ```
-//! use anti_persistence::prelude::*;
-//! let mut d: DynDict<u64, u64> = Dict::builder().backend(Backend::CobBTree).seed(1).build();
-//! d.extend([(2, 20), (1, 10)]);
-//! assert_eq!((d.get(&1), d.successor(&2)), (Some(10), Some((2, 20))));
-//! ```
-//!
 //! The HI external skip list (Theorem 3):
 //!
 //! ```
@@ -122,7 +113,8 @@
 //! assert_eq!((d.get(&1), d.successor(&2)), (Some(10), Some((2, 20))));
 //! ```
 //!
-//! The HI PMA (Theorem 1) behind the keyed adapter:
+//! The HI PMA (Theorem 1) behind the keyed adapter, which is the HI
+//! cache-oblivious B-tree (Theorem 2) and the served engine:
 //!
 //! ```
 //! use anti_persistence::prelude::*;
@@ -151,8 +143,8 @@
 //! ```
 //! use anti_persistence::prelude::*;
 //!
-//! let mut a: DynDict<u64, u64> = Dict::builder().backend(Backend::CobBTree).seed(1).build();
-//! let mut b: DynDict<u64, u64> = Dict::builder().backend(Backend::CobBTree).seed(2).build();
+//! let mut a: DynDict<u64, u64> = Dict::builder().backend(Backend::HiPma).seed(1).build();
+//! let mut b: DynDict<u64, u64> = Dict::builder().backend(Backend::HiPma).seed(2).build();
 //! a.bulk_load((0..1000u64).map(|k| (k, k)), 77);
 //! b.bulk_load((0..1000u64).rev().map(|k| (k, k)), 77); // reversed arrival order
 //! assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
@@ -203,7 +195,6 @@ pub mod dict;
 
 pub use block_store;
 pub use btree;
-pub use cob_btree;
 pub use hi_common;
 pub use io_sim;
 pub use pma;
@@ -223,7 +214,6 @@ pub mod prelude {
         StoreOptions, IO_RETRY_ATTEMPTS,
     };
     pub use btree::BTree;
-    pub use cob_btree::CobBTree;
     pub use hi_common::capacity::HiCapacity;
     pub use hi_common::counters::{OpCounters, SharedCounters};
     pub use hi_common::rng::RngSource;
@@ -241,7 +231,7 @@ mod tests {
 
     #[test]
     fn prelude_types_are_usable_together() {
-        let mut hi: CobBTree<u64, u64> = CobBTree::new(1);
+        let mut hi: RankedDict<HiPma<(u64, u64)>, u64, u64> = RankedDict::new(HiPma::new(1));
         let mut bt: BTree<u64, u64> = BTree::new(16);
         let mut sl: ExternalSkipList<u64, u64> = ExternalSkipList::history_independent(16, 0.5, 2);
         let mut dy: DynDict<u64, u64> = Dict::builder().backend(Backend::HiPma).seed(3).build();
@@ -254,6 +244,30 @@ mod tests {
         assert_eq!(hi.to_sorted_vec(), bt.to_sorted_vec());
         assert_eq!(hi.to_sorted_vec(), sl.to_sorted_vec());
         assert_eq!(hi.to_sorted_vec(), dy.to_sorted_vec());
+    }
+
+    /// A non-`Copy` key through the served engine's keyed adapter: reads
+    /// borrow and compare `String`s, and a replace moves one in and out.
+    #[test]
+    fn string_keys_work() {
+        let mut t: RankedDict<HiPma<(String, u32)>, String, u32> = RankedDict::new(HiPma::new(9));
+        for word in ["pear", "apple", "mango", "banana", "cherry"] {
+            t.insert(word.to_string(), word.len() as u32);
+        }
+        let key = |s: &str| s.to_string();
+        assert_eq!(t.get(&key("mango")), Some(5));
+        assert_eq!(t.get(&key("kiwi")), None);
+        let range = t.range(&key("a"), &key("c"));
+        assert_eq!(
+            range.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            vec!["apple", "banana"]
+        );
+        assert_eq!(t.successor(&key("c")), Some((key("cherry"), 6)));
+        assert_eq!(t.predecessor(&key("c")), Some((key("banana"), 6)));
+        assert_eq!(t.insert(key("pear"), 40), Some(4));
+        assert_eq!(t.get(&key("pear")), Some(40));
+        assert_eq!(t.len(), 5);
+        t.seq().check_invariants();
     }
 
     /// The determinism gate reaches a crate only through its manifest, so a

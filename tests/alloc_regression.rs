@@ -33,7 +33,6 @@ use std::sync::Mutex;
 use anti_persistence::dict::{Backend, Dict, DictConfig, DynDict, HiDict};
 use anti_persistence::prelude::{Dictionary, Occupancy, RankedDict, ShardedDict};
 use block_store::{temp_path, BlockStore, StoreOptions};
-use cob_btree::CobBTree;
 use dict_server::{Client, Request, Response, Server, ServerOptions};
 use pma::HiPma;
 use skiplist::ExternalSkipList;
@@ -213,7 +212,7 @@ fn sharded_merged_scans_are_allocation_free_after_setup() {
     // allocations once the service is built — construction of the merge
     // iterator included.
     let mut service: ShardedDict<DynDict<u64, u64>> = Dict::builder()
-        .backend(Backend::CobBTree)
+        .backend(Backend::HiPma)
         .seed(0x5CA7)
         .shards(4)
         .build_sharded();
@@ -240,12 +239,10 @@ fn keyed_reads_are_allocation_free() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // A keyed read is one descent plus a scan of borrowed leaves, so once
     // the dictionary is built `get_ref`, `successor` and `range_iter` cost
-    // zero heap allocations, on the served type and on the COB-tree.
+    // zero heap allocations on the served type.
     let mut hi: HiDict = RankedDict::new(HiPma::new(0x4EAD));
-    let mut cob: CobBTree<u64, u64> = CobBTree::new(0x4EAD);
     for k in 0..20_000u64 {
         hi.insert(k * 2, k);
-        cob.insert(k * 2, k);
     }
 
     let mut sink = 0u64;
@@ -253,15 +250,12 @@ fn keyed_reads_are_allocation_free() {
     for i in 0..2_000u64 {
         let key = (i * 7_919) % 40_000;
         sink ^= hi.get_ref(&key).copied().unwrap_or(0);
-        sink ^= cob.get_ref(&key).copied().unwrap_or(0);
         sink ^= hi.successor(&key).map_or(0, |(k, _)| k);
-        sink ^= cob.successor(&key).map_or(0, |(k, _)| k);
         sink ^= hi.range_iter(key..).take(64).map(|(_, v)| *v).sum::<u64>();
-        sink ^= cob.range_iter(key..).take(64).map(|(_, v)| *v).sum::<u64>();
     }
     let delta = allocations() - before;
     black_box(sink);
-    assert_eq!(delta, 0, "12 000 keyed reads allocated {delta} times");
+    assert_eq!(delta, 0, "6 000 keyed reads allocated {delta} times");
 }
 
 #[test]

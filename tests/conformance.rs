@@ -1,13 +1,14 @@
 //! Cross-structure conformance battery.
 //!
 //! Every dictionary in the workspace — the external B-tree baseline, the HI
-//! cache-oblivious B-tree, and the external skip list in all three
-//! parameterizations — is driven through the same seeded differential
-//! scripts against a `BTreeMap` oracle, and through the same deterministic
-//! edge-case battery. The rank-addressed PMAs get the equivalent treatment
+//! cache-oblivious B-tree (the served `HiDict`), and the external skip list
+//! in all three parameterizations — is driven through the same seeded
+//! differential scripts against a `BTreeMap` oracle, and through the same
+//! deterministic edge-case battery. The rank-addressed PMAs get the equivalent treatment
 //! against a `Vec` oracle. A future structure joins the battery by adding
 //! one constructor closure per test.
 
+use anti_persistence::dict::HiDict;
 use anti_persistence::prelude::*;
 use test_support::{
     dictionary_edge_cases, run_batch_differential, run_bulk_load_differential,
@@ -24,11 +25,11 @@ fn btree_matches_the_oracle_on_standard_scripts() {
 }
 
 #[test]
-fn cob_btree_matches_the_oracle_on_standard_scripts() {
+fn hi_dict_matches_the_oracle_on_standard_scripts() {
     for (i, script) in standard_scripts().iter().enumerate() {
-        let mut dict: CobBTree<u64, u64> = CobBTree::new(1000 + i as u64);
+        let mut dict = HiDict::new(HiPma::new(1000 + i as u64));
         run_dict_differential(&mut dict, script);
-        dict.check_invariants();
+        dict.seq().check_invariants();
     }
 }
 
@@ -68,8 +69,8 @@ fn btree_edge_cases() {
 }
 
 #[test]
-fn cob_btree_edge_cases() {
-    dictionary_edge_cases(|| CobBTree::<u64, u64>::new(5));
+fn hi_dict_edge_cases() {
+    dictionary_edge_cases(|| HiDict::new(HiPma::new(5)));
 }
 
 #[test]
@@ -90,7 +91,7 @@ fn in_memory_skiplist_edge_cases() {
 
 // ---------------------------------------------------------------------
 // Runtime-selected backends: the same scripts through the builder/DynDict
-// facade, covering all seven engines with one loop — including the two
+// facade, covering all six engines with one loop — including the two
 // PMAs, which join the keyed battery through the RankedDict adapter.
 // ---------------------------------------------------------------------
 

@@ -9,13 +9,14 @@
 //! *bit-identical* layouts, while a different seed must (overwhelmingly
 //! likely) produce a different one.
 
+use anti_persistence::dict::HiDict;
 use anti_persistence::prelude::*;
 use workloads::{mixed, replay, Op};
 
 /// A moderately adversarial build: mixed inserts/deletes, then a burst of
 /// overwrites.
-fn build_cob(seed: u64) -> CobBTree<u64, u64> {
-    let mut t: CobBTree<u64, u64> = CobBTree::new(seed);
+fn build_hi_dict(seed: u64) -> HiDict {
+    let mut t = HiDict::new(HiPma::new(seed));
     replay(&mixed(3_000, 500, 0.6, 42), &mut t);
     for k in 0..100u64 {
         t.insert(k, k + 1);
@@ -83,27 +84,27 @@ fn hi_pma_layout_differs_across_seeds() {
 }
 
 #[test]
-fn cob_btree_layout_is_a_function_of_seed_and_contents() {
-    let a = build_cob(0xDEADBEEF);
-    let b = build_cob(0xDEADBEEF);
+fn hi_dict_layout_is_a_function_of_seed_and_contents() {
+    let a = build_hi_dict(0xDEADBEEF);
+    let b = build_hi_dict(0xDEADBEEF);
     assert_eq!(a.to_sorted_vec(), b.to_sorted_vec(), "contents must agree");
-    assert_eq!(a.total_slots(), b.total_slots());
+    assert_eq!(a.seq().total_slots(), b.seq().total_slots());
     assert_eq!(
-        a.occupancy(),
-        b.occupancy(),
+        a.seq().occupancy(),
+        b.seq().occupancy(),
         "slot bitmap must be bit-identical"
     );
-    assert_eq!(a.pma().n_hat(), b.pma().n_hat());
+    assert_eq!(a.seq().n_hat(), b.seq().n_hat());
 }
 
 #[test]
-fn cob_btree_layout_differs_across_seeds() {
-    let a = build_cob(7);
-    let b = build_cob(8);
+fn hi_dict_layout_differs_across_seeds() {
+    let a = build_hi_dict(7);
+    let b = build_hi_dict(8);
     assert_eq!(a.to_sorted_vec(), b.to_sorted_vec());
     assert_ne!(
-        a.occupancy(),
-        b.occupancy(),
+        a.seq().occupancy(),
+        b.seq().occupancy(),
         "different seeds should yield different layouts"
     );
 }
@@ -262,7 +263,7 @@ fn keyed_stream(ops: usize, mode: &str, salt: u64) -> Vec<(bool, u64, u64)> {
 #[test]
 fn batched_apply_is_bit_identical_across_batch_sizes() {
     use hi_common::batch::BatchOp;
-    for backend in [Backend::HiPma, Backend::ClassicPma, Backend::CobBTree] {
+    for backend in [Backend::HiPma, Backend::ClassicPma] {
         for mode in ["uniform", "sequential", "zipf"] {
             let stream = keyed_stream(6_000, mode, 0xBEE5);
             // Reference: element-at-a-time application.
@@ -381,18 +382,18 @@ fn bulk_inputs() -> [Vec<(u64, u64)>; 3] {
 }
 
 #[test]
-fn cob_btree_bulk_load_is_order_independent_given_the_seed() {
+fn hi_dict_bulk_load_is_order_independent_given_the_seed() {
     let bulk_seed = 0xB01D;
     let mut layouts = Vec::new();
     for (i, input) in bulk_inputs().into_iter().enumerate() {
         // Different construction seeds and different pre-existing contents:
         // neither may leak into the post-load layout.
-        let mut t: CobBTree<u64, u64> = CobBTree::new(1_000 + i as u64);
+        let mut t = HiDict::new(HiPma::new(1_000 + i as u64));
         for k in 0..50 * i as u64 {
             t.insert(k, k);
         }
         t.bulk_load(input, bulk_seed);
-        layouts.push((t.to_sorted_vec(), t.pma().n_hat(), t.occupancy()));
+        layouts.push((t.to_sorted_vec(), t.seq().n_hat(), t.seq().occupancy()));
     }
     assert_eq!(
         layouts[0], layouts[1],
@@ -403,11 +404,11 @@ fn cob_btree_bulk_load_is_order_independent_given_the_seed() {
         "interleaved load must be bit-identical"
     );
 
-    let mut other: CobBTree<u64, u64> = CobBTree::new(1);
+    let mut other = HiDict::new(HiPma::new(1));
     other.bulk_load(bulk_inputs()[0].clone(), bulk_seed + 1);
     assert_eq!(other.to_sorted_vec(), layouts[0].0);
     assert_ne!(
-        other.occupancy(),
+        other.seq().occupancy(),
         layouts[0].2,
         "a different bulk seed should yield a different layout"
     );

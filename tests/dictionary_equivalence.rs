@@ -2,6 +2,7 @@
 //! agree with a reference `BTreeMap` (and therefore with each other) on the
 //! same operation traces.
 
+use anti_persistence::dict::HiDict;
 use anti_persistence::prelude::*;
 use std::collections::BTreeMap;
 use workloads::{mixed, random_inserts, replay, Op};
@@ -35,9 +36,9 @@ where
 }
 
 #[test]
-fn cob_btree_matches_model_on_mixed_workload() {
+fn hi_dict_matches_model_on_mixed_workload() {
     let trace = mixed(8_000, 3_000, 0.55, 1);
-    check_against_model(&mut CobBTree::<u64, u64>::new(10), &trace);
+    check_against_model(&mut HiDict::new(HiPma::new(10)), &trace);
 }
 
 #[test]
@@ -67,16 +68,16 @@ fn btree_matches_model_on_mixed_workload() {
 #[test]
 fn all_dictionaries_agree_with_each_other() {
     let trace = mixed(5_000, 1_500, 0.6, 5);
-    let mut cob: CobBTree<u64, u64> = CobBTree::new(20);
+    let mut hi = HiDict::new(HiPma::new(20));
     let mut skip: ExternalSkipList<u64, u64> = ExternalSkipList::history_independent(16, 0.5, 21);
     let mut bsk: ExternalSkipList<u64, u64> = ExternalSkipList::folklore_b(16, 22);
     let mut bt: BTree<u64, u64> = BTree::new(16);
-    replay(&trace, &mut cob);
+    replay(&trace, &mut hi);
     replay(&trace, &mut skip);
     replay(&trace, &mut bsk);
     replay(&trace, &mut bt);
     let reference = bt.to_sorted_vec();
-    assert_eq!(cob.to_sorted_vec(), reference);
+    assert_eq!(hi.to_sorted_vec(), reference);
     assert_eq!(skip.to_sorted_vec(), reference);
     assert_eq!(bsk.to_sorted_vec(), reference);
 }
@@ -84,18 +85,18 @@ fn all_dictionaries_agree_with_each_other() {
 #[test]
 fn bulk_load_then_point_queries() {
     let load = random_inserts(20_000, 6);
-    let mut cob: CobBTree<u64, u64> = CobBTree::new(30);
+    let mut hi = HiDict::new(HiPma::new(30));
     let mut bt: BTree<u64, u64> = BTree::new(64);
-    replay(&load, &mut cob);
+    replay(&load, &mut hi);
     replay(&load, &mut bt);
-    assert_eq!(cob.len(), 20_000);
+    assert_eq!(hi.len(), 20_000);
     for op in load.ops.iter().step_by(97) {
         if let Op::Insert(k, _) = op {
-            assert_eq!(cob.get(k), bt.get(k));
-            assert!(cob.get(k).is_some());
+            assert_eq!(hi.get(k), bt.get(k));
+            assert!(hi.get(k).is_some());
         }
     }
-    cob.check_invariants();
+    hi.seq().check_invariants();
     bt.check_invariants();
 }
 

@@ -5,7 +5,7 @@
 //! * The deterministic half holds `occupancy_words()` to
 //!   `test_support::whi::lemma9_occupancy`, which is R written from the
 //!   paper's formulas. It is checked after every step of a script that
-//!   crosses both geometry boundaries and of the two `CobBTree` histories,
+//!   crosses both geometry boundaries and of the two `HiDict` histories,
 //!   at the end of every trial, and on the FLUSH layout. A control moves one
 //!   balance by one at several depths, and R must change.
 //! * The random half pools every balance of every trial of four histories
@@ -16,6 +16,7 @@
 //!   histories, the drained one (per depth), a grow-then-shrink history and
 //!   an insert/delete episode (capacity only) are also pooled on their own.
 
+use anti_persistence::dict::HiDict;
 use anti_persistence::pma::BalanceRecord;
 use anti_persistence::prelude::*;
 use hi_common::stats::{Pooled, Report};
@@ -186,9 +187,9 @@ fn four_histories() -> &'static [Samples; 4] {
             }
             samples[SEQUENTIAL].observe(&sequential, "sequential inserts", t);
 
-            let mut cob: CobBTree<u64, u64> = CobBTree::new((2 << 32) | t);
-            replay(&reverse, &mut cob);
-            samples[REVERSE_AND_BURST].observe(cob.pma(), "reverse inserts + burst", t);
+            let mut hi = HiDict::new(HiPma::new((2 << 32) | t));
+            replay(&reverse, &mut hi);
+            samples[REVERSE_AND_BURST].observe(hi.seq(), "reverse inserts + burst", t);
 
             // `bulk_load`, then a one-sided drain from the front.
             let mut drained: HiPma<u64> = HiPma::new(0);
@@ -198,9 +199,9 @@ fn four_histories() -> &'static [Samples; 4] {
             }
             samples[FRONT_DRAIN].observe(&drained, "bulk_load + front drain", t);
 
-            let mut cob: CobBTree<u64, u64> = CobBTree::new((4 << 32) | t);
-            replay(&alternating, &mut cob);
-            samples[ALTERNATION].observe(cob.pma(), "Observation 1 alternation", t);
+            let mut hi = HiDict::new(HiPma::new((4 << 32) | t));
+            replay(&alternating, &mut hi);
+            samples[ALTERNATION].observe(hi.seq(), "Observation 1 alternation", t);
         }
         samples
     })
@@ -223,7 +224,7 @@ fn balances_and_capacity_are_uniform_over_four_histories() {
 }
 
 #[test]
-fn cob_btree_layout_distribution_is_history_free() {
+fn hi_dict_layout_distribution_is_history_free() {
     // The layout is R after every operation of both keyed histories, and
     // their balances and capacities, pooled apart from the others, are
     // uniform: so the layout's distribution is R's over uniform inputs.
@@ -232,18 +233,18 @@ fn cob_btree_layout_distribution_is_history_free() {
         ("alternation", alternation()),
     ] {
         for t in 0..2u64 {
-            let mut cob: CobBTree<u64, u64> = CobBTree::new((5 << 32) | t);
+            let mut hi = HiDict::new(HiPma::new((5 << 32) | t));
             for (step, op) in trace.ops.iter().enumerate() {
                 match *op {
                     Op::Insert(k, v) => {
-                        cob.insert(k, v);
+                        hi.insert(k, v);
                     }
                     Op::Delete(k) => {
-                        cob.remove(&k);
+                        hi.remove(&k);
                     }
                     _ => unreachable!("insert/delete traces only"),
                 }
-                let pma = cob.pma();
+                let pma = hi.seq();
                 assert_lemma9(
                     pma,
                     &pma.balance_records(),
@@ -337,20 +338,20 @@ fn secure_delete_leaves_no_trace_in_capacity() {
     let n = 64u64;
     let (mut clean, mut episodic) = (Samples::default(), Samples::default());
     for t in 0..4_000u64 {
-        let mut a: CobBTree<u64, u64> = CobBTree::new(3_000_000 + t);
+        let mut a = HiDict::new(HiPma::new(3_000_000 + t));
         for k in 0..n {
             a.insert(k, k);
         }
-        clean.observe(a.pma(), "clean", t);
+        clean.observe(a.seq(), "clean", t);
 
-        let mut b: CobBTree<u64, u64> = CobBTree::new(4_000_000 + t);
+        let mut b = HiDict::new(HiPma::new(4_000_000 + t));
         for k in 0..n + 40 {
             b.insert(k, k);
         }
         for k in n..n + 40 {
             b.remove(&k);
         }
-        episodic.observe(b.pma(), "insert/delete episode", t);
+        episodic.observe(b.seq(), "insert/delete episode", t);
     }
     for (name, samples) in [("clean history", clean), ("episodic history", episodic)] {
         let report = pool([&samples], |_, o| o);

@@ -2,6 +2,7 @@
 //! inputs): these are fast sanity checks; the full sweeps live in the
 //! benchmark harnesses (`crates/bench/src/bin`).
 
+use anti_persistence::dict::HiDict;
 use anti_persistence::prelude::*;
 
 #[test]
@@ -88,9 +89,9 @@ fn hi_skiplist_beats_folklore_bskiplist_on_search_tail() {
 }
 
 #[test]
-fn btree_and_cob_btree_search_io_are_comparable() {
-    // Theorem 2: the HI cache-oblivious B-tree matches a B-tree's I/O
-    // complexity up to constants when B = Ω(log N log log N).
+fn btree_and_hi_dict_search_io_are_comparable() {
+    // Theorem 2: the HI cache-oblivious B-tree (the served `HiDict`) matches
+    // a B-tree's I/O complexity up to constants when B = Ω(log N log log N).
     let n = 50_000u64;
     let block_bytes = 4096usize;
     // B-tree with ~256 records per node ≈ 4 KiB nodes.
@@ -99,14 +100,14 @@ fn btree_and_cob_btree_search_io_are_comparable() {
         bt.insert(k, k);
     }
     let tracer = Tracer::enabled(IoConfig::new(block_bytes, 1 << 14));
-    let mut cob: CobBTree<u64, u64> = CobBTree::with_parts(
+    let mut hi = HiDict::new(HiPma::with_parts(
         RngSource::from_seed(5),
         SharedCounters::new(),
         tracer.clone(),
         16,
-    );
+    ));
     for k in 0..n {
-        cob.insert(k, k);
+        hi.insert(k, k);
     }
     // Average search I/Os.
     let probes: Vec<u64> = (0..n).step_by(991).collect();
@@ -117,13 +118,13 @@ fn btree_and_cob_btree_search_io_are_comparable() {
     }
     tracer.reset_cold();
     for p in &probes {
-        cob.get(p);
+        hi.get(p);
     }
-    let cob_avg = tracer.stats().reads as f64 / probes.len() as f64;
+    let hi_avg = tracer.stats().reads as f64 / probes.len() as f64;
     let bt_avg = bt_total as f64 / probes.len() as f64;
     assert!(
-        cob_avg <= 12.0 * bt_avg.max(1.0),
-        "cache-oblivious searches ({cob_avg}) should be within a constant factor of the B-tree ({bt_avg})"
+        hi_avg <= 12.0 * bt_avg.max(1.0),
+        "cache-oblivious searches ({hi_avg}) should be within a constant factor of the B-tree ({bt_avg})"
     );
 }
 

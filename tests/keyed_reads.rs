@@ -7,10 +7,11 @@
 //! time. The balance compares `Equal`, so the descent turns left at its
 //! range and lands in a leaf whose elements are all smaller.
 //!
-//! One history drives the three keyed views of the HI-PMA (`RankedDict`,
-//! `CobBTree` and the `DynDict` facade) up across N̂ = 128 and N̂ = 4096 and
-//! back down to empty. After every step each view answers every stored key,
-//! every gap key and every balance element as the oracle does.
+//! One history drives the two keyed views of the HI-PMA up across N̂ = 128
+//! and N̂ = 4096 and back down to empty: `RankedDict` (the served `HiDict`,
+//! Theorem 2's cache-oblivious B-tree) and the `DynDict` facade. After every
+//! step both views hold one layout, and each answers every stored key, every
+//! gap key and every balance element as the oracle does.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -70,13 +71,8 @@ fn check_reads<D: Dictionary<Key = u64, Value = u64>>(
 }
 
 /// Probes every stored key, every gap key and every balance element through
-/// all three views; balance elements also start an excluded-bound scan.
-fn probe_all(
-    ranked: &Ranked,
-    cob: &CobBTree<u64, u64>,
-    facade: &DynDict<u64, u64>,
-    model: &BTreeMap<u64, u64>,
-) {
+/// both views; balance elements also start an excluded-bound scan.
+fn probe_all(ranked: &Ranked, facade: &DynDict<u64, u64>, model: &BTreeMap<u64, u64>) {
     let balances = balance_keys(ranked.seq());
     // Stored keys are odd, so `k − 1` lies in the gap below `k`.
     let gaps = model
@@ -90,7 +86,6 @@ fn probe_all(
         .chain(balances.iter().copied());
     for q in probes {
         check_reads("RankedDict", ranked, model, q);
-        check_reads("CobBTree", cob, model, q);
         check_reads("DynDict", facade, model, q);
     }
     for &b in &balances {
@@ -99,11 +94,6 @@ fn probe_all(
         assert!(
             ranked.range_iter(range).take(SCAN).eq(want.iter().copied()),
             "RankedDict: ({b}, {}]",
-            b + 400
-        );
-        assert!(
-            cob.range_iter(range).take(SCAN).eq(want.iter().copied()),
-            "CobBTree: ({b}, {}]",
             b + 400
         );
         assert!(
@@ -117,7 +107,6 @@ fn probe_all(
 #[test]
 fn keyed_reads_match_the_oracle_across_height_steps_in_both_directions() {
     let mut ranked: Ranked = RankedDict::new(HiPma::new(SEED));
-    let mut cob: CobBTree<u64, u64> = CobBTree::new(SEED);
     let mut facade: DynDict<u64, u64> = Dict::builder().backend(Backend::HiPma).seed(SEED).build();
     let mut model = BTreeMap::new();
     let keys: Vec<u64> = (0..PEAK as u64)
@@ -135,34 +124,32 @@ fn keyed_reads_match_the_oracle_across_height_steps_in_both_directions() {
         for &k in &keys[next..next + step] {
             let v = mix(k);
             assert_eq!(ranked.insert(k, v), model.insert(k, v));
-            cob.insert(k, v);
             facade.insert(k, v);
         }
         next += step;
         record(ranked.seq().n_hat(), 0);
         assert_eq!(
-            cob.occupancy(),
-            ranked.seq().occupancy(),
+            facade.occupancy(),
+            Some(ranked.seq().occupancy()),
             "one history, one layout"
         );
-        probe_all(&ranked, &cob, &facade, &model);
+        probe_all(&ranked, &facade, &model);
     }
     let mut left = keys.len();
     while left > 0 {
         let step = (left / 8).clamp(1, left);
         for &k in &keys[left - step..left] {
             assert_eq!(ranked.remove(&k), model.remove(&k));
-            cob.remove(&k);
             facade.remove(&k);
         }
         left -= step;
         record(ranked.seq().n_hat(), 1);
         assert_eq!(
-            cob.occupancy(),
-            ranked.seq().occupancy(),
+            facade.occupancy(),
+            Some(ranked.seq().occupancy()),
             "one history, one layout"
         );
-        probe_all(&ranked, &cob, &facade, &model);
+        probe_all(&ranked, &facade, &model);
     }
     assert_eq!(
         seen, [[true; 3]; 2],
@@ -215,33 +202,10 @@ fn a_keyed_read_counts_exactly_one_query() {
             1,
             "{backend} full scan"
         );
+        assert_eq!(
+            queries(&c, || assert_eq!(d.range(&0, &9).len(), 5)),
+            1,
+            "{backend} range"
+        );
     }
-    let mut cob: CobBTree<u64, u64> = CobBTree::new(SEED);
-    for k in 0..2_000u64 {
-        cob.insert(2 * k, k);
-    }
-    let c = cob.counters().clone();
-    assert_eq!(
-        queries(&c, || assert_eq!(cob.get_ref(&10), Some(&5))),
-        1,
-        "CobBTree get_ref"
-    );
-    assert_eq!(
-        queries(&c, || assert_eq!(cob.successor(&11), Some((12, 6)))),
-        1,
-        "CobBTree successor"
-    );
-    assert_eq!(
-        queries(&c, || assert_eq!(
-            cob.range_iter(101..).take(SCAN).count(),
-            SCAN
-        )),
-        1,
-        "CobBTree range_iter"
-    );
-    assert_eq!(
-        queries(&c, || assert_eq!(cob.range(&0, &9).len(), 5)),
-        1,
-        "CobBTree range"
-    );
 }
