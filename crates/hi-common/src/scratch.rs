@@ -1,6 +1,6 @@
-//! A reusable gather buffer for rebuild paths: one per structure, handed
-//! out by value so the structure and the buffer never entangle for the
-//! borrow checker. After warm-up its capacity covers every rebuild, and
+//! A reusable gather buffer for rebuild paths — the classic PMA's window
+//! rebalances and resizes: one per structure, handed out by value so the
+//! structure and the buffer never entangle for the borrow checker. After warm-up its capacity covers every rebuild, and
 //! steady-state rebalances allocate nothing. It outlives the elements that
 //! pass through it, so it must not keep their bytes: callers take elements
 //! out with `mem::take` or [`take_out`], never `drain` or `Vec::remove`,

@@ -605,6 +605,21 @@ where
         self.seq
     }
 
+    /// Verifies the adapter's own invariant, that keys strictly ascend in
+    /// rank order: every keyed search relies on it, and the sequence's
+    /// checks see ranks, not keys. Panics naming the first rank out of
+    /// order. Intended for tests; cost is `Θ(N)`.
+    pub fn check_key_order(&self) {
+        let mut prev: Option<&K> = None;
+        for (rank, (key, _)) in self.seq.iter().enumerate() {
+            assert!(
+                prev.is_none_or(|p| p < key),
+                "key at rank {rank} does not ascend"
+            );
+            prev = Some(key);
+        }
+    }
+
     /// Rank of the first pair whose key is > `key` (or `len` if none),
     /// tallying the key comparisons made. `Equal` probes are mapped to
     /// `Less`, turning the lower-bound descent into an upper bound.
@@ -752,16 +767,16 @@ mod tests {
 
     /// A trivial `Vec`-backed ranked sequence used to exercise the trait's
     /// default methods (and reused as a reference model elsewhere).
-    struct VecSeq(Vec<u32>);
+    struct VecSeq<T>(Vec<T>);
 
-    impl RankedSequence for VecSeq {
-        type Item = u32;
+    impl<T: Clone> RankedSequence for VecSeq<T> {
+        type Item = T;
 
         fn len(&self) -> usize {
             self.0.len()
         }
 
-        fn insert_at(&mut self, rank: usize, item: u32) -> Result<(), RankError> {
+        fn insert_at(&mut self, rank: usize, item: T) -> Result<(), RankError> {
             if rank > self.0.len() {
                 return Err(RankError {
                     rank,
@@ -772,7 +787,7 @@ mod tests {
             Ok(())
         }
 
-        fn delete_at(&mut self, rank: usize) -> Result<u32, RankError> {
+        fn delete_at(&mut self, rank: usize) -> Result<T, RankError> {
             if rank >= self.0.len() {
                 return Err(RankError {
                     rank,
@@ -782,11 +797,11 @@ mod tests {
             Ok(self.0.remove(rank))
         }
 
-        fn get_ref(&self, rank: usize) -> Option<&u32> {
+        fn get_ref(&self, rank: usize) -> Option<&T> {
             self.0.get(rank)
         }
 
-        fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &u32>, RankError> {
+        fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {
             if i > j {
                 return Ok(self.0[0..0].iter());
             }
@@ -835,7 +850,7 @@ mod tests {
         // i > j is an empty range, uniformly — even at out-of-bounds ranks.
         assert_eq!(s.query(2, 1).unwrap(), Vec::<u32>::new());
         assert_eq!(s.query(7, 3).unwrap(), Vec::<u32>::new());
-        let empty = VecSeq(vec![]);
+        let empty = VecSeq(Vec::<u32>::new());
         assert_eq!(empty.query(1, 0).unwrap(), Vec::<u32>::new());
         assert_eq!(empty.to_vec(), Vec::<u32>::new());
     }
@@ -855,53 +870,7 @@ mod tests {
 
     #[test]
     fn ranked_dict_behaves_like_a_dictionary() {
-        struct PairSeq(Vec<(u64, u64)>);
-        impl RankedSequence for PairSeq {
-            type Item = (u64, u64);
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn insert_at(&mut self, rank: usize, item: (u64, u64)) -> Result<(), RankError> {
-                if rank > self.0.len() {
-                    return Err(RankError {
-                        rank,
-                        len: self.0.len(),
-                    });
-                }
-                self.0.insert(rank, item);
-                Ok(())
-            }
-            fn delete_at(&mut self, rank: usize) -> Result<(u64, u64), RankError> {
-                if rank >= self.0.len() {
-                    return Err(RankError {
-                        rank,
-                        len: self.0.len(),
-                    });
-                }
-                Ok(self.0.remove(rank))
-            }
-            fn get_ref(&self, rank: usize) -> Option<&(u64, u64)> {
-                self.0.get(rank)
-            }
-            fn range_iter(
-                &self,
-                i: usize,
-                j: usize,
-            ) -> Result<impl Iterator<Item = &(u64, u64)>, RankError> {
-                if i > j {
-                    return Ok(self.0[0..0].iter());
-                }
-                if j >= self.0.len() {
-                    return Err(RankError {
-                        rank: j,
-                        len: self.0.len(),
-                    });
-                }
-                Ok(self.0[i..=j].iter())
-            }
-        }
-
-        let mut d = RankedDict::new(PairSeq(Vec::new()));
+        let mut d = RankedDict::new(VecSeq(Vec::<(u64, u64)>::new()));
         assert_eq!(d.insert(5, 50), None);
         assert_eq!(d.insert(1, 10), None);
         assert_eq!(d.insert(9, 90), None);
@@ -931,5 +900,12 @@ mod tests {
         assert_eq!(d.keys().copied().collect::<Vec<_>>(), vec![1, 9]);
         d.bulk_load(vec![(4, 40), (2, 20), (4, 44)], 7);
         assert_eq!(d.to_sorted_vec(), vec![(2, 20), (4, 44)]);
+        d.check_key_order();
+    }
+
+    #[test]
+    #[should_panic(expected = "key at rank 2 does not ascend")]
+    fn check_key_order_names_pairs_out_of_order() {
+        RankedDict::new(VecSeq(vec![(1u64, 10u64), (5, 50), (3, 30)])).check_key_order();
     }
 }

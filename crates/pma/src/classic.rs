@@ -16,12 +16,14 @@
 //!
 //! Storage uses the same allocation-free engine as the HI PMA
 //! ([`SlotStore`]): one slot arena with each segment's values dense at its
-//! front and the default in every other slot, rebalances taking elements
-//! out into a reusable [`Scratch`] arena and moving (never cloning) them
-//! back, so no deleted record stays in the arena or the buffer. The slot
-//! layout is a packed bitmap of its own: a window rebalance spreads its
-//! elements evenly over the *window*, not segment by segment, so unlike the
-//! HI PMA's leaves the layout is not a function of the segment counts.
+//! front and the default in every other slot, window rebalances taking
+//! elements out into a reusable [`Scratch`] arena and moving (never cloning)
+//! them back, resizes regrouping them through the next arena
+//! ([`SlotStore::regroup`]), so no deleted record stays in an arena or the
+//! buffer. The slot layout is a packed bitmap of its own: a window
+//! rebalance spreads its elements evenly over the *window*, not segment by
+//! segment, so unlike the HI PMA's leaves the layout is not a function of
+//! the segment counts.
 
 use hi_common::batch::SeekFinger;
 use hi_common::bitmap::Bitmap;
@@ -94,7 +96,7 @@ pub struct ClassicPma<T: Clone + Default> {
     tracer: Tracer,
     region: Region,
     elem_size: u64,
-    /// Reusable gather buffer for rebalances and resizes.
+    /// Reusable gather buffer for window rebalances.
     scratch: Scratch<T>,
 }
 
@@ -132,7 +134,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             elem_size,
             scratch: Scratch::default(),
         };
-        pma.resize_to(8, Vec::new());
+        pma.resize(0, false, |_| ());
         pma
     }
 
@@ -193,42 +195,40 @@ impl<T: Clone + Default> ClassicPma<T> {
         ((2 * n).max(8)).next_power_of_two()
     }
 
-    /// Rebuilds the array with `total_slots` slots containing `buf`,
-    /// consuming the buffer back into the scratch arena.
-    fn resize_to(&mut self, total_slots: usize, mut buf: Vec<T>) {
-        debug_assert!(total_slots.is_power_of_two());
+    /// Rebuilds the array for `len` elements, as one window over every
+    /// segment: the store regroups the elements at the front of the next
+    /// arena, where `edit` — the update that triggered the resize — leaves
+    /// `len` of them, and spreads them evenly. A resize of an update
+    /// (`gather`) is charged one read of the whole array.
+    fn resize<R>(&mut self, len: usize, gather: bool, edit: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        let total_slots = Self::target_slots(len);
         // Segment size ≈ log2(total_slots), rounded so the segment count is a
         // power of two.
         let target_seg = (total_slots.trailing_zeros() as usize).max(2);
         let segments = (total_slots / target_seg).next_power_of_two().max(1);
         let seg_size = total_slots / segments;
         debug_assert!(seg_size * segments == total_slots);
-        self.store.reshape(segments, seg_size, seg_size);
+        if gather {
+            self.tracer.read(self.region.base, self.region.byte_len());
+        }
+        let edited = self.store.regroup(segments, seg_size, seg_size, edit);
+        // A segment holds the elements whose spread positions fall in it.
+        let mut counts = vec![0; segments];
+        for_each_spread_position(len, total_slots, |p| counts[p / seg_size] += 1);
+        self.store.spread(&counts);
         self.bitmap = Bitmap::new(total_slots);
         self.seg_size = seg_size;
         self.segments = segments;
         self.height = segments.trailing_zeros();
-        self.len = buf.len();
+        self.len = len;
         self.region = Region::new(0, self.elem_size, total_slots as u64);
-        // Spread over one window of every segment; record the counts.
-        self.store.fill_window(0, segments, &mut buf);
-        self.spread_bits(0, total_slots, self.len);
-        self.scratch.restore(buf);
-        self.counters.add_moves(self.len as u64);
+        self.spread_bits(0, total_slots, len);
+        self.counters.add_moves(len as u64);
         self.counters.add_resize();
         self.tracer.write(self.region.base, self.region.byte_len());
-        let counts: Vec<u64> = (0..segments)
-            .map(|g| self.store.group_len(g) as u64)
-            .collect();
+        let counts: Vec<u64> = counts.into_iter().map(|n| n as u64).collect();
         self.seg_counts = Fenwick::from_counts(&counts);
-    }
-
-    /// Moves every element, in rank order, into the scratch buffer.
-    fn gather_all(&mut self) -> Vec<T> {
-        self.tracer.read(self.region.base, self.region.byte_len());
-        let mut buf = self.scratch.take();
-        self.store.drain_window_into(0, self.segments, &mut buf);
-        buf
+        edited
     }
 
     // ------------------------------------------------------------------
@@ -365,10 +365,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             }
             if level == self.height {
                 // Even the root is too dense: grow and retry by rebuilding.
-                let mut buf = self.gather_all();
-                buf.insert(rank, item);
-                let new_slots = Self::target_slots(buf.len());
-                self.resize_to(new_slots, buf);
+                self.resize(self.len + 1, true, |front| front.insert(rank, item));
                 return Ok(());
             }
             level += 1;
@@ -404,11 +401,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             }
             if root_level {
                 // Shrink (or just rebuild at the same size when small).
-                let mut buf = self.gather_all();
-                let removed = take_out(&mut buf, rank);
-                let new_slots = Self::target_slots(buf.len());
-                self.resize_to(new_slots, buf);
-                return Ok(removed);
+                return Ok(self.resize(self.len - 1, true, |front| take_out(front, rank)));
             }
             level += 1;
         }
@@ -566,10 +559,11 @@ impl<T: Clone + Default> ClassicPma<T> {
     /// accepted only for signature uniformity with the HI structures.
     pub fn bulk_load(&mut self, items: impl IntoIterator<Item = T>, seed: u64) {
         let _ = seed;
-        let mut buf = self.scratch.take();
-        buf.extend(items);
-        let slots = Self::target_slots(buf.len());
-        self.resize_to(slots, buf);
+        let mut items: Vec<T> = items.into_iter().collect();
+        self.store.clear();
+        self.resize(items.len(), false, |front| {
+            front.extend(items.iter_mut().map(std::mem::take));
+        });
     }
 }
 

@@ -70,10 +70,13 @@
 //! 3. the value tree is written last: each range's entry is the first
 //!    element of its right child.
 //!
-//! No rebuilt element passes through a buffer. A resize replaces the slot
-//! array, so it takes every element out into a reusable [`Scratch`] arena,
-//! runs the same planner, refills the new leaves right to left (each swaps
-//! in the tail of the buffer) and ends with the same value pass. An update
+//! No rebuilt element passes through a buffer, and neither does a resized
+//! one. A resize replaces the slot array: [`SlotStore::regroup`] moves every
+//! element, in rank order, to the front of the next arena, allocated at its
+//! final size, where the resize's own insert or delete is applied; the old
+//! arena, all defaults by then, is freed; the same planner runs, and
+//! [`SlotStore::spread`] deals the front out to the new leaves right to
+//! left, before the same value pass. No buffer outlives the resize. An update
 //! moves elements and counts and nothing else, and reports to the counter
 //! ledger once, on its way out. This is pure representation engineering:
 //! the occupancy distribution, the coins drawn, and therefore the WHI
@@ -83,7 +86,7 @@ use hi_common::batch::SeekFinger;
 use hi_common::capacity::{CapacityEvent, HiCapacity};
 use hi_common::counters::SharedCounters;
 use hi_common::rng::{DetRng, RngSource};
-use hi_common::scratch::{take_out, Scratch};
+use hi_common::scratch::take_out;
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 use rand::Rng;
@@ -168,10 +171,8 @@ pub struct HiPma<T: Clone + Default> {
     tracer: Tracer,
     array_region: Region,
     elem_size: u64,
-    /// Reusable gather buffer for resizes and `bulk_load`; range rebuilds
-    /// move elements in place and never touch it.
-    scratch: Scratch<T>,
-    /// The leaf counts the last plan wrote, left to right (capacity reused).
+    /// The leaf counts the last plan wrote, left to right (allocated once
+    /// per geometry, at its leaf count).
     leaf_counts: Vec<usize>,
 }
 
@@ -210,18 +211,7 @@ impl<T: Clone + Default> HiPma<T> {
     ) -> Self {
         assert!(elem_size > 0, "element size must be positive");
         let geometry = Geometry::for_n_hat(1);
-        let rank_tree = VebTree::new(
-            geometry.levels(),
-            Self::rank_tree_base(&geometry, elem_size),
-            8,
-            tracer.clone(),
-        );
-        let value_tree = VebTree::new(
-            geometry.levels(),
-            Self::value_tree_base(&geometry, elem_size),
-            elem_size,
-            tracer.clone(),
-        );
+        let (rank_tree, value_tree) = Self::trees(&geometry, elem_size, &tracer);
         let array_region = Region::new(0, elem_size, geometry.total_slots as u64);
         Self {
             store: SlotStore::new(
@@ -238,24 +228,20 @@ impl<T: Clone + Default> HiPma<T> {
             tracer,
             array_region,
             elem_size,
-            scratch: Scratch::default(),
             leaf_counts: Vec::new(),
         }
     }
 
-    fn rank_tree_base(geometry: &Geometry, elem_size: u64) -> u64 {
-        // The rank tree lives immediately after the slot array, aligned to a
-        // 4 KiB boundary so the two never share a block at common block
-        // sizes.
-        let array_bytes = geometry.total_slots as u64 * elem_size;
-        array_bytes.div_ceil(4096) * 4096
-    }
-
-    fn value_tree_base(geometry: &Geometry, elem_size: u64) -> u64 {
-        // The value tree follows the rank tree (which holds 8-byte counts).
-        let rank_bytes = geometry.range_count() as u64 * 8;
-        let base = Self::rank_tree_base(geometry, elem_size) + rank_bytes;
-        base.div_ceil(4096) * 4096
+    /// The empty rank and value trees of `g`. In the tracer's address space
+    /// the rank tree follows the slot array and the value tree the rank tree
+    /// (8-byte counts), each at a 4 KiB boundary, so no two share a block
+    /// at common block sizes.
+    fn trees(g: &Geometry, elem_size: u64, tracer: &Tracer) -> (VebTree<u64>, VebTree<Option<T>>) {
+        let rank_base = (g.total_slots as u64 * elem_size).next_multiple_of(4096);
+        let value_base = (rank_base + g.range_count() as u64 * 8).next_multiple_of(4096);
+        let rank_tree = VebTree::new(g.levels(), rank_base, 8, tracer.clone());
+        let value_tree = VebTree::new(g.levels(), value_base, elem_size, tracer.clone());
+        (rank_tree, value_tree)
     }
 
     /// Number of elements stored.
@@ -412,66 +398,49 @@ impl<T: Clone + Default> HiPma<T> {
     // Rebuild machinery
     // ------------------------------------------------------------------
 
-    /// Moves every element, in rank order, into the scratch buffer (charging
-    /// a sequential scan). The leaves are left empty; the caller must refill
-    /// them (or replace the store) before the next operation.
-    fn gather_all(&mut self) -> Vec<T> {
-        self.tracer
-            .read(self.array_region.base, self.array_region.byte_len());
-        let mut buf = self.scratch.take();
-        self.store
-            .drain_window_into(0, self.geometry.leaf_count(), &mut buf);
-        buf
-    }
-
-    /// Empties the geometry, the store (re-sized in place to the new leaf
-    /// count and capacity: one slot array at a time), both trees and
-    /// `leaf_counts` (sized for any plan, so no later rebuild allocates),
-    /// all for `n_hat`. The old value tree may hold the
-    /// record this update deletes, so it is scrubbed before it is freed.
-    fn reallocate(&mut self, n_hat: usize) {
-        self.geometry = Geometry::for_n_hat(n_hat);
-        self.value_tree.scrub(Some(T::default()));
-        self.store.reshape(
-            self.geometry.leaf_count(),
-            self.geometry.leaf_slots,
-            self.geometry.leaf_capacity(),
-        );
-        self.leaf_counts.clear();
-        self.leaf_counts.reserve_exact(self.geometry.leaf_count());
-        self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
-        self.rank_tree = VebTree::new(
-            self.geometry.levels(),
-            Self::rank_tree_base(&self.geometry, self.elem_size),
-            8,
-            self.tracer.clone(),
-        );
-        self.value_tree = VebTree::new(
-            self.geometry.levels(),
-            Self::value_tree_base(&self.geometry, self.elem_size),
-            self.elem_size,
-            self.tracer.clone(),
-        );
-    }
-
     /// Rebuilds the entire structure for the current `N̂` — a resize —
-    /// placing `buf`. Consumes the buffer back into the scratch arena.
-    fn rebuild_everything(&mut self, mut buf: Vec<T>) {
-        self.reallocate(self.capacity.n_hat().max(1));
-        let (slots, moved) = (self.geometry.total_slots as u64, buf.len() as u64);
+    /// with `edit`, the update that triggered it (an insert if `update` is
+    /// `Some(true)`, a delete if `Some(false)`, a load if `None`), applied
+    /// on the way. An update's gather is charged as one sequential read of
+    /// the whole array, and the update reports itself with no moves. The
+    /// store regroups every element, in rank order, at the front of the
+    /// next arena, where `edit` inserts or takes out its element; the trees
+    /// and `leaf_counts` are made afresh for the new geometry (so no vector
+    /// keeps an old geometry's capacity); the planner draws the coins and
+    /// the store spreads the front into the new leaves; the value pass ends
+    /// it. The old value tree may hold the record this update deletes, so
+    /// it is scrubbed before it is freed.
+    fn resize<R>(&mut self, update: Option<bool>, edit: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        if let Some(insert) = update {
+            let array = self.array_region;
+            self.tracer.read(array.base, array.byte_len());
+            self.record_update(insert, 0, None);
+        }
+        self.geometry = Geometry::for_n_hat(self.capacity.n_hat().max(1));
+        self.value_tree.scrub(Some(T::default()));
+        let g = &self.geometry;
+        let edited = self
+            .store
+            .regroup(g.leaf_count(), g.leaf_slots, g.leaf_capacity(), edit);
+        self.leaf_counts = Vec::with_capacity(self.geometry.leaf_count());
+        self.array_region = Region::new(0, self.elem_size, self.geometry.total_slots as u64);
+        (self.rank_tree, self.value_tree) =
+            Self::trees(&self.geometry, self.elem_size, &self.tracer);
+        let (slots, len) = (self.geometry.total_slots as u64, self.len());
+        if len == 0 {
+            self.counters.update(|c| c.resizes += 1);
+            return edited;
+        }
         self.counters.update(|c| {
             c.resizes += 1;
             c.rebuilds += 1;
             c.rebuild_slots += slots;
-            c.element_moves += moved;
+            c.element_moves += len as u64;
         });
-        self.plan_counts(0, 0, 0, buf.len(), None);
-        for (leaf, &count) in self.leaf_counts.iter().enumerate().rev() {
-            self.store.fill_group_from_tail(leaf, &mut buf, count);
-        }
-        debug_assert!(buf.is_empty(), "resize left elements unplaced");
+        self.plan_counts(0, 0, 0, len, None);
+        self.store.spread(&self.leaf_counts);
         self.write_balances(0, 0, 0);
-        self.scratch.restore(buf);
+        edited
     }
 
     /// Rebuilds a range whose leaves already hold the update that triggered
@@ -728,7 +697,7 @@ impl<T: Clone + Default> HiPma<T> {
     /// splice (`rebuilt_slots = None`) or in the rebuild of a range of
     /// `rebuilt_slots` slots, having moved `moves` elements. A resize is the
     /// exception: the operation reports itself here with no moves, and
-    /// [`Self::rebuild_everything`] / [`Self::reset_empty`] report the rest.
+    /// [`Self::resize`] reports the rest.
     fn record_update(&self, insert: bool, moves: usize, rebuilt_slots: Option<usize>) {
         self.counters.update(|c| {
             if insert {
@@ -781,10 +750,7 @@ impl<T: Clone + Default> HiPma<T> {
         }
         let event = self.capacity.on_insert(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
-            let mut buf = self.gather_all();
-            buf.insert(rank, item);
-            self.record_update(true, 0, None);
-            self.rebuild_everything(buf);
+            self.resize(Some(true), |front| front.insert(rank, item));
             return Ok(());
         }
         // Descend the range tree. Only the root count and each level's left
@@ -844,16 +810,7 @@ impl<T: Clone + Default> HiPma<T> {
         }
         let event = self.capacity.on_delete(&mut self.rng);
         if let CapacityEvent::Rebuild { .. } = event {
-            let mut buf = self.gather_all();
-            let removed = take_out(&mut buf, rank);
-            self.record_update(false, 0, None);
-            if self.capacity.is_empty() {
-                self.scratch.restore(buf);
-                self.reset_empty();
-            } else {
-                self.rebuild_everything(buf);
-            }
-            return Ok(removed);
+            return Ok(self.resize(Some(false), |front| take_out(front, rank)));
         }
         let mut range = 0usize;
         let mut depth = 0usize;
@@ -984,24 +941,14 @@ impl<T: Clone + Default> HiPma<T> {
     /// operations. Cost is `O(n)` element moves instead of the incremental
     /// `O(n log² n)`.
     pub fn bulk_load(&mut self, items: impl IntoIterator<Item = T>, seed: u64) {
-        let mut buf = self.scratch.take();
-        buf.extend(items);
+        let mut items: Vec<T> = items.into_iter().collect();
         let mut source = RngSource::from_seed(seed);
         self.rng = source.split("hi-pma");
-        self.capacity = HiCapacity::with_len(buf.len(), &mut self.rng);
-        if buf.is_empty() {
-            self.scratch.restore(buf);
-            self.reset_empty();
-        } else {
-            self.rebuild_everything(buf);
-        }
-    }
-
-    /// Resets to the canonical empty layout — a resize with nothing to place
-    /// (shared by delete-to-empty and `bulk_load` of nothing).
-    fn reset_empty(&mut self) {
-        self.reallocate(1);
-        self.counters.update(|c| c.resizes += 1);
+        self.capacity = HiCapacity::with_len(items.len(), &mut self.rng);
+        self.store.clear();
+        self.resize(None, |front| {
+            front.extend(items.iter_mut().map(std::mem::take))
+        });
     }
 
     /// Finds the dense position of the element with the given rank,
@@ -2068,27 +2015,6 @@ mod tests {
         assert_eq!(
             empty.lower_bound_seek_by(&mut finger, |x: &u64| x.cmp(&5)),
             (0, None)
-        );
-    }
-
-    #[test]
-    fn rebuild_scratch_capacity_is_reused() {
-        // After a capacity rebuild has sized the arena, it keeps its capacity
-        // through steady-state updates, whose range rebuilds move elements
-        // in place (the allocation-free guarantee is asserted
-        // allocator-level in tests/alloc_regression.rs).
-        let mut pma = filled(4_000, 23);
-        let cap_after_warmup = pma.scratch.capacity();
-        assert!(cap_after_warmup >= 2_000, "arena never warmed up");
-        for i in 0..500 {
-            pma.delete(i % pma.len()).unwrap();
-        }
-        for i in 0..500u64 {
-            pma.insert((i as usize * 13) % (pma.len() + 1), i).unwrap();
-        }
-        assert!(
-            pma.scratch.capacity() >= cap_after_warmup,
-            "scratch arena must persist across rebalances"
         );
     }
 }

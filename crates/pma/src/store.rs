@@ -132,6 +132,8 @@ pub struct SlotStore<T> {
     /// occupancy is a pure function of its element count, so the layout is
     /// a table row per group.
     patterns: Vec<u64>,
+    /// The elements `regroup` left at the arena's front for `spread`.
+    front: usize,
 }
 
 impl<T: Clone + Default> SlotStore<T> {
@@ -141,34 +143,8 @@ impl<T: Clone + Default> SlotStore<T> {
     /// reallocate.
     pub fn new(group_count: usize, group_slots: usize, group_cap: usize) -> Self {
         let mut store = Self::default();
-        store.reshape(group_count, group_slots, group_cap);
+        store.regroup(group_count, group_slots, group_cap, Vec::clear);
         store
-    }
-
-    /// Empties the store, writing defaults over what it still holds, and
-    /// re-sizes it to `group_count` groups `group_slots` slots wide holding
-    /// `group_cap` each, in place: the arena is reallocated, not replaced,
-    /// so a resize never holds two arenas and the heap does not fragment
-    /// around a freed one.
-    pub fn reshape(&mut self, group_count: usize, group_slots: usize, group_cap: usize) {
-        assert!(group_count > 0 && group_cap > 0 && group_cap <= group_slots);
-        for (g, &n) in self.counts.iter().enumerate() {
-            self.slots[g * self.group_cap..][..n].fill(T::default());
-        }
-        let total = group_count * group_cap;
-        self.slots.truncate(total);
-        self.slots.shrink_to_fit();
-        self.slots.reserve_exact(total - self.slots.len());
-        self.slots.resize(total, T::default());
-        self.counts = vec![0; group_count];
-        (self.group_slots, self.group_cap) = (group_slots, group_cap);
-        let stride = group_slots.div_ceil(64);
-        self.pattern_stride = stride;
-        self.patterns = vec![0u64; (group_cap + 1) * stride];
-        for n in 0..=group_cap {
-            let row = &mut self.patterns[n * stride..(n + 1) * stride];
-            for_each_spread_position(n, group_slots, |p| row[p / 64] |= 1 << (p % 64));
-        }
     }
 
     /// Total number of logical slots (`groups · L`).
@@ -263,6 +239,13 @@ impl<T: Clone + Default> SlotStore<T> {
         Some(&self.slots[g * self.group_cap])
     }
 
+    /// Writes defaults over every element, leaving every group empty.
+    pub fn clear(&mut self) {
+        for (g, n) in self.counts.iter_mut().enumerate() {
+            self.slots[g * self.group_cap..][..take(n)].fill(T::default());
+        }
+    }
+
     /// Moves elements across the boundaries between groups `[g0, g0 +
     /// new.len())` until group `g0 + i` holds `new[i]` elements, in
     /// unchanged rank order. The new counts must sum to the window's element
@@ -320,27 +303,73 @@ impl<T: Clone + Default> SlotStore<T> {
         buf.clear();
     }
 
-    /// Fills group `g` — which must be empty — with the last `count`
-    /// elements of `buf`, in order, as one slice swap that leaves defaults in
-    /// the buffer before it is truncated: the contents `fill_window` gives a
-    /// one-group window. The HI PMA's resize refills its leaves right to left.
-    pub fn fill_group_from_tail(&mut self, g: usize, buf: &mut Vec<T>, count: usize) {
-        // Hard asserts, as in `fill_window`.
+    /// The first half of a resize: re-sizes the store to `group_count`
+    /// groups `group_slots` slots wide holding `group_cap` each, keeping its
+    /// elements. The next arena is allocated once, at its final size; every
+    /// element moves (`mem::take`), in rank order, to its front, and `edit`
+    /// updates that front — each PMA's resize applies its own insert or
+    /// delete there. The old arena, all defaults by then, is freed before
+    /// the next one is extended with defaults, so no block that holds an
+    /// element is ever reallocated: the store must hold no more elements
+    /// than the next arena has slots ([`Self::clear`] it first to replace
+    /// its contents). The groups read empty until [`Self::spread`] deals
+    /// the front out.
+    pub fn regroup<R>(
+        &mut self,
+        group_count: usize,
+        group_slots: usize,
+        group_cap: usize,
+        edit: impl FnOnce(&mut Vec<T>) -> R,
+    ) -> R {
+        assert!(group_count > 0 && group_cap > 0 && group_cap <= group_slots);
+        let total = group_count * group_cap;
+        // Hard asserts: past either, a block holding elements was reallocated.
         assert!(
-            count <= self.group_cap,
-            "cannot pack {count} elements into {} slots",
-            self.group_cap
+            self.element_count() <= total,
+            "the elements outnumber the next arena"
         );
-        assert!(
-            count <= buf.len(),
-            "buffer holds {} elements, fewer than the promised {count}",
-            buf.len()
+        let mut next = Vec::with_capacity(total);
+        for (g, &n) in self.counts.iter().enumerate() {
+            next.extend(self.slots[g * self.group_cap..][..n].iter_mut().map(take));
+        }
+        let edited = edit(&mut next);
+        assert!(next.len() <= total, "the front outgrew the next arena");
+        self.front = next.len();
+        drop(std::mem::replace(&mut self.slots, next));
+        self.slots.resize_with(total, T::default);
+        self.counts = vec![0; group_count];
+        (self.group_slots, self.group_cap) = (group_slots, group_cap);
+        let stride = group_slots.div_ceil(64);
+        self.pattern_stride = stride;
+        self.patterns = vec![0u64; (group_cap + 1) * stride];
+        for n in 0..=group_cap {
+            let row = &mut self.patterns[n * stride..(n + 1) * stride];
+            for_each_spread_position(n, group_slots, |p| row[p / 64] |= 1 << (p % 64));
+        }
+        edited
+    }
+
+    /// The second half of a resize: deals the front of the arena out so
+    /// that group `g` holds the next `counts[g]` elements, in rank order.
+    /// Groups are filled right to left, each with one `move_run` from the
+    /// front, whose elements never lie past their targets.
+    pub fn spread(&mut self, counts: &[usize]) {
+        let (cap, mut end) = (self.group_cap, take(&mut self.front));
+        // Hard assert: else elements would be left out, or defaults dealt in.
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            end,
+            "the counts miss the front"
         );
-        debug_assert_eq!(self.counts[g], 0, "group must be drained first");
-        let tail = buf.len() - count;
-        self.slots[g * self.group_cap..][..count].swap_with_slice(&mut buf[tail..]);
-        buf.truncate(tail);
-        self.counts[g] = count;
+        for (g, &n) in counts.iter().enumerate().rev() {
+            // Hard assert: past it, release would spill into the next group.
+            assert!(n <= cap, "cannot pack {n} elements into {cap} slots");
+            end -= n;
+            if end != g * cap {
+                move_run(&mut self.slots, end, g * cap, n);
+            }
+        }
+        self.counts.copy_from_slice(counts);
     }
 
     /// Lazily yields the groups from `g` onward as dense slices, in rank
@@ -538,7 +567,8 @@ mod tests {
         assert_eq!(s.group(1), [200, 201, 202, 999]);
         assert_eq!(s.group(2), [203, 204, 205, 206]);
         assert!(s.vacant_slots_hold_defaults());
-        s.reshape(2, 70, 30);
+        s.clear();
+        s.regroup(2, 70, 30, |front| assert!(front.is_empty()));
         assert_eq!(
             (s.total_slots(), s.arena_slots(), s.element_count()),
             (140, 60, 0)
@@ -600,44 +630,84 @@ mod tests {
         s.fill_window(0, 2, &mut (0..9u64).collect());
     }
 
+    /// `regroup` then `spread` against a flat model, growing and shrinking:
+    /// old and new counts are dealt independently (empty groups, groups at
+    /// capacity), the front is edited by one insert or delete, and the new
+    /// groups must hold the edited elements in rank order, each its count,
+    /// with the default in every other slot and no clone made.
     #[test]
-    fn tail_fill_is_bit_identical_to_a_single_group_window_fill() {
-        // 70 slots: a group that straddles words, sitting between two
-        // neighbours whose bits must not move.
-        const L: usize = 70;
-        for count in 0..=L {
-            let mut by_window: SlotStore<u64> = SlotStore::new(3, L, L);
-            let mut by_tail: SlotStore<u64> = SlotStore::new(3, L, L);
-            for s in [&mut by_window, &mut by_tail] {
-                s.fill_window(0, 1, &mut (500..503u64).collect());
-                s.fill_window(2, 1, &mut (900..905u64).collect());
-            }
-            by_window.fill_window(1, 1, &mut (0..count as u64).collect());
-            // The buffer holds a longer gather; the group takes its tail.
-            let mut buf: Vec<u64> = (700..707).chain(0..count as u64).collect();
-            by_tail.fill_group_from_tail(1, &mut buf, count);
-            assert_eq!(buf, (700..707).collect::<Vec<u64>>(), "count {count}");
-            assert_eq!(occupied(&by_tail), occupied(&by_window), "count {count}");
-            for g in 0..3 {
-                assert_eq!(by_tail.group(g), by_window.group(g), "count {count}");
+    fn regroup_then_spread_keeps_rank_order_while_growing_and_shrinking() {
+        let mut rng = StdRng::seed_from_u64(0x2E6);
+        for (old_groups, new_groups) in [(3usize, 8usize), (8, 3), (1, 5), (5, 1), (6, 6)] {
+            for trial in 0..64 {
+                let (old_cap, new_cap) = (rng.gen_range(1..=6), rng.gen_range(2..=6));
+                let total = rng
+                    .gen_range(1..=old_groups * old_cap)
+                    .min(new_groups * new_cap);
+                let old = dealt(&mut rng, trial % 4, old_groups, old_cap, total);
+                let mut s: SlotStore<Counted> = SlotStore::new(old_groups, 8, old_cap);
+                // Elements count from 1: `Counted(0)` is the default.
+                let mut model: Vec<u64> = (1..=total as u64).collect();
+                for (g, &n) in old.iter().enumerate() {
+                    let first = old[..g].iter().sum::<usize>() as u64 + 1;
+                    s.fill_window(g, 1, &mut (first..).map(Counted).take(n).collect());
+                }
+                let insert = trial % 2 == 0 && total < new_groups * new_cap;
+                let rank = rng.gen_range(0..=total - usize::from(!insert));
+                let clones = CLONES.with(|c| c.get());
+                let edited = s.regroup(new_groups, 8, new_cap, |front| {
+                    if insert {
+                        front.insert(rank, Counted(999));
+                        None
+                    } else {
+                        Some(hi_common::scratch::take_out(front, rank))
+                    }
+                });
+                match edited {
+                    None => model.insert(rank, 999),
+                    Some(e) => assert_eq!(e.0, model.remove(rank)),
+                }
+                let new = dealt(&mut rng, trial / 4 % 4, new_groups, new_cap, model.len());
+                s.spread(&new);
+                let case = format!("{old:?} -> {new:?}, insert {insert} at {rank}");
+                assert_eq!(CLONES.with(|c| c.get()), clones, "{case}: cloned");
+                let mut cut = &model[..];
+                for (g, &n) in new.iter().enumerate() {
+                    let (want, rest) = cut.split_at(n);
+                    let got: Vec<u64> = s.group(g).iter().map(|e| e.0).collect();
+                    assert_eq!(got, want, "{case}: group {g}");
+                    cut = rest;
+                }
+                assert_eq!(s.arena_slots(), new_groups * new_cap, "{case}");
+                assert!(s.vacant_slots_hold_defaults(), "{case}: a vacated slot");
             }
         }
     }
 
-    // Hard asserts: `cargo test --release -p pma` (ci.sh) runs these two
-    // with debug assertions compiled out.
+    // Hard asserts: `cargo test --release -p pma` (ci.sh) runs these with
+    // debug assertions compiled out.
     #[test]
     #[should_panic(expected = "cannot pack 5 elements into 4 slots")]
-    fn overfull_tail_fill_panics() {
+    fn overfull_spread_panics() {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
-        s.fill_group_from_tail(0, &mut (0..9).collect(), 5);
+        s.regroup(2, 4, 4, |front| front.extend(1..=5));
+        s.spread(&[0, 5]);
     }
 
     #[test]
-    #[should_panic(expected = "fewer than the promised 3")]
-    fn tail_fill_from_a_short_buffer_panics() {
+    #[should_panic(expected = "the counts miss the front")]
+    fn spreading_counts_that_miss_the_front_panics() {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
-        s.fill_group_from_tail(0, &mut vec![1, 2], 3);
+        s.regroup(2, 4, 4, |front| front.extend(1..=3));
+        s.spread(&[2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the elements outnumber the next arena")]
+    fn regrouping_more_elements_than_the_next_arena_holds_panics() {
+        let mut s: SlotStore<u64> = SlotStore::new(1, 8, 8);
+        s.fill_window(0, 1, &mut (1..=5).collect());
+        s.regroup(1, 4, 4, |_| ());
     }
 
     thread_local! {

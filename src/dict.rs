@@ -829,8 +829,14 @@ impl<K: Ord + Clone + Default, V: Clone + Default> DynDict<K, V> {
         match &self.inner {
             Inner::BTree(d) => d.check_invariants(),
             Inner::SkipList(d) => d.check_invariants(),
-            Inner::HiPma(d) => d.seq().check_invariants(),
-            Inner::ClassicPma(d) => d.seq().check_invariants(),
+            Inner::HiPma(d) => {
+                d.seq().check_invariants();
+                d.check_key_order();
+            }
+            Inner::ClassicPma(d) => {
+                d.seq().check_invariants();
+                d.check_key_order();
+            }
         }
     }
 

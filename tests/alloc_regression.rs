@@ -19,7 +19,9 @@
 //! * a served request costs the server a bounded number of allocations, and
 //!   its response path (ring cell, fill, pop, encode) none at all;
 //! * a steady-state served FLUSH allocates a number of times that grows with
-//!   the shard count and not with the records it writes.
+//!   the shard count and not with the records it writes;
+//! * the heap a HI-PMA holds follows its geometry, not its history: no
+//!   buffer keeps the capacity of a size it once had.
 //!
 //! The tests share one global allocation counter, so they serialize on a
 //! mutex instead of running concurrently.
@@ -31,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use anti_persistence::dict::{Backend, Dict, DictConfig, DynDict, HiDict};
-use anti_persistence::prelude::{Dictionary, Occupancy, RankedDict, ShardedDict};
+use anti_persistence::prelude::{Dictionary, Occupancy, RankedDict, RankedSequence, ShardedDict};
 use block_store::{temp_path, BlockStore, StoreOptions};
 use dict_server::{Client, Request, Response, Server, ServerOptions};
 use pma::HiPma;
@@ -47,6 +49,9 @@ thread_local! {
     /// measures. Const-initialised and without a destructor, so reading it
     /// from inside the allocator neither allocates nor outlives the thread.
     static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Heap bytes this thread allocated less those it freed: the test
+    /// harness's own threads allocate while a test measures.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -55,21 +60,29 @@ fn count_one() {
     }
 }
 
+/// Books a block growing from `from` to `to` bytes.
+fn book_bytes(from: usize, to: usize) {
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + to as i64 - from as i64));
+}
+
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// relaxed atomic and the thread-local a plain flag, with no other side
+// relaxed atomic and the thread-locals plain cells, with no other side
 // effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        book_bytes(0, layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book_bytes(layout.size(), 0);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        book_bytes(layout.size(), new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -81,6 +94,10 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// An element whose clones are counted, so "zero `Clone` calls" is asserted
@@ -201,6 +218,52 @@ fn steady_state_hi_pma_deletes_are_allocation_free() {
         clean += 1;
     }
     assert!(clean > 1_500, "only {clean} steady-state deletes measured");
+}
+
+/// Grown to 50 000 pairs and deleted back to 100, a `HiPma` holds exactly
+/// the heap bytes of the same 100 pairs bulk-loaded under a seed that draws
+/// the same `N̂`, and so does one bulk-loaded with 50 000 pairs and then
+/// with the 100: every buffer is sized by the geometry, and none keeps the
+/// capacity of a size the structure once had.
+#[test]
+fn a_shrunk_hi_pma_holds_the_heap_of_a_fresh_one_of_its_geometry() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let before = live_bytes();
+    let mut grown: HiPma<(u64, u64)> = HiPma::new(0xF007);
+    let mut state = 3u64;
+    for i in 0..50_000u64 {
+        let rank = next_rank(&mut state, grown.len() as u64 + 1);
+        grown.insert(rank, (i, i)).unwrap();
+    }
+    while grown.len() > 100 {
+        grown
+            .delete(next_rank(&mut state, grown.len() as u64))
+            .unwrap();
+    }
+    let grown_bytes = live_bytes() - before;
+    let contents = grown.to_vec();
+    let fresh = |seed| {
+        let mut pma: HiPma<(u64, u64)> = HiPma::new(0);
+        pma.bulk_load(contents.iter().copied(), seed);
+        pma
+    };
+    let seed = (0..).find(|&s| fresh(s).n_hat() == grown.n_hat()).unwrap();
+    let before = live_bytes();
+    let loaded = fresh(seed);
+    let loaded_bytes = live_bytes() - before;
+    assert_eq!(loaded.to_vec(), contents);
+    assert_eq!(
+        grown_bytes,
+        loaded_bytes,
+        "N̂ = {}: the grown and shrunk PMA holds {grown_bytes} heap bytes, a fresh one {loaded_bytes}",
+        grown.n_hat()
+    );
+    let before = live_bytes();
+    let mut reloaded: HiPma<(u64, u64)> = HiPma::new(0);
+    reloaded.bulk_load((0..50_000).map(|i| (i, i)), seed);
+    reloaded.bulk_load(contents.iter().copied(), seed);
+    let reloaded_bytes = live_bytes() - before;
+    assert_eq!(reloaded_bytes, loaded_bytes, "a load over 50 000 pairs");
 }
 
 #[test]

@@ -28,11 +28,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::Mutex;
 
-use anti_persistence::dict::{Backend, Dict, HiDict};
+use anti_persistence::dict::{Backend, Dict, HiDict, PersistentDict};
 use anti_persistence::prelude::{Dictionary, RankedDict};
 use block_store::{temp_path, StoreOptions};
 use dict_server::{Client, Server, ServerOptions};
@@ -89,13 +90,14 @@ static LOCKED: AtomicBool = AtomicBool::new(false);
 
 /// The script phase new blocks are charged to (an index into [`PHASES`]).
 static PHASE: AtomicUsize = AtomicUsize::new(0);
-const PHASES: [&str; 6] = [
+const PHASES: [&str; 7] = [
     "other",
     "HiPma",
     "HiDict",
     "ShardedDict per-op",
     "ShardedDict multi_apply",
     "server round trip",
+    "served boot",
 ];
 
 thread_local! {
@@ -477,6 +479,22 @@ fn no_deleted_record_survives_in_a_sharded_dict_through_multi_apply() {
     assert!(found.is_empty(), "deleted records in RAM: {found:?}");
 }
 
+/// A persistent HI dictionary at `path` under `seed`, committing unsynced.
+fn open_store(path: &Path, seed: u64) -> PersistentDict {
+    Dict::builder()
+        .backend(Backend::HiPma)
+        .seed(seed)
+        .build_persistent_with(path, StoreOptions::new(512).no_sync())
+        .unwrap()
+}
+
+/// A four-shard server under `seed`, booted from the store at `path`.
+fn serve(path: &Path, seed: u64) -> Server {
+    let config = Dict::builder().seed(seed).shards(4).config().clone();
+    let persist = Some(open_store(path, seed));
+    Server::spawn("127.0.0.1:0", ServerOptions { config, persist }).unwrap()
+}
+
 /// The same grow-and-shrink script over the wire: PUT and DEL through a
 /// [`Client`], a FLUSH to a persisted store every 1 000 steps, then a
 /// restart on that store and a second shrink. A DEL is marked once it is
@@ -491,23 +509,6 @@ fn no_deleted_record_survives_in_a_sharded_dict_through_multi_apply() {
 fn a_server_round_trip_keeps_deleted_keys_only_in_request_buffers() {
     const SEED: u64 = 0x0EAC_1E05;
     let path = temp_path("deleted-residue");
-    let open = || {
-        Dict::builder()
-            .backend(Backend::HiPma)
-            .seed(SEED)
-            .build_persistent_with(&path, StoreOptions::new(512).no_sync())
-            .unwrap()
-    };
-    let serve = || {
-        let config = Dict::builder()
-            .backend(Backend::HiPma)
-            .seed(SEED)
-            .shards(4)
-            .config()
-            .clone();
-        let persist = Some(open());
-        Server::spawn("127.0.0.1:0", ServerOptions { config, persist }).unwrap()
-    };
     let found = run(5, || {
         let mut live: Vec<u32> = Vec::new();
         let round = |server: Server, live: &mut Vec<u32>, grow: bool, seed: u64| {
@@ -546,8 +547,8 @@ fn a_server_round_trip_keeps_deleted_keys_only_in_request_buffers() {
             drop(store);
             journal
         };
-        round(serve(), &mut live, true, 5);
-        let journal = round(serve(), &mut live, false, 6);
+        round(serve(&path, SEED), &mut live, true, 5);
+        let journal = round(serve(&path, SEED), &mut live, false, 6);
         let _ = std::fs::remove_file(journal);
     });
     let _ = std::fs::remove_file(&path);
@@ -559,5 +560,43 @@ fn a_server_round_trip_keeps_deleted_keys_only_in_request_buffers() {
     assert!(
         held <= 64,
         "deleted keys in the server's RAM: {in_server:?}"
+    );
+}
+
+/// The served boot: a server on a store of 3 000 records bulk-loads its
+/// shards from it and empties the store's own dictionary. Once a client on
+/// another thread has deleted every key, no block this thread allocated —
+/// the shards', the emptied dictionary's — holds one: the emptied
+/// dictionary keeps an arena of its new geometry, not of the records it
+/// handed on.
+#[test]
+fn a_served_boot_leaves_no_record_in_the_dictionary_it_empties() {
+    const SEED: u64 = 0x0EAC_1E06;
+    let path = temp_path("boot-residue");
+    let keys: Vec<u32> = (0..3_000).map(|_| fresh()).collect();
+    let mut store = open_store(&path, SEED);
+    store.bulk_load(keys.iter().map(|&k| (key(k), val(k))), SEED);
+    store.flush().unwrap();
+    let journal = store.store().journal_path().to_path_buf();
+    drop(store);
+    let found = run(6, || {
+        let server = serve(&path, SEED);
+        let addr = server.addr();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            for k in keys {
+                c.del(key(k)).unwrap();
+                mark_deleted(k);
+            }
+        })
+        .join()
+        .unwrap();
+        server.into_persist().unwrap()
+    });
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(journal));
+    let on_this_thread: Vec<_> = found.iter().filter(|(l, _)| l.contains("script")).collect();
+    assert!(
+        on_this_thread.is_empty(),
+        "deleted records in RAM: {on_this_thread:?}"
     );
 }
