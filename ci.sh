@@ -13,7 +13,7 @@ cargo test -q
 echo "==> cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench (the block-hash kernel, the crash-state enumeration of every barrier of a commit run, the remnant scan of the strict device for deleted records' tags (no_deleted_record_survives_on_the_strict_device), the in-place rebuild and its hard asserts, the racing-leaders and panic-containment tests as the benchmark runs them: optimised, debug assertions out; the dict-server binary booted, served, killed and rebooted on its file; and every paper anchor's verdict at smoke size: fig2, space, overhead, chi2, thm1, thm2, thm3, obs1, lemma15)"
 cargo test --release -q -p block-store -p pma -p dict-server -p ap-bench
 
-echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence --test deleted_residue --test alloc_regression (every fingerprint, the golden image, the restart round trips, Lemma 9's oracle, the deleted-record tag oracle (a served boot from a stored image included), the allocation-free update pins and the heap-footprint pin (a shrunk or reloaded HI-PMA holds the live bytes of a fresh one of its geometry) as the benchmark builds them: optimised, debug assertions out)"
+echo "==> cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence --test deleted_residue --test alloc_regression (every fingerprint, the golden image, the restart round trips, Lemma 9's oracle, the deleted-record tag oracle (a served boot from a stored image included), the allocation-free update pins and the heap-footprint pins (a shrunk or reloaded HI-PMA holds the live bytes of a fresh one of its geometry, and a shrunk classic PMA those of a fresh one given only its contents) as the benchmark builds them: optimised, debug assertions out)"
 cargo test --release -q --test determinism --test server_determinism --test history_independence --test shard_history_independence --test deleted_residue --test alloc_regression
 
 echo "==> cargo clippy -- -D warnings (the determinism gate: clippy.toml's disallowed types and methods, the panic lints, forbidden unsafe, and no stale #[expect])"

@@ -230,14 +230,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         self.range_iter(..)
     }
 
-    /// Returns every pair with `low ≤ key ≤ high` in ascending order. Thin
-    /// wrapper over [`BTree::range_iter`].
-    pub fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        self.range_iter((Bound::Included(low), Bound::Included(high)))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// Replaces the entire contents with `pairs` via a bottom-up build:
     /// sorted pairs are packed into leaves as evenly as possible, then each
     /// internal level is built over the one below — `O(n log n)` for the
@@ -513,131 +505,6 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
             children: right_children,
         });
         (sep, right)
-    }
-
-    // ------------------------------------------------------------------
-    // Batched insert (shared-prefix finger)
-    // ------------------------------------------------------------------
-
-    /// Inserts one pair of a batch, reusing `finger` — the last descent's
-    /// leaf together with its separator bounds — when the key still falls
-    /// inside that leaf and the leaf has room. A finger hit costs one leaf
-    /// read + write; a miss pays a full descent (recording the path in the
-    /// reusable `path` buffer so splits can propagate iteratively) and
-    /// re-seats the finger. Structurally identical to [`BTree::insert`]:
-    /// the same leaves are chosen and the same splits fire, in the same
-    /// order.
-    fn insert_with_finger(
-        &mut self,
-        finger: &mut Option<(NodeId, Option<K>, Option<K>)>,
-        path: &mut Vec<(NodeId, usize)>,
-        key: K,
-        value: V,
-    ) -> Option<V> {
-        self.counters.add_insert();
-        if let Some((leaf, low, high)) = finger.as_ref() {
-            let in_bounds =
-                low.as_ref().is_none_or(|l| *l <= key) && high.as_ref().is_none_or(|h| key < *h);
-            if in_bounds {
-                if let Node::Leaf { keys, values } = &mut self.nodes[*leaf] {
-                    match keys.binary_search(&key) {
-                        Ok(idx) => {
-                            let old = std::mem::replace(&mut values[idx], value);
-                            self.finish_op(2);
-                            return Some(old);
-                        }
-                        Err(idx) if keys.len() < self.fanout => {
-                            keys.insert(idx, key);
-                            values.insert(idx, value);
-                            self.len += 1;
-                            self.finish_op(2);
-                            return None;
-                        }
-                        Err(_) => {} // full leaf: fall through to the descent
-                    }
-                }
-            }
-        }
-        *finger = None;
-        // Full descent, recording the root-to-leaf path and the leaf's
-        // separator bounds.
-        path.clear();
-        let mut low: Option<K> = None;
-        let mut high: Option<K> = None;
-        let mut node = self.root;
-        let mut ios = 0u64;
-        loop {
-            ios += 2;
-            match &self.nodes[node] {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| *k <= key);
-                    if idx > 0 {
-                        low = Some(keys[idx - 1].clone());
-                    }
-                    if idx < keys.len() {
-                        high = Some(keys[idx].clone());
-                    }
-                    path.push((node, idx));
-                    node = children[idx];
-                }
-                Node::Leaf { .. } => break,
-            }
-        }
-        let leaf = node;
-        let mut old = None;
-        let mut need_split = false;
-        if let Node::Leaf { keys, values } = &mut self.nodes[leaf] {
-            match keys.binary_search(&key) {
-                Ok(idx) => {
-                    old = Some(std::mem::replace(&mut values[idx], value));
-                }
-                Err(idx) => {
-                    keys.insert(idx, key);
-                    values.insert(idx, value);
-                    self.len += 1;
-                    need_split = keys.len() > self.fanout;
-                }
-            }
-        }
-        let mut split = if need_split {
-            Some(self.split_leaf(leaf))
-        } else {
-            None
-        };
-        let clean = split.is_none();
-        // Propagate splits up the recorded path, exactly as the recursive
-        // per-op unwinding would.
-        while let Some((sep, right)) = split.take() {
-            match path.pop() {
-                Some((parent, idx)) => {
-                    let mut parent_split = false;
-                    if let Node::Internal { keys, children } = &mut self.nodes[parent] {
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        parent_split = children.len() > self.fanout;
-                    }
-                    if parent_split {
-                        split = Some(self.split_internal(parent));
-                    }
-                }
-                None => {
-                    let new_root = self.nodes.len();
-                    let old_root = self.root;
-                    self.nodes.push(Node::Internal {
-                        keys: vec![sep],
-                        children: vec![old_root, right],
-                    });
-                    self.root = new_root;
-                    ios += 1;
-                }
-            }
-        }
-        if clean {
-            // Bounds (and the leaf itself) survive only a split-free insert.
-            *finger = Some((leaf, low, high));
-        }
-        self.finish_op(ios);
-        old
     }
 
     // ------------------------------------------------------------------
@@ -1064,10 +931,6 @@ impl<K: Ord + Clone, V: Clone> Dictionary for BTree<K, V> {
         BTree::range_iter(self, range)
     }
 
-    fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        BTree::range(self, low, high)
-    }
-
     fn successor(&self, key: &K) -> Option<(K, V)> {
         BTree::successor(self, key)
     }
@@ -1082,79 +945,6 @@ impl<K: Ord + Clone, V: Clone> Dictionary for BTree<K, V> {
 
     fn bulk_load(&mut self, pairs: impl IntoIterator<Item = (K, V)>, seed: u64) {
         BTree::bulk_load(self, pairs, seed)
-    }
-
-    /// Batched updates with shared-prefix finger insertion: runs of keys
-    /// that land in the same leaf skip the root descent entirely. Produces
-    /// exactly the tree the per-op loop would (same leaves, same splits,
-    /// same arena order); only the I/O accounting shrinks.
-    fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
-        let mut removed = 0usize;
-        let mut finger: Option<(NodeId, Option<K>, Option<K>)> = None;
-        let mut path: Vec<(NodeId, usize)> = Vec::new();
-        for op in ops {
-            match op {
-                hi_common::batch::BatchOp::Put(k, v) => {
-                    self.insert_with_finger(&mut finger, &mut path, k, v);
-                }
-                hi_common::batch::BatchOp::Remove(k) => {
-                    // Removals rebalance (borrow/merge), which can reshape
-                    // any node on the path: drop the finger.
-                    finger = None;
-                    if self.remove(&k).is_some() {
-                        removed += 1;
-                    }
-                }
-            }
-        }
-        removed
-    }
-
-    /// Sorted-probe lookups with a leaf finger: consecutive keys that fall
-    /// in the same leaf cost one node touch instead of a descent. Results
-    /// are returned in input order via an index permutation.
-    fn get_many(&self, keys_in: &[K]) -> Vec<Option<V>> {
-        let mut order: Vec<u32> = (0..keys_in.len() as u32).collect();
-        order.sort_by(|&a, &b| keys_in[a as usize].cmp(&keys_in[b as usize]));
-        let mut out: Vec<Option<V>> = (0..keys_in.len()).map(|_| None).collect();
-        // `(leaf, upper separator)`: probes ascend, so only the upper bound
-        // can invalidate the finger.
-        let mut finger: Option<(NodeId, Option<K>)> = None;
-        for &i in &order {
-            let key = &keys_in[i as usize];
-            self.counters.add_query();
-            let leaf = match &finger {
-                Some((leaf, high)) if high.as_ref().is_none_or(|h| key < h) => {
-                    self.charge_node();
-                    *leaf
-                }
-                _ => {
-                    let mut node = self.root;
-                    let mut high: Option<K> = None;
-                    let mut ios = 0u64;
-                    loop {
-                        ios += 1;
-                        match &self.nodes[node] {
-                            Node::Internal { keys, children } => {
-                                let idx = keys.partition_point(|k| k <= key);
-                                if idx < keys.len() {
-                                    high = Some(keys[idx].clone());
-                                }
-                                node = children[idx];
-                            }
-                            Node::Leaf { .. } => break,
-                        }
-                    }
-                    self.finish_op(ios);
-                    finger = Some((node, high));
-                    node
-                }
-            };
-            if let Node::Leaf { keys, values } = &self.nodes[leaf] {
-                out[i as usize] = keys.binary_search(key).ok().map(|idx| values[idx].clone());
-            }
-        }
-        out
     }
 }
 
@@ -1321,9 +1111,9 @@ mod tests {
     #[test]
     fn apply_batch_matches_per_op_structure() {
         use hi_common::batch::BatchOp;
-        // Finger insertion must produce exactly the per-op tree: same arena
-        // (node ids, split order), same contents — across sequential,
-        // random and duplicate-heavy batches, interleaved with removals.
+        // A batch must leave exactly the per-op tree and count its removes
+        // the same — across sequential, random and duplicate-heavy
+        // batches, interleaved with removals.
         for fanout in [4usize, 16, 64] {
             let mut rng = StdRng::seed_from_u64(fanout as u64 ^ 0xBA7C4);
             let mut per_op: BTree<u64, u64> = BTree::new(fanout);

@@ -409,7 +409,7 @@ struct Unreleased<'a, W: Write> {
     /// A write failed or timed out: the peer is gone, or will not read.
     /// Answers are dropped from here on and the connection winds up.
     severed: bool,
-    /// Scratch, reused by every release.
+    /// Buffers reused by every release.
     ready: Vec<(u64, Response)>,
     frames: Vec<u8>,
 }

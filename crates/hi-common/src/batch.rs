@@ -10,9 +10,11 @@
 //! "Group commit"), so nothing is deferred.
 //!
 //! Reads have no coins to respect: [`get_many_keyed`] sorts the probe keys
-//! and serves them with one shared left-to-right descent — a [`SeekFinger`]
-//! resumes from the previous key's leaf instead of restarting at the root
-//! ([`RankedSequence::lower_bound_seek_by`]).
+//! and serves them with one shared left-to-right descent — on the HI PMA, the
+//! one [`RankedSequence::lower_bound_seek_by`] override, a [`SeekFinger`]
+//! resumes from the previous key's leaf instead of restarting at the root.
+//! On any other sequence each probe is a plain lower-bound search, and the
+//! B-tree and skip lists take the trait's `get_many`, one lookup per key.
 
 use crate::traits::RankedSequence;
 
@@ -46,12 +48,12 @@ impl<K, V> BatchOp<K, V> {
 
 /// A resumable position for ascending ordered probes.
 ///
-/// Engines interpret the fields themselves (`group` is a leaf/segment index,
-/// `base_rank` the rank of its first element). A finger is only meaningful
-/// between mutations: create a fresh one per read-only probe run.
+/// The engine interprets the fields itself (on the HI PMA `group` is a
+/// leaf index, `base_rank` the rank of its first element). A finger is only
+/// meaningful between mutations: create a fresh one per read-only probe run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeekFinger {
-    /// Engine-defined group (leaf / segment) the previous probe landed in.
+    /// Engine-defined group (a leaf) the previous probe landed in.
     pub group: usize,
     /// Rank of the first element of that group at probe time.
     pub base_rank: usize,

@@ -28,7 +28,6 @@ pub mod bitmap;
 pub mod capacity;
 pub mod counters;
 pub mod rng;
-pub mod scratch;
 pub mod stats;
 pub mod sync;
 pub mod traits;
@@ -38,5 +37,4 @@ pub use bitmap::Bitmap;
 pub use capacity::HiCapacity;
 pub use counters::{OpCounters, SharedCounters};
 pub use rng::{DetRng, RngSource};
-pub use scratch::Scratch;
 pub use traits::{Dictionary, KeyValue, Occupancy, RankError, RankedDict, RankedSequence};

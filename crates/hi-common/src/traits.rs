@@ -181,9 +181,9 @@ pub trait RankedSequence {
     /// resume from the previous probe's leaf instead of restarting at the
     /// root. The finger is only meaningful between mutations.
     ///
-    /// The provided default ignores the finger; positional engines (the
-    /// PMAs) override it with a left-to-right leaf walk. Its one caller is
-    /// the sorted read path, [`get_many_keyed`](crate::batch::get_many_keyed).
+    /// The provided default ignores the finger; the HI PMA overrides it with
+    /// a left-to-right leaf walk. Its one caller is the sorted read path,
+    /// [`get_many_keyed`](crate::batch::get_many_keyed).
     fn lower_bound_seek_by<F>(
         &self,
         finger: &mut crate::batch::SeekFinger,
@@ -437,37 +437,21 @@ pub trait Dictionary {
     }
 
     /// Inserts every pair of `pairs`, in order (later duplicates overwrite
-    /// earlier ones): the same state as one [`Self::insert`] call per pair.
-    /// The provided default feeds [`Self::apply_batch`] bounded chunks, for
-    /// the engines whose `apply_batch` shares work across a run (the
-    /// baseline B-tree and skip list), so a lazy input of any length keeps
-    /// constant peak memory; since any partition of a stream composes to
-    /// the same state, the chunk boundaries are invisible. Engines whose
-    /// `apply_batch` is the per-op loop override this with that loop.
+    /// earlier ones): one [`Self::insert`] call per pair, streaming, so a
+    /// lazy input of any length keeps constant peak memory.
     fn extend(&mut self, pairs: impl IntoIterator<Item = KeyValue<Self::Key, Self::Value>>) {
-        const EXTEND_CHUNK: usize = 1 << 16;
-        let mut iter = pairs.into_iter();
-        loop {
-            let chunk: Vec<crate::batch::BatchOp<Self::Key, Self::Value>> = iter
-                .by_ref()
-                .take(EXTEND_CHUNK)
-                .map(|(k, v)| crate::batch::BatchOp::Put(k, v))
-                .collect();
-            if chunk.is_empty() {
-                return;
-            }
-            self.apply_batch(chunk);
+        for (key, value) in pairs {
+            self.insert(key, value);
         }
     }
 
     /// Applies a batch of keyed operations in arrival order, returning the
-    /// number of removes that found their key. The promise is the state —
-    /// for the history-independent engines the layout, bit for bit — that
-    /// the per-op loop below leaves: later duplicates win, a remove-miss is
-    /// a no-op, and any partition of one arrival stream into batches
-    /// composes to the same state. An override may get there faster (the
-    /// baseline B-tree and skip list reuse a descent finger across sorted
-    /// runs) but may not change it.
+    /// number of removes that found their key: the per-op loop below, so
+    /// later duplicates win, a remove-miss is a no-op, and any partition of
+    /// one arrival stream into batches composes to the same state — for the
+    /// history-independent engines the same layout, bit for bit. An
+    /// override may change where the work runs (the sharded service
+    /// contains a shard's panic) but not the state it leaves.
     fn apply_batch(&mut self, ops: Vec<crate::batch::BatchOp<Self::Key, Self::Value>>) -> usize {
         let mut removed = 0;
         for op in ops {
@@ -486,9 +470,9 @@ pub trait Dictionary {
     }
 
     /// Looks up every key of `keys`, returning the values in input order.
-    /// Implementations sort the probes internally and reuse a descent finger
-    /// across consecutive keys, restoring the original order through an
-    /// index permutation; the provided default is a plain per-key loop.
+    /// The provided default is a plain per-key loop; the keyed adapter over
+    /// a ranked sequence sorts the probes and serves them with one
+    /// resumable [`RankedSequence::lower_bound_seek_by`] finger instead.
     fn get_many(&self, keys: &[Self::Key]) -> Vec<Option<Self::Value>> {
         keys.iter().map(|k| self.get(k)).collect()
     }
@@ -748,12 +732,6 @@ where
     fn bulk_load(&mut self, pairs: impl IntoIterator<Item = (K, V)>, seed: u64) {
         let pairs = normalize_pairs(pairs.into_iter().collect());
         self.seq.bulk_load(pairs, seed);
-    }
-
-    fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
-        for (key, value) in pairs {
-            self.insert(key, value);
-        }
     }
 
     fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {

@@ -16,25 +16,24 @@
 //!
 //! Storage uses the same allocation-free engine as the HI PMA
 //! ([`SlotStore`]): one slot arena with each segment's values dense at its
-//! front and the default in every other slot, window rebalances taking
-//! elements out into a reusable [`Scratch`] arena and moving (never cloning)
-//! them back, resizes regrouping them through the next arena
-//! ([`SlotStore::regroup`]), so no deleted record stays in an arena or the
-//! buffer. The slot layout is a packed bitmap of its own: a window
+//! front and the default in every other slot. A window rebalance moves
+//! (never clones) elements across segment boundaries in place
+//! ([`SlotStore::redistribute`]) until each segment holds the elements
+//! whose spread positions fall in it, and a resize regroups them through
+//! the next arena ([`SlotStore::regroup`]), so no deleted record stays in
+//! an arena. The slot layout is a packed bitmap of its own: a window
 //! rebalance spreads its elements evenly over the *window*, not segment by
 //! segment, so unlike the HI PMA's leaves the layout is not a function of
 //! the segment counts.
 
-use hi_common::batch::SeekFinger;
 use hi_common::bitmap::Bitmap;
 use hi_common::counters::SharedCounters;
-use hi_common::scratch::{take_out, Scratch};
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 
 use crate::fenwick::Fenwick;
 use crate::spread::for_each_spread_position;
-use crate::store::{ScanIter, SlotStore};
+use crate::store::{take_out, ScanIter, SlotStore};
 
 /// Density thresholds for the classic PMA, linearly interpolated by depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,8 +95,9 @@ pub struct ClassicPma<T: Clone + Default> {
     tracer: Tracer,
     region: Region,
     elem_size: u64,
-    /// Reusable gather buffer for window rebalances.
-    scratch: Scratch<T>,
+    /// One count per segment: a rebalance's new per-segment counts, written
+    /// over its window's entries. Sized by the geometry in `resize`.
+    spread_counts: Vec<usize>,
 }
 
 impl<T: Clone + Default> ClassicPma<T> {
@@ -132,7 +132,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             tracer,
             region: Region::new(0, elem_size, 1),
             elem_size,
-            scratch: Scratch::default(),
+            spread_counts: Vec::new(),
         };
         pma.resize(0, false, |_| ());
         pma
@@ -226,8 +226,9 @@ impl<T: Clone + Default> ClassicPma<T> {
         self.counters.add_moves(len as u64);
         self.counters.add_resize();
         self.tracer.write(self.region.base, self.region.byte_len());
-        let counts: Vec<u64> = counts.into_iter().map(|n| n as u64).collect();
-        self.seg_counts = Fenwick::from_counts(&counts);
+        let wide: Vec<u64> = counts.iter().map(|&n| n as u64).collect();
+        self.seg_counts = Fenwick::from_counts(&wide);
+        self.spread_counts = counts;
         edited
     }
 
@@ -265,18 +266,33 @@ impl<T: Clone + Default> ClassicPma<T> {
         (seg, within as usize)
     }
 
-    /// Refills the window of `1 << level` segments containing `seg` with the
-    /// elements of `buf`, evenly spread, updating the segment counts and
-    /// returning the buffer to the scratch arena. Every element is moved.
-    fn rebalance_window(&mut self, seg: usize, level: u32, mut buf: Vec<T>) {
+    /// Rebalances the window of `1 << level` segments containing `seg`
+    /// around one update, which leaves `count` elements in it: each segment
+    /// of the window ends holding the elements whose spread positions over
+    /// the window's slots fall in it. `edit` gets the store, the window's
+    /// first segment and those per-segment counts, and makes the update
+    /// while moving the elements in place ([`SlotStore::redistribute`]).
+    /// Every element of the window is charged as moved.
+    fn rebalance_window<R>(
+        &mut self,
+        seg: usize,
+        level: u32,
+        count: usize,
+        edit: impl FnOnce(&mut SlotStore<T>, usize, &mut [usize]) -> R,
+    ) -> R {
         let window_segs = 1usize << level;
         let first_seg = (seg / window_segs) * window_segs;
         let start = first_seg * self.seg_size;
         let slot_count = window_segs * self.seg_size;
-        let count = buf.len();
-        self.store.fill_window(first_seg, window_segs, &mut buf);
+        self.tracer.read(
+            self.region.addr(start as u64),
+            self.region.span(slot_count as u64),
+        );
+        let (new, seg_size) = (&mut self.spread_counts[..window_segs], self.seg_size);
+        new.fill(0);
+        for_each_spread_position(count, slot_count, |p| new[p / seg_size] += 1);
+        let edited = edit(&mut self.store, first_seg, new);
         self.spread_bits(start, slot_count, count);
-        self.scratch.restore(buf);
         self.counters.add_moves(count as u64);
         self.counters.add_rebuild(slot_count as u64);
         self.tracer.write(
@@ -288,31 +304,15 @@ impl<T: Clone + Default> ClassicPma<T> {
             let old = self.seg_counts.get(s) as i64;
             self.seg_counts.add(s, occ as i64 - old);
         }
+        edited
     }
 
     /// Rewrites the bits of the `slot_count` slots from `start` to the
-    /// positions `fill_window` spread `count` elements to.
+    /// positions a rebalance spread `count` elements to.
     fn spread_bits(&mut self, start: usize, slot_count: usize, count: usize) {
         let bitmap = &mut self.bitmap;
         bitmap.clear_range(start, start + slot_count);
         for_each_spread_position(count, slot_count, |p| bitmap.set(start + p));
-    }
-
-    /// Moves the elements of the window of `1 << level` segments containing
-    /// `seg` into the scratch buffer (clearing the window).
-    fn gather_window(&mut self, seg: usize, level: u32) -> Vec<T> {
-        let window_segs = 1usize << level;
-        let first_seg = (seg / window_segs) * window_segs;
-        let start = first_seg * self.seg_size;
-        let slot_count = window_segs * self.seg_size;
-        self.tracer.read(
-            self.region.addr(start as u64),
-            self.region.span(slot_count as u64),
-        );
-        let mut buf = self.scratch.take();
-        self.store
-            .drain_window_into(first_seg, window_segs, &mut buf);
-        buf
     }
 
     /// Number of elements currently in the window of `1 << level` segments
@@ -337,7 +337,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             });
         }
         self.counters.add_insert();
-        let (seg, _within) = self.segment_for_rank(rank);
+        let (seg, within) = self.segment_for_rank(rank);
         // Find the smallest window (starting from the single segment) whose
         // density after the insert is within its upper threshold.
         let mut level = 0u32;
@@ -348,18 +348,20 @@ impl<T: Clone + Default> ClassicPma<T> {
             let threshold = self.bands.upper(depth, self.height);
             if count_after as f64 <= threshold * window_slots as f64 && count_after <= window_slots
             {
-                // Rebalance this window with the new element included.
-                let window_segs = 1usize << level;
-                let first_seg = (seg / window_segs) * window_segs;
-                let rank_of_window_start = self.seg_counts.prefix_sum(first_seg) as usize;
-                let mut buf = self.gather_window(seg, level);
-                let pos = if rank >= self.len {
-                    buf.len()
-                } else {
-                    rank - rank_of_window_start
-                };
-                buf.insert(pos.min(buf.len()), item);
-                self.rebalance_window(seg, level, buf);
+                // Rebalance this window with the new element included: it
+                // goes to the segment its window rank lands in, after the
+                // others are spread to the counts less it.
+                self.rebalance_window(seg, level, count_after, |store, first, new| {
+                    let mut at = within + (first..seg).map(|g| store.group_len(g)).sum::<usize>();
+                    let mut g = 0;
+                    while at >= new[g] {
+                        at -= new[g];
+                        g += 1;
+                    }
+                    new[g] -= 1;
+                    store.redistribute(first, new);
+                    store.insert_in_group(first + g, at, item);
+                });
                 self.len += 1;
                 return Ok(());
             }
@@ -381,7 +383,7 @@ impl<T: Clone + Default> ClassicPma<T> {
             });
         }
         self.counters.add_delete();
-        let (seg, _within) = self.segment_for_rank(rank);
+        let (seg, within) = self.segment_for_rank(rank);
         let mut level = 0u32;
         loop {
             let window_slots = (1usize << level) * self.seg_size;
@@ -390,12 +392,12 @@ impl<T: Clone + Default> ClassicPma<T> {
             let threshold = self.bands.lower(depth, self.height);
             let root_level = level == self.height;
             if count_after as f64 >= threshold * window_slots as f64 && !root_level {
-                let window_segs = 1usize << level;
-                let first_seg = (seg / window_segs) * window_segs;
-                let rank_of_window_start = self.seg_counts.prefix_sum(first_seg) as usize;
-                let mut buf = self.gather_window(seg, level);
-                let removed = take_out(&mut buf, rank - rank_of_window_start);
-                self.rebalance_window(seg, level, buf);
+                let removed =
+                    self.rebalance_window(seg, level, count_after, |store, first, new| {
+                        let removed = store.remove_in_group(seg, within);
+                        store.redistribute(first, new);
+                        removed
+                    });
                 self.len -= 1;
                 return Ok(removed);
             }
@@ -464,95 +466,6 @@ impl<T: Clone + Default> ClassicPma<T> {
         Ok(self.iter_from(i).take(j - i + 1))
     }
 
-    /// The `i`-th through `j`-th elements inclusive, cloned into a `Vec`.
-    /// Thin wrapper over [`ClassicPma::range_iter`] (same error contract),
-    /// pre-sized to `k` since the rank bounds give the exact result count.
-    pub fn range_query(&self, i: usize, j: usize) -> Result<Vec<T>, RankError> {
-        let iter = self.range_iter(i, j)?;
-        let mut out = Vec::with_capacity(if i > j { 0 } else { j - i + 1 });
-        out.extend(iter.cloned());
-        Ok(out)
-    }
-
-    /// How many segments a seek finger walks before falling back to a
-    /// rank-space binary search (`O(log² n)` Fenwick probes) — close probes
-    /// ride the walk, sparse probes never pay `O(distance)`.
-    pub const SEEK_WALK_LIMIT: usize = 32;
-
-    /// [`RankedSequence::lower_bound_seek_by`] for the classic PMA: the
-    /// finger walks dense segments left to right, so ascending probe runs
-    /// cost one group-length read and one comparison per skipped segment;
-    /// far probes (and the first one) binary-search by rank instead.
-    pub fn lower_bound_seek_by<F>(&self, finger: &mut SeekFinger, f: F) -> (usize, Option<&T>)
-    where
-        F: Fn(&T) -> std::cmp::Ordering,
-    {
-        if self.len == 0 {
-            finger.valid = false;
-            return (0, None);
-        }
-        let mut fallback = !finger.valid;
-        let (mut seg, mut base) = if finger.valid {
-            (finger.group, finger.base_rank)
-        } else {
-            (0, 0)
-        };
-        let mut walked = 0usize;
-        loop {
-            if fallback {
-                // Rank-space binary search: O(log n) probes, each one
-                // Fenwick rank descent plus a dense read.
-                let (mut lo, mut hi) = (0usize, self.len);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "mid < len: the binary-search bounds maintain lo <= mid < hi <= len"
-                    )]
-                    let probe = self.get_rank_ref(mid).expect("mid < len");
-                    if f(probe) == std::cmp::Ordering::Less {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                if lo == self.len {
-                    finger.valid = false;
-                    return (self.len, None);
-                }
-                let (s, within) = self.segment_for_rank(lo);
-                seg = s;
-                base = lo - within;
-                break;
-            }
-            if seg >= self.segments {
-                finger.valid = false;
-                debug_assert_eq!(base, self.len);
-                return (self.len, None);
-            }
-            let group = self.store.group(seg);
-            match group.last() {
-                Some(last) if f(last) != std::cmp::Ordering::Less => break,
-                _ => {
-                    base += group.len();
-                    seg += 1;
-                    walked += 1;
-                    fallback = walked >= Self::SEEK_WALK_LIMIT;
-                }
-            }
-        }
-        self.tracer.read(
-            self.region.addr((seg * self.seg_size) as u64),
-            self.region.span(self.seg_size as u64),
-        );
-        let group = self.store.group(seg);
-        let pos = group.partition_point(|e| f(e) == std::cmp::Ordering::Less);
-        finger.group = seg;
-        finger.base_rank = base;
-        finger.valid = true;
-        (base + pos, Some(&group[pos]))
-    }
-
     /// Replaces the entire contents with `items` (in rank order) via a
     /// single `O(n)` rebuild. The classic PMA draws no coins — its layout is
     /// already a deterministic function of the contents — so `seed` is
@@ -607,13 +520,6 @@ impl<T: Clone + Default> RankedSequence for ClassicPma<T> {
         self.get_rank(rank)
     }
 
-    fn lower_bound_seek_by<F>(&self, finger: &mut SeekFinger, f: F) -> (usize, Option<&T>)
-    where
-        F: Fn(&T) -> std::cmp::Ordering,
-    {
-        ClassicPma::lower_bound_seek_by(self, finger, f)
-    }
-
     fn iter_from_by<F>(&self, f: F) -> impl Iterator<Item = &T>
     where
         F: Fn(&T) -> std::cmp::Ordering,
@@ -625,10 +531,6 @@ impl<T: Clone + Default> RankedSequence for ClassicPma<T> {
 
     fn range_iter(&self, i: usize, j: usize) -> Result<impl Iterator<Item = &T>, RankError> {
         ClassicPma::range_iter(self, i, j)
-    }
-
-    fn query(&self, i: usize, j: usize) -> Result<Vec<T>, RankError> {
-        self.range_query(i, j)
     }
 
     fn bulk_load(&mut self, items: impl IntoIterator<Item = T>, seed: u64) {
@@ -672,7 +574,7 @@ mod tests {
         let pma = filled(3000);
         assert_eq!(pma.len(), 3000);
         assert_eq!(
-            pma.range_query(0, 2999).unwrap(),
+            pma.query(0, 2999).unwrap(),
             (0..3000u64).collect::<Vec<_>>()
         );
         pma.check_invariants();
@@ -685,7 +587,7 @@ mod tests {
             pma.insert(0, i).unwrap();
         }
         let expected: Vec<u64> = (0..2000u64).rev().collect();
-        assert_eq!(pma.range_query(0, 1999).unwrap(), expected);
+        assert_eq!(pma.query(0, 1999).unwrap(), expected);
         pma.check_invariants();
     }
 
@@ -708,7 +610,7 @@ mod tests {
             }
         }
         if !model.is_empty() {
-            assert_eq!(pma.range_query(0, model.len() - 1).unwrap(), model);
+            assert_eq!(pma.query(0, model.len() - 1).unwrap(), model);
         }
         pma.check_invariants();
     }
@@ -746,7 +648,7 @@ mod tests {
         let mut pma = filled(5);
         assert!(pma.insert(7, 0).is_err());
         assert!(pma.delete(5).is_err());
-        assert!(pma.range_query(3, 9).is_err());
+        assert!(pma.query(3, 9).is_err());
     }
 
     #[test]
@@ -779,10 +681,7 @@ mod tests {
             b.insert(0, i as u64).unwrap();
         }
         // Same logical contents…
-        assert_eq!(
-            a.range_query(0, n - 1).unwrap(),
-            b.range_query(0, n - 1).unwrap()
-        );
+        assert_eq!(a.query(0, n - 1).unwrap(), b.query(0, n - 1).unwrap());
         // …but the physical layouts differ: the classic PMA is *not*
         // history independent. (If the arrays ended up different sizes the
         // leak is already visible in the size.)
@@ -866,8 +765,11 @@ mod tests {
         }
     }
 
+    /// The provided `lower_bound_seek_by`, which ignores the finger, is the
+    /// one the keyed adapter's sorted reads take on the classic PMA.
     #[test]
     fn seek_finger_matches_binary_search() {
+        use hi_common::batch::SeekFinger;
         let mut pma: ClassicPma<u64> = ClassicPma::new();
         for (i, k) in (0..3_000u64).map(|k| k * 5).enumerate() {
             pma.insert(i, k).unwrap();

@@ -86,7 +86,6 @@ use hi_common::batch::SeekFinger;
 use hi_common::capacity::{CapacityEvent, HiCapacity};
 use hi_common::counters::SharedCounters;
 use hi_common::rng::{DetRng, RngSource};
-use hi_common::scratch::take_out;
 use hi_common::traits::{Occupancy, RankError, RankedSequence};
 use io_sim::{Region, Tracer};
 use rand::Rng;
@@ -94,7 +93,7 @@ use veb_tree::navigation::children;
 use veb_tree::VebTree;
 
 use crate::geometry::Geometry;
-use crate::store::{partition_point_by_lines, Groups, ScanIter, SlotStore};
+use crate::store::{partition_point_by_lines, take_out, Groups, ScanIter, SlotStore};
 
 /// One range's balance element, as Lemma 9's representation reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -920,17 +919,6 @@ impl<T: Clone + Default> HiPma<T> {
         Ok(self.iter_from(i).take(j - i + 1))
     }
 
-    /// The paper's `Query(i, j)` with an owned result: clones the `i`-th
-    /// through `j`-th elements inclusive into a `Vec`. Thin wrapper over
-    /// [`HiPma::range_iter`] (same error contract), pre-sized to `k` since
-    /// the rank bounds give the exact result count.
-    pub fn range_query(&self, i: usize, j: usize) -> Result<Vec<T>, RankError> {
-        let iter = self.range_iter(i, j)?;
-        let mut out = Vec::with_capacity(if i > j { 0 } else { j - i + 1 });
-        out.extend(iter.cloned());
-        Ok(out)
-    }
-
     /// Replaces the entire contents with `items` (in rank order), drawing
     /// **fresh coins** from `seed`: the capacity parameter `N̂` is re-drawn
     /// uniformly from `{n, …, 2n−1}` and every balance element uniformly
@@ -1212,10 +1200,6 @@ impl<T: Clone + Default> RankedSequence for HiPma<T> {
         HiPma::range_iter(self, i, j)
     }
 
-    fn query(&self, i: usize, j: usize) -> Result<Vec<T>, RankError> {
-        self.range_query(i, j)
-    }
-
     fn bulk_load(&mut self, items: impl IntoIterator<Item = T>, seed: u64) {
         HiPma::bulk_load(self, items, seed)
     }
@@ -1259,14 +1243,14 @@ mod tests {
         assert_eq!(pma.len(), 0);
         assert!(pma.is_empty());
         assert_eq!(pma.get_rank(0), None);
-        assert!(pma.range_query(0, 0).is_err());
+        assert!(pma.query(0, 0).is_err());
     }
 
     #[test]
     fn sequential_appends_preserve_order() {
         let pma = filled(2000, 7);
         assert_eq!(pma.len(), 2000);
-        let all = pma.range_query(0, 1999).unwrap();
+        let all = pma.query(0, 1999).unwrap();
         assert_eq!(all, (0..2000u64).collect::<Vec<_>>());
         pma.check_invariants();
     }
@@ -1277,7 +1261,7 @@ mod tests {
         for i in 0..1500u64 {
             pma.insert(0, i).unwrap();
         }
-        let all = pma.range_query(0, 1499).unwrap();
+        let all = pma.query(0, 1499).unwrap();
         let expected: Vec<u64> = (0..1500u64).rev().collect();
         assert_eq!(all, expected);
         pma.check_invariants();
@@ -1294,7 +1278,7 @@ mod tests {
             model.insert(rank, step);
         }
         assert_eq!(pma.len(), model.len());
-        assert_eq!(pma.range_query(0, model.len() - 1).unwrap(), model);
+        assert_eq!(pma.query(0, model.len() - 1).unwrap(), model);
         pma.check_invariants();
     }
 
@@ -1321,7 +1305,7 @@ mod tests {
             }
         }
         if !model.is_empty() {
-            assert_eq!(pma.range_query(0, model.len() - 1).unwrap(), model);
+            assert_eq!(pma.query(0, model.len() - 1).unwrap(), model);
         }
         pma.check_invariants();
     }
@@ -1441,10 +1425,7 @@ mod tests {
             pma.insert(i as usize, i).unwrap();
         }
         assert_eq!(pma.len(), 100);
-        assert_eq!(
-            pma.range_query(0, 99).unwrap(),
-            (0..100).collect::<Vec<_>>()
-        );
+        assert_eq!(pma.query(0, 99).unwrap(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1459,14 +1440,14 @@ mod tests {
     #[test]
     fn range_query_middle() {
         let pma = filled(1000, 10);
-        let got = pma.range_query(400, 449).unwrap();
+        let got = pma.query(400, 449).unwrap();
         assert_eq!(got, (400..450u64).collect::<Vec<_>>());
         // Uniform contract: i > j is an empty range, not an error.
-        assert_eq!(pma.range_query(10, 5).unwrap(), Vec::<u64>::new());
-        assert_eq!(pma.range_query(2000, 1000).unwrap(), Vec::<u64>::new());
-        assert!(pma.range_query(0, 1000).is_err());
+        assert_eq!(pma.query(10, 5).unwrap(), Vec::<u64>::new());
+        assert_eq!(pma.query(2000, 1000).unwrap(), Vec::<u64>::new());
+        assert!(pma.query(0, 1000).is_err());
         assert_eq!(
-            pma.range_query(0, 1000).unwrap_err(),
+            pma.query(0, 1000).unwrap_err(),
             hi_common::RankError {
                 rank: 1000,
                 len: 1000
@@ -1524,7 +1505,7 @@ mod tests {
     fn range_iter_and_refs_agree_with_owned_queries() {
         let pma = filled(1000, 17);
         let lazy: Vec<u64> = pma.range_iter(100, 199).unwrap().copied().collect();
-        assert_eq!(lazy, pma.range_query(100, 199).unwrap());
+        assert_eq!(lazy, pma.query(100, 199).unwrap());
         assert_eq!(pma.get_rank_ref(42), Some(&42));
         assert_eq!(pma.get_rank_ref(1000), None);
         assert_eq!(pma.iter().count(), 1000);
@@ -1696,10 +1677,7 @@ mod tests {
                 b.insert(rank, i).unwrap();
                 contents.insert(rank, i);
             }
-            assert_eq!(
-                a.range_query(0, n - 1).unwrap(),
-                b.range_query(0, n - 1).unwrap()
-            );
+            assert_eq!(a.query(0, n - 1).unwrap(), b.query(0, n - 1).unwrap());
             // Where does the first element sit, as a fraction of the array?
             let pos_a =
                 a.occupancy().iter().position(|&x| x).unwrap() as f64 / a.total_slots() as f64;
@@ -1735,10 +1713,7 @@ mod tests {
         let a = filled(800, 1);
         let b = filled(800, 2);
         // Contents identical…
-        assert_eq!(
-            a.range_query(0, 799).unwrap(),
-            b.range_query(0, 799).unwrap()
-        );
+        assert_eq!(a.query(0, 799).unwrap(), b.query(0, 799).unwrap());
         // …but the layouts should differ (overwhelmingly likely).
         assert_ne!(a.occupancy(), b.occupancy());
     }

@@ -31,7 +31,7 @@
 //! }
 //! pma.insert(2, "c".to_string()).unwrap(); // insert by rank
 //! assert_eq!(pma.to_vec(), vec!["a", "b", "c", "d"]);
-//! assert_eq!(pma.range_query(1, 2).unwrap(), vec!["b", "c"]);
+//! assert_eq!(pma.query(1, 2).unwrap(), vec!["b", "c"]);
 //! ```
 
 #![warn(missing_docs)]

@@ -100,6 +100,16 @@ fn for_each_run(
     }
 }
 
+/// `buf.remove(idx)` that leaves no copy behind: the slot past the new
+/// length holds the default, not the old last element. A resize's `edit`
+/// deletes from the front of the next arena with it.
+pub fn take_out<T: Default>(buf: &mut Vec<T>, idx: usize) -> T {
+    let item = take(&mut buf[idx]);
+    buf[idx..].rotate_left(1);
+    buf.pop();
+    item
+}
+
 /// Moves the `len` elements at `slots[src..]` to `slots[dst..]`, whose
 /// slots outside the source hold defaults, leaving defaults behind: one
 /// rotation of the union when the two overlap, else one slice swap.
@@ -249,8 +259,9 @@ impl<T: Clone + Default> SlotStore<T> {
     /// Moves elements across the boundaries between groups `[g0, g0 +
     /// new.len())` until group `g0 + i` holds `new[i]` elements, in
     /// unchanged rank order. The new counts must sum to the window's element
-    /// count and each fit its group's capacity. An element moves only if its group
-    /// changes, straight to its new group; no allocation and no clone.
+    /// count and each fit its group's capacity, which is checked before
+    /// anything moves. An element moves only if its group changes, straight
+    /// to its new group; no allocation and no clone.
     ///
     /// Each `for_each_run` run is one slice move. Old and new slots both
     /// rise with rank, so left-moving runs, moved in ascending order, and
@@ -258,6 +269,9 @@ impl<T: Clone + Default> SlotStore<T> {
     /// vacated by the runs moved before them.
     pub fn redistribute(&mut self, g0: usize, new: &[usize]) {
         let (cap, groups) = (self.group_cap, new.len());
+        // Hard assert: past it, release would spill into the next group.
+        let most = new.iter().copied().max().unwrap_or(0);
+        assert!(most <= cap, "cannot pack {most} elements into {cap} slots");
         let window = &mut self.slots[g0 * cap..(g0 + groups) * cap];
         let old = &self.counts[g0..g0 + groups];
         for rev in [false, true] {
@@ -267,40 +281,7 @@ impl<T: Clone + Default> SlotStore<T> {
                 }
             });
         }
-        debug_assert!(new.iter().all(|&n| n <= cap), "a group overfilled");
         self.counts[g0..g0 + groups].copy_from_slice(new);
-    }
-
-    /// Moves every element of groups `[g0, g0 + window_groups)` into `out`
-    /// (in rank order), leaving the groups empty and their slots default.
-    pub fn drain_window_into(&mut self, g0: usize, window_groups: usize, out: &mut Vec<T>) {
-        let total: usize = self.counts[g0..g0 + window_groups].iter().sum();
-        out.reserve(total + 1); // +1: callers usually insert one more element
-        for g in g0..g0 + window_groups {
-            let n = std::mem::replace(&mut self.counts[g], 0);
-            out.extend(self.slots[g * self.group_cap..][..n].iter_mut().map(take));
-        }
-    }
-
-    /// Fills groups `[g0, g0 + groups)` — which must be empty — with every
-    /// element of `buf`, evenly spread over the window's logical slots (each
-    /// lands in the group owning its spread position), leaving `buf` empty.
-    pub fn fill_window(&mut self, g0: usize, groups: usize, buf: &mut Vec<T>) {
-        let (l, cap, count) = (self.group_slots, self.group_cap, buf.len());
-        // Hard asserts: overfull, release would spill between groups.
-        assert!(
-            count <= groups * l,
-            "cannot pack {count} elements into {} slots",
-            groups * l
-        );
-        let (slots, counts, mut items) = (&mut self.slots, &mut self.counts, buf.iter_mut());
-        for_each_spread_position(count, groups * l, |p| {
-            let g = g0 + p / l;
-            assert!(counts[g] < cap, "group {g} holds its capacity {cap}");
-            slots[g * cap + counts[g]] = items.next().map(take).unwrap_or_default();
-            counts[g] += 1;
-        });
-        buf.clear();
     }
 
     /// The first half of a resize: re-sizes the store to `group_count`
@@ -463,12 +444,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
-        let mut s: SlotStore<u64> = SlotStore::new(groups.len(), group_slots, group_slots);
-        for (g, elems) in groups.iter().enumerate() {
-            s.fill_window(g, 1, &mut elems.to_vec());
-        }
+    /// A store of groups `group_slots` wide holding at most `group_cap`,
+    /// group `g` holding `groups[g]`: a resize's `regroup` and `spread`.
+    fn filled<T: Clone + Default>(
+        group_slots: usize,
+        group_cap: usize,
+        groups: Vec<Vec<T>>,
+    ) -> SlotStore<T> {
+        let counts: Vec<usize> = groups.iter().map(Vec::len).collect();
+        let mut s = SlotStore::default();
+        s.regroup(counts.len(), group_slots, group_cap, |front| {
+            front.extend(groups.into_iter().flatten())
+        });
+        s.spread(&counts);
         s
+    }
+
+    fn store_with(groups: &[&[u64]], group_slots: usize) -> SlotStore<u64> {
+        filled(
+            group_slots,
+            group_slots,
+            groups.iter().map(|g| g.to_vec()).collect(),
+        )
     }
 
     /// The occupied slots, as `occupancy_into` computes them.
@@ -494,10 +491,9 @@ mod tests {
         // Groups of 70 slots start at every offset within a word and
         // straddle words: group `g` holding `n` occupies `70·g + ⌊70·j/n⌋`.
         let counts = [3usize, 70, 0, 41, 1, 64, 69];
-        let mut s: SlotStore<()> = SlotStore::new(counts.len(), 70, 70);
+        let s = filled(70, 70, counts.iter().map(|&n| vec![(); n]).collect());
         let mut want = Vec::new();
         for (g, &n) in counts.iter().enumerate() {
-            s.fill_window(g, 1, &mut vec![(); n]);
             want.extend((0..n).map(|j| 70 * g + spread_position(j, n, 70)));
         }
         assert_eq!(occupied(&s), want);
@@ -548,12 +544,14 @@ mod tests {
     #[test]
     fn capacity_sizes_the_arena_and_width_the_layout() {
         let counts = [20usize, 0, 7, 1, 20];
-        let mut s: SlotStore<u64> = SlotStore::new(counts.len(), 70, 20);
+        let groups = counts.iter().enumerate().map(|(g, &n)| {
+            let first = 100 * g as u64;
+            (first..first + n as u64).collect()
+        });
+        let mut s = filled(70, 20, groups.collect());
         assert_eq!((s.total_slots(), s.arena_slots()), (350, 100));
         let mut want = Vec::new();
         for (g, &n) in counts.iter().enumerate() {
-            let first = 100 * g as u64;
-            s.fill_window(g, 1, &mut (first..first + n as u64).collect());
             want.extend((0..n).map(|j| 70 * g + spread_position(j, n, 70)));
         }
         assert_eq!(occupied(&s), want);
@@ -576,20 +574,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "group 0 holds its capacity 2")]
-    fn a_window_fill_past_a_group_capacity_panics() {
-        // Four elements spread over two 8-slot groups give each two, and
-        // five give the first three: more than it holds.
-        let mut s: SlotStore<u64> = SlotStore::new(2, 8, 2);
-        let mut buf = (0..4).collect();
-        s.fill_window(0, 2, &mut buf);
-        assert_eq!((s.group_len(0), s.group_len(1)), (2, 2));
-        s.drain_window_into(0, 2, &mut buf);
-        buf.push(4);
-        s.fill_window(0, 2, &mut buf);
-    }
-
-    #[test]
     fn insert_and_remove_move_the_computed_layout() {
         let mut s = store_with(&[&[10, 30]], 8);
         s.insert_in_group(0, 1, 20);
@@ -599,35 +583,6 @@ mod tests {
         assert_eq!(s.remove_in_group(0, 0), 10);
         assert_eq!(s.group(0), &[20, 30]);
         assert_eq!(occupied(&s), vec![0, 4]);
-    }
-
-    #[test]
-    fn drain_then_refill_moves_everything() {
-        let mut s = store_with(&[&[1, 2], &[3], &[4, 5, 6]], 4);
-        let mut out = Vec::new();
-        s.drain_window_into(0, 3, &mut out);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(s.element_count(), 0);
-        assert_eq!(occupied(&s), Vec::<usize>::new());
-        // Refill as one 3-group window: 6 elements over 12 slots.
-        s.fill_window(0, 3, &mut out);
-        assert_eq!(s.element_count(), 6);
-        let gathered: Vec<u64> = s
-            .iter_from(0, 0, Tracer::disabled(), Region::new(0, 8, 12))
-            .copied()
-            .collect();
-        assert_eq!(gathered, vec![1, 2, 3, 4, 5, 6]);
-        // Window spread: positions 0, 2, 4, 6, 8, 10 -> groups get 2 each.
-        assert_eq!(s.group_len(0), 2);
-        assert_eq!(s.group_len(1), 2);
-        assert_eq!(s.group_len(2), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot pack")]
-    fn overfull_window_panics() {
-        let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
-        s.fill_window(0, 2, &mut (0..9u64).collect());
     }
 
     /// `regroup` then `spread` against a flat model, growing and shrinking:
@@ -645,13 +600,9 @@ mod tests {
                     .gen_range(1..=old_groups * old_cap)
                     .min(new_groups * new_cap);
                 let old = dealt(&mut rng, trial % 4, old_groups, old_cap, total);
-                let mut s: SlotStore<Counted> = SlotStore::new(old_groups, 8, old_cap);
                 // Elements count from 1: `Counted(0)` is the default.
                 let mut model: Vec<u64> = (1..=total as u64).collect();
-                for (g, &n) in old.iter().enumerate() {
-                    let first = old[..g].iter().sum::<usize>() as u64 + 1;
-                    s.fill_window(g, 1, &mut (first..).map(Counted).take(n).collect());
-                }
+                let mut s = filled(8, old_cap, dealt_out(&model, &old));
                 let insert = trial % 2 == 0 && total < new_groups * new_cap;
                 let rank = rng.gen_range(0..=total - usize::from(!insert));
                 let clones = CLONES.with(|c| c.get());
@@ -660,7 +611,7 @@ mod tests {
                         front.insert(rank, Counted(999));
                         None
                     } else {
-                        Some(hi_common::scratch::take_out(front, rank))
+                        Some(take_out(front, rank))
                     }
                 });
                 match edited {
@@ -687,6 +638,24 @@ mod tests {
     // Hard asserts: `cargo test --release -p pma` (ci.sh) runs these with
     // debug assertions compiled out.
     #[test]
+    #[should_panic(expected = "cannot pack 3 elements into 2 slots")]
+    fn a_window_fill_past_a_group_capacity_panics() {
+        // Two 8-slot groups holding at most two each: a redistribution that
+        // leaves three in the first is refused before anything moves.
+        let mut s = filled(8, 2, vec![vec![1u64, 2], vec![3, 4]]);
+        s.redistribute(0, &[3, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack 3 elements into 2 slots")]
+    fn overfull_window_panics() {
+        // The capacity check covers every group of the window, not only
+        // its first: here the last of three groups is the overfull one.
+        let mut s = filled(8, 2, vec![vec![1u64, 2], vec![3], vec![4]]);
+        s.redistribute(0, &[1, 0, 3]);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot pack 5 elements into 4 slots")]
     fn overfull_spread_panics() {
         let mut s: SlotStore<u64> = SlotStore::new(2, 4, 4);
@@ -705,8 +674,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the elements outnumber the next arena")]
     fn regrouping_more_elements_than_the_next_arena_holds_panics() {
-        let mut s: SlotStore<u64> = SlotStore::new(1, 8, 8);
-        s.fill_window(0, 1, &mut (1..=5).collect());
+        let mut s = filled(8, 8, vec![(1..=5u64).collect()]);
         s.regroup(1, 4, 4, |_| ());
     }
 
@@ -723,6 +691,18 @@ mod tests {
             CLONES.with(|c| c.set(c.get() + 1));
             Counted(self.0)
         }
+    }
+
+    /// `model` cut into consecutive groups of `counts[g]` elements each.
+    fn dealt_out(model: &[u64], counts: &[usize]) -> Vec<Vec<Counted>> {
+        let mut rest = model;
+        let mut groups = Vec::new();
+        for &n in counts {
+            let (group, tail) = rest.split_at(n);
+            groups.push(group.iter().copied().map(Counted).collect());
+            rest = tail;
+        }
+        groups
     }
 
     /// `total` elements dealt over `groups` groups of `slots` slots, in one
@@ -786,17 +766,13 @@ mod tests {
                     let total = rng.gen_range(0..=window * slots);
                     let old = dealt(&mut rng, trial % 4, window, slots, total);
                     let new = dealt(&mut rng, trial / 4 % 4, window, slots, total);
-                    let mut s: SlotStore<Counted> = SlotStore::new(window + 2, 2 * slots, slots);
                     // Elements count from 1: `Counted(0)` is the default.
-                    let mut model = Vec::new();
-                    for (g, &n) in old.iter().enumerate() {
-                        let first = model.len() as u64 + 1;
-                        model.extend(first..first + n as u64);
-                        s.fill_window(g + 1, 1, &mut (first..).map(Counted).take(n).collect());
-                    }
-                    for g in [0, window + 1] {
-                        s.fill_window(g, 1, &mut vec![Counted(u64::MAX)]);
-                    }
+                    let model: Vec<u64> = (1..=total as u64).collect();
+                    let guard = || vec![Counted(u64::MAX)];
+                    let mut groups = vec![guard()];
+                    groups.extend(dealt_out(&model, &old));
+                    groups.push(guard());
+                    let mut s = filled(2 * slots, slots, groups);
                     let clones = CLONES.with(|c| c.get());
                     s.redistribute(1, &new);
                     let case = format!("window {window}, slots {slots}, {old:?} -> {new:?}");
@@ -894,6 +870,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn take_out_is_remove() {
+        let mut buf: Vec<u64> = (1..=5).collect();
+        assert_eq!(take_out(&mut buf, 1), 2);
+        assert_eq!(buf, [1, 3, 4, 5]);
+        assert_eq!(take_out(&mut buf, 3), 5);
+        assert_eq!(buf, [1, 3, 4]);
     }
 
     #[test]

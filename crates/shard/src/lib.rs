@@ -594,6 +594,12 @@ where
         }
     }
 
+    /// Calls [`ShardedDict::multi_put`], which streams `pairs` through the
+    /// one batch body, so a panicking shard is contained here too.
+    fn extend(&mut self, pairs: impl IntoIterator<Item = KeyValue<D::Key, D::Value>>) {
+        self.multi_put(pairs)
+    }
+
     /// Calls [`ShardedDict::multi_apply`], the one batch body.
     fn apply_batch(&mut self, ops: Vec<BatchOp<D::Key, D::Value>>) -> usize {
         self.multi_apply(ops)
@@ -839,15 +845,23 @@ mod tests {
 
     #[test]
     fn an_inline_batch_panic_is_contained_too() {
-        // A batch of three is contained the same way as a large one.
-        let mut d = flaky(4);
-        let bad = d.shard_of(&POISON);
-        d.multi_put(vec![(1, 10), (POISON, 0), (2, 20)]);
-        assert_eq!(d.degraded_count(), 1);
-        assert!(d.shard_status(bad).is_some());
-        for (k, v) in [(1u64, 10u64), (2, 20)] {
-            if d.shard_of(&k) != bad {
-                assert_eq!(d.get(&k), Some(v));
+        // A batch of three is contained the same way as a large one, and so
+        // is the trait's `extend`.
+        for extend in [false, true] {
+            let mut d = flaky(4);
+            let bad = d.shard_of(&POISON);
+            let pairs = [(1, 10), (POISON, 0), (2, 20)];
+            if extend {
+                Dictionary::extend(&mut d, pairs);
+            } else {
+                d.multi_put(pairs);
+            }
+            assert_eq!(d.degraded_count(), 1, "extend {extend}");
+            assert!(d.shard_status(bad).is_some());
+            for (k, v) in [(1u64, 10u64), (2, 20)] {
+                if d.shard_of(&k) != bad {
+                    assert_eq!(d.get(&k), Some(v));
+                }
             }
         }
     }
@@ -1053,7 +1067,7 @@ mod tests {
     #[test]
     fn batched_ops_match_sequential_ops_bit_for_bit() {
         // Same stream, four splits: per-op, small batches, one giant batch,
-        // and the trait's `extend` (bounded chunks through `apply_batch`).
+        // and the trait's `extend` (`multi_put`, streamed).
         // Shard states must be identical — the per-shard subsequence is
         // invariant under batch partitioning.
         let stream: Vec<(u64, u64)> = (0..3_000u64)

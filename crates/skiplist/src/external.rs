@@ -311,47 +311,6 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
         }
     }
 
-    /// Re-validates a position hint against the current structure: returns
-    /// the location of `key` when the hinted array still *brackets* it
-    /// (its first key ≤ `key` < the next array's first key), `None`
-    /// otherwise. Array first keys are globally sorted and unique, so a
-    /// bracketing array is exactly what [`ExternalSkipList::locate`] would
-    /// find — the check is complete, which makes stale hints safe: they
-    /// simply miss and fall back to a full search.
-    fn locate_verified(&self, key: &K, hint: Position) -> Option<Position> {
-        let node = self.nodes.get(hint.node)?;
-        let array = node.arrays.get(hint.array)?;
-        if array.entries[0].key > *key {
-            return None;
-        }
-        let next_first: Option<&K> = if hint.array + 1 < node.arrays.len() {
-            Some(&node.arrays[hint.array + 1].entries[0].key)
-        } else if hint.node + 1 < self.nodes.len() {
-            Some(self.nodes[hint.node + 1].first_key())
-        } else {
-            None
-        };
-        if let Some(nf) = next_first {
-            if *key >= *nf {
-                return None;
-            }
-        }
-        match array.entries.binary_search_by(|e| e.key.cmp(key)) {
-            Ok(entry) => Some(Position {
-                node: hint.node,
-                array: hint.array,
-                entry,
-                found: true,
-            }),
-            Err(entry) => Some(Position {
-                node: hint.node,
-                array: hint.array,
-                entry,
-                found: false,
-            }),
-        }
-    }
-
     /// Cost of reading the leaf array at `pos`.
     fn leaf_read_cost(&self, pos: Position) -> u64 {
         let pad = self.nodes[pos.node].arrays[pos.array].pad.padded();
@@ -400,26 +359,8 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
     /// present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let pos = self.locate(&key);
-        self.insert_located(key, value, pos, false)
-    }
-
-    /// Insert body working from a precomputed location. `hinted` marks a
-    /// verified-finger hit (batched callers), which skips the multi-level
-    /// search cost; everything else — coin draws, splits, padding redraws —
-    /// is identical to the per-op path.
-    fn insert_located(
-        &mut self,
-        key: K,
-        value: V,
-        pos: Option<Position>,
-        hinted: bool,
-    ) -> Option<V> {
         self.counters.add_insert();
-        let mut ios = if hinted {
-            0
-        } else {
-            self.upper_search_cost(&key)
-        };
+        let mut ios = self.upper_search_cost(&key);
         // Empty structure: create the first node.
         let Some(pos) = pos else {
             let level = self.params.draw_level(&mut self.rng);
@@ -553,18 +494,8 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
     /// Removes a key, returning its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let pos = self.locate(key);
-        self.remove_located(key, pos, false)
-    }
-
-    /// Remove body working from a precomputed location (see
-    /// [`ExternalSkipList::insert_located`]).
-    fn remove_located(&mut self, key: &K, pos: Option<Position>, hinted: bool) -> Option<V> {
         self.counters.add_delete();
-        let mut ios = if hinted {
-            0
-        } else {
-            self.upper_search_cost(key)
-        };
+        let mut ios = self.upper_search_cost(key);
         let Some(pos) = pos else {
             self.finish_op(ios);
             return None;
@@ -701,14 +632,6 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
     /// Borrows every pair in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.range_iter(..)
-    }
-
-    /// Returns every pair with `low ≤ key ≤ high`, in ascending order. Thin
-    /// wrapper over [`ExternalSkipList::range_iter`].
-    pub fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        self.range_iter((Bound::Included(low), Bound::Included(high)))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Replaces the entire contents with `pairs`, drawing **fresh coins**
@@ -848,72 +771,6 @@ impl<K: Ord + Clone, V: Clone> ExternalSkipList<K, V> {
                 }
             }
         }
-    }
-
-    /// Applies a batch of keyed operations in arrival order, threading a
-    /// verified leaf finger through consecutive operations: when the next
-    /// key still falls in the previous operation's leaf array (sequential
-    /// runs, Zipf hot sets), the multi-level search is skipped entirely.
-    /// Coins (promotion levels, padding redraws) are drawn exactly as the
-    /// per-op loop draws them, so the resulting structure is bit-identical.
-    /// Returns the number of removes that found their key.
-    pub fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
-        let mut removed = 0usize;
-        let mut hint: Option<Position> = None;
-        for op in ops {
-            let key = op.key();
-            let (pos, hinted) = match hint.and_then(|h| self.locate_verified(key, h)) {
-                Some(p) => (Some(p), true),
-                None => (self.locate(key), false),
-            };
-            hint = pos;
-            match op {
-                hi_common::batch::BatchOp::Put(k, v) => {
-                    self.insert_located(k, v, pos, hinted);
-                }
-                hi_common::batch::BatchOp::Remove(k) => {
-                    if self.remove_located(&k, pos, hinted).is_some() {
-                        removed += 1;
-                    }
-                }
-            }
-        }
-        removed
-    }
-
-    /// Sorted-probe lookups with a verified leaf finger, results restored
-    /// to input order via an index permutation.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-        let mut out: Vec<Option<V>> = (0..keys.len()).map(|_| None).collect();
-        let mut hint: Option<Position> = None;
-        for &i in &order {
-            let key = &keys[i as usize];
-            self.counters.add_query();
-            let (pos, hinted) = match hint.and_then(|h| self.locate_verified(key, h)) {
-                Some(p) => (Some(p), true),
-                None => (self.locate(key), false),
-            };
-            hint = pos;
-            if let Some(pos) = pos {
-                let mut ios = if hinted {
-                    0
-                } else {
-                    self.upper_search_cost(key)
-                };
-                ios += self.leaf_read_cost(pos);
-                self.finish_op(ios);
-                if pos.found {
-                    out[i as usize] = Some(
-                        self.nodes[pos.node].arrays[pos.array].entries[pos.entry]
-                            .value
-                            .clone(),
-                    );
-                }
-            }
-        }
-        out
     }
 
     /// Collects the whole dictionary in ascending key order.
@@ -1093,24 +950,12 @@ impl<K: Ord + Clone, V: Clone> Dictionary for ExternalSkipList<K, V> {
         ExternalSkipList::range_iter(self, range)
     }
 
-    fn range(&self, low: &K, high: &K) -> Vec<(K, V)> {
-        ExternalSkipList::range(self, low, high)
-    }
-
     fn successor(&self, key: &K) -> Option<(K, V)> {
         ExternalSkipList::successor(self, key)
     }
 
     fn predecessor(&self, key: &K) -> Option<(K, V)> {
         ExternalSkipList::predecessor(self, key)
-    }
-
-    fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
-        ExternalSkipList::apply_batch(self, ops)
-    }
-
-    fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        ExternalSkipList::get_many(self, keys)
     }
 
     fn to_sorted_vec(&self) -> Vec<(K, V)> {
@@ -1466,9 +1311,9 @@ mod tests {
         use hi_common::batch::BatchOp;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // The batch path threads a verified finger through the same
-        // insert/remove bodies, so the coin stream (promotion levels, pad
-        // redraws) and therefore the whole leaf layout must be identical.
+        // A batch is the per-op loop, so the coin stream (promotion levels,
+        // pad redraws) and therefore the whole leaf layout must be identical
+        // however the stream is cut.
         for (b, e) in [(16usize, 0.5f64), (4, 0.25)] {
             let mut rng = StdRng::seed_from_u64(0x5EED ^ b as u64);
             let mut per_op = ExternalSkipList::<u64, u64>::history_independent(b, e, 77);

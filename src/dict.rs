@@ -958,14 +958,15 @@ impl<K: Ord + Clone + Default, V: Clone + Default> Dictionary for DynDict<K, V> 
         dispatch_mut!(self, d => d.bulk_load(pairs, seed))
     }
 
-    /// One enum dispatch for the whole batch, then the engine's own
-    /// `apply_batch` (the arrival-order loop for the PMA-backed engines,
-    /// finger insertion for the B-tree and skip lists).
+    /// One enum dispatch for the whole batch, then the engine's
+    /// `apply_batch`: the arrival-order loop on every engine.
     fn apply_batch(&mut self, ops: Vec<hi_common::batch::BatchOp<K, V>>) -> usize {
         dispatch_mut!(self, d => d.apply_batch(ops))
     }
 
-    /// Sorted-probe batched lookups with per-engine descent fingers.
+    /// One enum dispatch, then the engine's `get_many`: sorted probes on
+    /// the PMA-backed engines (the HI PMA's behind its seek finger), the
+    /// per-key loop on the B-tree and skip lists.
     fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
         dispatch!(self, d => d.get_many(keys))
     }

@@ -20,7 +20,7 @@
 //!   its response path (ring cell, fill, pop, encode) none at all;
 //! * a steady-state served FLUSH allocates a number of times that grows with
 //!   the shard count and not with the records it writes;
-//! * the heap a HI-PMA holds follows its geometry, not its history: no
+//! * the heap either PMA holds follows its geometry, not its history: no
 //!   buffer keeps the capacity of a size it once had.
 //!
 //! The tests share one global allocation counter, so they serialize on a
@@ -36,7 +36,7 @@ use anti_persistence::dict::{Backend, Dict, DictConfig, DynDict, HiDict};
 use anti_persistence::prelude::{Dictionary, Occupancy, RankedDict, RankedSequence, ShardedDict};
 use block_store::{temp_path, BlockStore, StoreOptions};
 use dict_server::{Client, Request, Response, Server, ServerOptions};
-use pma::HiPma;
+use pma::{ClassicPma, HiPma};
 use skiplist::ExternalSkipList;
 
 struct CountingAlloc;
@@ -220,6 +220,20 @@ fn steady_state_hi_pma_deletes_are_allocation_free() {
     assert!(clean > 1_500, "only {clean} steady-state deletes measured");
 }
 
+/// What `build` returns, and the heap bytes it still holds once built.
+fn held<R>(build: impl FnOnce() -> R) -> (R, i64) {
+    let before = live_bytes();
+    let built = build();
+    (built, live_bytes() - before)
+}
+
+/// Deletes elements of `seq` at seeded random ranks until `len` are left.
+fn delete_down_to<S: RankedSequence>(seq: &mut S, len: usize, state: &mut u64) {
+    while seq.len() > len {
+        seq.delete_at(next_rank(state, seq.len() as u64)).unwrap();
+    }
+}
+
 /// Grown to 50 000 pairs and deleted back to 100, a `HiPma` holds exactly
 /// the heap bytes of the same 100 pairs bulk-loaded under a seed that draws
 /// the same `N̂`, and so does one bulk-loaded with 50 000 pairs and then
@@ -228,19 +242,16 @@ fn steady_state_hi_pma_deletes_are_allocation_free() {
 #[test]
 fn a_shrunk_hi_pma_holds_the_heap_of_a_fresh_one_of_its_geometry() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = live_bytes();
-    let mut grown: HiPma<(u64, u64)> = HiPma::new(0xF007);
-    let mut state = 3u64;
-    for i in 0..50_000u64 {
-        let rank = next_rank(&mut state, grown.len() as u64 + 1);
-        grown.insert(rank, (i, i)).unwrap();
-    }
-    while grown.len() > 100 {
+    let (grown, grown_bytes) = held(|| {
+        let mut grown: HiPma<(u64, u64)> = HiPma::new(0xF007);
+        let mut state = 3u64;
+        for i in 0..50_000u64 {
+            let rank = next_rank(&mut state, grown.len() as u64 + 1);
+            grown.insert(rank, (i, i)).unwrap();
+        }
+        delete_down_to(&mut grown, 100, &mut state);
         grown
-            .delete(next_rank(&mut state, grown.len() as u64))
-            .unwrap();
-    }
-    let grown_bytes = live_bytes() - before;
+    });
     let contents = grown.to_vec();
     let fresh = |seed| {
         let mut pma: HiPma<(u64, u64)> = HiPma::new(0);
@@ -248,9 +259,7 @@ fn a_shrunk_hi_pma_holds_the_heap_of_a_fresh_one_of_its_geometry() {
         pma
     };
     let seed = (0..).find(|&s| fresh(s).n_hat() == grown.n_hat()).unwrap();
-    let before = live_bytes();
-    let loaded = fresh(seed);
-    let loaded_bytes = live_bytes() - before;
+    let (loaded, loaded_bytes) = held(|| fresh(seed));
     assert_eq!(loaded.to_vec(), contents);
     assert_eq!(
         grown_bytes,
@@ -258,12 +267,40 @@ fn a_shrunk_hi_pma_holds_the_heap_of_a_fresh_one_of_its_geometry() {
         "N̂ = {}: the grown and shrunk PMA holds {grown_bytes} heap bytes, a fresh one {loaded_bytes}",
         grown.n_hat()
     );
-    let before = live_bytes();
-    let mut reloaded: HiPma<(u64, u64)> = HiPma::new(0);
-    reloaded.bulk_load((0..50_000).map(|i| (i, i)), seed);
-    reloaded.bulk_load(contents.iter().copied(), seed);
-    let reloaded_bytes = live_bytes() - before;
+    let (_, reloaded_bytes) = held(|| {
+        let mut reloaded: HiPma<(u64, u64)> = HiPma::new(0);
+        reloaded.bulk_load((0..50_000).map(|i| (i, i)), seed);
+        reloaded.bulk_load(contents.iter().copied(), seed);
+        reloaded
+    });
     assert_eq!(reloaded_bytes, loaded_bytes, "a load over 50 000 pairs");
+}
+
+/// Grown to 50 000 pairs by appends and deleted back to 100, a
+/// `ClassicPma` holds exactly the heap bytes of a fresh one that was only
+/// ever given those 100 pairs: its geometry is a function of its length,
+/// and no rebalance buffer keeps the capacity of a window it once had.
+#[test]
+fn a_shrunk_classic_pma_holds_the_heap_of_a_fresh_one_with_its_contents() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (grown, grown_bytes) = held(|| {
+        let mut grown: ClassicPma<(u64, u64)> = ClassicPma::new();
+        grown.extend_back((0..50_000).map(|i| (i, i)));
+        delete_down_to(&mut grown, 100, &mut 5);
+        grown
+    });
+    let contents = grown.to_vec();
+    let (fresh, fresh_bytes) = held(|| {
+        let mut fresh = ClassicPma::new();
+        fresh.extend_back(contents.iter().copied());
+        fresh
+    });
+    assert_eq!(fresh.to_vec(), contents);
+    assert_eq!((grown.total_slots(), fresh.total_slots()), (256, 256));
+    assert_eq!(
+        grown_bytes, fresh_bytes,
+        "the grown and shrunk classic PMA holds {grown_bytes} heap bytes, a fresh one {fresh_bytes}"
+    );
 }
 
 #[test]

@@ -226,6 +226,29 @@ fn classic_pma_layout_is_bit_identical_to_the_reference_engine() {
         0x29F1_9C9F_FDDD_7421,
         "classic-PMA layout diverged from the reference engine"
     );
+
+    // Seeded delete churn: two deletes per insert at random ranks, so both
+    // updates' window rebalances run and the array shrinks through several
+    // resizes, from 8 000 elements to 1 000. The pin covers the contents too.
+    let mut state = 0xDE1E_7E5Eu64;
+    for i in 0..21_000u64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let (r, len) = (state >> 33, c.len() as u64);
+        if i % 3 == 2 {
+            c.insert_at((r % (len + 1)) as usize, i).unwrap();
+        } else {
+            c.delete_at((r % len) as usize).unwrap();
+        }
+    }
+    let mut extra = vec![c.total_slots() as u64];
+    extra.extend(c.iter());
+    assert_eq!(
+        layout_fingerprint(&c.occupancy(), &extra),
+        0xE45E_C992_CB77_83C2,
+        "classic-PMA delete-churn layout diverged from the reference engine"
+    );
 }
 
 // ---------------------------------------------------------------------

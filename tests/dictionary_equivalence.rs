@@ -128,6 +128,6 @@ fn pma_rank_interface_agrees_with_vec() {
             classic.insert(rank, step).unwrap();
         }
     }
-    assert_eq!(hi.range_query(0, model.len() - 1).unwrap(), model);
-    assert_eq!(classic.range_query(0, model.len() - 1).unwrap(), model);
+    assert_eq!(hi.query(0, model.len() - 1).unwrap(), model);
+    assert_eq!(classic.query(0, model.len() - 1).unwrap(), model);
 }

@@ -22,7 +22,7 @@ fn pma_range_query_is_scan_optimal() {
     }
     let cost_of = |k: usize| {
         tracer.reset_cold();
-        pma.range_query(10_000, 10_000 + k - 1).unwrap();
+        pma.query(10_000, 10_000 + k - 1).unwrap();
         tracer.stats().reads
     };
     let small = cost_of(1_000).max(1);
